@@ -1,14 +1,11 @@
-//! Campaign hot-path bench: one sweep over the mini workload per
-//! engine, comparing the pre-batch-style solo engine against lockstep
-//! batching. The full pinned trajectory (mini + corpus, recorded
+//! Campaign hot-path bench: one sweep over the mini workload at one
+//! thread. The full pinned trajectory (mini + corpus, recorded
 //! baseline, medians, speedups) is `offramps-cli bench`; this bench is
-//! the quick interactive A/B for kernel work.
+//! the quick interactive probe for kernel work.
 
 use criterion::{Criterion, SamplingMode};
 
-use offramps_bench::campaign::{
-    run_campaign_with, sweep_attacks, CampaignSpec, Engine, DEFAULT_LOCKSTEP_BATCH,
-};
+use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignSpec};
 use offramps_bench::workloads::Workload;
 
 /// The sweep grid on the mini workload only — small enough to sample
@@ -27,22 +24,13 @@ fn benches(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("campaign_sweep");
     group.sampling_mode(SamplingMode::Flat).sample_size(10);
-    for (name, engine) in [
-        ("solo", Engine::Solo),
-        ("lockstep1", Engine::Lockstep(1)),
-        ("lockstep2", Engine::Lockstep(2)),
-        ("lockstep4", Engine::Lockstep(4)),
-        ("lockstep", Engine::Lockstep(DEFAULT_LOCKSTEP_BATCH)),
-        ("lockstep-full", Engine::Lockstep(0)),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = run_campaign_with(&spec, 1, engine).expect("campaign runs");
-                assert!(report.total_events() > 0);
-                report.total_events()
-            })
-        });
-    }
+    group.bench_function("solo", |b| {
+        b.iter(|| {
+            let report = run_campaign(&spec, 1).expect("campaign runs");
+            assert!(report.total_events() > 0);
+            report.total_events()
+        })
+    });
     group.finish();
 }
 

@@ -1,10 +1,10 @@
 //! Microbenchmarks of the substrates: G-code parsing, slicing, motion
-//! planning, signal tracing, and the DES queue.
+//! planning, and signal tracing.
 
 use criterion::{Criterion, SamplingMode, Throughput};
 
 use offramps_bench::workloads;
-use offramps_des::{EventQueue, Tick};
+use offramps_des::Tick;
 use offramps_firmware::motion::{MoveExec, Trapezoid};
 use offramps_gcode::{parse, slicer::SlicerConfig, slicer::Solid, ProgramStats};
 use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
@@ -63,24 +63,6 @@ fn benches(c: &mut Criterion) {
         b.iter(|| trace.pin_stats(Pin::XStep))
     });
     group.bench_function("trace_summary", |b| b.iter(|| trace.summary()));
-    group.finish();
-
-    // --- DES queue ---
-    let mut group = c.benchmark_group("des");
-    group.sampling_mode(SamplingMode::Flat).sample_size(20);
-    group.bench_function("queue_10k_schedule_pop", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.schedule(Tick::new((i * 2654435761) % 1_000_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some(e) = q.pop() {
-                sum = sum.wrapping_add(e.payload);
-            }
-            sum
-        })
-    });
     group.finish();
 }
 

@@ -12,14 +12,15 @@
 //! from it.
 //!
 //! Each report carries one **recorded** baseline entry — the pre-batch
-//! engine (solo scheduler per scenario, `BinaryHeap` event queue)
-//! measured before the batched-engine change landed — and fresh
-//! **measured** entries for the current solo and lockstep engines, with
-//! median wall clock and throughput over a configurable number of
-//! repetitions. The headline `speedup_wall` / `speedup_throughput`
-//! compare the default (lockstep) engine against the recorded baseline.
+//! kernel (solo scheduler per scenario, `BinaryHeap` event queue)
+//! measured at one thread — and fresh **measured** entries for the
+//! current calendar kernel at one thread and at the requested thread
+//! count, with median wall clock and throughput over a configurable
+//! number of repetitions. The headline `speedup_wall` /
+//! `speedup_throughput` compare the one-thread entry against the
+//! recorded baseline, which ran at one thread too.
 
-use crate::campaign::{run_campaign_with, sweep_attacks, CampaignSpec, Engine};
+use crate::campaign::{run_campaign, sweep_attacks, CampaignSpec};
 use crate::corpus::CorpusSpec;
 use crate::json::{number, ObjectWriter, ToJson};
 use crate::workloads::Workload;
@@ -35,14 +36,14 @@ pub const PINNED_CORPUS: u32 = 4;
 pub const PINNED_SCENARIOS: usize = 165;
 
 /// Total simulated events of the pinned sweep — identical for every
-/// engine, batch size, and thread count. Any other total fails
+/// thread count. Any other total fails
 /// [`run_bench`].
 pub const PINNED_EVENTS: u64 = 69_887_995;
 
 /// Recorded pre-batch baseline: median wall seconds of the pinned
 /// sweep on the reference box, measured on the last pre-batch revision
-/// (solo scheduler per scenario, `BinaryHeap` event queue), interleaved
-/// with the batched-engine runs it is compared against.
+/// (solo scheduler per scenario, `BinaryHeap` event queue), at one
+/// thread.
 pub const BASELINE_WALL_S: f64 = 4.89;
 
 /// Recorded pre-batch baseline: median events per second matching
@@ -59,14 +60,16 @@ pub fn pinned_spec() -> CampaignSpec {
     spec
 }
 
-/// One trajectory entry: a named engine configuration with its median
+/// One trajectory entry: a named kernel configuration with its median
 /// timing over `reps` runs of the pinned sweep.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
-    /// Entry name (`"baseline"`, `"solo"`, `"lockstep"`).
+    /// Entry name (`"baseline"`, or `"solo_t<threads>"` when measured).
     pub name: String,
-    /// Human-readable engine description.
+    /// Human-readable kernel description.
     pub engine: String,
+    /// Worker threads the entry ran with.
+    pub threads: usize,
     /// `true` for the recorded pre-batch baseline (not re-measured),
     /// `false` for entries measured by this report.
     pub recorded: bool,
@@ -85,6 +88,7 @@ impl ToJson for BenchEntry {
         let mut obj = ObjectWriter::new(out, indent);
         obj.string("name", &self.name)
             .string("engine", &self.engine)
+            .int("threads", self.threads as i128)
             .bool("recorded", self.recorded)
             .float("wall_s", self.wall_s)
             .float("events_per_sec", self.events_per_sec)
@@ -98,7 +102,7 @@ impl ToJson for BenchEntry {
 /// The full trajectory report serialized to `BENCH_campaign.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Worker threads the measured entries ran with.
+    /// The largest thread count a measured entry ran with.
     pub threads: usize,
     /// Scenario count of the pinned sweep (deterministic).
     pub scenarios: usize,
@@ -106,70 +110,10 @@ pub struct BenchReport {
     pub events: u64,
     /// Recorded baseline plus freshly measured entries.
     pub entries: Vec<BenchEntry>,
-    /// Default-engine wall-clock speedup over the recorded baseline.
+    /// One-thread wall-clock speedup over the recorded baseline.
     pub speedup_wall: f64,
-    /// Default-engine throughput speedup over the recorded baseline.
+    /// One-thread throughput speedup over the recorded baseline.
     pub speedup_throughput: f64,
-}
-
-/// The engine-order comparison a report carries: how the measured
-/// default (lockstep) engine fares against the measured solo engine on
-/// the *same* box in the *same* session. This is the claim "the default
-/// engine is the fastest engine" made checkable — [`run_bench`]
-/// interleaves the two measurements, so the ratio is immune to the
-/// machine-drift that makes the recorded baseline comparison soft.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOrder {
-    /// Median wall seconds of the measured solo engine.
-    pub solo_wall_s: f64,
-    /// Median wall seconds of the measured default (lockstep) engine.
-    pub lockstep_wall_s: f64,
-}
-
-impl EngineOrder {
-    /// `true` when the default (lockstep) engine's median wall clock is
-    /// no worse than solo's — the ordering the default must hold.
-    pub fn default_engine_fastest(&self) -> bool {
-        self.lockstep_wall_s <= self.solo_wall_s
-    }
-
-    /// Solo wall over lockstep wall: > 1.0 means the default engine
-    /// wins.
-    pub fn wall_ratio(&self) -> f64 {
-        self.solo_wall_s / self.lockstep_wall_s
-    }
-
-    /// The human-readable delta row `offramps-cli bench` prints.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "lockstep vs solo: {:.3}s vs {:.3}s ({:.2}x, default engine {})",
-            self.lockstep_wall_s,
-            self.solo_wall_s,
-            self.wall_ratio(),
-            if self.default_engine_fastest() {
-                "fastest"
-            } else {
-                "SLOWER -- order inverted"
-            },
-        )
-    }
-}
-
-impl BenchReport {
-    /// The entry named `name`, if the report carries one.
-    pub fn entry(&self, name: &str) -> Option<&BenchEntry> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-
-    /// The measured solo-vs-lockstep ordering, when the report carries
-    /// both measured entries (recorded entries never participate).
-    pub fn engine_order(&self) -> Option<EngineOrder> {
-        let measured = |name: &str| self.entry(name).filter(|e| !e.recorded);
-        Some(EngineOrder {
-            solo_wall_s: measured("solo")?.wall_s,
-            lockstep_wall_s: measured("lockstep")?.wall_s,
-        })
-    }
 }
 
 impl ToJson for BenchReport {
@@ -182,9 +126,6 @@ impl ToJson for BenchReport {
             .int("events", self.events as i128)
             .float("speedup_wall", self.speedup_wall)
             .float("speedup_throughput", self.speedup_throughput);
-        if let Some(order) = self.engine_order() {
-            obj.float("lockstep_vs_solo_wall", order.wall_ratio());
-        }
         let mut entries = String::from("[");
         for (i, entry) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -203,6 +144,7 @@ pub fn baseline_entry() -> BenchEntry {
     BenchEntry {
         name: "baseline".into(),
         engine: "pre-batch (solo scheduler per scenario, BinaryHeap queue)".into(),
+        threads: 1,
         recorded: true,
         wall_s: BASELINE_WALL_S,
         events_per_sec: BASELINE_EVENTS_PER_SEC,
@@ -216,10 +158,10 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Runs the pinned sweep `reps` times per engine and returns the
-/// trajectory report: the recorded baseline entry, a measured entry for
-/// the current solo engine, and a measured entry for the current
-/// default (lockstep) engine.
+/// Runs the pinned sweep `reps` times at one thread and, when
+/// `threads > 1`, `reps` times at `threads`, and returns the trajectory
+/// report: the recorded baseline entry plus one measured entry per
+/// thread count.
 ///
 /// # Errors
 ///
@@ -229,6 +171,7 @@ fn median(samples: &mut [f64]) -> f64 {
 /// absorb it.
 pub fn run_bench(threads: usize, reps: usize) -> Result<BenchReport, String> {
     let reps = reps.max(1);
+    let threads = threads.max(1);
     let spec = pinned_spec();
     let planned = spec.scenarios()?.len();
     if planned != PINNED_SCENARIOS {
@@ -237,23 +180,24 @@ pub fn run_bench(threads: usize, reps: usize) -> Result<BenchReport, String> {
         ));
     }
 
-    // Reps are interleaved engine-by-engine (solo, lockstep, solo,
-    // lockstep, ...) rather than engine-at-a-time: host clock drift on
-    // shared boxes is monotone over minutes, and a blocked order would
-    // systematically penalize whichever engine runs second. Interleaving
-    // spreads the drift evenly over both medians, which is what makes
-    // the `lockstep vs solo` ordering trustworthy.
-    let measured = [("solo", Engine::Solo), ("lockstep", Engine::default())];
-    let mut walls = [const { Vec::new() }; 2];
-    let mut rates = [const { Vec::new() }; 2];
+    // Reps are interleaved across thread counts (1, N, 1, N, ...)
+    // rather than one count at a time: host clock drift on shared boxes
+    // is monotone over minutes, and a blocked order would
+    // systematically penalize whichever configuration runs second.
+    let mut counts = vec![1];
+    if threads > 1 {
+        counts.push(threads);
+    }
+    let mut walls = vec![Vec::new(); counts.len()];
+    let mut rates = vec![Vec::new(); counts.len()];
     for _ in 0..reps {
-        for (slot, (_, engine)) in measured.iter().enumerate() {
-            let report = run_campaign_with(&spec, threads, *engine)?;
+        for (slot, &n) in counts.iter().enumerate() {
+            let report = run_campaign(&spec, n)?;
             let events = report.total_events();
             if events != PINNED_EVENTS {
                 return Err(format!(
                     "pinned sweep simulated {events} events, expected {PINNED_EVENTS} \
-                     (engine {engine:?}) — behaviour changed, not just speed"
+                     ({n} threads) — behaviour changed, not just speed"
                 ));
             }
             walls[slot].push(report.wall_s);
@@ -261,14 +205,12 @@ pub fn run_bench(threads: usize, reps: usize) -> Result<BenchReport, String> {
         }
     }
     let mut entries = vec![baseline_entry()];
-    for (slot, (name, engine)) in measured.iter().enumerate() {
+    for (slot, &n) in counts.iter().enumerate() {
         let samples = walls[slot].clone();
         entries.push(BenchEntry {
-            name: (*name).into(),
-            engine: match engine {
-                Engine::Solo => "solo scheduler per scenario (calendar kernel)".into(),
-                Engine::Lockstep(n) => format!("lockstep batches of {n} lanes (default)"),
-            },
+            name: format!("solo_t{n}"),
+            engine: "solo scheduler per scenario (calendar kernel)".into(),
+            threads: n,
             recorded: false,
             wall_s: median(&mut walls[slot]),
             events_per_sec: median(&mut rates[slot]),
@@ -277,9 +219,9 @@ pub fn run_bench(threads: usize, reps: usize) -> Result<BenchReport, String> {
         });
     }
 
-    let current = entries.last().expect("lockstep entry just pushed");
-    let speedup_wall = BASELINE_WALL_S / current.wall_s;
-    let speedup_throughput = current.events_per_sec / BASELINE_EVENTS_PER_SEC;
+    let one_thread = &entries[1];
+    let speedup_wall = BASELINE_WALL_S / one_thread.wall_s;
+    let speedup_throughput = one_thread.events_per_sec / BASELINE_EVENTS_PER_SEC;
     Ok(BenchReport {
         threads,
         scenarios: PINNED_SCENARIOS,
@@ -313,8 +255,9 @@ mod tests {
             entries: vec![
                 baseline_entry(),
                 BenchEntry {
-                    name: "lockstep".into(),
-                    engine: "lockstep batches of 8 lanes (default)".into(),
+                    name: "solo_t1".into(),
+                    engine: "solo scheduler per scenario (calendar kernel)".into(),
+                    threads: 1,
                     recorded: false,
                     wall_s: 3.5,
                     events_per_sec: 2.0e7,
@@ -334,80 +277,8 @@ mod tests {
         assert_eq!(entries[0].get("name").unwrap().as_str(), Some("baseline"));
         assert_eq!(entries[0].get("recorded").unwrap().as_bool(), Some(true));
         assert_eq!(entries[1].get("recorded").unwrap().as_bool(), Some(false));
+        assert_eq!(entries[1].get("threads").unwrap().as_u64(), Some(1));
         assert!(value.get("speedup_wall").unwrap().as_f64().unwrap() > 1.0);
-    }
-
-    fn report_with_measured(solo_wall: f64, lockstep_wall: f64) -> BenchReport {
-        let measured = |name: &str, wall_s: f64| BenchEntry {
-            name: name.into(),
-            engine: format!("{name} engine"),
-            recorded: false,
-            wall_s,
-            events_per_sec: PINNED_EVENTS as f64 / wall_s,
-            reps: 1,
-            samples: vec![wall_s],
-        };
-        BenchReport {
-            threads: 1,
-            scenarios: PINNED_SCENARIOS,
-            events: PINNED_EVENTS,
-            entries: vec![
-                baseline_entry(),
-                measured("solo", solo_wall),
-                measured("lockstep", lockstep_wall),
-            ],
-            speedup_wall: BASELINE_WALL_S / lockstep_wall,
-            speedup_throughput: BASELINE_WALL_S / lockstep_wall,
-        }
-    }
-
-    #[test]
-    fn engine_order_compares_the_measured_entries() {
-        let report = report_with_measured(4.0, 3.0);
-        let order = report.engine_order().expect("both measured entries");
-        assert!(order.default_engine_fastest());
-        assert!((order.wall_ratio() - 4.0 / 3.0).abs() < 1e-12);
-        assert!(order.summary_line().contains("default engine fastest"));
-
-        let inverted = report_with_measured(3.0, 4.0).engine_order().unwrap();
-        assert!(!inverted.default_engine_fastest());
-        assert!(inverted.wall_ratio() < 1.0);
-        assert!(inverted.summary_line().contains("order inverted"));
-
-        // A tie keeps the default engine in front: the order only
-        // inverts when lockstep is strictly slower.
-        let tie = report_with_measured(3.0, 3.0).engine_order().unwrap();
-        assert!(tie.default_engine_fastest());
-    }
-
-    #[test]
-    fn engine_order_needs_both_measured_entries() {
-        let mut report = report_with_measured(4.0, 3.0);
-        report.entries.retain(|e| e.name != "solo");
-        assert!(
-            report.engine_order().is_none(),
-            "no ordering without a measured solo entry"
-        );
-
-        let mut recorded = report_with_measured(4.0, 3.0);
-        for e in &mut recorded.entries {
-            e.recorded = true;
-        }
-        assert!(
-            recorded.engine_order().is_none(),
-            "recorded entries never participate in the ordering"
-        );
-    }
-
-    #[test]
-    fn report_json_carries_the_engine_order_ratio() {
-        let report = report_with_measured(4.0, 2.0);
-        let text = json::to_string_pretty(&report);
-        let value = json::parse(&text).expect("report JSON parses strictly");
-        assert_eq!(
-            value.get("lockstep_vs_solo_wall").unwrap().as_f64(),
-            Some(2.0)
-        );
     }
 
     #[test]

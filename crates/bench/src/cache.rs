@@ -33,7 +33,7 @@ use offramps_store::Store;
 
 use offramps::verdict::{Evidence, TimeToDetection, Verdict};
 
-use crate::campaign::{CampaignReport, CampaignSpec, Engine, Scenario, ScenarioResult};
+use crate::campaign::{CampaignReport, CampaignSpec, Scenario, ScenarioResult};
 use crate::json::{self, ObjectWriter, Value};
 use crate::workloads::Workload;
 
@@ -44,7 +44,7 @@ use crate::workloads::Workload;
 /// being addressed at once.
 pub const SCENARIO_KEY_VERSION: u32 = 1;
 
-/// The literal key prefix for the current generation (kept in lockstep
+/// The literal key prefix for the current generation (kept in step
 /// with [`SCENARIO_KEY_VERSION`] by a unit test) so per-record checks
 /// never allocate.
 const SCENARIO_KEY_PREFIX: &str = "offramps-scenario/v1|";
@@ -475,27 +475,10 @@ pub fn run_campaign_cached(
     threads: usize,
     store: &mut Store,
 ) -> Result<(CampaignReport, CacheStats), String> {
-    run_campaign_cached_with(spec, threads, store, Engine::default())
+    run_campaign_cached_observed(spec, threads, store, &Obs::disabled(), false)
 }
 
-/// [`run_campaign_cached`] with an explicit execution engine for the
-/// misses. Cache keys, payloads and report artifacts are engine
-/// independent — a store warmed by the solo engine serves 100 % hits
-/// under the batched engine and vice versa.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign_cached`].
-pub fn run_campaign_cached_with(
-    spec: &CampaignSpec,
-    threads: usize,
-    store: &mut Store,
-    engine: Engine,
-) -> Result<(CampaignReport, CacheStats), String> {
-    run_campaign_cached_observed(spec, threads, store, engine, &Obs::disabled(), false)
-}
-
-/// [`run_campaign_cached_with`] with the observability plane attached
+/// [`run_campaign_cached`] with the observability plane attached
 /// (see [`crate::campaign::run_campaign_observed`] for the campaign
 /// side). On top of the campaign metrics, an enabled handle records
 /// the store's effectiveness (`store.hits` / `store.misses` /
@@ -512,7 +495,6 @@ pub fn run_campaign_cached_observed(
     spec: &CampaignSpec,
     threads: usize,
     store: &mut Store,
-    engine: Engine,
     obs: &Obs,
     trace_alarms: bool,
 ) -> Result<(CampaignReport, CacheStats), String> {
@@ -598,11 +580,7 @@ pub fn run_campaign_cached_observed(
             .map(|(w, program)| (w.label(), program))
             .collect();
         obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
-        // Golden provisioning is engine shaped: solo fans golden
-        // bundles over the pool first; lockstep fuses each workload's
-        // golden lanes into its first miss batch. Either way golden
-        // runs happen only for workloads with at least one miss, and
-        // the artifacts (and store payloads) are engine independent.
+        // Golden runs happen only for workloads with at least one miss.
         let fresh = crate::campaign::execute_campaign(
             spec,
             &workloads,
@@ -615,10 +593,9 @@ pub fn run_campaign_cached_observed(
                 trace_alarms,
             },
             threads,
-            engine,
         );
         // `fresh` comes back in `misses` order, which is matrix order —
-        // so store appends stay in matrix order for every engine.
+        // so store appends stay in matrix order for every thread count.
         for r in fresh {
             let index = r.scenario.index;
             store
@@ -714,7 +691,7 @@ mod tests {
         assert_ne!(base, scenario_key(&w, "t2", 1, 2, "other policy"));
         assert!(is_scenario_key(&base));
         assert!(!is_scenario_key("offramps-scenario/v0|stale"));
-        // The allocation-free prefix stays in lockstep with the salt.
+        // The allocation-free prefix stays in step with the salt.
         assert_eq!(
             SCENARIO_KEY_PREFIX,
             format!("offramps-scenario/v{SCENARIO_KEY_VERSION}|")

@@ -50,7 +50,7 @@
 //! every scenario's [`ScenarioResult`] carries the suite's fused
 //! [`Verdict`] with per-detector [`offramps::verdict::Evidence`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -524,11 +524,10 @@ impl CampaignReport {
     }
 
     /// [`CampaignReport::timing_json`] with the observability plane's
-    /// *execution-class* counters embedded (lockstep lane rotations and
-    /// friends — numbers that legitimately vary with the engine and
-    /// batch size, so they belong in this non-deterministic sidecar,
-    /// never in the metrics document). A disabled handle, or one with
-    /// no execution counters, produces the plain sidecar byte for byte.
+    /// *execution-class* counters and campaign phase spans embedded —
+    /// numbers that legitimately vary run to run, so they belong in
+    /// this non-deterministic sidecar, never in the metrics document. A
+    /// disabled handle produces the plain sidecar byte for byte.
     pub fn timing_json_observed(&self, obs: &Obs) -> String {
         let mut out = String::new();
         let mut w = ObjectWriter::new(&mut out, 0);
@@ -693,69 +692,6 @@ pub fn campaign_detector_policy() -> String {
     DetectorSuite::transaction_default().policy()
 }
 
-/// Produces the golden evidence bundle for one workload under the
-/// campaign's label-derived golden seed (plus shared calibration
-/// repetitions when any detector in the suite calibrates from
-/// repeated golden prints).
-pub(crate) fn golden_evidence(
-    spec: &CampaignSpec,
-    w: &Workload,
-    program: &Arc<Program>,
-    suite: &DetectorSuite,
-) -> EvidenceBundle {
-    detectors::golden_evidence(
-        program,
-        spec.golden_seed(w.label()),
-        &spec.calibration_seeds(w.label(), suite.calibration_runs()),
-        suite,
-    )
-}
-
-/// Default lanes per lockstep batch. Big enough to amortize queue and
-/// program-image overhead across siblings, small enough that the
-/// per-lane working sets still fit in cache together.
-pub const DEFAULT_LOCKSTEP_BATCH: usize = 8;
-
-/// How scenario simulations are executed. This is an execution knob
-/// only — results, summaries and JSON artifacts are byte-identical for
-/// every engine (and every batch size), a property
-/// `tests/lockstep_equivalence.rs` pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// One solo scheduler per scenario — the pre-batch engine, kept as
-    /// the equivalence oracle.
-    Solo,
-    /// Lockstep batches of at most this many sibling lanes per
-    /// workload group (`0` means one batch per whole group).
-    Lockstep(usize),
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::Lockstep(DEFAULT_LOCKSTEP_BATCH)
-    }
-}
-
-/// Builds the bench and job for one scenario: capture path, plant
-/// trace when the suite consumes it, and the scenario's attack either
-/// armed in the interceptor or applied to the G-code upstream.
-fn scenario_bench(
-    scenario: &Scenario,
-    program: &Arc<Program>,
-    suite: &DetectorSuite,
-) -> (TestBench, Arc<Program>) {
-    let mut bench = TestBench::new(scenario.seed)
-        .signal_path(SignalPath::capture())
-        .record_plant_trace(suite.needs_plant_trace());
-    let mut job = Arc::clone(program);
-    match parse_attack(&scenario.trojan).expect("names validated by CampaignSpec") {
-        Attack::None => {}
-        Attack::Trojan(trojan) => bench = bench.with_trojan(trojan),
-        Attack::Flaw3d(attack) => job = Arc::new(attack.apply(program)),
-    }
-    (bench, job)
-}
-
 /// One campaign's judging configuration, threaded as a unit to every
 /// worker: the suite each scenario is judged with, and whether the
 /// evidence is replayed through its streaming facets (online) or
@@ -806,7 +742,6 @@ fn judge_outcome(
                 obs.count("kernel.events_committed", art.kernel.events);
                 obs.count("kernel.wake_dedups", art.kernel.wake_dedups);
                 obs.count("kernel.spill_heap_hits", art.kernel.spills);
-                obs.count_exec("kernel.lane_rotations", art.kernel.rotations);
             }
             let fw_state = format!("{:?}", art.fw_state);
             let events = art.events;
@@ -961,15 +896,25 @@ fn narrate_step(suite: &DetectorSuite, step: &OnlineStep) -> String {
     line
 }
 
-/// Runs one scenario on the solo engine and judges it with the suite
+/// Runs one scenario — capture path, plant trace when the suite
+/// consumes it, and the attack either armed in the interceptor or
+/// applied to the G-code upstream — and judges it with the suite
 /// against its workload's golden evidence.
-pub(crate) fn run_scenario(
+fn run_scenario(
     scenario: &Scenario,
     program: &Arc<Program>,
     golden: &EvidenceBundle,
     judging: Judging<'_>,
 ) -> ScenarioResult {
-    let (bench, job) = scenario_bench(scenario, program, judging.suite);
+    let mut bench = TestBench::new(scenario.seed)
+        .signal_path(SignalPath::capture())
+        .record_plant_trace(judging.suite.needs_plant_trace());
+    let mut job = Arc::clone(program);
+    match parse_attack(&scenario.trojan).expect("names validated by CampaignSpec") {
+        Attack::None => {}
+        Attack::Trojan(trojan) => bench = bench.with_trojan(trojan),
+        Attack::Flaw3d(attack) => job = Arc::new(attack.apply(program)),
+    }
     // detlint: allow(D2) -- per-scenario sim_ms is execution-class, reported only in the timing sidecar
     let t0 = Instant::now();
     let outcome = bench.run(&job);
@@ -977,178 +922,12 @@ pub(crate) fn run_scenario(
     judge_outcome(scenario, outcome, golden, judging, sim_ms)
 }
 
-/// Runs a batch of sibling scenarios of one workload in lockstep —
-/// one shared event queue, the workload's program image hot in cache —
-/// then judges each lane. Per-lane results are exactly what
-/// [`run_scenario`] produces; batch `wall_ms` is split evenly across
-/// lanes (host timing lives only in the non-deterministic sidecar).
-pub(crate) fn run_scenario_batch(
-    batch: &[&Scenario],
-    program: &Arc<Program>,
-    golden: &EvidenceBundle,
-    judging: Judging<'_>,
-) -> Vec<ScenarioResult> {
-    let (benches, jobs): (Vec<_>, Vec<_>) = batch
-        .iter()
-        .map(|sc| scenario_bench(sc, program, judging.suite))
-        .unzip();
-    // detlint: allow(D2) -- batched sim_ms is execution-class, reported only in the timing sidecar
-    let t0 = Instant::now();
-    let outcomes = TestBench::run_batch(benches, &jobs);
-    let sim_ms = t0.elapsed().as_millis() as u64 / batch.len() as u64;
-    batch
-        .iter()
-        .zip(outcomes)
-        .map(|(sc, outcome)| judge_outcome(sc, outcome, golden, judging, sim_ms))
-        .collect()
-}
-
-/// Runs one workload's golden lanes (the primary capture plus every
-/// shared calibration repetition the suite consumes) and its first
-/// scenario chunk as sibling lanes of **one** lockstep batch, then
-/// judges the scenario lanes against the bundle assembled from the
-/// golden lanes — golden-run fusion. The golden artifacts, and thus
-/// the bundle, are byte-identical to a standalone
-/// [`golden_evidence`] call: every lane's event stream is seq-from-0
-/// identical to its solo run whatever batch it rides in, a property
-/// `tests/lockstep_equivalence.rs` pins.
-pub(crate) fn run_fused_batch(
-    spec: &CampaignSpec,
-    batch: &[&Scenario],
-    program: &Arc<Program>,
-    judging: Judging<'_>,
-) -> (EvidenceBundle, Vec<ScenarioResult>) {
-    let suite = judging.suite;
-    let label = batch[0].workload.as_str();
-    let seeds = detectors::golden_seed_plan(
-        spec.golden_seed(label),
-        &spec.calibration_seeds(label, suite.calibration_runs()),
-        suite,
-    );
-    let needs_plant_trace = suite.needs_plant_trace();
-    let mut benches: Vec<TestBench> = seeds
-        .iter()
-        .map(|&seed| detectors::golden_bench(seed, needs_plant_trace))
-        .collect();
-    let mut jobs: Vec<Arc<Program>> = seeds.iter().map(|_| Arc::clone(program)).collect();
-    for sc in batch {
-        let (bench, job) = scenario_bench(sc, program, suite);
-        benches.push(bench);
-        jobs.push(job);
-    }
-    // detlint: allow(D2) -- fused-batch sim_ms is execution-class, reported only in the timing sidecar
-    let t0 = Instant::now();
-    let mut outcomes = TestBench::run_batch(benches, &jobs).into_iter();
-    let golden_runs: Vec<(u64, RunArtifacts)> = seeds
-        .iter()
-        .map(|&seed| {
-            let run = outcomes.next().expect("golden lane").expect("golden run");
-            (seed, run)
-        })
-        .collect();
-    let sim_ms = t0.elapsed().as_millis() as u64 / (seeds.len() + batch.len()) as u64;
-    let golden = detectors::golden_bundle_from_runs(golden_runs, suite);
-    let results = batch
-        .iter()
-        .zip(outcomes)
-        .map(|(sc, outcome)| judge_outcome(sc, outcome, &golden, judging, sim_ms))
-        .collect();
-    (golden, results)
-}
-
-/// Plans the lockstep batches for a scenario matrix: scenarios are
-/// grouped by workload (groups ordered like `workload_order`, members
-/// in matrix order) and chunked to at most `batch` lanes. A function
-/// of the spec alone — never of threads or scheduling — so the plan is
-/// deterministic; and since every batch is judged lane by lane, the
-/// plan does not shape the artifacts either.
-pub(crate) fn lockstep_batches<'a>(
-    scenarios: impl IntoIterator<Item = &'a Scenario>,
-    workload_order: &[&str],
-    batch: usize,
-) -> Vec<Vec<&'a Scenario>> {
-    let mut groups: BTreeMap<&str, Vec<&Scenario>> = BTreeMap::new();
-    for sc in scenarios {
-        groups.entry(sc.workload.as_str()).or_default().push(sc);
-    }
-    let mut out = Vec::new();
-    for label in workload_order {
-        let Some(group) = groups.remove(label) else {
-            continue;
-        };
-        let lanes = if batch == 0 {
-            group.len()
-        } else {
-            batch.max(1)
-        };
-        for chunk in group.chunks(lanes) {
-            out.push(chunk.to_vec());
-        }
-    }
-    debug_assert!(groups.is_empty(), "every scenario workload is listed");
-    out
-}
-
-/// Executes a planned scenario list — the whole matrix, or a cached
-/// campaign's misses — on `threads` workers with the chosen engine.
-/// Results come back in input order either way (the lockstep plan is
-/// reassembled through each scenario's matrix index, so callers index
-/// the output by position in `scenarios`).
-pub(crate) fn execute_scenarios(
-    scenarios: &[&Scenario],
-    workload_order: &[&str],
-    programs: &BTreeMap<&str, Arc<Program>>,
-    goldens: &BTreeMap<&str, EvidenceBundle>,
-    judging: Judging<'_>,
-    threads: usize,
-    engine: Engine,
-) -> Vec<ScenarioResult> {
-    match engine {
-        Engine::Solo => parallel_map(scenarios, threads, |sc| {
-            run_scenario(
-                sc,
-                &programs[sc.workload.as_str()],
-                &goldens[sc.workload.as_str()],
-                judging,
-            )
-        }),
-        Engine::Lockstep(batch) => {
-            let batches = lockstep_batches(scenarios.iter().copied(), workload_order, batch);
-            let ran = parallel_map(&batches, threads, |batch| {
-                let label = batch[0].workload.as_str();
-                run_scenario_batch(batch, &programs[label], &goldens[label], judging)
-            });
-            // Batches group by workload, but the caller expects input
-            // order — reassemble through each scenario's matrix index.
-            let index_of: BTreeMap<usize, usize> = scenarios
-                .iter()
-                .enumerate()
-                .map(|(pos, sc)| (sc.index, pos))
-                .collect();
-            let mut slots: Vec<Option<ScenarioResult>> = scenarios.iter().map(|_| None).collect();
-            for result in ran.into_iter().flatten() {
-                let pos = index_of[&result.scenario.index];
-                slots[pos] = Some(result);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario ran in exactly one batch"))
-                .collect()
-        }
-    }
-}
-
-/// Provisions golden evidence and executes a planned scenario list in
-/// one engine-shaped pass. The solo engine keeps the two-phase shape —
-/// golden bundles fanned over the pool, then the scenario matrix. The
-/// lockstep engine **fuses**: wave 1 runs each workload's golden lanes
-/// inside its first scenario batch ([`run_fused_batch`]), so golden
-/// calibration shares the batch's cache residency and the
-/// [`parallel_map`] slot accounting; wave 2 runs the remaining batches
-/// against the fresh bundles. Wave 2's chunking lines up with the
-/// original plan (removing a group's first chunk leaves the remaining
-/// chunk boundaries unchanged), and every artifact is byte-identical
-/// across engines, batch sizes and thread counts either way.
+/// Provisions golden evidence and executes a planned scenario list —
+/// the whole matrix, or a cached campaign's misses — in two phases:
+/// the golden bundle of every listed workload (under the campaign's
+/// label-derived golden seed, plus the shared calibration reruns the
+/// suite consumes) fanned over the pool, then the scenarios. Results
+/// come back in input order.
 pub(crate) fn execute_campaign(
     spec: &CampaignSpec,
     workloads: &[&Workload],
@@ -1156,125 +935,45 @@ pub(crate) fn execute_campaign(
     programs: &BTreeMap<&str, Arc<Program>>,
     judging: Judging<'_>,
     threads: usize,
-    engine: Engine,
 ) -> Vec<ScenarioResult> {
-    let workload_order: Vec<&str> = workloads.iter().map(|w| w.label()).collect();
-    match engine {
-        Engine::Solo => {
-            let golden_start = judging.obs.clock_micros();
-            let goldens: BTreeMap<&str, EvidenceBundle> = workloads
-                .iter()
-                .zip(parallel_map(workloads, threads, |w| {
-                    golden_evidence(spec, w, &programs[w.label()], judging.suite)
-                }))
-                .map(|(w, bundle)| (w.label(), bundle))
-                .collect();
-            let simulate_start = judging.obs.clock_micros();
-            judging
-                .obs
-                .record_span("campaign", None, "golden", golden_start, simulate_start);
-            let results = execute_scenarios(
-                scenarios,
-                &workload_order,
-                programs,
-                &goldens,
-                judging,
-                threads,
-                engine,
-            );
-            judging.obs.record_span(
-                "campaign",
-                None,
-                "simulate",
-                simulate_start,
-                judging.obs.clock_micros(),
-            );
-            results
-        }
-        Engine::Lockstep(batch) => {
-            let batches = lockstep_batches(scenarios.iter().copied(), &workload_order, batch);
-            // Wave 1: each workload's first batch, fused with its
-            // golden lanes. Later batches of the same workload wait for
-            // the bundle.
-            let mut fused: Vec<Vec<&Scenario>> = Vec::new();
-            let mut rest: Vec<&Scenario> = Vec::new();
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            for b in batches {
-                if seen.insert(b[0].workload.as_str()) {
-                    fused.push(b);
-                } else {
-                    rest.extend(b);
-                }
-            }
-            let wave1_start = judging.obs.clock_micros();
-            let wave1 = parallel_map(&fused, threads, |batch| {
-                run_fused_batch(spec, batch, &programs[batch[0].workload.as_str()], judging)
-            });
-            // Golden fusion makes the golden phase part of wave 1's
-            // simulation — the span label says so instead of
-            // pretending a separate golden phase ran.
-            judging.obs.record_span(
-                "campaign",
-                None,
-                "golden+simulate",
-                wave1_start,
-                judging.obs.clock_micros(),
-            );
-            let index_of: BTreeMap<usize, usize> = scenarios
-                .iter()
-                .enumerate()
-                .map(|(pos, sc)| (sc.index, pos))
-                .collect();
-            let mut slots: Vec<Option<ScenarioResult>> = scenarios.iter().map(|_| None).collect();
-            let mut goldens: BTreeMap<&str, EvidenceBundle> = BTreeMap::new();
-            for (batch, (golden, results)) in fused.iter().zip(wave1) {
-                goldens.insert(batch[0].workload.as_str(), golden);
-                for r in results {
-                    let pos = index_of[&r.scenario.index];
-                    slots[pos] = Some(r);
-                }
-            }
-            // Wave 2: the remaining batches, judged against the fresh
-            // bundles.
-            if !rest.is_empty() {
-                let wave2_start = judging.obs.clock_micros();
-                let wave2 = execute_scenarios(
-                    &rest,
-                    &workload_order,
-                    programs,
-                    &goldens,
-                    judging,
-                    threads,
-                    engine,
-                );
-                judging.obs.record_span(
-                    "campaign",
-                    None,
-                    "simulate",
-                    wave2_start,
-                    judging.obs.clock_micros(),
-                );
-                for r in wave2 {
-                    let pos = index_of[&r.scenario.index];
-                    slots[pos] = Some(r);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario ran in exactly one wave"))
-                .collect()
-        }
-    }
+    let obs = judging.obs;
+    let golden_start = obs.clock_micros();
+    let goldens: BTreeMap<&str, EvidenceBundle> = workloads
+        .iter()
+        .zip(parallel_map(workloads, threads, |w| {
+            let label = w.label();
+            detectors::golden_evidence(
+                &programs[label],
+                spec.golden_seed(label),
+                &spec.calibration_seeds(label, judging.suite.calibration_runs()),
+                judging.suite,
+            )
+        }))
+        .map(|(w, bundle)| (w.label(), bundle))
+        .collect();
+    let simulate_start = obs.clock_micros();
+    obs.record_span("campaign", None, "golden", golden_start, simulate_start);
+    let results = parallel_map(scenarios, threads, |sc| {
+        let label = sc.workload.as_str();
+        run_scenario(sc, &programs[label], &goldens[label], judging)
+    });
+    obs.record_span(
+        "campaign",
+        None,
+        "simulate",
+        simulate_start,
+        obs.clock_micros(),
+    );
+    results
 }
 
-/// Executes the campaign on `threads` workers with the default
-/// (lockstep-batched) engine.
+/// Executes the campaign on `threads` workers.
 ///
 /// Programs are sliced once per workload label and shared as
 /// `Arc<Program>`; golden evidence bundles are produced first (also in
 /// parallel, with shared calibration repetitions when the suite
-/// consumes them), then the scenario matrix runs in lockstep batches
-/// grouped by workload. Results are assembled in matrix order.
+/// consumes them), then the scenario matrix runs one scenario per work
+/// item. Results are assembled in matrix order.
 ///
 /// # Errors
 ///
@@ -1297,42 +996,24 @@ pub(crate) fn execute_campaign(
 /// assert_eq!(one.summary(), four.summary()); // thread count is invisible
 /// ```
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignReport, String> {
-    run_campaign_with(spec, threads, Engine::default())
+    run_campaign_observed(spec, threads, &Obs::disabled(), false)
 }
 
-/// [`run_campaign`] with an explicit execution engine. Artifacts are
-/// byte-identical for every engine and batch size; the engine only
-/// changes how fast they are produced.
-///
-/// # Errors
-///
-/// Reports an invalid trojan or detector name or a duplicate workload
-/// label in the spec.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    threads: usize,
-    engine: Engine,
-) -> Result<CampaignReport, String> {
-    run_campaign_observed(spec, threads, engine, &Obs::disabled(), false)
-}
-
-/// [`run_campaign_with`] with the observability plane attached. With a
+/// [`run_campaign`] with the observability plane attached. With a
 /// disabled handle this *is* the default path; with an enabled one,
 /// deterministic-class metrics (kernel counters, verdict rollups,
 /// campaign totals) accumulate into `obs` — commutatively, so the
-/// rendered metrics document is byte-identical for every thread count,
-/// engine and batch size — and `trace_alarms` additionally narrates
-/// each online scenario's first fused alarm from its flight recorder.
-/// The report itself is byte-identical to [`run_campaign_with`] in
-/// every case.
+/// rendered metrics document is byte-identical for every thread count
+/// — and `trace_alarms` additionally narrates each online scenario's
+/// first fused alarm from its flight recorder. The report itself is
+/// byte-identical to [`run_campaign`] in every case.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_campaign_with`].
+/// Same conditions as [`run_campaign`].
 pub fn run_campaign_observed(
     spec: &CampaignSpec,
     threads: usize,
-    engine: Engine,
     obs: &Obs,
     trace_alarms: bool,
 ) -> Result<CampaignReport, String> {
@@ -1352,10 +1033,7 @@ pub fn run_campaign_observed(
         .collect();
     obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
 
-    // Golden evidence and the scenario matrix, engine shaped: the solo
-    // engine provisions golden bundles first and then runs scenarios;
-    // the lockstep engine fuses each workload's golden lanes into its
-    // first scenario batch.
+    // Golden evidence, then the scenario matrix.
     let workload_refs: Vec<&Workload> = spec.workloads.iter().collect();
     let scenario_refs: Vec<&Scenario> = scenarios.iter().collect();
     let results = execute_campaign(
@@ -1370,7 +1048,6 @@ pub fn run_campaign_observed(
             trace_alarms,
         },
         threads,
-        engine,
     );
 
     Ok(CampaignReport {

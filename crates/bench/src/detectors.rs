@@ -17,8 +17,8 @@
 use std::sync::Arc;
 
 use offramps::verdict::{
-    AcousticDetector, ChannelData, ChannelSynth, DetectorSuite, EvidenceBundle, FusionPolicy,
-    PowerSideChannelDetector, ThermalDetector, TransactionDetector,
+    AcousticDetector, ChannelData, ChannelRequest, ChannelSynth, DetectorSuite, EvidenceBundle,
+    FusionPolicy, PowerSideChannelDetector, ThermalDetector, TransactionDetector,
 };
 use offramps::{Detector, RunArtifacts, SignalPath, TestBench};
 use offramps_gcode::Program;
@@ -64,16 +64,6 @@ pub fn suite_from_names(names: &[String], fusion: FusionPolicy) -> Result<Detect
     DetectorSuite::new(detectors, fusion)
 }
 
-/// The bench one golden lane (the primary capture or a shared
-/// calibration repetition) runs on. Shared by [`golden_evidence`] and
-/// the campaign engine's fused batches, so a golden lane is configured
-/// identically wherever it executes.
-pub(crate) fn golden_bench(seed: u64, needs_plant_trace: bool) -> TestBench {
-    TestBench::new(seed)
-        .signal_path(SignalPath::capture())
-        .record_plant_trace(needs_plant_trace)
-}
-
 /// Runs one print through the capture path, recording the plant-side
 /// trace when the suite's channel plan consumes it.
 pub(crate) fn capture_run(
@@ -81,7 +71,10 @@ pub(crate) fn capture_run(
     seed: u64,
     needs_plant_trace: bool,
 ) -> Result<RunArtifacts, offramps::BenchError> {
-    golden_bench(seed, needs_plant_trace).run(program)
+    TestBench::new(seed)
+        .signal_path(SignalPath::capture())
+        .record_plant_trace(needs_plant_trace)
+        .run(program)
 }
 
 /// Synthesizes one planned channel from a run's artifacts (`None` when
@@ -133,100 +126,57 @@ pub fn observed_evidence(
 /// Produces the golden evidence bundle for one workload: the golden
 /// run under `primary_seed` synthesized into every planned channel,
 /// plus — when any detector calibrates from repetitions — **shared**
-/// golden reruns, one per entry of `calibration_seeds`, feeding every
+/// golden reruns, one per entry of `calibration_seeds` (up to the
+/// suite's [`DetectorSuite::calibration_runs`]), feeding every
 /// repeat-calibrated channel at once (the primary run is each
 /// channel's first calibration trace). Both the campaign runner and the
 /// baseline experiment go through here.
+///
+/// The reruns run one after another, and each is synthesized into its
+/// channels before the next starts, so at most one golden run's
+/// artifacts are alive at a time.
 pub fn golden_evidence(
     program: &Arc<Program>,
     primary_seed: u64,
     calibration_seeds: &[u64],
     suite: &DetectorSuite,
 ) -> EvidenceBundle {
-    let needs_plant_trace = suite
-        .channel_plan()
-        .iter()
-        .any(|r| r.synth.needs_plant_trace());
-    let seeds = golden_seed_plan(primary_seed, calibration_seeds, suite);
+    let needs_plant_trace = suite.needs_plant_trace();
+    let golden_run = |seed| capture_run(program, seed, needs_plant_trace).expect("golden run");
+    let mut bundle = observed_evidence(golden_run(primary_seed), primary_seed, suite);
 
-    // Calibrating suites rerun the same golden workload several times —
-    // the lockstep batch shape — so the primary print and every shared
-    // calibration repetition run as sibling lanes of one batch, keeping
-    // the program image hot. Non-calibrating suites take the plain solo
-    // run. Either way the artifacts are identical per seed.
-    let runs: Vec<(u64, RunArtifacts)> = if seeds.len() > 1 {
-        let benches = seeds
-            .iter()
-            .map(|&seed| golden_bench(seed, needs_plant_trace))
-            .collect();
-        let programs: Vec<Arc<Program>> = seeds.iter().map(|_| Arc::clone(program)).collect();
-        seeds
-            .iter()
-            .copied()
-            .zip(TestBench::run_batch(benches, &programs))
-            .map(|(seed, run)| (seed, run.expect("golden run")))
-            .collect()
-    } else {
-        let art = capture_run(program, primary_seed, needs_plant_trace).expect("golden run");
-        vec![(primary_seed, art)]
-    };
-    golden_bundle_from_runs(runs, suite)
-}
-
-/// The golden seeds one workload's evidence is built from: the primary
-/// seed first, then every shared calibration repetition the suite
-/// consumes (no tail for non-calibrating suites). The campaign engine
-/// uses this plan to provision golden lanes inside a scenario batch;
-/// [`golden_evidence`] uses it for the standalone path. One function,
-/// so the two can never disagree about which seeds run.
-pub(crate) fn golden_seed_plan(
-    primary_seed: u64,
-    calibration_seeds: &[u64],
-    suite: &DetectorSuite,
-) -> Vec<u64> {
     let max_calibration = suite.calibration_runs();
-    let mut seeds = vec![primary_seed];
-    if max_calibration >= 2 {
-        seeds.extend(calibration_seeds.iter().copied().take(max_calibration - 1));
+    if max_calibration < 2 {
+        return bundle;
     }
-    seeds
-}
-
-/// Assembles the golden bundle from already-simulated golden runs, in
-/// [`golden_seed_plan`] order (`runs[0]` is the primary capture). This
-/// is the synthesis half of [`golden_evidence`], split out so the
-/// lockstep campaign engine can run the golden lanes as siblings of a
-/// scenario batch and still build the byte-identical bundle.
-pub(crate) fn golden_bundle_from_runs(
-    mut runs: Vec<(u64, RunArtifacts)>,
-    suite: &DetectorSuite,
-) -> EvidenceBundle {
-    let plan = suite.channel_plan();
-    let max_calibration = suite.calibration_runs();
-    let repeats = runs.split_off(1);
-    let (primary_seed, art) = runs.pop().expect("primary golden run");
-    let mut bundle = observed_evidence(art, primary_seed, suite);
-
-    if max_calibration >= 2 {
-        // One simulation per calibration seed, shared by every
-        // calibrated channel — never one set of reruns per detector.
-        for request in &plan {
-            if request.calibration_runs < 2 {
-                continue;
-            }
-            let channel = request.synth.channel();
-            let Some(primary) = bundle.get(channel).cloned() else {
-                continue;
-            };
-            let mut calib = vec![primary];
-            for (seed, art) in repeats.iter().take(request.calibration_runs - 1) {
+    // One simulation per calibration seed, shared by every calibrated
+    // channel — never one set of reruns per detector.
+    let mut series: Vec<(ChannelRequest, Vec<ChannelData>)> = suite
+        .channel_plan()
+        .into_iter()
+        .filter(|request| request.calibration_runs >= 2)
+        .filter_map(|request| {
+            let primary = bundle.get(request.synth.channel()).cloned()?;
+            Some((request, vec![primary]))
+        })
+        .collect();
+    for (repeat, &seed) in calibration_seeds
+        .iter()
+        .take(max_calibration - 1)
+        .enumerate()
+    {
+        let art = golden_run(seed);
+        for (request, calib) in &mut series {
+            if repeat + 1 < request.calibration_runs {
                 calib.push(
-                    synthesize(&request.synth, art, *seed)
+                    synthesize(&request.synth, &art, seed)
                         .expect("calibration run carries the planned channel source"),
                 );
             }
-            bundle.insert_calibration(channel, calib);
         }
+    }
+    for (request, calib) in series {
+        bundle.insert_calibration(request.synth.channel(), calib);
     }
     bundle
 }

@@ -2,8 +2,8 @@
 //!
 //! * finalized online verdicts are **identical** to the post-hoc suite
 //!   scenario for scenario, and the campaign **summary is
-//!   byte-identical**, across 3 master seeds x engine {solo, lockstep}
-//!   x threads {1, 4} on the four-detector plane;
+//!   byte-identical**, across 3 master seeds x threads {1, 4} on the
+//!   four-detector plane;
 //! * the online JSON equals the post-hoc JSON **byte for byte** once
 //!   its online-only lines (`ttd_` fields and the `"online": true`
 //!   marker) are stripped — online judging adds lines, it never
@@ -15,8 +15,8 @@
 
 use std::path::PathBuf;
 
-use offramps_bench::cache::{run_campaign_cached_with, CacheStats};
-use offramps_bench::campaign::{run_campaign_with, CampaignSpec, Engine};
+use offramps_bench::cache::{run_campaign_cached, CacheStats};
+use offramps_bench::campaign::{run_campaign, CampaignSpec};
 use offramps_bench::json::ToJson;
 use offramps_bench::workloads::Workload;
 use offramps_store::Store;
@@ -74,7 +74,7 @@ fn online_matrix_finalizes_byte_identical_to_the_post_hoc_path() {
             online: true,
             ..post_hoc.clone()
         };
-        let oracle = run_campaign_with(&post_hoc, 1, Engine::Solo).expect("valid spec");
+        let oracle = run_campaign(&post_hoc, 1).expect("valid spec");
         let summary = oracle.summary();
         let stripped_json = oracle.to_json();
         assert!(
@@ -82,45 +82,43 @@ fn online_matrix_finalizes_byte_identical_to_the_post_hoc_path() {
             "post-hoc artifacts must keep the pre-online shape"
         );
 
-        for engine in [Engine::Solo, Engine::default()] {
-            for threads in [1usize, 4] {
-                let report = run_campaign_with(&online, threads, engine).expect("valid spec");
-                let label = format!("seed={master_seed} engine={engine:?} threads={threads}");
+        for threads in [1usize, 4] {
+            let report = run_campaign(&online, threads).expect("valid spec");
+            let label = format!("seed={master_seed} threads={threads}");
 
-                // Scenario for scenario: same fused verdict, same
-                // per-detector evidence — the finalize() path may never
-                // drift from DetectorSuite::judge.
-                for (on, off) in report.results.iter().zip(&oracle.results) {
-                    assert_eq!(on.scenario.trojan, off.scenario.trojan, "{label}");
-                    assert_eq!(
-                        on.verdict,
-                        off.verdict,
-                        "online verdict drifted at {label}: {}",
-                        on.summary_line()
-                    );
-                    // A time-to-detection mark appears only on fused
-                    // mid-print alarms, which imply the final verdict.
-                    if on.ttd.is_some() {
-                        assert!(on.verdict.alarmed, "{label}: {}", on.summary_line());
-                    }
-                }
-                assert!(
-                    report.results.iter().any(|r| r.ttd.is_some()),
-                    "{label}: at least one attack must alarm mid-print"
-                );
-
-                // The summary table is byte-identical; the JSON is
-                // byte-identical once online-only lines are stripped.
-                assert_eq!(report.summary(), summary, "summary differs at {label}");
-                let json = report.to_json();
-                assert!(json.contains("\"online\": true"), "{label}");
-                assert!(json.contains("\"ttd_step\""), "{label}");
+            // Scenario for scenario: same fused verdict, same
+            // per-detector evidence — the finalize() path may never
+            // drift from DetectorSuite::judge.
+            for (on, off) in report.results.iter().zip(&oracle.results) {
+                assert_eq!(on.scenario.trojan, off.scenario.trojan, "{label}");
                 assert_eq!(
-                    strip_online_lines(&json),
-                    stripped_json,
-                    "stripped JSON differs at {label}"
+                    on.verdict,
+                    off.verdict,
+                    "online verdict drifted at {label}: {}",
+                    on.summary_line()
                 );
+                // A time-to-detection mark appears only on fused
+                // mid-print alarms, which imply the final verdict.
+                if on.ttd.is_some() {
+                    assert!(on.verdict.alarmed, "{label}: {}", on.summary_line());
+                }
             }
+            assert!(
+                report.results.iter().any(|r| r.ttd.is_some()),
+                "{label}: at least one attack must alarm mid-print"
+            );
+
+            // The summary table is byte-identical; the JSON is
+            // byte-identical once online-only lines are stripped.
+            assert_eq!(report.summary(), summary, "summary differs at {label}");
+            let json = report.to_json();
+            assert!(json.contains("\"online\": true"), "{label}");
+            assert!(json.contains("\"ttd_step\""), "{label}");
+            assert_eq!(
+                strip_online_lines(&json),
+                stripped_json,
+                "stripped JSON differs at {label}"
+            );
         }
     }
 }
@@ -135,8 +133,7 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     };
 
     let mut store = Store::open(&root).unwrap();
-    let (cold, stats) =
-        run_campaign_cached_with(&post_hoc, 2, &mut store, Engine::default()).expect("valid spec");
+    let (cold, stats) = run_campaign_cached(&post_hoc, 2, &mut store).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 5 });
 
     // Reopen to force an index rebuild from the shard logs, then rerun
@@ -145,8 +142,7 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     // time-to-detection marks — and the summary stays byte-identical.
     drop(store);
     let mut store = Store::open(&root).unwrap();
-    let (warm, stats) =
-        run_campaign_cached_with(&online, 4, &mut store, Engine::default()).expect("valid spec");
+    let (warm, stats) = run_campaign_cached(&online, 4, &mut store).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 5, misses: 0 },
@@ -160,19 +156,17 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     // and a later online rerun replays them payload-identically.
     let root2 = temp_store("online-first");
     let mut store2 = Store::open(&root2).unwrap();
-    let (first, stats) =
-        run_campaign_cached_with(&online, 1, &mut store2, Engine::default()).expect("valid spec");
+    let (first, stats) = run_campaign_cached(&online, 1, &mut store2).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 5 });
     assert!(first.results.iter().any(|r| r.ttd.is_some()));
-    let (second, stats) =
-        run_campaign_cached_with(&online, 4, &mut store2, Engine::default()).expect("valid spec");
+    let (second, stats) = run_campaign_cached(&online, 4, &mut store2).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 5, misses: 0 });
     assert_eq!(second.to_json(), first.to_json());
 
     // And an online-warmed store serving a *post-hoc* campaign must not
     // leak the recorded marks into the pre-online artifact shape.
     let (post_from_online, stats) =
-        run_campaign_cached_with(&post_hoc, 2, &mut store2, Engine::default()).expect("valid spec");
+        run_campaign_cached(&post_hoc, 2, &mut store2).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 5, misses: 0 });
     assert!(post_from_online.results.iter().all(|r| r.ttd.is_none()));
     assert_eq!(post_from_online.to_json(), cold.to_json());

@@ -17,8 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use offramps_des::{
-    CompId, ComponentSet, DriveCmd, DriveExit, KernelStats, LockstepScheduler, Scheduler,
-    SimComponent, SimDuration, StepKind, Tick,
+    CompId, ComponentSet, KernelStats, Scheduler, SimComponent, SimDuration, StepKind, Tick,
 };
 use offramps_firmware::{Firmware, FirmwareConfig, FwState};
 use offramps_gcode::Program;
@@ -86,8 +85,8 @@ pub struct RunArtifacts {
     /// Total events processed.
     pub events: u64,
     /// Kernel hot-path counters for the run (wake-slot dedups, spill
-    /// hits, lockstep rotations) — the observability plane's per-run
-    /// rollup; `kernel.events` equals `events`.
+    /// hits) — the observability plane's per-run rollup;
+    /// `kernel.events` equals `events`.
     pub kernel: KernelStats,
     /// `(time, hotend °C, bed °C)` sampled at the ADC period.
     pub temps: Vec<(Tick, f64, f64)>,
@@ -335,9 +334,8 @@ impl TestBench {
         })
     }
 
-    /// Consumes the builder into a wired-up component rig (same
-    /// construction order as [`TestBench::run`], so RNG streams and
-    /// traces are identical whichever engine steps it).
+    /// Consumes the builder into the component rig [`TestBench::run`]
+    /// steps.
     fn build_rig(self, program: &Arc<Program>) -> Rig {
         let mut mitm = Offramps::new(self.mitm_config, self.seed);
         for trojan in self.trojans {
@@ -355,208 +353,6 @@ impl TestBench {
             rig.plant.enable_trace();
         }
         rig
-    }
-
-    /// Wires the same Figure-3 topology onto a batched lockstep
-    /// scheduler: every lane is one full firmware/interceptor/plant
-    /// loop, all sharing one event queue.
-    fn wire_lockstep(lanes: usize) -> LockstepScheduler<SignalEvent> {
-        let mut sched = LockstepScheduler::new(lanes);
-        let fw = sched.add_component();
-        let mitm = sched.add_component();
-        let plant = sched.add_component();
-        debug_assert_eq!((fw.index(), mitm.index(), plant.index()), (FW, MITM, PLANT));
-        sched.connect(
-            fw,
-            offramps_firmware::PORT_CTRL,
-            mitm,
-            crate::mitm::PORT_CTRL_IN,
-        );
-        sched.connect(
-            plant,
-            offramps_printer::PORT_FEEDBACK,
-            mitm,
-            crate::mitm::PORT_FEEDBACK_IN,
-        );
-        sched.connect(
-            mitm,
-            crate::mitm::PORT_TO_PLANT,
-            plant,
-            offramps_printer::PORT_CTRL,
-        );
-        sched.connect(
-            mitm,
-            crate::mitm::PORT_TO_FIRMWARE,
-            fw,
-            offramps_firmware::PORT_FEEDBACK,
-        );
-        sched
-    }
-
-    /// Runs a batch of sibling scenarios in lockstep through one shared
-    /// event queue — the campaign sweep-matrix hot path.
-    ///
-    /// Each bench/program pair is one lane. Per-lane behaviour —
-    /// termination conditions, event counts, temperatures, artifacts —
-    /// is **exactly** what [`TestBench::run`] produces for the same
-    /// bench and program, for any batch composition (see the lockstep
-    /// determinism notes in `offramps_des`); the batch only amortizes
-    /// kernel overhead and keeps the shared program image hot in cache.
-    /// Results come back in lane order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `benches` and `programs` differ in length or are empty.
-    pub fn run_batch(
-        benches: Vec<TestBench>,
-        programs: &[Arc<Program>],
-    ) -> Vec<Result<RunArtifacts, BenchError>> {
-        assert_eq!(benches.len(), programs.len(), "one program per lane");
-        assert!(!benches.is_empty(), "empty batch");
-
-        /// Per-lane bookkeeping the solo loop keeps in locals.
-        struct LaneRun {
-            max_sim_time: SimDuration,
-            drain_time: SimDuration,
-            limit_tick: Tick,
-            stop_deadline: Option<Tick>,
-            temps: Vec<(Tick, f64, f64)>,
-            /// Set when the lane reaches a termination condition; the
-            /// lane's final artifacts are built after the batch loop.
-            outcome: Option<Result<(), BenchError>>,
-        }
-
-        let mut meta: Vec<LaneRun> = benches
-            .iter()
-            .map(|bench| LaneRun {
-                max_sim_time: bench.max_sim_time,
-                drain_time: bench.drain_time,
-                limit_tick: Tick::ZERO + bench.max_sim_time,
-                stop_deadline: None,
-                temps: Vec::new(),
-                outcome: None,
-            })
-            .collect();
-        let mut rigs: Vec<Rig> = benches
-            .into_iter()
-            .zip(programs)
-            .map(|(bench, program)| bench.build_rig(program))
-            .collect();
-
-        let mut sched = Self::wire_lockstep(rigs.len());
-        sched.start(&mut rigs[..]);
-
-        // The admit closure and the per-step closure borrow disjoint
-        // state, so the lane limits are copied out of `meta` up front.
-        let limits: Vec<Tick> = meta.iter().map(|m| m.limit_tick).collect();
-        let mut remaining = rigs.len();
-        while remaining > 0 {
-            // `drive` runs the whole batch: admission mirrors the solo
-            // loop's peek-before-step limit check (an event beyond its
-            // lane's time limit is never delivered — the drive blocks
-            // and the lane terminates below), and the per-step closure
-            // is the solo loop's body, per lane.
-            let exit = sched.drive(
-                &mut rigs[..],
-                |lane, tick| tick <= limits[lane],
-                |rigs, step| {
-                    let lane = step.lane;
-                    let tick = step.info.tick;
-
-                    if step.info.comp.index() == PLANT && step.info.kind == StepKind::Wake {
-                        let s = rigs[lane].plant.status(tick);
-                        meta[lane].temps.push((tick, s.hotend_c, s.bed_c));
-                    }
-
-                    // Same drain-grace termination as the solo loop.
-                    let mut done = None;
-                    if !matches!(rigs[lane].fw.state(), FwState::Running) {
-                        match meta[lane].stop_deadline {
-                            None => meta[lane].stop_deadline = Some(tick + meta[lane].drain_time),
-                            Some(deadline) if tick >= deadline => done = Some(Ok(())),
-                            Some(_) => {}
-                        }
-                    }
-                    // Lane queue drained: the solo loop would exit on
-                    // peek and report a stall iff the firmware was
-                    // still running. `tick` is the lane's clock — the
-                    // event just delivered is its newest.
-                    if done.is_none() && step.lane_drained {
-                        done = Some(if matches!(rigs[lane].fw.state(), FwState::Running) {
-                            Err(BenchError::Stalled { at: tick })
-                        } else {
-                            Ok(())
-                        });
-                    }
-                    match done {
-                        None => DriveCmd::Continue,
-                        Some(outcome) => {
-                            meta[lane].outcome = Some(outcome);
-                            remaining -= 1;
-                            if remaining == 0 {
-                                DriveCmd::RetireAndStop
-                            } else {
-                                DriveCmd::Retire
-                            }
-                        }
-                    }
-                },
-            );
-            match exit {
-                // A lane's next event is beyond its time limit: the
-                // event is never delivered; the lane terminates here.
-                DriveExit::Blocked { lane, .. } => {
-                    let outcome = if matches!(rigs[lane].fw.state(), FwState::Running) {
-                        Err(BenchError::SimTimeLimit {
-                            limit: meta[lane].max_sim_time,
-                        })
-                    } else {
-                        Ok(())
-                    };
-                    meta[lane].outcome = Some(outcome);
-                    sched.deactivate_lane(lane);
-                    remaining -= 1;
-                }
-                DriveExit::Stopped | DriveExit::Idle => break,
-            }
-        }
-
-        rigs.into_iter()
-            .enumerate()
-            .zip(meta)
-            .map(|((lane, mut rig), m)| {
-                // A lane that never terminated explicitly ran out of
-                // events before its first step (the solo loop's body
-                // never runs): stalled iff the firmware never finished.
-                let outcome = m.outcome.unwrap_or_else(|| {
-                    if matches!(rig.fw.state(), FwState::Running) {
-                        Err(BenchError::Stalled {
-                            at: sched.lane_now(lane),
-                        })
-                    } else {
-                        Ok(())
-                    }
-                });
-                outcome?;
-                let now = sched.lane_now(lane);
-                let plant_status = rig.plant.status(now);
-                let plant_trace = rig.plant.take_trace();
-                let (capture, trace) = rig.mitm.into_outputs();
-                Ok(RunArtifacts {
-                    fw_state: rig.fw.state(),
-                    capture,
-                    part: rig.plant.into_part(),
-                    plant: plant_status,
-                    trace,
-                    plant_trace,
-                    sim_time: now,
-                    events: sched.lane_events(lane),
-                    kernel: sched.lane_stats(lane),
-                    temps: m.temps,
-                    fw_steps: rig.fw.step_counts(),
-                })
-            })
-            .collect()
     }
 }
 
@@ -678,79 +474,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, BenchError::SimTimeLimit { .. }));
         assert!(err.to_string().contains("time limit"));
-    }
-
-    /// The parts of [`RunArtifacts`] that pin a run's identity for
-    /// engine-equivalence checks.
-    type Fingerprint = (u64, Tick, [i64; 4], usize, Option<Vec<[i32; 4]>>);
-
-    fn fingerprint(run: &RunArtifacts) -> Fingerprint {
-        (
-            run.events,
-            run.sim_time,
-            run.fw_steps,
-            run.temps.len(),
-            run.capture
-                .as_ref()
-                .map(|c| c.transactions().iter().map(|t| t.counts).collect()),
-        )
-    }
-
-    #[test]
-    fn batch_of_mixed_scenarios_matches_solo_runs_exactly() {
-        let jobs = [
-            program("G28\nG90\nG1 X10 Y5 F3000\nM84\n"),
-            program("G28\nG90\nG1 X20 F1200\nG1 X0 F1200\nM84\n"),
-            program("M104 S210\nG28\nM109 S210\nG92 E0\nG1 X10 E5 F1200\nM104 S0\nM84\n"),
-        ];
-        // Lanes differ in program, seed, path, and armed Trojan — the
-        // sweep-matrix shape.
-        let make = |i: usize| -> (TestBench, Arc<Program>) {
-            let bench = TestBench::new(20 + i as u64).signal_path(SignalPath::capture());
-            let bench = match i {
-                1 => bench.with_trojan(crate::trojans::by_name("t2").unwrap()),
-                2 => bench.record_plant_trace(true),
-                _ => bench,
-            };
-            (bench, Arc::clone(&jobs[i % jobs.len()]))
-        };
-
-        let solo: Vec<RunArtifacts> = (0..3)
-            .map(|i| {
-                let (bench, job) = make(i);
-                bench.run(&job).unwrap()
-            })
-            .collect();
-
-        let (benches, programs): (Vec<_>, Vec<_>) = (0..3).map(make).unzip();
-        let batch = TestBench::run_batch(benches, &programs);
-
-        for (lane, (batched, solo)) in batch.iter().zip(&solo).enumerate() {
-            let batched = batched.as_ref().expect("lane succeeds");
-            assert_eq!(
-                fingerprint(batched),
-                fingerprint(solo),
-                "lane {lane} diverged from its solo run"
-            );
-            assert_eq!(batched.temps, solo.temps, "lane {lane} temps");
-        }
-    }
-
-    #[test]
-    fn batch_lane_hitting_time_limit_fails_alone() {
-        let dwell = program("G4 P10000\n");
-        let quick = program("G28\nM84\n");
-        let solo_quick = TestBench::new(31).run(&quick).unwrap();
-
-        let benches = vec![
-            TestBench::new(30).max_sim_time(SimDuration::from_secs(2)),
-            TestBench::new(31),
-        ];
-        let batch = TestBench::run_batch(benches, &[Arc::clone(&dwell), Arc::clone(&quick)]);
-
-        assert!(matches!(batch[0], Err(BenchError::SimTimeLimit { .. })));
-        let survivor = batch[1].as_ref().expect("healthy lane unaffected");
-        assert_eq!(fingerprint(survivor), fingerprint(&solo_quick));
     }
 
     #[test]

@@ -619,7 +619,7 @@ impl Verdict {
     /// threshold, in micro-units so registry merges stay exact — plus
     /// the fused `verdict.fused_alarms`. Everything recorded is a pure
     /// function of the verdict, so the metrics document stays
-    /// byte-identical across thread counts and engines.
+    /// byte-identical across thread counts.
     pub fn record_metrics(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;

@@ -5,39 +5,55 @@
 //! controller (an Arduino Mega running Marlin) and its driver board
 //! (RAMPS 1.4). This crate provides the substrate on which we co-simulate
 //! all three: a global clock with **10 ns resolution** (one FPGA clock
-//! period), a stable priority event queue, and seeded random number
+//! period), a calendar [`Scheduler`] that delivers every event in one
+//! deterministic `(tick, sequence)` order, and seeded random number
 //! generation so that every experiment is exactly reproducible.
 //!
 //! # Example
 //!
 //! ```
-//! use offramps_des::{EventQueue, Tick, SimDuration};
+//! use offramps_des::{
+//!     ActionSink, InPort, Scheduler, SimComponent, SimDuration, Tick,
+//! };
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(Tick::from_micros(5), "later");
-//! q.schedule(Tick::ZERO, "first");
-//! q.schedule(Tick::ZERO, "second"); // FIFO among equal ticks
+//! /// Wakes itself every 5 us and records when it ran.
+//! struct Blinker(Vec<Tick>);
 //!
-//! assert_eq!(q.pop().unwrap().payload, "first");
-//! assert_eq!(q.pop().unwrap().payload, "second");
-//! let ev = q.pop().unwrap();
-//! assert_eq!(ev.tick, Tick::from_micros(5));
-//! assert_eq!(ev.tick.as_duration(), SimDuration::from_micros(5));
+//! impl SimComponent for Blinker {
+//!     type Payload = ();
+//!     fn start(&mut self, now: Tick, sink: &mut ActionSink<()>) {
+//!         sink.wake_at(now + SimDuration::from_micros(5));
+//!     }
+//!     fn on_event(&mut self, _: Tick, _: InPort, _: (), _: &mut ActionSink<()>) {}
+//!     fn on_tick(&mut self, now: Tick, sink: &mut ActionSink<()>) {
+//!         self.0.push(now);
+//!         if self.0.len() < 3 {
+//!             sink.wake_at(now + SimDuration::from_micros(5));
+//!         }
+//!     }
+//! }
+//!
+//! let mut sched: Scheduler<()> = Scheduler::new();
+//! sched.add_component();
+//! let mut blinker = Blinker(Vec::new());
+//! let mut comps: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut blinker];
+//! sched.start(&mut comps[..]);
+//! while sched.step(&mut comps[..]).is_some() {}
+//!
+//! assert_eq!(sched.events(), 3);
+//! assert_eq!(sched.now(), Tick::from_micros(15));
+//! assert_eq!(blinker.0[0].as_duration(), SimDuration::from_micros(5));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod component;
-mod lockstep;
-mod queue;
 mod rng;
 mod scheduler;
 mod time;
 
 pub use component::{ActionSink, CompId, InPort, OutPort, SimComponent, SinkAction};
-pub use lockstep::{DriveCmd, DriveExit, LaneSet, LaneStepInfo, LockstepScheduler};
-pub use queue::{Event, EventId, EventQueue};
 pub use rng::{DetRng, SeedSplitter};
 pub use scheduler::{ComponentSet, KernelStats, Scheduler, StepInfo, StepKind};
 pub use time::{SimDuration, Tick, TICKS_PER_MICRO, TICKS_PER_MILLI, TICKS_PER_SEC, TICK_NS};

@@ -130,12 +130,8 @@ pub enum StepKind {
 /// handles, locks, or branches are added to the hot loop, so the
 /// counters exist whether or not anything reads them.
 ///
-/// `events`, `wake_dedups` and `spills` are pure functions of the
-/// scenario (identical between the solo and lockstep engines, pinned
-/// by the lockstep equivalence tests). `rotations` counts lockstep
-/// quantum hand-offs into a lane — an *execution* property of how the
-/// batch was scheduled, zero on the solo engine — and is therefore
-/// only ever reported beside wall-clock timings.
+/// Every field is a pure function of the scenario, so the counters
+/// land in the deterministic metrics document.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Events delivered (completed read/write step cycles).
@@ -146,9 +142,6 @@ pub struct KernelStats {
     /// Sends whose delivery time regressed within their route lane and
     /// took the spill heap.
     pub spills: u64,
-    /// Lockstep quantum rotations onto this scenario's lane; zero on
-    /// the solo scheduler.
-    pub rotations: u64,
 }
 
 /// Report of one processed event, returned by [`Scheduler::step`].
@@ -165,21 +158,21 @@ pub struct StepInfo {
 /// One connected output port's delivery lane: destination plus the
 /// tick-sorted FIFO of in-flight sends.
 #[derive(Debug)]
-pub(crate) struct Route<P> {
-    pub(crate) dest: CompId,
-    pub(crate) port: InPort,
-    pub(crate) fifo: VecDeque<(Tick, u64, P)>,
+struct Route<P> {
+    dest: CompId,
+    port: InPort,
+    fifo: VecDeque<(Tick, u64, P)>,
 }
 
 /// A send whose delivery time regressed within its lane; kept in a
 /// binary heap ordered by `(tick, seq)`, min-first.
 #[derive(Debug)]
-pub(crate) struct Spill<P> {
-    pub(crate) tick: Tick,
-    pub(crate) seq: u64,
-    pub(crate) dest: CompId,
-    pub(crate) port: InPort,
-    pub(crate) payload: P,
+struct Spill<P> {
+    tick: Tick,
+    seq: u64,
+    dest: CompId,
+    port: InPort,
+    payload: P,
 }
 
 impl<P> PartialEq for Spill<P> {
@@ -204,10 +197,8 @@ impl<P> Ord for Spill<P> {
 }
 
 /// Where the next delivery comes from, as found by the calendar scan.
-/// Shared with the batched [`crate::LockstepScheduler`], whose lanes
-/// each run the same scan over their own calendar.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Source {
+enum Source {
     Wake(usize),
     Route(usize),
     Spill,
@@ -367,9 +358,8 @@ impl<P> Scheduler<P> {
     ///    the calendar lanes and wake slots.
     ///
     /// Because no callback ever touches kernel state directly, sibling
-    /// components — and, under the batched
-    /// [`crate::LockstepScheduler`], sibling *scenarios* — step through
-    /// one shared event structure without aliasing hazards.
+    /// components step through one shared event structure without
+    /// aliasing hazards.
     pub fn step<C: ComponentSet<P> + ?Sized>(&mut self, comps: &mut C) -> Option<StepInfo> {
         let (tick, _seq, source) = match self.picked.take() {
             Some(memo) => memo,
@@ -459,13 +449,12 @@ impl<P> Scheduler<P> {
     }
 
     /// Snapshot of the run's kernel counters, for the observability
-    /// plane. `rotations` is zero: the solo scheduler never rotates.
+    /// plane.
     pub fn stats(&self) -> KernelStats {
         KernelStats {
             events: self.events,
             wake_dedups: self.wake_dedups,
             spills: self.spilled,
-            rotations: 0,
         }
     }
 
@@ -745,7 +734,6 @@ mod tests {
                 events: 1,
                 wake_dedups: 2,
                 spills: 0,
-                rotations: 0,
             }
         );
     }

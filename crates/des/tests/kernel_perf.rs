@@ -1,30 +1,21 @@
-//! Manual kernel-overhead probe: solo `Scheduler` vs `LockstepScheduler`
-//! (both the legacy `peek`/`step` pair and the `drive` hot path) vs the
-//! pre-arena per-lane calendar layout, on an identical wake/route churn
-//! workload.
+//! Manual kernel-overhead probe: the calendar `Scheduler` on a wake/route
+//! churn workload, reported in ns per delivered event.
 //!
-//! The pre-arena reference re-implements the PR 6 lane calendar the
-//! batch tables replaced — each lane a private `Vec` of `VecDeque`
-//! route FIFOs, the pick scan dereferencing every ring's front — so the
-//! layout change stays measurable instead of becoming folklore.
-//!
-//! The big probes are ignored by default — they are timing probes, not
-//! correctness tests. Run with:
+//! The big probe is ignored by default — it is a timing probe, not a
+//! correctness test. Run with:
 //!
 //! ```text
 //! cargo test --release -p offramps-des --test kernel_perf -- --ignored --nocapture
 //! ```
 //!
-//! `kernel_probe_smoke` is NOT ignored: it runs every engine for a
-//! cheap step budget and cross-checks their event counts, so the probe
-//! code itself cannot silently bit-rot.
+//! `kernel_probe_smoke` is NOT ignored: it runs the probe for a cheap
+//! step budget and checks its event count, so the probe code itself
+//! cannot silently bit-rot.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use offramps_des::{
-    ActionSink, CompId, ComponentSet, DriveCmd, InPort, LockstepScheduler, OutPort, Scheduler,
-    SimComponent, SimDuration, SinkAction, Tick,
+    ActionSink, CompId, ComponentSet, InPort, OutPort, Scheduler, SimComponent, SimDuration, Tick,
 };
 
 const PORT_IN: InPort = InPort(0);
@@ -32,9 +23,7 @@ const PORT_OUT: OutPort = OutPort(0);
 
 /// Ping-pong endpoint: each delivery sends one payload onward and each
 /// wake re-arms, exercising the fifo, wake-slot, and write-phase paths.
-struct Churn {
-    sends: u64,
-}
+struct Churn;
 
 impl SimComponent for Churn {
     type Payload = u64;
@@ -45,7 +34,6 @@ impl SimComponent for Churn {
     }
 
     fn on_event(&mut self, now: Tick, _port: InPort, n: u64, sink: &mut ActionSink<u64>) {
-        self.sends += 1;
         sink.send_at(PORT_OUT, now + SimDuration::from_micros(10), n + 1);
     }
 
@@ -59,164 +47,21 @@ struct Pair {
     b: Churn,
 }
 
-impl Pair {
-    fn new() -> Self {
-        Pair {
-            a: Churn { sends: 0 },
-            b: Churn { sends: 0 },
-        }
-    }
-}
-
-impl Pair {
-    /// Direct index access for the pre-arena reference, which has no
-    /// scheduler-issued [`CompId`]s.
-    fn end(&mut self, index: usize) -> &mut Churn {
-        match index {
-            0 => &mut self.a,
-            _ => &mut self.b,
-        }
-    }
-}
-
 impl ComponentSet<u64> for Pair {
     fn len(&self) -> usize {
         2
     }
 
     fn component(&mut self, id: CompId) -> &mut dyn SimComponent<Payload = u64> {
-        self.end(id.index())
-    }
-}
-
-/// The pre-arena (PR 6) lane calendar, reduced to the probe's fixed
-/// `Pair` topology: route 0 = a→b, route 1 = b→a, one wake slot per
-/// component. Payload rings hold whole `(tick, seq, payload)` tuples
-/// and the pick scan dereferences each ring's front — exactly the
-/// indirection pattern the flat pick-key table removed.
-struct PreArena {
-    queues: Vec<VecDeque<(Tick, u64, u64)>>,
-    wakes: Vec<Option<(Tick, u64)>>,
-    sink: ActionSink<u64>,
-    next_seq: u64,
-    live: usize,
-    now: Tick,
-    events: u64,
-}
-
-/// `(dest, route-out index)` per component of the Pair topology.
-const PRE_ROUTES: [(usize, usize); 2] = [(1, 0), (0, 1)];
-
-impl PreArena {
-    fn new() -> Self {
-        PreArena {
-            queues: vec![VecDeque::new(), VecDeque::new()],
-            wakes: vec![None, None],
-            sink: ActionSink::new(),
-            next_seq: 0,
-            live: 0,
-            now: Tick::ZERO,
-            events: 0,
+        match id.index() {
+            0 => &mut self.a,
+            _ => &mut self.b,
         }
     }
-
-    fn start(&mut self, comps: &mut Pair) {
-        for id in 0..2 {
-            self.sink.begin(Tick::ZERO);
-            comps.end(id).start(Tick::ZERO, &mut self.sink);
-            self.commit(id);
-        }
-    }
-
-    /// Earliest pending `(tick, seq, source)`; sources < 2 are wake
-    /// slots, 2 + idx are route FIFO fronts (dereferenced per scan).
-    fn pick(&self) -> Option<(Tick, u64, usize)> {
-        let mut best: Option<(Tick, u64, usize)> = None;
-        for (comp, slot) in self.wakes.iter().enumerate() {
-            if let Some((tick, seq)) = *slot {
-                if best.is_none_or(|(bt, bs, _)| (tick, seq) < (bt, bs)) {
-                    best = Some((tick, seq, comp));
-                }
-            }
-        }
-        for (idx, queue) in self.queues.iter().enumerate() {
-            if let Some(&(tick, seq, _)) = queue.front() {
-                if best.is_none_or(|(bt, bs, _)| (tick, seq) < (bt, bs)) {
-                    best = Some((tick, seq, 2 + idx));
-                }
-            }
-        }
-        best
-    }
-
-    fn step(&mut self, comps: &mut Pair) -> bool {
-        let Some((tick, _seq, source)) = self.pick() else {
-            return false;
-        };
-        self.now = tick;
-        self.events += 1;
-        self.live -= 1;
-        self.sink.begin(tick);
-        let from = if source < 2 {
-            self.wakes[source] = None;
-            comps.end(source).on_tick(tick, &mut self.sink);
-            source
-        } else {
-            let idx = source - 2;
-            let (_, _, payload) = self.queues[idx].pop_front().expect("picked front");
-            let dest = PRE_ROUTES[idx].0; // route idx carries its sender's id
-            comps
-                .end(dest)
-                .on_event(tick, PORT_IN, payload, &mut self.sink);
-            dest
-        };
-        self.commit(from);
-        true
-    }
-
-    fn commit(&mut self, from: usize) {
-        for action in self.sink.drain() {
-            match action {
-                SinkAction::Send { at, payload, .. } => {
-                    let idx = PRE_ROUTES[from].1;
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    // The churn workload sends strictly in order; the
-                    // pre-arena spill heap never engages here.
-                    self.queues[idx].push_back((at, seq, payload));
-                    self.live += 1;
-                }
-                SinkAction::WakeAt(t) => {
-                    let slot = &mut self.wakes[from];
-                    if let Some((pending, _)) = *slot {
-                        if pending <= t {
-                            continue;
-                        }
-                    } else {
-                        self.live += 1;
-                    }
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    *slot = Some((t, seq));
-                }
-            }
-        }
-    }
-}
-
-fn wire_lockstep(lanes_n: usize) -> (Vec<Pair>, LockstepScheduler<u64>) {
-    let mut lanes: Vec<Pair> = (0..lanes_n).map(|_| Pair::new()).collect();
-    let mut sched: LockstepScheduler<u64> = LockstepScheduler::new(lanes_n);
-    let a = sched.add_component();
-    let b = sched.add_component();
-    sched.connect(a, PORT_OUT, b, PORT_IN);
-    sched.connect(b, PORT_OUT, a, PORT_IN);
-    sched.start(&mut lanes[..]);
-    (lanes, sched)
 }
 
 fn run_solo(steps: u64, report: bool) -> u64 {
-    let mut comps = Pair::new();
+    let mut comps = Pair { a: Churn, b: Churn };
     let mut sched: Scheduler<u64> = Scheduler::new();
     let a = sched.add_component();
     let b = sched.add_component();
@@ -234,77 +79,11 @@ fn run_solo(steps: u64, report: bool) -> u64 {
     if report {
         let solo = t0.elapsed();
         println!(
-            "solo           {steps} steps in {solo:?}  ({:.1} ns/step)",
+            "solo {steps} steps in {solo:?}  ({:.1} ns/step)",
             solo.as_nanos() as f64 / steps as f64
         );
     }
     sched.events()
-}
-
-fn run_lockstep_peek_step(lanes_n: usize, steps: u64, report: bool) -> u64 {
-    let (mut lanes, mut sched) = wire_lockstep(lanes_n);
-    let t0 = Instant::now();
-    let mut n = 0u64;
-    while n < steps {
-        let (_, next) = sched.peek().unwrap();
-        assert!(next >= Tick::ZERO);
-        sched.step(&mut lanes[..]).unwrap();
-        n += 1;
-    }
-    if report {
-        let lock = t0.elapsed();
-        println!(
-            "lockstep{lanes_n}/step {steps} steps in {lock:?}  ({:.1} ns/step)",
-            lock.as_nanos() as f64 / steps as f64
-        );
-    }
-    (0..lanes_n).map(|l| sched.lane_events(l)).sum()
-}
-
-fn run_lockstep_drive(lanes_n: usize, steps: u64, report: bool) -> u64 {
-    let (mut lanes, mut sched) = wire_lockstep(lanes_n);
-    let t0 = Instant::now();
-    let mut n = 0u64;
-    sched.drive(
-        &mut lanes[..],
-        |_, _| true,
-        |_, _| {
-            n += 1;
-            if n < steps {
-                DriveCmd::Continue
-            } else {
-                DriveCmd::RetireAndStop
-            }
-        },
-    );
-    if report {
-        let lock = t0.elapsed();
-        println!(
-            "lockstep{lanes_n}/drive {steps} steps in {lock:?}  ({:.1} ns/step)",
-            lock.as_nanos() as f64 / steps as f64
-        );
-    }
-    n
-}
-
-fn run_prearena(steps: u64, report: bool) -> u64 {
-    let mut comps = Pair::new();
-    let mut sched = PreArena::new();
-    sched.start(&mut comps);
-    let t0 = Instant::now();
-    let mut n = 0u64;
-    while n < steps {
-        assert!(sched.step(&mut comps), "churn never drains");
-        n += 1;
-    }
-    if report {
-        let pre = t0.elapsed();
-        println!(
-            "pre-arena      {steps} steps in {pre:?}  ({:.1} ns/step)",
-            pre.as_nanos() as f64 / steps as f64
-        );
-    }
-    sched.events
 }
 
 const STEPS: u64 = 20_000_000;
@@ -313,24 +92,16 @@ const STEPS: u64 = 20_000_000;
 #[ignore = "timing probe, run manually with --ignored --nocapture"]
 fn kernel_overhead_probe() {
     run_solo(STEPS, true);
-    run_prearena(STEPS, true);
-    for lanes_n in [1usize, 8] {
-        run_lockstep_peek_step(lanes_n, STEPS, true);
-        run_lockstep_drive(lanes_n, STEPS, true);
-    }
 }
 
-/// Cheap non-ignored variant: every engine the big probe measures runs
-/// for a small budget and must deliver exactly the same number of
-/// events, so none of the probe harnesses can silently bit-rot.
+/// Cheap non-ignored variant: the probe harness runs for a small budget
+/// and must deliver exactly that many events.
 #[test]
 fn kernel_probe_smoke() {
     const SMOKE: u64 = 1_000_000;
-    let solo = run_solo(SMOKE, false);
-    assert_eq!(solo, SMOKE, "solo probe delivers every step");
-    assert_eq!(run_prearena(SMOKE, false), SMOKE, "pre-arena reference");
-    assert_eq!(run_lockstep_peek_step(1, SMOKE, false), SMOKE);
-    assert_eq!(run_lockstep_drive(1, SMOKE, false), SMOKE);
-    assert_eq!(run_lockstep_peek_step(8, SMOKE, false), SMOKE);
-    assert_eq!(run_lockstep_drive(8, SMOKE, false), SMOKE);
+    assert_eq!(
+        run_solo(SMOKE, false),
+        SMOKE,
+        "solo probe delivers every step"
+    );
 }

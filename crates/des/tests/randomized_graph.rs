@@ -193,7 +193,7 @@ fn every_send_is_delivered_exactly_once() {
 /// FIFO among equal ticks: each node's payloads carry its own send
 /// sequence; any two payloads from the same sender arriving at the
 /// same destination and the same tick must preserve send order
-/// (`EventQueue` breaks tick ties by insertion sequence).
+/// (the scheduler breaks tick ties by schedule sequence).
 #[test]
 fn same_tick_deliveries_preserve_send_order() {
     let mut saw_tie = false;

@@ -1,7 +1,7 @@
 //! Deterministic observability plane for the OFFRAMPS reproduction.
 //!
 //! Every campaign artifact in this workspace is pinned byte-identical
-//! across thread counts, batch sizes, and execution engines. An
+//! across thread counts. An
 //! observability layer that leaked wall-clock time or thread
 //! interleaving into its output would break that invariant the moment
 //! anyone turned it on — so this crate is built around one rule:
@@ -17,9 +17,8 @@
 //!   the same registry. Rendering walks a `BTreeMap`, so the JSON is
 //!   canonical. Metrics carry a [`MetricClass`]: `Deterministic`
 //!   metrics land in the metrics document and must be byte-identical
-//!   for any `--threads`/`--batch`; `Execution` metrics (lockstep lane
-//!   rotations) describe *how* the run executed and are only ever
-//!   reported next to wall-clock timings.
+//!   for any `--threads`; `Execution` metrics describe *how* the run
+//!   executed and are only ever reported next to wall-clock timings.
 //! * [`TraceEvent`] / [`Span`] — structured trace records stamped with
 //!   **sim-step time** (microsecond ticks of the simulated print),
 //!   never wall-clock, plus the component and scenario that produced
@@ -42,9 +41,8 @@ use std::sync::{Arc, Mutex};
 /// Which output a metric is allowed to reach.
 ///
 /// `Deterministic` metrics depend only on the simulated scenarios and
-/// must merge to byte-identical JSON for any thread count or engine.
-/// `Execution` metrics (quantum rotations, batch shapes) depend on how
-/// the run was scheduled; they are only reported beside wall-clock
+/// must merge to byte-identical JSON for any thread count.
+/// `Execution` metrics depend on how the run was scheduled; they are only reported beside wall-clock
 /// timings, never in deterministic artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
@@ -248,7 +246,7 @@ impl MetricsRegistry {
     /// Names are sorted, values are integers, keys of the histogram
     /// object are in fixed order — byte-identical for equal
     /// registries, which the determinism tests pin across thread
-    /// counts and engines.
+    /// counts.
     pub fn render_json(&self, class: MetricClass) -> String {
         let mut out = String::from("{\n  \"metrics\": {");
         let mut first = true;
@@ -490,16 +488,6 @@ impl Obs {
         }
     }
 
-    /// Adds `n` to an execution-class counter (timing-sidecar only).
-    pub fn count_exec(&self, name: &str, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.registry
-                .lock()
-                .expect("obs registry lock")
-                .add(name, MetricClass::Execution, n);
-        }
-    }
-
     /// Records one observation into a deterministic histogram.
     pub fn observe(&self, name: &str, v: i64) {
         if let Some(sink) = &self.0 {
@@ -677,17 +665,17 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.add("z.later", MetricClass::Deterministic, 2);
         reg.add("a.first", MetricClass::Deterministic, 1);
-        reg.add("kernel.lane_rotations", MetricClass::Execution, 9);
+        reg.add("pool.chunk_claims", MetricClass::Execution, 9);
         reg.observe("m.margin", MetricClass::Deterministic, -7);
         let json = reg.render_json(MetricClass::Deterministic);
         assert_eq!(
             json,
             "{\n  \"metrics\": {\n    \"a.first\": 1,\n    \"m.margin\": { \"count\": 1, \"sum\": -7, \"min\": -7, \"max\": -7 },\n    \"z.later\": 2\n  }\n}\n"
         );
-        assert!(!json.contains("lane_rotations"), "execution class leaked");
+        assert!(!json.contains("chunk_claims"), "execution class leaked");
         assert_eq!(
             reg.counters_of(MetricClass::Execution),
-            vec![("kernel.lane_rotations", 9)]
+            vec![("pool.chunk_claims", 9)]
         );
     }
 

@@ -19,7 +19,8 @@
 //! * **Append-only shard logs.** Records are single escaped lines in
 //!   `shards/<xx>.log` (256 shards by fingerprint prefix). Rewritten
 //!   keys append a new line; the last line wins on reload. A torn or
-//!   malformed line is skipped (and counted), never fatal.
+//!   malformed line is skipped (and counted), never fatal, and the
+//!   first append after a torn tail starts on a fresh line.
 //! * **Deterministic iteration.** The index is a `BTreeMap` keyed by
 //!   fingerprint, so [`Store::iter`] walks records in a stable order
 //!   regardless of insertion history — analytics built on it are
@@ -55,7 +56,7 @@ mod fingerprint;
 
 pub use fingerprint::Fingerprint;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -109,6 +110,10 @@ pub struct Store {
     root: PathBuf,
     index: BTreeMap<Fingerprint, Record>,
     scan: ScanStats,
+    /// Shards whose log ended without a newline at open — a torn last
+    /// write. The next append to one of them starts with a newline, so
+    /// the fresh record never fuses with the fragment.
+    torn_tails: BTreeSet<u8>,
 }
 
 impl Store {
@@ -127,14 +132,18 @@ impl Store {
             root,
             index: BTreeMap::new(),
             scan: ScanStats::default(),
+            torn_tails: BTreeSet::new(),
         };
-        for shard in 0..SHARD_COUNT {
-            let path = store.shard_path(shard as u8);
+        for shard in 0..=u8::MAX {
+            let path = store.shard_path(shard);
             let bytes = match fs::read(&path) {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
+            if bytes.last().is_some_and(|&b| b != b'\n') {
+                store.torn_tails.insert(shard);
+            }
             // Split on raw newlines and validate UTF-8 per *line*: one
             // corrupted record must degrade to one skipped line, never
             // poison the whole store.
@@ -199,7 +208,8 @@ impl Store {
     /// Stores `value` under `key`, appending to the key's shard log.
     /// Re-putting an identical record is a no-op; a different value for
     /// an existing key appends a superseding line (last wins on
-    /// reload).
+    /// reload). The first append to a shard whose log had a torn tail
+    /// at open terminates that tail first.
     ///
     /// # Errors
     ///
@@ -211,8 +221,14 @@ impl Store {
                 return Ok(());
             }
         }
+        let shard = fp.shard();
         let line = format!(
-            "{RECORD_TAG}\t{}\t{}\t{}\n",
+            "{}{RECORD_TAG}\t{}\t{}\t{}\n",
+            if self.torn_tails.contains(&shard) {
+                "\n"
+            } else {
+                ""
+            },
             fp.hex(),
             escape_field(key),
             escape_field(value)
@@ -220,8 +236,9 @@ impl Store {
         let mut file = fs::File::options()
             .append(true)
             .create(true)
-            .open(self.shard_path(fp.shard()))?;
+            .open(self.shard_path(shard))?;
         file.write_all(line.as_bytes())?;
+        self.torn_tails.remove(&shard);
         self.index.insert(
             fp,
             Record {
@@ -439,6 +456,51 @@ mod tests {
                 foreign: 1,
             }
         );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A shard log truncated mid-record loses that record once: the
+    /// rewrite after the tear lands on its own line, so the next open
+    /// serves it instead of re-tearing it.
+    #[test]
+    fn append_after_a_torn_tail_starts_a_fresh_line() {
+        let root = temp_root("torn-tail");
+        let mut store = Store::open(&root).unwrap();
+        store.put("scenario", "payload").unwrap();
+        let shard = store.shard_path(Fingerprint::of("scenario").shard());
+        let log = fs::read(&shard).unwrap();
+        fs::write(&shard, &log[..log.len() - 20]).unwrap();
+
+        // Run 1: the torn record misses and is rewritten.
+        let mut store = Store::open(&root).unwrap();
+        assert_eq!(store.get("scenario"), None);
+        store.put("scenario", "payload").unwrap();
+
+        // Run 2: it hits; the fragment stays one skipped line.
+        let store = Store::open(&root).unwrap();
+        assert_eq!(store.get("scenario"), Some("payload"));
+        assert_eq!(store.scan_stats().torn, 1);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A log missing only its final newline keeps its last record, and
+    /// the next append does not fuse onto it.
+    #[test]
+    fn append_after_a_missing_final_newline_keeps_both_records() {
+        let root = temp_root("no-final-newline");
+        let mut store = Store::open(&root).unwrap();
+        store.put("k", "first").unwrap();
+        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let mut log = fs::read(&shard).unwrap();
+        log.pop();
+        fs::write(&shard, &log).unwrap();
+
+        let mut store = Store::open(&root).unwrap();
+        assert_eq!(store.get("k"), Some("first"));
+        store.put("k", "second").unwrap();
+        let store = Store::open(&root).unwrap();
+        assert_eq!(store.get("k"), Some("second"));
+        assert_eq!(store.malformed_lines(), 0);
         fs::remove_dir_all(&root).unwrap();
     }
 

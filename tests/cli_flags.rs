@@ -1,0 +1,111 @@
+//! The CLI's declared flag tables, driven through the real binary:
+//! `campaign`, `analytics` and `bench` reject unknown, duplicate and
+//! value-less flags with exit 2 and that subcommand's usage, and
+//! `--help` prints usage without running anything.
+
+use std::process::{Command, Output};
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_offramps-cli"))
+        .args(args)
+        .output()
+        .expect("offramps-cli runs")
+}
+
+fn assert_rejected(args: &[&str], message: &str, usage: &str) {
+    let out = cli(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(usage),
+        "{args:?} prints its usage: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} ran something");
+}
+
+#[test]
+fn retired_batch_flag_is_rejected() {
+    assert_rejected(
+        &["campaign", "--batch", "solo", "--list"],
+        "unknown flag \"--batch\"",
+        "offramps-cli campaign [--threads N]",
+    );
+}
+
+#[test]
+fn misspelled_duplicate_and_valueless_flags_are_rejected() {
+    let usage = "offramps-cli campaign [--threads N]";
+    assert_rejected(
+        &["campaign", "--list", "--threadz", "4"],
+        "unknown flag",
+        usage,
+    );
+    assert_rejected(
+        &["campaign", "--list", "--threads", "2", "--threads", "2"],
+        "duplicate flag --threads",
+        usage,
+    );
+    assert_rejected(
+        &["campaign", "--list", "--threads"],
+        "--threads needs a value",
+        usage,
+    );
+    assert_rejected(
+        &["campaign", "--list", "stray"],
+        "unexpected argument",
+        usage,
+    );
+    assert_rejected(
+        &["campaign", "--list", "--threads=2"],
+        "--threads takes no inline =VALUE",
+        usage,
+    );
+    assert_rejected(
+        &["analytics", "--cache", "x", "--sweep"],
+        "unknown flag",
+        "offramps-cli analytics --cache DIR",
+    );
+    assert_rejected(
+        &["bench", "--reps"],
+        "--reps needs a value",
+        "offramps-cli bench [--threads N]",
+    );
+}
+
+#[test]
+fn declared_forms_are_accepted() {
+    // `--metrics=FILE`, repeated identically, and a value holding `=`.
+    let out = cli(&[
+        "campaign",
+        "--list",
+        "--sweep",
+        "--threads",
+        "2",
+        "--metrics=m.json",
+        "--metrics=m.json",
+        "--fuse",
+        "weighted:txn=1@0.5",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("scenarios: 33"));
+}
+
+#[test]
+fn help_prints_usage_without_running() {
+    for (cmd, usage) in [
+        ("bench", "offramps-cli bench [--threads N]"),
+        ("campaign", "offramps-cli campaign [--threads N]"),
+        ("analytics", "offramps-cli analytics --cache DIR"),
+    ] {
+        let out = cli(&[cmd, "--help"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{cmd}");
+        assert!(stdout.contains(usage), "{cmd}: {stdout}");
+        assert!(
+            !stdout.contains("pinned sweep:"),
+            "{cmd} --help ran the bench"
+        );
+    }
+}

@@ -1,21 +1,21 @@
 //! The observability plane's contract, pinned end to end:
 //!
 //! * the rendered metrics document is **byte-identical** across worker
-//!   thread counts and execution engines — deterministic-class metrics
-//!   are a pure function of the spec, and merging is commutative;
+//!   thread counts — deterministic-class metrics are a pure function of
+//!   the spec, and merging is commutative;
 //! * attaching the plane (enabled or disabled, tracing or not) never
 //!   perturbs the campaign artifact itself — summary and JSON stay
 //!   byte-equal to the default path;
-//! * execution-class counters (lockstep lane rotations) ride only in
-//!   the timing sidecar, never in the metrics document;
+//! * execution-class counters ride only in the timing sidecar, never
+//!   in the metrics document;
 //! * the flight recorder narrates the pinned mid-print catches — the
 //!   cadence-breaking flow Trojan is the acoustic judge's window-290
 //!   alarm at master seeds 42 **and** 7, matching `tests/online_pins.rs`.
 
-use offramps_bench::campaign::{run_campaign_observed, run_campaign_with, CampaignSpec, Engine};
+use offramps_bench::campaign::{run_campaign, run_campaign_observed, CampaignSpec};
 use offramps_bench::json::ToJson;
 use offramps_bench::workloads::Workload;
-use offramps_obs::{MetricClass, Obs};
+use offramps_obs::{MetricClass, MetricsRegistry, Obs};
 
 const QUAD: [&str; 4] = ["txn", "power", "acoustic", "thermal"];
 
@@ -35,39 +35,26 @@ fn online_quad(master_seed: u64) -> CampaignSpec {
 }
 
 #[test]
-fn metrics_document_is_identical_across_threads_and_engines() {
+fn metrics_document_is_identical_across_threads() {
     let spec = online_quad(42);
-    let configs = [
-        (1, Engine::Solo),
-        (4, Engine::Solo),
-        (1, Engine::Lockstep(8)),
-        (4, Engine::Lockstep(8)),
-    ];
 
     let mut baseline: Option<(String, String)> = None;
-    for (threads, engine) in configs {
+    for threads in [1, 4] {
         let obs = Obs::enabled();
-        let report =
-            run_campaign_observed(&spec, threads, engine, &obs, false).expect("valid spec");
+        let report = run_campaign_observed(&spec, threads, &obs, false).expect("valid spec");
         let metrics = obs.metrics_json().expect("enabled handle renders");
         let artifact = report.to_json();
         match &baseline {
             None => baseline = Some((metrics, artifact)),
             Some((m0, a0)) => {
-                assert_eq!(
-                    m0, &metrics,
-                    "metrics drifted at {threads} threads / {engine:?}"
-                );
-                assert_eq!(
-                    a0, &artifact,
-                    "artifact drifted at {threads} threads / {engine:?}"
-                );
+                assert_eq!(m0, &metrics, "metrics drifted at {threads} threads");
+                assert_eq!(a0, &artifact, "artifact drifted at {threads} threads");
             }
         }
     }
 
     let (metrics, _) = baseline.unwrap();
-    // The document carries every layer's rollup...
+    // The document carries every layer's rollup.
     for key in [
         "campaign.scenarios_simulated",
         "kernel.events_committed",
@@ -79,23 +66,15 @@ fn metrics_document_is_identical_across_threads_and_engines() {
     ] {
         assert!(metrics.contains(&format!("\"{key}\"")), "missing {key}");
     }
-    // ...but never an execution-class counter: those vary by engine and
-    // would break the byte-equality above.
-    assert!(
-        !metrics.contains("kernel.lane_rotations"),
-        "execution-class metric leaked into the deterministic document"
-    );
 }
 
 #[test]
 fn tracing_never_perturbs_the_metrics_or_the_artifact() {
     let spec = online_quad(42);
     let quiet = Obs::enabled();
-    let report_q =
-        run_campaign_observed(&spec, 2, Engine::default(), &quiet, false).expect("valid spec");
+    let report_q = run_campaign_observed(&spec, 2, &quiet, false).expect("valid spec");
     let traced = Obs::enabled();
-    let report_t =
-        run_campaign_observed(&spec, 2, Engine::default(), &traced, true).expect("valid spec");
+    let report_t = run_campaign_observed(&spec, 2, &traced, true).expect("valid spec");
 
     assert_eq!(report_q.summary(), report_t.summary());
     assert_eq!(report_q.to_json(), report_t.to_json());
@@ -111,11 +90,10 @@ fn tracing_never_perturbs_the_metrics_or_the_artifact() {
 #[test]
 fn disabled_plane_is_a_byte_level_no_op() {
     let spec = online_quad(42);
-    let default_path = run_campaign_with(&spec, 2, Engine::default()).expect("valid spec");
+    let default_path = run_campaign(&spec, 2).expect("valid spec");
 
     let off = Obs::disabled();
-    let observed_off =
-        run_campaign_observed(&spec, 2, Engine::default(), &off, false).expect("valid spec");
+    let observed_off = run_campaign_observed(&spec, 2, &off, false).expect("valid spec");
     assert_eq!(default_path.summary(), observed_off.summary());
     assert_eq!(default_path.to_json(), observed_off.to_json());
     assert!(
@@ -127,8 +105,7 @@ fn disabled_plane_is_a_byte_level_no_op() {
 
     // An *enabled* plane watches the same run without touching it.
     let on = Obs::enabled();
-    let observed_on =
-        run_campaign_observed(&spec, 2, Engine::default(), &on, false).expect("valid spec");
+    let observed_on = run_campaign_observed(&spec, 2, &on, false).expect("valid spec");
     assert_eq!(default_path.summary(), observed_on.summary());
     assert_eq!(default_path.to_json(), observed_on.to_json());
 }
@@ -136,33 +113,35 @@ fn disabled_plane_is_a_byte_level_no_op() {
 #[test]
 fn exec_metrics_ride_only_in_the_timing_sidecar() {
     let spec = online_quad(42);
+    let obs = Obs::enabled();
+    let report = run_campaign_observed(&spec, 2, &obs, false).expect("valid spec");
 
-    let lockstep = Obs::enabled();
-    let report =
-        run_campaign_observed(&spec, 2, Engine::Lockstep(8), &lockstep, false).expect("valid spec");
-    assert!(!lockstep.registry().is_empty_for(MetricClass::Execution));
-    let sidecar = report.timing_json_observed(&lockstep);
+    // A campaign publishes deterministic counters only; its phase spans
+    // ride in the sidecar.
+    assert!(obs.registry().is_empty_for(MetricClass::Execution));
+    let sidecar = report.timing_json_observed(&obs);
+    assert!(!sidecar.contains("\"exec_metrics\""), "{sidecar}");
+    for phase in ["\"slice\"", "\"golden\"", "\"simulate\"", "\"judge\""] {
+        assert!(sidecar.contains(phase), "missing span {phase}: {sidecar}");
+    }
+
+    // An execution-class counter published into the plane lands in the
+    // sidecar and never in the deterministic document.
+    let before = obs.metrics_json().expect("enabled handle renders");
+    let mut exec = MetricsRegistry::new();
+    exec.add("pool.chunk_claims", MetricClass::Execution, 7);
+    obs.merge(&exec);
+    let sidecar = report.timing_json_observed(&obs);
     assert!(sidecar.contains("\"exec_metrics\""), "{sidecar}");
-    assert!(sidecar.contains("\"kernel.lane_rotations\""), "{sidecar}");
+    assert!(sidecar.contains("\"pool.chunk_claims\": 7"), "{sidecar}");
+    assert_eq!(obs.metrics_json().expect("enabled"), before);
 
     // Without a handle the sidecar keeps its pre-plane shape.
     let plain = report.timing_json();
-    assert!(!plain.contains("exec_metrics"), "{plain}");
-
-    // The batched engine actually rotates lanes on this matrix; the
-    // solo engine never does — the counter faithfully reports zero.
-    let rotations = |obs: &Obs| {
-        obs.registry()
-            .counters_of(MetricClass::Execution)
-            .iter()
-            .find(|(name, _)| *name == "kernel.lane_rotations")
-            .map(|&(_, v)| v)
-            .expect("counter recorded")
-    };
-    assert!(rotations(&lockstep) > 0, "lockstep batches must rotate");
-    let solo = Obs::enabled();
-    run_campaign_observed(&spec, 2, Engine::Solo, &solo, false).expect("valid spec");
-    assert_eq!(rotations(&solo), 0);
+    assert!(
+        !plain.contains("exec_metrics") && !plain.contains("spans"),
+        "{plain}"
+    );
 }
 
 #[test]
@@ -170,7 +149,7 @@ fn flight_recorder_narrates_the_pinned_acoustic_catch() {
     for master_seed in [42u64, 7] {
         let spec = online_quad(master_seed);
         let obs = Obs::enabled();
-        run_campaign_observed(&spec, 2, Engine::default(), &obs, true).expect("valid spec");
+        run_campaign_observed(&spec, 2, &obs, true).expect("valid spec");
         let traces = obs.traces();
 
         // Exactly the three attacked scenarios alarm; the clean reprint
@@ -227,7 +206,7 @@ fn flight_recorder_narrates_the_pinned_acoustic_catch() {
 
         // Narration is thread-invariant, like everything else.
         let again = Obs::enabled();
-        run_campaign_observed(&spec, 4, Engine::default(), &again, true).expect("valid spec");
+        run_campaign_observed(&spec, 4, &again, true).expect("valid spec");
         assert_eq!(
             traces,
             again.traces(),

@@ -5,6 +5,6 @@ fn publish(obs: &Obs, reg: &mut MetricsRegistry) {
     obs.count("kernel.events_committed", 12);
     obs.count("kernel.events_committed", 3);
     obs.observe(&format!("verdict.{}.margin_micros", "power"), -40);
-    obs.count_exec("kernel.lane_rotations", 9);
+    reg.add("pool.chunk_claims", MetricClass::Execution, 9);
     reg.add("store.scan.lines", MetricClass::Deterministic, 7);
 }

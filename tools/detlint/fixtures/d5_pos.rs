@@ -5,6 +5,6 @@ fn publish(obs: &Obs, reg: &mut MetricsRegistry) {
     obs.count("flat_name", 1);
     obs.observe("campaign.margin", -3);
     obs.count("campaign.margin", 1);
-    reg.add("lane.rotations", MetricClass::Deterministic, 1);
-    obs.count_exec("lane.rotations", 1);
+    reg.add("pool.claims", MetricClass::Deterministic, 1);
+    reg.add("pool.claims", MetricClass::Execution, 1);
 }

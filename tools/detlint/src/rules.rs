@@ -1,7 +1,7 @@
 //! The determinism rules.
 //!
 //! Every artifact this workspace emits is contractually byte-identical
-//! across thread counts, engines and batch sizes. The dynamic pins
+//! across thread counts. The dynamic pins
 //! (`tests/campaign_determinism.rs`, `tests/obs_metrics.rs`, the CI
 //! smoke diffs) can only catch a violation a seed happens to exercise;
 //! these rules classify the hazard *classes* at the source instead:
@@ -528,7 +528,7 @@ impl<'a> Analysis<'a> {
                     return None;
                 }
                 let m = method.text.as_str();
-                if !matches!(m, "count" | "count_exec" | "observe" | "add") {
+                if !matches!(m, "count" | "observe" | "add") {
                     return None;
                 }
                 let args = self.call_args(i + 2)?;
@@ -547,7 +547,6 @@ impl<'a> Analysis<'a> {
                     });
                 let (kind, class) = match m {
                     "count" => ("counter", "Deterministic".to_string()),
-                    "count_exec" => ("counter", "Execution".to_string()),
                     "observe" => (
                         "histogram",
                         class_tok.unwrap_or_else(|| "Deterministic".into()),
