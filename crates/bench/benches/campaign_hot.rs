@@ -5,7 +5,7 @@
 
 use criterion::{Criterion, SamplingMode};
 
-use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignSpec};
+use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::workloads::Workload;
 
 /// The sweep grid on the mini workload only — small enough to sample
@@ -26,7 +26,8 @@ fn benches(c: &mut Criterion) {
     group.sampling_mode(SamplingMode::Flat).sample_size(10);
     group.bench_function("solo", |b| {
         b.iter(|| {
-            let report = run_campaign(&spec, 1).expect("campaign runs");
+            let (report, _) =
+                run_campaign(&spec, CampaignOptions::threads(1)).expect("campaign runs");
             assert!(report.total_events() > 0);
             report.total_events()
         })

@@ -3,7 +3,7 @@
 
 use criterion::{Criterion, SamplingMode};
 
-use offramps::{detect, Capture, OnlineDetector};
+use offramps::{detect, Capture, StreamingCompare};
 use offramps_bench::{fig4, table2, workloads};
 
 fn print_figure() {
@@ -39,11 +39,11 @@ fn benches(c: &mut Criterion) {
     });
     group.bench_function("online_feed_full_print", |b| {
         b.iter(|| {
-            let mut det = OnlineDetector::new(golden.clone(), detect::DetectorConfig::default());
+            let mut det = StreamingCompare::new(&golden, detect::DetectorConfig::default());
             for t in golden.transactions() {
-                det.feed(*t);
+                det.feed(t);
             }
-            det.alarmed()
+            det.provisionally_suspected()
         })
     });
     group.bench_function("transaction_wire_round_trip", |b| {

@@ -233,11 +233,6 @@ impl Observation {
         self.side.iter().find(|s| s.detector == detector)
     }
 
-    /// Shorthand for the power judge's statistics.
-    pub fn power(&self) -> Option<&SideObservation> {
-        self.side_for("power")
-    }
-
     /// Re-judges this scenario's *transaction* evidence at `base`
     /// suspect fraction: the same verdict rule as the live campaign
     /// judge — mismatch fraction over the floored threshold, or a
@@ -267,11 +262,6 @@ impl Observation {
             s.windows_compared,
             base,
         ))
-    }
-
-    /// Shorthand: re-judges the power evidence at `base`.
-    pub fn power_detected_at(&self, base: f64) -> Option<bool> {
-        self.side_detected_at("power", base)
     }
 
     /// The **any-alarm** fusion of every re-judged modality at `base`.
@@ -422,11 +412,6 @@ impl AttackCurve {
     /// A named side detector's curve, if present.
     pub fn side_curve(&self, detector: &str) -> Option<&SideCurve> {
         self.side.iter().find(|s| s.detector == detector)
-    }
-
-    /// Shorthand for the power judge's curve.
-    pub fn power(&self) -> Option<&SideCurve> {
-        self.side_curve("power")
     }
 }
 
@@ -1087,7 +1072,7 @@ mod tests {
         let t2 = report.curve("t2").unwrap();
         assert_eq!(t2.scenarios, 2);
         assert_eq!(t2.judged, 2);
-        let t2_power = t2.power().unwrap();
+        let t2_power = t2.side_curve("power").unwrap();
         assert_eq!(t2_power.judged, 1, "pre-power record skipped for power");
         let idx_01 = THRESHOLD_GRID.iter().position(|&t| t == 0.01).unwrap();
         assert_eq!(t2.detection_rate[idx_01], 0.0, "txn judge is blind");
@@ -1125,8 +1110,12 @@ mod tests {
     fn power_rejudge_rule_matches_live_judge() {
         // fraction strictly over the threshold, never at it.
         let o = power(obs("t", 0, 100, Some(true)), 15, 100);
-        assert_eq!(o.power_detected_at(0.15), Some(false), "0.15 !> 0.15");
-        assert_eq!(o.power_detected_at(0.1), Some(true));
+        assert_eq!(
+            o.side_detected_at("power", 0.15),
+            Some(false),
+            "0.15 !> 0.15"
+        );
+        assert_eq!(o.side_detected_at("power", 0.1), Some(true));
         // Unjudged power evidence re-judges as None, fuses as txn-only.
         let unjudged = Observation {
             side: vec![SideObservation {
@@ -1137,7 +1126,7 @@ mod tests {
             }],
             ..obs("t", 90, 100, Some(false))
         };
-        assert_eq!(unjudged.power_detected_at(0.0), None);
+        assert_eq!(unjudged.side_detected_at("power", 0.0), None);
         assert!(unjudged.fused_detected_at(0.01), "txn still alarms");
     }
 

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use offramps::verdict::{FusionPolicy, Verdict};
+use offramps::verdict::{FusionPolicy, PowerSideChannelDetector, TransactionDetector, Verdict};
 use offramps_attacks::TABLE_II_CASES;
 use offramps_gcode::Program;
 
@@ -36,12 +36,17 @@ pub struct BaselineRow {
 
 impl BaselineRow {
     fn from_verdict(case: u32, trojan_type: String, modification_value: f64, v: &Verdict) -> Self {
-        let power = v.power().expect("power judge in the baseline suite");
+        let power = v
+            .evidence_for(PowerSideChannelDetector::NAME)
+            .expect("power judge in the baseline suite");
         BaselineRow {
             case,
             trojan_type,
             modification_value,
-            offramps_detected: v.txn().and_then(|e| e.alarmed).unwrap_or(false),
+            offramps_detected: v
+                .evidence_for(TransactionDetector::NAME)
+                .and_then(|e| e.alarmed)
+                .unwrap_or(false),
             power_detected: power.alarmed.unwrap_or(false),
             power_deviation_w: power.peak,
         }

@@ -20,7 +20,7 @@
 //! `speedup_throughput` compare the one-thread entry against the
 //! recorded baseline, which ran at one thread too.
 
-use crate::campaign::{run_campaign, sweep_attacks, CampaignSpec};
+use crate::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use crate::corpus::CorpusSpec;
 use crate::json::{number, ObjectWriter, ToJson};
 use crate::workloads::Workload;
@@ -192,7 +192,7 @@ pub fn run_bench(threads: usize, reps: usize) -> Result<BenchReport, String> {
     let mut rates = vec![Vec::new(); counts.len()];
     for _ in 0..reps {
         for (slot, &n) in counts.iter().enumerate() {
-            let report = run_campaign(&spec, n)?;
+            let (report, _) = run_campaign(&spec, CampaignOptions::threads(n))?;
             let events = report.total_events();
             if events != PINNED_EVENTS {
                 return Err(format!(

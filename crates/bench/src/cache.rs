@@ -5,10 +5,10 @@
 //! workload spec, the attack spec, the golden and run seeds, and the
 //! detector policy. [`scenario_key`] spells those inputs out as a
 //! canonical string (with a format-version salt), and
-//! [`run_campaign_cached`] consults the store before simulating: hits
-//! are decoded back into [`ScenarioResult`]s, only misses fan out to
-//! the worker pool, and fresh results are appended to the store in
-//! matrix order. A 10k-scenario rerun after a one-line corpus change
+//! [`crate::campaign::run_campaign`], given a store, consults it before
+//! simulating: hits are decoded back into [`ScenarioResult`]s, only
+//! misses fan out to the worker pool, and fresh results are appended to
+//! the store in matrix order. A 10k-scenario rerun after a one-line corpus change
 //! recomputes exactly the delta.
 //!
 //! Two invariants the integration tests pin:
@@ -21,19 +21,16 @@
 //!   [`SCENARIO_KEY_VERSION`]) changes the key, so stale records are
 //!   simply never addressed again.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::BTreeMap;
 
 use offramps_gcode::slicer::Solid;
 use offramps_gcode::spec::WorkloadSpec;
-use offramps_gcode::Program;
 use offramps_obs::Obs;
 use offramps_store::Store;
 
 use offramps::verdict::{Evidence, TimeToDetection, Verdict};
 
-use crate::campaign::{CampaignReport, CampaignSpec, Scenario, ScenarioResult};
+use crate::campaign::{CampaignSpec, Scenario, ScenarioResult};
 use crate::json::{self, ObjectWriter, Value};
 use crate::workloads::Workload;
 
@@ -168,7 +165,8 @@ pub fn store_campaigns(store: &Store) -> Vec<CampaignProvenance> {
         .collect()
 }
 
-/// Cache effectiveness of one [`run_campaign_cached`] call.
+/// Cache effectiveness of one [`crate::campaign::run_campaign`] call
+/// (without a store, every scenario is a miss).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Scenarios answered from the store.
@@ -459,57 +457,18 @@ pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult
     })
 }
 
-/// Runs the campaign through the store: cached scenarios are decoded,
-/// only misses are simulated (on `threads` workers), and fresh results
-/// are appended to the store in matrix order. Workload slicing and
-/// golden captures are computed only for workloads with at least one
-/// miss — a fully cached rerun executes **zero** simulation.
-///
-/// # Errors
-///
-/// Reports an invalid spec (like [`crate::campaign::run_campaign`]) or
-/// a store I/O failure. A record that exists but fails to decode is
-/// treated as a miss and recomputed (the rewrite supersedes it).
-pub fn run_campaign_cached(
+/// Every scenario's store key, in matrix order.
+pub(crate) fn scenario_keys(
     spec: &CampaignSpec,
-    threads: usize,
-    store: &mut Store,
-) -> Result<(CampaignReport, CacheStats), String> {
-    run_campaign_cached_observed(spec, threads, store, &Obs::disabled(), false)
-}
-
-/// [`run_campaign_cached`] with the observability plane attached
-/// (see [`crate::campaign::run_campaign_observed`] for the campaign
-/// side). On top of the campaign metrics, an enabled handle records
-/// the store's effectiveness (`store.hits` / `store.misses` /
-/// `store.appends`, `campaign.scenarios_decoded`) and the open-time
-/// shard-scan rollup (`store.scan.*` — lines walked, records,
-/// superseded rewrites, torn and foreign lines skipped). All of it is
-/// a pure function of the store state and the spec, so the metrics
-/// document stays deterministic.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign_cached`].
-pub fn run_campaign_cached_observed(
-    spec: &CampaignSpec,
-    threads: usize,
-    store: &mut Store,
-    obs: &Obs,
-    trace_alarms: bool,
-) -> Result<(CampaignReport, CacheStats), String> {
-    let suite = spec.suite()?;
-    let scenarios = spec.scenarios()?;
-    // detlint: allow(D2) -- wall-clock here feeds only the --timing-json sidecar, never deterministic artifacts
-    let t0 = Instant::now();
-
+    scenarios: &[Scenario],
+    policy: &str,
+) -> Vec<String> {
     let canon: BTreeMap<&str, String> = spec
         .workloads
         .iter()
         .map(|w| (w.label(), canonical_workload_json(w.spec())))
         .collect();
-    let policy = suite.policy();
-    let keys: Vec<String> = scenarios
+    scenarios
         .iter()
         .map(|sc| {
             scenario_key(
@@ -517,118 +476,87 @@ pub fn run_campaign_cached_observed(
                 &sc.trojan,
                 spec.golden_seed(&sc.workload),
                 sc.seed,
-                &policy,
+                policy,
             )
         })
-        .collect();
+        .collect()
+}
 
+/// Decodes every scenario the store holds under `keys`, in matrix
+/// order; `None` marks a miss (absent or undecodable record).
+pub(crate) fn lookup(
+    store: &Store,
+    spec: &CampaignSpec,
+    scenarios: &[Scenario],
+    keys: &[String],
+    obs: &Obs,
+) -> Vec<Option<ScenarioResult>> {
     let decode_start = obs.clock_micros();
-    let mut results: Vec<Option<ScenarioResult>> = Vec::with_capacity(scenarios.len());
-    let mut misses: Vec<&Scenario> = Vec::new();
-    for (sc, key) in scenarios.iter().zip(&keys) {
-        let decoded = store
-            .get(key)
-            .and_then(|p| decode_result(sc.clone(), p).ok())
-            .map(|mut r| {
-                // Scenario keys are online-agnostic, so an online-warmed
-                // store can serve a post-hoc campaign — which must keep
-                // its pre-online artifact shape byte for byte: stored
-                // time-to-detection marks ride along only when this
-                // campaign judges online too.
-                if !spec.online {
-                    r.ttd = None;
-                }
-                r
-            });
-        if decoded.is_none() {
-            misses.push(sc);
-        }
-        results.push(decoded);
-    }
+    let results = scenarios
+        .iter()
+        .zip(keys)
+        .map(|(sc, key)| {
+            let mut r = decode_result(sc.clone(), store.get(key)?).ok()?;
+            // Scenario keys are online-agnostic, so an online-warmed
+            // store can serve a post-hoc campaign — which must keep its
+            // pre-online artifact shape byte for byte: stored
+            // time-to-detection marks ride along only when this
+            // campaign judges online too.
+            if !spec.online {
+                r.ttd = None;
+            }
+            Some(r)
+        })
+        .collect();
     obs.record_span("campaign", None, "decode", decode_start, obs.clock_micros());
-    let stats = CacheStats {
-        hits: scenarios.len() - misses.len(),
-        misses: misses.len(),
-    };
-    if obs.is_enabled() {
-        obs.count("store.hits", stats.hits as u64);
-        obs.count("store.misses", stats.misses as u64);
-        // Fresh results are appended below, one record per miss.
-        obs.count("store.appends", stats.misses as u64);
-        obs.count("campaign.scenarios_decoded", stats.hits as u64);
-        let scan = store.scan_stats();
-        obs.count("store.scan.lines", scan.lines as u64);
-        obs.count("store.scan.records", scan.records as u64);
-        obs.count("store.scan.superseded", scan.superseded as u64);
-        obs.count("store.scan.torn", scan.torn as u64);
-        obs.count("store.scan.foreign", scan.foreign as u64);
-    }
+    results
+}
 
-    if !misses.is_empty() {
-        let needed: BTreeSet<&str> = misses.iter().map(|sc| sc.workload.as_str()).collect();
-        let workloads: Vec<&Workload> = spec
-            .workloads
-            .iter()
-            .filter(|w| needed.contains(w.label()))
-            .collect();
-        let slice_start = obs.clock_micros();
-        let programs: BTreeMap<&str, Arc<Program>> = workloads
-            .iter()
-            .zip(crate::campaign::parallel_map(&workloads, threads, |w| {
-                w.program()
-            }))
-            .map(|(w, program)| (w.label(), program))
-            .collect();
-        obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
-        // Golden runs happen only for workloads with at least one miss.
-        let fresh = crate::campaign::execute_campaign(
-            spec,
-            &workloads,
-            &misses,
-            &programs,
-            crate::campaign::Judging {
-                suite: &suite,
-                online: spec.online,
-                obs,
-                trace_alarms,
-            },
-            threads,
-        );
-        // `fresh` comes back in `misses` order, which is matrix order —
-        // so store appends stay in matrix order for every thread count.
-        for r in fresh {
-            let index = r.scenario.index;
-            store
-                .put(&keys[index], &encode_result(&r))
-                .map_err(|e| format!("cannot append to scenario store: {e}"))?;
-            results[index] = Some(r);
-        }
+/// Records the store's effectiveness for one campaign (`store.hits` /
+/// `store.misses` / `store.appends`, `campaign.scenarios_decoded`) and
+/// its open-time shard-scan rollup. All of it is a pure function of the
+/// store state and the spec, so the metrics document stays
+/// deterministic.
+pub(crate) fn record_store_metrics(store: &Store, stats: CacheStats, obs: &Obs) {
+    if !obs.is_enabled() {
+        return;
     }
+    obs.count("store.hits", stats.hits as u64);
+    obs.count("store.misses", stats.misses as u64);
+    // Fresh results are appended, one record per miss.
+    obs.count("store.appends", stats.misses as u64);
+    obs.count("campaign.scenarios_decoded", stats.hits as u64);
+    record_scan_metrics(store, obs);
+}
 
-    // Campaign-level provenance: one `campaign@1` record per campaign
-    // run (content-addressed by the spec, so warm reruns rewrite it in
-    // place) — `offramps-cli analytics` lists these.
+/// Records the store's open-time shard-scan rollup (`store.scan.*` —
+/// lines walked, records, superseded rewrites, torn and foreign lines
+/// skipped).
+pub fn record_scan_metrics(store: &Store, obs: &Obs) {
+    let scan = store.scan_stats();
+    obs.count("store.scan.lines", scan.lines as u64);
+    obs.count("store.scan.records", scan.records as u64);
+    obs.count("store.scan.superseded", scan.superseded as u64);
+    obs.count("store.scan.torn", scan.torn as u64);
+    obs.count("store.scan.foreign", scan.foreign as u64);
+}
+
+/// Writes the campaign-level provenance record: one `campaign@1` record
+/// per campaign run, content-addressed by the spec, so warm reruns
+/// rewrite it in place — `offramps-cli analytics` lists these.
+pub(crate) fn put_provenance(
+    store: &mut Store,
+    spec: &CampaignSpec,
+    policy: &str,
+    scenarios: usize,
+) -> Result<(), String> {
     let workload_labels: Vec<&str> = spec.workloads.iter().map(Workload::label).collect();
     store
         .put(
-            &campaign_key(spec, &policy, &workload_labels.join(",")),
-            &encode_campaign(spec, &policy, scenarios.len()),
+            &campaign_key(spec, policy, &workload_labels.join(",")),
+            &encode_campaign(spec, policy, scenarios),
         )
-        .map_err(|e| format!("cannot append campaign provenance: {e}"))?;
-
-    let results: Vec<ScenarioResult> = results
-        .into_iter()
-        .map(|r| r.expect("every scenario is either a hit or a recomputed miss"))
-        .collect();
-    Ok((
-        CampaignReport {
-            spec: spec.clone(),
-            results,
-            threads,
-            wall_s: t0.elapsed().as_secs_f64(),
-        },
-        stats,
-    ))
+        .map_err(|e| format!("cannot append campaign provenance: {e}"))
 }
 
 #[cfg(test)]

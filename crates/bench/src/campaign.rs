@@ -5,7 +5,8 @@
 //! Flaw3D variants of Table II, the Figure 4 sweep — and scaling the
 //! reproduction means running whole matrices at once. A
 //! [`CampaignSpec`] names the matrix; [`run_campaign`] executes every
-//! scenario on a `std::thread` worker pool. Each scenario's seed is
+//! scenario on a `std::thread` worker pool, optionally through a
+//! content-addressed scenario store ([`CampaignOptions::store`]). Each scenario's seed is
 //! derived from the campaign's master seed and the scenario's *label*
 //! via [`SeedSplitter`], never from scheduling order, so the campaign
 //! produces **byte-identical summaries for any thread count** — the
@@ -50,7 +51,7 @@
 //! every scenario's [`ScenarioResult`] carries the suite's fused
 //! [`Verdict`] with per-detector [`offramps::verdict::Evidence`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -66,7 +67,9 @@ use offramps_attacks::Flaw3dTrojan;
 use offramps_des::SeedSplitter;
 use offramps_gcode::Program;
 use offramps_obs::{FlightRecorder, MetricClass, Obs};
+use offramps_store::Store;
 
+use crate::cache::{self, CacheStats};
 use crate::detectors;
 use crate::json::{ObjectWriter, ToJson};
 use crate::workloads::Workload;
@@ -195,8 +198,8 @@ pub struct CampaignSpec {
     pub detectors: Vec<String>,
     /// How the suite fuses per-detector alarms.
     pub fusion: FusionPolicy,
-    /// Judge each scenario *online*: replay its evidence through the
-    /// suite's streaming facets ([`StreamingSuite`]) and record
+    /// Judge each scenario *online*: replay its evidence window by
+    /// window through the suite ([`StreamingSuite`]) and record
     /// time-to-detection. Finalized streaming verdicts are
     /// byte-identical to the post-hoc path, so this adds TTD columns to
     /// fresh results without perturbing any verdict, summary line, or
@@ -339,6 +342,11 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
+    /// The transaction judge's evidence, if the suite ran it.
+    fn txn(&self) -> Option<&offramps::Evidence> {
+        self.verdict.evidence_for(TransactionDetector::NAME)
+    }
+
     /// Whether the suite's fused verdict flagged the print.
     pub fn detected(&self) -> bool {
         self.verdict.alarmed
@@ -347,24 +355,24 @@ impl ScenarioResult {
     /// Out-of-margin transaction *values* against the golden capture
     /// (a transaction with two bad axes counts twice).
     pub fn mismatches(&self) -> usize {
-        self.verdict.txn().map_or(0, |e| e.flagged_values)
+        self.txn().map_or(0, |e| e.flagged_values)
     }
 
     /// Transactions with at least one out-of-margin axis — the
     /// numerator the transaction judge's suspect fraction uses.
     pub fn mismatched_transactions(&self) -> usize {
-        self.verdict.txn().map_or(0, |e| e.flagged)
+        self.txn().map_or(0, |e| e.flagged)
     }
 
     /// Transactions the step-count judge compared.
     pub fn transactions_compared(&self) -> usize {
-        self.verdict.txn().map_or(0, |e| e.compared)
+        self.txn().map_or(0, |e| e.compared)
     }
 
     /// The end-of-print 0 %-margin totals check (`None` when the
     /// scenario was never judged).
     pub fn final_totals_match(&self) -> Option<bool> {
-        self.verdict.txn().and_then(|e| e.final_totals_match)
+        self.txn().and_then(|e| e.final_totals_match)
     }
 
     /// The suspect-fraction threshold the transaction judge used
@@ -372,7 +380,7 @@ impl ScenarioResult {
     /// never judged: an unjudged run is not a run judged at
     /// threshold 0).
     pub fn suspect_fraction(&self) -> Option<f64> {
-        self.verdict.txn().and_then(|e| e.threshold)
+        self.txn().and_then(|e| e.threshold)
     }
 
     /// The deterministic summary line for this result — everything
@@ -516,19 +524,13 @@ impl CampaignReport {
     }
 
     /// Host-timing sidecar: per-scenario wall milliseconds plus the
-    /// pool shape, as JSON. Kept out of [`ToJson::to_json`] (and out of
-    /// [`CampaignReport::summary`]) because wall time varies run to run
-    /// — the main artifacts stay byte-identical for any thread count.
-    pub fn timing_json(&self) -> String {
-        self.timing_json_observed(&Obs::disabled())
-    }
-
-    /// [`CampaignReport::timing_json`] with the observability plane's
-    /// *execution-class* counters and campaign phase spans embedded —
-    /// numbers that legitimately vary run to run, so they belong in
-    /// this non-deterministic sidecar, never in the metrics document. A
-    /// disabled handle produces the plain sidecar byte for byte.
-    pub fn timing_json_observed(&self, obs: &Obs) -> String {
+    /// pool shape, and — when `obs` is enabled — the observability
+    /// plane's *execution-class* counters and campaign phase spans, as
+    /// JSON. Kept out of [`ToJson::to_json`] (and out of
+    /// [`CampaignReport::summary`]) because these numbers vary run to
+    /// run — the main artifacts stay byte-identical for any thread
+    /// count.
+    pub fn timing_json(&self, obs: &Obs) -> String {
         let mut out = String::new();
         let mut w = ObjectWriter::new(&mut out, 0);
         w.int("threads", self.threads as i128)
@@ -694,29 +696,28 @@ pub fn campaign_detector_policy() -> String {
 
 /// One campaign's judging configuration, threaded as a unit to every
 /// worker: the suite each scenario is judged with, and whether the
-/// evidence is replayed through its streaming facets (online) or
-/// judged post-hoc.
+/// evidence is replayed window by window (online) or judged post-hoc.
 #[derive(Clone, Copy)]
-pub(crate) struct Judging<'a> {
+struct Judging<'a> {
     /// The detector suite judging every scenario.
-    pub suite: &'a DetectorSuite,
+    suite: &'a DetectorSuite,
     /// Replay online and record time-to-detection.
-    pub online: bool,
+    online: bool,
     /// The observability plane (disabled on the default path, where it
     /// costs nothing and records nothing).
-    pub obs: &'a Obs,
+    obs: &'a Obs,
     /// Keep a flight recorder per online scenario and narrate the
     /// first fused alarm as a trace. Traces only — the metrics are
     /// identical with or without narration.
-    pub trace_alarms: bool,
+    trace_alarms: bool,
 }
 
 /// Judges one scenario's run outcome against its golden evidence.
 /// `sim_ms` is the host time attributed to the simulation itself;
 /// judging time is added on top. Online judging replays the evidence
-/// through the suite's streaming facets instead — the finalized verdict
-/// is byte-identical to the post-hoc judge, and the fused monitor's
-/// time-to-detection rides along.
+/// window by window instead — the finalized verdict is byte-identical
+/// to the post-hoc judge, and the fused monitor's time-to-detection
+/// rides along.
 fn judge_outcome(
     scenario: &Scenario,
     outcome: Result<RunArtifacts, BenchError>,
@@ -749,23 +750,18 @@ fn judge_outcome(
             let fw_steps = art.fw_steps;
             let observed = detectors::observed_evidence(art, scenario.seed, suite);
             let (verdict, ttd) = if online {
-                let streaming = StreamingSuite::new(suite);
-                let outcome = if obs.is_enabled() {
-                    observe_online(
-                        scenario,
-                        suite,
-                        streaming.monitor(golden, &observed),
-                        obs,
-                        trace_alarms,
-                    )
+                let monitor = StreamingSuite::new(suite).monitor(golden, &observed);
+                let outcome = if trace_alarms && obs.is_enabled() {
+                    narrate_online(scenario, suite, monitor, obs)
                 } else {
-                    streaming.run(golden, &observed)
+                    monitor.finish()
                 };
+                outcome.record_metrics(obs);
                 (outcome.verdict, outcome.ttd)
-            } else if obs.is_enabled() {
-                (suite.judge_observed(golden, &observed, obs), None)
             } else {
-                (suite.judge(golden, &observed), None)
+                let verdict = suite.judge(golden, &observed);
+                verdict.record_metrics(obs);
+                (verdict, None)
             };
             ScenarioResult {
                 scenario: scenario.clone(),
@@ -804,27 +800,20 @@ fn judge_outcome(
 /// margin close without narrating the whole print.
 pub const FLIGHT_RECORDER_WINDOWS: usize = 3;
 
-/// Drives one online replay slice by slice with the observability
-/// plane on: the monitor's window rollup and final verdict metrics are
-/// always published (via [`OnlineMonitor::finish_observed`]); with
-/// `trace_alarms`, a [`FlightRecorder`] keeps the last
-/// [`FLIGHT_RECORDER_WINDOWS`] slices and the first fused alarm is
-/// rendered as a narrated timeline under the scenario's matrix index.
-/// The outcome — and every metric — is byte-identical with tracing on
-/// or off.
-fn observe_online(
+/// Drives one online replay slice by slice, keeping a
+/// [`FlightRecorder`] of the last [`FLIGHT_RECORDER_WINDOWS`] slices,
+/// and records the first fused alarm into `obs` as a narrated timeline
+/// under the scenario's matrix index. The outcome is byte-identical to
+/// [`OnlineMonitor::finish`].
+fn narrate_online(
     scenario: &Scenario,
     suite: &DetectorSuite,
     mut monitor: OnlineMonitor<'_>,
     obs: &Obs,
-    trace_alarms: bool,
 ) -> OnlineOutcome {
     let mut recorder = FlightRecorder::new(FLIGHT_RECORDER_WINDOWS);
     let mut narrative: Option<(u64, f64, Vec<String>)> = None;
     while let Some(step) = monitor.step() {
-        if !trace_alarms {
-            continue;
-        }
         let (alarmed, window, secs) = (
             step.alarmed,
             step.step,
@@ -839,7 +828,7 @@ fn observe_online(
             narrative = Some((window, secs, lines));
         }
     }
-    let outcome = monitor.finish_observed(obs);
+    let outcome = monitor.finish();
     if let Some((window, secs, body)) = narrative {
         let mut lines = vec![format!(
             "#{} {}/{} run {}: ALARM at window {} (t={secs:.1}s)",
@@ -923,12 +912,13 @@ fn run_scenario(
 }
 
 /// Provisions golden evidence and executes a planned scenario list —
-/// the whole matrix, or a cached campaign's misses — in two phases:
+/// a campaign's misses, which is the whole matrix without a store — in
+/// two phases:
 /// the golden bundle of every listed workload (under the campaign's
 /// label-derived golden seed, plus the shared calibration reruns the
 /// suite consumes) fanned over the pool, then the scenarios. Results
 /// come back in input order.
-pub(crate) fn execute_campaign(
+fn execute_campaign(
     spec: &CampaignSpec,
     workloads: &[&Workload],
     scenarios: &[&Scenario],
@@ -967,23 +957,66 @@ pub(crate) fn execute_campaign(
     results
 }
 
-/// Executes the campaign on `threads` workers.
+/// The always-disabled handle [`CampaignOptions::threads`] points at.
+static NO_OBS: Obs = Obs::disabled();
+
+/// How [`run_campaign`] executes a spec: everything that shapes the
+/// work and what is observed, never an artifact.
+pub struct CampaignOptions<'a> {
+    /// Worker threads (informational in the report; 0 runs one worker).
+    pub threads: usize,
+    /// The observability plane. With an enabled handle,
+    /// deterministic-class metrics (kernel counters, verdict rollups,
+    /// campaign and store totals) accumulate into it — commutatively,
+    /// so the rendered metrics document is byte-identical for every
+    /// thread count.
+    pub obs: &'a Obs,
+    /// Narrate each online scenario's first fused alarm from its flight
+    /// recorder into `obs` (traces only: the metrics are identical with
+    /// or without narration).
+    pub trace_alarms: bool,
+    /// The scenario store: cached scenarios are decoded from it, only
+    /// misses are simulated, and fresh results are appended in matrix
+    /// order. `None` simulates every scenario.
+    pub store: Option<&'a mut Store>,
+}
+
+impl<'a> CampaignOptions<'a> {
+    /// `threads` workers, observability off, no store.
+    pub fn threads(threads: usize) -> CampaignOptions<'a> {
+        CampaignOptions {
+            threads,
+            obs: &NO_OBS,
+            trace_alarms: false,
+            store: None,
+        }
+    }
+}
+
+/// Executes the campaign.
 ///
-/// Programs are sliced once per workload label and shared as
-/// `Arc<Program>`; golden evidence bundles are produced first (also in
-/// parallel, with shared calibration repetitions when the suite
-/// consumes them), then the scenario matrix runs one scenario per work
-/// item. Results are assembled in matrix order.
+/// With a store, every scenario is first looked up by its content
+/// address ([`cache::scenario_key`]); hits are decoded and only misses
+/// run. Without one, every scenario is a miss and no key is built.
+/// Programs are sliced once per workload with at least one miss and
+/// shared as `Arc<Program>`; golden evidence bundles are produced next
+/// (in parallel, with shared calibration repetitions when the suite
+/// consumes them), then the missed scenarios run one per work item.
+/// Results are assembled in matrix order, and the report is
+/// byte-identical whatever the thread count, observability or cache
+/// state.
 ///
 /// # Errors
 ///
 /// Reports an invalid trojan or detector name or a duplicate workload
-/// label in the spec.
+/// label in the spec, or a store I/O failure. A stored record that
+/// fails to decode is treated as a miss and recomputed (the rewrite
+/// supersedes it).
 ///
 /// # Example
 ///
 /// ```
-/// use offramps_bench::campaign::{run_campaign, CampaignSpec};
+/// use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
 /// use offramps_bench::workloads::Workload;
 ///
 /// let spec = CampaignSpec {
@@ -991,71 +1024,96 @@ pub(crate) fn execute_campaign(
 ///     workloads: vec![Workload::mini()],
 ///     ..CampaignSpec::default_matrix(7)
 /// };
-/// let one = run_campaign(&spec, 1).unwrap();
-/// let four = run_campaign(&spec, 4).unwrap();
+/// let (one, _) = run_campaign(&spec, CampaignOptions::threads(1)).unwrap();
+/// let (four, _) = run_campaign(&spec, CampaignOptions::threads(4)).unwrap();
 /// assert_eq!(one.summary(), four.summary()); // thread count is invisible
 /// ```
-pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignReport, String> {
-    run_campaign_observed(spec, threads, &Obs::disabled(), false)
-}
-
-/// [`run_campaign`] with the observability plane attached. With a
-/// disabled handle this *is* the default path; with an enabled one,
-/// deterministic-class metrics (kernel counters, verdict rollups,
-/// campaign totals) accumulate into `obs` — commutatively, so the
-/// rendered metrics document is byte-identical for every thread count
-/// — and `trace_alarms` additionally narrates each online scenario's
-/// first fused alarm from its flight recorder. The report itself is
-/// byte-identical to [`run_campaign`] in every case.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_campaign_observed(
+pub fn run_campaign(
     spec: &CampaignSpec,
-    threads: usize,
-    obs: &Obs,
-    trace_alarms: bool,
-) -> Result<CampaignReport, String> {
+    opts: CampaignOptions<'_>,
+) -> Result<(CampaignReport, CacheStats), String> {
+    let CampaignOptions {
+        threads,
+        obs,
+        trace_alarms,
+        mut store,
+    } = opts;
     let suite = spec.suite()?;
     let scenarios = spec.scenarios()?;
     // detlint: allow(D2) -- campaign wall-clock feeds only the --timing-json sidecar, never deterministic artifacts
     let t0 = Instant::now();
 
-    // Slice each workload once (labels validated unique by
-    // `scenarios()` above).
-    let slice_start = obs.clock_micros();
-    let programs: BTreeMap<&str, Arc<Program>> = spec
-        .workloads
+    let policy = suite.policy();
+    let (keys, mut results) = match store.as_deref() {
+        Some(store) => {
+            let keys = cache::scenario_keys(spec, &scenarios, &policy);
+            let results = cache::lookup(store, spec, &scenarios, &keys, obs);
+            (keys, results)
+        }
+        None => (Vec::new(), vec![None; scenarios.len()]),
+    };
+    let misses: Vec<&Scenario> = scenarios
         .iter()
-        .zip(parallel_map(&spec.workloads, threads, Workload::program))
-        .map(|(w, program)| (w.label(), program))
+        .zip(&results)
+        .filter(|(_, r)| r.is_none())
+        .map(|(sc, _)| sc)
         .collect();
-    obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
+    let stats = CacheStats {
+        hits: scenarios.len() - misses.len(),
+        misses: misses.len(),
+    };
+    if let Some(store) = store.as_deref() {
+        cache::record_store_metrics(store, stats, obs);
+    }
 
-    // Golden evidence, then the scenario matrix.
-    let workload_refs: Vec<&Workload> = spec.workloads.iter().collect();
-    let scenario_refs: Vec<&Scenario> = scenarios.iter().collect();
-    let results = execute_campaign(
-        spec,
-        &workload_refs,
-        &scenario_refs,
-        &programs,
-        Judging {
+    if !misses.is_empty() {
+        let needed: BTreeSet<&str> = misses.iter().map(|sc| sc.workload.as_str()).collect();
+        let workloads: Vec<&Workload> = spec
+            .workloads
+            .iter()
+            .filter(|w| needed.contains(w.label()))
+            .collect();
+        let slice_start = obs.clock_micros();
+        let programs: BTreeMap<&str, Arc<Program>> = workloads
+            .iter()
+            .zip(parallel_map(&workloads, threads, |w| w.program()))
+            .map(|(w, program)| (w.label(), program))
+            .collect();
+        obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
+        let judging = Judging {
             suite: &suite,
             online: spec.online,
             obs,
             trace_alarms,
-        },
-        threads,
-    );
+        };
+        let fresh = execute_campaign(spec, &workloads, &misses, &programs, judging, threads);
+        // `fresh` comes back in `misses` order, which is matrix order —
+        // so store appends stay in matrix order for every thread count.
+        for r in fresh {
+            let index = r.scenario.index;
+            if let Some(store) = store.as_deref_mut() {
+                store
+                    .put(&keys[index], &cache::encode_result(&r))
+                    .map_err(|e| format!("cannot append to scenario store: {e}"))?;
+            }
+            results[index] = Some(r);
+        }
+    }
+    if let Some(store) = store {
+        cache::put_provenance(store, spec, &policy, scenarios.len())?;
+    }
 
-    Ok(CampaignReport {
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every scenario is either a hit or a fresh run"))
+        .collect();
+    let report = CampaignReport {
         spec: spec.clone(),
         results,
         threads,
         wall_s: t0.elapsed().as_secs_f64(),
-    })
+    };
+    Ok((report, stats))
 }
 
 #[cfg(test)]

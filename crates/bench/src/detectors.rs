@@ -212,7 +212,7 @@ mod tests {
         let bundle = golden_evidence(&program, 7, &[], &txn_only);
         assert!(bundle.capture().is_some());
         assert!(
-            bundle.power().is_none(),
+            bundle.get(Channel::Power).is_none(),
             "no power work for txn-only suites"
         );
         assert!(bundle.calibration(Channel::Power).is_empty());
@@ -220,7 +220,7 @@ mod tests {
         let both = suite_from_names(&["txn".into(), "power".into()], FusionPolicy::Any).unwrap();
         let bundle = golden_evidence(&program, 7, &[8, 9], &both);
         assert!(bundle.capture().is_some());
-        assert!(bundle.power().is_some());
+        assert!(bundle.get(Channel::Power).is_some());
         assert_eq!(
             bundle.calibration(Channel::Power).len(),
             3,

@@ -15,11 +15,19 @@
 
 use std::path::PathBuf;
 
-use offramps_bench::cache::{run_campaign_cached, CacheStats};
-use offramps_bench::campaign::{run_campaign, CampaignSpec};
+use offramps_bench::cache::CacheStats;
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
 use offramps_bench::json::ToJson;
 use offramps_bench::workloads::Workload;
 use offramps_store::Store;
+
+/// Campaign options that run through `store`.
+fn cached(threads: usize, store: &mut Store) -> CampaignOptions<'_> {
+    CampaignOptions {
+        store: Some(store),
+        ..CampaignOptions::threads(threads)
+    }
+}
 
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -74,7 +82,7 @@ fn online_matrix_finalizes_byte_identical_to_the_post_hoc_path() {
             online: true,
             ..post_hoc.clone()
         };
-        let oracle = run_campaign(&post_hoc, 1).expect("valid spec");
+        let (oracle, _) = run_campaign(&post_hoc, CampaignOptions::threads(1)).expect("valid spec");
         let summary = oracle.summary();
         let stripped_json = oracle.to_json();
         assert!(
@@ -83,7 +91,8 @@ fn online_matrix_finalizes_byte_identical_to_the_post_hoc_path() {
         );
 
         for threads in [1usize, 4] {
-            let report = run_campaign(&online, threads).expect("valid spec");
+            let (report, _) =
+                run_campaign(&online, CampaignOptions::threads(threads)).expect("valid spec");
             let label = format!("seed={master_seed} threads={threads}");
 
             // Scenario for scenario: same fused verdict, same
@@ -133,7 +142,7 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     };
 
     let mut store = Store::open(&root).unwrap();
-    let (cold, stats) = run_campaign_cached(&post_hoc, 2, &mut store).expect("valid spec");
+    let (cold, stats) = run_campaign(&post_hoc, cached(2, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 5 });
 
     // Reopen to force an index rebuild from the shard logs, then rerun
@@ -142,7 +151,7 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     // time-to-detection marks — and the summary stays byte-identical.
     drop(store);
     let mut store = Store::open(&root).unwrap();
-    let (warm, stats) = run_campaign_cached(&online, 4, &mut store).expect("valid spec");
+    let (warm, stats) = run_campaign(&online, cached(4, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 5, misses: 0 },
@@ -156,17 +165,17 @@ fn post_hoc_warmed_store_serves_the_online_rerun_entirely_from_cache() {
     // and a later online rerun replays them payload-identically.
     let root2 = temp_store("online-first");
     let mut store2 = Store::open(&root2).unwrap();
-    let (first, stats) = run_campaign_cached(&online, 1, &mut store2).expect("valid spec");
+    let (first, stats) = run_campaign(&online, cached(1, &mut store2)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 5 });
     assert!(first.results.iter().any(|r| r.ttd.is_some()));
-    let (second, stats) = run_campaign_cached(&online, 4, &mut store2).expect("valid spec");
+    let (second, stats) = run_campaign(&online, cached(4, &mut store2)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 5, misses: 0 });
     assert_eq!(second.to_json(), first.to_json());
 
     // And an online-warmed store serving a *post-hoc* campaign must not
     // leak the recorded marks into the pre-online artifact shape.
     let (post_from_online, stats) =
-        run_campaign_cached(&post_hoc, 2, &mut store2).expect("valid spec");
+        run_campaign(&post_hoc, cached(2, &mut store2)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 5, misses: 0 });
     assert!(post_from_online.results.iter().all(|r| r.ttd.is_none()));
     assert_eq!(post_from_online.to_json(), cold.to_json());

@@ -48,13 +48,13 @@ pub mod verdict;
 
 pub use capture::{Capture, Transaction, TRANSACTION_BYTES};
 pub use config::{MitmConfig, SignalPath};
-pub use detect::{DetectionReport, DetectorConfig, Mismatch, OnlineDetector, StreamingCompare};
+pub use detect::{DetectionReport, DetectorConfig, Mismatch, StreamingCompare};
 pub use mitm::Offramps;
 pub use testbench::{BenchError, RunArtifacts, TestBench};
 pub use trojans::{Disposition, Trojan, TrojanCtx};
 pub use verdict::{
     AcousticDetector, Channel, ChannelData, ChannelRequest, ChannelSynth, Detector, DetectorSuite,
     Evidence, EvidenceBundle, FusionPolicy, FusionTally, OnlineMonitor, OnlineOutcome, OnlineStep,
-    PowerSideChannelDetector, StreamState, StreamingDetector, StreamingSuite, ThermalDetector,
-    TimeToDetection, TransactionDetector, Verdict, WindowData, WindowEvidence,
+    PowerSideChannelDetector, StreamState, StreamingSuite, ThermalDetector, TimeToDetection,
+    TransactionDetector, Verdict, WindowData, WindowEvidence,
 };

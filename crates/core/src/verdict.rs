@@ -18,7 +18,10 @@
 //!   how each is synthesized ([`ChannelSynth`]) and how many golden
 //!   calibration repetitions it wants — the harness provisions exactly
 //!   what the active suite asks for, sharing golden reruns across
-//!   detectors;
+//!   detectors. Every detector judges one way: as a stream
+//!   ([`Detector::begin`], [`Detector::judge_window`],
+//!   [`Detector::finalize`]); a post-hoc [`Detector::judge`] is that
+//!   stream fed the whole print as a single window;
 //! * [`DetectorSuite`] — an ordered set of detectors plus a
 //!   [`FusionPolicy`] (`any`, `all`, or calibrated [`FusionPolicy::Weighted`]
 //!   voting), producing a fused [`Verdict`];
@@ -47,8 +50,8 @@ use std::fmt;
 use offramps_des::SimDuration;
 use offramps_obs::Obs;
 use offramps_sidechannel::{
-    compare_sampled, AcousticModel, AcousticTrace, ComparatorConfig, PowerDetectorConfig,
-    PowerModel, PowerTrace, SideChannelReport, StreamingComparator, ThermalCamera, ThermalTrace,
+    AcousticModel, AcousticTrace, ComparatorConfig, PowerDetectorConfig, PowerModel, PowerTrace,
+    SideChannelReport, StreamingComparator, ThermalCamera, ThermalTrace,
 };
 
 use crate::capture::{Capture, Transaction};
@@ -129,6 +132,25 @@ impl ChannelData {
             ChannelData::Power(t) => Some(t.samples()),
             ChannelData::Acoustic(t) => Some(t.samples()),
             ChannelData::Thermal(t) => Some(t.samples()),
+        }
+    }
+
+    /// The period between units: the capture's export period for the
+    /// transaction stream, the sensor's sample period otherwise.
+    pub(crate) fn period(&self) -> SimDuration {
+        match self {
+            ChannelData::Txn(c) => c.period,
+            ChannelData::Power(t) => t.period(),
+            ChannelData::Acoustic(t) => t.period(),
+            ChannelData::Thermal(t) => t.period(),
+        }
+    }
+
+    /// The whole payload as one streamed window.
+    pub(crate) fn window(&self) -> WindowData<'_> {
+        match self {
+            ChannelData::Txn(c) => WindowData::Txn(c.transactions()),
+            data => WindowData::Samples(data.samples().unwrap_or_default()),
         }
     }
 }
@@ -237,30 +259,6 @@ impl EvidenceBundle {
     pub fn capture(&self) -> Option<&Capture> {
         match self.channels.get(&Channel::Txn) {
             Some(ChannelData::Txn(c)) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The power waveform, if synthesized.
-    pub fn power(&self) -> Option<&PowerTrace> {
-        match self.channels.get(&Channel::Power) {
-            Some(ChannelData::Power(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The acoustic envelope, if synthesized.
-    pub fn acoustic(&self) -> Option<&AcousticTrace> {
-        match self.channels.get(&Channel::Acoustic) {
-            Some(ChannelData::Acoustic(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The thermal-scene trace, if synthesized.
-    pub fn thermal(&self) -> Option<&ThermalTrace> {
-        match self.channels.get(&Channel::Thermal) {
-            Some(ChannelData::Thermal(t)) => Some(t),
             _ => None,
         }
     }
@@ -592,26 +590,6 @@ impl Verdict {
         self.evidence.iter().find(|e| e.detector == detector)
     }
 
-    /// Shorthand for the transaction judge's evidence.
-    pub fn txn(&self) -> Option<&Evidence> {
-        self.evidence_for(TransactionDetector::NAME)
-    }
-
-    /// Shorthand for the power judge's evidence.
-    pub fn power(&self) -> Option<&Evidence> {
-        self.evidence_for(PowerSideChannelDetector::NAME)
-    }
-
-    /// Shorthand for the acoustic judge's evidence.
-    pub fn acoustic(&self) -> Option<&Evidence> {
-        self.evidence_for(AcousticDetector::NAME)
-    }
-
-    /// Shorthand for the thermal judge's evidence.
-    pub fn thermal(&self) -> Option<&Evidence> {
-        self.evidence_for(ThermalDetector::NAME)
-    }
-
     /// Publishes this verdict's per-detector rollup into the
     /// observability plane: `verdict.<name>.judged`,
     /// `verdict.<name>.alarms`, and `verdict.<name>.margin_micros` —
@@ -658,16 +636,33 @@ pub trait Detector: Send + Sync + fmt::Debug {
         vec![ChannelRequest::capture()]
     }
 
-    /// Judges an observed print against the golden evidence.
-    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence;
+    /// The observed channel this detector consumes incrementally.
+    fn stream_channel(&self) -> Channel;
 
-    /// The incremental facet of this detector, when it can judge a
-    /// print mid-stream (all four shipped detectors can). `None` means
-    /// the detector only judges post-hoc: an online monitor falls back
-    /// to [`Detector::judge`] at end-of-print and the detector never
-    /// votes mid-print.
-    fn streaming(&self) -> Option<&dyn StreamingDetector> {
-        None
+    /// Opens a stream against the golden evidence (with its calibration
+    /// repetitions) plus the observed stream's header — whether the
+    /// channel is being captured at all and, for the transaction
+    /// stream, the end-of-print totals that only matter at finalize.
+    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g>;
+
+    /// Feeds one window of newly observed evidence and returns the
+    /// provisional view. The state after feeding the first `t` units
+    /// depends only on `t`, never on how the stream was windowed.
+    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence;
+
+    /// Closes the stream into the detector's evidence.
+    fn finalize(&self, state: StreamState<'_>) -> Evidence;
+
+    /// Judges a whole print post-hoc: one stream whose single window is
+    /// the entire observed channel. An online monitor takes the same
+    /// path in many windows, and because the stream state depends only
+    /// on how much was fed, both end in the same evidence.
+    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
+        let mut state = self.begin(golden, observed);
+        if let Some(data) = observed.get(self.stream_channel()) {
+            self.judge_window(&mut state, data.window());
+        }
+        self.finalize(state)
     }
 }
 
@@ -699,10 +694,6 @@ impl Detector for TransactionDetector {
         TransactionDetector::NAME
     }
 
-    fn streaming(&self) -> Option<&dyn StreamingDetector> {
-        Some(self)
-    }
-
     /// Byte-compatible with the pre-suite campaign policy string, so a
     /// scenario store warmed by a transaction-only campaign stays warm
     /// across the API redesign.
@@ -717,23 +708,74 @@ impl Detector for TransactionDetector {
         )
     }
 
-    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
-        let (Some(golden), Some(observed)) = (golden.capture(), observed.capture()) else {
+    fn stream_channel(&self) -> Channel {
+        Channel::Txn
+    }
+
+    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
+        let inner = match (golden.capture(), observed.capture()) {
+            (Some(g), Some(o)) => StateInner::Txn {
+                stream: Some(detect::StreamingCompare::new(g, self.base)),
+                observed_final: o.final_counts(),
+            },
+            _ => StateInner::Txn {
+                stream: None,
+                observed_final: None,
+            },
+        };
+        StreamState { inner }
+    }
+
+    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
+        let StateInner::Txn {
+            stream: Some(stream),
+            ..
+        } = &mut state.inner
+        else {
+            return WindowEvidence::unjudged(self.name());
+        };
+        if let WindowData::Txn(txns) = window {
+            for t in txns {
+                stream.feed(t);
+            }
+        }
+        WindowEvidence {
+            detector: self.name(),
+            alarmed: Some(stream.provisionally_suspected()),
+            flagged: stream.mismatched_transactions(),
+            compared: stream.compared(),
+            // The same prefix-floored bar the provisional alarm used.
+            threshold: Some(detect::floored_suspect_fraction(
+                self.base.suspect_fraction,
+                stream.compared(),
+            )),
+        }
+    }
+
+    fn finalize(&self, state: StreamState<'_>) -> Evidence {
+        let StateInner::Txn {
+            stream: Some(stream),
+            observed_final,
+        } = state.inner
+        else {
             return Evidence::unjudged(self.name());
         };
-        let n = golden.len().min(observed.len());
-        let cfg = DetectorConfig {
-            suspect_fraction: detect::floored_suspect_fraction(self.base.suspect_fraction, n),
-            ..self.base
-        };
-        let report = detect::compare(golden, observed, &cfg);
+        let report = stream.finalize(observed_final);
+        // The suspect fraction is floored at the full compared length,
+        // as the campaign's short-print rule asks.
+        let threshold = detect::floored_suspect_fraction(
+            self.base.suspect_fraction,
+            report.transactions_compared,
+        );
+        let alarmed =
+            report.mismatch_fraction() > threshold || report.final_totals_match == Some(false);
         Evidence {
             detector: self.name().into(),
-            alarmed: Some(report.trojan_suspected),
+            alarmed: Some(alarmed),
             flagged: report.mismatched_transactions(),
             flagged_values: report.mismatches.len(),
             compared: report.transactions_compared,
-            threshold: Some(cfg.suspect_fraction),
+            threshold: Some(threshold),
             peak: report.largest_percent,
             final_totals_match: report.final_totals_match,
         }
@@ -782,10 +824,6 @@ impl Detector for PowerSideChannelDetector {
         PowerSideChannelDetector::NAME
     }
 
-    fn streaming(&self) -> Option<&dyn StreamingDetector> {
-        Some(self)
-    }
-
     fn policy(&self) -> String {
         format!(
             "sigma={};noise={};smooth={};base={};calib={};kstep_w={};hold_w={};rate_hz={};heaters={}",
@@ -808,23 +846,20 @@ impl Detector for PowerSideChannelDetector {
         }]
     }
 
-    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
-        let Some(observed_power) = observed.power() else {
-            return Evidence::unjudged(self.name());
-        };
-        let calibration = golden.calibration_samples(Channel::Power);
-        let report = compare_sampled(
-            &calibration,
-            golden.power().map(PowerTrace::samples),
-            observed_power.samples(),
-            self.config.into(),
-        );
-        match report {
-            Some(report) => {
-                Evidence::from_report(self.name(), report, self.config.suspect_fraction)
-            }
-            None => Evidence::unjudged(self.name()),
-        }
+    fn stream_channel(&self) -> Channel {
+        Channel::Power
+    }
+
+    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
+        sampled_begin(Channel::Power, self.config.into(), golden, observed)
+    }
+
+    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
+        sampled_judge_window(self.name(), state, window)
+    }
+
+    fn finalize(&self, state: StreamState<'_>) -> Evidence {
+        sampled_finalize(self.name(), state)
     }
 }
 
@@ -876,10 +911,6 @@ impl Detector for AcousticDetector {
         AcousticDetector::NAME
     }
 
-    fn streaming(&self) -> Option<&dyn StreamingDetector> {
-        Some(self)
-    }
-
     fn policy(&self) -> String {
         format!(
             "sigma={};noise={};smooth={};base={};calib={};rate_hz={};tone={};click={};ratio={};mic_noise={}",
@@ -903,23 +934,20 @@ impl Detector for AcousticDetector {
         }]
     }
 
-    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
-        let Some(observed_trace) = observed.acoustic() else {
-            return Evidence::unjudged(self.name());
-        };
-        let calibration = golden.calibration_samples(Channel::Acoustic);
-        let report = compare_sampled(
-            &calibration,
-            golden.acoustic().map(AcousticTrace::samples),
-            observed_trace.samples(),
-            self.config,
-        );
-        match report {
-            Some(report) => {
-                Evidence::from_report(self.name(), report, self.config.suspect_fraction)
-            }
-            None => Evidence::unjudged(self.name()),
-        }
+    fn stream_channel(&self) -> Channel {
+        Channel::Acoustic
+    }
+
+    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
+        sampled_begin(Channel::Acoustic, self.config, golden, observed)
+    }
+
+    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
+        sampled_judge_window(self.name(), state, window)
+    }
+
+    fn finalize(&self, state: StreamState<'_>) -> Evidence {
+        sampled_finalize(self.name(), state)
     }
 }
 
@@ -967,10 +995,6 @@ impl Detector for ThermalDetector {
         ThermalDetector::NAME
     }
 
-    fn streaming(&self) -> Option<&dyn StreamingDetector> {
-        Some(self)
-    }
-
     fn policy(&self) -> String {
         format!(
             "sigma={};noise={};smooth={};base={};calib={};frame_ms={};cam_noise={}",
@@ -991,23 +1015,20 @@ impl Detector for ThermalDetector {
         }]
     }
 
-    fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
-        let Some(observed_trace) = observed.thermal() else {
-            return Evidence::unjudged(self.name());
-        };
-        let calibration = golden.calibration_samples(Channel::Thermal);
-        let report = compare_sampled(
-            &calibration,
-            golden.thermal().map(ThermalTrace::samples),
-            observed_trace.samples(),
-            self.config,
-        );
-        match report {
-            Some(report) => {
-                Evidence::from_report(self.name(), report, self.config.suspect_fraction)
-            }
-            None => Evidence::unjudged(self.name()),
-        }
+    fn stream_channel(&self) -> Channel {
+        Channel::Thermal
+    }
+
+    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
+        sampled_begin(Channel::Thermal, self.config, golden, observed)
+    }
+
+    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
+        sampled_judge_window(self.name(), state, window)
+    }
+
+    fn finalize(&self, state: StreamState<'_>) -> Evidence {
+        sampled_finalize(self.name(), state)
     }
 }
 
@@ -1161,20 +1182,6 @@ impl DetectorSuite {
         }
     }
 
-    /// [`DetectorSuite::judge`] with the observability plane wired:
-    /// the verdict's per-detector rollup is recorded into `obs` (a
-    /// no-op when disabled).
-    pub fn judge_observed(
-        &self,
-        golden: &EvidenceBundle,
-        observed: &EvidenceBundle,
-        obs: &Obs,
-    ) -> Verdict {
-        let verdict = self.judge(golden, observed);
-        verdict.record_metrics(obs);
-        verdict
-    }
-
     /// The verdict for a print that produced no evidence at all (a
     /// bench error): every detector unjudged, no alarm.
     pub fn unjudged(&self) -> Verdict {
@@ -1256,69 +1263,60 @@ pub enum WindowData<'a> {
     Samples(&'a [f64]),
 }
 
-/// Opaque per-detector streaming state created by
-/// [`StreamingDetector::begin`] and advanced by
-/// [`StreamingDetector::judge_window`].
+impl<'a> WindowData<'a> {
+    /// Units in the window.
+    fn len(&self) -> usize {
+        match self {
+            WindowData::Txn(t) => t.len(),
+            WindowData::Samples(s) => s.len(),
+        }
+    }
+
+    /// The units in `range`, as a window of the same kind.
+    fn slice(&self, range: std::ops::Range<usize>) -> WindowData<'a> {
+        match self {
+            WindowData::Txn(t) => WindowData::Txn(&t[range]),
+            WindowData::Samples(s) => WindowData::Samples(&s[range]),
+        }
+    }
+}
+
+/// Opaque per-detector streaming state created by [`Detector::begin`]
+/// and advanced by [`Detector::judge_window`]. It may borrow the golden
+/// bundle it was begun against.
 #[derive(Debug)]
-pub struct StreamState {
-    inner: StateInner,
+pub struct StreamState<'g> {
+    inner: StateInner<'g>,
 }
 
 #[derive(Debug)]
-enum StateInner {
+enum StateInner<'g> {
     /// Incremental §V-C step-count comparison. `stream` is `None` when
     /// either capture is missing (the scenario finalizes unjudged);
     /// `observed_final` holds the observed end-of-print totals, which
-    /// only land at finalize — exactly like the post-hoc final check.
+    /// only land at finalize — exactly like the whole-print final check.
     Txn {
-        stream: Option<detect::StreamingCompare>,
+        stream: Option<detect::StreamingCompare<'g>>,
         observed_final: Option<[i32; 4]>,
     },
     /// Incremental sampled-channel comparison. `comparator` is `None`
     /// when the observed stream is absent or there is no golden
     /// material (the scenario finalizes unjudged).
     Sampled {
-        name: &'static str,
         base: f64,
         comparator: Option<StreamingComparator>,
     },
 }
 
-/// The incremental facet of a [`Detector`]: open a stream against the
-/// golden evidence, feed observed windows as the print progresses, read
-/// the provisional alarm after each, and finalize into an [`Evidence`]
-/// **byte-identical** to what [`Detector::judge`] produces over the
-/// full bundles — the invariant that keeps every post-hoc artifact and
-/// warmed scenario store valid under online judging.
-pub trait StreamingDetector: Detector {
-    /// The observed channel this detector consumes incrementally.
-    fn stream_channel(&self) -> Channel;
-
-    /// Opens a stream against the golden evidence (with its calibration
-    /// repetitions) plus the observed stream's header — whether the
-    /// channel is being captured at all and, for the transaction
-    /// stream, the end-of-print totals that only matter at finalize.
-    fn begin(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> StreamState;
-
-    /// Feeds one window of newly observed evidence and returns the
-    /// provisional view. The state after feeding the first `t` units
-    /// depends only on `t`, never on how the stream was windowed.
-    fn judge_window(&self, state: &mut StreamState, window: WindowData<'_>) -> WindowEvidence;
-
-    /// Closes the stream. The returned evidence is byte-identical to
-    /// [`Detector::judge`] over the same bundles.
-    fn finalize(&self, state: StreamState) -> Evidence;
-}
-
-/// Shared `begin` for the three sampled-channel detectors: the same
-/// golden-material selection as their post-hoc `judge`.
-fn sampled_begin(
-    name: &'static str,
+/// Shared `begin` for the three sampled-channel detectors: the
+/// calibrated comparator when the golden bundle carries two or more
+/// repetitions, the single-profile fallback otherwise.
+fn sampled_begin<'g>(
     channel: Channel,
     config: ComparatorConfig,
     golden: &EvidenceBundle,
     observed: &EvidenceBundle,
-) -> StreamState {
+) -> StreamState<'g> {
     let comparator = observed
         .get(channel)
         .and_then(ChannelData::samples)
@@ -1331,7 +1329,6 @@ fn sampled_begin(
         });
     StreamState {
         inner: StateInner::Sampled {
-            name,
             base: config.suspect_fraction,
             comparator,
         },
@@ -1341,188 +1338,36 @@ fn sampled_begin(
 /// Shared `judge_window` for the sampled-channel detectors.
 fn sampled_judge_window(
     detector: &'static str,
-    state: &mut StreamState,
+    state: &mut StreamState<'_>,
     window: WindowData<'_>,
 ) -> WindowEvidence {
     let StateInner::Sampled {
-        name,
         base,
-        comparator,
+        comparator: Some(c),
     } = &mut state.inner
     else {
         return WindowEvidence::unjudged(detector);
     };
-    match comparator {
-        Some(c) => {
-            if let WindowData::Samples(samples) = window {
-                c.extend(samples);
-            }
-            WindowEvidence {
-                detector: name,
-                alarmed: Some(c.suspected_so_far()),
-                flagged: c.anomalous_windows(),
-                compared: c.windows_compared(),
-                threshold: Some(*base),
-            }
-        }
-        None => WindowEvidence::unjudged(name),
+    if let WindowData::Samples(samples) = window {
+        c.extend(samples);
+    }
+    WindowEvidence {
+        detector,
+        alarmed: Some(c.suspected_so_far()),
+        flagged: c.anomalous_windows(),
+        compared: c.windows_compared(),
+        threshold: Some(*base),
     }
 }
 
 /// Shared `finalize` for the sampled-channel detectors.
-fn sampled_finalize(detector: &'static str, state: StreamState) -> Evidence {
-    let StateInner::Sampled {
-        name,
-        base,
-        comparator,
-    } = state.inner
-    else {
-        return Evidence::unjudged(detector);
-    };
-    match comparator {
-        Some(c) => Evidence::from_report(name, c.finalize(), base),
-        None => Evidence::unjudged(name),
-    }
-}
-
-impl StreamingDetector for TransactionDetector {
-    fn stream_channel(&self) -> Channel {
-        Channel::Txn
-    }
-
-    fn begin(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> StreamState {
-        let inner = match (golden.capture(), observed.capture()) {
-            (Some(g), Some(o)) => StateInner::Txn {
-                stream: Some(detect::StreamingCompare::new(g.clone(), self.base)),
-                observed_final: o.final_counts(),
-            },
-            _ => StateInner::Txn {
-                stream: None,
-                observed_final: None,
-            },
-        };
-        StreamState { inner }
-    }
-
-    fn judge_window(&self, state: &mut StreamState, window: WindowData<'_>) -> WindowEvidence {
-        let StateInner::Txn {
-            stream: Some(stream),
-            ..
-        } = &mut state.inner
-        else {
-            return WindowEvidence::unjudged(self.name());
-        };
-        if let WindowData::Txn(txns) = window {
-            for t in txns {
-                stream.feed(t);
-            }
-        }
-        WindowEvidence {
-            detector: self.name(),
-            alarmed: Some(stream.provisionally_suspected()),
-            flagged: stream.mismatched_transactions(),
-            compared: stream.compared(),
-            // The same prefix-floored bar the provisional alarm used.
-            threshold: Some(detect::floored_suspect_fraction(
-                self.base.suspect_fraction,
-                stream.compared(),
-            )),
-        }
-    }
-
-    fn finalize(&self, state: StreamState) -> Evidence {
-        let StateInner::Txn {
-            stream: Some(stream),
-            observed_final,
-        } = state.inner
-        else {
-            return Evidence::unjudged(self.name());
-        };
-        let report = stream.finalize(observed_final);
-        // The post-hoc judge floors the suspect fraction at the full
-        // compared length; the streamed prefix length equals it here.
-        let threshold = detect::floored_suspect_fraction(
-            self.base.suspect_fraction,
-            report.transactions_compared,
-        );
-        let alarmed =
-            report.mismatch_fraction() > threshold || report.final_totals_match == Some(false);
-        Evidence {
-            detector: self.name().into(),
-            alarmed: Some(alarmed),
-            flagged: report.mismatched_transactions(),
-            flagged_values: report.mismatches.len(),
-            compared: report.transactions_compared,
-            threshold: Some(threshold),
-            peak: report.largest_percent,
-            final_totals_match: report.final_totals_match,
-        }
-    }
-}
-
-impl StreamingDetector for PowerSideChannelDetector {
-    fn stream_channel(&self) -> Channel {
-        Channel::Power
-    }
-
-    fn begin(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> StreamState {
-        sampled_begin(
-            self.name(),
-            Channel::Power,
-            self.config.into(),
-            golden,
-            observed,
-        )
-    }
-
-    fn judge_window(&self, state: &mut StreamState, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
-    }
-
-    fn finalize(&self, state: StreamState) -> Evidence {
-        sampled_finalize(self.name(), state)
-    }
-}
-
-impl StreamingDetector for AcousticDetector {
-    fn stream_channel(&self) -> Channel {
-        Channel::Acoustic
-    }
-
-    fn begin(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> StreamState {
-        sampled_begin(
-            self.name(),
-            Channel::Acoustic,
-            self.config,
-            golden,
-            observed,
-        )
-    }
-
-    fn judge_window(&self, state: &mut StreamState, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
-    }
-
-    fn finalize(&self, state: StreamState) -> Evidence {
-        sampled_finalize(self.name(), state)
-    }
-}
-
-impl StreamingDetector for ThermalDetector {
-    fn stream_channel(&self) -> Channel {
-        Channel::Thermal
-    }
-
-    fn begin(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> StreamState {
-        sampled_begin(self.name(), Channel::Thermal, self.config, golden, observed)
-    }
-
-    fn judge_window(&self, state: &mut StreamState, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
-    }
-
-    fn finalize(&self, state: StreamState) -> Evidence {
-        sampled_finalize(self.name(), state)
+fn sampled_finalize(detector: &'static str, state: StreamState<'_>) -> Evidence {
+    match state.inner {
+        StateInner::Sampled {
+            base,
+            comparator: Some(c),
+        } => Evidence::from_report(detector, c.finalize(), base),
+        _ => Evidence::unjudged(detector),
     }
 }
 
@@ -1546,13 +1391,33 @@ pub struct TimeToDetection {
 /// The outcome of replaying one print through an [`OnlineMonitor`]:
 /// the end-of-print verdict (byte-identical to
 /// [`DetectorSuite::judge`]) plus the time-to-detection, when the fused
-/// alarm fired mid-print.
+/// alarm fired mid-print, and the replay's window rollup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineOutcome {
     /// The finalized fused verdict.
     pub verdict: Verdict,
     /// When (if ever) the fused online alarm first fired.
     pub ttd: Option<TimeToDetection>,
+    /// Detector windows that carried a provisional vote, over every
+    /// slice of the replay.
+    pub windows_judged: u64,
+    /// Of those, the windows whose provisional vote was an alarm.
+    pub votes: u64,
+}
+
+impl OnlineOutcome {
+    /// Publishes the replay's window rollup
+    /// (`verdict.online.windows_judged`, `verdict.online.votes`) and the
+    /// final verdict's per-detector metrics into `obs`; a no-op on a
+    /// disabled handle.
+    pub fn record_metrics(&self, obs: &Obs) {
+        if !obs.is_enabled() {
+            return;
+        }
+        obs.count("verdict.online.windows_judged", self.windows_judged);
+        obs.count("verdict.online.votes", self.votes);
+        self.verdict.record_metrics(obs);
+    }
 }
 
 /// One monitor slice's aftermath: the fused provisional alarm plus
@@ -1627,52 +1492,35 @@ impl<'a> StreamingSuite<'a> {
 #[derive(Debug)]
 struct Lane<'a> {
     detector: &'a dyn Detector,
-    stream: Option<(&'a dyn StreamingDetector, StreamState)>,
+    state: StreamState<'a>,
     feed: Option<Feed<'a>>,
 }
 
 /// A cursor over one observed channel, releasing units in stream order
 /// as the replay clock passes their capture timestamps.
 #[derive(Debug)]
-enum Feed<'a> {
-    Txn {
-        txns: &'a [Transaction],
-        period_ticks: u64,
-        cursor: usize,
-    },
-    Samples {
-        samples: &'a [f64],
-        period_ticks: u64,
-        cursor: usize,
-    },
+struct Feed<'a> {
+    stream: WindowData<'a>,
+    period_ticks: u64,
+    cursor: usize,
 }
 
 impl<'a> Feed<'a> {
+    fn new(stream: WindowData<'a>, period: SimDuration) -> Feed<'a> {
+        Feed {
+            stream,
+            period_ticks: period.ticks().max(1),
+            cursor: 0,
+        }
+    }
+
     /// Everything that became available up to the replay clock
     /// `now_ticks` (unit `i` lands once `(i + 1) * period <= now`).
     fn take_until(&mut self, now_ticks: u64) -> WindowData<'a> {
-        match self {
-            Feed::Txn {
-                txns,
-                period_ticks,
-                cursor,
-            } => {
-                let avail = ((now_ticks / *period_ticks) as usize).min(txns.len());
-                let window = &txns[*cursor..avail];
-                *cursor = avail;
-                WindowData::Txn(window)
-            }
-            Feed::Samples {
-                samples,
-                period_ticks,
-                cursor,
-            } => {
-                let avail = ((now_ticks / *period_ticks) as usize).min(samples.len());
-                let window = &samples[*cursor..avail];
-                *cursor = avail;
-                WindowData::Samples(window)
-            }
-        }
+        let avail = ((now_ticks / self.period_ticks) as usize).min(self.stream.len());
+        let window = self.stream.slice(self.cursor..avail);
+        self.cursor = avail;
+        window
     }
 }
 
@@ -1681,9 +1529,7 @@ impl<'a> Feed<'a> {
 /// txn judge is absent).
 #[derive(Debug)]
 struct MaterialFeed<'a> {
-    txns: &'a [Transaction],
-    period_ticks: u64,
-    cursor: usize,
+    feed: Feed<'a>,
     seen: f64,
     total: f64,
 }
@@ -1695,44 +1541,8 @@ struct AlarmMark {
     material_done: f64,
 }
 
-/// The feed for one observed channel, if present.
-fn feed_for(channel: Channel, observed: &EvidenceBundle) -> Option<Feed<'_>> {
-    match observed.get(channel)? {
-        ChannelData::Txn(c) => Some(Feed::Txn {
-            txns: c.transactions(),
-            period_ticks: c.period.ticks().max(1),
-            cursor: 0,
-        }),
-        data => Some(Feed::Samples {
-            samples: data.samples()?,
-            period_ticks: sampled_period_ticks(data)?.max(1),
-            cursor: 0,
-        }),
-    }
-}
-
-fn sampled_period_ticks(data: &ChannelData) -> Option<u64> {
-    match data {
-        ChannelData::Txn(_) => None,
-        ChannelData::Power(t) => Some(t.period().ticks()),
-        ChannelData::Acoustic(t) => Some(t.period().ticks()),
-        ChannelData::Thermal(t) => Some(t.period().ticks()),
-    }
-}
-
-/// One channel's extent on the replay clock: sample count times period.
-fn channel_extent_ticks(bundle: &EvidenceBundle, channel: Channel) -> Option<u64> {
-    match bundle.get(channel)? {
-        ChannelData::Txn(c) => Some(c.len() as u64 * c.period.ticks()),
-        data => {
-            let n = data.samples()?.len() as u64;
-            Some(n * sampled_period_ticks(data)?)
-        }
-    }
-}
-
 /// A time-sliced replay of one recorded print through a detector
-/// suite's streaming facets: [`OnlineMonitor::step`] advances the
+/// suite: [`OnlineMonitor::step`] advances the
 /// replay clock one slice, feeds each lane what its sensor delivered in
 /// that slice, and fuses the provisional votes;
 /// [`OnlineMonitor::finish`] drains the remaining slices and finalizes
@@ -1742,8 +1552,6 @@ fn channel_extent_ticks(bundle: &EvidenceBundle, channel: Channel) -> Option<u64
 #[derive(Debug)]
 pub struct OnlineMonitor<'a> {
     suite: &'a DetectorSuite,
-    golden: &'a EvidenceBundle,
-    observed: &'a EvidenceBundle,
     slice_ticks: u64,
     lanes: Vec<Lane<'a>>,
     material: Option<MaterialFeed<'a>>,
@@ -1767,21 +1575,17 @@ impl<'a> OnlineMonitor<'a> {
             .iter()
             .map(|d| {
                 let detector: &'a dyn Detector = d.as_ref();
-                let stream = detector.streaming().map(|s| (s, s.begin(golden, observed)));
-                let feed = stream
-                    .as_ref()
-                    .and_then(|(s, _)| feed_for(s.stream_channel(), observed));
                 Lane {
                     detector,
-                    stream,
-                    feed,
+                    state: detector.begin(golden, observed),
+                    feed: observed
+                        .get(detector.stream_channel())
+                        .map(|data| Feed::new(data.window(), data.period())),
                 }
             })
             .collect();
         let material = observed.capture().map(|c| MaterialFeed {
-            txns: c.transactions(),
-            period_ticks: c.period.ticks().max(1),
-            cursor: 0,
+            feed: Feed::new(WindowData::Txn(c.transactions()), c.period),
             seen: 0.0,
             total: c
                 .transactions()
@@ -1789,16 +1593,17 @@ impl<'a> OnlineMonitor<'a> {
                 .map(|t| f64::from(t.counts[3].abs()))
                 .sum(),
         });
+        // The print's extent on the replay clock: the longest channel's
+        // unit count times its period.
         let end_ticks = Channel::ALL
             .iter()
-            .filter_map(|&ch| channel_extent_ticks(observed, ch))
+            .filter_map(|&ch| observed.get(ch))
+            .map(|data| data.window().len() as u64 * data.period().ticks())
             .max()
             .unwrap_or(0);
         let slice_ticks = slice.ticks().max(1);
         OnlineMonitor {
             suite,
-            golden,
-            observed,
             slice_ticks,
             lanes,
             material,
@@ -1831,26 +1636,20 @@ impl<'a> OnlineMonitor<'a> {
         self.step += 1;
         let now_ticks = self.step.saturating_mul(self.slice_ticks);
         if let Some(m) = &mut self.material {
-            let avail = ((now_ticks / m.period_ticks) as usize).min(m.txns.len());
-            for t in &m.txns[m.cursor..avail] {
-                m.seen += f64::from(t.counts[3].abs());
+            if let WindowData::Txn(txns) = m.feed.take_until(now_ticks) {
+                for t in txns {
+                    m.seen += f64::from(t.counts[3].abs());
+                }
             }
-            m.cursor = avail;
         }
         let mut windows = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
-            let view = match &mut lane.stream {
-                Some((s, state)) => {
-                    let window = match lane.feed.as_mut() {
-                        Some(feed) => feed.take_until(now_ticks),
-                        // No observed stream: a pure poll.
-                        None => WindowData::Samples(&[]),
-                    };
-                    s.judge_window(state, window)
-                }
-                None => WindowEvidence::unjudged(lane.detector.name()),
+            let window = match lane.feed.as_mut() {
+                Some(feed) => feed.take_until(now_ticks),
+                // No observed stream: a pure poll.
+                None => WindowData::Samples(&[]),
             };
-            windows.push(view);
+            windows.push(lane.detector.judge_window(&mut lane.state, window));
         }
         for w in &windows {
             match w.alarmed {
@@ -1894,26 +1693,22 @@ impl<'a> OnlineMonitor<'a> {
 
     /// Drains any remaining slices, finalizes every lane and returns
     /// the outcome. The verdict is byte-identical to
-    /// [`DetectorSuite::judge`]; detectors without a streaming facet
-    /// are judged post-hoc here (and never voted mid-print).
+    /// [`DetectorSuite::judge`].
     pub fn finish(mut self) -> OnlineOutcome {
         while self.step().is_some() {}
         let OnlineMonitor {
             suite,
-            golden,
-            observed,
             lanes,
             material,
             end_ticks,
             alarm,
+            windows_judged,
+            votes,
             ..
         } = self;
         let evidence: Vec<Evidence> = lanes
             .into_iter()
-            .map(|lane| match lane.stream {
-                Some((s, state)) => s.finalize(state),
-                None => lane.detector.judge(golden, observed),
-            })
+            .map(|lane| lane.detector.finalize(lane.state))
             .collect();
         let verdict = Verdict {
             alarmed: suite.fusion().fuse(&evidence),
@@ -1935,28 +1730,12 @@ impl<'a> OnlineMonitor<'a> {
                 material_saved,
             }
         });
-        OnlineOutcome { verdict, ttd }
-    }
-
-    /// [`OnlineMonitor::finish`] with the observability plane wired:
-    /// drains the remaining slices first, then publishes the replay's
-    /// window rollup (`verdict.online.windows_judged`,
-    /// `verdict.online.votes`) and the final verdict's per-detector
-    /// metrics into `obs`. Byte-identical outcome to [`finish`], and a
-    /// no-op on a disabled handle.
-    ///
-    /// [`finish`]: OnlineMonitor::finish
-    pub fn finish_observed(mut self, obs: &Obs) -> OnlineOutcome {
-        while self.step().is_some() {}
-        let windows_judged = self.windows_judged;
-        let votes = self.votes;
-        let outcome = self.finish();
-        if obs.is_enabled() {
-            obs.count("verdict.online.windows_judged", windows_judged);
-            obs.count("verdict.online.votes", votes);
-            outcome.verdict.record_metrics(obs);
+        OnlineOutcome {
+            verdict,
+            ttd,
+            windows_judged,
+            votes,
         }
-        outcome
     }
 }
 
@@ -1965,6 +1744,7 @@ mod tests {
     use super::*;
     use crate::capture::Transaction;
     use offramps_des::{SimDuration, Tick};
+    use offramps_sidechannel::compare_sampled;
     use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
 
     fn ramp(n: usize, scale: f64) -> Capture {
@@ -2386,8 +2166,8 @@ mod tests {
             &capture_bundle(ramp(100, 0.5)),
         );
         assert!(verdict.alarmed);
-        assert_eq!(verdict.txn().unwrap().alarmed, Some(true));
-        assert_eq!(verdict.power().unwrap().alarmed, None);
+        assert_eq!(verdict.evidence_for("txn").unwrap().alarmed, Some(true));
+        assert_eq!(verdict.evidence_for("power").unwrap().alarmed, None);
 
         let unjudged = suite.unjudged();
         assert!(!unjudged.alarmed);
@@ -2465,6 +2245,71 @@ mod tests {
         observed.insert(ChannelData::Acoustic(mic.synthesize(&trace, 99)));
         observed.insert(ChannelData::Thermal(cam.synthesize(&scene, 99)));
         observed
+    }
+
+    /// Pins a sampled judge against the whole-trace reference
+    /// comparator: on a repetition-calibrated and on a single-profile
+    /// golden bundle, clean and attacked, `judge` must equal the
+    /// evidence built from `compare_sampled`'s report; a bundle without
+    /// the detector's channel comes back unjudged.
+    fn assert_judge_matches_compare_sampled(det: &dyn Detector, config: ComparatorConfig) {
+        let channel = det.stream_channel();
+        let calibrated = quad_golden();
+        let mut single = EvidenceBundle::default();
+        single.insert(calibrated.get(channel).unwrap().clone());
+        for golden in [&calibrated, &single] {
+            for attacked in [false, true] {
+                let observed = quad_observed(attacked);
+                let report = compare_sampled(
+                    &golden.calibration_samples(channel),
+                    golden.get(channel).and_then(ChannelData::samples),
+                    observed
+                        .get(channel)
+                        .and_then(ChannelData::samples)
+                        .unwrap(),
+                    config,
+                )
+                .expect("golden material present");
+                let reference = Evidence {
+                    detector: det.name().into(),
+                    alarmed: Some(report.sabotage_suspected),
+                    flagged: report.anomalous_windows,
+                    flagged_values: report.anomalous_windows,
+                    compared: report.windows_compared,
+                    threshold: Some(config.suspect_fraction),
+                    peak: report.largest_deviation_w,
+                    final_totals_match: None,
+                };
+                assert_eq!(
+                    det.judge(golden, &observed),
+                    reference,
+                    "attacked {attacked}"
+                );
+            }
+        }
+        let txn_only = capture_bundle(ramp(100, 1.0));
+        assert_eq!(
+            det.judge(&calibrated, &txn_only),
+            Evidence::unjudged(det.name())
+        );
+    }
+
+    #[test]
+    fn power_judge_matches_compare_sampled() {
+        let det = PowerSideChannelDetector::campaign();
+        assert_judge_matches_compare_sampled(&det, det.config.into());
+    }
+
+    #[test]
+    fn acoustic_judge_matches_compare_sampled() {
+        let det = AcousticDetector::campaign();
+        assert_judge_matches_compare_sampled(&det, det.config);
+    }
+
+    #[test]
+    fn thermal_judge_matches_compare_sampled() {
+        let det = ThermalDetector::campaign();
+        assert_judge_matches_compare_sampled(&det, det.config);
     }
 
     #[test]

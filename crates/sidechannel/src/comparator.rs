@@ -20,8 +20,8 @@
 //! * [`suspect_anomaly_fraction`] — the alarm rule shared by every
 //!   live comparator and every offline threshold-sweep re-judge.
 //!
-//! The power detectors in [`crate::detector`] are thin wrappers over
-//! these primitives (their numerics are pinned byte-for-byte by tests),
+//! The power detector in [`crate::detector`] is a thin wrapper over
+//! these primitives (its numerics are pinned byte-for-byte by tests),
 //! and the acoustic/thermal detectors in `offramps::verdict` consume
 //! them directly.
 
@@ -327,11 +327,32 @@ impl StreamingComparator {
         }
     }
 
-    /// Feeds a slice of raw samples (any chunking).
+    /// Feeds a slice of raw samples (any chunking). Whole smoothing
+    /// windows inside the slice are averaged straight from it, with the
+    /// same arithmetic as [`StreamingComparator::push`], so a whole
+    /// print fed as one slice costs what [`smooth`] does.
     pub fn extend(&mut self, samples: &[f64]) {
-        for &s in samples {
+        if self.smoothing == 1 {
+            for &s in samples {
+                self.take_window(s);
+            }
+            return;
+        }
+        // Complete the window a previous feed left partial.
+        let top_up = if self.buf.is_empty() {
+            0
+        } else {
+            (self.smoothing - self.buf.len()).min(samples.len())
+        };
+        let (head, rest) = samples.split_at(top_up);
+        for &s in head {
             self.push(s);
         }
+        let mut windows = rest.chunks_exact(self.smoothing);
+        for window in &mut windows {
+            self.take_window(window.iter().sum::<f64>() / window.len() as f64);
+        }
+        self.buf.extend_from_slice(windows.remainder());
     }
 
     /// Windows fully judged so far (the partial smoothing chunk, if

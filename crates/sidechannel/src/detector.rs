@@ -1,14 +1,12 @@
 //! Golden-profile power comparison (the Gatlin-et-al.-style detector).
 //!
-//! Both power comparators are thin wrappers over the modality-generic
+//! The power comparator is a thin wrapper over the modality-generic
 //! primitives in [`crate::comparator`] — the power channel was the
 //! first sampled side channel this crate modelled, and its judging
 //! rules turned out to be exactly the ones the acoustic and thermal
 //! channels need too.
 
-use crate::comparator::{
-    single_profile_compare, CalibratedProfile, ComparatorConfig, SideChannelReport,
-};
+use crate::comparator::{single_profile_compare, ComparatorConfig, SideChannelReport};
 use crate::model::PowerTrace;
 
 /// Baseline detector tuning.
@@ -181,84 +179,5 @@ mod tests {
             sabotage_suspected: true,
         };
         assert!((r.anomaly_fraction() - 0.025).abs() < 1e-12);
-    }
-}
-
-/// Repetition-calibrated detector, the way the published power-signature
-/// systems actually work: Gatlin et al. profile ~40 repeated prints and
-/// derive per-window statistics, so print-to-print "time noise" widens
-/// the acceptance band exactly where the machine is naturally variable.
-#[derive(Debug, Clone)]
-pub struct CalibratedPowerDetector {
-    profile: CalibratedProfile,
-}
-
-impl CalibratedPowerDetector {
-    /// Calibrates from repeated golden prints (two or more).
-    ///
-    /// # Panics
-    ///
-    /// Panics with fewer than two repetitions.
-    pub fn calibrate(golden_runs: &[PowerTrace], config: PowerDetectorConfig) -> Self {
-        let samples: Vec<&[f64]> = golden_runs.iter().map(PowerTrace::samples).collect();
-        CalibratedPowerDetector {
-            profile: CalibratedProfile::calibrate(&samples, config.into()),
-        }
-    }
-
-    /// Compares an observed print against the calibrated profile.
-    pub fn compare(&self, observed: &PowerTrace) -> SideChannelReport {
-        self.profile.compare(observed.samples())
-    }
-}
-
-#[cfg(test)]
-mod calibrated_tests {
-    use super::*;
-    use crate::model::PowerModel;
-    use offramps_des::{SimDuration, Tick};
-    use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
-
-    fn train(step_period_us: u64, seconds: u64) -> SignalTrace {
-        let mut t = SignalTrace::new();
-        let mut at = Tick::ZERO;
-        while at < Tick::from_secs(seconds) {
-            t.record(at, LogicEvent::new(Pin::XStep, Level::High));
-            t.record(
-                at + SimDuration::from_micros(2),
-                LogicEvent::new(Pin::XStep, Level::Low),
-            );
-            at += SimDuration::from_micros(step_period_us);
-        }
-        t
-    }
-
-    #[test]
-    fn calibrated_clean_run_passes() {
-        let model = PowerModel::default();
-        let trace = train(250, 5);
-        let runs: Vec<_> = (0..5).map(|s| model.synthesize(&trace, s)).collect();
-        let det = CalibratedPowerDetector::calibrate(&runs, PowerDetectorConfig::default());
-        let rep = det.compare(&model.synthesize(&trace, 99));
-        assert!(!rep.sabotage_suspected, "{rep:?}");
-    }
-
-    #[test]
-    fn calibrated_detects_sustained_change() {
-        let model = PowerModel::default();
-        let runs: Vec<_> = (0..5)
-            .map(|s| model.synthesize(&train(250, 5), s))
-            .collect();
-        let det = CalibratedPowerDetector::calibrate(&runs, PowerDetectorConfig::default());
-        let rep = det.compare(&model.synthesize(&train(500, 5), 99));
-        assert!(rep.sabotage_suspected, "{rep:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "repeated prints")]
-    fn calibration_needs_repeats() {
-        let model = PowerModel::default();
-        let one = vec![model.synthesize(&train(250, 1), 0)];
-        let _ = CalibratedPowerDetector::calibrate(&one, PowerDetectorConfig::default());
     }
 }

@@ -29,9 +29,9 @@
 //!   windowed comparison ([`single_profile_compare`]) and the
 //!   repetition-calibrated acceptance band ([`CalibratedProfile`]) that
 //!   every sampled channel shares,
-//! * [`PowerDetector`] / [`CalibratedPowerDetector`] — the power-typed
-//!   wrappers the baseline experiment and the campaign `power` judge
-//!   use,
+//! * [`PowerDetector`] — the power-typed single-profile wrapper, and
+//!   [`PowerDetectorConfig`], the tuning the campaign `power` judge
+//!   takes,
 //! * the `baseline` experiment in `offramps-bench` runs the detectors
 //!   over the Table II attacks and reports who catches what.
 //!
@@ -51,6 +51,6 @@ pub use comparator::{
     compare_sampled, single_profile_compare, suspect_anomaly_fraction, CalibratedProfile,
     ComparatorConfig, SideChannelReport, StreamingComparator,
 };
-pub use detector::{CalibratedPowerDetector, PowerDetector, PowerDetectorConfig};
+pub use detector::{PowerDetector, PowerDetectorConfig};
 pub use model::{PowerModel, PowerTrace};
 pub use thermal::{ThermalCamera, ThermalTrace};

@@ -7,7 +7,7 @@
 //! ```
 
 use offramps::trojans::{EndstopSpoofTrojan, ThermistorSpoofTrojan};
-use offramps::{detect, OnlineDetector, SignalPath, TestBench};
+use offramps::{detect, SignalPath, StreamingCompare, TestBench};
 use offramps_bench::workloads;
 use offramps_printer::quality::{PartReport, QualityConfig};
 
@@ -33,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // During the print the step counts are identical: the online guard
     // stays silent until the very end.
     let tx1_cap = tx1.capture.unwrap();
-    let mut guard = OnlineDetector::new(golden_cap.clone(), detect::DetectorConfig::default());
+    let mut guard = StreamingCompare::new(&golden_cap, detect::DetectorConfig::default());
     let mut first_alarm = None;
     for (i, t) in tx1_cap.transactions().iter().enumerate() {
-        guard.feed(*t);
-        if guard.alarmed() {
+        guard.feed(t);
+        if guard.provisionally_suspected() {
             first_alarm = Some(i);
             break;
         }
@@ -48,7 +48,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              printed (offset) when the END-of-print G28 re-reference exposed the lie",
             tx1_cap.len()
         ),
-        None => println!("online guard:          never alarmed"),
+        None => {
+            // What exposes TX1 is the end-of-print 0 %-margin totals
+            // check, which only lands when the stream is finalized.
+            let report = guard.finalize(tx1_cap.final_counts());
+            let totals = match report.final_totals_match {
+                Some(true) => "PASS",
+                Some(false) => "FAIL",
+                None => "not recorded",
+            };
+            println!(
+                "online guard:          silent for all {} transactions",
+                tx1_cap.len()
+            );
+            println!(
+                "final totals check:    {totals} (0% margin, at finalize) — the END-of-print\n\
+                 G28 re-reference exposed the lie"
+            );
+        }
     }
     println!(
         "-> TX1 is invisible while printing (firmware counters match golden\n\

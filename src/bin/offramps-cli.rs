@@ -28,10 +28,8 @@ use offramps::{detect, Capture, FusionPolicy, SignalPath, TestBench};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
 use offramps_bench::benchreport;
-use offramps_bench::cache::{run_campaign_cached_observed, store_observations};
-use offramps_bench::campaign::{
-    run_campaign_observed, sweep_attacks, CampaignReport, CampaignSpec,
-};
+use offramps_bench::cache::{record_scan_metrics, store_observations};
+use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::workloads::Workload;
 use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
@@ -218,6 +216,27 @@ enum Arity {
 /// A subcommand's declared flags.
 type FlagTable = &'static [(&'static str, Arity)];
 
+const SLICE_FLAGS: FlagTable = &[
+    ("--width", Arity::Value),
+    ("--depth", Arity::Value),
+    ("--height", Arity::Value),
+    ("--layer", Arity::Value),
+];
+
+const PRINT_FLAGS: FlagTable = &[
+    ("--seed", Arity::Value),
+    ("--capture", Arity::Value),
+    ("--trojan", Arity::Value),
+    ("--trace", Arity::Value),
+];
+
+const ATTACK_FLAGS: FlagTable = &[
+    ("--reduction", Arity::Value),
+    ("--relocation", Arity::Value),
+];
+
+const DETECT_FLAGS: FlagTable = &[("--margin", Arity::Value)];
+
 const CAMPAIGN_FLAGS: FlagTable = &[
     ("--threads", Arity::Value),
     ("--seed", Arity::Value),
@@ -249,18 +268,31 @@ const BENCH_FLAGS: FlagTable = &[
     ("--json", Arity::Value),
 ];
 
-/// A subcommand's arguments, validated against its [`FlagTable`]:
-/// every declared flag seen, with its value (`None` for switches).
+/// A subcommand's arguments, validated against its [`FlagTable`]: its
+/// leading positional arguments, then every declared flag seen, with
+/// its value (`None` for switches).
 #[derive(Debug)]
-struct Flags<'a>(BTreeMap<&'static str, Option<&'a str>>);
+struct Flags<'a> {
+    positional: Vec<&'a str>,
+    seen: BTreeMap<&'static str, Option<&'a str>>,
+}
 
 impl<'a> Flags<'a> {
-    /// Checks `args` against `table`. Unknown flags, positional
+    /// Checks `args` against `table` after the subcommand's leading
+    /// positional arguments, one per name in `positional`. A missing
+    /// positional argument, unknown flags, further positional
     /// arguments, a repeated non-repeatable flag, a missing value and a
     /// value on a switch are all errors.
-    fn parse(args: &'a [String], table: FlagTable) -> Result<Self, String> {
-        let mut seen = BTreeMap::new();
+    fn parse(args: &'a [String], positional: &[&str], table: FlagTable) -> Result<Self, String> {
         let mut rest = args.iter();
+        let mut leading = Vec::with_capacity(positional.len());
+        for name in positional {
+            match rest.next() {
+                Some(arg) if !arg.starts_with("--") => leading.push(arg.as_str()),
+                _ => return Err(format!("missing argument {name}")),
+            }
+        }
+        let mut seen = BTreeMap::new();
         while let Some(arg) = rest.next() {
             let (name, inline) = match arg.split_once('=') {
                 Some((name, value)) if name.starts_with("--") => (name, Some(value)),
@@ -286,17 +318,30 @@ impl<'a> Flags<'a> {
                 return Err(format!("duplicate flag {flag}"));
             }
         }
-        Ok(Flags(seen))
+        Ok(Flags {
+            positional: leading,
+            seen,
+        })
     }
 
     /// The value of `flag`, if given.
     fn value(&self, flag: &str) -> Option<&'a str> {
-        self.0.get(flag).copied().flatten()
+        self.seen.get(flag).copied().flatten()
     }
 
     /// Whether `flag` was given.
     fn has(&self, flag: &str) -> bool {
-        self.0.contains_key(flag)
+        self.seen.contains_key(flag)
+    }
+
+    /// The value of `flag` as a number, or `default`.
+    fn f64_or(&self, flag: &str, default: f64) -> Result<f64, String> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{flag} expects a number, got {v:?}")),
+        }
     }
 
     /// The value of `flag` as a non-negative integer, or `default`.
@@ -307,31 +352,6 @@ impl<'a> Flags<'a> {
                 .parse()
                 .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}")),
         }
-    }
-}
-
-/// Pulls `--flag value` out of `args`; returns the value.
-fn opt(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn opt_f64(args: &[String], flag: &str, default: f64) -> Result<f64, String> {
-    match opt(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag} expects a number, got {v:?}")),
-    }
-}
-
-fn opt_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    match opt(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}")),
     }
 }
 
@@ -369,10 +389,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_slice(args: &[String]) -> Result<ExitCode, String> {
-    let width = opt_f64(args, "--width", 10.0)?;
-    let depth = opt_f64(args, "--depth", 10.0)?;
-    let height = opt_f64(args, "--height", 1.5)?;
-    let layer = opt_f64(args, "--layer", 0.3)?;
+    let flags = Flags::parse(args, &[], SLICE_FLAGS)?;
+    let width = flags.f64_or("--width", 10.0)?;
+    let depth = flags.f64_or("--depth", 10.0)?;
+    let height = flags.f64_or("--height", 1.5)?;
+    let layer = flags.f64_or("--layer", 0.3)?;
     if width <= 0.0 || depth <= 0.0 || height <= 0.0 || layer <= 0.0 {
         return Err("dimensions must be positive".into());
     }
@@ -386,13 +407,12 @@ fn cmd_slice(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_print(args: &[String]) -> Result<ExitCode, String> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("print needs a g-code file".into());
-    };
+    let flags = Flags::parse(args, &["<file.gcode>"], PRINT_FLAGS)?;
+    let path = flags.positional[0];
     let program = Arc::new(parse(&read_file(path)?).map_err(|e| e.to_string())?);
-    let seed = opt_u64(args, "--seed", 1)?;
-    let capture_path = opt(args, "--capture");
-    let trace_path = opt(args, "--trace");
+    let seed = flags.u64_or("--seed", 1)?;
+    let capture_path = flags.value("--capture");
+    let trace_path = flags.value("--trace");
 
     let mut bench = TestBench::new(seed);
     if capture_path.is_some() {
@@ -401,8 +421,8 @@ fn cmd_print(args: &[String]) -> Result<ExitCode, String> {
     if trace_path.is_some() {
         bench = bench.record_trace(true);
     }
-    if let Some(name) = opt(args, "--trojan") {
-        bench = bench.with_trojan(trojans::by_name(&name)?);
+    if let Some(name) = flags.value("--trojan") {
+        bench = bench.with_trojan(trojans::by_name(name)?);
     }
     let run = bench.run(&program).map_err(|e| e.to_string())?;
 
@@ -419,12 +439,12 @@ fn cmd_print(args: &[String]) -> Result<ExitCode, String> {
         run.part.segments().len()
     );
     if let (Some(p), Some(cap)) = (capture_path, run.capture.as_ref()) {
-        let f = File::create(&p).map_err(|e| format!("cannot write {p}: {e}"))?;
+        let f = File::create(p).map_err(|e| format!("cannot write {p}: {e}"))?;
         cap.write_csv(f).map_err(|e| e.to_string())?;
         println!("capture written:  {p} ({} transactions)", cap.len());
     }
     if let (Some(p), Some(trace)) = (trace_path, run.trace.as_ref()) {
-        let f = File::create(&p).map_err(|e| format!("cannot write {p}: {e}"))?;
+        let f = File::create(p).map_err(|e| format!("cannot write {p}: {e}"))?;
         offramps_signals::write_vcd(std::io::BufWriter::new(f), trace, path)
             .map_err(|e| e.to_string())?;
         println!("VCD written:      {p} ({} events)", trace.len());
@@ -433,15 +453,13 @@ fn cmd_print(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_attack(args: &[String]) -> Result<ExitCode, String> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("attack needs a g-code file".into());
-    };
-    let program = parse(&read_file(path)?).map_err(|e| e.to_string())?;
-    let trojan = if let Some(f) = opt(args, "--reduction") {
+    let flags = Flags::parse(args, &["<file.gcode>"], ATTACK_FLAGS)?;
+    let program = parse(&read_file(flags.positional[0])?).map_err(|e| e.to_string())?;
+    let trojan = if let Some(f) = flags.value("--reduction") {
         Flaw3dTrojan::Reduction {
             factor: f.parse().map_err(|_| "bad --reduction factor")?,
         }
-    } else if let Some(n) = opt(args, "--relocation") {
+    } else if let Some(n) = flags.value("--relocation") {
         Flaw3dTrojan::Relocation {
             every_n: n.parse().map_err(|_| "bad --relocation stride")?,
         }
@@ -456,17 +474,14 @@ fn cmd_attack(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_detect(args: &[String]) -> Result<ExitCode, String> {
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [golden_path, observed_path] = files.as_slice() else {
-        return Err("detect needs <golden.csv> <observed.csv>".into());
-    };
+    let flags = Flags::parse(args, &["<golden.csv>", "<observed.csv>"], DETECT_FLAGS)?;
     let load = |p: &str| -> Result<Capture, String> {
         let f = File::open(p).map_err(|e| format!("cannot open {p}: {e}"))?;
         Capture::from_csv(BufReader::new(f)).map_err(|e| e.to_string())
     };
-    let golden = load(golden_path)?;
-    let observed = load(observed_path)?;
-    let margin = opt_f64(args, "--margin", 5.0)? / 100.0;
+    let golden = load(flags.positional[0])?;
+    let observed = load(flags.positional[1])?;
+    let margin = flags.f64_or("--margin", 5.0)? / 100.0;
     let cfg = detect::DetectorConfig {
         margin,
         ..detect::DetectorConfig::default()
@@ -569,7 +584,7 @@ fn emit_metrics(obs: &Obs, sink: &MetricsSink) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, CAMPAIGN_FLAGS)?;
+    let flags = Flags::parse(args, &[], CAMPAIGN_FLAGS)?;
     let threads = resolve_threads(&flags)?;
     let (metrics, trace_alarms) = campaign_obs_flags(args)?;
     let seed = flags.u64_or("--seed", 42)?;
@@ -638,18 +653,22 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     } else {
         Obs::disabled()
     };
-    let report: CampaignReport;
-    let mut cache_line = None;
-    if let Some(dir) = flags.value("--cache") {
-        let mut store =
-            Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?;
-        let (cached_report, stats) =
-            run_campaign_cached_observed(&spec, threads.max(1), &mut store, &obs, trace_alarms)?;
-        report = cached_report;
-        cache_line = Some(format!("{} (dir: {dir})", stats.summary_line()));
-    } else {
-        report = run_campaign_observed(&spec, threads.max(1), &obs, trace_alarms)?;
-    }
+    let cache_dir = flags.value("--cache");
+    let mut store = match cache_dir {
+        Some(dir) => {
+            Some(Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?)
+        }
+        None => None,
+    };
+    let (report, stats) = run_campaign(
+        &spec,
+        CampaignOptions {
+            threads: threads.max(1),
+            obs: &obs,
+            trace_alarms,
+            store: store.as_mut(),
+        },
+    )?;
     print!("{}", report.summary());
     if report.spec.online {
         // Deterministic (fixed iteration order over matrix-ordered
@@ -690,8 +709,8 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         report.wall_s,
         report.events_per_sec()
     );
-    if let Some(line) = cache_line {
-        println!("{line}");
+    if let Some(dir) = cache_dir {
+        println!("{} (dir: {dir})", stats.summary_line());
     }
     emit_metrics(&obs, &metrics)?;
     if let Some(path) = flags.value("--json") {
@@ -700,7 +719,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         println!("report written:  {path}");
     }
     if let Some(path) = flags.value("--timing-json") {
-        std::fs::write(path, report.timing_json_observed(&obs))
+        std::fs::write(path, report.timing_json(&obs))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("timings written: {path}");
     }
@@ -708,7 +727,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, BENCH_FLAGS)?;
+    let flags = Flags::parse(args, &[], BENCH_FLAGS)?;
     let threads = resolve_threads(&flags)?;
     let reps = (flags.u64_or("--reps", 3)? as usize).max(1);
     let report = benchreport::run_bench(threads, reps)?;
@@ -744,7 +763,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, ANALYTICS_FLAGS)?;
+    let flags = Flags::parse(args, &[], ANALYTICS_FLAGS)?;
     let Some(dir) = flags.value("--cache") else {
         return Err("analytics needs --cache DIR".into());
     };
@@ -805,12 +824,7 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
         // Everything here is a pure function of the store's bytes, so
         // the document is deterministic for a given store state.
         let obs = Obs::enabled();
-        let scan = store.scan_stats();
-        obs.count("store.scan.lines", scan.lines as u64);
-        obs.count("store.scan.records", scan.records as u64);
-        obs.count("store.scan.superseded", scan.superseded as u64);
-        obs.count("store.scan.torn", scan.torn as u64);
-        obs.count("store.scan.foreign", scan.foreign as u64);
+        record_scan_metrics(&store, &obs);
         obs.count("analytics.observations", observations.len() as u64);
         obs.count("analytics.skipped", skipped as u64);
         emit_metrics(&obs, &metrics)?;
@@ -824,10 +838,8 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
-    let Some(path) = args.first() else {
-        return Err("stats needs a g-code file".into());
-    };
-    let program = parse(&read_file(path)?).map_err(|e| e.to_string())?;
+    let flags = Flags::parse(args, &["<file.gcode>"], &[])?;
+    let program = parse(&read_file(flags.positional[0])?).map_err(|e| e.to_string())?;
     let s = ProgramStats::analyze(&program);
     println!("commands:         {}", program.len());
     println!("layers:           {}", s.layer_count());

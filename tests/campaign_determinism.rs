@@ -5,7 +5,7 @@
 //! procedurally generated corpus in the matrix: corpus expansion is a
 //! pure function of the master seed.
 
-use offramps_bench::campaign::{run_campaign, CampaignSpec};
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::json::ToJson;
 use offramps_bench::workloads::Workload;
@@ -19,9 +19,9 @@ fn spec() -> CampaignSpec {
 
 #[test]
 fn summary_is_identical_at_1_2_and_8_threads() {
-    let one = run_campaign(&spec(), 1).expect("valid spec");
-    let two = run_campaign(&spec(), 2).expect("valid spec");
-    let eight = run_campaign(&spec(), 8).expect("valid spec");
+    let (one, _) = run_campaign(&spec(), CampaignOptions::threads(1)).expect("valid spec");
+    let (two, _) = run_campaign(&spec(), CampaignOptions::threads(2)).expect("valid spec");
+    let (eight, _) = run_campaign(&spec(), CampaignOptions::threads(8)).expect("valid spec");
 
     let s1 = one.summary();
     assert_eq!(s1, two.summary(), "2 threads diverged from 1");
@@ -36,7 +36,7 @@ fn summary_is_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn campaign_detects_trojans_and_clears_clean_reprints() {
-    let report = run_campaign(&spec(), 4).expect("valid spec");
+    let (report, _) = run_campaign(&spec(), CampaignOptions::threads(4)).expect("valid spec");
     assert_eq!(report.results.len(), 3);
 
     let by_trojan = |name: &str| {
@@ -130,9 +130,9 @@ fn corpus_campaign_is_thread_invariant() {
             ..CampaignSpec::default_matrix(77)
         }
     };
-    let one = run_campaign(&corpus_spec(), 1).expect("valid spec");
-    let two = run_campaign(&corpus_spec(), 2).expect("valid spec");
-    let eight = run_campaign(&corpus_spec(), 8).expect("valid spec");
+    let (one, _) = run_campaign(&corpus_spec(), CampaignOptions::threads(1)).expect("valid spec");
+    let (two, _) = run_campaign(&corpus_spec(), CampaignOptions::threads(2)).expect("valid spec");
+    let (eight, _) = run_campaign(&corpus_spec(), CampaignOptions::threads(8)).expect("valid spec");
 
     assert_eq!(one.results.len(), 20, "4 attacks x (mini + 4 corpus)");
     let s1 = one.summary();
@@ -153,7 +153,7 @@ fn corpus_campaign_is_thread_invariant() {
         trojans: vec!["none".into()],
         ..CampaignSpec::default_matrix(77)
     };
-    let solo_report = run_campaign(&solo, 1).expect("valid spec");
+    let (solo_report, _) = run_campaign(&solo, CampaignOptions::threads(1)).expect("valid spec");
     let mini_none = one
         .results
         .iter()

@@ -1,7 +1,7 @@
 //! The CLI's declared flag tables, driven through the real binary:
-//! `campaign`, `analytics` and `bench` reject unknown, duplicate and
-//! value-less flags with exit 2 and that subcommand's usage, and
-//! `--help` prints usage without running anything.
+//! every subcommand rejects unknown, duplicate and value-less flags and
+//! missing positional arguments with exit 2 and its usage, and `--help`
+//! prints usage without running anything.
 
 use std::process::{Command, Output};
 
@@ -70,6 +70,21 @@ fn misspelled_duplicate_and_valueless_flags_are_rejected() {
         &["bench", "--reps"],
         "--reps needs a value",
         "offramps-cli bench [--threads N]",
+    );
+    // The single-print subcommands parse declared tables too: a typo no
+    // longer slices the default part, and a value-less flag no longer
+    // runs clean.
+    let usage = "offramps-cli slice    [--width MM]";
+    assert_rejected(&["slice", "--widht", "20"], "unknown flag", usage);
+    assert_rejected(
+        &["print", "part.gcode", "--trojan"],
+        "--trojan needs a value",
+        usage,
+    );
+    assert_rejected(
+        &["detect", "golden.csv"],
+        "missing argument <observed.csv>",
+        usage,
     );
 }
 

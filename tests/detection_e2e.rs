@@ -3,7 +3,7 @@
 //! limitation for heater Trojans.
 
 use offramps::trojans::{HeaterDosTrojan, ThermalRunawayTrojan};
-use offramps::{detect, Capture, OnlineDetector, SignalPath, TestBench};
+use offramps::{detect, Capture, SignalPath, StreamingCompare, TestBench};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::workloads;
 use offramps_firmware::FirmwareConfig;
@@ -124,12 +124,12 @@ fn online_detector_aborts_early() {
     let attacked = Arc::new(Flaw3dTrojan::Reduction { factor: 0.5 }.apply(&program));
     let observed = capture_run(&attacked, 151);
 
-    let mut det = OnlineDetector::new(golden, detect::DetectorConfig::default());
+    let mut det = StreamingCompare::new(&golden, detect::DetectorConfig::default());
     let total = observed.len();
     let mut alarm_at = None;
     for (i, t) in observed.transactions().iter().enumerate() {
-        det.feed(*t);
-        if det.alarmed() {
+        det.feed(t);
+        if det.provisionally_suspected() {
             alarm_at = Some(i);
             break;
         }

@@ -12,10 +12,19 @@
 //!   cadence-breaking flow Trojan is the acoustic judge's window-290
 //!   alarm at master seeds 42 **and** 7, matching `tests/online_pins.rs`.
 
-use offramps_bench::campaign::{run_campaign, run_campaign_observed, CampaignSpec};
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
 use offramps_bench::json::ToJson;
 use offramps_bench::workloads::Workload;
 use offramps_obs::{MetricClass, MetricsRegistry, Obs};
+
+/// Campaign options with the observability plane attached.
+fn observed(threads: usize, obs: &Obs, trace_alarms: bool) -> CampaignOptions<'_> {
+    CampaignOptions {
+        obs,
+        trace_alarms,
+        ..CampaignOptions::threads(threads)
+    }
+}
 
 const QUAD: [&str; 4] = ["txn", "power", "acoustic", "thermal"];
 
@@ -41,7 +50,7 @@ fn metrics_document_is_identical_across_threads() {
     let mut baseline: Option<(String, String)> = None;
     for threads in [1, 4] {
         let obs = Obs::enabled();
-        let report = run_campaign_observed(&spec, threads, &obs, false).expect("valid spec");
+        let (report, _) = run_campaign(&spec, observed(threads, &obs, false)).expect("valid spec");
         let metrics = obs.metrics_json().expect("enabled handle renders");
         let artifact = report.to_json();
         match &baseline {
@@ -72,9 +81,9 @@ fn metrics_document_is_identical_across_threads() {
 fn tracing_never_perturbs_the_metrics_or_the_artifact() {
     let spec = online_quad(42);
     let quiet = Obs::enabled();
-    let report_q = run_campaign_observed(&spec, 2, &quiet, false).expect("valid spec");
+    let (report_q, _) = run_campaign(&spec, observed(2, &quiet, false)).expect("valid spec");
     let traced = Obs::enabled();
-    let report_t = run_campaign_observed(&spec, 2, &traced, true).expect("valid spec");
+    let (report_t, _) = run_campaign(&spec, observed(2, &traced, true)).expect("valid spec");
 
     assert_eq!(report_q.summary(), report_t.summary());
     assert_eq!(report_q.to_json(), report_t.to_json());
@@ -90,10 +99,10 @@ fn tracing_never_perturbs_the_metrics_or_the_artifact() {
 #[test]
 fn disabled_plane_is_a_byte_level_no_op() {
     let spec = online_quad(42);
-    let default_path = run_campaign(&spec, 2).expect("valid spec");
+    let (default_path, _) = run_campaign(&spec, CampaignOptions::threads(2)).expect("valid spec");
 
     let off = Obs::disabled();
-    let observed_off = run_campaign_observed(&spec, 2, &off, false).expect("valid spec");
+    let (observed_off, _) = run_campaign(&spec, observed(2, &off, false)).expect("valid spec");
     assert_eq!(default_path.summary(), observed_off.summary());
     assert_eq!(default_path.to_json(), observed_off.to_json());
     assert!(
@@ -105,7 +114,7 @@ fn disabled_plane_is_a_byte_level_no_op() {
 
     // An *enabled* plane watches the same run without touching it.
     let on = Obs::enabled();
-    let observed_on = run_campaign_observed(&spec, 2, &on, false).expect("valid spec");
+    let (observed_on, _) = run_campaign(&spec, observed(2, &on, false)).expect("valid spec");
     assert_eq!(default_path.summary(), observed_on.summary());
     assert_eq!(default_path.to_json(), observed_on.to_json());
 }
@@ -114,12 +123,12 @@ fn disabled_plane_is_a_byte_level_no_op() {
 fn exec_metrics_ride_only_in_the_timing_sidecar() {
     let spec = online_quad(42);
     let obs = Obs::enabled();
-    let report = run_campaign_observed(&spec, 2, &obs, false).expect("valid spec");
+    let (report, _) = run_campaign(&spec, observed(2, &obs, false)).expect("valid spec");
 
     // A campaign publishes deterministic counters only; its phase spans
     // ride in the sidecar.
     assert!(obs.registry().is_empty_for(MetricClass::Execution));
-    let sidecar = report.timing_json_observed(&obs);
+    let sidecar = report.timing_json(&obs);
     assert!(!sidecar.contains("\"exec_metrics\""), "{sidecar}");
     for phase in ["\"slice\"", "\"golden\"", "\"simulate\"", "\"judge\""] {
         assert!(sidecar.contains(phase), "missing span {phase}: {sidecar}");
@@ -131,13 +140,13 @@ fn exec_metrics_ride_only_in_the_timing_sidecar() {
     let mut exec = MetricsRegistry::new();
     exec.add("pool.chunk_claims", MetricClass::Execution, 7);
     obs.merge(&exec);
-    let sidecar = report.timing_json_observed(&obs);
+    let sidecar = report.timing_json(&obs);
     assert!(sidecar.contains("\"exec_metrics\""), "{sidecar}");
     assert!(sidecar.contains("\"pool.chunk_claims\": 7"), "{sidecar}");
     assert_eq!(obs.metrics_json().expect("enabled"), before);
 
     // Without a handle the sidecar keeps its pre-plane shape.
-    let plain = report.timing_json();
+    let plain = report.timing_json(&Obs::disabled());
     assert!(
         !plain.contains("exec_metrics") && !plain.contains("spans"),
         "{plain}"
@@ -149,7 +158,7 @@ fn flight_recorder_narrates_the_pinned_acoustic_catch() {
     for master_seed in [42u64, 7] {
         let spec = online_quad(master_seed);
         let obs = Obs::enabled();
-        run_campaign_observed(&spec, 2, &obs, true).expect("valid spec");
+        run_campaign(&spec, observed(2, &obs, true)).expect("valid spec");
         let traces = obs.traces();
 
         // Exactly the three attacked scenarios alarm; the clean reprint
@@ -206,7 +215,7 @@ fn flight_recorder_narrates_the_pinned_acoustic_catch() {
 
         // Narration is thread-invariant, like everything else.
         let again = Obs::enabled();
-        run_campaign_observed(&spec, 4, &again, true).expect("valid spec");
+        run_campaign(&spec, observed(4, &again, true)).expect("valid spec");
         assert_eq!(
             traces,
             again.traces(),

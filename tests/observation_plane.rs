@@ -21,11 +21,19 @@
 
 use offramps::FusionPolicy;
 use offramps_bench::analytics::Observation;
-use offramps_bench::cache::{decode_result, encode_result, run_campaign_cached, CacheStats};
-use offramps_bench::campaign::{run_campaign, CampaignReport, CampaignSpec};
+use offramps_bench::cache::{decode_result, encode_result, CacheStats};
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignSpec};
 use offramps_bench::json::{self, ToJson, Value};
 use offramps_bench::workloads::Workload;
 use offramps_store::Store;
+
+/// Campaign options that run through `store`.
+fn cached(threads: usize, store: &mut Store) -> CampaignOptions<'_> {
+    CampaignOptions {
+        store: Some(store),
+        ..CampaignOptions::threads(threads)
+    }
+}
 
 const QUAD: [&str; 4] = ["txn", "power", "acoustic", "thermal"];
 
@@ -56,8 +64,8 @@ fn by_trojan<'a>(
 
 #[test]
 fn four_detector_campaign_is_thread_invariant_and_pins_the_new_modalities() {
-    let one = run_campaign(&quad_spec(42), 1).expect("valid spec");
-    let four = run_campaign(&quad_spec(42), 4).expect("valid spec");
+    let (one, _) = run_campaign(&quad_spec(42), CampaignOptions::threads(1)).expect("valid spec");
+    let (four, _) = run_campaign(&quad_spec(42), CampaignOptions::threads(4)).expect("valid spec");
     assert_eq!(one.summary(), four.summary(), "threads stay invisible");
     let json_text = one.to_json();
     assert_eq!(json_text, four.to_json());
@@ -87,11 +95,20 @@ fn four_detector_campaign_is_thread_invariant_and_pins_the_new_modalities() {
     // step rate (power blind) and touches no heater (thermal blind) —
     // but the broken cadence clicks.
     let voided = by_trojan(&one, "t2:0.9");
-    assert_eq!(voided.verdict.txn().unwrap().alarmed, Some(false));
-    assert_eq!(voided.verdict.power().unwrap().alarmed, Some(false));
-    assert_eq!(voided.verdict.thermal().unwrap().alarmed, Some(false));
     assert_eq!(
-        voided.verdict.acoustic().unwrap().alarmed,
+        voided.verdict.evidence_for("txn").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        voided.verdict.evidence_for("power").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        voided.verdict.evidence_for("thermal").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        voided.verdict.evidence_for("acoustic").unwrap().alarmed,
         Some(true),
         "the cadence break must click: {:?}",
         voided.verdict
@@ -102,11 +119,20 @@ fn four_detector_campaign_is_thread_invariant_and_pins_the_new_modalities() {
     // ~10 °C hot without delaying the (hotend-dominated) heat-up wait,
     // so the motion timeline — txn, power, acoustic — is spotless.
     let bed = by_trojan(&one, "tx2:bed@8");
-    assert_eq!(bed.verdict.txn().unwrap().alarmed, Some(false));
-    assert_eq!(bed.verdict.power().unwrap().alarmed, Some(false));
-    assert_eq!(bed.verdict.acoustic().unwrap().alarmed, Some(false));
     assert_eq!(
-        bed.verdict.thermal().unwrap().alarmed,
+        bed.verdict.evidence_for("txn").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        bed.verdict.evidence_for("power").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        bed.verdict.evidence_for("acoustic").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        bed.verdict.evidence_for("thermal").unwrap().alarmed,
         Some(true),
         "only the camera sees the hot bed: {:?}",
         bed.verdict
@@ -116,9 +142,18 @@ fn four_detector_campaign_is_thread_invariant_and_pins_the_new_modalities() {
     // The hotend spoof shifts the whole timeline: multiple plant-side
     // modalities light up while the txn tap stays blind.
     let tx2 = by_trojan(&one, "tx2");
-    assert_eq!(tx2.verdict.txn().unwrap().alarmed, Some(false));
-    assert_eq!(tx2.verdict.power().unwrap().alarmed, Some(true));
-    assert_eq!(tx2.verdict.thermal().unwrap().alarmed, Some(true));
+    assert_eq!(
+        tx2.verdict.evidence_for("txn").unwrap().alarmed,
+        Some(false)
+    );
+    assert_eq!(
+        tx2.verdict.evidence_for("power").unwrap().alarmed,
+        Some(true)
+    );
+    assert_eq!(
+        tx2.verdict.evidence_for("thermal").unwrap().alarmed,
+        Some(true)
+    );
 
     // The JSON artifact: suite metadata, per-scenario evidence, and
     // per-detector threshold-grid ROC for all four modalities plus the
@@ -170,12 +205,13 @@ fn four_detector_campaign_is_thread_invariant_and_pins_the_new_modalities() {
 
 #[test]
 fn weighted_fusion_at_threshold_zero_matches_any_alarm_live() {
-    let any = run_campaign(&quad_spec(7), 2).expect("valid spec");
+    let (any, _) = run_campaign(&quad_spec(7), CampaignOptions::threads(2)).expect("valid spec");
     let weighted_spec = CampaignSpec {
         fusion: FusionPolicy::parse("weighted@0").unwrap(),
         ..quad_spec(7)
     };
-    let weighted = run_campaign(&weighted_spec, 2).expect("valid spec");
+    let (weighted, _) =
+        run_campaign(&weighted_spec, CampaignOptions::threads(2)).expect("valid spec");
     for (a, w) in any.results.iter().zip(&weighted.results) {
         assert_eq!(a.scenario.trojan, w.scenario.trojan);
         assert_eq!(
@@ -201,7 +237,8 @@ fn weighted_fusion_at_threshold_zero_matches_any_alarm_live() {
 
 #[test]
 fn four_detector_evidence_round_trips_through_store_payloads() {
-    let report = run_campaign(&quad_spec(2024), 4).expect("valid spec");
+    let (report, _) =
+        run_campaign(&quad_spec(2024), CampaignOptions::threads(4)).expect("valid spec");
     for r in &report.results {
         let payload = encode_result(r);
         json::parse(&payload).unwrap_or_else(|e| panic!("{e}: {payload}"));
@@ -254,11 +291,11 @@ fn quad_suite_switch_invalidates_then_restores() {
     };
 
     let mut store = Store::open(&root).unwrap();
-    let (pair_first, stats) = run_campaign_cached(&pair_spec, 2, &mut store).expect("valid spec");
+    let (pair_first, stats) = run_campaign(&pair_spec, cached(2, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 2 });
 
     // Four-detector plane: every scenario is a miss — different keys.
-    let (quad_first, stats) = run_campaign_cached(&quad, 2, &mut store).expect("valid spec");
+    let (quad_first, stats) = run_campaign(&quad, cached(2, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 0, misses: 2 },
@@ -267,19 +304,19 @@ fn quad_suite_switch_invalidates_then_restores() {
     assert!(
         by_trojan(&quad_first, "t2:0.9")
             .verdict
-            .acoustic()
+            .evidence_for("acoustic")
             .is_some_and(|e| e.alarmed == Some(true)),
         "the fresh quad records carry the acoustic catch"
     );
 
     // Back to txn,power: all hits, byte-identical artifacts.
-    let (pair_again, stats) = run_campaign_cached(&pair_spec, 4, &mut store).expect("valid spec");
+    let (pair_again, stats) = run_campaign(&pair_spec, cached(4, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 2, misses: 0 });
     assert_eq!(pair_again.summary(), pair_first.summary());
     assert_eq!(pair_again.to_json(), pair_first.to_json());
 
     // And the quad suite hits its own records byte-identically too.
-    let (quad_again, stats) = run_campaign_cached(&quad, 1, &mut store).expect("valid spec");
+    let (quad_again, stats) = run_campaign(&quad, cached(1, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 2, misses: 0 });
     assert_eq!(quad_again.summary(), quad_first.summary());
     assert_eq!(quad_again.to_json(), quad_first.to_json());

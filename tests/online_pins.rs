@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use offramps::{trojans, FusionPolicy, SignalPath, StreamingSuite, TestBench};
-use offramps_bench::campaign::{run_campaign, CampaignReport, CampaignSpec};
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignSpec};
 use offramps_bench::detectors::{golden_evidence, observed_evidence, suite_from_names};
 use offramps_bench::workloads::Workload;
 use offramps_des::{DetRng, SimDuration};
@@ -73,7 +73,8 @@ fn modality_specific_attacks_alarm_mid_print_at_pinned_steps() {
             ],
         ),
     ] {
-        let report = run_campaign(&online_quad(master_seed), 2).expect("valid spec");
+        let (report, _) = run_campaign(&online_quad(master_seed), CampaignOptions::threads(2))
+            .expect("valid spec");
 
         // The clean reprint: no alarm at any window of the print.
         let none = by_trojan(&report, "none");

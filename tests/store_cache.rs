@@ -13,12 +13,20 @@
 use std::path::PathBuf;
 
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
-use offramps_bench::cache::{run_campaign_cached, store_observations, CacheStats};
-use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignSpec};
+use offramps_bench::cache::{store_observations, CacheStats};
+use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::json::{self, ToJson};
 use offramps_bench::workloads::Workload;
 use offramps_store::Store;
+
+/// Campaign options that run through `store`.
+fn cached(threads: usize, store: &mut Store) -> CampaignOptions<'_> {
+    CampaignOptions {
+        store: Some(store),
+        ..CampaignOptions::threads(threads)
+    }
+}
 
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -40,10 +48,11 @@ fn small_spec() -> CampaignSpec {
 #[test]
 fn cached_campaign_is_byte_identical_and_rerun_executes_nothing() {
     let root = temp_store("identity");
-    let uncached = run_campaign(&small_spec(), 2).expect("valid spec");
+    let (uncached, _) =
+        run_campaign(&small_spec(), CampaignOptions::threads(2)).expect("valid spec");
 
     let mut store = Store::open(&root).unwrap();
-    let (first, stats) = run_campaign_cached(&small_spec(), 2, &mut store).expect("valid spec");
+    let (first, stats) = run_campaign(&small_spec(), cached(2, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 0, misses: 6 },
@@ -61,7 +70,7 @@ fn cached_campaign_is_byte_identical_and_rerun_executes_nothing() {
     drop(store);
     let mut store = Store::open(&root).unwrap();
     assert_eq!(store.len(), 7, "six scenario records + campaign provenance");
-    let (second, stats) = run_campaign_cached(&small_spec(), 8, &mut store).expect("valid spec");
+    let (second, stats) = run_campaign(&small_spec(), cached(8, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 6, misses: 0 },
@@ -90,18 +99,18 @@ fn corpus_growth_recomputes_only_the_delta() {
     };
 
     let mut store = Store::open(&root).unwrap();
-    let (_, stats) = run_campaign_cached(&spec_n(3), 2, &mut store).expect("valid spec");
+    let (_, stats) = run_campaign(&spec_n(3), cached(2, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 8 });
 
     // One more corpus part: only its 2 scenarios are new.
-    let (grown, stats) = run_campaign_cached(&spec_n(4), 2, &mut store).expect("valid spec");
+    let (grown, stats) = run_campaign(&spec_n(4), cached(2, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 8, misses: 2 },
         "only the new workload's cells execute"
     );
     // And the grown report still matches a from-scratch uncached run.
-    let uncached = run_campaign(&spec_n(4), 1).expect("valid spec");
+    let (uncached, _) = run_campaign(&spec_n(4), CampaignOptions::threads(1)).expect("valid spec");
     assert_eq!(grown.summary(), uncached.summary());
     assert_eq!(grown.to_json(), uncached.to_json());
 
@@ -131,11 +140,11 @@ fn suite_switch_invalidates_then_restores() {
     );
 
     let mut store = Store::open(&root).unwrap();
-    let (first, stats) = run_campaign_cached(&txn_spec, 2, &mut store).expect("valid spec");
+    let (first, stats) = run_campaign(&txn_spec, cached(2, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 0, misses: 2 });
 
     // Suite B (txn+power): every scenario is a miss — different keys.
-    let (both, stats) = run_campaign_cached(&both_spec, 2, &mut store).expect("valid spec");
+    let (both, stats) = run_campaign(&both_spec, cached(2, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats { hits: 0, misses: 2 },
@@ -150,13 +159,13 @@ fn suite_switch_invalidates_then_restores() {
 
     // Back to suite A: all hits, artifacts byte-identical to the first
     // run.
-    let (again, stats) = run_campaign_cached(&txn_spec, 4, &mut store).expect("valid spec");
+    let (again, stats) = run_campaign(&txn_spec, cached(4, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 2, misses: 0 });
     assert_eq!(again.summary(), first.summary());
     assert_eq!(again.to_json(), first.to_json());
 
     // And suite B hits its own records too.
-    let (both_again, stats) = run_campaign_cached(&both_spec, 1, &mut store).expect("valid spec");
+    let (both_again, stats) = run_campaign(&both_spec, cached(1, &mut store)).expect("valid spec");
     assert_eq!(stats, CacheStats { hits: 2, misses: 0 });
     assert_eq!(both_again.summary(), both.summary());
     assert_eq!(both_again.to_json(), both.to_json());
@@ -167,7 +176,10 @@ fn suite_switch_invalidates_then_restores() {
     let (observations, skipped) = store_observations(&store);
     assert_eq!(observations.len(), 4);
     assert_eq!(skipped, 0, "pre-power records must not be parse errors");
-    let pre_power = observations.iter().filter(|o| o.power().is_none()).count();
+    let pre_power = observations
+        .iter()
+        .filter(|o| o.side_for("power").is_none())
+        .count();
     assert_eq!(pre_power, 2);
     let analytics = AnalyticsReport::over(&observations, &THRESHOLD_GRID);
     for curve in &analytics.curves {
@@ -176,7 +188,9 @@ fn suite_switch_invalidates_then_restores() {
             "{}: one record per generation",
             curve.attack
         );
-        let power = curve.power().expect("power curve for the suite records");
+        let power = curve
+            .side_curve("power")
+            .expect("power curve for the suite records");
         assert_eq!(
             power.judged, 1,
             "{}: only the suite record carries power evidence",
@@ -201,7 +215,7 @@ fn corpus_sweep_store_feeds_corpus_wide_roc_analytics() {
 
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     let mut store = Store::open(&root).unwrap();
-    let (report, stats) = run_campaign_cached(&spec, threads, &mut store).expect("valid spec");
+    let (report, stats) = run_campaign(&spec, cached(threads, &mut store)).expect("valid spec");
     assert_eq!(
         report.results.len(),
         33 * 17,
@@ -210,7 +224,7 @@ fn corpus_sweep_store_feeds_corpus_wide_roc_analytics() {
     assert_eq!(stats.misses, 561);
 
     // A warm rerun of the full sweep executes nothing.
-    let (_, stats) = run_campaign_cached(&spec, threads, &mut store).expect("valid spec");
+    let (_, stats) = run_campaign(&spec, cached(threads, &mut store)).expect("valid spec");
     assert_eq!(
         stats,
         CacheStats {

@@ -18,7 +18,7 @@
 use offramps_bench::analytics::Observation;
 use offramps_bench::baseline;
 use offramps_bench::cache::{decode_result, encode_result};
-use offramps_bench::campaign::{run_campaign, CampaignReport, CampaignSpec};
+use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignSpec};
 use offramps_bench::json::{self, ToJson, Value};
 use offramps_bench::workloads::{mini_part, Workload};
 
@@ -44,8 +44,8 @@ fn by_trojan<'a>(
 
 #[test]
 fn multi_modality_campaign_fuses_independent_evidence_streams() {
-    let one = run_campaign(&suite_spec(), 1).expect("valid spec");
-    let four = run_campaign(&suite_spec(), 4).expect("valid spec");
+    let (one, _) = run_campaign(&suite_spec(), CampaignOptions::threads(1)).expect("valid spec");
+    let (four, _) = run_campaign(&suite_spec(), CampaignOptions::threads(4)).expect("valid spec");
     assert_eq!(one.summary(), four.summary(), "threads stay invisible");
     let json_text = one.to_json();
     assert_eq!(json_text, four.to_json());
@@ -53,27 +53,30 @@ fn multi_modality_campaign_fuses_independent_evidence_streams() {
     // Every scenario carries both detectors' evidence.
     for r in &one.results {
         assert_eq!(r.verdict.evidence.len(), 2, "{}", r.summary_line());
-        assert!(r.verdict.txn().is_some_and(|e| e.judged()));
-        assert!(r.verdict.power().is_some_and(|e| e.judged()));
+        assert!(r.verdict.evidence_for("txn").is_some_and(|e| e.judged()));
+        assert!(r.verdict.evidence_for("power").is_some_and(|e| e.judged()));
     }
 
     // The false-positive control: a clean reprint passes both judges.
     let none = by_trojan(&one, "none");
     assert!(!none.detected(), "{}", none.summary_line());
-    assert_eq!(none.verdict.power().unwrap().alarmed, Some(false));
+    assert_eq!(
+        none.verdict.evidence_for("power").unwrap().alarmed,
+        Some(false)
+    );
 
     // The multi-modality headline: the endstop-spoof Trojan tampers
     // *downstream* of the monitor's tap — invisible to the transaction
     // judge, caught by the power side-channel on the driver rail.
     let tx2 = by_trojan(&one, "tx2");
     assert_eq!(
-        tx2.verdict.txn().unwrap().alarmed,
+        tx2.verdict.evidence_for("txn").unwrap().alarmed,
         Some(false),
         "the upstream tap cannot see tx2: {:?}",
         tx2.verdict
     );
     assert_eq!(
-        tx2.verdict.power().unwrap().alarmed,
+        tx2.verdict.evidence_for("power").unwrap().alarmed,
         Some(true),
         "the driver-rail tap must: {:?}",
         tx2.verdict
@@ -82,8 +85,11 @@ fn multi_modality_campaign_fuses_independent_evidence_streams() {
 
     // tx1's physical damage surfaces in both modalities.
     let tx1 = by_trojan(&one, "tx1");
-    assert_eq!(tx1.verdict.txn().unwrap().alarmed, Some(true));
-    assert_eq!(tx1.verdict.power().unwrap().alarmed, Some(true));
+    assert_eq!(tx1.verdict.evidence_for("txn").unwrap().alarmed, Some(true));
+    assert_eq!(
+        tx1.verdict.evidence_for("power").unwrap().alarmed,
+        Some(true)
+    );
 
     // The JSON artifact carries the suite metadata, per-scenario
     // evidence, and per-detector + fused ROC curves.
@@ -123,7 +129,7 @@ fn default_invocation_keeps_the_pre_suite_artifact_shape() {
         ..CampaignSpec::default_matrix(2024)
     };
     assert!(spec.default_detectors());
-    let report = run_campaign(&spec, 2).expect("valid spec");
+    let (report, _) = run_campaign(&spec, CampaignOptions::threads(2)).expect("valid spec");
     let json_text = report.to_json();
     for key in [
         "\"evidence\"",
@@ -139,7 +145,7 @@ fn default_invocation_keeps_the_pre_suite_artifact_shape() {
 
 #[test]
 fn evidence_round_trips_through_store_payloads_and_strict_parser() {
-    let report = run_campaign(&suite_spec(), 4).expect("valid spec");
+    let (report, _) = run_campaign(&suite_spec(), CampaignOptions::threads(4)).expect("valid spec");
     for r in &report.results {
         let payload = encode_result(r);
         // The payload itself is valid JSON on the strict parser.
@@ -158,9 +164,9 @@ fn evidence_round_trips_through_store_payloads_and_strict_parser() {
 
         // The offline power re-judge at the live threshold reproduces
         // the stored power alarm exactly.
-        let power = r.verdict.power().unwrap();
+        let power = r.verdict.evidence_for("power").unwrap();
         assert_eq!(
-            live.power_detected_at(power.threshold.unwrap()),
+            live.side_detected_at("power", power.threshold.unwrap()),
             power.alarmed,
             "{}",
             r.summary_line()
