@@ -4,7 +4,7 @@
 use criterion::{Criterion, SamplingMode};
 
 use offramps_bench::{baseline, workloads};
-use offramps_sidechannel::{PowerDetector, PowerDetectorConfig, PowerModel};
+use offramps_sidechannel::{single_profile_compare, ComparatorConfig, PowerModel};
 use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
 
 fn print_table() {
@@ -34,14 +34,21 @@ fn benches(c: &mut Criterion) {
     }
     let model = PowerModel::default();
     let golden = model.synthesize(&trace, 1);
-    let det = PowerDetector::new(golden.clone(), PowerDetectorConfig::default());
+    let config = ComparatorConfig {
+        sigma_threshold: 4.0,
+        noise_sigma: model.noise_sigma_w,
+        smoothing: 20,
+        suspect_fraction: 0.01,
+    };
 
     let mut group = c.benchmark_group("sidechannel");
     group.sampling_mode(SamplingMode::Flat).sample_size(10);
     group.bench_function("synthesize_60s_trace", |b| {
         b.iter(|| model.synthesize(&trace, 2))
     });
-    group.bench_function("compare_60s_trace", |b| b.iter(|| det.compare(&golden)));
+    group.bench_function("compare_60s_trace", |b| {
+        b.iter(|| single_profile_compare(golden.samples(), golden.samples(), config))
+    });
     group.finish();
 }
 

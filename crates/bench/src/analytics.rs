@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use offramps::detect;
-use offramps::verdict::{weighted_vote, TimeToDetection};
+use offramps::verdict::{weighted_vote, SampledDetector, TimeToDetection};
 
 use crate::campaign::ScenarioResult;
 use crate::json::{ObjectWriter, ToJson, Value};
@@ -47,35 +47,6 @@ pub const SIDE_DETECTOR_ORDER: [&str; 3] = ["power", "acoustic", "thermal"];
 /// The live base suspect fraction of the transaction judge (the
 /// paper's 1 %), used when fitting fusion weights.
 const TXN_FIT_BASE: f64 = 0.01;
-
-/// The live base suspect fraction of a sampled side-channel judge —
-/// the campaign default for that detector — used when fitting fusion
-/// weights, so the fit scores each modality at the threshold its
-/// stored alarms were actually judged with.
-fn side_fit_base(detector: &str) -> f64 {
-    match detector {
-        offramps::PowerSideChannelDetector::NAME => {
-            offramps::PowerSideChannelDetector::campaign()
-                .config
-                .suspect_fraction
-        }
-        offramps::AcousticDetector::NAME => {
-            offramps::AcousticDetector::campaign()
-                .config
-                .suspect_fraction
-        }
-        offramps::ThermalDetector::NAME => {
-            offramps::ThermalDetector::campaign()
-                .config
-                .suspect_fraction
-        }
-        // Unknown detectors (a store written by a newer build) fall
-        // back to the power/thermal-style default; their stored alarms
-        // still re-judge correctly — only the fitted weight is scored
-        // at a generic threshold.
-        _ => 0.15,
-    }
-}
 
 /// One sampled side-channel judge's sufficient statistics for one
 /// scenario (absent for records written before that modality existed
@@ -865,7 +836,13 @@ pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(
     let mut modalities: Vec<(&str, f64)> =
         vec![(offramps::TransactionDetector::NAME, TXN_FIT_BASE)];
     for name in side_names {
-        modalities.push((name.as_str(), side_fit_base(name)));
+        // Each side modality is scored at its campaign default's base,
+        // the threshold its stored alarms were judged with. Unknown
+        // detectors (a store written by a newer build) fall back to the
+        // power/thermal-style 0.15: their stored alarms still re-judge
+        // correctly, only the fitted weight is scored generically.
+        let base = SampledDetector::campaign(name).map_or(0.15, |d| d.config.suspect_fraction);
+        modalities.push((name.as_str(), base));
     }
     let mut weights: Vec<(String, f64)> = Vec::new();
     for (name, base) in modalities {

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use offramps::verdict::{FusionPolicy, PowerSideChannelDetector, TransactionDetector, Verdict};
+use offramps::verdict::{Channel, FusionPolicy, TransactionDetector, Verdict};
 use offramps_attacks::TABLE_II_CASES;
 use offramps_gcode::Program;
 
@@ -37,7 +37,7 @@ pub struct BaselineRow {
 impl BaselineRow {
     fn from_verdict(case: u32, trojan_type: String, modification_value: f64, v: &Verdict) -> Self {
         let power = v
-            .evidence_for(PowerSideChannelDetector::NAME)
+            .evidence_for(Channel::Power.name())
             .expect("power judge in the baseline suite");
         BaselineRow {
             case,

@@ -757,4 +757,20 @@ mod tests {
         assert!(decode_result(scenario.clone(), "{}").is_err());
         assert!(decode_result(scenario, "not json").is_err());
     }
+
+    /// A scenario record whose payload nests far past the parser's cap
+    /// is skipped like any undecodable payload, not a stack overflow.
+    #[test]
+    fn deeply_nested_payload_is_skipped() {
+        let root = std::env::temp_dir().join(format!("offramps-cache-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = Store::open(&root).unwrap();
+        store
+            .put(&format!("{SCENARIO_KEY_PREFIX}deep"), &"[".repeat(200_000))
+            .unwrap();
+        let (observations, skipped) = store_observations(&store);
+        assert!(observations.is_empty());
+        assert_eq!(skipped, 1);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }

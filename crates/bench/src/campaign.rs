@@ -315,8 +315,8 @@ pub struct Scenario {
 }
 
 /// Outcome of one scenario: run artifacts plus the suite's fused
-/// [`Verdict`] with per-detector [`Evidence`] (sufficient statistics,
-/// so any threshold can be re-judged offline).
+/// [`Verdict`] with per-detector [`Evidence`](offramps::verdict::Evidence)
+/// (sufficient statistics, so any threshold can be re-judged offline).
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// The scenario that ran.

@@ -17,18 +17,19 @@
 use std::sync::Arc;
 
 use offramps::verdict::{
-    AcousticDetector, ChannelData, ChannelRequest, ChannelSynth, DetectorSuite, EvidenceBundle,
-    FusionPolicy, PowerSideChannelDetector, ThermalDetector, TransactionDetector,
+    Channel, ChannelData, ChannelRequest, ChannelSynth, DetectorSuite, EvidenceBundle,
+    FusionPolicy, SampledDetector, TransactionDetector,
 };
 use offramps::{Detector, RunArtifacts, SignalPath, TestBench};
 use offramps_gcode::Program;
 
-/// The detector names `--detectors` accepts, in canonical order.
+/// The detector names `--detectors` accepts, in canonical order: one
+/// detector per channel.
 pub const DETECTOR_NAMES: [&str; 4] = [
-    TransactionDetector::NAME,
-    PowerSideChannelDetector::NAME,
-    AcousticDetector::NAME,
-    ThermalDetector::NAME,
+    Channel::Txn.name(),
+    Channel::Power.name(),
+    Channel::Acoustic.name(),
+    Channel::Thermal.name(),
 ];
 
 /// Resolves one detector name to its campaign-default configuration.
@@ -38,14 +39,14 @@ pub const DETECTOR_NAMES: [&str; 4] = [
 /// Returns the unknown name back.
 pub fn by_name(name: &str) -> Result<Box<dyn Detector>, String> {
     match name.trim().to_ascii_lowercase().as_str() {
-        "txn" => Ok(Box::new(TransactionDetector::campaign())),
-        "power" => Ok(Box::new(PowerSideChannelDetector::campaign())),
-        "acoustic" => Ok(Box::new(AcousticDetector::campaign())),
-        "thermal" => Ok(Box::new(ThermalDetector::campaign())),
-        other => Err(format!(
-            "unknown detector {other:?} (expected one of: {})",
-            DETECTOR_NAMES.join(", ")
-        )),
+        TransactionDetector::NAME => Ok(Box::new(TransactionDetector::campaign())),
+        other => match SampledDetector::campaign(other) {
+            Some(detector) => Ok(Box::new(detector)),
+            None => Err(format!(
+                "unknown detector {other:?} (expected one of: {})",
+                DETECTOR_NAMES.join(", ")
+            )),
+        },
     }
 }
 
@@ -81,20 +82,16 @@ pub(crate) fn capture_run(
 /// the artifacts lack the required source, e.g. no plant trace).
 /// Sensor noise is seeded by the run's own seed, per channel salt.
 fn synthesize(synth: &ChannelSynth, art: &RunArtifacts, seed: u64) -> Option<ChannelData> {
-    match synth {
-        ChannelSynth::Capture => art.capture.clone().map(ChannelData::Txn),
-        ChannelSynth::Power(model) => art
-            .plant_trace
-            .as_ref()
-            .map(|trace| ChannelData::Power(model.synthesize(trace, seed))),
-        ChannelSynth::Acoustic(model) => art
-            .plant_trace
-            .as_ref()
-            .map(|trace| ChannelData::Acoustic(model.synthesize(trace, seed))),
-        ChannelSynth::Thermal(camera) => {
-            Some(ChannelData::Thermal(camera.synthesize(&art.temps, seed)))
+    Some(match synth {
+        ChannelSynth::Capture => ChannelData::Txn(art.capture.clone()?),
+        ChannelSynth::Power(model) => {
+            ChannelData::Power(model.synthesize(art.plant_trace.as_ref()?, seed))
         }
-    }
+        ChannelSynth::Acoustic(model) => {
+            ChannelData::Acoustic(model.synthesize(art.plant_trace.as_ref()?, seed))
+        }
+        ChannelSynth::Thermal(camera) => ChannelData::Thermal(camera.synthesize(&art.temps, seed)),
+    })
 }
 
 /// Turns one run's artifacts into the observed evidence bundle for

@@ -249,8 +249,9 @@ impl Value {
 ///
 /// # Errors
 ///
-/// Reports the byte offset and nature of the first syntax error, or
-/// trailing non-whitespace input.
+/// Reports the byte offset and nature of the first syntax error,
+/// trailing non-whitespace input, or nesting deeper than
+/// [`MAX_DEPTH`] containers.
 ///
 /// # Example
 ///
@@ -265,7 +266,7 @@ impl Value {
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(text, bytes, &mut pos)?;
+    let value = parse_value(text, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -288,10 +289,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// The deepest container nesting [`parse`] accepts. Artifacts nest a
+/// handful of levels; the cap keeps a hostile store record from
+/// overflowing the stack through the parser's recursion.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one value inside `depth` enclosing containers.
+fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -307,7 +317,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Strin
                 };
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(text, bytes, pos)?;
+                let value = parse_value(text, bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -329,7 +339,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Strin
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(text, bytes, pos)?);
+                items.push(parse_value(text, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -668,6 +678,21 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // Far past the cap, unterminated: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

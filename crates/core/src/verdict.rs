@@ -25,9 +25,10 @@
 //! * [`DetectorSuite`] — an ordered set of detectors plus a
 //!   [`FusionPolicy`] (`any`, `all`, or calibrated [`FusionPolicy::Weighted`]
 //!   voting), producing a fused [`Verdict`];
-//! * the four shipped modalities: [`TransactionDetector`],
-//!   [`PowerSideChannelDetector`], [`AcousticDetector`],
-//!   [`ThermalDetector`].
+//! * the four shipped modalities: [`TransactionDetector`], and one
+//!   [`SampledDetector`] each over the power, acoustic and thermal
+//!   synthesis models — a sampled modality is a value
+//!   ([`ChannelSynth`] plus comparator tuning), not a type.
 //!
 //! The taps are *physically different*: the transaction monitor counts
 //! the controller's stream upstream of the Trojan mux; power, acoustic
@@ -50,8 +51,8 @@ use std::fmt;
 use offramps_des::SimDuration;
 use offramps_obs::Obs;
 use offramps_sidechannel::{
-    AcousticModel, AcousticTrace, ComparatorConfig, PowerDetectorConfig, PowerModel, PowerTrace,
-    SideChannelReport, StreamingComparator, ThermalCamera, ThermalTrace,
+    AcousticModel, ComparatorConfig, PowerModel, SampledTrace, SideChannelReport,
+    StreamingComparator, ThermalCamera,
 };
 
 use crate::capture::{Capture, Transaction};
@@ -83,7 +84,7 @@ impl Channel {
 
     /// Short stable name (`"txn"`, `"power"`, `"acoustic"`,
     /// `"thermal"`).
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             Channel::Txn => "txn",
             Channel::Power => "power",
@@ -105,11 +106,11 @@ pub enum ChannelData {
     /// A transaction capture.
     Txn(Capture),
     /// A synthesized power waveform.
-    Power(PowerTrace),
+    Power(SampledTrace),
     /// A synthesized acoustic/EM emission envelope.
-    Acoustic(AcousticTrace),
+    Acoustic(SampledTrace),
     /// A synthesized thermal-camera trace.
-    Thermal(ThermalTrace),
+    Thermal(SampledTrace),
 }
 
 impl ChannelData {
@@ -129,9 +130,9 @@ impl ChannelData {
     pub fn samples(&self) -> Option<&[f64]> {
         match self {
             ChannelData::Txn(_) => None,
-            ChannelData::Power(t) => Some(t.samples()),
-            ChannelData::Acoustic(t) => Some(t.samples()),
-            ChannelData::Thermal(t) => Some(t.samples()),
+            ChannelData::Power(t) | ChannelData::Acoustic(t) | ChannelData::Thermal(t) => {
+                Some(t.samples())
+            }
         }
     }
 
@@ -140,9 +141,9 @@ impl ChannelData {
     pub(crate) fn period(&self) -> SimDuration {
         match self {
             ChannelData::Txn(c) => c.period,
-            ChannelData::Power(t) => t.period(),
-            ChannelData::Acoustic(t) => t.period(),
-            ChannelData::Thermal(t) => t.period(),
+            ChannelData::Power(t) | ChannelData::Acoustic(t) | ChannelData::Thermal(t) => {
+                t.period()
+            }
         }
     }
 
@@ -186,6 +187,26 @@ impl ChannelSynth {
     /// trace to be recorded during the run.
     pub fn needs_plant_trace(&self) -> bool {
         matches!(self, ChannelSynth::Power(_) | ChannelSynth::Acoustic(_))
+    }
+
+    /// The synthesis model's knobs, rendered for a detector policy
+    /// string (empty for the capture, which has no model).
+    fn policy(&self) -> String {
+        match self {
+            ChannelSynth::Capture => String::new(),
+            ChannelSynth::Power(m) => format!(
+                "kstep_w={};hold_w={};rate_hz={};heaters={}",
+                m.motor_w_per_kstep, m.motor_hold_w, m.sample_rate_hz, m.include_heaters,
+            ),
+            ChannelSynth::Acoustic(m) => format!(
+                "rate_hz={};tone={};click={};ratio={};mic_noise={}",
+                m.sample_rate_hz, m.tone_per_kstep, m.click_unit, m.click_ratio, m.noise_sigma,
+            ),
+            ChannelSynth::Thermal(c) => format!(
+                "frame_ms={};cam_noise={}",
+                c.frame_period_ms, c.noise_sigma_c,
+            ),
+        }
     }
 }
 
@@ -782,253 +803,148 @@ impl Detector for TransactionDetector {
     }
 }
 
-/// The power side-channel judge behind the [`Detector`] API: golden
-/// power profiles (repetition-calibrated when the golden bundle carries
-/// ≥ 2 calibration traces, single-profile otherwise) compared against
-/// the observed driver-rail waveform.
+/// A sampled side-channel judge: the observed waveform of one channel
+/// compared window by window against the golden profile —
+/// repetition-calibrated when the golden bundle carries ≥ 2
+/// calibration traces, single-profile otherwise. `synth` picks the
+/// channel and its synthesis model, and so the detector's name:
+///
+/// * power — the driver-rail waveform ([`PowerModel`]);
+/// * acoustic — the stepper emission envelope ([`AcousticModel`]). Its
+///   click term makes it the detector of choice for feed-rate/void
+///   Trojans that keep per-window step *counts* (and therefore the
+///   power envelope) intact while breaking the step *cadence*;
+/// * thermal — the hotend+bed radiance proxy ([`ThermalCamera`]), in
+///   °C. It catches temperature-manipulation attacks — forced-on
+///   MOSFETs, thermistor miscalibrations driving the control loop hot —
+///   that leave the motion plane (and therefore the txn, power and
+///   acoustic channels) spotless.
+///
+/// A [`ChannelSynth::Capture`] synth has no waveform and never judges.
 #[derive(Debug, Clone)]
-pub struct PowerSideChannelDetector {
-    /// Comparator tuning (sigma threshold, smoothing, suspect
-    /// fraction).
-    pub config: PowerDetectorConfig,
-    /// Electrical model the power traces are synthesized with.
-    pub model: PowerModel,
-    /// Golden repetitions to calibrate from.
-    pub calibration_runs: usize,
-}
-
-impl PowerSideChannelDetector {
-    /// The detector's stable name.
-    pub const NAME: &'static str = "power";
-
-    /// The campaign default: the repetition-calibrated configuration
-    /// the baseline experiment validated (1 s smoothing windows tame
-    /// move-boundary jitter; five golden repetitions).
-    pub fn campaign() -> PowerSideChannelDetector {
-        let model = PowerModel::default();
-        PowerSideChannelDetector {
-            config: PowerDetectorConfig {
-                sigma_threshold: 5.0,
-                noise_sigma_w: model.noise_sigma_w,
-                smoothing: 100,
-                suspect_fraction: 0.15,
-            },
-            model,
-            calibration_runs: 5,
-        }
-    }
-}
-
-impl Detector for PowerSideChannelDetector {
-    fn name(&self) -> &'static str {
-        PowerSideChannelDetector::NAME
-    }
-
-    fn policy(&self) -> String {
-        format!(
-            "sigma={};noise={};smooth={};base={};calib={};kstep_w={};hold_w={};rate_hz={};heaters={}",
-            self.config.sigma_threshold,
-            self.config.noise_sigma_w,
-            self.config.smoothing,
-            self.config.suspect_fraction,
-            self.calibration_runs,
-            self.model.motor_w_per_kstep,
-            self.model.motor_hold_w,
-            self.model.sample_rate_hz,
-            self.model.include_heaters,
-        )
-    }
-
-    fn channels(&self) -> Vec<ChannelRequest> {
-        vec![ChannelRequest {
-            synth: ChannelSynth::Power(self.model),
-            calibration_runs: self.calibration_runs.max(1),
-        }]
-    }
-
-    fn stream_channel(&self) -> Channel {
-        Channel::Power
-    }
-
-    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
-        sampled_begin(Channel::Power, self.config.into(), golden, observed)
-    }
-
-    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
-    }
-
-    fn finalize(&self, state: StreamState<'_>) -> Evidence {
-        sampled_finalize(self.name(), state)
-    }
-}
-
-/// The acoustic/EM side-channel judge: the stepper emission envelope
-/// ([`AcousticModel`]) compared window by window against a
-/// repetition-calibrated golden profile. Its click term makes it the
-/// detector of choice for feed-rate/void Trojans that keep per-window
-/// step *counts* (and therefore the power envelope) intact while
-/// breaking the step *cadence*.
-#[derive(Debug, Clone)]
-pub struct AcousticDetector {
+pub struct SampledDetector {
+    /// The channel judged and the model it is synthesized with.
+    pub synth: ChannelSynth,
     /// Comparator tuning (sigma threshold, smoothing, suspect
     /// fraction; `noise_sigma` must match the model's).
     pub config: ComparatorConfig,
-    /// Emission model the acoustic envelopes are synthesized with.
-    pub model: AcousticModel,
     /// Golden repetitions to calibrate from.
     pub calibration_runs: usize,
 }
 
-impl AcousticDetector {
-    /// The detector's stable name.
-    pub const NAME: &'static str = "acoustic";
-
-    /// The campaign default: 1 s comparison windows over 20 ms frames
-    /// (averaging out move-boundary tone jitter the way the power judge
-    /// does), five golden repetitions (shared with the other calibrated
-    /// detectors), and a 5 % suspect fraction — emission is informative
-    /// only while motors run, so the long silent heat-up dilutes the
-    /// anomalous-window fraction and the bar sits lower than the power
-    /// judge's.
-    pub fn campaign() -> AcousticDetector {
-        let model = AcousticModel::default();
-        AcousticDetector {
+impl SampledDetector {
+    /// The campaign default for the sampled detector called `name`
+    /// (`"power"`, `"acoustic"` or `"thermal"`; `None` otherwise): a
+    /// 5-sigma band and five golden repetitions, shared with the other
+    /// calibrated detectors, plus per-channel smoothing and suspect
+    /// fraction.
+    pub fn campaign(name: &str) -> Option<SampledDetector> {
+        let (synth, noise_sigma, smoothing, suspect_fraction) = match name {
+            // The repetition-calibrated configuration the baseline
+            // experiment validated: 1 s smoothing windows tame
+            // move-boundary jitter.
+            "power" => {
+                let model = PowerModel::default();
+                (ChannelSynth::Power(model), model.noise_sigma_w, 100, 0.15)
+            }
+            // 1 s comparison windows over 20 ms frames (averaging out
+            // move-boundary tone jitter the way the power judge does),
+            // and a 5 % suspect fraction — emission is informative only
+            // while motors run, so the long silent heat-up dilutes the
+            // anomalous-window fraction and the bar sits lower than the
+            // power judge's.
+            "acoustic" => {
+                let model = AcousticModel::default();
+                (ChannelSynth::Acoustic(model), model.noise_sigma, 50, 0.05)
+            }
+            // 2 s comparison windows over 0.5 s frames.
+            "thermal" => {
+                let camera = ThermalCamera::default();
+                (ChannelSynth::Thermal(camera), camera.noise_sigma_c, 4, 0.15)
+            }
+            _ => return None,
+        };
+        Some(SampledDetector {
+            synth,
             config: ComparatorConfig {
                 sigma_threshold: 5.0,
-                noise_sigma: model.noise_sigma,
-                smoothing: 50,
-                suspect_fraction: 0.05,
+                noise_sigma,
+                smoothing,
+                suspect_fraction,
             },
-            model,
             calibration_runs: 5,
-        }
+        })
     }
 }
 
-impl Detector for AcousticDetector {
+impl Detector for SampledDetector {
     fn name(&self) -> &'static str {
-        AcousticDetector::NAME
+        self.synth.channel().name()
     }
 
     fn policy(&self) -> String {
         format!(
-            "sigma={};noise={};smooth={};base={};calib={};rate_hz={};tone={};click={};ratio={};mic_noise={}",
+            "sigma={};noise={};smooth={};base={};calib={};{}",
             self.config.sigma_threshold,
             self.config.noise_sigma,
             self.config.smoothing,
             self.config.suspect_fraction,
             self.calibration_runs,
-            self.model.sample_rate_hz,
-            self.model.tone_per_kstep,
-            self.model.click_unit,
-            self.model.click_ratio,
-            self.model.noise_sigma,
+            self.synth.policy(),
         )
     }
 
     fn channels(&self) -> Vec<ChannelRequest> {
         vec![ChannelRequest {
-            synth: ChannelSynth::Acoustic(self.model),
+            synth: self.synth,
             calibration_runs: self.calibration_runs.max(1),
         }]
     }
 
     fn stream_channel(&self) -> Channel {
-        Channel::Acoustic
+        self.synth.channel()
     }
 
     fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
-        sampled_begin(Channel::Acoustic, self.config, golden, observed)
-    }
-
-    fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
-    }
-
-    fn finalize(&self, state: StreamState<'_>) -> Evidence {
-        sampled_finalize(self.name(), state)
-    }
-}
-
-/// The thermal-camera judge: the hotend+bed radiance proxy
-/// ([`ThermalCamera`]) compared against a repetition-calibrated golden
-/// profile, in °C. It catches temperature-manipulation attacks —
-/// forced-on MOSFETs, thermistor miscalibrations driving the control
-/// loop hot — that leave the motion plane (and therefore the txn,
-/// power and acoustic channels) spotless.
-#[derive(Debug, Clone)]
-pub struct ThermalDetector {
-    /// Comparator tuning (sigma threshold, smoothing, suspect
-    /// fraction; `noise_sigma` must match the camera's).
-    pub config: ComparatorConfig,
-    /// Camera model the thermal traces are synthesized with.
-    pub camera: ThermalCamera,
-    /// Golden repetitions to calibrate from.
-    pub calibration_runs: usize,
-}
-
-impl ThermalDetector {
-    /// The detector's stable name.
-    pub const NAME: &'static str = "thermal";
-
-    /// The campaign default: 2 s comparison windows over 0.5 s frames,
-    /// five golden repetitions (shared with the other calibrated
-    /// detectors).
-    pub fn campaign() -> ThermalDetector {
-        let camera = ThermalCamera::default();
-        ThermalDetector {
-            config: ComparatorConfig {
-                sigma_threshold: 5.0,
-                noise_sigma: camera.noise_sigma_c,
-                smoothing: 4,
-                suspect_fraction: 0.15,
-            },
-            camera,
-            calibration_runs: 5,
+        let channel = self.stream_channel();
+        let comparator = observed
+            .get(channel)
+            .and_then(ChannelData::samples)
+            .and_then(|_| {
+                StreamingComparator::begin(
+                    &golden.calibration_samples(channel),
+                    golden.get(channel).and_then(ChannelData::samples),
+                    self.config,
+                )
+            });
+        StreamState {
+            inner: StateInner::Sampled(comparator),
         }
     }
-}
-
-impl Detector for ThermalDetector {
-    fn name(&self) -> &'static str {
-        ThermalDetector::NAME
-    }
-
-    fn policy(&self) -> String {
-        format!(
-            "sigma={};noise={};smooth={};base={};calib={};frame_ms={};cam_noise={}",
-            self.config.sigma_threshold,
-            self.config.noise_sigma,
-            self.config.smoothing,
-            self.config.suspect_fraction,
-            self.calibration_runs,
-            self.camera.frame_period_ms,
-            self.camera.noise_sigma_c,
-        )
-    }
-
-    fn channels(&self) -> Vec<ChannelRequest> {
-        vec![ChannelRequest {
-            synth: ChannelSynth::Thermal(self.camera),
-            calibration_runs: self.calibration_runs.max(1),
-        }]
-    }
-
-    fn stream_channel(&self) -> Channel {
-        Channel::Thermal
-    }
-
-    fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
-        sampled_begin(Channel::Thermal, self.config, golden, observed)
-    }
 
     fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
-        sampled_judge_window(self.name(), state, window)
+        let StateInner::Sampled(Some(c)) = &mut state.inner else {
+            return WindowEvidence::unjudged(self.name());
+        };
+        if let WindowData::Samples(samples) = window {
+            c.extend(samples);
+        }
+        WindowEvidence {
+            detector: self.name(),
+            alarmed: Some(c.suspected_so_far()),
+            flagged: c.anomalous_windows(),
+            compared: c.windows_compared(),
+            threshold: Some(self.config.suspect_fraction),
+        }
     }
 
     fn finalize(&self, state: StreamState<'_>) -> Evidence {
-        sampled_finalize(self.name(), state)
+        match state.inner {
+            StateInner::Sampled(Some(c)) => {
+                Evidence::from_report(self.name(), c.finalize(), self.config.suspect_fraction)
+            }
+            _ => Evidence::unjudged(self.name()),
+        }
     }
 }
 
@@ -1299,76 +1215,10 @@ enum StateInner<'g> {
         stream: Option<detect::StreamingCompare<'g>>,
         observed_final: Option<[i32; 4]>,
     },
-    /// Incremental sampled-channel comparison. `comparator` is `None`
-    /// when the observed stream is absent or there is no golden
-    /// material (the scenario finalizes unjudged).
-    Sampled {
-        base: f64,
-        comparator: Option<StreamingComparator>,
-    },
-}
-
-/// Shared `begin` for the three sampled-channel detectors: the
-/// calibrated comparator when the golden bundle carries two or more
-/// repetitions, the single-profile fallback otherwise.
-fn sampled_begin<'g>(
-    channel: Channel,
-    config: ComparatorConfig,
-    golden: &EvidenceBundle,
-    observed: &EvidenceBundle,
-) -> StreamState<'g> {
-    let comparator = observed
-        .get(channel)
-        .and_then(ChannelData::samples)
-        .and_then(|_| {
-            StreamingComparator::begin(
-                &golden.calibration_samples(channel),
-                golden.get(channel).and_then(ChannelData::samples),
-                config,
-            )
-        });
-    StreamState {
-        inner: StateInner::Sampled {
-            base: config.suspect_fraction,
-            comparator,
-        },
-    }
-}
-
-/// Shared `judge_window` for the sampled-channel detectors.
-fn sampled_judge_window(
-    detector: &'static str,
-    state: &mut StreamState<'_>,
-    window: WindowData<'_>,
-) -> WindowEvidence {
-    let StateInner::Sampled {
-        base,
-        comparator: Some(c),
-    } = &mut state.inner
-    else {
-        return WindowEvidence::unjudged(detector);
-    };
-    if let WindowData::Samples(samples) = window {
-        c.extend(samples);
-    }
-    WindowEvidence {
-        detector,
-        alarmed: Some(c.suspected_so_far()),
-        flagged: c.anomalous_windows(),
-        compared: c.windows_compared(),
-        threshold: Some(*base),
-    }
-}
-
-/// Shared `finalize` for the sampled-channel detectors.
-fn sampled_finalize(detector: &'static str, state: StreamState<'_>) -> Evidence {
-    match state.inner {
-        StateInner::Sampled {
-            base,
-            comparator: Some(c),
-        } => Evidence::from_report(detector, c.finalize(), base),
-        _ => Evidence::unjudged(detector),
-    }
+    /// Incremental sampled-channel comparison: `None` when the observed
+    /// stream is absent or there is no golden material (the scenario
+    /// finalizes unjudged).
+    Sampled(Option<StreamingComparator>),
 }
 
 /// Time-to-detection: where in the print the fused online monitor first
@@ -1745,6 +1595,11 @@ mod tests {
     use crate::capture::Transaction;
     use offramps_des::{SimDuration, Tick};
     use offramps_sidechannel::compare_sampled;
+
+    /// A sampled detector's campaign default.
+    fn sampled(name: &str) -> SampledDetector {
+        SampledDetector::campaign(name).expect("a sampled detector name")
+    }
     use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
 
     fn ramp(n: usize, scale: f64) -> Capture {
@@ -1813,8 +1668,8 @@ mod tests {
 
     #[test]
     fn power_detector_calibrated_judges_sustained_change() {
-        let det = PowerSideChannelDetector::campaign();
-        let model = det.model;
+        let det = sampled("power");
+        let model = PowerModel::default();
         let golden_runs: Vec<ChannelData> = (0..5)
             .map(|s| ChannelData::Power(model.synthesize(&step_trace(250, 5), s)))
             .collect();
@@ -1846,8 +1701,8 @@ mod tests {
 
     #[test]
     fn acoustic_detector_hears_cadence_breaks() {
-        let det = AcousticDetector::campaign();
-        let model = det.model;
+        let det = sampled("acoustic");
+        let model = AcousticModel::default();
         // Golden: a steady train. Attacked: same rate with every 10th
         // pulse masked — per-window counts barely change, the cadence
         // does.
@@ -1884,8 +1739,8 @@ mod tests {
 
     #[test]
     fn thermal_detector_sees_hotter_scene() {
-        let det = ThermalDetector::campaign();
-        let camera = det.camera;
+        let det = sampled("thermal");
+        let camera = ThermalCamera::default();
         let scene = |offset: f64| -> Vec<(Tick, f64, f64)> {
             (0..600)
                 .map(|i| (Tick::from_millis(i * 100), 210.0, 60.0 + offset))
@@ -2025,7 +1880,7 @@ mod tests {
         let both = DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
+                Box::new(sampled("power")),
             ],
             FusionPolicy::Any,
         )
@@ -2038,7 +1893,7 @@ mod tests {
         let all = DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
+                Box::new(sampled("power")),
             ],
             FusionPolicy::All,
         )
@@ -2047,9 +1902,9 @@ mod tests {
         let quad = DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
-                Box::new(AcousticDetector::campaign()),
-                Box::new(ThermalDetector::campaign()),
+                Box::new(sampled("power")),
+                Box::new(sampled("acoustic")),
+                Box::new(sampled("thermal")),
             ],
             FusionPolicy::Weighted {
                 weights: Vec::new(),
@@ -2057,10 +1912,19 @@ mod tests {
             },
         )
         .unwrap();
-        let policy = quad.policy();
-        assert!(policy.contains("+acoustic{"), "{policy}");
-        assert!(policy.contains("+thermal{"), "{policy}");
-        assert!(policy.ends_with("|fuse=weighted@0.5"), "{policy}");
+        // The whole string is part of every scenario-store key: pinned
+        // byte for byte, so a refactor cannot silently re-address a
+        // warmed store.
+        assert_eq!(
+            quad.policy(),
+            "txn{margin=0.05;floor=32;base=0.01;final=true;txn_floor=2.8}\
+             +power{sigma=5;noise=1.5;smooth=100;base=0.15;calib=5;\
+             kstep_w=2;hold_w=1.5;rate_hz=100;heaters=false}\
+             +acoustic{sigma=5;noise=0.2;smooth=50;base=0.05;calib=5;\
+             rate_hz=50;tone=1;click=4;ratio=0.5;mic_noise=0.2}\
+             +thermal{sigma=5;noise=0.3;smooth=4;base=0.15;calib=5;\
+             frame_ms=500;cam_noise=0.3}|fuse=weighted@0.5"
+        );
     }
 
     #[test]
@@ -2079,7 +1943,7 @@ mod tests {
             DetectorSuite::new(
                 vec![
                     Box::new(TransactionDetector::campaign()) as Box<dyn Detector>,
-                    Box::new(PowerSideChannelDetector::campaign()),
+                    Box::new(sampled("power")),
                 ],
                 FusionPolicy::Weighted { weights, threshold },
             )
@@ -2105,12 +1969,12 @@ mod tests {
         let suite = DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
-                Box::new(AcousticDetector {
+                Box::new(sampled("power")),
+                Box::new(SampledDetector {
                     calibration_runs: 3,
-                    ..AcousticDetector::campaign()
+                    ..sampled("acoustic")
                 }),
-                Box::new(ThermalDetector::campaign()),
+                Box::new(sampled("thermal")),
             ],
             FusionPolicy::Any,
         )
@@ -2133,11 +1997,8 @@ mod tests {
             "shared golden reruns: the max across detectors, not the sum"
         );
         // A thermal-only suite never asks for the plant trace.
-        let thermal_only = DetectorSuite::new(
-            vec![Box::new(ThermalDetector::campaign())],
-            FusionPolicy::Any,
-        )
-        .unwrap();
+        let thermal_only =
+            DetectorSuite::new(vec![Box::new(sampled("thermal"))], FusionPolicy::Any).unwrap();
         assert!(!thermal_only.needs_plant_trace());
         assert_eq!(thermal_only.calibration_runs(), 5);
         // The txn-only default plans no calibration at all.
@@ -2150,7 +2011,7 @@ mod tests {
         let suite = DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
+                Box::new(sampled("power")),
             ],
             FusionPolicy::Any,
         )
@@ -2181,9 +2042,9 @@ mod tests {
         DetectorSuite::new(
             vec![
                 Box::new(TransactionDetector::campaign()),
-                Box::new(PowerSideChannelDetector::campaign()),
-                Box::new(AcousticDetector::campaign()),
-                Box::new(ThermalDetector::campaign()),
+                Box::new(sampled("power")),
+                Box::new(sampled("acoustic")),
+                Box::new(sampled("thermal")),
             ],
             FusionPolicy::Weighted {
                 weights: Vec::new(),
@@ -2202,9 +2063,9 @@ mod tests {
     /// A golden bundle covering all four channels, with calibration
     /// repetitions for the sampled three.
     fn quad_golden() -> EvidenceBundle {
-        let power = PowerSideChannelDetector::campaign().model;
-        let mic = AcousticDetector::campaign().model;
-        let cam = ThermalDetector::campaign().camera;
+        let power = PowerModel::default();
+        let mic = AcousticModel::default();
+        let cam = ThermalCamera::default();
         let steady = step_trace(250, 5);
         let mut golden = EvidenceBundle::default();
         golden.insert(ChannelData::Txn(ramp(100, 1.0)));
@@ -2231,9 +2092,9 @@ mod tests {
     /// the bed, so the txn, power, acoustic and thermal judges all see
     /// a sustained deviation.
     fn quad_observed(attacked: bool) -> EvidenceBundle {
-        let power = PowerSideChannelDetector::campaign().model;
-        let mic = AcousticDetector::campaign().model;
-        let cam = ThermalDetector::campaign().camera;
+        let power = PowerModel::default();
+        let mic = AcousticModel::default();
+        let cam = ThermalCamera::default();
         let trace = step_trace(if attacked { 500 } else { 250 }, 5);
         let scene = thermal_scene(if attacked { 12.0 } else { 0.0 });
         let mut observed = EvidenceBundle::default();
@@ -2252,7 +2113,8 @@ mod tests {
     /// golden bundle, clean and attacked, `judge` must equal the
     /// evidence built from `compare_sampled`'s report; a bundle without
     /// the detector's channel comes back unjudged.
-    fn assert_judge_matches_compare_sampled(det: &dyn Detector, config: ComparatorConfig) {
+    fn assert_judge_matches_compare_sampled(det: &SampledDetector) {
+        let config = det.config;
         let channel = det.stream_channel();
         let calibrated = quad_golden();
         let mut single = EvidenceBundle::default();
@@ -2296,20 +2158,20 @@ mod tests {
 
     #[test]
     fn power_judge_matches_compare_sampled() {
-        let det = PowerSideChannelDetector::campaign();
-        assert_judge_matches_compare_sampled(&det, det.config.into());
+        let det = sampled("power");
+        assert_judge_matches_compare_sampled(&det);
     }
 
     #[test]
     fn acoustic_judge_matches_compare_sampled() {
-        let det = AcousticDetector::campaign();
-        assert_judge_matches_compare_sampled(&det, det.config);
+        let det = sampled("acoustic");
+        assert_judge_matches_compare_sampled(&det);
     }
 
     #[test]
     fn thermal_judge_matches_compare_sampled() {
-        let det = ThermalDetector::campaign();
-        assert_judge_matches_compare_sampled(&det, det.config);
+        let det = sampled("thermal");
+        assert_judge_matches_compare_sampled(&det);
     }
 
     #[test]

@@ -416,7 +416,7 @@ pub fn slice(solid: &Solid, cfg: &SlicerConfig) -> Program {
 /// in order within every layer, so multi-island plates produce the long
 /// inter-part travels (with retraction) that make a workload
 /// travel-heavy. A single-island plate emits exactly the same program as
-/// [`slice`]. Layers continue until the tallest island is finished;
+/// [`slice()`]. Layers continue until the tallest island is finished;
 /// shorter islands simply stop contributing.
 ///
 /// # Panics

@@ -28,6 +28,8 @@
 use offramps_des::{DetRng, SimDuration, Tick};
 use offramps_signals::{Pin, SignalTrace, ALL_PINS};
 
+use crate::SampledTrace;
+
 /// Acoustic/EM channel model for one aggregate microphone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcousticModel {
@@ -61,48 +63,11 @@ impl Default for AcousticModel {
     }
 }
 
-/// A sampled emission-intensity envelope.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcousticTrace {
-    samples: Vec<f64>,
-    period: SimDuration,
-}
-
-impl AcousticTrace {
-    /// The intensity samples, a.u.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Frame period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean intensity, a.u.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-}
-
 impl AcousticModel {
-    /// Synthesizes the emission envelope the microphone would record
-    /// for `trace`. `seed` drives the microphone noise.
-    pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> AcousticTrace {
+    /// Synthesizes the emission envelope (a.u., one sample per frame)
+    /// the microphone would record for `trace`. `seed` drives the
+    /// microphone noise.
+    pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> SampledTrace {
         let period = SimDuration::from_secs_f64(1.0 / self.sample_rate_hz);
         let end = trace.entries().last().map(|e| e.tick).unwrap_or(Tick::ZERO);
         let n = (end.ticks() / period.ticks() + 1) as usize;
@@ -126,7 +91,7 @@ impl AcousticModel {
                 (p + rng.gaussian(self.noise_sigma)).max(0.0)
             })
             .collect();
-        AcousticTrace { samples, period }
+        SampledTrace { samples, period }
     }
 
     fn accumulate_pin(

@@ -20,10 +20,8 @@
 //! * [`suspect_anomaly_fraction`] — the alarm rule shared by every
 //!   live comparator and every offline threshold-sweep re-judge.
 //!
-//! The power detector in [`crate::detector`] is a thin wrapper over
-//! these primitives (its numerics are pinned byte-for-byte by tests),
-//! and the acoustic/thermal detectors in `offramps::verdict` consume
-//! them directly.
+//! One detector type, `offramps::verdict::SampledDetector`, judges the
+//! power, acoustic and thermal channels through these primitives.
 
 /// Unit-agnostic comparator tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +97,25 @@ pub fn smooth(samples: &[f64], k: usize) -> Vec<f64> {
 /// fixed noise-derived threshold. Smoothing over k windows reduces the
 /// noise on each compared value by sqrt(k); the *difference* of two
 /// noisy traces has sqrt(2) more.
+///
+/// # Example
+///
+/// ```
+/// use offramps_sidechannel::{single_profile_compare, ComparatorConfig, PowerModel};
+/// use offramps_signals::SignalTrace;
+///
+/// let model = PowerModel::default();
+/// let golden = model.synthesize(&SignalTrace::new(), 1);
+/// let observed = model.synthesize(&SignalTrace::new(), 2);
+/// let config = ComparatorConfig {
+///     sigma_threshold: 4.0,
+///     noise_sigma: model.noise_sigma_w,
+///     smoothing: 20,
+///     suspect_fraction: 0.01,
+/// };
+/// let report = single_profile_compare(golden.samples(), observed.samples(), config);
+/// assert!(!report.sabotage_suspected);
+/// ```
 pub fn single_profile_compare(
     golden: &[f64],
     observed: &[f64],
@@ -410,7 +427,12 @@ impl StreamingComparator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PowerModel;
+    use offramps_des::{SimDuration, Tick};
+    use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
 
+    /// The single-shot power tuning: 4 sigma over 0.2 s windows, a 1 %
+    /// suspect fraction, the power sensor's 1.5 W noise.
     fn cfg() -> ComparatorConfig {
         ComparatorConfig {
             sigma_threshold: 4.0,
@@ -462,6 +484,93 @@ mod tests {
         let rep = compare_sampled(&[], Some(&golden), &attacked, cfg()).unwrap();
         assert!(rep.sabotage_suspected);
         assert!(compare_sampled(&[], None, &attacked, cfg()).is_none());
+    }
+
+    fn print_like_trace(step_period_us: u64, seconds: u64) -> SignalTrace {
+        let mut t = SignalTrace::new();
+        let mut at = Tick::ZERO;
+        let end = Tick::from_secs(seconds);
+        while at < end {
+            t.record(at, LogicEvent::new(Pin::XStep, Level::High));
+            t.record(
+                at + SimDuration::from_micros(2),
+                LogicEvent::new(Pin::XStep, Level::Low),
+            );
+            at += SimDuration::from_micros(step_period_us);
+        }
+        t
+    }
+
+    /// Single-profile power comparison of a golden print (250 µs steps,
+    /// seed 1) against an observed one (`observed_period_us`, seed 2).
+    fn power_compare(observed_period_us: u64) -> SideChannelReport {
+        let model = PowerModel::default();
+        let golden = model.synthesize(&print_like_trace(250, 5), 1);
+        let observed = model.synthesize(&print_like_trace(observed_period_us, 5), 2);
+        single_profile_compare(golden.samples(), observed.samples(), cfg())
+    }
+
+    #[test]
+    fn same_job_different_noise_is_clean() {
+        let rep = power_compare(250);
+        assert!(!rep.sabotage_suspected, "{rep:?}");
+    }
+
+    #[test]
+    fn gross_power_change_detected() {
+        // Half the step rate: ~4 W sustained difference.
+        let rep = power_compare(500);
+        assert!(rep.sabotage_suspected, "{rep:?}");
+    }
+
+    #[test]
+    fn subtle_change_below_noise_floor_missed() {
+        // 2% step-rate change: ~0.16 W sustained vs the sensor noise —
+        // the side channel cannot see it (OFFRAMPS can).
+        let rep = power_compare(255);
+        assert!(!rep.sabotage_suspected, "{rep:?}");
+    }
+
+    #[test]
+    fn single_profile_matches_preexisting_numerics() {
+        // The comparator must reproduce the original inline comparison:
+        // threshold = sigma * noise/sqrt(k) * sqrt(2) over smoothed
+        // windows.
+        let model = PowerModel::default();
+        let golden = model.synthesize(&print_like_trace(250, 5), 1);
+        let observed = model.synthesize(&print_like_trace(300, 5), 2);
+        let config = cfg();
+        let rep = single_profile_compare(golden.samples(), observed.samples(), config);
+
+        let g = smooth(golden.samples(), config.smoothing);
+        let o = smooth(observed.samples(), config.smoothing);
+        let n = g.len().min(o.len());
+        let sigma_eff =
+            config.noise_sigma / (config.smoothing as f64).sqrt() * std::f64::consts::SQRT_2;
+        let threshold = config.sigma_threshold * sigma_eff;
+        let mut anomalous = 0;
+        let mut largest = 0.0f64;
+        for (a, b) in g.iter().zip(&o).take(n) {
+            let dev = (a - b).abs();
+            largest = largest.max(dev);
+            if dev > threshold {
+                anomalous += 1;
+            }
+        }
+        assert_eq!(rep.windows_compared, n);
+        assert_eq!(rep.anomalous_windows, anomalous);
+        assert_eq!(rep.largest_deviation_w, largest);
+    }
+
+    #[test]
+    fn report_fraction() {
+        let r = SideChannelReport {
+            windows_compared: 200,
+            anomalous_windows: 5,
+            largest_deviation_w: 9.0,
+            sabotage_suspected: true,
+        };
+        assert!((r.anomaly_fraction() - 0.025).abs() < 1e-12);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use offramps_des::{DetRng, SimDuration, Tick};
 use offramps_signals::{Axis, Level, Pin, SignalTrace};
 
+use crate::SampledTrace;
+
 /// Electrical model of the printer as seen by one aggregate power
 /// sensor on the supply rail.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,53 +47,15 @@ impl Default for PowerModel {
     }
 }
 
-/// A sampled aggregate power waveform.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerTrace {
-    samples_w: Vec<f64>,
-    period: SimDuration,
-}
-
-impl PowerTrace {
-    /// The samples, W.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples_w
-    }
-
-    /// Sample period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples_w.len()
-    }
-
-    /// True if the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples_w.is_empty()
-    }
-
-    /// Mean power, W.
-    pub fn mean_w(&self) -> f64 {
-        if self.samples_w.is_empty() {
-            0.0
-        } else {
-            self.samples_w.iter().sum::<f64>() / self.samples_w.len() as f64
-        }
-    }
-}
-
 impl PowerModel {
-    /// Synthesizes the waveform the sensor would record for `trace`.
+    /// Synthesizes the waveform (W) the sensor would record for `trace`.
     /// `seed` drives the sensor noise.
     ///
     /// The channel is *aggregate*: every motor, both heaters and the fan
     /// land in the same scalar — per-axis information is lost, which is
     /// the fundamental handicap of the side-channel compared to
     /// OFFRAMPS' per-pin view.
-    pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> PowerTrace {
+    pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> SampledTrace {
         let period = SimDuration::from_secs_f64(1.0 / self.sample_rate_hz);
         let end = trace.entries().last().map(|e| e.tick).unwrap_or(Tick::ZERO);
         let n = (end.ticks() / period.ticks() + 1) as usize;
@@ -172,7 +136,7 @@ impl PowerModel {
 
         let mut rng = DetRng::from_seed(seed ^ 0x5ca1_ab1e);
         let dt = period.as_secs_f64();
-        let samples_w = (0..n)
+        let samples = (0..n)
             .map(|w| {
                 let mut p = 0.0;
                 for axis in Axis::ALL {
@@ -190,7 +154,7 @@ impl PowerModel {
                 (p + rng.gaussian(self.noise_sigma_w)).max(0.0)
             })
             .collect();
-        PowerTrace { samples_w, period }
+        SampledTrace { samples, period }
     }
 }
 

@@ -20,6 +20,8 @@
 
 use offramps_des::{DetRng, SimDuration, Tick};
 
+use crate::SampledTrace;
+
 /// Thermal camera model: frame rate + read-out noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalCamera {
@@ -38,45 +40,17 @@ impl Default for ThermalCamera {
     }
 }
 
-/// A sampled thermal-scene trace (hotend + bed radiance proxy, °C).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalTrace {
-    samples: Vec<f64>,
-    period: SimDuration,
-}
-
-impl ThermalTrace {
-    /// The per-frame scene values, °C.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Frame period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
 /// Seed salt for the camera-noise RNG stream.
 const CAMERA_NOISE_SALT: u64 = 0x7e84_ca3a_0000_0001;
 
 impl ThermalCamera {
-    /// Synthesizes the frame sequence the camera would record over
+    /// Synthesizes the frame sequence (hotend + bed radiance proxy, °C)
+    /// the camera would record over
     /// `temps`: `(tick, hotend °C, bed °C)` samples as produced by the
     /// test bench. Frames average the samples they contain; a frame
     /// with no sample (possible only at pathological sampling gaps)
     /// holds the previous frame's value. `seed` drives read-out noise.
-    pub fn synthesize(&self, temps: &[(Tick, f64, f64)], seed: u64) -> ThermalTrace {
+    pub fn synthesize(&self, temps: &[(Tick, f64, f64)], seed: u64) -> SampledTrace {
         let period = SimDuration::from_millis(self.frame_period_ms.max(1));
         let end = temps.last().map(|(t, _, _)| *t).unwrap_or(Tick::ZERO);
         let n = (end.ticks() / period.ticks() + 1) as usize;
@@ -97,7 +71,7 @@ impl ThermalCamera {
                 last + rng.gaussian(self.noise_sigma_c)
             })
             .collect();
-        ThermalTrace { samples, period }
+        SampledTrace { samples, period }
     }
 }
 

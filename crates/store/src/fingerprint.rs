@@ -74,9 +74,11 @@ impl Fingerprint {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
 
-    /// Parses the [`Fingerprint::hex`] rendering back.
+    /// Parses the [`Fingerprint::hex`] rendering back. Anything but 32
+    /// ASCII hex digits is rejected (a multibyte character must never
+    /// reach the byte slicing below).
     pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
+        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;

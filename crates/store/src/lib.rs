@@ -433,26 +433,28 @@ mod tests {
         fs::write(&shard, &log).unwrap();
         let other = store.shard_path(Fingerprint::of("good").shard().wrapping_add(1));
         // A foreign future tag, a blank line (ignored, not malformed),
-        // a garbage line, and a non-UTF-8 line: each skipped on its
-        // own, never poisoning the rest of the store.
+        // a garbage line, a non-UTF-8 line, and a 32-byte fingerprint
+        // field with a multibyte character across byte 16: each
+        // skipped on its own, never poisoning the rest of the store.
         let mut junk = b"v9\tsome future format\n\nnot a record\n".to_vec();
         junk.extend_from_slice(b"v1\t\xff\xfe broken utf8\n");
+        junk.extend_from_slice(b"v1\taaaaaaaaaaaaaaa\xc3\xa9aaaaaaaaaaaaaaa\tk\tv\n");
         fs::write(&other, &junk).unwrap();
 
         let reloaded = Store::open(&root).unwrap();
         assert_eq!(reloaded.get("good"), Some("value"));
         assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.malformed_lines(), 4);
+        assert_eq!(reloaded.malformed_lines(), 5);
         // The scan rollup classifies the skips: the future-tag line is
-        // foreign; the torn append, garbage line and non-UTF-8 line
-        // are damage.
+        // foreign; the torn append, garbage line, non-UTF-8 line and
+        // bad fingerprint are damage.
         assert_eq!(
             reloaded.scan_stats(),
             ScanStats {
-                lines: 5,
+                lines: 6,
                 records: 1,
                 superseded: 0,
-                torn: 3,
+                torn: 4,
                 foreign: 1,
             }
         );

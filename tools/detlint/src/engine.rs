@@ -97,7 +97,7 @@ impl Report {
 }
 
 /// Walks `roots` (files or directories) and lints every `.rs` file
-/// outside [`SKIP_DIRS`], in sorted path order so output — and the D5
+/// outside `SKIP_DIRS`, in sorted path order so output — and the D5
 /// cross-file registration table — is deterministic.
 pub fn lint_paths(roots: &[String]) -> Report {
     let mut files: Vec<PathBuf> = Vec::new();
