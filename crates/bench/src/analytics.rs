@@ -13,24 +13,28 @@
 //! `"none"` attack's curve is the false-positive rate at the same
 //! thresholds, and the two together are the corpus-wide ROC.
 //!
-//! Re-judging goes through the same helpers as the live judges
-//! ([`detect::floored_suspect_fraction`] for the transaction judge,
-//! [`offramps_sidechannel::suspect_anomaly_fraction`] for every sampled
-//! channel), so each curve's value at the live base threshold
-//! reproduces the stored verdicts exactly (invariants the tests pin).
+//! Re-judging is the live rule itself: [`Evidence::alarmed_at`]
+//! applies [`offramps::detect::floored_suspect_fraction`] and the
+//! totals check to the transaction judge's evidence and
+//! [`offramps_sidechannel::suspect_anomaly_fraction`] to every sampled
+//! channel's, exactly as the live judges do. Each curve's value at the
+//! live base threshold therefore reproduces the stored verdicts
+//! (invariants the tests pin). Store records are read by the same
+//! decoder a cache hit goes through ([`crate::cache::decode_verdict`]).
 //!
 //! On top of the per-detector curves, corpora observed by **two or more
 //! side modalities** get a *learned* fusion policy: per-modality weights
 //! fitted on the stored records (detection rate minus false-positive
 //! rate at each modality's live base threshold, clamped at zero) and a
-//! weighted-vote ROC next to the `any`-alarm fusion — the
-//! [`offramps::verdict::weighted_vote`] rule, so the offline curves and
-//! a live `--fuse weighted:…` campaign can never disagree.
+//! weighted-vote ROC next to the `any`-alarm fusion. Both fused curves
+//! tally the re-judged votes through [`FusionPolicy::tally_votes`] —
+//! the live fusion rule — so the offline curves and a live `--fuse
+//! weighted:…` campaign can never disagree.
 
 use std::collections::BTreeMap;
 
-use offramps::detect;
-use offramps::verdict::{weighted_vote, SampledDetector, TimeToDetection};
+use offramps::verdict::{Evidence, FusionPolicy, SampledDetector, TimeToDetection};
+use offramps::TransactionDetector;
 
 use crate::campaign::ScenarioResult;
 use crate::json::{ObjectWriter, ToJson, Value};
@@ -48,21 +52,8 @@ pub const SIDE_DETECTOR_ORDER: [&str; 3] = ["power", "acoustic", "thermal"];
 /// paper's 1 %), used when fitting fusion weights.
 const TXN_FIT_BASE: f64 = 0.01;
 
-/// One sampled side-channel judge's sufficient statistics for one
-/// scenario (absent for records written before that modality existed
-/// and for suites that do not run it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SideObservation {
-    /// Detector name (`"power"`, `"acoustic"`, `"thermal"`).
-    pub detector: String,
-    /// Smoothed windows whose deviation exceeded the sigma threshold.
-    pub anomalous_windows: usize,
-    /// Windows compared.
-    pub windows_compared: usize,
-    /// Whether the judge actually judged (its stream may have been
-    /// missing for an individual scenario).
-    pub judged: bool,
-}
+/// The transaction judge's name, which keys its evidence.
+const TXN: &str = TransactionDetector::NAME;
 
 /// One scenario's detection inputs, abstracted away from where the
 /// record came from (a live [`ScenarioResult`] or a store payload).
@@ -70,20 +61,10 @@ pub struct SideObservation {
 pub struct Observation {
     /// Attack spec string (`"none"` for clean reprints).
     pub attack: String,
-    /// Workload label the scenario printed.
-    pub workload: String,
-    /// Transactions with at least one out-of-margin axis.
-    pub mismatched_transactions: usize,
-    /// Transactions the detector compared.
-    pub transactions_compared: usize,
-    /// The end-of-print 0 %-margin totals check.
-    pub final_totals_match: Option<bool>,
-    /// Whether the transaction judge judged at all (bench errors are
-    /// not).
-    pub judged: bool,
-    /// The sampled side-channel judges' statistics, when the record
-    /// carries them (canonical order).
-    pub side: Vec<SideObservation>,
+    /// Every detector's stored evidence, in canonical order (`txn`,
+    /// `power`, `acoustic`, `thermal`, then alphabetical). Weighted
+    /// votes add in this order, so it is part of the result.
+    pub evidence: Vec<Evidence>,
     /// Time-to-detection, for records produced by an online campaign
     /// whose fused monitor alarmed mid-print (`None` for every post-hoc
     /// record and for online clean runs).
@@ -91,209 +72,87 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Extracts the detection inputs from a live campaign result.
-    pub fn from_result(r: &ScenarioResult) -> Observation {
-        let mut side: Vec<SideObservation> = r
-            .verdict
-            .evidence
-            .iter()
-            .filter(|e| e.detector != offramps::TransactionDetector::NAME)
-            .map(|e| SideObservation {
-                detector: e.detector.clone(),
-                anomalous_windows: e.flagged,
-                windows_compared: e.compared,
-                judged: e.judged(),
-            })
-            .collect();
-        sort_side(&mut side);
+    fn new(
+        attack: String,
+        mut evidence: Vec<Evidence>,
+        ttd: Option<TimeToDetection>,
+    ) -> Observation {
+        evidence.sort_by(|a, b| canonical_rank(&a.detector).cmp(&canonical_rank(&b.detector)));
         Observation {
-            attack: r.scenario.trojan.clone(),
-            workload: r.scenario.workload.clone(),
-            mismatched_transactions: r.mismatched_transactions(),
-            transactions_compared: r.transactions_compared(),
-            final_totals_match: r.final_totals_match(),
-            judged: r.suspect_fraction().is_some(),
-            side,
-            ttd: r.ttd,
+            attack,
+            evidence,
+            ttd,
         }
     }
 
-    /// Extracts the detection inputs from a decoded store payload (see
-    /// [`crate::cache::encode_result`]). Records without an `evidence`
-    /// array — every record written before side-channel evidence
-    /// existed — parse fine and simply carry no side statistics; the
-    /// analytics CLI counts and reports them per detector instead of
-    /// erroring.
+    /// Extracts the detection inputs from a live campaign result.
+    pub fn from_result(r: &ScenarioResult) -> Observation {
+        Observation::new(r.scenario.trojan.clone(), r.verdict.evidence.clone(), r.ttd)
+    }
+
+    /// Extracts the detection inputs from a parsed store payload (see
+    /// [`crate::cache::encode_result`]) through the cache's own
+    /// [`crate::cache::decode_verdict`]. Records written before a
+    /// modality existed simply carry no evidence for it; the analytics
+    /// CLI counts and reports them per detector instead of erroring.
     ///
     /// # Errors
     ///
     /// Reports the first missing or mistyped field.
     pub fn from_payload(v: &Value) -> Result<Observation, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("payload missing string {key:?}"))
-        };
-        let count_field = |key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("payload missing count {key:?}"))
-        };
-        let mut side = Vec::new();
-        if let Some(list) = v.get("evidence").and_then(Value::as_array) {
-            for e in list {
-                let detector = e
-                    .get("detector")
-                    .and_then(Value::as_str)
-                    .ok_or("evidence entry missing detector name")?;
-                if detector == offramps::TransactionDetector::NAME {
-                    continue;
-                }
-                let count = |key: &str| {
-                    e.get(key)
-                        .and_then(Value::as_u64)
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("{detector} evidence missing count {key:?}"))
-                };
-                side.push(SideObservation {
-                    detector: detector.to_string(),
-                    anomalous_windows: count("flagged")?,
-                    windows_compared: count("compared")?,
-                    judged: matches!(e.get("alarmed"), Some(Value::Bool(_))),
-                });
-            }
-        }
-        sort_side(&mut side);
-        // TTD rides only on records written by an online campaign whose
-        // fused monitor alarmed; every other record simply lacks the
-        // fields.
-        let ttd = match v.get("ttd_step") {
-            None => None,
-            Some(step) => Some(TimeToDetection {
-                alarm_step: step.as_u64().ok_or("ttd_step is not an integer")?,
-                print_fraction: v
-                    .get("ttd_print_fraction")
-                    .and_then(Value::as_f64)
-                    .ok_or("payload missing number \"ttd_print_fraction\"")?,
-                material_saved: v
-                    .get("ttd_material_saved")
-                    .and_then(Value::as_f64)
-                    .ok_or("payload missing number \"ttd_material_saved\"")?,
-            }),
-        };
-        Ok(Observation {
-            attack: str_field("trojan")?,
-            workload: str_field("workload")?,
-            mismatched_transactions: count_field("mismatched_transactions")?,
-            transactions_compared: count_field("transactions_compared")?,
-            final_totals_match: match v.get("final_totals_match") {
-                None | Some(Value::Null) => None,
-                Some(Value::Bool(b)) => Some(*b),
-                Some(_) => return Err("final_totals_match is not bool/null".into()),
-            },
-            judged: v.get("suspect_fraction").is_some(),
-            side,
-            ttd,
-        })
+        let attack = v
+            .get("trojan")
+            .and_then(Value::as_str)
+            .ok_or("payload missing string \"trojan\"")?;
+        let (verdict, ttd) = crate::cache::decode_verdict(v)?;
+        Ok(Observation::new(attack.to_string(), verdict.evidence, ttd))
     }
 
-    /// A named side judge's statistics, if the record carries them.
-    pub fn side_for(&self, detector: &str) -> Option<&SideObservation> {
-        self.side.iter().find(|s| s.detector == detector)
+    fn evidence_for(&self, detector: &str) -> Option<&Evidence> {
+        self.evidence.iter().find(|e| e.detector == detector)
     }
 
-    /// Re-judges this scenario's *transaction* evidence at `base`
-    /// suspect fraction: the same verdict rule as the live campaign
-    /// judge — mismatch fraction over the floored threshold, or a
-    /// failed 0 %-margin totals check. Unjudged scenarios are never
-    /// detected.
-    pub fn detected_at(&self, base: f64) -> bool {
-        if !self.judged {
-            return false;
-        }
-        let threshold = detect::floored_suspect_fraction(base, self.transactions_compared);
-        let fraction = if self.transactions_compared == 0 {
-            0.0
-        } else {
-            self.mismatched_transactions as f64 / self.transactions_compared as f64
-        };
-        fraction > threshold || self.final_totals_match == Some(false)
+    /// Whether the named detector judged this record (its stream may
+    /// have been missing, or the record predates the detector).
+    pub fn judged_by(&self, detector: &str) -> bool {
+        self.evidence_for(detector).is_some_and(Evidence::judged)
     }
 
-    /// Re-judges one side modality at `base` suspect fraction, through
-    /// the same [`offramps_sidechannel::suspect_anomaly_fraction`] rule
-    /// as the live judges (so the two can never drift). `None` when the
-    /// record carries no judged evidence for that detector.
-    pub fn side_detected_at(&self, detector: &str, base: f64) -> Option<bool> {
-        let s = self.side_for(detector).filter(|s| s.judged)?;
-        Some(offramps_sidechannel::suspect_anomaly_fraction(
-            s.anomalous_windows,
-            s.windows_compared,
-            base,
-        ))
+    /// Re-judges the named detector's evidence at `base` suspect
+    /// fraction ([`Evidence::alarmed_at`]); `None` when the record
+    /// carries no judged evidence for it.
+    pub fn alarmed_at(&self, detector: &str, base: f64) -> Option<bool> {
+        self.evidence_for(detector)?.alarmed_at(base)
     }
 
-    /// The **any-alarm** fusion of every re-judged modality at `base`.
-    /// Analytics fused curves are any-alarm *by definition* — an
-    /// exploration of the most sensitive combined detector — regardless
-    /// of the fusion policy the live campaign stored its `detected`
-    /// verdicts under (an `--fuse all` store's fused curve can sit
-    /// above its stored detection rate).
-    pub fn fused_detected_at(&self, base: f64) -> bool {
-        self.detected_at(base)
-            || self
-                .side
-                .iter()
-                .any(|s| self.side_detected_at(&s.detector, base) == Some(true))
+    /// Fuses every detector's re-judged vote at `base` under `policy`,
+    /// with the live tally rule.
+    fn fused_at(&self, policy: &FusionPolicy, base: f64) -> bool {
+        policy
+            .tally_votes(
+                self.evidence
+                    .iter()
+                    .filter_map(|e| e.alarmed_at(base).map(|a| (e.detector.as_str(), a))),
+            )
+            .alarmed()
     }
 
-    /// The weighted-vote fusion of every re-judged modality at `base`,
-    /// under the given weights and vote threshold — the exact
-    /// [`weighted_vote`] rule a live `--fuse weighted:…` campaign uses.
-    pub fn weighted_detected_at(
-        &self,
-        weights: &[(String, f64)],
-        vote_threshold: f64,
-        base: f64,
-    ) -> bool {
-        let mut votes: Vec<(&str, bool)> = Vec::with_capacity(1 + self.side.len());
-        if self.judged {
-            votes.push((offramps::TransactionDetector::NAME, self.detected_at(base)));
-        }
-        for s in &self.side {
-            if let Some(alarm) = self.side_detected_at(&s.detector, base) {
-                votes.push((s.detector.as_str(), alarm));
-            }
-        }
-        weighted_vote(weights, vote_threshold, votes.into_iter())
-    }
-
-    /// Whether any modality (transaction or side) judged this record.
+    /// Whether any detector judged this record.
     fn judged_any(&self) -> bool {
-        self.judged || self.side.iter().any(|s| s.judged)
+        self.evidence.iter().any(Evidence::judged)
     }
 }
 
-/// The canonical sort key for side detectors: `power`, `acoustic`,
+/// The canonical sort key for detectors: `txn`, `power`, `acoustic`,
 /// `thermal`, then anything else alphabetically — the one ordering
-/// every rendering surface (JSON keys, summary tables, weight fits)
-/// shares.
+/// every rendering surface (JSON keys, summary tables, weight fits) and
+/// every weighted vote shares.
 fn canonical_rank(name: &str) -> (usize, &str) {
-    (
-        SIDE_DETECTOR_ORDER
-            .iter()
-            .position(|d| *d == name)
-            .unwrap_or(SIDE_DETECTOR_ORDER.len()),
-        name,
-    )
-}
-
-/// Orders side observations canonically so mixed-suite stores render
-/// deterministically.
-fn sort_side(side: &mut [SideObservation]) {
-    side.sort_by(|a, b| canonical_rank(&a.detector).cmp(&canonical_rank(&b.detector)));
+    let rank = std::iter::once(TXN)
+        .chain(SIDE_DETECTOR_ORDER)
+        .position(|d| d == name)
+        .unwrap_or(1 + SIDE_DETECTOR_ORDER.len());
+    (rank, name)
 }
 
 /// One side detector's detection-rate curve within an attack group.
@@ -369,9 +228,11 @@ pub struct AttackCurve {
     pub fused_judged: usize,
     /// Any-alarm fused detection rate per threshold (over
     /// `fused_judged`); `None` when no side evidence exists. Fused
-    /// curves are any-alarm by definition (see
-    /// [`Observation::fused_detected_at`]), whatever fusion policy the
-    /// live campaign ran with.
+    /// curves are [`FusionPolicy::Any`] over the re-judged votes by
+    /// definition — an exploration of the most sensitive combined
+    /// detector — whatever fusion policy the live campaign ran with (an
+    /// `--fuse all` store's fused curve can sit above its stored
+    /// detection rate).
     pub fused_detection_rate: Option<Vec<f64>>,
     /// Time-to-detection distribution — present only when some record
     /// in the group carries an online alarm mark, so post-hoc corpora
@@ -458,8 +319,8 @@ impl WeightedFusionReport {
     }
 
     /// The equivalent live fusion policy (for `--fuse` reuse).
-    pub fn policy(&self) -> offramps::FusionPolicy {
-        offramps::FusionPolicy::Weighted {
+    pub fn policy(&self) -> FusionPolicy {
+        FusionPolicy::Weighted {
             weights: self.weights.clone(),
             threshold: self.vote_threshold,
         }
@@ -530,17 +391,22 @@ impl AnalyticsReport {
         let curves: Vec<AttackCurve> = groups
             .iter()
             .map(|(attack, group)| {
-                let judged = group.iter().filter(|o| o.judged).count();
+                let judged = group.iter().filter(|o| o.judged_by(TXN)).count();
                 let detection_rate = thresholds
                     .iter()
-                    .map(|&t| rate(group.iter().filter(|o| o.detected_at(t)).count(), judged))
+                    .map(|&t| {
+                        rate(
+                            group
+                                .iter()
+                                .filter(|o| o.alarmed_at(TXN, t) == Some(true))
+                                .count(),
+                            judged,
+                        )
+                    })
                     .collect();
                 let mut side = Vec::new();
                 for name in &side_names {
-                    let side_judged = group
-                        .iter()
-                        .filter(|o| o.side_for(name).is_some_and(|s| s.judged))
-                        .count();
+                    let side_judged = group.iter().filter(|o| o.judged_by(name)).count();
                     if side_judged == 0 {
                         continue;
                     }
@@ -553,7 +419,7 @@ impl AnalyticsReport {
                                 rate(
                                     group
                                         .iter()
-                                        .filter(|o| o.side_detected_at(name, t) == Some(true))
+                                        .filter(|o| o.alarmed_at(name, t) == Some(true))
                                         .count(),
                                     side_judged,
                                 )
@@ -573,7 +439,10 @@ impl AnalyticsReport {
                             .iter()
                             .map(|&t| {
                                 rate(
-                                    group.iter().filter(|o| o.fused_detected_at(t)).count(),
+                                    group
+                                        .iter()
+                                        .filter(|o| o.fused_at(&FusionPolicy::Any, t))
+                                        .count(),
                                     fused_judged,
                                 )
                             })
@@ -598,15 +467,15 @@ impl AnalyticsReport {
         // keep their exact pre-refactor artifact shape.
         let judged_side_modalities = side_names
             .iter()
-            .filter(|name| {
-                observations
-                    .iter()
-                    .any(|o| o.side_for(name).is_some_and(|s| s.judged))
-            })
+            .filter(|name| observations.iter().any(|o| o.judged_by(name)))
             .count();
         let weighted = (judged_side_modalities >= 2).then(|| {
             let weights = fit_weights(observations, &side_names);
             let vote_threshold = 0.5;
+            let policy = FusionPolicy::Weighted {
+                weights: weights.clone(),
+                threshold: vote_threshold,
+            };
             let curves = groups
                 .iter()
                 .map(|(attack, group)| {
@@ -615,10 +484,7 @@ impl AnalyticsReport {
                         .iter()
                         .map(|&t| {
                             rate(
-                                group
-                                    .iter()
-                                    .filter(|o| o.weighted_detected_at(&weights, vote_threshold, t))
-                                    .count(),
+                                group.iter().filter(|o| o.fused_at(&policy, t)).count(),
                                 judged_any,
                             )
                         })
@@ -815,9 +681,9 @@ impl AnalyticsReport {
 fn side_detector_names(observations: &[Observation]) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
     for obs in observations {
-        for s in &obs.side {
-            if !names.contains(&s.detector) {
-                names.push(s.detector.clone());
+        for e in &obs.evidence {
+            if e.detector != TXN && !names.contains(&e.detector) {
+                names.push(e.detector.clone());
             }
         }
     }
@@ -833,8 +699,7 @@ fn side_detector_names(observations: &[Observation]) -> Vec<String> {
 /// modality scores zero (e.g. an all-clean corpus), weights fall back
 /// to equal.
 pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(String, f64)> {
-    let mut modalities: Vec<(&str, f64)> =
-        vec![(offramps::TransactionDetector::NAME, TXN_FIT_BASE)];
+    let mut modalities: Vec<(&str, f64)> = vec![(TXN, TXN_FIT_BASE)];
     for name in side_names {
         // Each side modality is scored at its campaign default's base,
         // the threshold its stored alarms were judged with. Unknown
@@ -846,13 +711,6 @@ pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(
     }
     let mut weights: Vec<(String, f64)> = Vec::new();
     for (name, base) in modalities {
-        let alarm = |o: &Observation| -> Option<bool> {
-            if name == offramps::TransactionDetector::NAME {
-                o.judged.then(|| o.detected_at(base))
-            } else {
-                o.side_detected_at(name, base)
-            }
-        };
         let rate_over = |attack_records: bool| -> f64 {
             let mut judged = 0usize;
             let mut hits = 0usize;
@@ -860,7 +718,7 @@ pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(
                 if (o.attack == "none") == attack_records {
                     continue;
                 }
-                if let Some(alarmed) = alarm(o) {
+                if let Some(alarmed) = o.alarmed_at(name, base) {
                     judged += 1;
                     if alarmed {
                         hits += 1;
@@ -920,33 +778,42 @@ impl ToJson for AnalyticsReport {
 mod tests {
     use super::*;
 
+    /// Judged evidence with `flagged` of `compared` units flagged (the
+    /// stored alarm is irrelevant to re-judging).
+    fn judged(detector: &str, flagged: usize, compared: usize) -> Evidence {
+        Evidence {
+            alarmed: Some(false),
+            flagged,
+            flagged_values: flagged,
+            compared,
+            ..Evidence::unjudged(detector)
+        }
+    }
+
     fn obs(attack: &str, mismatched: usize, compared: usize, totals: Option<bool>) -> Observation {
         Observation {
             attack: attack.into(),
-            workload: "w".into(),
-            mismatched_transactions: mismatched,
-            transactions_compared: compared,
-            final_totals_match: totals,
-            judged: true,
-            side: Vec::new(),
+            evidence: vec![Evidence {
+                final_totals_match: totals,
+                ..judged(TXN, mismatched, compared)
+            }],
             ttd: None,
         }
     }
 
     fn with_side(
-        mut obs: Observation,
+        obs: Observation,
         detector: &str,
         anomalous: usize,
         compared: usize,
     ) -> Observation {
-        obs.side.push(SideObservation {
-            detector: detector.into(),
-            anomalous_windows: anomalous,
-            windows_compared: compared,
-            judged: true,
-        });
-        sort_side(&mut obs.side);
-        obs
+        let mut evidence = obs.evidence;
+        evidence.push(judged(detector, anomalous, compared));
+        Observation::new(obs.attack, evidence, obs.ttd)
+    }
+
+    fn txn_at(o: &Observation, base: f64) -> bool {
+        o.alarmed_at(TXN, base) == Some(true)
     }
 
     fn power(obs: Observation, anomalous: usize, compared: usize) -> Observation {
@@ -963,7 +830,7 @@ mod tests {
     #[test]
     fn rejudging_is_monotone_in_threshold() {
         let o = obs("t", 30, 1_000, Some(true));
-        let verdicts: Vec<bool> = THRESHOLD_GRID.iter().map(|&t| o.detected_at(t)).collect();
+        let verdicts: Vec<bool> = THRESHOLD_GRID.iter().map(|&t| txn_at(&o, t)).collect();
         // Once a higher threshold clears it, it stays cleared.
         for pair in verdicts.windows(2) {
             assert!(pair[0] || !pair[1], "{verdicts:?}");
@@ -976,16 +843,16 @@ mod tests {
     fn floor_applies_to_the_grid_and_final_check_floors_the_curve() {
         // 1 wobble in 50 transactions: under the 2.8-transaction floor
         // even at base threshold 0.
-        assert!(!obs("t", 1, 50, Some(true)).detected_at(0.0));
+        assert!(!txn_at(&obs("t", 1, 50, Some(true)), 0.0));
         // A failed totals check is caught at every threshold.
         let sneaky = obs("t", 0, 50, Some(false));
-        assert!(THRESHOLD_GRID.iter().all(|&t| sneaky.detected_at(t)));
+        assert!(THRESHOLD_GRID.iter().all(|&t| txn_at(&sneaky, t)));
         // Unjudged scenarios never count as detected.
-        let unjudged = Observation {
-            judged: false,
-            ..obs("t", 50, 50, Some(false))
-        };
-        assert!(THRESHOLD_GRID.iter().all(|&t| !unjudged.detected_at(t)));
+        let mut unjudged = obs("t", 50, 50, Some(false));
+        unjudged.evidence[0].alarmed = None;
+        assert!(THRESHOLD_GRID
+            .iter()
+            .all(|&t| unjudged.alarmed_at(TXN, t).is_none()));
     }
 
     #[test]
@@ -1087,24 +954,17 @@ mod tests {
     fn power_rejudge_rule_matches_live_judge() {
         // fraction strictly over the threshold, never at it.
         let o = power(obs("t", 0, 100, Some(true)), 15, 100);
-        assert_eq!(
-            o.side_detected_at("power", 0.15),
-            Some(false),
-            "0.15 !> 0.15"
-        );
-        assert_eq!(o.side_detected_at("power", 0.1), Some(true));
+        assert_eq!(o.alarmed_at("power", 0.15), Some(false), "0.15 !> 0.15");
+        assert_eq!(o.alarmed_at("power", 0.1), Some(true));
         // Unjudged power evidence re-judges as None, fuses as txn-only.
-        let unjudged = Observation {
-            side: vec![SideObservation {
-                detector: "power".into(),
-                anomalous_windows: 50,
-                windows_compared: 100,
-                judged: false,
-            }],
-            ..obs("t", 90, 100, Some(false))
-        };
-        assert_eq!(unjudged.side_detected_at("power", 0.0), None);
-        assert!(unjudged.fused_detected_at(0.01), "txn still alarms");
+        let mut unjudged = power(obs("t", 90, 100, Some(false)), 50, 100);
+        unjudged.evidence[1].alarmed = None;
+        assert!(!unjudged.judged_by("power"));
+        assert_eq!(unjudged.alarmed_at("power", 0.0), None);
+        assert!(
+            unjudged.fused_at(&FusionPolicy::Any, 0.01),
+            "txn still alarms"
+        );
     }
 
     #[test]
@@ -1247,16 +1107,20 @@ mod tests {
             ("power".to_string(), 1.0),
             ("acoustic".to_string(), 1.0),
         ];
+        let weighted = |weights: &[(String, f64)], threshold: f64| FusionPolicy::Weighted {
+            weights: weights.to_vec(),
+            threshold,
+        };
         // One of three modalities alarms: majority vote says clean,
         // any-style threshold flags it.
-        assert!(!o.weighted_detected_at(&equal, 0.5, 0.01));
-        assert!(o.weighted_detected_at(&equal, 0.0, 0.01));
+        assert!(!o.fused_at(&weighted(&equal, 0.5), 0.01));
+        assert!(o.fused_at(&weighted(&equal, 0.0), 0.01));
         // Weighting the alarming modality up flips the majority.
         let tuned = vec![
             ("txn".to_string(), 0.1),
             ("power".to_string(), 2.0),
             ("acoustic".to_string(), 0.1),
         ];
-        assert!(o.weighted_detected_at(&tuned, 0.5, 0.01));
+        assert!(o.fused_at(&weighted(&tuned, 0.5), 0.01));
     }
 }

@@ -358,10 +358,9 @@ fn decode_evidence(v: &Value) -> Result<Evidence, String> {
     })
 }
 
-/// Decodes a store payload back into a [`ScenarioResult`] for the given
-/// scenario slot. The decoded result renders byte-identically to the
-/// fresh one in both the summary table and the JSON report; only
-/// `wall_ms` (excluded from both) is zeroed.
+/// Decodes a payload's verdict and time-to-detection: the part of a
+/// scenario record that [`decode_result`] and store-wide analytics
+/// ([`crate::analytics::Observation::from_payload`]) both read.
 ///
 /// Multi-detector payloads carry their full per-detector statistics in
 /// the `evidence` array; transaction-only payloads (including every
@@ -369,21 +368,14 @@ fn decode_evidence(v: &Value) -> Result<Evidence, String> {
 /// transaction judge's evidence from the legacy field names. Those
 /// legacy fields have never included the judge's `peak` deviation — it
 /// is not part of the transaction-only artifact contract — so decoded
-/// results reconstruct `peak: 0.0`; every field that *does* appear in
+/// evidence reconstructs `peak: 0.0`; every field that *does* appear in
 /// the summary or JSON renders byte-identically.
-pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult, String> {
-    let v = json::parse(payload)?;
-    let steps = field(&v, "fw_steps")?
-        .as_array()
-        .ok_or("payload field \"fw_steps\" is not an array")?;
-    if steps.len() != 4 {
-        return Err(format!("fw_steps has {} entries", steps.len()));
-    }
-    let mut fw_steps = [0i64; 4];
-    for (slot, step) in fw_steps.iter_mut().zip(steps) {
-        *slot = step.as_i128().ok_or("fw_steps entry is not an integer")? as i64;
-    }
-    let detected = field(&v, "detected")?
+///
+/// # Errors
+///
+/// Reports the first missing or mistyped field.
+pub fn decode_verdict(v: &Value) -> Result<(Verdict, Option<TimeToDetection>), String> {
+    let detected = field(v, "detected")?
         .as_bool()
         .ok_or("payload field \"detected\" is not a bool")?;
     let evidence = match v.get("evidence") {
@@ -397,7 +389,7 @@ pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult
             // Pre-suite / transaction-only payload: the legacy fields
             // *are* the transaction judge's sufficient statistics, and
             // the fused verdict is its alarm.
-            let final_totals_match = match field(&v, "final_totals_match")? {
+            let final_totals_match = match field(v, "final_totals_match")? {
                 Value::Null => None,
                 Value::Bool(b) => Some(*b),
                 _ => return Err("payload field \"final_totals_match\" is not bool/null".into()),
@@ -412,9 +404,9 @@ pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult
             vec![Evidence {
                 detector: offramps::TransactionDetector::NAME.to_string(),
                 alarmed: threshold.is_some().then_some(detected),
-                flagged: int_field(&v, "mismatched_transactions")? as usize,
-                flagged_values: int_field(&v, "mismatches")? as usize,
-                compared: int_field(&v, "transactions_compared")? as usize,
+                flagged: int_field(v, "mismatched_transactions")? as usize,
+                flagged_values: int_field(v, "mismatches")? as usize,
+                compared: int_field(v, "transactions_compared")? as usize,
                 threshold,
                 peak: 0.0,
                 final_totals_match,
@@ -431,14 +423,39 @@ pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult
             alarm_step: step
                 .as_u64()
                 .ok_or("payload field \"ttd_step\" is not an integer")?,
-            print_fraction: field(&v, "ttd_print_fraction")?
+            print_fraction: field(v, "ttd_print_fraction")?
                 .as_f64()
                 .ok_or("payload field \"ttd_print_fraction\" is not a number")?,
-            material_saved: field(&v, "ttd_material_saved")?
+            material_saved: field(v, "ttd_material_saved")?
                 .as_f64()
                 .ok_or("payload field \"ttd_material_saved\" is not a number")?,
         }),
     };
+    let verdict = Verdict {
+        alarmed: detected,
+        evidence,
+    };
+    Ok((verdict, ttd))
+}
+
+/// Decodes a store payload back into a [`ScenarioResult`] for the given
+/// scenario slot (the verdict through [`decode_verdict`]). The decoded
+/// result renders byte-identically to the fresh one in both the
+/// summary table and the JSON report; only `wall_ms` (excluded from
+/// both) is zeroed.
+pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult, String> {
+    let v = json::parse(payload)?;
+    let steps = field(&v, "fw_steps")?
+        .as_array()
+        .ok_or("payload field \"fw_steps\" is not an array")?;
+    if steps.len() != 4 {
+        return Err(format!("fw_steps has {} entries", steps.len()));
+    }
+    let mut fw_steps = [0i64; 4];
+    for (slot, step) in fw_steps.iter_mut().zip(steps) {
+        *slot = step.as_i128().ok_or("fw_steps entry is not an integer")? as i64;
+    }
+    let (verdict, ttd) = decode_verdict(&v)?;
     Ok(ScenarioResult {
         scenario,
         fw_state: field(&v, "fw_state")?
@@ -448,10 +465,7 @@ pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult
         events: int_field(&v, "events")?,
         sim_ns: int_field(&v, "sim_ns")?,
         fw_steps,
-        verdict: Verdict {
-            alarmed: detected,
-            evidence,
-        },
+        verdict,
         ttd,
         wall_ms: 0,
     })

@@ -160,25 +160,28 @@ impl Capture {
                     ),
                 ));
             }
-            let parse = |s: &str| {
-                s.parse::<i64>().map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {}: invalid number {s:?}", lineno + 1),
-                    )
-                })
-            };
-            let index = parse(fields[0])? as u64;
-            let counts = [
-                parse(fields[1])? as i32,
-                parse(fields[2])? as i32,
-                parse(fields[3])? as i32,
-                parse(fields[4])? as i32,
-            ];
+            // Each field at its own type: an out-of-range value is an
+            // error, never a wrapped number.
+            let index = csv_field(fields[0], lineno, "index")?;
+            let mut counts = [0i32; 4];
+            for (count, field) in counts.iter_mut().zip(&fields[1..]) {
+                *count = csv_field(field, lineno, "count")?;
+            }
             cap.push(Transaction { index, counts });
         }
         Ok(cap)
     }
+}
+
+/// Parses one CSV field at its target type, naming the 0-based
+/// `lineno` (reported 1-based) on failure.
+fn csv_field<T: std::str::FromStr>(s: &str, lineno: usize, what: &str) -> io::Result<T> {
+    s.parse().map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line {}: invalid {what} {s:?}", lineno + 1),
+        )
+    })
 }
 
 impl FromIterator<Transaction> for Capture {
@@ -235,6 +238,32 @@ mod tests {
     fn csv_rejects_malformed() {
         assert!(Capture::from_csv("1, 2, 3\n".as_bytes()).is_err());
         assert!(Capture::from_csv("a, b, c, d, e\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn csv_rejects_out_of_range_values_instead_of_wrapping() {
+        for (row, message) in [
+            (
+                "0,99999999999,2,3,4\n",
+                "line 1: invalid count \"99999999999\"",
+            ),
+            (
+                "0,1,2,3,-2147483649\n",
+                "line 1: invalid count \"-2147483649\"",
+            ),
+            ("-1,1,2,3,4\n", "line 1: invalid index \"-1\""),
+        ] {
+            let err = Capture::from_csv(row.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{row}");
+            assert!(err.to_string().contains(message), "{row}: {err}");
+        }
+        // The extremes of each type still read back exactly.
+        let cap = Capture::from_csv(
+            "index,x,y,z,e\n18446744073709551615,2147483647,-2147483648,0,1\n".as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(cap.transactions()[0].index, u64::MAX);
+        assert_eq!(cap.transactions()[0].counts, [i32::MAX, i32::MIN, 0, 1]);
     }
 
     #[test]

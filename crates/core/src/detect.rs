@@ -309,11 +309,6 @@ impl<'g> StreamingCompare<'g> {
         self.mismatched_transactions
     }
 
-    /// Out-of-margin values so far (every axis counted).
-    pub fn mismatch_values(&self) -> usize {
-        self.mismatches.len()
-    }
-
     /// Largest percent difference seen so far.
     pub fn largest_percent(&self) -> f64 {
         self.largest

@@ -353,6 +353,24 @@ impl Evidence {
         }
     }
 
+    /// Re-judges this evidence at `base` suspect fraction with the live
+    /// rule: for the transaction judge, the flagged fraction over the
+    /// floored threshold ([`detect::floored_suspect_fraction`]) or a
+    /// failed end-of-print totals check; for every other detector,
+    /// [`offramps_sidechannel::suspect_anomaly_fraction`]. `None` when
+    /// the evidence is unjudged. At the stored `threshold` it returns
+    /// the stored `alarmed` (flooring an already floored threshold is a
+    /// no-op).
+    pub fn alarmed_at(&self, base: f64) -> Option<bool> {
+        self.alarmed?;
+        Some(if self.detector == TransactionDetector::NAME {
+            self.flagged_fraction() > detect::floored_suspect_fraction(base, self.compared)
+                || self.final_totals_match == Some(false)
+        } else {
+            offramps_sidechannel::suspect_anomaly_fraction(self.flagged, self.compared, base)
+        })
+    }
+
     /// Evidence from a sampled-channel comparison report.
     fn from_report(detector: &'static str, report: SideChannelReport, base: f64) -> Evidence {
         Evidence {
@@ -395,29 +413,24 @@ pub enum FusionPolicy {
 }
 
 impl FusionPolicy {
-    /// Fuses per-detector evidence into the suite alarm. Unjudged
-    /// evidence neither alarms nor vetoes.
+    /// Fuses per-detector evidence into the suite alarm: the
+    /// [`FusionTally`] decision over the judged detectors' votes.
+    /// Unjudged evidence neither alarms nor vetoes.
     pub fn fuse(&self, evidence: &[Evidence]) -> bool {
-        match self {
-            FusionPolicy::Any => evidence.iter().filter_map(|e| e.alarmed).any(|a| a),
-            FusionPolicy::All => {
-                let judged: Vec<bool> = evidence.iter().filter_map(|e| e.alarmed).collect();
-                !judged.is_empty() && judged.iter().all(|&a| a)
-            }
-            FusionPolicy::Weighted { weights, threshold } => {
-                let votes = evidence
-                    .iter()
-                    .filter_map(|e| e.alarmed.map(|a| (e.detector.as_str(), a)));
-                weighted_vote(weights, *threshold, votes)
-            }
-        }
+        self.tally_votes(
+            evidence
+                .iter()
+                .filter_map(|e| e.alarmed.map(|a| (e.detector.as_str(), a))),
+        )
+        .alarmed()
     }
 
-    /// The arithmetic behind one fused vote, for narration: the judged
-    /// weight that alarmed, the total judged weight, and the policy's
-    /// effective threshold (`any` degenerates to 0, `all` to 1, over
-    /// equal weights). [`FusionPolicy::fuse`] stays the authoritative
-    /// decision; the tally only explains it.
+    /// Weighs one vote per judged detector: the judged weight that
+    /// alarmed, the total judged weight, and the policy's effective
+    /// threshold. `any` and `all` weigh every detector at 1 against a
+    /// threshold of 0 and 1; a weighted policy with an empty list does
+    /// the same against its own threshold, and a non-empty list weighs
+    /// detectors absent from it at 0. Weights add in vote order.
     pub fn tally_votes<'a>(&self, votes: impl Iterator<Item = (&'a str, bool)>) -> FusionTally {
         let (weights, threshold): (&[(String, f64)], f64) = match self {
             FusionPolicy::Any => (&[], 0.0),
@@ -448,16 +461,6 @@ impl FusionPolicy {
             total_weight: total,
             threshold,
         }
-    }
-
-    /// [`FusionPolicy::tally_votes`] over per-detector evidence
-    /// (unjudged evidence carries no weight, as in `fuse`).
-    pub fn tally(&self, evidence: &[Evidence]) -> FusionTally {
-        self.tally_votes(
-            evidence
-                .iter()
-                .filter_map(|e| e.alarmed.map(|a| (e.detector.as_str(), a))),
-        )
     }
 
     /// Parses a fusion policy:
@@ -521,8 +524,9 @@ impl FusionPolicy {
 
 /// The numbers behind one fused vote, produced by
 /// [`FusionPolicy::tally_votes`]: how much judged weight alarmed out
-/// of how much, against which effective threshold. Rendered by the
-/// campaign flight recorder as `fused 0.25/0.50`.
+/// of how much, against which effective threshold, and so whether the
+/// suite alarms ([`FusionTally::alarmed`]). Rendered by the campaign
+/// flight recorder as `fused 0.25/0.50`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionTally {
     /// Judged weight whose detectors alarmed.
@@ -534,6 +538,14 @@ pub struct FusionTally {
 }
 
 impl FusionTally {
+    /// The fusion decision: some judged weight alarmed and it reaches
+    /// `threshold` of the total judged weight.
+    pub fn alarmed(&self) -> bool {
+        self.total_weight > 0.0
+            && self.alarmed_weight > 0.0
+            && self.alarmed_weight >= self.threshold * self.total_weight
+    }
+
     /// Alarmed fraction of the judged weight (0 when nothing judged).
     pub fn alarmed_fraction(&self) -> f64 {
         if self.total_weight == 0.0 {
@@ -542,39 +554,6 @@ impl FusionTally {
             self.alarmed_weight / self.total_weight
         }
     }
-}
-
-/// The weighted-vote rule shared by live fusion and offline weighted
-/// re-judging (`offramps_bench::analytics`): alarm when the alarming
-/// judged weight reaches `threshold` of the total judged weight and at
-/// least one positively weighted detector alarms. An empty weight list
-/// weighs every judged detector at 1; detectors absent from a non-empty
-/// list weigh 0.
-pub fn weighted_vote<'a>(
-    weights: &[(String, f64)],
-    threshold: f64,
-    votes: impl Iterator<Item = (&'a str, bool)>,
-) -> bool {
-    let weight_of = |det: &str| -> f64 {
-        if weights.is_empty() {
-            1.0
-        } else {
-            weights
-                .iter()
-                .find(|(name, _)| name == det)
-                .map_or(0.0, |(_, w)| *w)
-        }
-    };
-    let mut total = 0.0;
-    let mut alarmed = 0.0;
-    for (det, alarm) in votes {
-        let w = weight_of(det);
-        total += w;
-        if alarm {
-            alarmed += w;
-        }
-    }
-    total > 0.0 && alarmed > 0.0 && alarmed >= threshold * total
 }
 
 impl fmt::Display for FusionPolicy {
@@ -782,24 +761,26 @@ impl Detector for TransactionDetector {
             return Evidence::unjudged(self.name());
         };
         let report = stream.finalize(observed_final);
-        // The suspect fraction is floored at the full compared length,
-        // as the campaign's short-print rule asks.
-        let threshold = detect::floored_suspect_fraction(
-            self.base.suspect_fraction,
-            report.transactions_compared,
-        );
-        let alarmed =
-            report.mismatch_fraction() > threshold || report.final_totals_match == Some(false);
-        Evidence {
+        let mut evidence = Evidence {
             detector: self.name().into(),
-            alarmed: Some(alarmed),
+            // Judged; the alarm itself is decided below.
+            alarmed: Some(false),
             flagged: report.mismatched_transactions(),
             flagged_values: report.mismatches.len(),
             compared: report.transactions_compared,
-            threshold: Some(threshold),
+            // The suspect fraction is floored at the full compared
+            // length, as the campaign's short-print rule asks.
+            threshold: Some(detect::floored_suspect_fraction(
+                self.base.suspect_fraction,
+                report.transactions_compared,
+            )),
             peak: report.largest_percent,
             final_totals_match: report.final_totals_match,
-        }
+        };
+        // The offline re-judge's rule, so live and offline verdicts
+        // share one function.
+        evidence.alarmed = evidence.alarmed_at(self.base.suspect_fraction);
+        evidence
     }
 }
 
@@ -1511,20 +1492,15 @@ impl<'a> OnlineMonitor<'a> {
                 None => {}
             }
         }
-        let provisional: Vec<Evidence> = windows
-            .iter()
-            .map(|w| Evidence {
-                detector: w.detector.into(),
-                alarmed: w.alarmed,
-                flagged: w.flagged,
-                flagged_values: w.flagged,
-                compared: w.compared,
-                threshold: None,
-                peak: 0.0,
-                final_totals_match: None,
-            })
-            .collect();
-        let alarmed = self.suite.fusion().fuse(&provisional);
+        let alarmed = self
+            .suite
+            .fusion()
+            .tally_votes(
+                windows
+                    .iter()
+                    .filter_map(|w| w.alarmed.map(|a| (w.detector, a))),
+            )
+            .alarmed();
         let clamped = now_ticks.min(self.end_ticks);
         if alarmed && self.alarm.is_none() {
             self.alarm = Some(AlarmMark {
@@ -1801,6 +1777,18 @@ mod tests {
             for b in states {
                 for c in states {
                     let evidence = [ev("a", a), ev("b", b), ev("c", c)];
+                    // `any` and `all` tally to their boolean definitions.
+                    let judged: Vec<bool> = evidence.iter().filter_map(|e| e.alarmed).collect();
+                    assert_eq!(
+                        FusionPolicy::Any.fuse(&evidence),
+                        judged.iter().any(|&x| x),
+                        "{evidence:?}"
+                    );
+                    assert_eq!(
+                        FusionPolicy::All.fuse(&evidence),
+                        !judged.is_empty() && judged.iter().all(|&x| x),
+                        "{evidence:?}"
+                    );
                     assert_eq!(
                         weighted(0.0).fuse(&evidence),
                         FusionPolicy::Any.fuse(&evidence),
@@ -1835,6 +1823,34 @@ mod tests {
         assert!(muted.fuse(&[ev("a", Some(true)), ev("b", Some(false))]));
         // Detectors absent from a non-empty weight list weigh zero.
         assert!(muted.fuse(&[ev("a", Some(true)), ev("zzz", Some(false))]));
+    }
+
+    #[test]
+    fn alarmed_at_applies_each_detectors_live_rule() {
+        let judged = |detector: &str, flagged: usize, compared: usize| Evidence {
+            alarmed: Some(false),
+            flagged,
+            flagged_values: flagged,
+            compared,
+            ..Evidence::unjudged(detector)
+        };
+        // The transaction judge's threshold is floored per length: 3 of
+        // 100 clears base 0.01 (3 > 2.8), 2 of 100 does not.
+        assert_eq!(judged("txn", 3, 100).alarmed_at(0.01), Some(true));
+        assert_eq!(judged("txn", 2, 100).alarmed_at(0.0), Some(false));
+        // A failed totals check alarms at any base.
+        let totals = Evidence {
+            final_totals_match: Some(false),
+            ..judged("txn", 0, 100)
+        };
+        assert_eq!(totals.alarmed_at(0.5), Some(true));
+        // Sampled judges take the fraction strictly over the base, with
+        // no floor.
+        assert_eq!(judged("power", 2, 100).alarmed_at(0.01), Some(true));
+        assert_eq!(judged("power", 15, 100).alarmed_at(0.15), Some(false));
+        // Unjudged evidence is never re-judged.
+        assert_eq!(Evidence::unjudged("txn").alarmed_at(0.0), None);
+        assert_eq!(Evidence::unjudged("thermal").alarmed_at(0.0), None);
     }
 
     #[test]

@@ -394,8 +394,11 @@ fn cmd_slice(args: &[String]) -> Result<ExitCode, String> {
     let depth = flags.f64_or("--depth", 10.0)?;
     let height = flags.f64_or("--height", 1.5)?;
     let layer = flags.f64_or("--layer", 0.3)?;
-    if width <= 0.0 || depth <= 0.0 || height <= 0.0 || layer <= 0.0 {
-        return Err("dimensions must be positive".into());
+    if ![width, depth, height, layer]
+        .iter()
+        .all(|d| d.is_finite() && *d > 0.0)
+    {
+        return Err("dimensions must be finite and greater than 0".into());
     }
     let cfg = SlicerConfig {
         layer_height: layer,
@@ -454,18 +457,22 @@ fn cmd_print(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_attack(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["<file.gcode>"], ATTACK_FLAGS)?;
-    let program = parse(&read_file(flags.positional[0])?).map_err(|e| e.to_string())?;
     let trojan = if let Some(f) = flags.value("--reduction") {
-        Flaw3dTrojan::Reduction {
-            factor: f.parse().map_err(|_| "bad --reduction factor")?,
+        let factor: f64 = f.parse().map_err(|_| "bad --reduction factor")?;
+        if !(factor > 0.0 && factor <= 1.0) {
+            return Err(format!("--reduction factor must be in (0, 1], got {f}"));
         }
+        Flaw3dTrojan::Reduction { factor }
     } else if let Some(n) = flags.value("--relocation") {
-        Flaw3dTrojan::Relocation {
-            every_n: n.parse().map_err(|_| "bad --relocation stride")?,
+        let every_n: u32 = n.parse().map_err(|_| "bad --relocation stride")?;
+        if every_n == 0 {
+            return Err("--relocation stride must be at least 1".into());
         }
+        Flaw3dTrojan::Relocation { every_n }
     } else {
         return Err("attack needs --reduction FACTOR or --relocation N".into());
     };
+    let program = parse(&read_file(flags.positional[0])?).map_err(|e| e.to_string())?;
     let out = trojan.apply(&program);
     std::io::stdout()
         .write_all(out.to_gcode().as_bytes())
@@ -479,11 +486,16 @@ fn cmd_detect(args: &[String]) -> Result<ExitCode, String> {
         let f = File::open(p).map_err(|e| format!("cannot open {p}: {e}"))?;
         Capture::from_csv(BufReader::new(f)).map_err(|e| e.to_string())
     };
+    let margin = flags.f64_or("--margin", 5.0)?;
+    if !(margin.is_finite() && margin >= 0.0) {
+        return Err(format!(
+            "--margin must be a finite percentage >= 0, got {margin}"
+        ));
+    }
     let golden = load(flags.positional[0])?;
     let observed = load(flags.positional[1])?;
-    let margin = flags.f64_or("--margin", 5.0)? / 100.0;
     let cfg = detect::DetectorConfig {
-        margin,
+        margin: margin / 100.0,
         ..detect::DetectorConfig::default()
     };
     let report = detect::compare(&golden, &observed, &cfg);
@@ -792,7 +804,7 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
     for detector in offramps_bench::analytics::SIDE_DETECTOR_ORDER {
         let unjudged = observations
             .iter()
-            .filter(|o| !o.side_for(detector).is_some_and(|s| s.judged))
+            .filter(|o| !o.judged_by(detector))
             .count();
         if unjudged > 0 {
             println!(

@@ -88,6 +88,42 @@ fn misspelled_duplicate_and_valueless_flags_are_rejected() {
     );
 }
 
+/// Values the flag parser accepts as numbers but the command cannot
+/// use are rejected with usage instead of panicking (exit 101) or
+/// running on meaningless input. Each check runs before any input file
+/// is read, so the named files need not exist.
+#[test]
+fn out_of_domain_values_are_rejected() {
+    let usage = "offramps-cli slice    [--width MM]";
+    for args in [
+        &["slice", "--width", "nan"][..],
+        &["slice", "--depth", "inf"],
+        &["slice", "--height", "0"],
+        &["slice", "--layer", "-0.3"],
+    ] {
+        assert_rejected(args, "dimensions must be finite and greater than 0", usage);
+    }
+    for factor in ["nan", "-3", "0", "1.5"] {
+        assert_rejected(
+            &["attack", "part.gcode", "--reduction", factor],
+            "--reduction factor must be in (0, 1]",
+            usage,
+        );
+    }
+    assert_rejected(
+        &["attack", "part.gcode", "--relocation", "0"],
+        "--relocation stride must be at least 1",
+        usage,
+    );
+    for margin in ["-5", "nan", "inf"] {
+        assert_rejected(
+            &["detect", "golden.csv", "observed.csv", "--margin", margin],
+            "--margin must be a finite percentage >= 0",
+            usage,
+        );
+    }
+}
+
 #[test]
 fn declared_forms_are_accepted() {
     // `--metrics=FILE`, repeated identically, and a value holding `=`.

@@ -253,18 +253,35 @@ fn four_detector_evidence_round_trips_through_store_payloads() {
         let live = Observation::from_result(r);
         let parsed = Observation::from_payload(&json::parse(&payload).unwrap()).unwrap();
         assert_eq!(live, parsed);
-        assert_eq!(live.side.len(), 3, "power, acoustic, thermal");
+        let detectors: Vec<&str> = live.evidence.iter().map(|e| e.detector.as_str()).collect();
+        assert_eq!(detectors, ["txn", "power", "acoustic", "thermal"]);
 
         // The offline re-judge at each live threshold reproduces every
         // stored side alarm exactly.
         for detector in ["power", "acoustic", "thermal"] {
             let evidence = r.verdict.evidence_for(detector).unwrap();
             assert_eq!(
-                live.side_detected_at(detector, evidence.threshold.unwrap()),
+                live.alarmed_at(detector, evidence.threshold.unwrap()),
                 evidence.alarmed,
                 "{detector} re-judge drifted: {}",
                 r.summary_line()
             );
+        }
+
+        // Every detector's own evidence re-judges to its stored alarm
+        // at its stored threshold — for txn because flooring an already
+        // floored threshold is a no-op.
+        for e in &r.verdict.evidence {
+            match e.threshold {
+                Some(threshold) => assert_eq!(
+                    e.alarmed_at(threshold),
+                    e.alarmed,
+                    "{} re-judge drifted: {}",
+                    e.detector,
+                    r.summary_line()
+                ),
+                None => assert!(!e.judged(), "{e:?}"),
+            }
         }
     }
 }
@@ -329,7 +346,7 @@ fn quad_suite_switch_invalidates_then_restores() {
     assert_eq!(skipped, 0, "provenance records are not junk");
     let pre_acoustic = observations
         .iter()
-        .filter(|o| !o.side_for("acoustic").is_some_and(|s| s.judged))
+        .filter(|o| !o.judged_by("acoustic"))
         .count();
     assert_eq!(pre_acoustic, 2, "the txn,power generation");
     let campaigns = offramps_bench::cache::store_campaigns(&store);

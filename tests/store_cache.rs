@@ -178,7 +178,7 @@ fn suite_switch_invalidates_then_restores() {
     assert_eq!(skipped, 0, "pre-power records must not be parse errors");
     let pre_power = observations
         .iter()
-        .filter(|o| o.side_for("power").is_none())
+        .filter(|o| o.evidence.iter().all(|e| e.detector != "power"))
         .count();
     assert_eq!(pre_power, 2);
     let analytics = AnalyticsReport::over(&observations, &THRESHOLD_GRID);
@@ -291,8 +291,8 @@ fn corpus_sweep_store_feeds_corpus_wide_roc_analytics() {
             .map(offramps_bench::analytics::Observation::from_result),
     ) {
         assert_eq!(
-            obs.detected_at(0.01),
-            r.detected(),
+            obs.alarmed_at("txn", 0.01),
+            Some(r.detected()),
             "re-judged verdict drifted: {}",
             r.summary_line()
         );

@@ -166,7 +166,7 @@ fn evidence_round_trips_through_store_payloads_and_strict_parser() {
         // the stored power alarm exactly.
         let power = r.verdict.evidence_for("power").unwrap();
         assert_eq!(
-            live.side_detected_at("power", power.threshold.unwrap()),
+            live.alarmed_at("power", power.threshold.unwrap()),
             power.alarmed,
             "{}",
             r.summary_line()
