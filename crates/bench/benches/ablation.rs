@@ -9,7 +9,7 @@
 
 use criterion::{Criterion, SamplingMode};
 
-use offramps::{detect, SignalPath, TestBench};
+use offramps::{detect, SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::{table2, workloads};
 use offramps_des::SimDuration;
@@ -17,42 +17,31 @@ use offramps_des::SimDuration;
 fn margin_sweep() {
     println!("--- margin sweep (golden-vs-golden false positives / trojan true positives) ---");
     let program = workloads::standard_part();
-    let golden = table2::golden_capture(&program, 31);
-    let reprint = table2::golden_capture(&program, 32);
+    let golden = table2::capture_print(&program, 31);
+    let reprint = table2::capture_print(&program, 32);
     let attacked_prog =
         std::sync::Arc::new(Flaw3dTrojan::Reduction { factor: 0.85 }.apply(&program));
-    let attacked = TestBench::new(33)
-        .signal_path(SignalPath::capture())
-        .run(&attacked_prog)
-        .unwrap()
-        .capture
-        .unwrap();
+    let attacked = table2::capture_print(&attacked_prog, 33);
 
     println!(
         "{:<8} {:<22} {:<20}",
         "margin", "golden mismatches", "x0.85 mismatches"
     );
     for pct in [1.0_f64, 2.0, 3.0, 5.0, 7.0, 10.0] {
-        let cfg = detect::DetectorConfig {
-            margin: pct / 100.0,
-            final_check: false,
-            ..detect::DetectorConfig::default()
+        let judge = TransactionDetector {
+            base: detect::DetectorConfig {
+                margin: pct / 100.0,
+                final_check: false,
+                ..detect::DetectorConfig::default()
+            },
         };
-        let fp = detect::compare(&golden, &reprint, &cfg);
-        let tp = detect::compare(&golden, &attacked, &cfg);
+        let fp = judge.report(&golden, &reprint);
+        let tp = judge.report(&golden, &attacked);
         println!(
             "{:<8} {:<22} {:<20}",
             format!("{pct}%"),
-            format!(
-                "{} (suspected: {})",
-                fp.mismatches.len(),
-                fp.trojan_suspected
-            ),
-            format!(
-                "{} (suspected: {})",
-                tp.mismatches.len(),
-                tp.trojan_suspected
-            ),
+            format!("{} (suspected: {})", fp.mismatches.len(), fp.suspected()),
+            format!("{} (suspected: {})", tp.mismatches.len(), tp.suspected()),
         );
     }
     println!();
@@ -81,19 +70,18 @@ fn period_sweep() {
         };
         let a = mitm(41);
         let b = mitm(42);
-        let rep = detect::compare(
-            &a,
-            &b,
-            &detect::DetectorConfig {
+        let judge = TransactionDetector {
+            base: detect::DetectorConfig {
                 final_check: false,
                 ..Default::default()
             },
-        );
+        };
+        let rep = judge.report(&a, &b);
         println!(
             "{:<12} {:<14} {:<10}",
             format!("{ms} ms"),
-            rep.transactions_compared,
-            format!("{:.2}%", rep.largest_percent),
+            rep.evidence.compared,
+            format!("{:.2}%", rep.evidence.peak),
         );
     }
     println!();
@@ -102,39 +90,28 @@ fn period_sweep() {
 fn stealth_frontier() {
     println!("--- stealth frontier (windowed 5% check alone, no final check) ---");
     let program = workloads::standard_part();
-    let golden = table2::golden_capture(&program, 51);
-    let window_only = detect::DetectorConfig {
-        final_check: false,
-        ..detect::DetectorConfig::default()
+    let golden = table2::capture_print(&program, 51);
+    let window_only = TransactionDetector {
+        base: detect::DetectorConfig {
+            final_check: false,
+            ..detect::DetectorConfig::default()
+        },
     };
-    let full = detect::DetectorConfig::default();
+    let full = TransactionDetector::campaign();
     println!(
         "{:<10} {:<18} {:<18}",
         "factor", "window-only", "with final check"
     );
     for factor in [0.98_f64, 0.95, 0.9, 0.8, 0.5] {
         let attacked_prog = std::sync::Arc::new(Flaw3dTrojan::Reduction { factor }.apply(&program));
-        let attacked = TestBench::new(60 + (factor * 100.0) as u64)
-            .signal_path(SignalPath::capture())
-            .run(&attacked_prog)
-            .unwrap()
-            .capture
-            .unwrap();
-        let w = detect::compare(&golden, &attacked, &window_only);
-        let f = detect::compare(&golden, &attacked, &full);
+        let attacked = table2::capture_print(&attacked_prog, 60 + (factor * 100.0) as u64);
+        let w = window_only.report(&golden, &attacked);
+        let f = full.report(&golden, &attacked);
         println!(
             "{:<10} {:<18} {:<18}",
             factor,
-            if w.trojan_suspected {
-                "detected"
-            } else {
-                "MISSED"
-            },
-            if f.trojan_suspected {
-                "detected"
-            } else {
-                "MISSED"
-            },
+            if w.suspected() { "detected" } else { "MISSED" },
+            if f.suspected() { "detected" } else { "MISSED" },
         );
     }
     println!();
@@ -144,18 +121,20 @@ fn benches(c: &mut Criterion) {
     // The ablations above are analyses; keep one timing datum: how fast
     // a full margin-sweep analysis runs on captured data.
     let program = workloads::mini_part();
-    let golden = table2::golden_capture(&program, 71);
+    let golden = table2::capture_print(&program, 71);
     let mut group = c.benchmark_group("ablation");
     group.sampling_mode(SamplingMode::Flat).sample_size(20);
     group.bench_function("six_margin_compares", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for pct in [1.0_f64, 2.0, 3.0, 5.0, 7.0, 10.0] {
-                let cfg = detect::DetectorConfig {
-                    margin: pct / 100.0,
-                    ..detect::DetectorConfig::default()
+                let judge = TransactionDetector {
+                    base: detect::DetectorConfig {
+                        margin: pct / 100.0,
+                        ..detect::DetectorConfig::default()
+                    },
                 };
-                total += detect::compare(&golden, &golden, &cfg).mismatches.len();
+                total += judge.report(&golden, &golden).mismatches.len();
             }
             total
         })

@@ -28,7 +28,7 @@ fn print_figure() {
 
 fn benches(c: &mut Criterion) {
     let program = workloads::standard_part();
-    let golden = table2::golden_capture(&program, 3);
+    let golden = table2::capture_print(&program, 3);
     let csv = golden.to_csv();
 
     let mut group = c.benchmark_group("fig4");

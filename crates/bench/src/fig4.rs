@@ -6,12 +6,11 @@
 
 use std::sync::Arc;
 
-use offramps::{detect, Capture, DetectionReport};
+use offramps::{Capture, DetectionReport, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_gcode::Program;
 
-use crate::table2::golden_capture;
-use offramps::{SignalPath, TestBench};
+use crate::table2::capture_print;
 
 /// The complete Figure 4 artifact.
 #[derive(Debug)]
@@ -27,14 +26,10 @@ pub struct Fig4 {
 /// Regenerates Figure 4 with the paper's Trojan (relocation every 20
 /// moves).
 pub fn regenerate(program: &Arc<Program>, seed: u64) -> Fig4 {
-    let golden = golden_capture(program, seed);
+    let golden = capture_print(program, seed);
     let attacked = Arc::new(Flaw3dTrojan::Relocation { every_n: 20 }.apply(program));
-    let art = TestBench::new(seed + 1)
-        .signal_path(SignalPath::capture())
-        .run(&attacked)
-        .expect("fig4 trojan run");
-    let trojaned = art.capture.expect("capture path active");
-    let report = detect::compare(&golden, &trojaned, &detect::DetectorConfig::default());
+    let trojaned = capture_print(&attacked, seed + 1);
+    let report = TransactionDetector::campaign().report(&golden, &trojaned);
     Fig4 {
         golden,
         trojaned,

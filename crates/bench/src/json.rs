@@ -554,11 +554,11 @@ impl ToJson for offramps::Evidence {
 impl ToJson for offramps::DetectionReport {
     fn write_json(&self, out: &mut String, indent: usize) {
         let mut w = ObjectWriter::new(out, indent);
-        w.bool("trojan_suspected", self.trojan_suspected)
-            .float("largest_percent", self.largest_percent)
-            .int("transactions_compared", self.transactions_compared as i128)
+        w.bool("trojan_suspected", self.suspected())
+            .float("largest_percent", self.evidence.peak)
+            .int("transactions_compared", self.evidence.compared as i128)
             .int("length_difference", self.length_difference as i128);
-        match self.final_totals_match {
+        match self.evidence.final_totals_match {
             Some(v) => w.bool("final_totals_match", v),
             None => w.raw("final_totals_match", "null"),
         };

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use offramps::{detect, Capture, SignalPath, TestBench};
+use offramps::{Capture, Evidence, SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::{Flaw3dTrojan, TABLE_II_CASES};
 use offramps_gcode::Program;
 
@@ -16,33 +16,31 @@ use offramps_gcode::Program;
 pub struct Table2Row {
     /// Test case number (1–8).
     pub case: u32,
-    /// Reduction or Relocation.
-    pub trojan_type: String,
-    /// The paper's modification value column.
-    pub modification_value: f64,
-    /// Detection verdict (the paper: ✓ for all eight).
-    pub detected: bool,
-    /// Number of out-of-margin transactions.
-    pub mismatches: usize,
-    /// Largest percent difference found.
-    pub largest_percent: f64,
-    /// Whether the 0 %-margin totals check failed.
-    pub final_check_failed: bool,
-    /// Transactions compared.
-    pub transactions: usize,
+    /// The case's Trojan: its type and modification value columns.
+    pub trojan: Flaw3dTrojan,
+    /// The transaction judge's evidence against the golden capture.
+    pub evidence: Evidence,
 }
 
-/// Captures the golden reference print.
-pub fn golden_capture(program: &Arc<Program>, seed: u64) -> Capture {
+impl Table2Row {
+    /// Detection verdict (the paper: ✓ for all eight).
+    pub fn detected(&self) -> bool {
+        self.evidence.alarmed == Some(true)
+    }
+}
+
+/// Prints `program` through the capture path and returns the capture:
+/// a golden reference or an attacked print.
+pub fn capture_print(program: &Arc<Program>, seed: u64) -> Capture {
     TestBench::new(seed)
         .signal_path(SignalPath::capture())
         .run(program)
-        .expect("golden capture run")
+        .expect("capture run")
         .capture
         .expect("capture path active")
 }
 
-/// Runs one Flaw3D case and compares it to the golden capture.
+/// Runs one Flaw3D case and judges it against the golden capture.
 pub fn run_case(
     case: u32,
     trojan: Flaw3dTrojan,
@@ -50,28 +48,19 @@ pub fn run_case(
     golden: &Capture,
     seed: u64,
 ) -> Table2Row {
-    let attacked = Arc::new(trojan.apply(program));
-    let art = TestBench::new(seed)
-        .signal_path(SignalPath::capture())
-        .run(&attacked)
-        .expect("table 2 run");
-    let capture = art.capture.expect("capture path active");
-    let report = detect::compare(golden, &capture, &detect::DetectorConfig::default());
+    let capture = capture_print(&Arc::new(trojan.apply(program)), seed);
     Table2Row {
         case,
-        trojan_type: trojan.type_name().into(),
-        modification_value: trojan.modification_value(),
-        detected: report.trojan_suspected,
-        mismatches: report.mismatches.len(),
-        largest_percent: report.largest_percent,
-        final_check_failed: report.final_totals_match == Some(false),
-        transactions: report.transactions_compared,
+        trojan,
+        evidence: TransactionDetector::campaign()
+            .report(golden, &capture)
+            .evidence,
     }
 }
 
 /// Regenerates all eight Table II rows against `program`.
 pub fn regenerate(program: &Arc<Program>, seed: u64) -> Vec<Table2Row> {
-    let golden = golden_capture(program, seed);
+    let golden = capture_print(program, seed);
     TABLE_II_CASES
         .iter()
         .map(|(case, trojan)| {
@@ -90,13 +79,16 @@ impl crate::json::ToJson for Table2Row {
     fn write_json(&self, out: &mut String, indent: usize) {
         let mut w = crate::json::ObjectWriter::new(out, indent);
         w.int("case", self.case as i128)
-            .string("trojan_type", &self.trojan_type)
-            .float("modification_value", self.modification_value)
-            .bool("detected", self.detected)
-            .int("mismatches", self.mismatches as i128)
-            .float("largest_percent", self.largest_percent)
-            .bool("final_check_failed", self.final_check_failed)
-            .int("transactions", self.transactions as i128);
+            .string("trojan_type", self.trojan.type_name())
+            .float("modification_value", self.trojan.modification_value())
+            .bool("detected", self.detected())
+            .int("mismatches", self.evidence.flagged_values as i128)
+            .float("largest_percent", self.evidence.peak)
+            .bool(
+                "final_check_failed",
+                self.evidence.final_totals_match == Some(false),
+            )
+            .int("transactions", self.evidence.compared as i128);
         w.finish();
     }
 }
@@ -114,12 +106,16 @@ pub fn format_table(rows: &[Table2Row]) -> String {
         out.push_str(&format!(
             "{:<6} {:<12} {:<10} {:<9} {:<11} {:<10.2} {}\n",
             r.case,
-            r.trojan_type,
-            r.modification_value,
-            if r.detected { "yes" } else { "NO" },
-            r.mismatches,
-            r.largest_percent,
-            if r.final_check_failed { "FAIL" } else { "pass" },
+            r.trojan.type_name(),
+            r.trojan.modification_value(),
+            if r.detected() { "yes" } else { "NO" },
+            r.evidence.flagged_values,
+            r.evidence.peak,
+            if r.evidence.final_totals_match == Some(false) {
+                "FAIL"
+            } else {
+                "pass"
+            },
         ));
     }
     out

@@ -140,7 +140,8 @@ impl Capture {
     ///
     /// # Errors
     ///
-    /// Returns `io::ErrorKind::InvalidData` on malformed rows.
+    /// Returns `io::ErrorKind::InvalidData` on malformed rows and on rows
+    /// whose index does not increase.
     pub fn from_csv<R: BufRead>(reader: R) -> io::Result<Self> {
         let mut cap = Capture::new();
         for (lineno, line) in reader.lines().enumerate() {
@@ -151,13 +152,9 @@ impl Capture {
             }
             let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
             if fields.len() != 5 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "line {}: expected 5 fields, found {}",
-                        lineno + 1,
-                        fields.len()
-                    ),
+                return Err(invalid(
+                    lineno,
+                    format!("expected 5 fields, found {}", fields.len()),
                 ));
             }
             // Each field at its own type: an out-of-range value is an
@@ -166,6 +163,11 @@ impl Capture {
             let mut counts = [0i32; 4];
             for (count, field) in counts.iter_mut().zip(&fields[1..]) {
                 *count = csv_field(field, lineno, "count")?;
+            }
+            // Out-of-order rows are the file's fault, not a broken
+            // invariant: report them instead of tripping `push`.
+            if cap.transactions.last().is_some_and(|l| l.index >= index) {
+                return Err(invalid(lineno, format!("index {index} does not increase")));
             }
             cap.push(Transaction { index, counts });
         }
@@ -176,12 +178,16 @@ impl Capture {
 /// Parses one CSV field at its target type, naming the 0-based
 /// `lineno` (reported 1-based) on failure.
 fn csv_field<T: std::str::FromStr>(s: &str, lineno: usize, what: &str) -> io::Result<T> {
-    s.parse().map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("line {}: invalid {what} {s:?}", lineno + 1),
-        )
-    })
+    s.parse()
+        .map_err(|_| invalid(lineno, format!("invalid {what} {s:?}")))
+}
+
+/// A malformed-input error naming the 0-based `lineno` (reported 1-based).
+fn invalid(lineno: usize, what: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("line {}: {what}", lineno + 1),
+    )
 }
 
 impl FromIterator<Transaction> for Capture {
@@ -275,6 +281,18 @@ mod tests {
         assert_eq!(cap.final_counts(), Some([5, 6, 7, 8]));
         assert_eq!(cap.len(), 2);
         assert!(!cap.is_empty());
+    }
+
+    #[test]
+    fn non_increasing_csv_indices_are_an_error() {
+        for csv in [
+            "0, 1, 2, 3, 4\n0, 5, 6, 7, 8\n",
+            "5, 1, 2, 3, 4\n2, 1, 2, 3, 4\n",
+        ] {
+            let err = Capture::from_csv(csv.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 2: index"), "{err}");
+        }
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! authors' testing), backed by "a final check with a 0 % margin of
 //! error, ensuring that the correct number of steps was counted on each
 //! axis at the conclusion of the print."
+//!
+//! [`StreamingCompare`] is the one comparison loop and
+//! [`Evidence::alarmed_at`] the one verdict rule: campaigns feed the loop
+//! through [`TransactionDetector`]'s stream, and the CLI's `detect`,
+//! Table II and Figure 4 through [`TransactionDetector::report`].
 
 use std::fmt;
 
 use crate::capture::{Capture, Transaction};
+use crate::verdict::{Evidence, TransactionDetector};
 
 /// Axis labels in transaction order (the paper's CSV columns).
 pub const AXIS_LABELS: [&str; 4] = ["X", "Y", "Z", "E"];
@@ -22,17 +28,25 @@ pub const AXIS_LABELS: [&str; 4] = ["X", "Y", "Z", "E"];
 /// capture's end-of-print conclusion sample lines up against a periodic
 /// sample of the longer — on a short print two such wobbles would
 /// already exceed the paper's 1 % suspect fraction, so the floor sits
-/// just above them.
+/// just above them. It holds for every transaction verdict, the CLI's
+/// `detect` included.
 pub const SUSPECT_TRANSACTION_FLOOR: f64 = 2.8;
 
 /// The effective suspect-fraction threshold for a capture of `compared`
 /// transactions: the requested `base` fraction, floored so that fewer
 /// than [`SUSPECT_TRANSACTION_FLOOR`] mismatching transactions can
-/// never flag. Campaign judging and offline threshold-sweep analytics
-/// both go through this helper, so re-judged verdicts agree with the
-/// live ones at the same base threshold.
+/// never flag. Campaigns, offline threshold-sweep analytics and the
+/// CLI's `detect` all judge through it, so they agree.
 pub fn floored_suspect_fraction(base: f64, compared: usize) -> f64 {
     f64::max(base, SUSPECT_TRANSACTION_FLOOR / compared.max(1) as f64)
+}
+
+/// The suspect-fraction test: more than the floored share of the
+/// `compared` transactions mismatched. [`Evidence::alarmed_at`] adds the
+/// end-of-print totals check to it; the mid-print
+/// [`StreamingCompare::provisionally_suspected`] applies it alone.
+pub(crate) fn fraction_suspected(flagged: usize, compared: usize, base: f64) -> bool {
+    compared > 0 && flagged as f64 / compared as f64 > floored_suspect_fraction(base, compared)
 }
 
 /// Detector tuning.
@@ -46,7 +60,8 @@ pub struct DetectorConfig {
     /// raw golden count; we surface the stabilisation explicitly.)
     pub denominator_floor: i32,
     /// Fraction of mismatching transactions above which a Trojan is
-    /// suspected.
+    /// suspected, before the short-print floor
+    /// ([`floored_suspect_fraction`]) is applied.
     pub suspect_fraction: f64,
     /// Run the end-of-print 0 %-margin totals check.
     pub final_check: bool,
@@ -88,48 +103,31 @@ impl fmt::Display for Mismatch {
     }
 }
 
-/// Result of comparing a capture against the golden reference.
+/// A whole-print comparison for a reader: the transaction judge's
+/// [`Evidence`] plus the out-of-margin values behind it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionReport {
+    /// The verdict and its sufficient statistics (`peak` is the largest
+    /// percent difference found).
+    pub evidence: Evidence,
     /// All out-of-margin values, in order.
     pub mismatches: Vec<Mismatch>,
-    /// Largest percent difference found (0 if none).
-    pub largest_percent: f64,
-    /// Number of transactions compared (the shorter capture bounds it).
-    pub transactions_compared: usize,
-    /// Whether the end-of-print totals matched exactly (`None` when the
-    /// final check is disabled or either capture is empty).
-    pub final_totals_match: Option<bool>,
     /// Difference in capture lengths, in transactions.
     pub length_difference: usize,
-    /// The verdict.
-    pub trojan_suspected: bool,
 }
 
 impl DetectionReport {
-    /// Number of *transactions* with at least one out-of-margin axis
-    /// (each transaction counted once however many axes mismatched).
-    /// With [`DetectionReport::transactions_compared`] this is the raw
-    /// material for re-judging the verdict offline at any threshold —
-    /// threshold-sweep analytics never have to re-run the detector.
-    pub fn mismatched_transactions(&self) -> usize {
-        let mut idx: Vec<u64> = self.mismatches.iter().map(|m| m.index).collect();
-        idx.dedup();
-        idx.len()
-    }
-
-    /// Fraction of compared transactions with at least one mismatch.
-    pub fn mismatch_fraction(&self) -> f64 {
-        if self.transactions_compared == 0 {
-            return 0.0;
-        }
-        self.mismatched_transactions() as f64 / self.transactions_compared as f64
+    /// Whether the judge suspects a Trojan.
+    pub fn suspected(&self) -> bool {
+        self.evidence.alarmed == Some(true)
     }
 }
 
 impl fmt::Display for DetectionReport {
-    /// Formats like the paper's Figure 4(c) tool output.
+    /// Formats like the paper's Figure 4(c) tool output, plus the line
+    /// that says why the verdict fell the way it did.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ev = &self.evidence;
         let shown = self.mismatches.len().min(8);
         for m in &self.mismatches[..shown] {
             writeln!(f, "{m}")?;
@@ -137,33 +135,25 @@ impl fmt::Display for DetectionReport {
         if self.mismatches.len() > shown {
             writeln!(f, "... ({} more)", self.mismatches.len() - shown)?;
         }
-        writeln!(
-            f,
-            "Largest percent difference found: {:.2}%",
-            self.largest_percent
-        )?;
-        writeln!(
-            f,
-            "Number of transactions compared: {}",
-            self.transactions_compared
-        )?;
+        writeln!(f, "Largest percent difference found: {:.2}%", ev.peak)?;
+        writeln!(f, "Number of transactions compared: {}", ev.compared)?;
         writeln!(f, "Number of mismatches: {}", self.mismatches.len())?;
-        if let Some(ok) = self.final_totals_match {
+        if let Some(ok) = ev.final_totals_match {
+            let totals = if ok { "PASS" } else { "FAIL" };
+            writeln!(f, "Final totals check (0% margin): {totals}")?;
+        }
+        if let Some(bar) = ev.threshold.filter(|_| ev.compared > 0) {
+            let (flagged, compared, bar) = (ev.flagged, ev.compared, bar * 100.0);
             writeln!(
                 f,
-                "Final totals check (0% margin): {}",
-                if ok { "PASS" } else { "FAIL" }
+                "Mismatching transactions: {flagged} of {compared} (suspect above {bar:.2}%)"
             )?;
         }
-        write!(
-            f,
-            "{}",
-            if self.trojan_suspected {
-                "Trojan likely!"
-            } else {
-                "No Trojan suspected."
-            }
-        )
+        f.write_str(if self.suspected() {
+            "Trojan likely!"
+        } else {
+            "No Trojan suspected."
+        })
     }
 }
 
@@ -172,74 +162,19 @@ fn percent_diff(golden: i32, observed: i32, floor: i32) -> f64 {
     (f64::from(observed) - f64::from(golden)).abs() / denom * 100.0
 }
 
-/// Compares `observed` against `golden` (offline, whole-print analysis —
-/// the Python script of §V-C).
-///
-/// # Example
-///
-/// ```
-/// use offramps::{Capture, Transaction, detect};
-///
-/// let golden: Capture = (0..10).map(|i| Transaction {
-///     index: i, counts: [1_000 * i as i32, 0, 0, 0] }).collect();
-/// let clean = detect::compare(&golden, &golden, &detect::DetectorConfig::default());
-/// assert!(!clean.trojan_suspected);
-/// ```
-pub fn compare(golden: &Capture, observed: &Capture, config: &DetectorConfig) -> DetectionReport {
-    let n = golden.len().min(observed.len());
-    let mut mismatches = Vec::new();
-    let mut largest = 0.0_f64;
-    for i in 0..n {
-        let g = golden.transactions()[i];
-        let o = observed.transactions()[i];
-        for axis in 0..4 {
-            let pct = percent_diff(g.counts[axis], o.counts[axis], config.denominator_floor);
-            largest = largest.max(pct);
-            if pct > config.margin * 100.0 {
-                mismatches.push(Mismatch {
-                    index: g.index,
-                    axis,
-                    golden: g.counts[axis],
-                    observed: o.counts[axis],
-                    percent: pct,
-                });
-            }
-        }
-    }
-
-    let final_totals_match = if config.final_check {
-        match (golden.final_counts(), observed.final_counts()) {
-            (Some(g), Some(o)) => Some(g == o),
-            _ => None,
-        }
-    } else {
-        None
-    };
-
-    let mut report = DetectionReport {
-        mismatches,
-        largest_percent: largest,
-        transactions_compared: n,
-        final_totals_match,
-        length_difference: golden.len().abs_diff(observed.len()),
-        trojan_suspected: false,
-    };
-    report.trojan_suspected = report.mismatch_fraction() > config.suspect_fraction
-        || report.final_totals_match == Some(false);
-    report
-}
-
-/// Incremental form of [`compare`] for in-print analysis — "this
+/// The §V-C comparison, one observed transaction at a time — "this
 /// analysis can also be done in real-time while printing, enabling a
 /// user to halt a print as soon as a Trojan is suspected." Feed observed
 /// transactions as the capture grows, read the provisional alarm between
-/// windows, and [`StreamingCompare::finalize`] into the byte-identical
-/// [`DetectionReport`] the whole-print comparison produces.
+/// windows, and [`StreamingCompare::finalize`] into the
+/// [`DetectionReport`]. A whole-print comparison
+/// ([`TransactionDetector::report`]) is the same stream fed the whole
+/// capture.
 ///
-/// The provisional alarm applies the same [`floored_suspect_fraction`]
-/// rule the campaign judge applies at end-of-print, evaluated over the
-/// prefix seen so far — so the online and offline verdicts can never
-/// disagree once the whole print is fed.
+/// The provisional alarm applies the same suspect-fraction rule
+/// the final verdict applies, evaluated over the prefix seen so far —
+/// so the online and offline verdicts can never disagree once the whole
+/// print is fed.
 #[derive(Debug, Clone)]
 pub struct StreamingCompare<'g> {
     golden: &'g Capture,
@@ -265,10 +200,10 @@ impl<'g> StreamingCompare<'g> {
         }
     }
 
-    /// Feeds the next observed transaction (positional, like
-    /// [`compare`]: the i-th observed transaction is judged against the
-    /// i-th golden one; transactions past the golden print's end only
-    /// count toward the length difference).
+    /// Feeds the next observed transaction. The comparison is
+    /// positional: the i-th observed transaction is judged against the
+    /// i-th golden one, and transactions past the golden print's end
+    /// only count toward the length difference.
     pub fn feed(&mut self, t: &Transaction) {
         self.observed_len += 1;
         let Some(g) = self.golden.transactions().get(self.compared).copied() else {
@@ -309,56 +244,57 @@ impl<'g> StreamingCompare<'g> {
         self.mismatched_transactions
     }
 
-    /// Largest percent difference seen so far.
-    pub fn largest_percent(&self) -> f64 {
-        self.largest
-    }
-
-    /// The provisional mid-print alarm: the mismatch fraction over the
-    /// prefix seen so far, judged against the configured suspect
-    /// fraction floored for that prefix length (so fewer than
-    /// [`SUSPECT_TRANSACTION_FLOOR`] mismatching transactions can never
-    /// halt a print). The end-of-print totals check only lands at
+    /// The provisional mid-print alarm: the suspect-fraction test over the
+    /// prefix seen so far (so fewer than [`SUSPECT_TRANSACTION_FLOOR`]
+    /// mismatching transactions can never halt a print). The
+    /// end-of-print totals check only lands at
     /// [`StreamingCompare::finalize`].
     pub fn provisionally_suspected(&self) -> bool {
-        if self.compared == 0 {
-            return false;
-        }
-        self.mismatched_transactions as f64 / self.compared as f64
-            > floored_suspect_fraction(self.config.suspect_fraction, self.compared)
+        fraction_suspected(
+            self.mismatched_transactions,
+            self.compared,
+            self.config.suspect_fraction,
+        )
     }
 
     /// Closes the stream with the observed capture's end-of-print
-    /// totals (when recorded) and returns the report — byte-identical
-    /// to [`compare`] over the full captures.
+    /// totals (when recorded) and returns the report. Its evidence is
+    /// judged by [`Evidence::alarmed_at`] at the configured base
+    /// suspect fraction, floored at the full compared length.
     pub fn finalize(self, observed_final: Option<[i32; 4]>) -> DetectionReport {
-        let final_totals_match = if self.config.final_check {
-            match (self.golden.final_counts(), observed_final) {
-                (Some(g), Some(o)) => Some(g == o),
+        let base = self.config.suspect_fraction;
+        let mut evidence = Evidence {
+            detector: TransactionDetector::NAME.into(),
+            // Judged; the alarm itself is decided below.
+            alarmed: Some(false),
+            flagged: self.mismatched_transactions,
+            flagged_values: self.mismatches.len(),
+            compared: self.compared,
+            threshold: Some(floored_suspect_fraction(base, self.compared)),
+            peak: self.largest,
+            final_totals_match: match (self.golden.final_counts(), observed_final) {
+                (Some(g), Some(o)) if self.config.final_check => Some(g == o),
                 _ => None,
-            }
-        } else {
-            None
+            },
         };
-        let mut report = DetectionReport {
+        evidence.alarmed = evidence.alarmed_at(base);
+        DetectionReport {
+            evidence,
             mismatches: self.mismatches,
-            largest_percent: self.largest,
-            transactions_compared: self.compared,
-            final_totals_match,
             length_difference: self.golden.len().abs_diff(self.observed_len),
-            trojan_suspected: false,
-        };
-        report.trojan_suspected = report.mismatch_fraction() > self.config.suspect_fraction
-            || report.final_totals_match == Some(false);
-        report
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
+    //! The brute-force reference the streaming comparison is pinned
+    //! against (the whole-print loop of the paper's §V-C script, judged
+    //! with its own spelling of the floored rule), and capture fixtures.
     use super::*;
 
-    fn ramp(n: usize, scale: f64) -> Capture {
+    /// A capture whose Y and E columns scale with `scale`.
+    pub(crate) fn ramp(n: usize, scale: f64) -> Capture {
         (0..n)
             .map(|i| Transaction {
                 index: i as u64,
@@ -372,39 +308,102 @@ mod tests {
             .collect()
     }
 
+    /// `cap` with each transaction's counts rewritten by `f(position, counts)`.
+    pub(crate) fn map_counts(cap: &Capture, f: impl Fn(usize, [i32; 4]) -> [i32; 4]) -> Capture {
+        let txns = cap.transactions().iter().enumerate();
+        txns.map(|(i, t)| Transaction {
+            index: t.index,
+            counts: f(i, t.counts),
+        })
+        .collect()
+    }
+
+    pub(crate) fn compare(
+        golden: &Capture,
+        observed: &Capture,
+        config: &DetectorConfig,
+    ) -> DetectionReport {
+        let n = golden.len().min(observed.len());
+        let mut mismatches = Vec::new();
+        let mut largest = 0.0_f64;
+        for (g, o) in golden.transactions().iter().zip(observed.transactions()) {
+            for axis in 0..4 {
+                let (golden, observed) = (g.counts[axis], o.counts[axis]);
+                let percent = percent_diff(golden, observed, config.denominator_floor);
+                largest = largest.max(percent);
+                if percent > config.margin * 100.0 {
+                    let index = g.index;
+                    mismatches.push(Mismatch {
+                        index,
+                        axis,
+                        golden,
+                        observed,
+                        percent,
+                    });
+                }
+            }
+        }
+        let mut flagged: Vec<u64> = mismatches.iter().map(|m| m.index).collect();
+        flagged.dedup();
+        let final_totals_match = match (golden.final_counts(), observed.final_counts()) {
+            (Some(g), Some(o)) if config.final_check => Some(g == o),
+            _ => None,
+        };
+        let threshold = floored_suspect_fraction(config.suspect_fraction, n);
+        let alarmed =
+            flagged.len() as f64 / n.max(1) as f64 > threshold || final_totals_match == Some(false);
+        DetectionReport {
+            evidence: Evidence {
+                detector: "txn".into(),
+                alarmed: Some(alarmed),
+                flagged: flagged.len(),
+                flagged_values: mismatches.len(),
+                compared: n,
+                threshold: Some(threshold),
+                peak: largest,
+                final_totals_match,
+            },
+            mismatches,
+            length_difference: golden.len().abs_diff(observed.len()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{map_counts, ramp};
+    use super::*;
+
+    fn compare(golden: &Capture, observed: &Capture, config: &DetectorConfig) -> DetectionReport {
+        TransactionDetector { base: *config }.report(golden, observed)
+    }
+
+    fn window_only() -> DetectorConfig {
+        DetectorConfig {
+            final_check: false,
+            ..DetectorConfig::default()
+        }
+    }
+
     #[test]
     fn identical_captures_are_clean() {
         let g = ramp(100, 1.0);
         let r = compare(&g, &g.clone(), &DetectorConfig::default());
-        assert!(!r.trojan_suspected);
+        assert!(!r.suspected());
         assert_eq!(r.mismatches.len(), 0);
-        assert_eq!(r.transactions_compared, 100);
-        assert_eq!(r.final_totals_match, Some(true));
-        assert_eq!(r.mismatch_fraction(), 0.0);
+        assert_eq!(r.evidence.compared, 100);
+        assert_eq!(r.evidence.final_totals_match, Some(true));
+        assert_eq!(r.evidence.flagged_fraction(), 0.0);
     }
 
     #[test]
     fn small_drift_within_margin_is_clean() {
         let g = ramp(100, 1.0);
         // 2% drift on every value.
-        let o: Capture = g
-            .transactions()
-            .iter()
-            .map(|t| Transaction {
-                index: t.index,
-                counts: std::array::from_fn(|i| {
-                    let v = t.counts[i];
-                    v + (f64::from(v) * 0.02) as i32
-                }),
-            })
-            .collect();
-        let cfg = DetectorConfig {
-            final_check: false,
-            ..DetectorConfig::default()
-        };
-        let r = compare(&g, &o, &cfg);
-        assert!(!r.trojan_suspected, "{r}");
-        assert!(r.largest_percent < 5.0);
+        let o = map_counts(&g, |_, c| c.map(|v| v + (f64::from(v) * 0.02) as i32));
+        let r = compare(&g, &o, &window_only());
+        assert!(!r.suspected(), "{r}");
+        assert!(r.evidence.peak < 5.0);
     }
 
     #[test]
@@ -412,9 +411,9 @@ mod tests {
         let g = ramp(100, 1.0);
         let o = ramp(100, 0.5); // E halved
         let r = compare(&g, &o, &DetectorConfig::default());
-        assert!(r.trojan_suspected);
-        assert!(r.largest_percent > 40.0);
-        assert_eq!(r.final_totals_match, Some(false));
+        assert!(r.suspected());
+        assert!(r.evidence.peak > 40.0);
+        assert_eq!(r.evidence.final_totals_match, Some(false));
     }
 
     #[test]
@@ -423,62 +422,42 @@ mod tests {
         // but fails the 0% totals check — the paper's Test Case 4.
         let g = ramp(2_000, 1.0);
         let o = ramp(2_000, 0.98);
-        let cfg = DetectorConfig::default();
-        let r = compare(&g, &o, &cfg);
-        assert_eq!(r.final_totals_match, Some(false));
-        assert!(r.trojan_suspected, "final check must catch 2% reduction");
+        let r = compare(&g, &o, &DetectorConfig::default());
+        assert_eq!(r.evidence.final_totals_match, Some(false));
+        assert!(r.suspected(), "final check must catch 2% reduction");
     }
 
     #[test]
     fn denominator_floor_suppresses_near_zero_noise() {
-        let g: Capture = (0..100)
-            .map(|i| Transaction {
-                index: i,
-                counts: [0, 0, 0, 0],
-            })
-            .collect();
-        let o: Capture = (0..100)
-            .map(|i| Transaction {
-                index: i,
-                counts: [1, -1, 0, 1],
-            })
-            .collect();
-        let cfg = DetectorConfig {
-            final_check: false,
-            ..DetectorConfig::default()
-        };
-        let r = compare(&g, &o, &cfg);
-        assert!(!r.trojan_suspected, "1-step wobble near zero must not flag");
+        let g = map_counts(&ramp(100, 1.0), |_, _| [0; 4]);
+        let o = map_counts(&g, |_, _| [1, -1, 0, 1]);
+        let r = compare(&g, &o, &window_only());
+        assert!(!r.suspected(), "1-step wobble near zero must not flag");
     }
 
     #[test]
     fn report_display_matches_paper_format() {
         let g = ramp(50, 1.0);
         let o = ramp(50, 0.3);
-        let r = compare(&g, &o, &DetectorConfig::default());
-        let text = r.to_string();
+        let text = compare(&g, &o, &DetectorConfig::default()).to_string();
         assert!(text.contains("Largest percent difference found:"));
         assert!(text.contains("Number of transactions compared: 50"));
-        assert!(text.contains("Trojan likely!"));
+        // 2.8 transactions of 50 is the floored bar.
+        assert!(text.ends_with("50 of 50 (suspect above 5.60%)\nTrojan likely!"));
         assert!(text.contains("Index:"), "mismatch lines shown");
     }
 
     #[test]
     fn online_detector_alarms_mid_print() {
         let g = ramp(200, 1.0);
-        let mut det = StreamingCompare::new(&g, DetectorConfig::default());
         // First 30 match, then the attack begins. The floored rule needs
         // three mismatching transactions, so the alarm lands at i = 32.
-        for (i, t) in g.transactions().iter().enumerate() {
-            let observed = if i < 30 {
-                *t
-            } else {
-                Transaction {
-                    index: t.index,
-                    counts: [t.counts[0] / 2, t.counts[1], t.counts[2], t.counts[3]],
-                }
-            };
-            det.feed(&observed);
+        let o = map_counts(&g, |i, [x, y, z, e]| {
+            [if i < 30 { x } else { x / 2 }, y, z, e]
+        });
+        let mut det = StreamingCompare::new(&g, DetectorConfig::default());
+        for (i, t) in o.transactions().iter().enumerate() {
+            det.feed(t);
             if det.provisionally_suspected() {
                 assert!(i >= 30, "must not alarm before the attack");
                 assert!(i < 40, "must alarm quickly after the attack starts");
@@ -497,7 +476,7 @@ mod tests {
         }
         assert!(!det.provisionally_suspected());
         assert_eq!(det.compared(), 200);
-        assert_eq!(det.largest_percent(), 0.0);
+        assert_eq!(det.finalize(g.final_counts()).evidence.peak, 0.0);
     }
 
     #[test]
@@ -513,8 +492,9 @@ mod tests {
         assert_eq!(floored_suspect_fraction(0.01, 0), SUSPECT_TRANSACTION_FLOOR);
         // A 2-wobble run on a 70-transaction capture must sit under the
         // floored threshold; a 3-wobble run must sit over it.
-        assert!(2.0 / 70.0 <= floored_suspect_fraction(0.01, 70));
-        assert!(3.0 / 70.0 > floored_suspect_fraction(0.01, 70));
+        assert!(!fraction_suspected(2, 70, 0.01));
+        assert!(fraction_suspected(3, 70, 0.01));
+        assert!(!fraction_suspected(0, 0, 0.0));
     }
 
     #[test]
@@ -522,30 +502,25 @@ mod tests {
         let g = ramp(100, 1.0);
         let o = ramp(100, 0.5); // Y and E both off in every transaction
         let r = compare(&g, &o, &DetectorConfig::default());
-        assert!(r.mismatches.len() > r.mismatched_transactions());
-        assert_eq!(r.mismatched_transactions(), 100);
-        assert_eq!(r.mismatch_fraction(), 1.0);
+        assert!(r.mismatches.len() > r.evidence.flagged);
+        assert_eq!(r.evidence.flagged, 100);
+        assert_eq!(r.evidence.flagged_values, r.mismatches.len());
+        assert_eq!(r.evidence.flagged_fraction(), 1.0);
     }
 
     #[test]
     fn shorter_observed_capture_compares_prefix() {
         let g = ramp(100, 1.0);
         let o: Capture = g.transactions()[..60].iter().copied().collect();
-        let r = compare(
-            &g,
-            &o,
-            &DetectorConfig {
-                final_check: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.transactions_compared, 60);
+        let r = compare(&g, &o, &window_only());
+        assert_eq!(r.evidence.compared, 60);
         assert_eq!(r.length_difference, 40);
     }
 }
 
 #[cfg(test)]
 mod randomized_tests {
+    use super::reference::map_counts;
     use super::*;
     use offramps_des::DetRng;
 
@@ -566,11 +541,11 @@ mod randomized_tests {
         for seed in 0u64..64 {
             let mut rng = DetRng::from_seed(seed);
             let cap = random_capture(&mut rng, 60);
-            let rep = compare(&cap, &cap.clone(), &DetectorConfig::default());
-            assert!(!rep.trojan_suspected, "seed {seed}");
+            let rep = TransactionDetector::campaign().report(&cap, &cap.clone());
+            assert!(!rep.suspected(), "seed {seed}");
             assert_eq!(rep.mismatches.len(), 0, "seed {seed}");
-            assert_eq!(rep.largest_percent, 0.0, "seed {seed}");
-            assert_eq!(rep.final_totals_match, Some(true), "seed {seed}");
+            assert_eq!(rep.evidence.peak, 0.0, "seed {seed}");
+            assert_eq!(rep.evidence.final_totals_match, Some(true), "seed {seed}");
         }
     }
 
@@ -586,31 +561,20 @@ mod randomized_tests {
                     index: i as u64,
                     counts: std::array::from_fn(|_| {
                         let magnitude = rng.uniform_u64(1_001, 100_000) as i32;
-                        if rng.chance(0.5) {
-                            magnitude
-                        } else {
-                            -magnitude
-                        }
+                        magnitude * if rng.chance(0.5) { 1 } else { -1 }
                     }),
                 })
                 .collect();
-            let tampered: Capture = cap
-                .transactions()
-                .iter()
-                .map(|t| Transaction {
-                    index: t.index,
-                    counts: [t.counts[0] * 2, t.counts[1], t.counts[2], t.counts[3]],
-                })
-                .collect();
-            let rep = compare(&cap, &tampered, &DetectorConfig::default());
-            assert!(rep.trojan_suspected, "seed {seed}");
+            let tampered = map_counts(&cap, |_, [x, y, z, e]| [x * 2, y, z, e]);
+            let rep = TransactionDetector::campaign().report(&cap, &tampered);
+            assert!(rep.suspected(), "seed {seed}");
         }
     }
 
     /// Feeding any observed capture transaction-by-transaction and
-    /// finalizing reproduces the offline report byte-for-byte —
-    /// including mismatch order, largest percent, length difference and
-    /// the end-of-print totals check.
+    /// finalizing reproduces the brute-force whole-print report
+    /// byte-for-byte — including mismatch order, largest percent, length
+    /// difference, the end-of-print totals check and the verdict.
     #[test]
     fn streaming_compare_finalize_matches_offline_compare() {
         for seed in 0u64..64 {
@@ -618,7 +582,7 @@ mod randomized_tests {
             let cap = random_capture(&mut rng, 60);
             let observed = random_capture(&mut rng, 60);
             let cfg = DetectorConfig::default();
-            let offline = compare(&cap, &observed, &cfg);
+            let offline = reference::compare(&cap, &observed, &cfg);
             let mut stream = StreamingCompare::new(&cap, cfg);
             for t in observed.transactions() {
                 stream.feed(t);

@@ -56,7 +56,7 @@ use offramps_sidechannel::{
 };
 
 use crate::capture::{Capture, Transaction};
-use crate::detect::{self, DetectorConfig};
+use crate::detect::{self, DetectionReport, DetectorConfig};
 
 /// A named evidence stream. The observation plane is keyed by these:
 /// detectors declare which channels they consume, the harness
@@ -364,7 +364,7 @@ impl Evidence {
     pub fn alarmed_at(&self, base: f64) -> Option<bool> {
         self.alarmed?;
         Some(if self.detector == TransactionDetector::NAME {
-            self.flagged_fraction() > detect::floored_suspect_fraction(base, self.compared)
+            detect::fraction_suspected(self.flagged, self.compared, base)
                 || self.final_totals_match == Some(false)
         } else {
             offramps_sidechannel::suspect_anomaly_fraction(self.flagged, self.compared, base)
@@ -666,10 +666,12 @@ pub trait Detector: Send + Sync + fmt::Debug {
     }
 }
 
-/// The §V-C step-count judge behind the [`Detector`] API: the paper's
-/// windowed margin comparison with the campaign's short-print floor
+/// The §V-C step-count judge, and the only one: the paper's windowed
+/// margin comparison with the short-print floor
 /// ([`detect::floored_suspect_fraction`]) applied to the base suspect
-/// fraction.
+/// fraction. Campaigns judge through the [`Detector`] API; the CLI's
+/// `detect`, Table II and Figure 4 through
+/// [`TransactionDetector::report`].
 #[derive(Debug, Clone)]
 pub struct TransactionDetector {
     /// Base tuning; the suspect fraction is floored per capture length
@@ -686,6 +688,28 @@ impl TransactionDetector {
         TransactionDetector {
             base: DetectorConfig::default(),
         }
+    }
+
+    /// Judges a whole observed capture against the golden one, keeping
+    /// the out-of-margin values for display (the CLI's `detect`, Table II
+    /// and Figure 4). Its evidence is what [`Detector::judge`] returns.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use offramps::{Capture, Transaction, TransactionDetector};
+    ///
+    /// let golden: Capture = (0..10).map(|i| Transaction {
+    ///     index: i, counts: [1_000 * i as i32, 0, 0, 0] }).collect();
+    /// let clean = TransactionDetector::campaign().report(&golden, &golden);
+    /// assert!(!clean.suspected());
+    /// ```
+    pub fn report(&self, golden: &Capture, observed: &Capture) -> DetectionReport {
+        let mut stream = detect::StreamingCompare::new(golden, self.base);
+        for t in observed.transactions() {
+            stream.feed(t);
+        }
+        stream.finalize(observed.final_counts())
     }
 }
 
@@ -713,25 +737,20 @@ impl Detector for TransactionDetector {
     }
 
     fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
-        let inner = match (golden.capture(), observed.capture()) {
-            (Some(g), Some(o)) => StateInner::Txn {
-                stream: Some(detect::StreamingCompare::new(g, self.base)),
-                observed_final: o.final_counts(),
-            },
-            _ => StateInner::Txn {
-                stream: None,
-                observed_final: None,
-            },
-        };
-        StreamState { inner }
+        let stream = golden.capture().zip(observed.capture());
+        let stream = stream.map(|(g, o)| {
+            (
+                detect::StreamingCompare::new(g, self.base),
+                o.final_counts(),
+            )
+        });
+        StreamState {
+            inner: StateInner::Txn(stream),
+        }
     }
 
     fn judge_window(&self, state: &mut StreamState<'_>, window: WindowData<'_>) -> WindowEvidence {
-        let StateInner::Txn {
-            stream: Some(stream),
-            ..
-        } = &mut state.inner
-        else {
+        let StateInner::Txn(Some((stream, _))) = &mut state.inner else {
             return WindowEvidence::unjudged(self.name());
         };
         if let WindowData::Txn(txns) = window {
@@ -753,34 +772,10 @@ impl Detector for TransactionDetector {
     }
 
     fn finalize(&self, state: StreamState<'_>) -> Evidence {
-        let StateInner::Txn {
-            stream: Some(stream),
-            observed_final,
-        } = state.inner
-        else {
+        let StateInner::Txn(Some((stream, observed_final))) = state.inner else {
             return Evidence::unjudged(self.name());
         };
-        let report = stream.finalize(observed_final);
-        let mut evidence = Evidence {
-            detector: self.name().into(),
-            // Judged; the alarm itself is decided below.
-            alarmed: Some(false),
-            flagged: report.mismatched_transactions(),
-            flagged_values: report.mismatches.len(),
-            compared: report.transactions_compared,
-            // The suspect fraction is floored at the full compared
-            // length, as the campaign's short-print rule asks.
-            threshold: Some(detect::floored_suspect_fraction(
-                self.base.suspect_fraction,
-                report.transactions_compared,
-            )),
-            peak: report.largest_percent,
-            final_totals_match: report.final_totals_match,
-        };
-        // The offline re-judge's rule, so live and offline verdicts
-        // share one function.
-        evidence.alarmed = evidence.alarmed_at(self.base.suspect_fraction);
-        evidence
+        stream.finalize(observed_final).evidence
     }
 }
 
@@ -1188,14 +1183,10 @@ pub struct StreamState<'g> {
 
 #[derive(Debug)]
 enum StateInner<'g> {
-    /// Incremental §V-C step-count comparison. `stream` is `None` when
-    /// either capture is missing (the scenario finalizes unjudged);
-    /// `observed_final` holds the observed end-of-print totals, which
-    /// only land at finalize — exactly like the whole-print final check.
-    Txn {
-        stream: Option<detect::StreamingCompare<'g>>,
-        observed_final: Option<[i32; 4]>,
-    },
+    /// Incremental §V-C step-count comparison plus the observed
+    /// end-of-print totals, which only land at finalize; `None` when
+    /// either capture is missing (the scenario finalizes unjudged).
+    Txn(Option<(detect::StreamingCompare<'g>, Option<[i32; 4]>)>),
     /// Incremental sampled-channel comparison: `None` when the observed
     /// stream is absent or there is no golden material (the scenario
     /// finalizes unjudged).
@@ -1568,7 +1559,7 @@ impl<'a> OnlineMonitor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::Transaction;
+    use crate::detect::reference::{self, map_counts, ramp};
     use offramps_des::{SimDuration, Tick};
     use offramps_sidechannel::compare_sampled;
 
@@ -1577,20 +1568,6 @@ mod tests {
         SampledDetector::campaign(name).expect("a sampled detector name")
     }
     use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
-
-    fn ramp(n: usize, scale: f64) -> Capture {
-        (0..n)
-            .map(|i| Transaction {
-                index: i as u64,
-                counts: [
-                    (1_000.0 + 10.0 * i as f64) as i32,
-                    (2_000.0 * scale) as i32,
-                    100,
-                    (500.0 * scale * i as f64) as i32,
-                ],
-            })
-            .collect()
-    }
 
     fn capture_bundle(cap: Capture) -> EvidenceBundle {
         EvidenceBundle::from_capture(cap)
@@ -1612,26 +1589,28 @@ mod tests {
 
     #[test]
     fn transaction_detector_matches_campaign_judge() {
-        let golden = ramp(100, 1.0);
-        let observed = ramp(100, 0.5);
         let det = TransactionDetector::campaign();
-        let ev = det.judge(
-            &capture_bundle(golden.clone()),
-            &capture_bundle(observed.clone()),
-        );
-        let n = golden.len().min(observed.len());
-        let cfg = DetectorConfig {
-            suspect_fraction: detect::floored_suspect_fraction(0.01, n),
-            ..DetectorConfig::default()
+        let golden = ramp(100, 1.0);
+        // The first `k` transactions doubled on X: two such wobbles sit
+        // under the 100-transaction floor, three sit over it.
+        let wobbles = |k| {
+            map_counts(&golden, |i, [x, y, z, e]| {
+                [x * (1 + (i < k) as i32), y, z, e]
+            })
         };
-        let report = detect::compare(&golden, &observed, &cfg);
-        assert_eq!(ev.alarmed, Some(report.trojan_suspected));
-        assert_eq!(ev.flagged, report.mismatched_transactions());
-        assert_eq!(ev.flagged_values, report.mismatches.len());
-        assert_eq!(ev.compared, report.transactions_compared);
-        assert_eq!(ev.threshold, Some(cfg.suspect_fraction));
-        assert_eq!(ev.peak, report.largest_percent);
-        assert_eq!(ev.final_totals_match, report.final_totals_match);
+        for (observed, alarmed) in [
+            (golden.clone(), false),
+            (wobbles(2), false),
+            (wobbles(3), true),
+            (ramp(100, 0.5), true),
+            (ramp(60, 1.0), true),
+        ] {
+            let report = det.report(&golden, &observed);
+            assert_eq!(report, reference::compare(&golden, &observed, &det.base));
+            assert_eq!(report.suspected(), alarmed, "{report}");
+            let ev = det.judge(&capture_bundle(golden.clone()), &capture_bundle(observed));
+            assert_eq!(ev, report.evidence);
+        }
     }
 
     #[test]

@@ -20,5 +20,5 @@ fn main() {
     println!("(c) Output of the Trojan detection tool:");
     println!("{}", fig.report);
 
-    assert!(fig.report.trojan_suspected);
+    assert!(fig.report.suspected());
 }

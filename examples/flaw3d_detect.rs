@@ -15,7 +15,7 @@ fn main() {
     let rows = table2::regenerate(&program, 7);
     print!("{}", table2::format_table(&rows));
 
-    let detected = rows.iter().filter(|r| r.detected).count();
+    let detected = rows.iter().filter(|r| r.detected()).count();
     println!("\nDetected {detected}/8 (paper: 8/8).");
     if detected != rows.len() {
         std::process::exit(1);

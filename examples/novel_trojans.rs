@@ -7,7 +7,7 @@
 //! ```
 
 use offramps::trojans::{EndstopSpoofTrojan, ThermistorSpoofTrojan};
-use offramps::{detect, SignalPath, StreamingCompare, TestBench};
+use offramps::{detect, SignalPath, StreamingCompare, TestBench, TransactionDetector};
 use offramps_bench::workloads;
 use offramps_printer::quality::{PartReport, QualityConfig};
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // What exposes TX1 is the end-of-print 0 %-margin totals
             // check, which only lands when the stream is finalized.
             let report = guard.finalize(tx1_cap.final_counts());
-            let totals = match report.final_totals_match {
+            let totals = match report.evidence.final_totals_match {
                 Some(true) => "PASS",
                 Some(false) => "FAIL",
                 None => "not recorded",
@@ -82,19 +82,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "hotend peak:           {:.1} C (golden {:.1} C, commanded 215)",
         tx2.plant.hotend_peak_c, golden.plant.hotend_peak_c
     );
-    let det = detect::compare(
-        &golden_cap,
-        &tx2.capture.unwrap(),
-        &detect::DetectorConfig::default(),
-    );
+    let det = TransactionDetector::campaign().report(&golden_cap, &tx2.capture.unwrap());
     println!(
         "step-count detector:   {} (largest diff {:.2}%)",
-        if det.trojan_suspected {
+        if det.suspected() {
             "TROJAN SUSPECTED"
         } else {
             "sees nothing"
         },
-        det.largest_percent
+        det.evidence.peak
     );
     println!(
         "-> every firmware protection watched the spoofed value; the melt\n\

@@ -16,7 +16,7 @@
 //!    never co-locates its own Trojans with its own defense (§V-D).
 
 use offramps::trojans::FlowReductionTrojan;
-use offramps::{detect, SignalPath, TestBench};
+use offramps::{SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
 use offramps_gcode::ProgramStats;
@@ -62,17 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compromised = TestBench::new(3)
         .signal_path(SignalPath::capture())
         .run(&flaw3d_program)?;
-    let report = detect::compare(
+    let report = TransactionDetector::campaign().report(
         &golden_capture,
         &compromised.capture.expect("capture path records"),
-        &detect::DetectorConfig::default(),
     );
     println!("\n--- detection report (Flaw3D reduction x0.5) ---\n{report}");
 
     assert!(quality.flow_ratio < 0.7, "T2 must starve the part");
-    assert!(
-        report.trojan_suspected,
-        "the Flaw3D attack must be detected"
-    );
+    assert!(report.suspected(), "the Flaw3D attack must be detected");
     Ok(())
 }

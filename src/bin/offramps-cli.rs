@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use offramps::trojans;
-use offramps::{detect, Capture, FusionPolicy, SignalPath, TestBench};
+use offramps::{detect, Capture, FusionPolicy, SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
 use offramps_bench::benchreport;
@@ -494,13 +494,15 @@ fn cmd_detect(args: &[String]) -> Result<ExitCode, String> {
     }
     let golden = load(flags.positional[0])?;
     let observed = load(flags.positional[1])?;
-    let cfg = detect::DetectorConfig {
-        margin: margin / 100.0,
-        ..detect::DetectorConfig::default()
+    let judge = TransactionDetector {
+        base: detect::DetectorConfig {
+            margin: margin / 100.0,
+            ..detect::DetectorConfig::default()
+        },
     };
-    let report = detect::compare(&golden, &observed, &cfg);
+    let report = judge.report(&golden, &observed);
     println!("{report}");
-    Ok(if report.trojan_suspected {
+    Ok(if report.suspected() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

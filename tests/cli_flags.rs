@@ -160,3 +160,36 @@ fn help_prints_usage_without_running() {
         );
     }
 }
+
+/// `detect` exits with the campaign's verdict: a clean seed-6 reprint
+/// of the README part (2 of 199 transactions wobble, under the floor)
+/// exits 0, and the hardware Trojan `t1` exits 1.
+#[test]
+fn detect_exit_codes_follow_the_campaign_rule() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("detect_exit_codes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &str| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_offramps-cli"));
+        cmd.args(args.split(' '))
+            .current_dir(&dir)
+            .output()
+            .unwrap()
+    };
+    let part = run("slice --width 10 --depth 10 --height 1.5").stdout;
+    std::fs::write(dir.join("part.gcode"), part).unwrap();
+    for print in [
+        "1 --capture g.csv",
+        "6 --capture r.csv",
+        "3 --trojan t1 --capture a.csv",
+    ] {
+        let code = run(&format!("print part.gcode --seed {print}"))
+            .status
+            .code();
+        assert_eq!(code, Some(0), "{print}");
+    }
+    for (observed, code) in [("r.csv", 0), ("a.csv", 1)] {
+        let out = run(&format!("detect g.csv {observed}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{observed}:\n{stdout}");
+    }
+}

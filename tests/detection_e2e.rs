@@ -1,22 +1,22 @@
 //! End-to-end detection tests (§V): golden stability, Flaw3D detection,
-//! online abort, golden-from-simulation, and the paper's stated
-//! limitation for heater Trojans.
+//! online abort, golden-from-simulation, the paper's stated limitation
+//! for heater Trojans, and one verdict rule for `detect` and campaigns.
 
-use offramps::trojans::{HeaterDosTrojan, ThermalRunawayTrojan};
-use offramps::{detect, Capture, SignalPath, StreamingCompare, TestBench};
+use offramps::trojans::{self, HeaterDosTrojan, ThermalRunawayTrojan};
+use offramps::{
+    detect, Capture, DetectionReport, Detector, EvidenceBundle, SignalPath, StreamingCompare,
+    TestBench, TransactionDetector,
+};
 use offramps_attacks::Flaw3dTrojan;
+use offramps_bench::table2::capture_print;
 use offramps_bench::workloads;
 use offramps_firmware::FirmwareConfig;
-use offramps_gcode::Program;
+use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
 use std::sync::Arc;
 
-fn capture_run(program: &Arc<Program>, seed: u64) -> Capture {
-    TestBench::new(seed)
-        .signal_path(SignalPath::capture())
-        .run(program)
-        .unwrap()
-        .capture
-        .unwrap()
+/// The §V-C judge at the paper's tuning, as `detect` runs it.
+fn compare(golden: &Capture, observed: &Capture) -> DetectionReport {
+    TransactionDetector::campaign().report(golden, observed)
 }
 
 /// Known-good prints under different time-noise seeds never flag — the
@@ -31,17 +31,17 @@ fn capture_run(program: &Arc<Program>, seed: u64) -> Capture {
 #[test]
 fn golden_reprints_are_clean() {
     let program = workloads::standard_part();
-    let golden = capture_run(&program, 100);
+    let golden = capture_print(&program, 100);
     for seed in [101, 102, 103, 105] {
-        let observed = capture_run(&program, seed);
-        let rep = detect::compare(&golden, &observed, &detect::DetectorConfig::default());
-        assert!(!rep.trojan_suspected, "seed {seed} false positive:\n{rep}");
+        let observed = capture_print(&program, seed);
+        let rep = compare(&golden, &observed);
+        assert!(!rep.suspected(), "seed {seed} false positive:\n{rep}");
         assert!(
-            rep.largest_percent < 5.0,
+            rep.evidence.peak < 5.0,
             "seed {seed} drifted {:.2}% (paper: always < 5%)",
-            rep.largest_percent
+            rep.evidence.peak
         );
-        assert_eq!(rep.final_totals_match, Some(true));
+        assert_eq!(rep.evidence.final_totals_match, Some(true));
     }
 }
 
@@ -50,13 +50,13 @@ fn golden_reprints_are_clean() {
 #[test]
 fn reduction_detected_both_ways() {
     let program = workloads::standard_part();
-    let golden = capture_run(&program, 110);
+    let golden = capture_print(&program, 110);
     let attacked = Arc::new(Flaw3dTrojan::Reduction { factor: 0.5 }.apply(&program));
-    let observed = capture_run(&attacked, 111);
-    let rep = detect::compare(&golden, &observed, &detect::DetectorConfig::default());
-    assert!(rep.trojan_suspected);
+    let observed = capture_print(&attacked, 111);
+    let rep = compare(&golden, &observed);
+    assert!(rep.suspected());
     assert!(rep.mismatches.len() > 10);
-    assert_eq!(rep.final_totals_match, Some(false));
+    assert_eq!(rep.evidence.final_totals_match, Some(false));
 }
 
 /// The stealthy 2 % reduction (paper Test Case 4) slips through the 5 %
@@ -65,12 +65,16 @@ fn reduction_detected_both_ways() {
 #[test]
 fn stealthy_reduction_caught_by_final_check() {
     let program = workloads::standard_part();
-    let golden = capture_run(&program, 120);
+    let golden = capture_print(&program, 120);
     let attacked = Arc::new(Flaw3dTrojan::Reduction { factor: 0.98 }.apply(&program));
-    let observed = capture_run(&attacked, 121);
-    let rep = detect::compare(&golden, &observed, &detect::DetectorConfig::default());
-    assert_eq!(rep.final_totals_match, Some(false), "E totals must differ");
-    assert!(rep.trojan_suspected);
+    let observed = capture_print(&attacked, 121);
+    let rep = compare(&golden, &observed);
+    assert_eq!(
+        rep.evidence.final_totals_match,
+        Some(false),
+        "E totals must differ"
+    );
+    assert!(rep.suspected());
 }
 
 /// Relocation preserves totals (the final check passes!) yet the
@@ -78,16 +82,16 @@ fn stealthy_reduction_caught_by_final_check() {
 #[test]
 fn relocation_beats_final_check_but_not_windows() {
     let program = workloads::detection_part();
-    let golden = capture_run(&program, 130);
+    let golden = capture_print(&program, 130);
     let attacked = Arc::new(Flaw3dTrojan::Relocation { every_n: 20 }.apply(&program));
-    let observed = capture_run(&attacked, 131);
-    let rep = detect::compare(&golden, &observed, &detect::DetectorConfig::default());
+    let observed = capture_print(&attacked, 131);
+    let rep = compare(&golden, &observed);
     assert_eq!(
-        rep.final_totals_match,
+        rep.evidence.final_totals_match,
         Some(true),
         "relocation conserves material"
     );
-    assert!(rep.trojan_suspected, "windowed detection must fire:\n{rep}");
+    assert!(rep.suspected(), "windowed detection must fire:\n{rep}");
 }
 
 /// "(the golden model) can come from simulation" (§VII): a capture from
@@ -105,14 +109,14 @@ fn golden_from_simulation_works() {
         .capture
         .unwrap();
     // A clean "physical" print with time noise: no false positive.
-    let clean = capture_run(&program, 140);
-    let rep = detect::compare(&sim_golden, &clean, &detect::DetectorConfig::default());
-    assert!(!rep.trojan_suspected, "clean print flagged:\n{rep}");
+    let clean = capture_print(&program, 140);
+    let rep = compare(&sim_golden, &clean);
+    assert!(!rep.suspected(), "clean print flagged:\n{rep}");
     // A Trojaned print: detected.
     let attacked = Arc::new(Flaw3dTrojan::Reduction { factor: 0.85 }.apply(&program));
-    let bad = capture_run(&attacked, 141);
-    let rep = detect::compare(&sim_golden, &bad, &detect::DetectorConfig::default());
-    assert!(rep.trojan_suspected);
+    let bad = capture_print(&attacked, 141);
+    let rep = compare(&sim_golden, &bad);
+    assert!(rep.suspected());
 }
 
 /// Real-time analysis: the online detector alarms mid-print, long
@@ -120,9 +124,9 @@ fn golden_from_simulation_works() {
 #[test]
 fn online_detector_aborts_early() {
     let program = workloads::standard_part();
-    let golden = capture_run(&program, 150);
+    let golden = capture_print(&program, 150);
     let attacked = Arc::new(Flaw3dTrojan::Reduction { factor: 0.5 }.apply(&program));
-    let observed = capture_run(&attacked, 151);
+    let observed = capture_print(&attacked, 151);
 
     let mut det = StreamingCompare::new(&golden, detect::DetectorConfig::default());
     let total = observed.len();
@@ -148,7 +152,7 @@ fn online_detector_aborts_early() {
 #[test]
 fn heater_trojans_invisible_to_step_detector() {
     let program = workloads::mini_part();
-    let golden = capture_run(&program, 160);
+    let golden = capture_print(&program, 160);
 
     // T7 (forced heating): motion proceeds normally, so step counts are
     // clean even though the hotend is cooking.
@@ -159,13 +163,9 @@ fn heater_trojans_invisible_to_step_detector() {
         .run(&program)
         .unwrap();
     // Same seed: identical motion timing. (T7 does not alter motion.)
-    let rep = detect::compare(
-        &golden,
-        &t7.capture.unwrap(),
-        &detect::DetectorConfig::default(),
-    );
+    let rep = compare(&golden, &t7.capture.unwrap());
     assert!(
-        !rep.trojan_suspected,
+        !rep.suspected(),
         "step detector should NOT see T7 (paper limitation):\n{rep}"
     );
     assert!(
@@ -191,12 +191,56 @@ fn heater_trojans_invisible_to_step_detector() {
     );
 }
 
+/// The README quickstart part: clean reprints read the way a campaign
+/// reads them. Against a seed-1 golden, seeds 6, 8, 10, 11 and 13 each
+/// wobble on 2 of 199 transactions, under the 2.8-transaction floor;
+/// seed 2 wobbles on 3 and stays flagged under either rule. The
+/// hardware Trojan `t1` and a Flaw3D x0.5 reduction are still caught.
+#[test]
+fn quickstart_reprints_judge_like_a_campaign() {
+    let program = Arc::new(slice(
+        &Solid::rect_prism(10.0, 10.0, 1.5),
+        &SlicerConfig::fast(),
+    ));
+    let golden = capture_print(&program, 1);
+    let judge = TransactionDetector::campaign();
+    let golden_bundle = EvidenceBundle::from_capture(golden.clone());
+    for seed in 2..=13 {
+        let observed = capture_print(&program, seed);
+        let rep = judge.report(&golden, &observed);
+        let campaign = judge.judge(&golden_bundle, &EvidenceBundle::from_capture(observed));
+        assert_eq!(
+            Some(rep.suspected()),
+            campaign.alarmed,
+            "seed {seed}:\n{rep}"
+        );
+        if [6, 8, 10, 11, 13].contains(&seed) {
+            let text = rep.to_string();
+            assert!(
+                text.ends_with("2 of 199 (suspect above 1.41%)\nNo Trojan suspected."),
+                "seed {seed} false positive:\n{text}"
+            );
+        }
+    }
+
+    let t1 = TestBench::new(3)
+        .signal_path(SignalPath::capture())
+        .with_trojan(trojans::by_name("t1").unwrap())
+        .run(&program)
+        .unwrap();
+    let rep = compare(&golden, &t1.capture.unwrap());
+    assert!(rep.suspected(), "t1 missed:\n{rep}");
+    let reduced = Arc::new(Flaw3dTrojan::Reduction { factor: 0.5 }.apply(&program));
+    let rep = compare(&golden, &capture_print(&reduced, 3));
+    assert!(rep.suspected(), "Flaw3D x0.5 missed:\n{rep}");
+}
+
 /// Capture files round-trip through the paper's CSV format even for
 /// real prints.
 #[test]
 fn capture_csv_round_trip_full_print() {
     let program = workloads::mini_part();
-    let cap = capture_run(&program, 170);
+    let cap = capture_print(&program, 170);
     let csv = cap.to_csv();
     let back = Capture::from_csv(csv.as_bytes()).unwrap();
     assert_eq!(cap.transactions(), back.transactions());
