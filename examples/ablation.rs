@@ -1,4 +1,4 @@
-//! Ablation studies on the detector design choices DESIGN.md calls out:
+//! Ablations of the transaction detector's design choices:
 //!
 //! * margin sweep — why the paper settled on 5 %,
 //! * export-period sweep — the paper's claim that "this 5% margin of
@@ -6,8 +6,10 @@
 //!   protocol",
 //! * stealth frontier — which reduction factors the windowed check alone
 //!   can see, and why the 0 %-margin final check earns its place.
-
-use criterion::{Criterion, SamplingMode};
+//!
+//! ```bash
+//! cargo run --release --example ablation
+//! ```
 
 use offramps::{detect, SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
@@ -117,37 +119,9 @@ fn stealth_frontier() {
     println!();
 }
 
-fn benches(c: &mut Criterion) {
-    // The ablations above are analyses; keep one timing datum: how fast
-    // a full margin-sweep analysis runs on captured data.
-    let program = workloads::mini_part();
-    let golden = table2::capture_print(&program, 71);
-    let mut group = c.benchmark_group("ablation");
-    group.sampling_mode(SamplingMode::Flat).sample_size(20);
-    group.bench_function("six_margin_compares", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for pct in [1.0_f64, 2.0, 3.0, 5.0, 7.0, 10.0] {
-                let judge = TransactionDetector {
-                    base: detect::DetectorConfig {
-                        margin: pct / 100.0,
-                        ..detect::DetectorConfig::default()
-                    },
-                };
-                total += judge.report(&golden, &golden).mismatches.len();
-            }
-            total
-        })
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n================ ABLATIONS ================");
     margin_sweep();
     period_sweep();
     stealth_frontier();
-    let mut c = Criterion::default().configure_from_args();
-    benches(&mut c);
-    c.final_summary();
 }

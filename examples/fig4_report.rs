@@ -1,13 +1,15 @@
 //! Figure 4: golden vs Trojaned capture excerpts and the detection
-//! tool's output, in the paper's format.
+//! tool's output, in the paper's format. Writes both captures
+//! (`fig4_golden.csv`, `fig4_trojaned.csv`) and the report
+//! (`fig4_report.json`) to `target/experiments/`.
 //!
 //! ```bash
 //! cargo run --release --example fig4_report
 //! ```
 
-use offramps_bench::{fig4, workloads};
+use offramps_bench::{fig4, json, workloads, write_experiment};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Regenerating Figure 4 (relocation every 20 movements)...\n");
     let program = workloads::detection_part();
     let fig = fig4::regenerate(&program, 11);
@@ -19,6 +21,10 @@ fn main() {
     println!("{trojaned}");
     println!("(c) Output of the Trojan detection tool:");
     println!("{}", fig.report);
+    write_experiment("fig4_golden.csv", &fig.golden.to_csv())?;
+    write_experiment("fig4_trojaned.csv", &fig.trojaned.to_csv())?;
+    write_experiment("fig4_report.json", &json::to_string_pretty(&fig.report))?;
 
     assert!(fig.report.suspected());
+    Ok(())
 }

@@ -1,17 +1,19 @@
 //! Table I gallery: run all nine Trojans (plus the golden T0) and print
 //! the measured effect of each — the simulation's version of the paper's
-//! part photographs.
+//! part photographs. Writes `target/experiments/table1.json` and exits 1
+//! if any row no longer matches the paper.
 //!
 //! ```bash
 //! cargo run --release --example trojan_gallery
 //! ```
 
-use offramps_bench::table1;
+use offramps_bench::{json, table1, write_experiment};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Regenerating Table I (this runs 11 full print simulations)...\n");
     let rows = table1::regenerate(42);
     print!("{}", table1::format_table(&rows));
+    write_experiment("table1.json", &json::to_string_pretty(&rows))?;
 
     let mismatched: Vec<&str> = rows
         .iter()
@@ -27,4 +29,5 @@ fn main() {
         println!("\nWARNING: rows not matching the paper: {mismatched:?}");
         std::process::exit(1);
     }
+    Ok(())
 }

@@ -27,7 +27,6 @@ use offramps::trojans;
 use offramps::{detect, Capture, FusionPolicy, SignalPath, TestBench, TransactionDetector};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
-use offramps_bench::benchreport;
 use offramps_bench::cache::{record_scan_metrics, store_observations};
 use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
@@ -49,7 +48,6 @@ USAGE:
   offramps-cli stats    <file.gcode>
   offramps-cli campaign ...   (offramps-cli campaign --help)
   offramps-cli analytics ...  (offramps-cli analytics --help)
-  offramps-cli bench ...      (offramps-cli bench --help)
 ";
 
 const CAMPAIGN_USAGE: &str = "\
@@ -163,28 +161,12 @@ campaign@1 provenance records. --metrics renders the store's scan
 health as a deterministic metrics document.
 ";
 
-const BENCH_USAGE: &str = "\
-USAGE:
-  offramps-cli bench [--threads N] [--reps K] [--json BENCH_campaign.json]
-
-The bench subcommand runs the pinned sweep (mini + 4 corpus workloads,
-33 sweep attacks, seed 42) --reps times at one thread and, when N > 1,
---reps times at --threads N, interleaved, and writes the benchmark
-trajectory: a recorded pre-batch baseline entry plus one measured entry
-per thread count, with median wall clock, events/sec, and the
-one-thread speedup over the baseline. Scenario and event counts are
-deterministic and validated against their pinned values — the report
-refuses to absorb a behaviour change. --threads 0 (or omitting it) uses
-one worker per available CPU; --json defaults to printing only.
-";
-
 /// The usage text for `cmd` — its own block for the subcommands that
 /// have one, the overview otherwise.
 fn usage_for(cmd: Option<&str>) -> &'static str {
     match cmd {
         Some("campaign") => CAMPAIGN_USAGE,
         Some("analytics") => ANALYTICS_USAGE,
-        Some("bench") => BENCH_USAGE,
         _ => USAGE,
     }
 }
@@ -260,12 +242,6 @@ const ANALYTICS_FLAGS: FlagTable = &[
     ("--cache", Arity::Value),
     ("--json", Arity::Value),
     ("--metrics", Arity::Inline),
-];
-
-const BENCH_FLAGS: FlagTable = &[
-    ("--threads", Arity::Value),
-    ("--reps", Arity::Value),
-    ("--json", Arity::Value),
 ];
 
 /// A subcommand's arguments, validated against its [`FlagTable`]: its
@@ -367,25 +343,27 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
+    // The name is checked before `--help`, so a retired or misspelled
+    // subcommand exits 2 even when asked for its usage.
+    let subcommand: fn(&[String]) -> Result<ExitCode, String> = match cmd.as_str() {
+        "slice" => cmd_slice,
+        "print" => cmd_print,
+        "attack" => cmd_attack,
+        "detect" => cmd_detect,
+        "stats" => cmd_stats,
+        "campaign" => cmd_campaign,
+        "analytics" => cmd_analytics,
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            return Ok(ExitCode::SUCCESS);
+        }
+        other => return Err(format!("unknown subcommand {other:?}")),
+    };
     if args[1..].iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", usage_for(Some(cmd)));
         return Ok(ExitCode::SUCCESS);
     }
-    match cmd.as_str() {
-        "slice" => cmd_slice(&args[1..]),
-        "print" => cmd_print(&args[1..]),
-        "attack" => cmd_attack(&args[1..]),
-        "detect" => cmd_detect(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "analytics" => cmd_analytics(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
-    }
+    subcommand(&args[1..])
 }
 
 fn cmd_slice(args: &[String]) -> Result<ExitCode, String> {
@@ -736,42 +714,6 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         std::fs::write(path, report.timing_json(&obs))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("timings written: {path}");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &[], BENCH_FLAGS)?;
-    let threads = resolve_threads(&flags)?;
-    let reps = (flags.u64_or("--reps", 3)? as usize).max(1);
-    let report = benchreport::run_bench(threads, reps)?;
-    for entry in &report.entries {
-        println!(
-            "{:<9} {:<55} threads: {:<3} wall: {:>6} {}  throughput: {:.0} events/s",
-            entry.name,
-            entry.engine,
-            entry.threads,
-            format!("{:.2}s", entry.wall_s),
-            if entry.recorded {
-                "(recorded)"
-            } else {
-                "(median)  "
-            },
-            entry.events_per_sec,
-        );
-    }
-    println!(
-        "pinned sweep: {} scenarios, {} events   threads: {}   reps: {}",
-        report.scenarios, report.events, report.threads, reps
-    );
-    println!(
-        "speedup vs baseline (1 thread): {:.2}x wall, {:.2}x throughput",
-        report.speedup_wall, report.speedup_throughput
-    );
-    if let Some(path) = flags.value("--json") {
-        use offramps_bench::json::ToJson;
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trajectory written: {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

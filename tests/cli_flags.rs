@@ -66,11 +66,6 @@ fn misspelled_duplicate_and_valueless_flags_are_rejected() {
         "unknown flag",
         "offramps-cli analytics --cache DIR",
     );
-    assert_rejected(
-        &["bench", "--reps"],
-        "--reps needs a value",
-        "offramps-cli bench [--threads N]",
-    );
     // The single-print subcommands parse declared tables too: a typo no
     // longer slices the default part, and a value-less flag no longer
     // runs clean.
@@ -146,7 +141,6 @@ fn declared_forms_are_accepted() {
 #[test]
 fn help_prints_usage_without_running() {
     for (cmd, usage) in [
-        ("bench", "offramps-cli bench [--threads N]"),
         ("campaign", "offramps-cli campaign [--threads N]"),
         ("analytics", "offramps-cli analytics --cache DIR"),
     ] {
@@ -154,9 +148,25 @@ fn help_prints_usage_without_running() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{cmd}");
         assert!(stdout.contains(usage), "{cmd}: {stdout}");
-        assert!(
-            !stdout.contains("pinned sweep:"),
-            "{cmd} --help ran the bench"
+        assert!(!stdout.contains("runs:"), "{cmd} --help ran the campaign");
+    }
+}
+
+/// The retired `bench` subcommand and a misspelled one are unknown,
+/// with or without `--help`: the name is checked before the usage is
+/// printed.
+#[test]
+fn unknown_subcommands_are_rejected_even_with_help() {
+    for args in [
+        &["bench"][..],
+        &["bench", "--reps", "1"],
+        &["bench", "--help"],
+        &["frobnicate", "--help"],
+    ] {
+        assert_rejected(
+            args,
+            "unknown subcommand",
+            "offramps-cli slice    [--width MM]",
         );
     }
 }

@@ -2,7 +2,7 @@
 
 use offramps::trojans::FlowReductionTrojan;
 use offramps::{SignalPath, TestBench};
-use offramps_bench::workloads;
+use offramps_bench::{overhead, workloads};
 use offramps_firmware::FwState;
 use offramps_printer::quality::{PartReport, QualityConfig};
 
@@ -71,6 +71,19 @@ fn capture_path_is_side_effect_free() {
     assert!((rep.flow_ratio - 1.0).abs() < 1e-9);
     // And the capture actually contains data.
     assert!(capture.capture.unwrap().len() > 3);
+}
+
+/// §V-B: the interceptor adds at most the paper's 12.923 ns per edge,
+/// the control signals stay below 20 kHz with pulses of at least 1 µs,
+/// and the capture path leaves the part unchanged.
+#[test]
+fn overhead_stays_within_the_paper_bounds() {
+    let report = overhead::regenerate(&workloads::mini_part(), 21);
+    assert!(report.pipeline_delay_ns <= 13, "{report:?}");
+    assert!(report.max_signal_frequency_hz < 20_000.0, "{report:?}");
+    assert!(report.min_pulse_width_ns >= 1_000, "{report:?}");
+    assert_eq!(report.capture_vs_bypass_flow_ratio, 1.0, "{report:?}");
+    assert_eq!(report.capture_vs_bypass_shifted_layers, 0, "{report:?}");
 }
 
 /// An armed Trojan on a bypass-jumpered board does nothing (the mux is

@@ -1,5 +1,5 @@
-// D2 positive: host wall-clock and parallelism reads outside the
-// timing allowlist.
+// D2 positive: host wall-clock and parallelism reads with no
+// allow(D2) justification.
 use std::time::{Instant, SystemTime};
 
 fn wall_ms() -> u128 {

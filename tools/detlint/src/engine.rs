@@ -17,12 +17,6 @@ const ARTIFACT_MARKERS: &[&str] = &[
     "crates/sidechannel/",
 ];
 
-/// Modules allowed to read host time and parallelism (rule D2): the
-/// bench-report module that measures and records wall-clock
-/// trajectories by design. Everything else justifies each site with
-/// `allow(D2)` or routes through these.
-const TIMING_ALLOWLIST: &[&str] = &["crates/bench/src/benchreport.rs"];
-
 /// Directory names never descended into: generated output, dynamic
 /// test pins (the dynamic layer this tool complements — test code
 /// Debug-prints and times things legitimately), and bench harnesses.
@@ -37,11 +31,9 @@ pub fn ctx_for_path(path: &str) -> FileCtx {
         || (!p.contains("crates/") && (p.starts_with("src/") || p.contains("/src/")))
         // Fixtures exercise the artifact-crate rule set by default.
         || p.contains("fixtures/");
-    let timing_allowlisted = TIMING_ALLOWLIST.iter().any(|m| p.contains(m));
     FileCtx {
         display: path.to_string(),
         artifact,
-        timing_allowlisted,
     }
 }
 

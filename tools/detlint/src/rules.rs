@@ -9,7 +9,7 @@
 //! | rule | hazard |
 //! |------|--------|
 //! | `D1` | unordered `HashMap`/`HashSet` traversal (or Debug-format) in artifact-producing crates |
-//! | `D2` | wall-clock / host-parallelism reads outside the timing-sidecar and bench-report modules |
+//! | `D2` | wall-clock / host-parallelism reads not justified with `allow(D2)` |
 //! | `D3` | raw `{:?}` or float `{}` formatting inside JSON/artifact-emitting functions |
 //! | `D4` | `SimComponent` callbacks bypassing the `ActionSink` write-phase discipline |
 //! | `D5` | metrics-name hygiene: canonical lowercase dotted names, one kind + one class per name |
@@ -48,7 +48,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D2",
         summary: "Instant::now/SystemTime/available_parallelism outside timing-sidecar/bench-report modules",
-        hint: "host time is execution-class: keep it in the --timing-json sidecar or benchreport, or justify with allow(D2)",
+        hint: "host time is execution-class: keep it in the --timing-json sidecar, or justify with allow(D2)",
     },
     RuleInfo {
         id: "D3",
@@ -101,9 +101,6 @@ pub struct FileCtx {
     /// In an artifact-producing crate (core/bench/store/obs/
     /// sidechannel or the umbrella src/)? Gates D1 and D3.
     pub artifact: bool,
-    /// In a module allowed to read host time (timing sidecar,
-    /// bench-report)? Gates D2.
-    pub timing_allowlisted: bool,
 }
 
 /// Cross-file metric registration table for D5. One table spans the
@@ -213,9 +210,7 @@ impl<'a> Analysis<'a> {
             self.rule_d1(&mut out);
             self.rule_d3(&mut out);
         }
-        if !self.ctx.timing_allowlisted {
-            self.rule_d2(&mut out);
-        }
+        self.rule_d2(&mut out);
         self.rule_d4(&mut out);
         self.rule_d5(metrics, &mut out);
         out.sort_by_key(|f| (f.line, f.rule));
@@ -403,9 +398,7 @@ impl<'a> Analysis<'a> {
                 out.push(self.finding(
                     tok.line,
                     "D2",
-                    format!(
-                        "`{callee}` reads host execution state outside a timing-allowlisted module"
-                    ),
+                    format!("`{callee}` reads host execution state"),
                 ));
             }
         }

@@ -31,7 +31,6 @@ fn lint_fixture(path: &Path) -> Vec<Finding> {
     let ctx = FileCtx {
         display: path.file_name().unwrap().to_string_lossy().into_owned(),
         artifact: true,
-        timing_allowlisted: false,
     };
     let mut metrics = MetricsTable::default();
     lint_source(&src, &ctx, &mut metrics)
