@@ -106,18 +106,6 @@ impl ExecState {
         }
         ((self.x - ox).powi(2) + (self.y - oy).powi(2)).sqrt()
     }
-
-    /// Rewrites a move's E word so it produces `new_delta` instead of
-    /// its original delta, respecting the current mode. Call **before**
-    /// `apply_move` on the original values.
-    #[cfg(test)]
-    pub(crate) fn rewrite_e(&self, new_delta: f64) -> f64 {
-        if self.e_absolute {
-            self.e + new_delta
-        } else {
-            new_delta
-        }
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +119,6 @@ mod tests {
             ..ExecState::default()
         };
         assert_eq!(s.move_e_delta(Some(7.0)), 2.0);
-        assert_eq!(s.rewrite_e(1.0), 6.0);
         s.apply_move(None, None, None, Some(7.0));
         assert_eq!(s.e, 7.0);
     }
@@ -144,7 +131,6 @@ mod tests {
             ..ExecState::default()
         };
         assert_eq!(s.move_e_delta(Some(2.0)), 2.0);
-        assert_eq!(s.rewrite_e(1.0), 1.0);
         s.apply_move(None, None, None, Some(2.0));
         assert_eq!(s.e, 7.0);
     }

@@ -3,26 +3,18 @@
 //! The paper's detection evaluation (§V-D, Table II) re-creates the
 //! Flaw3D \[14\] bootloader Trojans "using a Python script which modifies
 //! given g-code in the same way the malicious bootloader does". This
-//! crate is that script — plus two more attack families from the paper's
-//! related-work discussion, useful for exercising the detector beyond
-//! Table II:
+//! crate is that script: [`flaw3d`] — extrusion **reduction** (factor
+//! 0.5 / 0.85 / 0.9 / 0.98) and filament **relocation** (every 5 / 10 /
+//! 20 / 100 moves).
 //!
-//! * [`flaw3d`] — extrusion **reduction** (factor 0.5 / 0.85 / 0.9 /
-//!   0.98) and filament **relocation** (every 5 / 10 / 20 / 100 moves),
-//! * [`void`] — dr0wned-style internal void insertion \[11\],
-//! * [`firmware_mod`] — Moore-et-al-style malicious firmware command
-//!   scaling \[12\].
-//!
-//! All transformers are pure `Program → Program` functions: apply them
+//! The transformers are pure `Program → Program` functions: apply them
 //! to sliced G-code and print the result through a bypass-configured
 //! OFFRAMPS to emulate an upstream (pre-firmware) compromise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod firmware_mod;
 pub mod flaw3d;
-pub mod void;
 
 mod exec_state;
 

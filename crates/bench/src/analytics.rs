@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use offramps::verdict::{Evidence, FusionPolicy, SampledDetector, TimeToDetection};
+use offramps::verdict::{Channel, Evidence, FusionPolicy, SampledDetector, TimeToDetection};
 use offramps::TransactionDetector;
 
 use crate::campaign::ScenarioResult;
@@ -44,13 +44,6 @@ use crate::json::{ObjectWriter, ToJson, Value};
 /// 1 % in the middle. Ten points ≥ the eight the analytics contract
 /// promises.
 pub const THRESHOLD_GRID: [f64; 10] = [0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
-
-/// Canonical rendering order for the side (non-transaction) detectors.
-pub const SIDE_DETECTOR_ORDER: [&str; 3] = ["power", "acoustic", "thermal"];
-
-/// The live base suspect fraction of the transaction judge (the
-/// paper's 1 %), used when fitting fusion weights.
-const TXN_FIT_BASE: f64 = 0.01;
 
 /// The transaction judge's name, which keys its evidence.
 const TXN: &str = TransactionDetector::NAME;
@@ -143,15 +136,15 @@ impl Observation {
     }
 }
 
-/// The canonical sort key for detectors: `txn`, `power`, `acoustic`,
-/// `thermal`, then anything else alphabetically — the one ordering
-/// every rendering surface (JSON keys, summary tables, weight fits) and
-/// every weighted vote shares.
+/// The canonical sort key for detectors: [`Channel::ALL`]'s order
+/// (`txn`, `power`, `acoustic`, `thermal`), then anything else
+/// alphabetically — the one ordering every rendering surface (JSON
+/// keys, summary tables, weight fits) and every weighted vote shares.
 fn canonical_rank(name: &str) -> (usize, &str) {
-    let rank = std::iter::once(TXN)
-        .chain(SIDE_DETECTOR_ORDER)
-        .position(|d| d == name)
-        .unwrap_or(1 + SIDE_DETECTOR_ORDER.len());
+    let rank = Channel::ALL
+        .iter()
+        .position(|c| c.name() == name)
+        .unwrap_or(Channel::ALL.len());
     (rank, name)
 }
 
@@ -699,7 +692,8 @@ fn side_detector_names(observations: &[Observation]) -> Vec<String> {
 /// modality scores zero (e.g. an all-clean corpus), weights fall back
 /// to equal.
 pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(String, f64)> {
-    let mut modalities: Vec<(&str, f64)> = vec![(TXN, TXN_FIT_BASE)];
+    let txn_base = TransactionDetector::campaign().base.suspect_fraction;
+    let mut modalities: Vec<(&str, f64)> = vec![(TXN, txn_base)];
     for name in side_names {
         // Each side modality is scored at its campaign default's base,
         // the threshold its stored alarms were judged with. Unknown

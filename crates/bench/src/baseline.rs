@@ -53,26 +53,21 @@ impl BaselineRow {
     }
 }
 
-/// Number of repeated golden prints used to calibrate the power
-/// baseline (the published system used ~40 physical repetitions; our
-/// simulated prints are cheap, but we keep the count modest). This is
-/// the campaign power detector's calibration count too — one judge,
-/// two call sites.
-pub const CALIBRATION_RUNS: usize = 5;
-
 /// Runs the golden job plus a clean-reprint control (case 0) plus all
 /// eight Flaw3D cases under both detectors of the campaign suite. The
 /// power baseline gets the repetition-calibration the published systems
-/// rely on; OFFRAMPS gets a single golden print, as in the paper.
+/// rely on (~40 physical repetitions there, five simulated prints
+/// here); OFFRAMPS gets a single golden print, as in the paper.
 pub fn regenerate(program: &Arc<Program>, seed: u64) -> Vec<BaselineRow> {
     let suite =
         detectors::suite_from_names(&["txn".to_string(), "power".to_string()], FusionPolicy::Any)
             .expect("baseline suite");
-    debug_assert_eq!(suite.calibration_runs(), CALIBRATION_RUNS);
 
     // Golden evidence through the same path campaigns use: the primary
     // golden print plus calibration repetitions.
-    let calibration_seeds: Vec<u64> = (1..CALIBRATION_RUNS as u64).map(|i| seed + i).collect();
+    let calibration_seeds: Vec<u64> = (1..suite.calibration_runs() as u64)
+        .map(|i| seed + i)
+        .collect();
     let golden = detectors::golden_evidence(program, seed, &calibration_seeds, &suite);
 
     let judge = |job: &Arc<Program>, run_seed: u64| -> Verdict {

@@ -5,20 +5,20 @@
 //! is the harness side: resolving `--detectors txn,power,acoustic,
 //! thermal` into a [`DetectorSuite`], and producing the golden/observed
 //! [`EvidenceBundle`]s a suite consumes. Provisioning is **channel
-//! driven**: the suite's [`DetectorSuite::channel_plan`] says which
-//! channels to synthesize (and with which models), the bench records
-//! the plant-side trace only when a planned channel needs it, and the
-//! golden calibration repetitions are **shared** — one set of golden
-//! reruns per workload feeds every repeat-calibrated detector, instead
-//! of re-simulating per detector. Campaigns and `baseline.rs` both
+//! driven**: each detector's [`Detector::synth`] names the channel it
+//! judges and the model that synthesizes it, the bench records the
+//! plant-side trace only when some channel needs it, and the golden
+//! calibration repetitions are **shared** — one set of golden reruns
+//! per workload feeds every sampled channel, instead of re-simulating
+//! per detector. Campaigns and `baseline.rs` both
 //! route their golden runs through [`golden_evidence`], so the two can
 //! never drift in how a golden profile is produced.
 
 use std::sync::Arc;
 
 use offramps::verdict::{
-    Channel, ChannelData, ChannelRequest, ChannelSynth, DetectorSuite, EvidenceBundle,
-    FusionPolicy, SampledDetector, TransactionDetector,
+    Channel, ChannelData, ChannelSynth, DetectorSuite, EvidenceBundle, FusionPolicy,
+    SampledDetector, TransactionDetector,
 };
 use offramps::{Detector, RunArtifacts, SignalPath, TestBench};
 use offramps_gcode::Program;
@@ -66,7 +66,7 @@ pub fn suite_from_names(names: &[String], fusion: FusionPolicy) -> Result<Detect
 }
 
 /// Runs one print through the capture path, recording the plant-side
-/// trace when the suite's channel plan consumes it.
+/// trace when the suite's channels consume it.
 pub(crate) fn capture_run(
     program: &Arc<Program>,
     seed: u64,
@@ -78,12 +78,14 @@ pub(crate) fn capture_run(
         .run(program)
 }
 
-/// Synthesizes one planned channel from a run's artifacts (`None` when
-/// the artifacts lack the required source, e.g. no plant trace).
-/// Sensor noise is seeded by the run's own seed, per channel salt.
-fn synthesize(synth: &ChannelSynth, art: &RunArtifacts, seed: u64) -> Option<ChannelData> {
+/// Synthesizes one channel from a run's artifacts (`None` when the
+/// artifacts lack the required source, e.g. no plant trace). The
+/// capture is moved out, not cloned — it is the hot path's biggest
+/// artifact. Sensor noise is seeded by the run's own seed, per channel
+/// salt.
+fn synthesize(synth: &ChannelSynth, art: &mut RunArtifacts, seed: u64) -> Option<ChannelData> {
     Some(match synth {
-        ChannelSynth::Capture => ChannelData::Txn(art.capture.clone()?),
+        ChannelSynth::Capture => ChannelData::Txn(art.capture.take()?),
         ChannelSynth::Power(model) => {
             ChannelData::Power(model.synthesize(art.plant_trace.as_ref()?, seed))
         }
@@ -95,7 +97,7 @@ fn synthesize(synth: &ChannelSynth, art: &RunArtifacts, seed: u64) -> Option<Cha
 }
 
 /// Turns one run's artifacts into the observed evidence bundle for
-/// `suite`: exactly the channels the suite's plan asks for — the
+/// `suite`: exactly the channels its detectors judge — the
 /// transaction capture, and/or waveforms synthesized from the
 /// plant-side trace and temperatures (sensor noise seeded by the run's
 /// own seed).
@@ -105,15 +107,8 @@ pub fn observed_evidence(
     suite: &DetectorSuite,
 ) -> EvidenceBundle {
     let mut bundle = EvidenceBundle::default();
-    for request in suite.channel_plan() {
-        // The capture is moved, not cloned — it is the hot path's
-        // biggest artifact.
-        let data = if matches!(request.synth, ChannelSynth::Capture) {
-            art.capture.take().map(ChannelData::Txn)
-        } else {
-            synthesize(&request.synth, &art, seed)
-        };
-        if let Some(data) = data {
+    for detector in suite.detectors() {
+        if let Some(data) = synthesize(&detector.synth(), &mut art, seed) {
             bundle.insert(data);
         }
     }
@@ -121,13 +116,13 @@ pub fn observed_evidence(
 }
 
 /// Produces the golden evidence bundle for one workload: the golden
-/// run under `primary_seed` synthesized into every planned channel,
-/// plus — when any detector calibrates from repetitions — **shared**
-/// golden reruns, one per entry of `calibration_seeds` (up to the
-/// suite's [`DetectorSuite::calibration_runs`]), feeding every
-/// repeat-calibrated channel at once (the primary run is each
-/// channel's first calibration trace). Both the campaign runner and the
-/// baseline experiment go through here.
+/// run under `primary_seed` synthesized into every judged channel,
+/// plus — when the suite has sampled channels — **shared** golden
+/// reruns, one per entry of `calibration_seeds`, feeding every sampled
+/// channel at once (the primary run is each channel's first
+/// calibration trace). Callers pass one seed fewer than the suite's
+/// [`DetectorSuite::calibration_runs`]. Both the campaign runner and
+/// the baseline experiment go through here.
 ///
 /// The reruns run one after another, and each is synthesized into its
 /// channels before the next starts, so at most one golden run's
@@ -142,38 +137,29 @@ pub fn golden_evidence(
     let golden_run = |seed| capture_run(program, seed, needs_plant_trace).expect("golden run");
     let mut bundle = observed_evidence(golden_run(primary_seed), primary_seed, suite);
 
-    let max_calibration = suite.calibration_runs();
-    if max_calibration < 2 {
+    // One simulation per calibration seed, shared by every sampled
+    // channel — never one set of reruns per detector.
+    let mut series: Vec<(ChannelSynth, Vec<ChannelData>)> = suite
+        .detectors()
+        .iter()
+        .map(|d| d.synth())
+        .filter(|synth| *synth != ChannelSynth::Capture)
+        .filter_map(|synth| Some((synth, vec![bundle.get(synth.channel()).cloned()?])))
+        .collect();
+    if series.is_empty() {
         return bundle;
     }
-    // One simulation per calibration seed, shared by every calibrated
-    // channel — never one set of reruns per detector.
-    let mut series: Vec<(ChannelRequest, Vec<ChannelData>)> = suite
-        .channel_plan()
-        .into_iter()
-        .filter(|request| request.calibration_runs >= 2)
-        .filter_map(|request| {
-            let primary = bundle.get(request.synth.channel()).cloned()?;
-            Some((request, vec![primary]))
-        })
-        .collect();
-    for (repeat, &seed) in calibration_seeds
-        .iter()
-        .take(max_calibration - 1)
-        .enumerate()
-    {
-        let art = golden_run(seed);
-        for (request, calib) in &mut series {
-            if repeat + 1 < request.calibration_runs {
-                calib.push(
-                    synthesize(&request.synth, &art, seed)
-                        .expect("calibration run carries the planned channel source"),
-                );
-            }
+    for &seed in calibration_seeds {
+        let mut art = golden_run(seed);
+        for (synth, calib) in &mut series {
+            calib.push(
+                synthesize(synth, &mut art, seed)
+                    .expect("calibration run carries the channel's source"),
+            );
         }
     }
-    for (request, calib) in series {
-        bundle.insert_calibration(request.synth.channel(), calib);
+    for (synth, calib) in series {
+        bundle.insert_calibration(synth.channel(), calib);
     }
     bundle
 }

@@ -53,8 +53,8 @@ pub use mitm::Offramps;
 pub use testbench::{BenchError, RunArtifacts, TestBench};
 pub use trojans::{Disposition, Trojan, TrojanCtx};
 pub use verdict::{
-    Channel, ChannelData, ChannelRequest, ChannelSynth, Detector, DetectorSuite, Evidence,
-    EvidenceBundle, FusionPolicy, FusionTally, OnlineMonitor, OnlineOutcome, OnlineStep,
-    SampledDetector, StreamState, StreamingSuite, TimeToDetection, TransactionDetector, Verdict,
-    WindowData, WindowEvidence,
+    Channel, ChannelData, ChannelSynth, Detector, DetectorSuite, Evidence, EvidenceBundle,
+    FusionPolicy, FusionTally, OnlineMonitor, OnlineOutcome, OnlineStep, SampledDetector,
+    StreamState, StreamingSuite, TimeToDetection, TransactionDetector, Verdict, WindowData,
+    WindowEvidence,
 };

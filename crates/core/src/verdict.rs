@@ -13,12 +13,13 @@
 //!   print can produce (`txn` capture, `power`, `acoustic`, `thermal`);
 //! * [`EvidenceBundle`] — a bundle of channels plus per-channel golden
 //!   calibration repetitions;
-//! * [`Detector`] — a named judge with a canonical policy string that
-//!   *declares* ([`Detector::channels`]) which channels it consumes,
-//!   how each is synthesized ([`ChannelSynth`]) and how many golden
-//!   calibration repetitions it wants — the harness provisions exactly
-//!   what the active suite asks for, sharing golden reruns across
-//!   detectors. Every detector judges one way: as a stream
+//! * [`Detector`] — the judge of one channel, with a canonical policy
+//!   string. It *declares* that channel and how it is synthesized
+//!   ([`Detector::synth`]), and its name is the channel's name. The
+//!   harness provisions exactly the channels the active suite judges,
+//!   and one set of golden reruns calibrates every sampled channel
+//!   ([`DetectorSuite::calibration_runs`]). Every detector judges one
+//!   way: as a stream
 //!   ([`Detector::begin`], [`Detector::judge_window`],
 //!   [`Detector::finalize`]); a post-hoc [`Detector::judge`] is that
 //!   stream fed the whole print as a single window;
@@ -59,8 +60,8 @@ use crate::capture::{Capture, Transaction};
 use crate::detect::{self, DetectionReport, DetectorConfig};
 
 /// A named evidence stream. The observation plane is keyed by these:
-/// detectors declare which channels they consume, the harness
-/// synthesizes only the channels the active suite asks for.
+/// each detector judges one channel, and the harness synthesizes only
+/// the channels the active suite judges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Channel {
     /// The monitor's transaction capture (controller-side tap).
@@ -210,27 +211,6 @@ impl ChannelSynth {
     }
 }
 
-/// One detector's declaration of a channel it consumes.
-#[derive(Debug, Clone)]
-pub struct ChannelRequest {
-    /// How the channel is produced from run artifacts.
-    pub synth: ChannelSynth,
-    /// How many golden prints this detector wants for calibration on
-    /// this channel, primary run included (0 or 1 = the primary golden
-    /// run suffices, no repetitions).
-    pub calibration_runs: usize,
-}
-
-impl ChannelRequest {
-    /// A request for the transaction capture (no calibration).
-    pub fn capture() -> ChannelRequest {
-        ChannelRequest {
-            synth: ChannelSynth::Capture,
-            calibration_runs: 0,
-        }
-    }
-}
-
 /// The named evidence streams captured from one print: a bundle of
 /// channels, plus (on golden bundles) per-channel calibration
 /// repetitions — the published side-channel systems profile dozens of
@@ -269,11 +249,6 @@ impl EvidenceBundle {
     /// One channel's calibration repetitions (empty when none).
     pub fn calibration(&self, channel: Channel) -> &[ChannelData] {
         self.calibration.get(&channel).map_or(&[], Vec::as_slice)
-    }
-
-    /// The channels present, in canonical order.
-    pub fn channels(&self) -> impl Iterator<Item = Channel> + '_ {
-        self.channels.keys().copied()
     }
 
     /// The transaction capture, if captured.
@@ -619,25 +594,21 @@ impl Verdict {
     }
 }
 
-/// A named judge over evidence bundles.
+/// The judge of one evidence channel.
 pub trait Detector: Send + Sync + fmt::Debug {
-    /// Short stable name (`"txn"`, `"power"`, `"acoustic"`,
-    /// `"thermal"`); keys evidence and CLI selection.
-    fn name(&self) -> &'static str;
+    /// The one channel this detector judges and how the harness
+    /// synthesizes it from a run's artifacts.
+    fn synth(&self) -> ChannelSynth;
+
+    /// Short stable name: the judged channel's (`"txn"`, `"power"`,
+    /// `"acoustic"`, `"thermal"`). Keys evidence and CLI selection.
+    fn name(&self) -> &'static str {
+        self.synth().channel().name()
+    }
 
     /// Canonical rendering of every knob that shapes this detector's
     /// verdicts — the content-address component for cached results.
     fn policy(&self) -> String;
-
-    /// The channels this detector consumes: what to synthesize, and how
-    /// many golden calibration repetitions each channel wants. The
-    /// default is the bare transaction capture.
-    fn channels(&self) -> Vec<ChannelRequest> {
-        vec![ChannelRequest::capture()]
-    }
-
-    /// The observed channel this detector consumes incrementally.
-    fn stream_channel(&self) -> Channel;
 
     /// Opens a stream against the golden evidence (with its calibration
     /// repetitions) plus the observed stream's header — whether the
@@ -659,7 +630,7 @@ pub trait Detector: Send + Sync + fmt::Debug {
     /// on how much was fed, both end in the same evidence.
     fn judge(&self, golden: &EvidenceBundle, observed: &EvidenceBundle) -> Evidence {
         let mut state = self.begin(golden, observed);
-        if let Some(data) = observed.get(self.stream_channel()) {
+        if let Some(data) = observed.get(self.synth().channel()) {
             self.judge_window(&mut state, data.window());
         }
         self.finalize(state)
@@ -680,8 +651,8 @@ pub struct TransactionDetector {
 }
 
 impl TransactionDetector {
-    /// The detector's stable name.
-    pub const NAME: &'static str = "txn";
+    /// The detector's stable name: its channel's.
+    pub const NAME: &'static str = Channel::Txn.name();
 
     /// The campaign default: the paper's tuning.
     pub fn campaign() -> TransactionDetector {
@@ -714,8 +685,8 @@ impl TransactionDetector {
 }
 
 impl Detector for TransactionDetector {
-    fn name(&self) -> &'static str {
-        TransactionDetector::NAME
+    fn synth(&self) -> ChannelSynth {
+        ChannelSynth::Capture
     }
 
     /// Byte-compatible with the pre-suite campaign policy string, so a
@@ -730,10 +701,6 @@ impl Detector for TransactionDetector {
             self.base.final_check,
             detect::SUSPECT_TRANSACTION_FLOOR,
         )
-    }
-
-    fn stream_channel(&self) -> Channel {
-        Channel::Txn
     }
 
     fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
@@ -804,11 +771,13 @@ pub struct SampledDetector {
     /// Comparator tuning (sigma threshold, smoothing, suspect
     /// fraction; `noise_sigma` must match the model's).
     pub config: ComparatorConfig,
-    /// Golden repetitions to calibrate from.
-    pub calibration_runs: usize,
 }
 
 impl SampledDetector {
+    /// Golden prints every sampled detector calibrates from, the
+    /// primary run included; one set of reruns feeds them all.
+    pub const CALIBRATION_RUNS: usize = 5;
+
     /// The campaign default for the sampled detector called `name`
     /// (`"power"`, `"acoustic"` or `"thermal"`; `None` otherwise): a
     /// 5-sigma band and five golden repetitions, shared with the other
@@ -848,14 +817,13 @@ impl SampledDetector {
                 smoothing,
                 suspect_fraction,
             },
-            calibration_runs: 5,
         })
     }
 }
 
 impl Detector for SampledDetector {
-    fn name(&self) -> &'static str {
-        self.synth.channel().name()
+    fn synth(&self) -> ChannelSynth {
+        self.synth
     }
 
     fn policy(&self) -> String {
@@ -865,24 +833,13 @@ impl Detector for SampledDetector {
             self.config.noise_sigma,
             self.config.smoothing,
             self.config.suspect_fraction,
-            self.calibration_runs,
+            Self::CALIBRATION_RUNS,
             self.synth.policy(),
         )
     }
 
-    fn channels(&self) -> Vec<ChannelRequest> {
-        vec![ChannelRequest {
-            synth: self.synth,
-            calibration_runs: self.calibration_runs.max(1),
-        }]
-    }
-
-    fn stream_channel(&self) -> Channel {
-        self.synth.channel()
-    }
-
     fn begin<'g>(&self, golden: &'g EvidenceBundle, observed: &EvidenceBundle) -> StreamState<'g> {
-        let channel = self.stream_channel();
+        let channel = self.synth.channel();
         let comparator = observed
             .get(channel)
             .and_then(ChannelData::samples)
@@ -999,48 +956,26 @@ impl DetectorSuite {
         &self.fusion
     }
 
-    /// The merged channel plan: every channel some detector consumes,
-    /// in first-declared order, with the *first* declarer's synthesis
-    /// model and the *largest* calibration-repetition request across
-    /// declarers. This is what the harness provisions — channels are
-    /// synthesized once and calibration reruns are shared, however many
-    /// detectors consume them.
-    pub fn channel_plan(&self) -> Vec<ChannelRequest> {
-        let mut plan: Vec<ChannelRequest> = Vec::new();
-        for d in &self.detectors {
-            for request in d.channels() {
-                match plan
-                    .iter_mut()
-                    .find(|r| r.synth.channel() == request.synth.channel())
-                {
-                    Some(existing) => {
-                        existing.calibration_runs =
-                            existing.calibration_runs.max(request.calibration_runs);
-                    }
-                    None => plan.push(request),
-                }
-            }
-        }
-        plan
-    }
-
-    /// Whether any planned channel needs the plant-side signal trace
-    /// recorded.
+    /// Whether any detector's channel needs the plant-side signal
+    /// trace recorded.
     pub fn needs_plant_trace(&self) -> bool {
-        self.channel_plan()
-            .iter()
-            .any(|r| r.synth.needs_plant_trace())
+        self.detectors.iter().any(|d| d.synth().needs_plant_trace())
     }
 
-    /// The most golden repetition runs any detector wants for
-    /// calibration (0 when no detector calibrates; the shared golden
-    /// reruns satisfy every calibrated channel at once).
+    /// Golden prints per workload, the primary run included, that
+    /// calibrate the suite's sampled channels: 0 when every detector
+    /// judges the capture alone. The reruns are shared, so this is one
+    /// detector's count, not a sum.
     pub fn calibration_runs(&self) -> usize {
-        self.channel_plan()
+        let sampled = self
+            .detectors
             .iter()
-            .map(|r| r.calibration_runs)
-            .max()
-            .unwrap_or(0)
+            .any(|d| d.synth() != ChannelSynth::Capture);
+        if sampled {
+            SampledDetector::CALIBRATION_RUNS
+        } else {
+            0
+        }
     }
 
     /// The canonical rendering of the whole judging policy. A
@@ -1401,7 +1336,7 @@ impl<'a> OnlineMonitor<'a> {
                     detector,
                     state: detector.begin(golden, observed),
                     feed: observed
-                        .get(detector.stream_channel())
+                        .get(detector.synth().channel())
                         .map(|data| Feed::new(data.window(), data.period())),
                 }
             })
@@ -1960,36 +1895,21 @@ mod tests {
     }
 
     #[test]
-    fn channel_plan_merges_and_shares_calibration() {
-        let suite = DetectorSuite::new(
-            vec![
-                Box::new(TransactionDetector::campaign()),
-                Box::new(sampled("power")),
-                Box::new(SampledDetector {
-                    calibration_runs: 3,
-                    ..sampled("acoustic")
-                }),
-                Box::new(sampled("thermal")),
-            ],
-            FusionPolicy::Any,
-        )
-        .unwrap();
-        let plan = suite.channel_plan();
-        let channels: Vec<Channel> = plan.iter().map(|r| r.synth.channel()).collect();
+    fn suite_provisioning_follows_detector_synths() {
+        let quad = quad_suite();
+        for (d, channel) in quad.detectors().iter().zip(Channel::ALL) {
+            assert_eq!(d.synth().channel(), channel);
+            assert_eq!(
+                d.name(),
+                channel.name(),
+                "a detector is named by its channel"
+            );
+        }
+        assert!(quad.needs_plant_trace());
         assert_eq!(
-            channels,
-            vec![
-                Channel::Txn,
-                Channel::Power,
-                Channel::Acoustic,
-                Channel::Thermal
-            ]
-        );
-        assert!(suite.needs_plant_trace());
-        assert_eq!(
-            suite.calibration_runs(),
-            5,
-            "shared golden reruns: the max across detectors, not the sum"
+            quad.calibration_runs(),
+            SampledDetector::CALIBRATION_RUNS,
+            "shared golden reruns: one detector's count, not the sum"
         );
         // A thermal-only suite never asks for the plant trace.
         let thermal_only =
@@ -2110,7 +2030,7 @@ mod tests {
     /// the detector's channel comes back unjudged.
     fn assert_judge_matches_compare_sampled(det: &SampledDetector) {
         let config = det.config;
-        let channel = det.stream_channel();
+        let channel = det.synth.channel();
         let calibrated = quad_golden();
         let mut single = EvidenceBundle::default();
         single.insert(calibrated.get(channel).unwrap().clone());

@@ -19,10 +19,10 @@
 //!   metrics land in the metrics document and must be byte-identical
 //!   for any `--threads`; `Execution` metrics describe *how* the run
 //!   executed and are only ever reported next to wall-clock timings.
-//! * [`TraceEvent`] / [`Span`] — structured trace records stamped with
-//!   **sim-step time** (microsecond ticks of the simulated print),
-//!   never wall-clock, plus the component and scenario that produced
-//!   them.
+//! * [`Span`] — a named interval of one component's work (a campaign
+//!   phase, one scenario's judging), stamped with the handle's host
+//!   clock. Spans are execution-class: they feed only the
+//!   `--timing-json` sidecar, never a deterministic artifact.
 //! * [`FlightRecorder`] — a bounded ring buffer holding the last N
 //!   per-window evidence snapshots of a scenario, so the moment a
 //!   fused alarm fires the recent history can be replayed as a
@@ -301,49 +301,13 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// One structured trace record: what happened, where, and at which
-/// point of *simulated* time. Rendering never involves wall-clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Subsystem that emitted the event (`verdict`, `campaign`, ...).
-    pub component: &'static str,
-    /// Campaign scenario (matrix index) the event belongs to, if any.
-    pub scenario: Option<usize>,
-    /// Sim-step timestamp in microseconds of simulated print time.
-    pub tick_micros: u64,
-    /// Human-readable payload.
-    pub message: String,
-}
-
-impl TraceEvent {
-    /// Renders the event as one deterministic line:
-    /// `component t=12.3s s=4 | message`.
-    pub fn render(&self) -> String {
-        let secs = self.tick_micros / 1_000_000;
-        let tenths = (self.tick_micros % 1_000_000) / 100_000;
-        match self.scenario {
-            Some(s) => format!(
-                "{} t={}.{}s s={} | {}",
-                self.component, secs, tenths, s, self.message
-            ),
-            None => format!(
-                "{} t={}.{}s | {}",
-                self.component, secs, tenths, self.message
-            ),
-        }
-    }
-}
-
-/// A named interval within one component — the span form of
-/// [`TraceEvent`], for work that has an extent (a detector judging a
-/// print, a campaign decoding a store) rather than an instant.
+/// A named interval within one component, for work that has an extent
+/// (a campaign phase, one scenario's judging) rather than an instant.
 ///
-/// Deterministic traces stamp spans with **sim-step time**. The
-/// campaign's *phase* spans (`simulate`, `golden`, `decode`, `judge`)
-/// are execution-class instead: they measure host time against the
-/// [`Obs`] handle's clock and are reported only in the
-/// `--timing-json` sidecar, never in a deterministic artifact — the
-/// same split [`MetricClass`] draws for counters.
+/// Spans measure host time against the [`Obs`] handle's clock, so they
+/// are execution-class: they are reported only in the `--timing-json`
+/// sidecar, never in a deterministic artifact — the same split
+/// [`MetricClass`] draws for counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     pub component: &'static str,
@@ -351,30 +315,6 @@ pub struct Span {
     pub label: String,
     pub start_micros: u64,
     pub end_micros: u64,
-}
-
-impl Span {
-    /// Renders the span as one deterministic line.
-    pub fn render(&self) -> String {
-        let ms = |t: u64| t / 1_000;
-        match self.scenario {
-            Some(s) => format!(
-                "{} s={} | {} [{}ms..{}ms]",
-                self.component,
-                s,
-                self.label,
-                ms(self.start_micros),
-                ms(self.end_micros)
-            ),
-            None => format!(
-                "{} | {} [{}ms..{}ms]",
-                self.component,
-                self.label,
-                ms(self.start_micros),
-                ms(self.end_micros)
-            ),
-        }
-    }
 }
 
 /// Bounded ring buffer of the last `capacity` snapshots pushed. The
@@ -749,27 +689,5 @@ mod tests {
             "sorted by start offset, not insertion order"
         );
         assert_eq!(spans[1].scenario, Some(3));
-    }
-
-    #[test]
-    fn trace_event_and_span_render_sim_time() {
-        let ev = TraceEvent {
-            component: "verdict",
-            scenario: Some(3),
-            tick_micros: 29_000_000,
-            message: "fused 0.25/0.25 -> ALARM".into(),
-        };
-        assert_eq!(
-            ev.render(),
-            "verdict t=29.0s s=3 | fused 0.25/0.25 -> ALARM"
-        );
-        let span = Span {
-            component: "campaign",
-            scenario: None,
-            label: "judge".into(),
-            start_micros: 1_000,
-            end_micros: 2_500,
-        };
-        assert_eq!(span.render(), "campaign | judge [1ms..2ms]");
     }
 }

@@ -24,7 +24,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use offramps::trojans;
-use offramps::{detect, Capture, FusionPolicy, SignalPath, TestBench, TransactionDetector};
+use offramps::{
+    detect, Capture, Channel, FusionPolicy, SignalPath, TestBench, TransactionDetector,
+};
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
 use offramps_bench::cache::{record_scan_metrics, store_observations};
@@ -329,6 +331,16 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}")),
         }
     }
+
+    /// The value of `flag` as an integer in `min..=u32::MAX`, or
+    /// `default`.
+    fn u32_or(&self, flag: &str, default: u32, min: u32) -> Result<u32, String> {
+        let v = self.u64_or(flag, u64::from(default))?;
+        u32::try_from(v)
+            .ok()
+            .filter(|v| *v >= min)
+            .ok_or_else(|| format!("{flag} must be in {min}..={}, got {v}", u32::MAX))
+    }
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -580,10 +592,9 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let threads = resolve_threads(&flags)?;
     let (metrics, trace_alarms) = campaign_obs_flags(args)?;
     let seed = flags.u64_or("--seed", 42)?;
-    let runs = flags.u64_or("--runs", 1)? as u32;
 
     let mut spec = CampaignSpec::default_matrix(seed);
-    spec.runs_per_cell = runs.max(1);
+    spec.runs_per_cell = flags.u32_or("--runs", 1, 1)?;
     if let Some(list) = flags.value("--trojans") {
         if list != "all" {
             spec.trojans = list.split(',').map(|s| s.trim().to_string()).collect();
@@ -598,7 +609,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             .map(|w| Workload::from_name(w.trim()))
             .collect::<Result<Vec<_>, _>>()?;
     }
-    let corpus = flags.u64_or("--corpus", 0)? as u32;
+    let corpus = flags.u32_or("--corpus", 0, 0)?;
     if corpus > 0 {
         spec.workloads.extend(CorpusSpec::new(corpus).expand(seed));
     }
@@ -745,7 +756,8 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
     // feed that modality's curves: count and report them per detector
     // instead of erroring (pre-power and pre-acoustic/pre-thermal
     // stores report the same way).
-    for detector in offramps_bench::analytics::SIDE_DETECTOR_ORDER {
+    let side = Channel::ALL.iter().filter(|c| **c != Channel::Txn);
+    for detector in side.map(Channel::name) {
         let unjudged = observations
             .iter()
             .filter(|o| !o.judged_by(detector))

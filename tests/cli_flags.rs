@@ -117,6 +117,21 @@ fn out_of_domain_values_are_rejected() {
             usage,
         );
     }
+    // Campaign counts are `u32`: a value that would wrap, and a zero
+    // run count, are errors rather than a silently different matrix.
+    let usage = "offramps-cli campaign [--threads N]";
+    for runs in ["0", "4294967296"] {
+        assert_rejected(
+            &["campaign", "--list", "--runs", runs],
+            "--runs must be in 1..=4294967295",
+            usage,
+        );
+    }
+    assert_rejected(
+        &["campaign", "--list", "--corpus", "4294967297"],
+        "--corpus must be in 0..=4294967295",
+        usage,
+    );
 }
 
 #[test]
