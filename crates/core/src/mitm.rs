@@ -15,7 +15,7 @@
 //! [`SignalPath`]: crate::SignalPath
 
 use offramps_des::{ActionSink, DetRng, InPort, OutPort, SeedSplitter, SimComponent, Tick};
-use offramps_signals::{PinClass, SignalEvent, SignalTrace};
+use offramps_signals::{LogicEvent, PinClass, SignalEvent, SignalTrace};
 
 use crate::config::MitmConfig;
 use crate::monitor::{HomingDetector, Monitor};
@@ -33,11 +33,15 @@ pub const PORT_CTRL_IN: InPort = InPort(0);
 /// Input port: feedback-direction events arriving from the plant.
 pub const PORT_FEEDBACK_IN: InPort = InPort(1);
 
-/// Which way an event is travelling through the interceptor.
+/// The Trojan hook one interceptor call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
+enum Hook {
+    /// A control-direction event (firmware → plant).
     Control,
+    /// A feedback-direction event (plant → firmware).
     Feedback,
+    /// A timer wake-up; no event travels.
+    Wake,
 }
 
 /// The interceptor. Construct with [`Offramps::new`], arm Trojans with
@@ -133,7 +137,7 @@ impl Offramps {
         // steps the Arduino sends).
         if let Some(monitor) = self.monitor.as_mut() {
             if let SignalEvent::Logic(logic) = event {
-                if let Some(wake) = monitor.on_control(now, logic) {
+                if let Some(wake) = monitor.on_control(now, logic, self.homing.is_homed()) {
                     sink.wake_at(wake);
                 }
             }
@@ -142,7 +146,7 @@ impl Offramps {
         // Trojan pipeline.
         let mut forwarded = Some(event);
         if self.config.path.modify {
-            forwarded = self.run_trojans(now, forwarded, Direction::Control, sink);
+            forwarded = self.run_trojans(now, forwarded, Hook::Control, sink);
         }
 
         if let Some(ev) = forwarded {
@@ -150,13 +154,24 @@ impl Offramps {
         }
     }
 
-    /// Runs `event` through every armed Trojan, emitting injections and
-    /// wake requests; returns what survives the mux.
+    /// The FPGA's homing detector taps one feedback event; completing
+    /// the homing cycle re-zeroes the monitor's counters.
+    fn tap_feedback(&mut self, logic: LogicEvent) {
+        if self.homing.observe(logic) {
+            if let Some(monitor) = self.monitor.as_mut() {
+                monitor.on_homed();
+            }
+        }
+    }
+
+    /// Runs one `hook` through every armed Trojan, emitting injections
+    /// and wake requests; returns what of `forwarded` survives the mux
+    /// (a wake-up forwards nothing).
     fn run_trojans(
         &mut self,
         now: Tick,
         mut forwarded: Option<SignalEvent>,
-        direction: Direction,
+        hook: Hook,
         sink: &mut ActionSink<SignalEvent>,
     ) -> Option<SignalEvent> {
         let mut injections = Vec::new();
@@ -164,7 +179,6 @@ impl Offramps {
         let mut wake = None;
         let homed = self.homing.is_homed();
         for trojan in &mut self.trojans {
-            let Some(ev) = forwarded else { break };
             let mut ctx = TrojanCtx {
                 now,
                 homed,
@@ -173,9 +187,14 @@ impl Offramps {
                 feedback_injections: &mut feedback_injections,
                 wake: &mut wake,
             };
-            let disposition = match direction {
-                Direction::Control => trojan.on_control(&mut ctx, &ev),
-                Direction::Feedback => trojan.on_feedback(&mut ctx, &ev),
+            let disposition = match (hook, forwarded) {
+                (Hook::Wake, _) => {
+                    trojan.on_wake(&mut ctx);
+                    Disposition::Pass
+                }
+                (_, None) => break,
+                (Hook::Control, Some(ev)) => trojan.on_control(&mut ctx, &ev),
+                (Hook::Feedback, Some(ev)) => trojan.on_feedback(&mut ctx, &ev),
             };
             match disposition {
                 Disposition::Pass => {}
@@ -195,13 +214,10 @@ impl Offramps {
         }
         for (at, ev) in feedback_injections {
             // Spoofed feedback is what the *firmware* experiences; the
-            // FPGA's own homing detector and monitor tap the output mux,
-            // so they see the spoof too.
+            // FPGA's own homing detector taps the output mux, so it sees
+            // the spoof too.
             if let SignalEvent::Logic(logic) = ev {
-                self.homing.observe(logic);
-                if let Some(monitor) = self.monitor.as_mut() {
-                    monitor.on_feedback(logic);
-                }
+                self.tap_feedback(logic);
             }
             sink.send_at(PORT_TO_FIRMWARE, at + self.config.pipeline_delay, ev);
         }
@@ -225,19 +241,16 @@ impl Offramps {
                 PinClass::Feedback,
                 "control pins must not arrive on the feedback path"
             );
-            // Homing/monitoring observe the *true* feedback (the FPGA
+            // Homing detection observes the *true* feedback (the FPGA
             // taps the wire before its own mux).
-            self.homing.observe(logic);
-            if let Some(monitor) = self.monitor.as_mut() {
-                monitor.on_feedback(logic);
-            }
+            self.tap_feedback(logic);
             if let Some(trace) = self.trace.as_mut() {
                 trace.record(now, logic);
             }
         }
         let mut forwarded = Some(event);
         if self.config.path.modify {
-            forwarded = self.run_trojans(now, forwarded, Direction::Feedback, sink);
+            forwarded = self.run_trojans(now, forwarded, Hook::Feedback, sink);
         }
         if let Some(ev) = forwarded {
             sink.send_at(PORT_TO_FIRMWARE, now + self.config.pipeline_delay, ev);
@@ -253,31 +266,7 @@ impl Offramps {
             }
         }
         if self.config.path.modify {
-            let mut injections = Vec::new();
-            let mut feedback_injections = Vec::new();
-            let mut wake = None;
-            let homed = self.homing.is_homed();
-            for trojan in &mut self.trojans {
-                let mut ctx = TrojanCtx {
-                    now,
-                    homed,
-                    rng: &mut self.rng,
-                    injections: &mut injections,
-                    feedback_injections: &mut feedback_injections,
-                    wake: &mut wake,
-                };
-                trojan.on_wake(&mut ctx);
-            }
-            self.injected_events += (injections.len() + feedback_injections.len()) as u64;
-            for (at, ev) in injections {
-                sink.send_at(PORT_TO_PLANT, at + self.config.pipeline_delay, ev);
-            }
-            for (at, ev) in feedback_injections {
-                sink.send_at(PORT_TO_FIRMWARE, at + self.config.pipeline_delay, ev);
-            }
-            if let Some(w) = wake {
-                sink.wake_at(w);
-            }
+            self.run_trojans(now, None, Hook::Wake, sink);
         }
     }
 }
@@ -311,6 +300,8 @@ mod tests {
     use crate::trojans::FlowReductionTrojan;
     use offramps_des::{SimDuration, SinkAction};
     use offramps_signals::{Level, Pin};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn bypass() -> Offramps {
         Offramps::new(MitmConfig::default(), 1)
@@ -464,6 +455,85 @@ mod tests {
         let cap = m.monitor().unwrap().capture();
         assert_eq!(cap.len(), 1);
         assert_eq!(cap.transactions()[0].counts[0], 1);
+    }
+
+    /// Spoofs a full X → Y → Z endstop homing cycle (two touches per
+    /// axis) from its first wake-up, and records the homed state every
+    /// wake-up sees.
+    #[derive(Debug)]
+    struct WakeHomingSpoof {
+        spoofed: bool,
+        homed_seen: Rc<Cell<bool>>,
+    }
+
+    impl Trojan for WakeHomingSpoof {
+        fn id(&self) -> &'static str {
+            "TEST"
+        }
+        fn kind(&self) -> &'static str {
+            "PM"
+        }
+        fn scenario(&self) -> &'static str {
+            "homing spoofed from a timer"
+        }
+        fn effect(&self) -> &'static str {
+            "the interceptor believes the printer homed"
+        }
+        fn on_control(&mut self, _ctx: &mut TrojanCtx<'_>, _event: &SignalEvent) -> Disposition {
+            Disposition::Pass
+        }
+        fn on_wake(&mut self, ctx: &mut TrojanCtx<'_>) {
+            self.homed_seen.set(ctx.homed);
+            if !self.spoofed {
+                self.spoofed = true;
+                for pin in [Pin::XMin, Pin::YMin, Pin::ZMin] {
+                    for _ in 0..2 {
+                        ctx.inject_feedback(ctx.now, SignalEvent::logic(pin, Level::High));
+                        ctx.inject_feedback(ctx.now, SignalEvent::logic(pin, Level::Low));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wake_spoofed_feedback_reaches_homing_detection() {
+        let cfg = MitmConfig {
+            path: SignalPath::modify_and_capture(),
+            ..MitmConfig::default()
+        };
+        let mut m = Offramps::new(cfg, 1);
+        let homed_seen = Rc::new(Cell::new(false));
+        m.add_trojan(Box::new(WakeHomingSpoof {
+            spoofed: false,
+            homed_seen: Rc::clone(&homed_seen),
+        }));
+        let acts = on_tick(&mut m, Tick::from_millis(1));
+        let spoofed = acts
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    SinkAction::Send {
+                        port: PORT_TO_FIRMWARE,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(spoofed, 12, "six spoofed touches reach the firmware");
+        assert_eq!(m.injected_events, 12);
+        on_tick(&mut m, Tick::from_millis(2));
+        assert!(homed_seen.get(), "the Trojans see the interceptor homed");
+        let acts = on_control(
+            &mut m,
+            Tick::from_millis(10),
+            SignalEvent::logic(Pin::XStep, Level::High),
+        );
+        assert!(
+            acts.iter().any(|a| matches!(a, SinkAction::WakeAt(_))),
+            "the first step after the spoofed homing arms the export clock"
+        );
     }
 
     #[test]

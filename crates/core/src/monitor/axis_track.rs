@@ -7,7 +7,7 @@
 //! were moving in the positive direction and decrement when they moved
 //! negatively."
 
-use offramps_signals::{Axis, Edge, EdgeDetector, Level, LogicEvent, SignalBus};
+use offramps_signals::{Axis, Edge, EdgeDetector, Level, LogicEvent};
 
 /// Signed step counters driven by STEP/DIR observation.
 ///
@@ -42,7 +42,7 @@ impl AxisTracker {
     /// Creates a tracker with all counters at zero.
     pub fn new() -> Self {
         AxisTracker {
-            edges: EdgeDetector::with_bus(&SignalBus::new()),
+            edges: EdgeDetector::new(),
             dir_positive: [false; 4],
             counts: [0; 4],
             total_edges: 0,

@@ -6,7 +6,7 @@
 //! Trojans." A RAMPS homing cycle touches each endstop twice (fast
 //! approach + slow re-bump), in X → Y → Z order.
 
-use offramps_signals::{Axis, Edge, EdgeDetector, LogicEvent, SignalBus};
+use offramps_signals::{Axis, Edge, EdgeDetector, LogicEvent};
 
 /// Detects completion of the G28 homing cycle from endstop activity.
 ///
@@ -48,7 +48,7 @@ impl HomingDetector {
     /// Creates a detector in the not-homed state.
     pub fn new() -> Self {
         HomingDetector {
-            edges: EdgeDetector::with_bus(&SignalBus::new()),
+            edges: EdgeDetector::new(),
             touches: [0; 3],
             homed: false,
             order_violations: 0,

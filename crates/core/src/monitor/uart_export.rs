@@ -10,18 +10,20 @@ use offramps_des::{SimDuration, Tick};
 use offramps_signals::LogicEvent;
 
 use crate::capture::{Capture, Transaction};
-use crate::monitor::{AxisTracker, HomingDetector};
+use crate::monitor::AxisTracker;
 
-/// The complete §V monitoring pipeline: homing detection → axis tracking
-/// → periodic transaction export.
+/// The §V monitoring pipeline downstream of homing detection: axis
+/// tracking → periodic transaction export. The interceptor owns the
+/// one [`HomingDetector`](crate::monitor::HomingDetector) and passes
+/// its state in.
 ///
-/// Drive it with every control event ([`Monitor::on_control`]), every
-/// feedback event ([`Monitor::on_feedback`]), and timer wake-ups
-/// ([`Monitor::on_tick`]); collect the capture at the end.
+/// Drive it with every control event and the homed state
+/// ([`Monitor::on_control`]), the homing-complete reset
+/// ([`Monitor::on_homed`]), and timer wake-ups ([`Monitor::on_tick`]);
+/// collect the capture at the end.
 #[derive(Debug, Clone)]
 pub struct Monitor {
     period: SimDuration,
-    homing: HomingDetector,
     tracker: AxisTracker,
     capture: Capture,
     /// Set when homed and the first post-homing step edge was seen.
@@ -38,7 +40,6 @@ impl Monitor {
         capture.period = period;
         Monitor {
             period,
-            homing: HomingDetector::new(),
             tracker: AxisTracker::new(),
             capture,
             started_at: None,
@@ -48,11 +49,12 @@ impl Monitor {
         }
     }
 
-    /// Feeds a control-direction logic event. Returns the tick at which
-    /// the monitor wants its next wake-up, if it just armed the clock.
-    pub fn on_control(&mut self, now: Tick, event: LogicEvent) -> Option<Tick> {
+    /// Feeds a control-direction logic event; `homed` is whether the
+    /// homing cycle has completed. Returns the tick at which the monitor
+    /// wants its next wake-up, if it just armed the clock.
+    pub fn on_control(&mut self, now: Tick, event: LogicEvent, homed: bool) -> Option<Tick> {
         let was_step_rise = self.tracker.observe(event);
-        if was_step_rise && self.homing.is_homed() && self.started_at.is_none() {
+        if was_step_rise && homed && self.started_at.is_none() {
             // Synchronization point: homed + first step edge.
             self.started_at = Some(now);
             let first = now + self.period;
@@ -62,17 +64,13 @@ impl Monitor {
         None
     }
 
-    /// Feeds a feedback-direction logic event (endstops). When homing
-    /// completes, counters are re-zeroed.
-    pub fn on_feedback(&mut self, event: LogicEvent) {
-        if self.homing.observe(event) {
-            // "When the printer is homed at the beginning of each print,
-            // the step counts and UART transaction counter are
-            // initialized."
-            self.tracker.reset();
-            self.started_at = None;
-            self.next_sample = None;
-        }
+    /// The homing cycle just completed: counters are re-zeroed. "When
+    /// the printer is homed at the beginning of each print, the step
+    /// counts and UART transaction counter are initialized."
+    pub fn on_homed(&mut self) {
+        self.tracker.reset();
+        self.started_at = None;
+        self.next_sample = None;
     }
 
     /// Timer wake-up: exports a transaction if one is due; returns the
@@ -121,11 +119,6 @@ impl Monitor {
         self.started_at.is_some()
     }
 
-    /// True once homing has been observed.
-    pub fn is_homed(&self) -> bool {
-        self.homing.is_homed()
-    }
-
     /// The capture accumulated so far.
     pub fn capture(&self) -> &Capture {
         &self.capture
@@ -149,25 +142,13 @@ mod tests {
     use super::*;
     use offramps_signals::{Level, Pin};
 
-    fn home(m: &mut Monitor) {
-        for pin in [
-            Pin::XMin,
-            Pin::XMin,
-            Pin::YMin,
-            Pin::YMin,
-            Pin::ZMin,
-            Pin::ZMin,
-        ] {
-            m.on_feedback(LogicEvent::new(pin, Level::High));
-            m.on_feedback(LogicEvent::new(pin, Level::Low));
-        }
-    }
-
+    /// One STEP pulse after homing completed.
     fn pulse(m: &mut Monitor, now: Tick, pin: Pin) -> Option<Tick> {
-        let r = m.on_control(now, LogicEvent::new(pin, Level::High));
+        let r = m.on_control(now, LogicEvent::new(pin, Level::High), true);
         m.on_control(
             now + SimDuration::from_micros(2),
             LogicEvent::new(pin, Level::Low),
+            true,
         );
         r
     }
@@ -176,10 +157,12 @@ mod tests {
     fn clock_arms_after_homing_and_first_step() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
         // Steps before homing do not arm the clock.
-        assert_eq!(pulse(&mut m, Tick::from_millis(5), Pin::XStep), None);
+        for level in [Level::High, Level::Low] {
+            let step = LogicEvent::new(Pin::XStep, level);
+            assert_eq!(m.on_control(Tick::from_millis(5), step, false), None);
+        }
         assert!(!m.is_armed());
-        home(&mut m);
-        assert!(m.is_homed());
+        m.on_homed();
         let wake = pulse(&mut m, Tick::from_millis(50), Pin::XStep);
         assert_eq!(wake, Some(Tick::from_millis(150)));
         assert!(m.is_armed());
@@ -188,21 +171,24 @@ mod tests {
     #[test]
     fn counters_reset_at_homing() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
-        m.on_control(Tick::ZERO, LogicEvent::new(Pin::XDir, Level::High));
+        m.on_control(Tick::ZERO, LogicEvent::new(Pin::XDir, Level::High), true);
         for i in 0..50 {
             pulse(&mut m, Tick::from_millis(i), Pin::XStep);
         }
-        home(&mut m);
+        assert!(m.is_armed());
+        m.on_homed();
+        assert!(!m.is_armed(), "homing must stop the clock");
         assert_eq!(m.counts(), [0, 0, 0, 0], "homing must re-zero counters");
     }
 
     #[test]
     fn transactions_sample_counts_each_period() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
-        home(&mut m);
+        m.on_homed();
         m.on_control(
             Tick::from_millis(99),
             LogicEvent::new(Pin::XDir, Level::High),
+            true,
         );
         pulse(&mut m, Tick::from_millis(100), Pin::XStep);
         // 10 more steps before the first sample at t=200ms.
@@ -219,7 +205,7 @@ mod tests {
     #[test]
     fn early_tick_is_a_noop() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
-        home(&mut m);
+        m.on_homed();
         pulse(&mut m, Tick::from_millis(100), Pin::XStep);
         let due = m.on_tick(Tick::from_millis(150)).unwrap();
         assert_eq!(due, Tick::from_millis(200));
@@ -243,10 +229,11 @@ mod tests {
     #[test]
     fn into_capture_appends_conclusion_sample() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
-        home(&mut m);
+        m.on_homed();
         m.on_control(
             Tick::from_millis(99),
             LogicEvent::new(Pin::XDir, Level::High),
+            true,
         );
         pulse(&mut m, Tick::from_millis(100), Pin::XStep);
         m.on_tick(Tick::from_millis(200));
@@ -275,10 +262,11 @@ mod tests {
     #[test]
     fn flush_is_idempotent() {
         let mut m = Monitor::new(SimDuration::from_millis(100));
-        home(&mut m);
+        m.on_homed();
         m.on_control(
             Tick::from_millis(99),
             LogicEvent::new(Pin::XDir, Level::High),
+            true,
         );
         pulse(&mut m, Tick::from_millis(100), Pin::XStep);
         m.flush();

@@ -10,7 +10,7 @@
 //! the paper's limitation analysis.
 
 use offramps_des::SimDuration;
-use offramps_signals::{AnalogChannel, Edge, EdgeDetector, Level, Pin, SignalBus, SignalEvent};
+use offramps_signals::{AnalogChannel, Edge, EdgeDetector, Level, Pin, SignalEvent};
 
 use crate::trojans::{Disposition, Trojan, TrojanCtx};
 
@@ -55,7 +55,7 @@ impl EndstopSpoofTrojan {
             // The firmware's re-bump travels 2x the back-off (400 steps
             // at default config); trigger comfortably inside that.
             rebump_steps: (after_steps / 4).clamp(1, 150),
-            edges: EdgeDetector::with_bus(&SignalBus::new()),
+            edges: EdgeDetector::new(),
             dir_negative: true, // DIR resets low = negative
             steps_this_approach: 0,
             approaches_spoofed: 0,

@@ -7,7 +7,7 @@
 //! the start of print, causing the part to fail to adhere to build
 //! plate."
 
-use offramps_signals::{Edge, EdgeDetector, Level, Pin, SignalBus, SignalEvent};
+use offramps_signals::{Edge, EdgeDetector, Level, Pin, SignalEvent};
 
 use crate::trojans::{Disposition, PulseTrain, Trojan, TrojanCtx};
 
@@ -60,7 +60,7 @@ impl ZShiftTrojan {
             extra_steps,
             at_layer,
             repeat_every,
-            edges: EdgeDetector::with_bus(&SignalBus::new()),
+            edges: EdgeDetector::new(),
             z_dir_positive: false,
             z_steps_up: 0,
             layers_seen: 0,

@@ -6,7 +6,7 @@
 //! during printing causing layer shifts" — triggered on "random Z layer
 //! increments".
 
-use offramps_signals::{Edge, EdgeDetector, Level, Pin, SignalBus, SignalEvent};
+use offramps_signals::{Edge, EdgeDetector, Level, Pin, SignalEvent};
 
 use crate::trojans::{Disposition, PulseTrain, Trojan, TrojanCtx};
 
@@ -64,7 +64,7 @@ impl ZWobbleTrojan {
             max_shift,
             min_layer_gap,
             max_layer_gap,
-            edges: EdgeDetector::with_bus(&SignalBus::new()),
+            edges: EdgeDetector::new(),
             z_dir_positive: false,
             z_steps_up: 0,
             layers_seen: 0,

@@ -346,18 +346,22 @@ impl Evidence {
         })
     }
 
-    /// Evidence from a sampled-channel comparison report.
+    /// Evidence from a sampled-channel comparison report, judged by
+    /// [`Evidence::alarmed_at`] at the `base` suspect fraction.
     fn from_report(detector: &'static str, report: SideChannelReport, base: f64) -> Evidence {
-        Evidence {
+        let mut evidence = Evidence {
             detector: detector.into(),
-            alarmed: Some(report.sabotage_suspected),
+            // Judged; the alarm itself is decided below.
+            alarmed: Some(false),
             flagged: report.anomalous_windows,
             flagged_values: report.anomalous_windows,
             compared: report.windows_compared,
             threshold: Some(base),
             peak: report.largest_deviation_w,
             final_totals_match: None,
-        }
+        };
+        evidence.alarmed = evidence.alarmed_at(base);
+        evidence
     }
 }
 
@@ -1496,7 +1500,7 @@ mod tests {
     use super::*;
     use crate::detect::reference::{self, map_counts, ramp};
     use offramps_des::{SimDuration, Tick};
-    use offramps_sidechannel::compare_sampled;
+    use offramps_sidechannel::suspect_anomaly_fraction;
 
     /// A sampled detector's campaign default.
     fn sampled(name: &str) -> SampledDetector {
@@ -2023,12 +2027,13 @@ mod tests {
         observed
     }
 
-    /// Pins a sampled judge against the whole-trace reference
-    /// comparator: on a repetition-calibrated and on a single-profile
+    /// Pins a sampled judge against the comparator fed the whole trace
+    /// at once (the form the sidechannel crate pins against its
+    /// test-only `compare_sampled` batch reference): on a repetition-calibrated and on a single-profile
     /// golden bundle, clean and attacked, `judge` must equal the
-    /// evidence built from `compare_sampled`'s report; a bundle without
-    /// the detector's channel comes back unjudged.
-    fn assert_judge_matches_compare_sampled(det: &SampledDetector) {
+    /// evidence built from that report and the shared alarm rule; a
+    /// bundle without the detector's channel comes back unjudged.
+    fn assert_judge_matches_comparator(det: &SampledDetector) {
         let config = det.config;
         let channel = det.synth.channel();
         let calibrated = quad_golden();
@@ -2037,19 +2042,26 @@ mod tests {
         for golden in [&calibrated, &single] {
             for attacked in [false, true] {
                 let observed = quad_observed(attacked);
-                let report = compare_sampled(
+                let mut comparator = StreamingComparator::begin(
                     &golden.calibration_samples(channel),
                     golden.get(channel).and_then(ChannelData::samples),
+                    config,
+                )
+                .expect("golden material present");
+                comparator.extend(
                     observed
                         .get(channel)
                         .and_then(ChannelData::samples)
                         .unwrap(),
-                    config,
-                )
-                .expect("golden material present");
+                );
+                let report = comparator.finalize();
                 let reference = Evidence {
                     detector: det.name().into(),
-                    alarmed: Some(report.sabotage_suspected),
+                    alarmed: Some(suspect_anomaly_fraction(
+                        report.anomalous_windows,
+                        report.windows_compared,
+                        config.suspect_fraction,
+                    )),
                     flagged: report.anomalous_windows,
                     flagged_values: report.anomalous_windows,
                     compared: report.windows_compared,
@@ -2074,19 +2086,19 @@ mod tests {
     #[test]
     fn power_judge_matches_compare_sampled() {
         let det = sampled("power");
-        assert_judge_matches_compare_sampled(&det);
+        assert_judge_matches_comparator(&det);
     }
 
     #[test]
     fn acoustic_judge_matches_compare_sampled() {
         let det = sampled("acoustic");
-        assert_judge_matches_compare_sampled(&det);
+        assert_judge_matches_comparator(&det);
     }
 
     #[test]
     fn thermal_judge_matches_compare_sampled() {
         let det = sampled("thermal");
-        assert_judge_matches_compare_sampled(&det);
+        assert_judge_matches_comparator(&det);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl Program {
         &self.commands
     }
 
-    /// Mutable access to the commands (used by attack transformers).
-    pub fn commands_mut(&mut self) -> &mut Vec<GCommand> {
-        &mut self.commands
-    }
-
     /// Number of commands.
     pub fn len(&self) -> usize {
         self.commands.len()

@@ -168,12 +168,6 @@ impl A4988Driver {
         self.position
     }
 
-    /// Overrides the position (used when an axis re-references at an
-    /// endstop).
-    pub fn set_position_microsteps(&mut self, position: i64) {
-        self.position = position;
-    }
-
     /// Whether the driver is currently energized.
     pub fn is_enabled(&self) -> bool {
         self.enabled

@@ -5,18 +5,17 @@
 //! rail, acoustic/EM emission from the steppers, a thermal camera on
 //! the heated elements — reduces to the same judging problem: a
 //! uniformly sampled scalar waveform, compared window by window against
-//! a golden profile, with an acceptance band calibrated from repeated
-//! golden prints. This module is that comparison, factored out once so
-//! a rule change can never drift between modalities:
+//! a golden profile. This module is that comparison, factored out once
+//! so a rule change can never drift between modalities:
 //!
 //! * [`ComparatorConfig`] — sigma threshold, sensor noise, smoothing
 //!   window, suspect fraction (unit-agnostic: watts, a.u., °C);
-//! * [`CalibratedProfile`] — per-window mean and acceptance band fitted
-//!   from two or more golden repetitions (the published power-signature
-//!   systems profile ~40 repeated prints; the same trick transfers to
-//!   any repeatable channel);
-//! * [`single_profile_compare`] — the fallback when only one golden
-//!   run exists: a fixed noise-derived threshold;
+//! * [`StreamingComparator`] — the one comparison. Its golden profile
+//!   is a per-window `center` and `limit`: the mean and a sigma band
+//!   fitted from two or more golden repetitions (the published
+//!   power-signature systems profile ~40 repeated prints; the same
+//!   trick transfers to any repeatable channel), or, with one golden
+//!   run only, that run and a fixed noise-derived limit;
 //! * [`suspect_anomaly_fraction`] — the alarm rule shared by every
 //!   live comparator and every offline threshold-sweep re-judge.
 //!
@@ -38,28 +37,16 @@ pub struct ComparatorConfig {
     pub suspect_fraction: f64,
 }
 
-/// Outcome of one side-channel comparison (any modality).
+/// The totals of one side-channel comparison (any modality); the
+/// verdict is [`suspect_anomaly_fraction`] over them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SideChannelReport {
     /// Windows compared (after smoothing).
     pub windows_compared: usize,
-    /// Windows whose smoothed deviation exceeded the threshold.
+    /// Windows whose smoothed deviation exceeded the limit.
     pub anomalous_windows: usize,
     /// Largest smoothed deviation, in the channel's unit.
     pub largest_deviation_w: f64,
-    /// The verdict.
-    pub sabotage_suspected: bool,
-}
-
-impl SideChannelReport {
-    /// Fraction of windows flagged.
-    pub fn anomaly_fraction(&self) -> f64 {
-        if self.windows_compared == 0 {
-            0.0
-        } else {
-            self.anomalous_windows as f64 / self.windows_compared as f64
-        }
-    }
 }
 
 /// The side-channel alarm rule: the anomalous-window fraction strictly
@@ -82,26 +69,70 @@ pub fn suspect_anomaly_fraction(
 
 /// Boxcar-averages `samples` in chunks of `k` (the time-averaging a
 /// single-shot channel gets in lieu of repetition-averaging).
-pub fn smooth(samples: &[f64], k: usize) -> Vec<f64> {
+fn smooth(samples: &[f64], k: usize) -> Vec<f64> {
     if k <= 1 || samples.is_empty() {
         return samples.to_vec();
     }
-    let mut out = Vec::with_capacity(samples.len() / k + 1);
-    for chunk in samples.chunks(k) {
-        out.push(chunk.iter().sum::<f64>() / chunk.len() as f64);
-    }
-    out
+    samples
+        .chunks(k)
+        .map(|chunk| chunk.iter().sum::<f64>() / chunk.len() as f64)
+        .collect()
 }
 
-/// Compares an observed trace against a *single* golden profile with a
-/// fixed noise-derived threshold. Smoothing over k windows reduces the
-/// noise on each compared value by sqrt(k); the *difference* of two
-/// noisy traces has sqrt(2) more.
+/// Fits the per-window golden profile `(center, limit)`; `None` when
+/// there is no golden material at all.
+///
+/// With two or more calibration runs, `center` is their smoothed mean
+/// and `limit` is `sigma × max(std, noise/√k)`: the band widens
+/// exactly where the machine is naturally variable (move boundaries
+/// under time noise, heater bang-bang phase) and is floored at the
+/// sensor-noise level, so a perfectly repeatable window still tolerates
+/// read-out noise. With one `golden` run, `center` is that run smoothed
+/// and `limit` the constant `sigma × noise/√k × √2`: smoothing over k
+/// samples cuts the noise on each value by √k, and the difference of
+/// two noisy traces has √2 more.
+fn golden_profile(
+    calibration: &[&[f64]],
+    golden: Option<&[f64]>,
+    config: ComparatorConfig,
+) -> Option<(Vec<f64>, Vec<f64>)> {
+    let noise = config.noise_sigma / (config.smoothing.max(1) as f64).sqrt();
+    if calibration.len() < 2 {
+        let center = smooth(golden?, config.smoothing);
+        let limit = vec![config.sigma_threshold * (noise * std::f64::consts::SQRT_2); center.len()];
+        return Some((center, limit));
+    }
+    let runs: Vec<Vec<f64>> = calibration
+        .iter()
+        .map(|run| smooth(run, config.smoothing))
+        .collect();
+    let n = runs.iter().map(Vec::len).min().unwrap_or(0);
+    let m = runs.len() as f64;
+    let (mut center, mut limit) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for w in 0..n {
+        let mu = runs.iter().map(|r| r[w]).sum::<f64>() / m;
+        let var = runs.iter().map(|r| (r[w] - mu).powi(2)).sum::<f64>() / m;
+        center.push(mu);
+        limit.push(config.sigma_threshold * var.sqrt().max(noise));
+    }
+    Some((center, limit))
+}
+
+/// The side-channel comparison: feed raw samples as a live sensor
+/// would deliver them, read the provisional alarm between windows, and
+/// [`StreamingComparator::finalize`] into the [`SideChannelReport`]
+/// over the full trace.
+///
+/// The state after feeding the first `t` samples depends only on `t`,
+/// never on how the feed was chunked — smoothing windows are judged
+/// exactly when `smoothing` raw samples have accumulated (the partial
+/// final chunk is averaged over its own length at finalize), so any
+/// slicing of the same sample stream yields the same verdicts.
 ///
 /// # Example
 ///
 /// ```
-/// use offramps_sidechannel::{single_profile_compare, ComparatorConfig, PowerModel};
+/// use offramps_sidechannel::{ComparatorConfig, PowerModel, StreamingComparator};
 /// use offramps_signals::SignalTrace;
 ///
 /// let model = PowerModel::default();
@@ -113,156 +144,15 @@ pub fn smooth(samples: &[f64], k: usize) -> Vec<f64> {
 ///     smoothing: 20,
 ///     suspect_fraction: 0.01,
 /// };
-/// let report = single_profile_compare(golden.samples(), observed.samples(), config);
-/// assert!(!report.sabotage_suspected);
+/// // One golden run: the single-profile fallback.
+/// let mut judge = StreamingComparator::begin(&[], Some(golden.samples()), config).unwrap();
+/// judge.extend(observed.samples());
+/// assert!(!judge.suspected_so_far());
 /// ```
-pub fn single_profile_compare(
-    golden: &[f64],
-    observed: &[f64],
-    config: ComparatorConfig,
-) -> SideChannelReport {
-    let golden = smooth(golden, config.smoothing);
-    let obs = smooth(observed, config.smoothing);
-    let n = golden.len().min(obs.len());
-    let sigma_eff =
-        config.noise_sigma / (config.smoothing.max(1) as f64).sqrt() * std::f64::consts::SQRT_2;
-    let threshold = config.sigma_threshold * sigma_eff;
-    let mut anomalous = 0usize;
-    let mut largest = 0.0f64;
-    for (g, o) in golden.iter().zip(&obs).take(n) {
-        let dev = (g - o).abs();
-        largest = largest.max(dev);
-        if dev > threshold {
-            anomalous += 1;
-        }
-    }
-    let mut report = SideChannelReport {
-        windows_compared: n,
-        anomalous_windows: anomalous,
-        largest_deviation_w: largest,
-        sabotage_suspected: false,
-    };
-    report.sabotage_suspected = suspect_anomaly_fraction(anomalous, n, config.suspect_fraction);
-    report
-}
-
-/// A per-window golden profile calibrated from repeated prints: mean
-/// plus an acceptance band that widens exactly where the machine is
-/// naturally variable (move boundaries under time noise, heater
-/// bang-bang phase), floored at the sensor-noise level so a perfectly
-/// repeatable window still tolerates read-out noise.
-#[derive(Debug, Clone)]
-pub struct CalibratedProfile {
-    mean: Vec<f64>,
-    band: Vec<f64>,
-    smoothing: usize,
-    sigma_threshold: f64,
-    suspect_fraction: f64,
-}
-
-impl CalibratedProfile {
-    /// Calibrates from repeated golden runs (two or more), given as raw
-    /// sample slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics with fewer than two repetitions.
-    pub fn calibrate(golden_runs: &[&[f64]], config: ComparatorConfig) -> Self {
-        assert!(golden_runs.len() >= 2, "calibration needs repeated prints");
-        let smoothed: Vec<Vec<f64>> = golden_runs
-            .iter()
-            .map(|t| smooth(t, config.smoothing))
-            .collect();
-        let n = smoothed.iter().map(Vec::len).min().unwrap_or(0);
-        let m = smoothed.len() as f64;
-        let mut mean = vec![0.0; n];
-        let mut band = vec![0.0; n];
-        for w in 0..n {
-            let mu = smoothed.iter().map(|s| s[w]).sum::<f64>() / m;
-            let var = smoothed.iter().map(|s| (s[w] - mu).powi(2)).sum::<f64>() / m;
-            mean[w] = mu;
-            // Noise floor: even a perfectly repeatable window keeps the
-            // sensor-noise band.
-            let noise_floor = config.noise_sigma / (config.smoothing.max(1) as f64).sqrt();
-            band[w] = var.sqrt().max(noise_floor);
-        }
-        CalibratedProfile {
-            mean,
-            band,
-            smoothing: config.smoothing,
-            sigma_threshold: config.sigma_threshold,
-            suspect_fraction: config.suspect_fraction,
-        }
-    }
-
-    /// Compares an observed run (raw samples) against the calibrated
-    /// profile.
-    pub fn compare(&self, observed: &[f64]) -> SideChannelReport {
-        let obs = smooth(observed, self.smoothing);
-        let n = self.mean.len().min(obs.len());
-        let mut anomalous = 0usize;
-        let mut largest = 0.0f64;
-        for (i, o) in obs.iter().enumerate().take(n) {
-            let dev = (self.mean[i] - o).abs();
-            largest = largest.max(dev);
-            if dev > self.sigma_threshold * self.band[i] {
-                anomalous += 1;
-            }
-        }
-        let mut report = SideChannelReport {
-            windows_compared: n,
-            anomalous_windows: anomalous,
-            largest_deviation_w: largest,
-            sabotage_suspected: false,
-        };
-        report.sabotage_suspected = suspect_anomaly_fraction(anomalous, n, self.suspect_fraction);
-        report
-    }
-}
-
-/// Judges one observed sample vector: the calibrated comparator when
-/// two or more golden repetitions exist, the single-profile fallback
-/// when only a primary golden run does, `None` when there is no golden
-/// material at all. This is the one entry point every sampled-trace
-/// detector (`power`, `acoustic`, `thermal`) routes through.
-pub fn compare_sampled(
-    calibration: &[&[f64]],
-    golden: Option<&[f64]>,
-    observed: &[f64],
-    config: ComparatorConfig,
-) -> Option<SideChannelReport> {
-    if calibration.len() >= 2 {
-        Some(CalibratedProfile::calibrate(calibration, config).compare(observed))
-    } else {
-        golden.map(|g| single_profile_compare(g, observed, config))
-    }
-}
-
-/// The golden material a [`StreamingComparator`] judges against: the
-/// same selection rule as [`compare_sampled`], frozen at `begin` time.
-#[derive(Debug, Clone)]
-enum StreamProfile {
-    /// Repetition-calibrated per-window mean and band.
-    Calibrated(CalibratedProfile),
-    /// Single-golden fallback: the smoothed golden profile plus the
-    /// fixed noise-derived threshold of [`single_profile_compare`].
-    Single { golden: Vec<f64>, threshold: f64 },
-}
-
-/// Incremental form of [`compare_sampled`]: feed raw samples as a live
-/// sensor would deliver them, read the provisional alarm between
-/// windows, and [`StreamingComparator::finalize`] into the
-/// byte-identical [`SideChannelReport`] the batch comparator produces
-/// over the full trace.
-///
-/// The state after feeding the first `t` samples depends only on `t`,
-/// never on how the feed was chunked — smoothing windows are emitted
-/// exactly when `smoothing` raw samples have accumulated (the partial
-/// final chunk is averaged at finalize, matching [`smooth`]), so any
-/// slicing of the same sample stream yields the same verdicts.
 #[derive(Debug, Clone)]
 pub struct StreamingComparator {
-    profile: StreamProfile,
+    center: Vec<f64>,
+    limit: Vec<f64>,
     smoothing: usize,
     suspect_fraction: f64,
     buf: Vec<f64>,
@@ -272,28 +162,19 @@ pub struct StreamingComparator {
 }
 
 impl StreamingComparator {
-    /// Starts a streaming comparison with the same golden-material
-    /// selection as [`compare_sampled`]: calibrated profile when two or
-    /// more repetitions exist, single-golden fallback otherwise, `None`
-    /// when there is no golden material at all.
+    /// Starts a comparison against the golden profile fitted from
+    /// `calibration` when it holds two or more repetitions, from the
+    /// single `golden` run otherwise; `None` when there is no golden
+    /// material at all.
     pub fn begin(
         calibration: &[&[f64]],
         golden: Option<&[f64]>,
         config: ComparatorConfig,
     ) -> Option<Self> {
-        let profile = if calibration.len() >= 2 {
-            StreamProfile::Calibrated(CalibratedProfile::calibrate(calibration, config))
-        } else {
-            let g = golden?;
-            let sigma_eff = config.noise_sigma / (config.smoothing.max(1) as f64).sqrt()
-                * std::f64::consts::SQRT_2;
-            StreamProfile::Single {
-                golden: smooth(g, config.smoothing),
-                threshold: config.sigma_threshold * sigma_eff,
-            }
-        };
+        let (center, limit) = golden_profile(calibration, golden, config)?;
         Some(StreamingComparator {
-            profile,
+            center,
+            limit,
             smoothing: config.smoothing.max(1),
             suspect_fraction: config.suspect_fraction,
             buf: Vec::new(),
@@ -304,26 +185,15 @@ impl StreamingComparator {
     }
 
     /// Judges one completed smoothing window. Windows beyond the golden
-    /// profile's length are ignored, exactly like the batch
-    /// comparators' min-length truncation.
+    /// profile's length are ignored.
     fn take_window(&mut self, value: f64) {
-        let (dev, threshold) = match &self.profile {
-            StreamProfile::Calibrated(p) => {
-                if self.windows_compared >= p.mean.len() {
-                    return;
-                }
-                let w = self.windows_compared;
-                ((p.mean[w] - value).abs(), p.sigma_threshold * p.band[w])
-            }
-            StreamProfile::Single { golden, threshold } => {
-                if self.windows_compared >= golden.len() {
-                    return;
-                }
-                ((golden[self.windows_compared] - value).abs(), *threshold)
-            }
-        };
+        let w = self.windows_compared;
+        if w >= self.center.len() {
+            return;
+        }
+        let dev = (self.center[w] - value).abs();
         self.largest = self.largest.max(dev);
-        if dev > threshold {
+        if dev > self.limit[w] {
             self.anomalous_windows += 1;
         }
         self.windows_compared += 1;
@@ -332,7 +202,7 @@ impl StreamingComparator {
     /// Feeds one raw sample.
     pub fn push(&mut self, sample: f64) {
         if self.smoothing == 1 {
-            // `smooth` passes samples through untouched at k <= 1.
+            // Unsmoothed: every sample is its own window.
             self.take_window(sample);
             return;
         }
@@ -346,8 +216,7 @@ impl StreamingComparator {
 
     /// Feeds a slice of raw samples (any chunking). Whole smoothing
     /// windows inside the slice are averaged straight from it, with the
-    /// same arithmetic as [`StreamingComparator::push`], so a whole
-    /// print fed as one slice costs what [`smooth`] does.
+    /// same arithmetic as [`StreamingComparator::push`].
     pub fn extend(&mut self, samples: &[f64]) {
         if self.smoothing == 1 {
             for &s in samples {
@@ -383,11 +252,6 @@ impl StreamingComparator {
         self.anomalous_windows
     }
 
-    /// Largest smoothed deviation seen so far.
-    pub fn largest_deviation(&self) -> f64 {
-        self.largest
-    }
-
     /// The provisional mid-print alarm: the shared
     /// [`suspect_anomaly_fraction`] rule over the windows judged so
     /// far. Strictly tightens toward the final verdict as windows
@@ -400,27 +264,18 @@ impl StreamingComparator {
         )
     }
 
-    /// Flushes the partial final smoothing chunk (averaged over its own
-    /// length, like [`smooth`]) and returns the report — byte-identical
-    /// to what [`compare_sampled`] produces over the full trace.
+    /// Judges the partial final smoothing chunk (averaged over its own
+    /// length) and returns the totals over the full trace.
     pub fn finalize(mut self) -> SideChannelReport {
         if !self.buf.is_empty() {
             let avg = self.buf.iter().sum::<f64>() / self.buf.len() as f64;
-            self.buf.clear();
             self.take_window(avg);
         }
-        let mut report = SideChannelReport {
+        SideChannelReport {
             windows_compared: self.windows_compared,
             anomalous_windows: self.anomalous_windows,
             largest_deviation_w: self.largest,
-            sabotage_suspected: false,
-        };
-        report.sabotage_suspected = suspect_anomaly_fraction(
-            self.anomalous_windows,
-            self.windows_compared,
-            self.suspect_fraction,
-        );
-        report
+        }
     }
 }
 
@@ -442,6 +297,41 @@ mod tests {
         }
     }
 
+    /// The whole-trace batch comparison the streaming comparator is
+    /// pinned against: smooth the observed trace once, then judge each
+    /// window against the golden profile up to the shorter length.
+    fn compare_sampled(
+        calibration: &[&[f64]],
+        golden: Option<&[f64]>,
+        observed: &[f64],
+        config: ComparatorConfig,
+    ) -> Option<SideChannelReport> {
+        let (center, limit) = golden_profile(calibration, golden, config)?;
+        let obs = smooth(observed, config.smoothing);
+        let mut report = SideChannelReport {
+            windows_compared: center.len().min(obs.len()),
+            anomalous_windows: 0,
+            largest_deviation_w: 0.0,
+        };
+        for ((c, l), o) in center.iter().zip(&limit).zip(&obs) {
+            let dev = (c - o).abs();
+            report.largest_deviation_w = report.largest_deviation_w.max(dev);
+            if dev > *l {
+                report.anomalous_windows += 1;
+            }
+        }
+        Some(report)
+    }
+
+    /// The verdict over a report at [`cfg`]'s suspect fraction.
+    fn suspected(report: &SideChannelReport) -> bool {
+        suspect_anomaly_fraction(
+            report.anomalous_windows,
+            report.windows_compared,
+            cfg().suspect_fraction,
+        )
+    }
+
     #[test]
     fn smoothing_reduces_vector_length_and_preserves_mean() {
         assert_eq!(smooth(&[1.0; 100], 10).len(), 10);
@@ -453,25 +343,16 @@ mod tests {
 
     #[test]
     fn calibrated_band_floors_at_noise() {
-        // Three identical runs: band must still be the noise floor, not
-        // zero.
+        // Three identical runs: the limit must still be the noise
+        // floor, not zero.
         let run = vec![5.0; 100];
         let runs: Vec<&[f64]> = vec![&run, &run, &run];
-        let profile = CalibratedProfile::calibrate(&runs, cfg());
         let shifted: Vec<f64> = run.iter().map(|v| v + 10.0).collect();
-        let rep = profile.compare(&shifted);
-        assert!(rep.sabotage_suspected, "{rep:?}");
-        let same = profile.compare(&run);
-        assert!(!same.sabotage_suspected, "{same:?}");
+        let rep = compare_sampled(&runs, None, &shifted, cfg()).unwrap();
+        assert!(suspected(&rep), "{rep:?}");
+        let same = compare_sampled(&runs, None, &run, cfg()).unwrap();
+        assert!(!suspected(&same), "{same:?}");
         assert_eq!(same.anomalous_windows, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "repeated prints")]
-    fn calibration_needs_repeats() {
-        let run = vec![1.0; 10];
-        let runs: Vec<&[f64]> = vec![&run];
-        let _ = CalibratedProfile::calibrate(&runs, cfg());
     }
 
     #[test]
@@ -480,10 +361,17 @@ mod tests {
         let attacked: Vec<f64> = golden.iter().map(|v| v + 50.0).collect();
         let calibration: Vec<&[f64]> = vec![&golden, &golden];
         let rep = compare_sampled(&calibration, None, &attacked, cfg()).unwrap();
-        assert!(rep.sabotage_suspected);
+        assert!(suspected(&rep));
         let rep = compare_sampled(&[], Some(&golden), &attacked, cfg()).unwrap();
-        assert!(rep.sabotage_suspected);
+        assert!(suspected(&rep));
         assert!(compare_sampled(&[], None, &attacked, cfg()).is_none());
+        // One repetition does not calibrate: the primary golden run
+        // judges alone.
+        let one: Vec<&[f64]> = vec![&attacked];
+        assert_eq!(
+            compare_sampled(&one, Some(&golden), &attacked, cfg()),
+            compare_sampled(&[], Some(&golden), &attacked, cfg())
+        );
     }
 
     fn print_like_trace(step_period_us: u64, seconds: u64) -> SignalTrace {
@@ -507,20 +395,20 @@ mod tests {
         let model = PowerModel::default();
         let golden = model.synthesize(&print_like_trace(250, 5), 1);
         let observed = model.synthesize(&print_like_trace(observed_period_us, 5), 2);
-        single_profile_compare(golden.samples(), observed.samples(), cfg())
+        compare_sampled(&[], Some(golden.samples()), observed.samples(), cfg()).unwrap()
     }
 
     #[test]
     fn same_job_different_noise_is_clean() {
         let rep = power_compare(250);
-        assert!(!rep.sabotage_suspected, "{rep:?}");
+        assert!(!suspected(&rep), "{rep:?}");
     }
 
     #[test]
     fn gross_power_change_detected() {
         // Half the step rate: ~4 W sustained difference.
         let rep = power_compare(500);
-        assert!(rep.sabotage_suspected, "{rep:?}");
+        assert!(suspected(&rep), "{rep:?}");
     }
 
     #[test]
@@ -528,19 +416,20 @@ mod tests {
         // 2% step-rate change: ~0.16 W sustained vs the sensor noise —
         // the side channel cannot see it (OFFRAMPS can).
         let rep = power_compare(255);
-        assert!(!rep.sabotage_suspected, "{rep:?}");
+        assert!(!suspected(&rep), "{rep:?}");
     }
 
     #[test]
     fn single_profile_matches_preexisting_numerics() {
-        // The comparator must reproduce the original inline comparison:
-        // threshold = sigma * noise/sqrt(k) * sqrt(2) over smoothed
-        // windows.
+        // One golden run must reproduce the original inline comparison:
+        // limit = sigma * noise/sqrt(k) * sqrt(2) over smoothed windows.
         let model = PowerModel::default();
         let golden = model.synthesize(&print_like_trace(250, 5), 1);
         let observed = model.synthesize(&print_like_trace(300, 5), 2);
         let config = cfg();
-        let rep = single_profile_compare(golden.samples(), observed.samples(), config);
+        let mut s = StreamingComparator::begin(&[], Some(golden.samples()), config).unwrap();
+        s.extend(observed.samples());
+        let rep = s.finalize();
 
         let g = smooth(golden.samples(), config.smoothing);
         let o = smooth(observed.samples(), config.smoothing);
@@ -557,20 +446,10 @@ mod tests {
                 anomalous += 1;
             }
         }
+        assert!(anomalous > 0, "the slower print must flag windows");
         assert_eq!(rep.windows_compared, n);
         assert_eq!(rep.anomalous_windows, anomalous);
         assert_eq!(rep.largest_deviation_w, largest);
-    }
-
-    #[test]
-    fn report_fraction() {
-        let r = SideChannelReport {
-            windows_compared: 200,
-            anomalous_windows: 5,
-            largest_deviation_w: 9.0,
-            sabotage_suspected: true,
-        };
-        assert!((r.anomaly_fraction() - 0.025).abs() < 1e-12);
     }
 
     #[test]
@@ -653,7 +532,7 @@ mod tests {
             smoothing: 1,
             ..cfg()
         };
-        let batch = single_profile_compare(&golden, &observed, config);
+        let batch = compare_sampled(&[], Some(&golden), &observed, config).unwrap();
         let mut s = StreamingComparator::begin(&[], Some(&golden), config).unwrap();
         s.extend(&observed);
         assert_eq!(s.finalize(), batch);
@@ -686,7 +565,7 @@ mod tests {
             s.push(v);
             assert!(!s.suspected_so_far(), "clean run must never alarm");
         }
-        assert!(!s.finalize().sabotage_suspected);
+        assert!(!suspected(&s.finalize()));
 
         // Sabotage from sample 200 on: the alarm must rise strictly
         // before the stream ends.
@@ -700,6 +579,6 @@ mod tests {
         }
         let alarm_at = alarm_at.expect("sabotage must alarm mid-stream");
         assert!(alarm_at >= 200 && alarm_at < run.len() - 1, "{alarm_at}");
-        assert!(s.finalize().sabotage_suspected);
+        assert!(suspected(&s.finalize()));
     }
 }

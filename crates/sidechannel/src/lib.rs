@@ -28,10 +28,11 @@
 //! * [`SampledTrace`] — what every model synthesizes: a uniformly
 //!   sampled scalar waveform (watts, a.u. or °C) plus its sample
 //!   period; one type, because every modality is judged the same way,
-//! * [`comparator`] — the modality-generic judging core: golden-profile
-//!   windowed comparison ([`single_profile_compare`]) and the
-//!   repetition-calibrated acceptance band ([`CalibratedProfile`]) that
-//!   every sampled channel shares,
+//! * [`comparator`] — the modality-generic judging core every sampled
+//!   channel shares: [`StreamingComparator`] judges a waveform window by
+//!   window against one golden-profile shape, a per-window center and
+//!   limit fitted from repeated golden prints (or from a single golden
+//!   print with a noise-derived limit),
 //! * the `baseline` experiment in `offramps-bench` runs the detectors
 //!   over the Table II attacks and reports who catches what.
 //!
@@ -49,8 +50,7 @@ mod thermal;
 
 pub use acoustic::AcousticModel;
 pub use comparator::{
-    compare_sampled, single_profile_compare, suspect_anomaly_fraction, CalibratedProfile,
-    ComparatorConfig, SideChannelReport, StreamingComparator,
+    suspect_anomaly_fraction, ComparatorConfig, SideChannelReport, StreamingComparator,
 };
 pub use model::PowerModel;
 pub use thermal::ThermalCamera;

@@ -7,18 +7,18 @@
 //! last-level register.
 
 use crate::event::{Edge, Level, LogicEvent};
-use crate::pin::Pin;
+use crate::pin::{Pin, ALL_PINS};
 
 /// Detects edges on all pins from a stream of [`LogicEvent`]s.
 ///
 /// # Example
 ///
 /// ```
-/// use offramps_signals::{EdgeDetector, LogicEvent, Pin, Level, Edge, SignalBus};
+/// use offramps_signals::{EdgeDetector, LogicEvent, Pin, Level, Edge};
 ///
-/// // Pre-load the detector with the bus reset levels so the first real
+/// // The detector starts at the boards' reset levels, so the first real
 /// // transition is reported.
-/// let mut det = EdgeDetector::with_bus(&SignalBus::new());
+/// let mut det = EdgeDetector::new();
 /// let e = det.observe(LogicEvent::new(Pin::XStep, Level::High));
 /// assert_eq!(e, Some(Edge::Rising));
 /// // Re-asserting the same level is not an edge.
@@ -27,7 +27,6 @@ use crate::pin::Pin;
 #[derive(Debug, Clone)]
 pub struct EdgeDetector {
     last: [Level; Pin::COUNT],
-    initialized: [bool; Pin::COUNT],
 }
 
 impl Default for EdgeDetector {
@@ -37,79 +36,71 @@ impl Default for EdgeDetector {
 }
 
 impl EdgeDetector {
-    /// Creates a detector with all pins in the unknown state; the first
-    /// observation of each pin initialises it and is never reported as an
-    /// edge (there is nothing to compare against).
+    /// Creates a detector at the reset state of the real boards: every
+    /// line low except the active-low stepper `*_EN` pins, which idle
+    /// high (drivers disabled).
     pub fn new() -> Self {
         EdgeDetector {
-            last: [Level::Low; Pin::COUNT],
-            initialized: [false; Pin::COUNT],
+            // `ALL_PINS` lists the pins in `Pin::index` order.
+            last: ALL_PINS.map(|pin| {
+                if pin.is_enable() {
+                    Level::High
+                } else {
+                    Level::Low
+                }
+            }),
         }
-    }
-
-    /// Creates a detector pre-loaded with the reset levels of `bus`, so
-    /// the very first real transition is detected as an edge.
-    pub fn with_bus(bus: &crate::bus::SignalBus) -> Self {
-        let mut det = EdgeDetector::new();
-        for (pin, level) in bus.iter() {
-            det.last[pin.index()] = level;
-            det.initialized[pin.index()] = true;
-        }
-        det
     }
 
     /// Feeds one event; returns the edge it produced, if any.
     pub fn observe(&mut self, event: LogicEvent) -> Option<Edge> {
-        let i = event.pin.index();
-        if !self.initialized[i] {
-            self.initialized[i] = true;
-            self.last[i] = event.level;
+        let last = &mut self.last[event.pin.index()];
+        if *last == event.level {
             return None;
         }
-        if self.last[i] == event.level {
-            return None;
-        }
-        self.last[i] = event.level;
+        *last = event.level;
         Some(Edge::to(event.level))
-    }
-
-    /// The last observed level of `pin`, if it has been observed.
-    pub fn last_level(&self, pin: Pin) -> Option<Level> {
-        self.initialized[pin.index()].then(|| self.last[pin.index()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::SignalBus;
 
     #[test]
     fn first_observation_is_not_an_edge() {
+        // ... when it repeats the pin's reset level.
         let mut det = EdgeDetector::new();
-        assert_eq!(det.observe(LogicEvent::new(Pin::ZDir, Level::High)), None);
-        assert_eq!(det.last_level(Pin::ZDir), Some(Level::High));
-        assert_eq!(det.last_level(Pin::XDir), None);
-    }
-
-    #[test]
-    fn detects_both_edges() {
-        let mut det = EdgeDetector::with_bus(&SignalBus::new());
+        assert_eq!(det.observe(LogicEvent::new(Pin::ZDir, Level::Low)), None);
         assert_eq!(
-            det.observe(LogicEvent::new(Pin::EStep, Level::High)),
-            Some(Edge::Rising)
-        );
-        assert_eq!(
-            det.observe(LogicEvent::new(Pin::EStep, Level::Low)),
-            Some(Edge::Falling)
+            det.observe(LogicEvent::new(Pin::XEnable, Level::High)),
+            None
         );
     }
 
     #[test]
-    fn with_bus_reports_first_transition() {
-        let det = EdgeDetector::with_bus(&SignalBus::new());
-        // Enable pins idle high on the bus, so a low is a falling edge.
-        let mut det = det;
+    fn reset_state_matches_hardware() {
+        // Enable pins idle high (drivers disabled), so a low is a
+        // falling edge; every other line idles low.
+        let mut det = EdgeDetector::new();
+        for pin in ALL_PINS {
+            let (level, edge) = if pin.is_enable() {
+                (Level::Low, Edge::Falling)
+            } else {
+                (Level::High, Edge::Rising)
+            };
+            assert_eq!(
+                det.observe(LogicEvent::new(pin, level)),
+                Some(edge),
+                "{pin:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_reports_first_transition() {
+        let mut det = EdgeDetector::new();
+        // Enable pins idle high on reset, so a low is a falling edge.
         assert_eq!(
             det.observe(LogicEvent::new(Pin::XEnable, Level::Low)),
             Some(Edge::Falling)
@@ -117,8 +108,22 @@ mod tests {
     }
 
     #[test]
+    fn detects_both_edges() {
+        let mut det = EdgeDetector::new();
+        assert_eq!(
+            det.observe(LogicEvent::new(Pin::EStep, Level::High)),
+            Some(Edge::Rising)
+        );
+        assert_eq!(det.observe(LogicEvent::new(Pin::EStep, Level::High)), None);
+        assert_eq!(
+            det.observe(LogicEvent::new(Pin::EStep, Level::Low)),
+            Some(Edge::Falling)
+        );
+    }
+
+    #[test]
     fn pins_are_independent() {
-        let mut det = EdgeDetector::with_bus(&SignalBus::new());
+        let mut det = EdgeDetector::new();
         det.observe(LogicEvent::new(Pin::XStep, Level::High));
         // Y has not moved; its first rising edge is still detected.
         assert_eq!(

@@ -11,34 +11,31 @@
 //! * [`SignalEvent`] — the full event vocabulary that flows between the
 //!   firmware, the interceptor and the plant (logic edges, thermistor ADC
 //!   samples, UART bytes),
-//! * [`SignalBus`] — the instantaneous state of all lines,
 //! * [`SignalTrace`] — a recording of events with logic-analyzer style
 //!   queries (pulse counts, widths, frequencies) and VCD export,
 //! * [`EdgeDetector`] — the edge-detection primitive the paper's FPGA
-//!   modules are built from.
+//!   modules are built from; it starts at the boards' reset levels.
 //!
 //! # Example
 //!
 //! ```
-//! use offramps_signals::{Pin, Level, SignalBus, LogicEvent};
+//! use offramps_signals::{Edge, EdgeDetector, Level, LogicEvent, Pin};
 //!
-//! let mut bus = SignalBus::new();
-//! bus.apply(LogicEvent::new(Pin::XStep, Level::High));
-//! assert_eq!(bus.level(Pin::XStep), Level::High);
+//! let mut edges = EdgeDetector::new();
+//! let step = LogicEvent::new(Pin::XStep, Level::High);
+//! assert_eq!(edges.observe(step), Some(Edge::Rising));
 //! assert_eq!(Pin::XStep.arduino_pin(), 54); // A0 on the Mega
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bus;
 mod edge;
 mod event;
 mod pin;
 mod trace;
 mod vcd;
 
-pub use bus::SignalBus;
 pub use edge::EdgeDetector;
 pub use event::{AnalogChannel, Edge, Level, LogicEvent, SignalEvent, UartDirection};
 pub use pin::{Axis, Pin, PinClass, ALL_PINS, CONTROL_PINS, FEEDBACK_PINS};
