@@ -19,7 +19,8 @@ pub struct FirmwareConfig {
     /// Back-off distance between the two homing touches, mm.
     pub homing_backoff_mm: f64,
     /// STEP pulse high time, µs (Marlin uses 1–2 µs; the paper measured
-    /// ≥ 1 µs minimum pulse widths).
+    /// ≥ 1 µs minimum pulse widths). Must be shorter than the shortest
+    /// step interval; `Firmware::new` panics otherwise.
     pub step_pulse_us: u64,
     /// Delay between a DIR change and the first STEP edge, µs.
     pub dir_setup_us: u64,
@@ -98,6 +99,24 @@ impl FirmwareConfig {
             ..FirmwareConfig::default()
         }
     }
+
+    /// The shortest interval between two STEP pulses, s: the fastest
+    /// axis at its speed cap, or at homing speed for X/Y/Z, with the
+    /// per-move jitter shrinking the move by its largest draw.
+    pub(crate) fn shortest_step_interval_s(&self) -> f64 {
+        let homing = self.homing_speed_mm_s.max(self.homing_bump_speed_mm_s);
+        let rate = (0..4)
+            .map(|i| {
+                let speed = if i < 3 {
+                    self.max_speed_mm_s[i].max(homing)
+                } else {
+                    self.max_speed_mm_s[i]
+                };
+                speed * self.steps_per_mm[i]
+            })
+            .fold(0.0, f64::max);
+        (1.0 - 3.0 * self.jitter_sigma.max(0.0)).max(0.5) / rate
+    }
 }
 
 #[cfg(test)]
@@ -110,6 +129,16 @@ mod tests {
         assert_eq!(c.steps_per_mm, [100.0, 100.0, 400.0, 280.0]);
         assert!(c.jitter_sigma > 0.0);
         assert_eq!(FirmwareConfig::deterministic().jitter_sigma, 0.0);
+    }
+
+    #[test]
+    fn default_step_pulse_fits_the_fastest_step() {
+        // E at 120 mm/s and 280 steps/mm steps every 29.8 µs, less 3σ
+        // of jitter.
+        let c = FirmwareConfig::default();
+        let interval_us = c.shortest_step_interval_s() * 1e6;
+        assert!((29.6..29.8).contains(&interval_us), "{interval_us}");
+        assert!(c.step_pulse_us < 29);
     }
 
     #[test]

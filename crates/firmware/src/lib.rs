@@ -18,7 +18,11 @@
 //!   MINTEMP/MAXTEMP cutoffs ([`HeaterControl`]),
 //! * deterministic per-move "time noise" (the print-to-print variation
 //!   the paper's 5 % detection margin exists to absorb),
-//! * periodic status reporting over the display UART.
+//! * periodic status reporting over the display UART,
+//! * Marlin-style fixed timers — step, step-low, temperature loop,
+//!   per-device PWM period and gate-off, status — held in one slot
+//!   each and feeding the component's one kernel wake slot, with no
+//!   private event queue.
 //!
 //! The firmware is a DES component: the harness feeds it wake-ups and
 //! feedback events; it emits [`SignalEvent`]s that flow *through* the

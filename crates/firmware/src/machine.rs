@@ -1,6 +1,5 @@
 //! The firmware state machine: G-code in, signals out.
 
-use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use offramps_des::{
@@ -62,72 +61,55 @@ impl Device {
     }
 }
 
-/// Internal scheduler tasks.
-#[derive(Debug, Clone, PartialEq)]
-enum Task {
-    /// Execute program commands until blocked.
-    Advance,
-    /// Emit the next step pulse of the current move.
-    Step { gen: u64 },
-    /// Drive the STEP pins of `mask` low.
-    StepLow { mask: [bool; 4] },
-    /// The current move's schedule is exhausted.
-    MoveDone { gen: u64 },
-    /// Temperature control-loop iteration.
-    TempLoop,
-    /// Start of a soft-PWM period for a device.
-    PwmPeriod(Device),
-    /// Mid-period gate-off for a device.
-    PwmOff { device: Device, gen: u64 },
-    /// Periodic display-UART status report.
-    Status,
-}
+// The firmware's timers, one slot per Marlin hardware timer. An armed
+// slot holds one packed key, `tick << 64 | seq << 4 | slot`; the
+// smallest key is the next timer due, and keys sort in `(tick, seq)`
+// order, so timers due together run in the order they were armed.
 
-#[derive(Debug)]
-struct AgendaEntry {
-    tick: Tick,
-    seq: u64,
-    task: Task,
-}
+/// Execute program commands until blocked.
+const ADVANCE: usize = 0;
+/// The live move's next step pulse, or its completion once the steps
+/// have run out.
+const MOTION: usize = 1;
+/// The pending steps of aborted moves, two slots: a wake that does
+/// nothing.
+const STALE: usize = 2;
+/// Drive the STEP pins of `step_low_mask` low.
+const STEP_LOW: usize = 4;
+/// Temperature control-loop iteration.
+const TEMP_LOOP: usize = 5;
+/// Periodic display-UART status report.
+const STATUS: usize = 6;
+/// Start of a soft-PWM period, one slot per [`Device`].
+const PWM_PERIOD: usize = 7;
+/// Mid-period gate-off, one slot per [`Device`].
+const PWM_OFF: usize = 10;
+const TIMERS: usize = 13;
+const SLOT_BITS: u128 = 0xF;
+const UNARMED: u128 = u128::MAX;
 
-impl PartialEq for AgendaEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.tick == other.tick && self.seq == other.seq
-    }
-}
-impl Eq for AgendaEntry {}
-impl PartialOrd for AgendaEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for AgendaEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap behaviour through reversal.
-        other
-            .tick
-            .cmp(&self.tick)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+fn key_tick(key: u128) -> Tick {
+    Tick::new((key >> 64) as u64)
 }
 
 /// Homing sub-state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum HomingPhase {
     FastApproach,
     Backoff,
     SlowApproach,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct HomingState {
-    queue: VecDeque<Axis>,
+    /// Axes still to home, in X, Y, Z order.
+    pending: [bool; 3],
     current: Axis,
     phase: HomingPhase,
 }
 
 /// What move completion continues into.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ExecContext {
     Program,
     Homing(HomingState),
@@ -170,8 +152,10 @@ pub struct Firmware {
     program: Arc<Program>,
     pc: usize,
     state: FwState,
-    agenda: BinaryHeap<AgendaEntry>,
-    agenda_seq: u64,
+    /// Armed timer keys by slot, `UNARMED` when idle.
+    timers: [u128; TIMERS],
+    timer_seq: u64,
+    step_low_mask: [bool; 4],
 
     // Positioning.
     absolute: bool,
@@ -188,7 +172,6 @@ pub struct Firmware {
     /// Last EN level emitted per axis.
     en_emitted: [Option<Level>; 4],
     current_move: Option<MoveExec>,
-    move_gen: u64,
     context: ExecContext,
     block: Block,
     homed: bool,
@@ -200,7 +183,6 @@ pub struct Firmware {
     bed_table: ThermistorTable,
     adc_counts: [Option<u16>; 2],
     pwm_duty: [u8; 3],
-    pwm_gen: [u64; 3],
     gate_emitted: [Option<Level>; 3],
 
     // Feedback.
@@ -208,9 +190,6 @@ pub struct Firmware {
 
     // Time noise.
     jitter_rng: DetRng,
-
-    /// Count of commands executed (diagnostics).
-    pub commands_executed: u64,
 }
 
 impl Firmware {
@@ -218,7 +197,19 @@ impl Firmware {
     /// by reference — a campaign fanning one job across many scenarios
     /// never copies the command list. `seed` drives the per-move time
     /// noise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.step_pulse_us` is not shorter than the shortest
+    /// step interval the config allows: each STEP pulse must end before
+    /// the next one starts.
     pub fn new(config: FirmwareConfig, program: Arc<Program>, seed: u64) -> Self {
+        let interval_us = config.shortest_step_interval_s() * 1e6;
+        assert!(
+            (config.step_pulse_us as f64) < interval_us.floor(),
+            "step_pulse_us = {} must be shorter than the shortest step interval, {interval_us:.1} µs",
+            config.step_pulse_us
+        );
         let split = SeedSplitter::new(seed);
         Firmware {
             hotend: HeaterControl::new_hotend(HeaterId::Hotend, &config),
@@ -229,8 +220,9 @@ impl Firmware {
             program,
             pc: 0,
             state: FwState::Running,
-            agenda: BinaryHeap::new(),
-            agenda_seq: 0,
+            timers: [UNARMED; TIMERS],
+            timer_seq: 0,
+            step_low_mask: [false; 4],
             absolute: true,
             e_absolute: true,
             feedrate_mm_s: 0.0,
@@ -240,17 +232,14 @@ impl Firmware {
             dir_emitted: [None; 4],
             en_emitted: [None; 4],
             current_move: None,
-            move_gen: 0,
             context: ExecContext::Program,
             block: Block::None,
             homed: false,
             adc_counts: [None; 2],
             pwm_duty: [0; 3],
-            pwm_gen: [0; 3],
             gate_emitted: [None; 3],
             endstop_high: [false; 3],
             jitter_rng: split.stream("firmware-jitter"),
-            commands_executed: 0,
         }
     }
 
@@ -259,22 +248,22 @@ impl Firmware {
     pub fn start(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
         self.schedule(
             now + SimDuration::from_millis(self.config.temp_loop_ms),
-            Task::TempLoop,
+            TEMP_LOOP,
         );
-        for (i, d) in Device::ALL.into_iter().enumerate() {
+        for i in 0..Device::ALL.len() {
             self.schedule(
                 now + SimDuration::from_millis(self.config.pwm_period_ms + i as u64),
-                Task::PwmPeriod(d),
+                PWM_PERIOD + i,
             );
         }
         if self.config.status_period_ms > 0 {
             self.schedule(
                 now + SimDuration::from_millis(self.config.status_period_ms),
-                Task::Status,
+                STATUS,
             );
         }
         // Small boot delay before the first command, like a real reset.
-        self.schedule(now + SimDuration::from_millis(10), Task::Advance);
+        self.schedule(now + SimDuration::from_millis(10), ADVANCE);
         self.arm_wake(sink);
     }
 
@@ -299,30 +288,43 @@ impl Firmware {
         self.homed
     }
 
-    fn schedule(&mut self, tick: Tick, task: Task) {
-        let seq = self.agenda_seq;
-        self.agenda_seq += 1;
-        self.agenda.push(AgendaEntry { tick, seq, task });
+    /// Arms the idle timer `slot` to fire at `tick`.
+    fn schedule(&mut self, tick: Tick, slot: usize) {
+        assert!(
+            self.timers[slot] == UNARMED,
+            "timer slot {slot} armed twice"
+        );
+        self.timers[slot] =
+            u128::from(tick.ticks()) << 64 | u128::from(self.timer_seq) << 4 | slot as u128;
+        self.timer_seq += 1;
+    }
+
+    fn next_timer(&self) -> u128 {
+        *self
+            .timers
+            .iter()
+            .min()
+            .expect("the timer set is not empty")
     }
 
     fn arm_wake(&self, sink: &mut ActionSink<SignalEvent>) {
-        if let Some(e) = self.agenda.peek() {
-            sink.wake_at(e.tick);
+        let key = self.next_timer();
+        if key != UNARMED {
+            sink.wake_at(key_tick(key));
         }
     }
 
-    /// Handles a scheduler wake-up: runs everything due at or before
+    /// Handles a scheduler wake-up: runs every timer due at or before
     /// `now`.
     pub fn on_tick(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
-        while let Some(head) = self.agenda.peek() {
-            if head.tick > now {
+        loop {
+            let key = self.next_timer();
+            if key == UNARMED || key_tick(key) > now {
                 break;
             }
-            let entry = self.agenda.pop().expect("peeked entry exists");
-            if matches!(self.state, FwState::Halted(_)) {
-                continue; // drain without acting
-            }
-            self.run_task(entry.tick, entry.task, sink);
+            let slot = (key & SLOT_BITS) as usize;
+            self.timers[slot] = UNARMED;
+            self.run_timer(key_tick(key), slot, sink);
         }
         self.arm_wake(sink);
     }
@@ -357,42 +359,33 @@ impl Firmware {
     }
 
     // ------------------------------------------------------------------
-    // Task dispatch
+    // Timer dispatch
     // ------------------------------------------------------------------
 
-    fn run_task(&mut self, now: Tick, task: Task, sink: &mut ActionSink<SignalEvent>) {
-        match task {
-            Task::Advance => self.advance_program(now, sink),
-            Task::Step { gen } => self.step_pulse(now, gen, sink),
-            Task::StepLow { mask } => {
+    fn run_timer(&mut self, now: Tick, slot: usize, sink: &mut ActionSink<SignalEvent>) {
+        match slot {
+            ADVANCE => self.advance_program(now, sink),
+            MOTION => self.motion_timer(now, sink),
+            STALE..STEP_LOW => {}
+            STEP_LOW => {
                 for axis in Axis::ALL {
-                    if mask[axis.index()] {
+                    if self.step_low_mask[axis.index()] {
                         sink.send(PORT_CTRL, SignalEvent::logic(axis.step_pin(), Level::Low));
                     }
                 }
             }
-            Task::MoveDone { gen } => {
-                if gen == self.move_gen && self.current_move.is_some() {
-                    self.current_move = None;
-                    self.move_completed(now, sink);
-                }
-            }
-            Task::TempLoop => self.temp_loop(now, sink),
-            Task::PwmPeriod(device) => self.pwm_period(now, device, sink),
-            Task::PwmOff { device, gen } => {
-                if gen == self.pwm_gen[device.index()] {
-                    self.set_gate(device, Level::Low, sink);
-                }
-            }
-            Task::Status => {
+            TEMP_LOOP => self.temp_loop(now, sink),
+            STATUS => {
                 self.emit_status(sink);
                 if !matches!(self.state, FwState::Finished) {
                     self.schedule(
                         now + SimDuration::from_millis(self.config.status_period_ms),
-                        Task::Status,
+                        STATUS,
                     );
                 }
             }
+            PWM_PERIOD..PWM_OFF => self.pwm_period(now, Device::ALL[slot - PWM_PERIOD], sink),
+            _ => self.set_gate(Device::ALL[slot - PWM_OFF], Level::Low, sink),
         }
     }
 
@@ -410,7 +403,6 @@ impl Firmware {
                 return;
             };
             self.pc += 1;
-            self.commands_executed += 1;
             match cmd {
                 GCommand::Move {
                     rapid: _,
@@ -431,31 +423,21 @@ impl Firmware {
                 }
                 GCommand::Dwell { milliseconds } => {
                     self.block = Block::Move;
-                    let gen = self.bump_move_gen();
                     self.schedule(
                         now + SimDuration::from_secs_f64(milliseconds.max(0.0) / 1000.0),
-                        Task::MoveDone { gen },
+                        MOTION,
                     );
-                    // Dwell uses the move-completion path with no executor.
+                    // A dwell is an empty move: its motion timer fires once,
+                    // at the end, and completes it.
                     self.current_move = Some(MoveExec::new([0; 4], 0.0, 1.0, 1.0, now, 1.0));
                     return;
                 }
                 GCommand::Home { x, y, z } => {
-                    let mut queue = VecDeque::new();
-                    if x {
-                        queue.push_back(Axis::X);
-                    }
-                    if y {
-                        queue.push_back(Axis::Y);
-                    }
-                    if z {
-                        queue.push_back(Axis::Z);
-                    }
-                    if queue.is_empty() {
+                    if !(x || y || z) {
                         continue;
                     }
                     self.block = Block::Move;
-                    self.start_homing(now, queue, sink);
+                    self.start_homing(now, [x, y, z], sink);
                     return;
                 }
                 GCommand::AbsolutePositioning => {
@@ -612,14 +594,8 @@ impl Firmware {
             start,
             jitter,
         );
-        let gen = self.bump_move_gen();
-        let first = exec.peek_tick();
-        let end = exec.end_tick();
+        self.schedule(exec.peek_tick().unwrap_or(exec.end_tick()), MOTION);
         self.current_move = Some(exec);
-        match first {
-            Some(t) => self.schedule(t, Task::Step { gen }),
-            None => self.schedule(end, Task::MoveDone { gen }),
-        }
     }
 
     fn next_jitter(&mut self) -> f64 {
@@ -634,25 +610,20 @@ impl Firmware {
         (1.0 + g).max(0.5)
     }
 
-    fn bump_move_gen(&mut self) -> u64 {
-        self.move_gen += 1;
-        self.move_gen
-    }
-
-    fn step_pulse(&mut self, now: Tick, gen: u64, sink: &mut ActionSink<SignalEvent>) {
-        if gen != self.move_gen {
-            return; // stale task from an aborted move
-        }
-        let Some(exec) = self.current_move.as_mut() else {
-            return;
-        };
+    /// The live move's timer: emits its next step pulse, or completes
+    /// the move once the steps have run out.
+    fn motion_timer(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
+        let exec = self
+            .current_move
+            .as_mut()
+            .expect("the motion timer is armed only for a live move");
         let Some((tick, mask)) = exec.next_step() else {
-            let end = exec.end_tick();
-            self.schedule(end.max(now), Task::MoveDone { gen });
+            self.current_move = None;
+            self.move_completed(now, sink);
             return;
         };
-        // This task was scheduled for exactly this step's tick.
-        debug_assert!(tick <= now, "step task fired before its schedule");
+        // The timer was armed for exactly this step's tick.
+        debug_assert!(tick <= now, "step timer fired before its tick");
         let directions = exec.directions;
         let next = exec.peek_tick();
         let end = exec.end_tick();
@@ -663,23 +634,27 @@ impl Firmware {
                 self.pos_steps[i] += i64::from(directions[i]);
             }
         }
+        self.step_low_mask = mask;
         self.schedule(
             now + SimDuration::from_micros(self.config.step_pulse_us),
-            Task::StepLow { mask },
+            STEP_LOW,
         );
-        match next {
-            Some(t) => self.schedule(t, Task::Step { gen }),
-            None => self.schedule(end.max(now), Task::MoveDone { gen }),
-        }
+        self.schedule(next.unwrap_or(end.max(now)), MOTION);
     }
 
     fn move_completed(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
-        match std::mem::replace(&mut self.context, ExecContext::Program) {
+        match self.context {
             ExecContext::Program => {
                 self.block = Block::None;
-                self.schedule(now, Task::Advance);
+                self.schedule(now, ADVANCE);
             }
-            ExecContext::Homing(h) => self.homing_move_done(now, h, sink),
+            ExecContext::Homing(h) => match h.phase {
+                HomingPhase::Backoff => self.homing_begin_rebump(now, h.current, sink),
+                HomingPhase::FastApproach | HomingPhase::SlowApproach => {
+                    // Ran the whole travel without touching the switch.
+                    self.kill(FirmwareError::EndstopNotFound(h.current), sink);
+                }
+            },
         }
     }
 
@@ -690,28 +665,28 @@ impl Firmware {
     fn start_homing(
         &mut self,
         now: Tick,
-        mut queue: VecDeque<Axis>,
+        mut pending: [bool; 3],
         sink: &mut ActionSink<SignalEvent>,
     ) {
-        let Some(axis) = queue.pop_front() else {
+        let Some(i) = pending.iter().position(|&p| p) else {
             // All axes done.
             self.homed = true;
             self.block = Block::None;
             self.context = ExecContext::Program;
-            self.schedule(now, Task::Advance);
+            self.schedule(now, ADVANCE);
             return;
         };
-        let state = HomingState {
-            queue,
+        pending[i] = false;
+        let axis = Axis::MOTION[i];
+        self.context = ExecContext::Homing(HomingState {
+            pending,
             current: axis,
             phase: HomingPhase::FastApproach,
-        };
-        if self.endstop_high[axis.index()] {
+        });
+        if self.endstop_high[i] {
             // Already pressed: skip straight to back-off.
-            self.context = ExecContext::Homing(state);
             self.homing_begin_backoff(now, axis, sink);
         } else {
-            self.context = ExecContext::Homing(state);
             self.homing_begin_approach(now, axis, self.config.homing_speed_mm_s, sink);
         }
     }
@@ -756,7 +731,7 @@ impl Firmware {
 
     /// Endstop rising edge observed.
     fn on_endstop_hit(&mut self, now: Tick, axis: Axis, sink: &mut ActionSink<SignalEvent>) {
-        let ExecContext::Homing(h) = &self.context else {
+        let ExecContext::Homing(h) = self.context else {
             return; // endstop chatter outside homing is ignored
         };
         if h.current != axis {
@@ -770,33 +745,28 @@ impl Firmware {
             HomingPhase::SlowApproach => {
                 self.abort_move();
                 self.zero_axis(axis);
-                let h = match std::mem::replace(&mut self.context, ExecContext::Program) {
-                    ExecContext::Homing(h) => h,
-                    ExecContext::Program => unreachable!("checked above"),
-                };
-                self.start_homing(now, h.queue, sink);
+                self.start_homing(now, h.pending, sink);
             }
             HomingPhase::Backoff => {}
         }
     }
 
-    fn homing_move_done(&mut self, now: Tick, h: HomingState, sink: &mut ActionSink<SignalEvent>) {
-        match h.phase {
-            HomingPhase::Backoff => {
-                let axis = h.current;
-                self.context = ExecContext::Homing(h);
-                self.homing_begin_rebump(now, axis, sink);
-            }
-            HomingPhase::FastApproach | HomingPhase::SlowApproach => {
-                // Ran the whole travel without touching the switch.
-                self.kill(FirmwareError::EndstopNotFound(h.current), sink);
-            }
-        }
-    }
-
+    /// Drops the live move. Its pending timer moves to a free stale
+    /// slot: the firmware still wakes at that tick, and does nothing.
+    ///
+    /// Homing aborts at most twice between back-offs: an axis's re-bump
+    /// and the next axis's fast approach, whose first step may trip a
+    /// switch it starts one microstep above. An aborted step is due
+    /// within one step interval, before the next back-off ends.
     fn abort_move(&mut self) {
         self.current_move = None;
-        self.move_gen += 1; // invalidates pending Step / MoveDone tasks
+        let key = std::mem::replace(&mut self.timers[MOTION], UNARMED);
+        if key != UNARMED {
+            let slot = (STALE..STEP_LOW)
+                .find(|&s| self.timers[s] == UNARMED)
+                .expect("at most two aborted moves pending");
+            self.timers[slot] = key & !SLOT_BITS | slot as u128;
+        }
     }
 
     fn zero_axis(&mut self, axis: Axis) {
@@ -850,32 +820,30 @@ impl Firmware {
             };
             if reached {
                 self.block = Block::None;
-                self.schedule(now, Task::Advance);
+                self.schedule(now, ADVANCE);
             }
         }
         // Marlin keeps regulating and protecting after the print ends
         // (until a kill); the harness's drain window bounds the run.
         self.schedule(
             now + SimDuration::from_millis(self.config.temp_loop_ms),
-            Task::TempLoop,
+            TEMP_LOOP,
         );
     }
 
     fn pwm_period(&mut self, now: Tick, device: Device, sink: &mut ActionSink<SignalEvent>) {
         let duty = self.pwm_duty[device.index()];
         let period = SimDuration::from_millis(self.config.pwm_period_ms);
-        self.pwm_gen[device.index()] += 1;
-        let gen = self.pwm_gen[device.index()];
         match duty {
             0 => self.set_gate(device, Level::Low, sink),
             255 => self.set_gate(device, Level::High, sink),
             d => {
                 self.set_gate(device, Level::High, sink);
                 let high = period.mul_f64(f64::from(d) / 255.0);
-                self.schedule(now + high, Task::PwmOff { device, gen });
+                self.schedule(now + high, PWM_OFF + device.index());
             }
         }
-        self.schedule(now + period, Task::PwmPeriod(device));
+        self.schedule(now + period, PWM_PERIOD + device.index());
     }
 
     fn set_gate(&mut self, device: Device, level: Level, sink: &mut ActionSink<SignalEvent>) {
@@ -923,8 +891,10 @@ impl Firmware {
         for axis in Axis::ALL {
             self.set_enable(axis, false, sink);
         }
-        self.abort_move();
-        self.agenda.clear();
+        self.current_move = None;
+        self.timers = [UNARMED; TIMERS];
+        // Endstop edges after the kill must not resume homing.
+        self.context = ExecContext::Program;
         self.state = FwState::Halted(error);
     }
 }
@@ -1217,6 +1187,127 @@ mod tests {
         );
         // No motion should have happened after the kill.
         assert_eq!(f.step_counts()[0], 0);
+    }
+
+    /// Presses and releases an endstop switch at `now`.
+    fn tap(f: &mut Firmware, now: Tick, pin: Pin, sink: &mut ActionSink<SignalEvent>) {
+        f.on_feedback(now, SignalEvent::logic(pin, Level::High), sink);
+        f.on_feedback(now, SignalEvent::logic(pin, Level::Low), sink);
+    }
+
+    #[test]
+    fn halted_firmware_ignores_endstop_edges() {
+        let mut f = fw("G28 Z\n");
+        let mut sink = ActionSink::new();
+        sink.begin(Tick::ZERO);
+        f.start(Tick::ZERO, &mut sink);
+        let mut events = Vec::new();
+        let mut now = Tick::ZERO;
+        while !matches!(f.context, ExecContext::Homing(_)) {
+            now = drain(&mut sink, &mut events).expect("the boot delay arms a timer");
+            sink.begin(now);
+            f.on_tick(now, &mut sink);
+        }
+        f.kill(FirmwareError::HeatingFailed(HeaterId::Hotend), &mut sink);
+        drain(&mut sink, &mut events);
+        sink.begin(now);
+        f.on_feedback(now, SignalEvent::logic(Pin::ZMin, Level::High), &mut sink);
+        let mut after = Vec::new();
+        let wake = drain(&mut sink, &mut after);
+        assert!(
+            after.is_empty() && wake.is_none(),
+            "halted firmware sent {after:?} and asked for a wake at {wake:?}"
+        );
+    }
+
+    #[test]
+    fn rehoming_one_step_above_the_z_switch_completes() {
+        // After the first G28 every axis rests on its switch, and the G1
+        // lifts Z one microstep. The second G28 aborts Y's re-bump; Z's
+        // first fast-approach step then trips its switch while Y's aborted
+        // step is still pending, so two aborted moves are pending at once.
+        let mut f = fw("G28\nG1 Z0.0025\nG28\n");
+        let mut sink = ActionSink::new();
+        sink.begin(Tick::ZERO);
+        f.start(Tick::ZERO, &mut sink);
+        // A minimal plant: each axis starts 5 mm above its switch, which
+        // reads pressed at or below zero.
+        let mut pos = [500i64, 500, 2000];
+        let mut dir_up = [false; 3];
+        let mut pressed = [false; 3];
+        let mut now = Tick::ZERO;
+        while matches!(f.state(), FwState::Running) {
+            let mut sent = Vec::new();
+            let wake = drain(&mut sink, &mut sent);
+            for (_, ev) in sent {
+                let Some(l) = ev.as_logic() else { continue };
+                for (i, axis) in Axis::MOTION.into_iter().enumerate() {
+                    if l.pin == axis.dir_pin() {
+                        dir_up[i] = l.level.is_high();
+                    } else if l.pin == axis.step_pin() && l.level.is_high() {
+                        pos[i] += if dir_up[i] { 1 } else { -1 };
+                    }
+                }
+            }
+            let edges: Vec<usize> = (0..3).filter(|&i| (pos[i] <= 0) != pressed[i]).collect();
+            sink.begin(now);
+            for &i in &edges {
+                pressed[i] = !pressed[i];
+                let pin = Axis::MOTION[i]
+                    .min_endstop_pin()
+                    .expect("motion axes have switches");
+                f.on_feedback(
+                    now,
+                    SignalEvent::logic(pin, Level::from(pressed[i])),
+                    &mut sink,
+                );
+            }
+            if edges.is_empty() {
+                now = wake.expect("a running firmware keeps a timer armed");
+                sink.begin(now);
+                f.on_tick(now, &mut sink);
+            }
+        }
+        assert_eq!(f.state(), FwState::Finished);
+        assert!(f.is_homed());
+        assert_eq!(pos, [0, 0, 0]);
+    }
+
+    #[test]
+    fn aborted_homing_step_still_wakes_and_emits_nothing() {
+        let mut f = fw("G28 X\n");
+        let mut sink = ActionSink::new();
+        sink.begin(Tick::ZERO);
+        f.start(Tick::ZERO, &mut sink);
+        let mut events = Vec::new();
+        let mut now = Tick::ZERO;
+        while now < Tick::from_millis(500) {
+            now = drain(&mut sink, &mut events).expect("homing keeps a timer armed");
+            sink.begin(now);
+            f.on_tick(now, &mut sink);
+        }
+        drain(&mut sink, &mut events);
+        let aborted = f
+            .current_move
+            .as_ref()
+            .and_then(MoveExec::peek_tick)
+            .expect("the fast approach has a step pending");
+        // The switch closes between two steps of the fast approach.
+        sink.begin(now);
+        tap(&mut f, now, Pin::XMin, &mut sink);
+        let mut next = drain(&mut sink, &mut events);
+        let mut woke = false;
+        while let Some(t) = next.filter(|&t| t <= aborted) {
+            sink.begin(t);
+            f.on_tick(t, &mut sink);
+            let mut sent = Vec::new();
+            next = drain(&mut sink, &mut sent);
+            if t == aborted {
+                woke = true;
+                assert!(sent.is_empty(), "the aborted step's wake sent {sent:?}");
+            }
+        }
+        assert!(woke, "no wake at the aborted step's tick {aborted:?}");
     }
 
     #[test]
