@@ -14,7 +14,7 @@
 //! thresholds, and the two together are the corpus-wide ROC.
 //!
 //! Re-judging is the live rule itself: [`Evidence::alarmed_at`]
-//! applies [`offramps::detect::floored_suspect_fraction`] and the
+//! applies the floored suspect fraction and the
 //! totals check to the transaction judge's evidence and
 //! [`offramps_sidechannel::suspect_anomaly_fraction`] to every sampled
 //! channel's, exactly as the live judges do. Each curve's value at the
@@ -79,6 +79,7 @@ impl Observation {
     }
 
     /// Extracts the detection inputs from a live campaign result.
+    // detlint: allow(D7) -- tests/observation_plane.rs
     pub fn from_result(r: &ScenarioResult) -> Observation {
         Observation::new(r.scenario.trojan.clone(), r.verdict.evidence.clone(), r.ttd)
     }
@@ -92,6 +93,7 @@ impl Observation {
     /// # Errors
     ///
     /// Reports the first missing or mistyped field.
+    // detlint: allow(D7) -- tests/fuzz_inputs.rs
     pub fn from_payload(v: &Value) -> Result<Observation, String> {
         let attack = v
             .get("trojan")
@@ -235,6 +237,7 @@ pub struct AttackCurve {
 
 impl AttackCurve {
     /// A named side detector's curve, if present.
+    // detlint: allow(D7) -- tests/store_cache.rs
     pub fn side_curve(&self, detector: &str) -> Option<&SideCurve> {
         self.side.iter().find(|s| s.detector == detector)
     }
@@ -296,18 +299,10 @@ pub struct WeightedFusionReport {
 impl WeightedFusionReport {
     /// The `"none"` attack's weighted curve — the weighted
     /// false-positive rate.
-    pub fn false_positive_rate(&self) -> Option<&Vec<f64>> {
+    pub(crate) fn false_positive_rate(&self) -> Option<&Vec<f64>> {
         self.curves
             .iter()
             .find(|(attack, _, _)| attack == "none")
-            .map(|(_, _, rates)| rates)
-    }
-
-    /// The weighted curve for a specific attack.
-    pub fn curve(&self, attack: &str) -> Option<&Vec<f64>> {
-        self.curves
-            .iter()
-            .find(|(a, _, _)| a == attack)
             .map(|(_, _, rates)| rates)
     }
 
@@ -500,18 +495,20 @@ impl AnalyticsReport {
     }
 
     /// The analytics for a campaign's own results, on the default grid.
-    pub fn from_results(results: &[ScenarioResult]) -> AnalyticsReport {
+    pub(crate) fn from_results(results: &[ScenarioResult]) -> AnalyticsReport {
         let observations: Vec<Observation> = results.iter().map(Observation::from_result).collect();
         AnalyticsReport::over(&observations, &THRESHOLD_GRID)
     }
 
     /// The `"none"` attack's curve — the false-positive rate at each
     /// threshold, i.e. the ROC's x-axis for every other curve.
+    // detlint: allow(D7) -- tests/store_cache.rs
     pub fn false_positive_curve(&self) -> Option<&AttackCurve> {
         self.curves.iter().find(|c| c.attack == "none")
     }
 
     /// The curve for a specific attack.
+    // detlint: allow(D7) -- tests/store_cache.rs
     pub fn curve(&self, attack: &str) -> Option<&AttackCurve> {
         self.curves.iter().find(|c| c.attack == attack)
     }
@@ -691,7 +688,10 @@ fn side_detector_names(observations: &[Observation]) -> Vec<String> {
 /// policy strings stay short and runs stay reproducible). When every
 /// modality scores zero (e.g. an all-clean corpus), weights fall back
 /// to equal.
-pub fn fit_weights(observations: &[Observation], side_names: &[String]) -> Vec<(String, f64)> {
+pub(crate) fn fit_weights(
+    observations: &[Observation],
+    side_names: &[String],
+) -> Vec<(String, f64)> {
     let txn_base = TransactionDetector::campaign().base.suspect_fraction;
     let mut modalities: Vec<(&str, f64)> = vec![(TXN, txn_base)];
     for name in side_names {
@@ -1001,7 +1001,7 @@ mod tests {
         // The weighted ROC exists for every attack, clean stays clean.
         let idx_01 = THRESHOLD_GRID.iter().position(|&t| t == 0.01).unwrap();
         assert_eq!(weighted.false_positive_rate().unwrap()[idx_01], 0.0);
-        assert!(weighted.curve("flaw3d").is_some());
+        assert!(weighted.curves.iter().any(|(a, _, _)| a == "flaw3d"));
 
         // Per-detector curves for all three side modalities.
         let t2 = report.curve("t2").unwrap();

@@ -48,7 +48,7 @@ const SCENARIO_KEY_PREFIX: &str = "offramps-scenario/v1|";
 
 /// Whether a store key is a current-generation scenario record (the
 /// `analytics` CLI skips foreign or previous-generation records).
-pub fn is_scenario_key(key: &str) -> bool {
+pub(crate) fn is_scenario_key(key: &str) -> bool {
     key.starts_with(SCENARIO_KEY_PREFIX)
 }
 
@@ -58,7 +58,7 @@ pub fn is_scenario_key(key: &str) -> bool {
 pub const CAMPAIGN_KEY_PREFIX: &str = "offramps-campaign/v1|";
 
 /// Whether a store key is a campaign-provenance record.
-pub fn is_campaign_key(key: &str) -> bool {
+pub(crate) fn is_campaign_key(key: &str) -> bool {
     key.starts_with(CAMPAIGN_KEY_PREFIX)
 }
 
@@ -202,6 +202,7 @@ fn canon_f64(v: f64) -> String {
 /// field order, shortest-round-trip floats. Equal specs — and only
 /// equal specs — produce equal strings, so this is the workload's
 /// content address regardless of the label it runs under.
+// detlint: allow(D7) -- perfbench/layers
 pub fn canonical_workload_json(spec: &WorkloadSpec) -> String {
     let solid = match &spec.solid {
         Solid::RectPrism {
@@ -266,6 +267,7 @@ pub fn canonical_workload_json(spec: &WorkloadSpec) -> String {
 /// ([`offramps::verdict::DetectorSuite::policy`] — so changing the
 /// suite re-addresses every cached verdict), plus both seeds and the
 /// format-version salt.
+// detlint: allow(D7) -- perfbench/layers
 pub fn scenario_key(
     workload_json: &str,
     attack: &str,
@@ -282,6 +284,7 @@ pub fn scenario_key(
 /// deterministic field of [`ScenarioResult`] (host timing excluded),
 /// plus the attack and workload label so store-wide analytics can group
 /// records without re-deriving a campaign spec.
+// detlint: allow(D7) -- perfbench/layers
 pub fn encode_result(r: &ScenarioResult) -> String {
     let mut out = String::new();
     let mut w = ObjectWriter::new(&mut out, 0);
@@ -374,6 +377,7 @@ fn decode_evidence(v: &Value) -> Result<Evidence, String> {
 /// # Errors
 ///
 /// Reports the first missing or mistyped field.
+// detlint: allow(D7) -- tests/fuzz_inputs.rs
 pub fn decode_verdict(v: &Value) -> Result<(Verdict, Option<TimeToDetection>), String> {
     let detected = field(v, "detected")?
         .as_bool()
@@ -443,6 +447,7 @@ pub fn decode_verdict(v: &Value) -> Result<(Verdict, Option<TimeToDetection>), S
 /// result renders byte-identically to the fresh one in both the
 /// summary table and the JSON report; only `wall_ms` (excluded from
 /// both) is zeroed.
+// detlint: allow(D7) -- perfbench/layers
 pub fn decode_result(scenario: Scenario, payload: &str) -> Result<ScenarioResult, String> {
     let v = json::parse(payload)?;
     let steps = field(&v, "fw_steps")?
@@ -576,9 +581,8 @@ pub(crate) fn put_provenance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::campaign_detector_policy;
     use crate::json::ToJson;
-    use offramps::detect;
+    use offramps::verdict::DetectorSuite;
     use offramps_gcode::slicer::SlicerConfig;
 
     #[test]
@@ -625,7 +629,7 @@ mod tests {
     #[test]
     fn scenario_keys_separate_every_input() {
         let w = canonical_workload_json(Workload::mini().spec());
-        let policy = campaign_detector_policy();
+        let policy = DetectorSuite::transaction_default().policy();
         let base = scenario_key(&w, "t2", 1, 2, &policy);
         assert_ne!(base, scenario_key(&w, "t2:0.5", 1, 2, &policy));
         assert_ne!(base, scenario_key(&w, "t2", 3, 2, &policy));
@@ -655,7 +659,7 @@ mod tests {
             flagged: 17,
             flagged_values: 28,
             compared: 70,
-            threshold: Some(detect::floored_suspect_fraction(0.01, 70)),
+            threshold: Some(0.04),
             peak: 0.0,
             final_totals_match: Some(false),
         };

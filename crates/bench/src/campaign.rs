@@ -231,6 +231,7 @@ impl CampaignSpec {
     /// Compares case-insensitively, like
     /// [`crate::detectors::by_name`]'s resolution, so two specs that
     /// build the identical suite produce identical artifacts.
+    // detlint: allow(D7) -- tests/verdict_suite.rs
     pub fn default_detectors(&self) -> bool {
         matches!(self.detectors.as_slice(),
             [only] if only.trim().eq_ignore_ascii_case(TransactionDetector::NAME))
@@ -282,6 +283,7 @@ impl CampaignSpec {
 
     /// The seed a workload's golden capture runs under, derived from
     /// the workload *label* so corpus growth never perturbs it.
+    // detlint: allow(D7) -- perfbench/layers
     pub fn golden_seed(&self, workload_label: &str) -> u64 {
         SeedSplitter::new(self.master_seed).derive(&format!("campaign/golden/{workload_label}"))
     }
@@ -291,6 +293,7 @@ impl CampaignSpec {
     /// suites that calibrate from nothing beyond the primary run; the
     /// runs these seeds drive are shared by every repeat-calibrated
     /// detector in the suite.
+    // detlint: allow(D7) -- perfbench/layers
     pub fn calibration_seeds(&self, workload_label: &str, calibration_runs: usize) -> Vec<u64> {
         let split = SeedSplitter::new(self.master_seed);
         (1..calibration_runs)
@@ -365,6 +368,7 @@ impl ScenarioResult {
     }
 
     /// Transactions the step-count judge compared.
+    // detlint: allow(D7) -- tests/campaign_determinism.rs
     pub fn transactions_compared(&self) -> usize {
         self.txn().map_or(0, |e| e.compared)
     }
@@ -486,12 +490,13 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Total simulation events across all scenarios.
+    // detlint: allow(D7) -- tests/campaign_determinism.rs
     pub fn total_events(&self) -> u64 {
         self.results.iter().map(|r| r.events).sum()
     }
 
     /// Scenarios the suite's fused verdict flagged.
-    pub fn detections(&self) -> usize {
+    pub(crate) fn detections(&self) -> usize {
         self.results.iter().filter(|r| r.detected()).count()
     }
 
@@ -684,14 +689,6 @@ where
                 .expect("worker filled slot")
         })
         .collect()
-}
-
-/// The canonical rendering of the *default* (transaction-only) judging
-/// policy — kept for store compatibility checks; campaigns key their
-/// records by [`DetectorSuite::policy`] of whatever suite they judge
-/// with, which renders exactly this string for the default suite.
-pub fn campaign_detector_policy() -> String {
-    DetectorSuite::transaction_default().policy()
 }
 
 /// One campaign's judging configuration, threaded as a unit to every

@@ -80,6 +80,7 @@ fn gridded(rng: &mut DetRng, lo: f64, step: f64, steps: u64) -> f64 {
 /// exposes: geometry, layer count, perimeters, infill density and
 /// pattern, speed/temperature profile, retraction, flow, and
 /// travel-heavy multi-island plates.
+// detlint: allow(D7) -- tests/gcode_roundtrip.rs
 pub fn sample_spec(rng: &mut DetRng) -> WorkloadSpec {
     let layer_height = gridded(rng, 0.2, 0.05, 3); // 0.2 / 0.25 / 0.3
     let layers = rng.uniform_u64(2, 5); // 2–4 layers

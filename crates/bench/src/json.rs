@@ -58,6 +58,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Formats an `f64` the way JSON expects (finite; NaN/inf become null).
+// detlint: allow(D7) -- perfbench/layers
 pub fn number(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
@@ -73,7 +74,7 @@ pub fn number(v: f64) -> String {
 /// Formats a slice of `f64`s as a single-line JSON array fragment
 /// (`[0.0, 0.5, 1.0]`) via [`number`] — the shared renderer for every
 /// rates array in the analytics JSON.
-pub fn number_array(values: &[f64]) -> String {
+pub(crate) fn number_array(values: &[f64]) -> String {
     let rendered: Vec<String> = values.iter().map(|v| number(*v)).collect();
     format!("[{}]", rendered.join(", "))
 }
@@ -117,7 +118,7 @@ impl<'a> ObjectWriter<'a> {
     }
 
     /// Emits a string field.
-    pub fn string(&mut self, name: &str, value: &str) -> &mut Self {
+    pub(crate) fn string(&mut self, name: &str, value: &str) -> &mut Self {
         self.key(name);
         let escaped = escape(value);
         self.out.push_str(&escaped);
@@ -125,7 +126,7 @@ impl<'a> ObjectWriter<'a> {
     }
 
     /// Emits a float field.
-    pub fn float(&mut self, name: &str, value: f64) -> &mut Self {
+    pub(crate) fn float(&mut self, name: &str, value: f64) -> &mut Self {
         self.key(name);
         let rendered = number(value);
         self.out.push_str(&rendered);
@@ -133,7 +134,7 @@ impl<'a> ObjectWriter<'a> {
     }
 
     /// Emits an integer field.
-    pub fn int(&mut self, name: &str, value: i128) -> &mut Self {
+    pub(crate) fn int(&mut self, name: &str, value: i128) -> &mut Self {
         self.key(name);
         let _ = write!(self.out, "{value}");
         self
@@ -196,6 +197,7 @@ impl Value {
     }
 
     /// The elements of an array.
+    // detlint: allow(D7) -- tests/verdict_suite.rs
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
@@ -220,7 +222,7 @@ impl Value {
     }
 
     /// A number as `f64` (possibly rounded for huge integers).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -228,7 +230,7 @@ impl Value {
     }
 
     /// A number as an exact integer; `None` for floats or non-numbers.
-    pub fn as_i128(&self) -> Option<i128> {
+    pub(crate) fn as_i128(&self) -> Option<i128> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             _ => None,

@@ -41,7 +41,7 @@ pub fn capture_print(program: &Arc<Program>, seed: u64) -> Capture {
 }
 
 /// Runs one Flaw3D case and judges it against the golden capture.
-pub fn run_case(
+pub(crate) fn run_case(
     case: u32,
     trojan: Flaw3dTrojan,
     program: &Arc<Program>,

@@ -86,7 +86,7 @@ impl Workload {
     }
 
     /// The standard 10×10×1.5 mm experiment part (5 layers).
-    pub fn standard() -> Workload {
+    pub(crate) fn standard() -> Workload {
         Workload {
             label: "standard".into(),
             spec: WorkloadSpec::single(Solid::rect_prism(10.0, 10.0, 1.5), SlicerConfig::fast()),
@@ -94,7 +94,7 @@ impl Workload {
     }
 
     /// The taller 8×8×3 mm part used by Z-axis Trojans (10 layers).
-    pub fn tall() -> Workload {
+    pub(crate) fn tall() -> Workload {
         Workload {
             label: "tall".into(),
             spec: WorkloadSpec::single(Solid::rect_prism(8.0, 8.0, 3.0), SlicerConfig::fast()),
@@ -106,7 +106,7 @@ impl Workload {
     /// movements) so even the stealthiest relocation stride (every 100
     /// movements) fires several times, as in the paper's full-size
     /// prints.
-    pub fn detection() -> Workload {
+    pub(crate) fn detection() -> Workload {
         Workload {
             label: "detection".into(),
             spec: WorkloadSpec::single(
@@ -117,16 +117,6 @@ impl Workload {
                 },
             ),
         }
-    }
-
-    /// The four canonical paper workloads, in canonical order.
-    pub fn canonical() -> Vec<Workload> {
-        vec![
-            Workload::mini(),
-            Workload::standard(),
-            Workload::tall(),
-            Workload::detection(),
-        ]
     }
 
     /// Resolves a canonical workload by its CLI name.
@@ -148,8 +138,8 @@ impl Workload {
     }
 }
 
-/// Slices the standard multi-layer experiment part — see
-/// [`Workload::standard`].
+/// Slices the `standard` workload: the 10×10×1.5 mm multi-layer
+/// experiment part.
 pub fn standard_part() -> Arc<Program> {
     Workload::standard().program()
 }
@@ -160,12 +150,11 @@ pub fn mini_part() -> Arc<Program> {
 }
 
 /// Slices the taller Z-axis part — see [`Workload::tall`].
-pub fn tall_part() -> Arc<Program> {
+pub(crate) fn tall_part() -> Arc<Program> {
     Workload::tall().program()
 }
 
-/// Slices the Table II / Figure 4 detection workload — see
-/// [`Workload::detection`].
+/// Slices the Table II / Figure 4 `detection` workload.
 pub fn detection_part() -> Arc<Program> {
     Workload::detection().program()
 }
@@ -211,7 +200,12 @@ mod tests {
 
     #[test]
     fn canonical_names_round_trip() {
-        for w in Workload::canonical() {
+        for w in [
+            Workload::mini(),
+            Workload::standard(),
+            Workload::tall(),
+            Workload::detection(),
+        ] {
             let resolved = Workload::from_name(w.label()).unwrap();
             assert_eq!(resolved, w);
         }

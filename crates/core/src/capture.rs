@@ -10,9 +10,6 @@ use std::io::{self, BufRead, Write};
 
 use offramps_des::SimDuration;
 
-/// Bytes per exported transaction: four big-endian `i32` counters.
-pub const TRANSACTION_BYTES: usize = 16;
-
 /// One exported step-count sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
@@ -21,26 +18,6 @@ pub struct Transaction {
     /// Signed position counters for X, Y, Z, E at sample time,
     /// microsteps since homing.
     pub counts: [i32; 4],
-}
-
-impl Transaction {
-    /// Serializes to the 16-byte wire format (4 × big-endian `i32`, the
-    /// natural layout for a UART register dump).
-    pub fn to_wire(&self) -> [u8; TRANSACTION_BYTES] {
-        let mut buf = [0u8; TRANSACTION_BYTES];
-        for (slot, c) in buf.chunks_exact_mut(4).zip(self.counts) {
-            slot.copy_from_slice(&c.to_be_bytes());
-        }
-        buf
-    }
-
-    /// Parses the 16-byte wire format.
-    pub fn from_wire(index: u64, bytes: &[u8; TRANSACTION_BYTES]) -> Self {
-        let counts = std::array::from_fn(|i| {
-            i32::from_be_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4-byte chunk"))
-        });
-        Transaction { index, counts }
-    }
 }
 
 impl fmt::Display for Transaction {
@@ -212,20 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
-        let t = tx(7, 6060, -8266, 960, 52843);
-        let wire = t.to_wire();
-        assert_eq!(wire.len(), TRANSACTION_BYTES);
-        assert_eq!(Transaction::from_wire(7, &wire), t);
-    }
-
-    #[test]
-    fn wire_is_big_endian() {
-        let t = tx(0, 1, 0, 0, 0);
-        assert_eq!(&t.to_wire()[..4], &[0, 0, 0, 1]);
-    }
-
-    #[test]
     fn csv_round_trip() {
         let cap: Capture = vec![
             tx(5113, 6060, 8266, 960, 52843),
@@ -326,20 +289,6 @@ mod randomized_tests {
                 .collect();
             let back = Capture::from_csv(cap.to_csv().as_bytes()).unwrap();
             assert_eq!(cap, back, "seed {seed}");
-        }
-    }
-
-    /// The wire format round-trips arbitrary counters exactly.
-    #[test]
-    fn wire_round_trips_random_counters() {
-        for seed in 0u64..256 {
-            let mut rng = DetRng::from_seed(seed ^ 0x3333);
-            let idx = rng.next_u64();
-            let t = Transaction {
-                index: idx,
-                counts: std::array::from_fn(|_| any_i32(&mut rng)),
-            };
-            assert_eq!(Transaction::from_wire(idx, &t.to_wire()), t, "seed {seed}");
         }
     }
 }

@@ -24,6 +24,7 @@ impl SignalPath {
     }
 
     /// Figure 3(b): FPGA for signal modification.
+    // detlint: allow(D7) -- tests/signal_paths.rs
     pub const fn modify() -> Self {
         SignalPath {
             modify: true,
@@ -40,6 +41,7 @@ impl SignalPath {
     }
 
     /// Both FPGA paths (never used for the paper's evaluations).
+    // detlint: allow(D7) -- tests/signal_paths.rs
     pub const fn modify_and_capture() -> Self {
         SignalPath {
             modify: true,

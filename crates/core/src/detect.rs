@@ -37,7 +37,7 @@ pub const SUSPECT_TRANSACTION_FLOOR: f64 = 2.8;
 /// than [`SUSPECT_TRANSACTION_FLOOR`] mismatching transactions can
 /// never flag. Campaigns, offline threshold-sweep analytics and the
 /// CLI's `detect` all judge through it, so they agree.
-pub fn floored_suspect_fraction(base: f64, compared: usize) -> f64 {
+pub(crate) fn floored_suspect_fraction(base: f64, compared: usize) -> f64 {
     f64::max(base, SUSPECT_TRANSACTION_FLOOR / compared.max(1) as f64)
 }
 
@@ -61,7 +61,7 @@ pub struct DetectorConfig {
     pub denominator_floor: i32,
     /// Fraction of mismatching transactions above which a Trojan is
     /// suspected, before the short-print floor
-    /// ([`floored_suspect_fraction`]) is applied.
+    /// (`floored_suspect_fraction`) is applied.
     pub suspect_fraction: f64,
     /// Run the end-of-print 0 %-margin totals check.
     pub final_check: bool,

@@ -46,7 +46,7 @@ mod testbench;
 pub mod trojans;
 pub mod verdict;
 
-pub use capture::{Capture, Transaction, TRANSACTION_BYTES};
+pub use capture::{Capture, Transaction};
 pub use config::{MitmConfig, SignalPath};
 pub use detect::{DetectionReport, DetectorConfig, Mismatch, StreamingCompare};
 pub use mitm::Offramps;

@@ -45,7 +45,7 @@ enum Hook {
 }
 
 /// The interceptor. Construct with [`Offramps::new`], arm Trojans with
-/// [`Offramps::add_trojan`], then route every firmware output through
+/// `Offramps::add_trojan`, then route every firmware output through
 /// [`Offramps::on_control`] and every plant output through
 /// [`Offramps::on_feedback`].
 #[derive(Debug)]
@@ -87,7 +87,7 @@ impl Offramps {
     }
 
     /// Arms a Trojan (effective only when the path has `modify` set).
-    pub fn add_trojan(&mut self, trojan: Box<dyn Trojan>) {
+    pub(crate) fn add_trojan(&mut self, trojan: Box<dyn Trojan>) {
         self.trojans.push(trojan);
     }
 
@@ -109,7 +109,7 @@ impl Offramps {
     }
 
     /// Consumes the interceptor, returning `(capture, trace)`.
-    pub fn into_outputs(self) -> (Option<crate::Capture>, Option<SignalTrace>) {
+    pub(crate) fn into_outputs(self) -> (Option<crate::Capture>, Option<SignalTrace>) {
         (self.monitor.map(Monitor::into_capture), self.trace)
     }
 

@@ -83,7 +83,7 @@ impl AxisTracker {
 
     /// All four counters in [`Axis::ALL`] order, saturated to `i32`
     /// (the wire format of the 16-byte transaction).
-    pub fn counts_i32(&self) -> [i32; 4] {
+    pub(crate) fn counts_i32(&self) -> [i32; 4] {
         std::array::from_fn(|i| {
             self.counts[i].clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
         })
@@ -91,7 +91,7 @@ impl AxisTracker {
 
     /// Zeroes the counters ("the step counts … are initialized" when the
     /// printer is homed).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.counts = [0; 4];
         self.total_edges = 0;
     }

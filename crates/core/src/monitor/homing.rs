@@ -96,13 +96,6 @@ impl HomingDetector {
     pub fn is_homed(&self) -> bool {
         self.homed
     }
-
-    /// Re-arms the detector (e.g. for a second G28 in the same job).
-    pub fn reset(&mut self) {
-        self.touches = [0; 3];
-        self.homed = false;
-        self.last_complete = None;
-    }
 }
 
 #[cfg(test)]
@@ -172,24 +165,6 @@ mod tests {
             touch(&mut det, pin);
         }
         assert!(det.is_homed());
-    }
-
-    #[test]
-    fn reset_rearms() {
-        let mut det = HomingDetector::new();
-        for pin in [
-            Pin::XMin,
-            Pin::XMin,
-            Pin::YMin,
-            Pin::YMin,
-            Pin::ZMin,
-            Pin::ZMin,
-        ] {
-            touch(&mut det, pin);
-        }
-        assert!(det.is_homed());
-        det.reset();
-        assert!(!det.is_homed());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::monitor::AxisTracker;
 ///
 /// Drive it with every control event and the homed state
 /// ([`Monitor::on_control`]), the homing-complete reset
-/// ([`Monitor::on_homed`]), and timer wake-ups ([`Monitor::on_tick`]);
+/// (`Monitor::on_homed`), and timer wake-ups ([`Monitor::on_tick`]);
 /// collect the capture at the end.
 #[derive(Debug, Clone)]
 pub struct Monitor {
@@ -67,7 +67,7 @@ impl Monitor {
     /// The homing cycle just completed: counters are re-zeroed. "When
     /// the printer is homed at the beginning of each print, the step
     /// counts and UART transaction counter are initialized."
-    pub fn on_homed(&mut self) {
+    pub(crate) fn on_homed(&mut self) {
         self.tracker.reset();
         self.started_at = None;
         self.next_sample = None;
@@ -101,7 +101,7 @@ impl Monitor {
     /// final totals exactly. No-op until the transaction clock armed,
     /// and idempotent — a second flush (e.g. an explicit call followed
     /// by [`Monitor::into_capture`]) appends nothing.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if self.started_at.is_none() || self.flushed {
             return;
         }
@@ -114,11 +114,6 @@ impl Monitor {
         self.capture.push(t);
     }
 
-    /// True once the transaction clock is running.
-    pub fn is_armed(&self) -> bool {
-        self.started_at.is_some()
-    }
-
     /// The capture accumulated so far.
     pub fn capture(&self) -> &Capture {
         &self.capture
@@ -126,7 +121,7 @@ impl Monitor {
 
     /// Consumes the monitor, returning the capture (with the
     /// end-of-print conclusion sample appended — see [`Monitor::flush`]).
-    pub fn into_capture(mut self) -> Capture {
+    pub(crate) fn into_capture(mut self) -> Capture {
         self.flush();
         self.capture
     }
@@ -161,11 +156,11 @@ mod tests {
             let step = LogicEvent::new(Pin::XStep, level);
             assert_eq!(m.on_control(Tick::from_millis(5), step, false), None);
         }
-        assert!(!m.is_armed());
+        assert!(m.started_at.is_none());
         m.on_homed();
         let wake = pulse(&mut m, Tick::from_millis(50), Pin::XStep);
         assert_eq!(wake, Some(Tick::from_millis(150)));
-        assert!(m.is_armed());
+        assert!(m.started_at.is_some());
     }
 
     #[test]
@@ -175,9 +170,9 @@ mod tests {
         for i in 0..50 {
             pulse(&mut m, Tick::from_millis(i), Pin::XStep);
         }
-        assert!(m.is_armed());
+        assert!(m.started_at.is_some());
         m.on_homed();
-        assert!(!m.is_armed(), "homing must stop the clock");
+        assert!(m.started_at.is_none(), "homing must stop the clock");
         assert_eq!(m.counts(), [0, 0, 0, 0], "homing must re-zero counters");
     }
 

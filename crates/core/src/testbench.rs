@@ -19,7 +19,7 @@ use std::sync::Arc;
 use offramps_des::{
     CompId, ComponentSet, KernelStats, Scheduler, SimComponent, SimDuration, StepKind, Tick,
 };
-use offramps_firmware::{Firmware, FirmwareConfig, FwState};
+use offramps_firmware::{ConfigError, Firmware, FirmwareConfig, FwState};
 use offramps_gcode::Program;
 use offramps_printer::{PartModel, PlantConfig, PlantStatus, PrinterPlant};
 use offramps_signals::{SignalEvent, SignalTrace};
@@ -44,6 +44,8 @@ pub enum BenchError {
         /// Simulated time at the stall.
         at: Tick,
     },
+    /// The firmware refused its configuration before the run started.
+    Config(ConfigError),
 }
 
 impl fmt::Display for BenchError {
@@ -55,6 +57,7 @@ impl fmt::Display for BenchError {
             BenchError::Stalled { at } => {
                 write!(f, "co-simulation stalled at {at} with the firmware running")
             }
+            BenchError::Config(e) => write!(f, "invalid firmware config: {e}"),
         }
     }
 }
@@ -169,12 +172,14 @@ impl TestBench {
     }
 
     /// Overrides the firmware configuration.
+    // detlint: allow(D7) -- tests/failure_injection.rs
     pub fn firmware_config(mut self, config: FirmwareConfig) -> Self {
         self.firmware_config = config;
         self
     }
 
     /// Overrides the plant configuration.
+    // detlint: allow(D7) -- tests/failure_injection.rs
     pub fn plant_config(mut self, config: PlantConfig) -> Self {
         self.plant_config = config;
         self
@@ -216,6 +221,7 @@ impl TestBench {
     }
 
     /// Sets the simulated-time safety limit.
+    // detlint: allow(D7) -- tests/fuzz_inputs.rs
     pub fn max_sim_time(mut self, limit: SimDuration) -> Self {
         self.max_sim_time = limit;
         self
@@ -270,12 +276,13 @@ impl TestBench {
     ///
     /// # Errors
     ///
+    /// [`BenchError::Config`] if the firmware refuses its configuration;
     /// [`BenchError::SimTimeLimit`] if the job exceeds the simulated time
     /// limit; [`BenchError::Stalled`] if the co-simulation deadlocks.
     pub fn run(self, program: &Arc<Program>) -> Result<RunArtifacts, BenchError> {
         let max_sim_time = self.max_sim_time;
         let drain_time = self.drain_time;
-        let mut rig = self.build_rig(program);
+        let mut rig = self.build_rig(program)?;
 
         let mut sched = Self::wire();
         let mut temps: Vec<(Tick, f64, f64)> = Vec::new();
@@ -336,7 +343,7 @@ impl TestBench {
 
     /// Consumes the builder into the component rig [`TestBench::run`]
     /// steps.
-    fn build_rig(self, program: &Arc<Program>) -> Rig {
+    fn build_rig(self, program: &Arc<Program>) -> Result<Rig, BenchError> {
         let mut mitm = Offramps::new(self.mitm_config, self.seed);
         for trojan in self.trojans {
             mitm.add_trojan(trojan);
@@ -345,14 +352,15 @@ impl TestBench {
             mitm.enable_trace();
         }
         let mut rig = Rig {
-            fw: Firmware::new(self.firmware_config, Arc::clone(program), self.seed),
+            fw: Firmware::new(self.firmware_config, Arc::clone(program), self.seed)
+                .map_err(BenchError::Config)?,
             mitm,
             plant: PrinterPlant::new(self.plant_config, self.seed),
         };
         if self.record_plant_trace {
             rig.plant.enable_trace();
         }
-        rig
+        Ok(rig)
     }
 }
 

@@ -154,7 +154,7 @@ impl Trojan for EndstopSpoofTrojan {
 /// Two variants share the mechanism: the default hotend spoof
 /// ([`ThermistorSpoofTrojan::reads_cold_by`], the paper-adjacent
 /// melt-zone overheat) and a bed spoof
-/// ([`ThermistorSpoofTrojan::bed_reads_cold_by`], spec `tx2:bed@<c>`).
+/// (`ThermistorSpoofTrojan::bed_reads_cold_by`, spec `tx2:bed@<c>`).
 /// The bed variant is the quiet one: the bed regulates a few degrees
 /// hot for the whole print without delaying the (hotend-dominated)
 /// heat-up wait, so the motion timeline — and with it the txn, power
@@ -205,7 +205,7 @@ impl ThermistorSpoofTrojan {
     /// # Panics
     ///
     /// Panics unless `0 <= offset < 35`.
-    pub fn bed_reads_cold_by(offset_at_bed_temp_c: f64) -> Self {
+    pub(crate) fn bed_reads_cold_by(offset_at_bed_temp_c: f64) -> Self {
         Self::spoof(
             AnalogChannel::BedTherm,
             offset_at_bed_temp_c,
@@ -246,7 +246,7 @@ impl ThermistorSpoofTrojan {
     }
 
     /// The temperature the firmware will see for a true `temp_c`.
-    pub fn spoofed_temp(&self, temp_c: f64) -> f64 {
+    pub(crate) fn spoofed_temp(&self, temp_c: f64) -> f64 {
         self.ambient_c + (temp_c - self.ambient_c) * self.gain
     }
 }

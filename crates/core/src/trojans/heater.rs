@@ -17,16 +17,16 @@ use crate::trojans::{Disposition, Trojan, TrojanCtx};
 
 /// Which heater gates a thermal Trojan owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeaterTargets {
+pub(crate) struct HeaterTargets {
     /// Tamper with the hotend gate (D10).
-    pub hotend: bool,
+    hotend: bool,
     /// Tamper with the bed gate (D8).
-    pub bed: bool,
+    bed: bool,
 }
 
 impl HeaterTargets {
     /// Both heaters (the paper's configuration).
-    pub const BOTH: HeaterTargets = HeaterTargets {
+    const BOTH: HeaterTargets = HeaterTargets {
         hotend: true,
         bed: true,
     };
@@ -51,7 +51,7 @@ impl HeaterDosTrojan {
     }
 
     /// Creates T6 against a subset of heaters.
-    pub fn targeting(targets: HeaterTargets) -> Self {
+    pub(crate) fn targeting(targets: HeaterTargets) -> Self {
         HeaterDosTrojan {
             targets,
             suppressed: 0,
@@ -111,7 +111,7 @@ impl ThermalRunawayTrojan {
     }
 
     /// Creates T7 against a subset of heaters.
-    pub fn targeting(targets: HeaterTargets) -> Self {
+    pub(crate) fn targeting(targets: HeaterTargets) -> Self {
         ThermalRunawayTrojan {
             targets,
             armed: false,

@@ -68,13 +68,13 @@ pub struct TrojanCtx<'a> {
 impl TrojanCtx<'_> {
     /// Schedules an extra control-direction event (toward the plant) at
     /// `at` (clamped to now).
-    pub fn inject(&mut self, at: Tick, event: SignalEvent) {
+    pub(crate) fn inject(&mut self, at: Tick, event: SignalEvent) {
         self.injections.push((at.max(self.now), event));
     }
 
     /// Schedules an extra feedback-direction event (toward the
     /// firmware) at `at` — endstop/thermistor spoofing.
-    pub fn inject_feedback(&mut self, at: Tick, event: SignalEvent) {
+    pub(crate) fn inject_feedback(&mut self, at: Tick, event: SignalEvent) {
         self.feedback_injections.push((at.max(self.now), event));
     }
 

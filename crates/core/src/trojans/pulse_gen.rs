@@ -46,24 +46,6 @@ impl PulseTrain {
         }
     }
 
-    /// Custom frequency/width train.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width >= period`.
-    pub fn with_timing(pin: Pin, count: u32, period: SimDuration, width: SimDuration) -> Self {
-        assert!(
-            width < period,
-            "pulse width must be shorter than the period"
-        );
-        PulseTrain {
-            pin,
-            count,
-            period,
-            width,
-        }
-    }
-
     /// Schedules the whole train through the Trojan context, starting at
     /// `start`.
     pub fn schedule(&self, start: Tick, ctx: &mut TrojanCtx<'_>) {
@@ -71,15 +53,6 @@ impl PulseTrain {
             let rise = start + self.period * u64::from(k);
             ctx.inject(rise, SignalEvent::logic(self.pin, Level::High));
             ctx.inject(rise + self.width, SignalEvent::logic(self.pin, Level::Low));
-        }
-    }
-
-    /// Total duration from first rising edge to last falling edge.
-    pub fn duration(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.period * u64::from(self.count - 1) + self.width
         }
     }
 }
@@ -133,26 +106,5 @@ mod tests {
         assert_eq!(ev1, SignalEvent::logic(Pin::YStep, Level::Low));
         let (t2, _) = h.injections[2];
         assert_eq!(t2, Tick::from_millis(1) + SimDuration::from_micros(500));
-    }
-
-    #[test]
-    fn duration_math() {
-        let t = PulseTrain::steps(Pin::XStep, 10);
-        assert_eq!(t.duration(), SimDuration::from_micros(9 * 500 + 10));
-        assert_eq!(
-            PulseTrain::steps(Pin::XStep, 0).duration(),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than the period")]
-    fn rejects_width_ge_period() {
-        let _ = PulseTrain::with_timing(
-            Pin::XStep,
-            1,
-            SimDuration::from_micros(10),
-            SimDuration::from_micros(10),
-        );
     }
 }

@@ -34,13 +34,8 @@ pub struct ZShiftTrojan {
 impl ZShiftTrojan {
     /// A severe single shift (0.5 mm at 400 steps/mm) after layer 2 —
     /// visible delamination.
-    pub fn delamination() -> Self {
+    pub(crate) fn delamination() -> Self {
         Self::with_params(120, 200, 2, None)
-    }
-
-    /// A start-of-print shift that ruins bed adhesion.
-    pub fn adhesion_failure() -> Self {
-        Self::with_params(120, 150, 0, None)
     }
 
     /// Fully parameterized constructor.
@@ -170,7 +165,7 @@ mod tests {
     #[test]
     fn start_of_print_variant() {
         let mut h = TrojanHarness::new();
-        let mut t = ZShiftTrojan::adhesion_failure();
+        let mut t = ZShiftTrojan::with_params(120, 150, 0, None);
         h.control(
             &mut t,
             Tick::ZERO,
@@ -201,7 +196,7 @@ mod tests {
     fn not_before_homing() {
         let mut h = TrojanHarness::new();
         h.homed = false;
-        let mut t = ZShiftTrojan::adhesion_failure();
+        let mut t = ZShiftTrojan::with_params(120, 150, 0, None);
         h.control(
             &mut t,
             Tick::ZERO,

@@ -222,14 +222,6 @@ pub struct EvidenceBundle {
 }
 
 impl EvidenceBundle {
-    /// A bundle holding just a transaction capture (the txn-only
-    /// harness shape).
-    pub fn from_capture(capture: Capture) -> EvidenceBundle {
-        let mut bundle = EvidenceBundle::default();
-        bundle.insert(ChannelData::Txn(capture));
-        bundle
-    }
-
     /// Inserts (or replaces) one channel's payload.
     pub fn insert(&mut self, data: ChannelData) {
         self.channels.insert(data.channel(), data);
@@ -320,7 +312,7 @@ impl Evidence {
     }
 
     /// Fraction of compared units flagged (0 when nothing compared).
-    pub fn flagged_fraction(&self) -> f64 {
+    pub(crate) fn flagged_fraction(&self) -> f64 {
         if self.compared == 0 {
             0.0
         } else {
@@ -330,7 +322,7 @@ impl Evidence {
 
     /// Re-judges this evidence at `base` suspect fraction with the live
     /// rule: for the transaction judge, the flagged fraction over the
-    /// floored threshold ([`detect::floored_suspect_fraction`]) or a
+    /// floored threshold (`detect::floored_suspect_fraction`) or a
     /// failed end-of-print totals check; for every other detector,
     /// [`offramps_sidechannel::suspect_anomaly_fraction`]. `None` when
     /// the evidence is unjudged. At the stored `threshold` it returns
@@ -395,7 +387,7 @@ impl FusionPolicy {
     /// Fuses per-detector evidence into the suite alarm: the
     /// [`FusionTally`] decision over the judged detectors' votes.
     /// Unjudged evidence neither alarms nor vetoes.
-    pub fn fuse(&self, evidence: &[Evidence]) -> bool {
+    pub(crate) fn fuse(&self, evidence: &[Evidence]) -> bool {
         self.tally_votes(
             evidence
                 .iter()
@@ -643,7 +635,7 @@ pub trait Detector: Send + Sync + fmt::Debug {
 
 /// The §V-C step-count judge, and the only one: the paper's windowed
 /// margin comparison with the short-print floor
-/// ([`detect::floored_suspect_fraction`]) applied to the base suspect
+/// (`detect::floored_suspect_fraction`) applied to the base suspect
 /// fraction. Campaigns judge through the [`Detector`] API; the CLI's
 /// `detect`, Table II and Figure 4 through
 /// [`TransactionDetector::report`].
@@ -938,6 +930,7 @@ impl DetectorSuite {
 
     /// The campaign default: the transaction judge alone, any-alarm
     /// fusion.
+    // detlint: allow(D7) -- tests/store_cache.rs
     pub fn transaction_default() -> DetectorSuite {
         DetectorSuite {
             detectors: vec![Box::new(TransactionDetector::campaign())],
@@ -1068,7 +1061,7 @@ impl WindowEvidence {
 
     /// Fraction of compared units flagged so far (0 before anything
     /// compared).
-    pub fn flagged_fraction(&self) -> f64 {
+    pub(crate) fn flagged_fraction(&self) -> f64 {
         if self.compared == 0 {
             0.0
         } else {
@@ -1210,7 +1203,7 @@ impl<'a> StreamingSuite<'a> {
     /// The default evidence-window slice: the monitor's 0.1 s
     /// transaction capture period, the fastest cadence at which the
     /// paper's host-side analysis sees new data.
-    pub fn default_slice() -> SimDuration {
+    pub(crate) fn default_slice() -> SimDuration {
         SimDuration::from_millis(100)
     }
 
@@ -1220,16 +1213,6 @@ impl<'a> StreamingSuite<'a> {
             suite,
             slice: Self::default_slice(),
         }
-    }
-
-    /// Overrides the evidence-window slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero slice.
-    pub fn with_slice(self, slice: SimDuration) -> StreamingSuite<'a> {
-        assert!(!slice.is_zero(), "monitor slice must be non-zero");
-        StreamingSuite { slice, ..self }
     }
 
     /// Opens a monitor replaying the observed bundle against the golden
@@ -1509,7 +1492,9 @@ mod tests {
     use offramps_signals::{Level, LogicEvent, Pin, SignalTrace};
 
     fn capture_bundle(cap: Capture) -> EvidenceBundle {
-        EvidenceBundle::from_capture(cap)
+        let mut bundle = EvidenceBundle::default();
+        bundle.insert(ChannelData::Txn(cap));
+        bundle
     }
 
     fn step_trace(period_us: u64, seconds: u64) -> SignalTrace {
@@ -2111,9 +2096,11 @@ mod tests {
             let mut rng = offramps_des::DetRng::from_seed(7 + u64::from(attacked));
             for _ in 0..6 {
                 let slice = SimDuration::from_millis(rng.uniform_u64(1, 700));
-                let outcome = StreamingSuite::new(&suite)
-                    .with_slice(slice)
-                    .run(&golden, &observed);
+                let outcome = StreamingSuite {
+                    slice,
+                    ..StreamingSuite::new(&suite)
+                }
+                .run(&golden, &observed);
                 assert_eq!(outcome.verdict, post_hoc, "slice {slice:?}");
             }
             let outcome = StreamingSuite::new(&suite).run(&golden, &observed);
@@ -2135,9 +2122,11 @@ mod tests {
         let mut slice = SimDuration::from_millis(3200);
         let mut last: Option<f64> = None;
         while slice >= SimDuration::from_millis(100) {
-            let outcome = StreamingSuite::new(&suite)
-                .with_slice(slice)
-                .run(&golden, &observed);
+            let outcome = StreamingSuite {
+                slice,
+                ..StreamingSuite::new(&suite)
+            }
+            .run(&golden, &observed);
             let ttd = outcome.ttd.expect("attacked print alarms online");
             if let Some(prev) = last {
                 assert!(
@@ -2195,5 +2184,112 @@ mod tests {
         assert_eq!(outcome.verdict, suite.judge(&golden, &empty));
         assert!(outcome.ttd.is_none());
         assert!(!outcome.verdict.alarmed);
+    }
+
+    /// One real capture-path run of `program`, synthesized into every
+    /// channel `suite` judges with sensor noise seeded by the run's own
+    /// seed — the campaign harness's provisioning.
+    fn real_evidence(
+        suite: &DetectorSuite,
+        program: &std::sync::Arc<offramps_gcode::Program>,
+        seed: u64,
+        trojan: Option<&str>,
+    ) -> EvidenceBundle {
+        let mut bench = crate::TestBench::new(seed)
+            .signal_path(crate::SignalPath::capture())
+            .record_plant_trace(true);
+        if let Some(spec) = trojan {
+            bench = bench.with_trojan(crate::trojans::by_spec(spec).unwrap());
+        }
+        let mut art = bench.run(program).expect("run");
+        let mut bundle = EvidenceBundle::default();
+        for detector in suite.detectors() {
+            let trace = art.plant_trace.as_ref().expect("plant trace");
+            bundle.insert(match detector.synth() {
+                ChannelSynth::Capture => ChannelData::Txn(art.capture.take().expect("capture")),
+                ChannelSynth::Power(m) => ChannelData::Power(m.synthesize(trace, seed)),
+                ChannelSynth::Acoustic(m) => ChannelData::Acoustic(m.synthesize(trace, seed)),
+                ChannelSynth::Thermal(c) => ChannelData::Thermal(c.synthesize(&art.temps, seed)),
+            });
+        }
+        bundle
+    }
+
+    /// Over a real bundle (the 5x5x0.6 mm mini part, flow Trojan armed),
+    /// DetRng-drawn window-boundary placements never change the
+    /// finalized verdict, and the alarm never comes later in print time
+    /// as the evidence-window slice shrinks.
+    #[test]
+    fn window_boundaries_never_change_the_verdict_on_a_real_bundle() {
+        use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
+        let program = std::sync::Arc::new(slice(
+            &Solid::rect_prism(5.0, 5.0, 0.6),
+            &SlicerConfig::fast(),
+        ));
+        let suite = DetectorSuite::new(
+            vec![
+                Box::new(TransactionDetector::campaign()),
+                Box::new(sampled("power")),
+                Box::new(sampled("acoustic")),
+                Box::new(sampled("thermal")),
+            ],
+            FusionPolicy::Any,
+        )
+        .unwrap();
+
+        // Golden: the seed-1 run, calibrated by reruns at seeds 11-14.
+        let runs: Vec<EvidenceBundle> = [1, 11, 12, 13, 14]
+            .into_iter()
+            .map(|seed| real_evidence(&suite, &program, seed, None))
+            .collect();
+        let mut golden = runs[0].clone();
+        for channel in [Channel::Power, Channel::Acoustic, Channel::Thermal] {
+            let calibration = runs.iter().map(|b| b.get(channel).unwrap().clone());
+            golden.insert_calibration(channel, calibration.collect());
+        }
+        let observed = real_evidence(&suite, &program, 2, Some("t2:0.9"));
+
+        let oracle = suite.judge(&golden, &observed);
+        assert!(oracle.alarmed, "the cadence break must be caught post hoc");
+
+        // Wherever the window boundaries land, the finalized verdict
+        // equals the post-hoc one.
+        let mut rng = offramps_des::DetRng::from_seed(0x0F1_1E5);
+        for _ in 0..6 {
+            let slice_ms = rng.uniform_u64(1, 701);
+            let outcome = StreamingSuite {
+                slice: SimDuration::from_millis(slice_ms),
+                ..StreamingSuite::new(&suite)
+            }
+            .run(&golden, &observed);
+            assert_eq!(
+                outcome.verdict, oracle,
+                "verdict drifted at slice {slice_ms} ms"
+            );
+            assert!(
+                outcome.ttd.is_some(),
+                "slice {slice_ms} ms must still alarm"
+            );
+        }
+
+        // Halving the slice never detects later in print time: finer
+        // windows deliver the same evidence no later than coarser ones.
+        let mut slice_ms = 3200u64;
+        let mut last_alarm_time = u64::MAX;
+        while slice_ms >= 100 {
+            let outcome = StreamingSuite {
+                slice: SimDuration::from_millis(slice_ms),
+                ..StreamingSuite::new(&suite)
+            }
+            .run(&golden, &observed);
+            let ttd = outcome.ttd.expect("alarms at every slice width");
+            let alarm_time_ms = ttd.alarm_step * slice_ms;
+            assert!(
+                alarm_time_ms <= last_alarm_time,
+                "slice {slice_ms} ms alarmed later ({alarm_time_ms} ms) than the coarser slice ({last_alarm_time} ms)"
+            );
+            last_alarm_time = alarm_time_ms;
+            slice_ms /= 2;
+        }
     }
 }

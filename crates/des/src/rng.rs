@@ -57,7 +57,7 @@ impl DetRng {
     }
 
     /// Next value in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 uniform mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -74,16 +74,6 @@ impl DetRng {
         // 64-bit source is immeasurably small for simulation purposes.
         let wide = u128::from(self.next_u64()) * u128::from(span);
         lo + (wide >> 64) as u64
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or not finite.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "invalid range");
-        lo + self.next_f64() * (hi - lo)
     }
 
     /// Bernoulli draw with probability `p` of `true`.
@@ -139,11 +129,6 @@ impl SeedSplitter {
         SeedSplitter { master }
     }
 
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the stable 64-bit sub-seed for `label` (FNV-1a mix).
     pub fn derive(&self, label: &str) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.master;
@@ -190,7 +175,6 @@ mod tests {
         let mut y = s.stream("y");
         assert_eq!(x1.next_u64(), x2.next_u64());
         assert_ne!(s.stream("x").next_u64(), y.next_u64());
-        assert_eq!(s.master(), 99);
         assert_eq!(s.derive("x"), s.derive("x"));
         assert_ne!(s.derive("x"), s.derive("y"));
     }
@@ -201,8 +185,6 @@ mod tests {
         for _ in 0..1000 {
             let v = r.uniform_u64(5, 10);
             assert!((5..10).contains(&v));
-            let f = r.uniform_f64(-1.0, 1.0);
-            assert!((-1.0..1.0).contains(&f));
         }
     }
 

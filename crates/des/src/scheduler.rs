@@ -430,18 +430,6 @@ impl<P> Scheduler<P> {
         self.live == 0
     }
 
-    /// Current allocation of the shared action sink, in actions
-    /// (diagnostics: stable in steady state).
-    pub fn sink_capacity(&self) -> usize {
-        self.sink.capacity()
-    }
-
-    /// Sends that regressed within their lane and took the spill heap
-    /// (diagnostics: a tiny fraction of all sends on the hot path).
-    pub fn spilled(&self) -> u64 {
-        self.spilled
-    }
-
     /// Wake requests deduplicated into an already-armed slot
     /// (diagnostics: how much work the slot design saves over a queue).
     pub fn wake_dedups(&self) -> u64 {
@@ -709,7 +697,7 @@ mod tests {
                 (Tick::from_micros(40), 40),
             ]
         );
-        assert_eq!(sched.spilled(), 2, "10 and 20 regressed behind 30");
+        assert_eq!(sched.stats().spills, 2, "10 and 20 regressed behind 30");
         assert!(sched.is_empty());
     }
 
@@ -752,10 +740,10 @@ mod tests {
         for _ in 0..10 {
             sched.step(&mut set[..]);
         }
-        let cap = sched.sink_capacity();
+        let cap = sched.sink.capacity();
         while sched.step(&mut set[..]).is_some() {}
         assert_eq!(
-            sched.sink_capacity(),
+            sched.sink.capacity(),
             cap,
             "steady state must not reallocate"
         );

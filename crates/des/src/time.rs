@@ -102,14 +102,6 @@ impl Tick {
     pub const fn saturating_since(self, earlier: Tick) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    pub const fn checked_add(self, d: SimDuration) -> Option<Tick> {
-        match self.0.checked_add(d.0) {
-            Some(v) => Some(Tick(v)),
-            None => None,
-        }
-    }
 }
 
 impl fmt::Display for Tick {
@@ -219,11 +211,6 @@ impl SimDuration {
     /// Duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
-    }
-
-    /// True if this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction.
@@ -358,14 +345,5 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
         assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
         assert_eq!(Tick::from_secs(1).to_string(), "1.000000s");
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert!(Tick::MAX.checked_add(SimDuration::from_ticks(1)).is_none());
-        assert_eq!(
-            Tick::ZERO.checked_add(SimDuration::from_ticks(7)),
-            Some(Tick::new(7))
-        );
     }
 }

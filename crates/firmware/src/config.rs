@@ -20,7 +20,7 @@ pub struct FirmwareConfig {
     pub homing_backoff_mm: f64,
     /// STEP pulse high time, µs (Marlin uses 1–2 µs; the paper measured
     /// ≥ 1 µs minimum pulse widths). Must be shorter than the shortest
-    /// step interval; `Firmware::new` panics otherwise.
+    /// step interval; `Firmware::new` refuses the config otherwise.
     pub step_pulse_us: u64,
     /// Delay between a DIR change and the first STEP edge, µs.
     pub dir_setup_us: u64,
@@ -93,6 +93,7 @@ impl Default for FirmwareConfig {
 
 impl FirmwareConfig {
     /// A config with jitter disabled (bit-identical repeated prints).
+    // detlint: allow(D7) -- tests/detection_e2e.rs
     pub fn deterministic() -> Self {
         FirmwareConfig {
             jitter_sigma: 0.0,

@@ -55,6 +55,35 @@ impl fmt::Display for FirmwareError {
 
 impl std::error::Error for FirmwareError {}
 
+/// A firmware configuration the machine refuses to build.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// Each STEP pulse must end before the next one starts, but the
+    /// configured pulse is not shorter than the shortest step interval.
+    StepPulseTooWide {
+        /// The configured `step_pulse_us`.
+        pulse_us: u64,
+        /// The shortest step interval the config allows, µs.
+        interval_us: f64,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::StepPulseTooWide {
+                pulse_us,
+                interval_us,
+            } => write!(
+                f,
+                "step_pulse_us = {pulse_us} must be shorter than the shortest step interval, {interval_us:.1} µs"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,7 +97,7 @@ impl HeaterControl {
     }
 
     /// Creates the bang-bang bed loop.
-    pub fn new_bed(id: HeaterId, cfg: &FirmwareConfig) -> Self {
+    pub(crate) fn new_bed(id: HeaterId, cfg: &FirmwareConfig) -> Self {
         HeaterControl {
             bang_bang: true,
             hysteresis_c: cfg.bed_hysteresis_c,
@@ -127,20 +127,10 @@ impl HeaterControl {
         }
     }
 
-    /// Current target, °C.
-    pub fn target_c(&self) -> f64 {
-        self.target_c
-    }
-
     /// True once the temperature has reached the target since the last
     /// `set_target` (used by `M109`/`M190` waits).
-    pub fn reached(&self) -> bool {
+    pub(crate) fn reached(&self) -> bool {
         self.reached
-    }
-
-    /// Current protection phase.
-    pub fn protection(&self) -> HeaterProtection {
-        self.protection
     }
 
     /// One control-loop iteration: returns the PWM duty (0–255) to apply,
@@ -359,7 +349,7 @@ mod tests {
         let mut h = HeaterControl::new_hotend(HeaterId::Hotend, &cfg());
         h.set_target(Tick::ZERO, 210.0, 25.0);
         h.set_target(Tick::from_secs(1), 0.0, 180.0);
-        assert_eq!(h.protection(), HeaterProtection::Idle);
+        assert_eq!(h.protection, HeaterProtection::Idle);
         assert_eq!(h.update(Tick::from_secs(2), 180.0).unwrap(), 0);
     }
 

@@ -41,7 +41,7 @@ pub mod motion;
 mod thermistor_table;
 
 pub use config::FirmwareConfig;
-pub use error::{FirmwareError, HeaterId};
+pub use error::{ConfigError, FirmwareError, HeaterId};
 pub use heaters::{HeaterControl, HeaterProtection};
 pub use machine::{Firmware, FwState, PORT_CTRL, PORT_FEEDBACK};
 pub use thermistor_table::ThermistorTable;

@@ -9,7 +9,7 @@ use offramps_gcode::{GCommand, Program};
 use offramps_signals::{AnalogChannel, Axis, Level, Pin, SignalEvent, UartDirection};
 
 use crate::config::FirmwareConfig;
-use crate::error::{FirmwareError, HeaterId};
+use crate::error::{ConfigError, FirmwareError, HeaterId};
 use crate::heaters::HeaterControl;
 use crate::motion::{cap_feedrate, MoveExec};
 use crate::thermistor_table::ThermistorTable;
@@ -139,7 +139,7 @@ enum Block {
 /// use offramps_gcode::parse;
 ///
 /// let program = Arc::new(parse("G90\nM83\nG1 X1 F600\n")?);
-/// let mut fw = Firmware::new(FirmwareConfig::default(), program, 1);
+/// let mut fw = Firmware::new(FirmwareConfig::default(), program, 1)?;
 /// let mut sink = ActionSink::new();
 /// sink.begin(Tick::ZERO);
 /// fw.start(Tick::ZERO, &mut sink);
@@ -198,20 +198,26 @@ impl Firmware {
     /// never copies the command list. `seed` drives the per-move time
     /// noise.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config.step_pulse_us` is not shorter than the shortest
-    /// step interval the config allows: each STEP pulse must end before
-    /// the next one starts.
-    pub fn new(config: FirmwareConfig, program: Arc<Program>, seed: u64) -> Self {
+    /// [`ConfigError::StepPulseTooWide`] if `config.step_pulse_us` is not
+    /// shorter than the shortest step interval the config allows: each
+    /// STEP pulse must end before the next one starts.
+    pub fn new(
+        config: FirmwareConfig,
+        program: Arc<Program>,
+        seed: u64,
+    ) -> Result<Self, ConfigError> {
         let interval_us = config.shortest_step_interval_s() * 1e6;
-        assert!(
-            (config.step_pulse_us as f64) < interval_us.floor(),
-            "step_pulse_us = {} must be shorter than the shortest step interval, {interval_us:.1} µs",
-            config.step_pulse_us
-        );
+        let pulse_fits = (config.step_pulse_us as f64) < interval_us.floor();
+        if !pulse_fits {
+            return Err(ConfigError::StepPulseTooWide {
+                pulse_us: config.step_pulse_us,
+                interval_us,
+            });
+        }
         let split = SeedSplitter::new(seed);
-        Firmware {
+        Ok(Firmware {
             hotend: HeaterControl::new_hotend(HeaterId::Hotend, &config),
             bed: HeaterControl::new_bed(HeaterId::Bed, &config),
             hotend_table: ThermistorTable::semitec_104gt2(),
@@ -240,7 +246,7 @@ impl Firmware {
             gate_emitted: [None; 3],
             endstop_high: [false; 3],
             jitter_rng: split.stream("firmware-jitter"),
-        }
+        })
     }
 
     /// Boot: arms the periodic loops and begins executing the program.
@@ -276,11 +282,6 @@ impl Firmware {
     /// order.
     pub fn step_counts(&self) -> [i64; 4] {
         self.pos_steps
-    }
-
-    /// Logical position, mm, [`Axis::ALL`] order.
-    pub fn logical_position(&self) -> [f64; 4] {
-        self.logical_mm
     }
 
     /// True once G28 has completed at least once.
@@ -941,6 +942,7 @@ mod tests {
             Arc::new(parse(src).unwrap()),
             42,
         )
+        .expect("valid config")
     }
 
     /// Drains `sink`, appending emitted events to `events` and returning
@@ -1014,7 +1016,7 @@ mod tests {
         let mut f = fw("G90\nG1 X5 F600\nG91\nG1 X-2\nG90\nG1 X10\n");
         let _ = run_open_loop(&mut f);
         assert_eq!(f.step_counts()[0], 1000, "final logical X=10 -> 1000 steps");
-        assert_eq!(f.logical_position()[0], 10.0);
+        assert_eq!(f.logical_mm[0], 10.0);
     }
 
     #[test]
@@ -1360,7 +1362,8 @@ mod randomized_tests {
                 crate::FirmwareConfig::deterministic(),
                 std::sync::Arc::new(parse(&src).unwrap()),
                 1,
-            );
+            )
+            .expect("valid config");
             let events = super::tests::run_open_loop(&mut fw);
             drop(events);
             let (lx, ly) = *targets.last().unwrap();

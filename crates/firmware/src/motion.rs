@@ -30,7 +30,7 @@ impl Trapezoid {
     /// # Panics
     ///
     /// Panics if `dist_mm`, `v_req` or `accel` are not strictly positive.
-    pub fn plan(dist_mm: f64, v_req: f64, accel: f64) -> Self {
+    pub(crate) fn plan(dist_mm: f64, v_req: f64, accel: f64) -> Self {
         assert!(
             dist_mm > 0.0 && v_req > 0.0 && accel > 0.0,
             "invalid profile inputs"
@@ -66,7 +66,7 @@ impl Trapezoid {
     /// # Panics
     ///
     /// Panics (debug) if `s` is outside `[0, dist_mm]`.
-    pub fn time_at(&self, s: f64) -> f64 {
+    pub(crate) fn time_at(&self, s: f64) -> f64 {
         debug_assert!((-1e-9..=self.dist_mm + 1e-9).contains(&s));
         let s = s.clamp(0.0, self.dist_mm);
         if s <= self.accel_dist {
@@ -199,7 +199,7 @@ impl MoveExec {
     }
 
     /// Absolute end time of the segment.
-    pub fn end_tick(&self) -> Tick {
+    pub(crate) fn end_tick(&self) -> Tick {
         if self.n == 0 {
             self.start
         } else {
@@ -211,21 +211,11 @@ impl MoveExec {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
-
-    /// Remaining dominant-axis steps.
-    pub fn remaining(&self) -> u64 {
-        self.n - self.k
-    }
-
-    /// The planned profile.
-    pub fn profile(&self) -> &Trapezoid {
-        &self.profile
-    }
 }
 
 /// Caps a requested feedrate by per-axis speed limits for a move with
 /// the given axis distances (mm). Returns the attainable path speed.
-pub fn cap_feedrate(path_mm: f64, axis_mm: [f64; 4], v_req: f64, max_axis: [f64; 4]) -> f64 {
+pub(crate) fn cap_feedrate(path_mm: f64, axis_mm: [f64; 4], v_req: f64, max_axis: [f64; 4]) -> f64 {
     let mut v = v_req;
     if path_mm <= 0.0 {
         return v;
@@ -378,7 +368,7 @@ mod tests {
         for seed in 0u64..32 {
             let mut rng = DetRng::from_seed(seed ^ 0x5151);
             let n = rng.uniform_u64(100, 2000);
-            let v = rng.uniform_f64(5.0, 100.0);
+            let v = rng.uniform_u64(5_000, 100_000) as f64 / 1000.0;
             let dist = n as f64 / 100.0; // 100 steps/mm
             let mut exec = MoveExec::new([n as i64, 0, 0, 0], dist, v, 1000.0, Tick::ZERO, 1.0);
             let min_interval_s = (1.0 / (v * 100.0)) * 0.999; // tolerance

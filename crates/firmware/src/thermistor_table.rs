@@ -26,7 +26,7 @@ impl ThermistorTable {
     /// Builds a table from Beta-model NTC parameters by sampling the
     /// divider at fixed temperatures (the same procedure Marlin's
     /// `createTemperatureLookupMarlin.py` uses).
-    pub fn from_beta(beta: f64, r25: f64, pullup: f64) -> Self {
+    pub(crate) fn from_beta(beta: f64, r25: f64, pullup: f64) -> Self {
         let mut entries: Vec<(u16, f64)> = Vec::new();
         let mut temp = -10.0;
         while temp <= 340.0 {
@@ -47,7 +47,7 @@ impl ThermistorTable {
     }
 
     /// A generic EPCOS-100k-like bed thermistor (Beta 3950).
-    pub fn epcos_100k() -> Self {
+    pub(crate) fn epcos_100k() -> Self {
         Self::from_beta(3950.0, 100_000.0, 4_700.0)
     }
 

@@ -89,19 +89,6 @@ pub enum GCommand {
     },
 }
 
-impl GCommand {
-    /// True if this is a motion command (`G0`/`G1`) that extrudes
-    /// (has an E word).
-    pub fn is_extruding_move(&self) -> bool {
-        matches!(self, GCommand::Move { e: Some(_), .. })
-    }
-
-    /// True if this is any motion command.
-    pub fn is_move(&self) -> bool {
-        matches!(self, GCommand::Move { .. })
-    }
-}
-
 impl fmt::Display for GCommand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&crate::writer::command_to_string(self))
@@ -211,30 +198,6 @@ mod tests {
         assert_eq!(p.iter().count(), 2);
         assert_eq!((&p).into_iter().count(), 2);
         assert_eq!(p.into_iter().count(), 2);
-    }
-
-    #[test]
-    fn move_classification() {
-        let m = GCommand::Move {
-            rapid: false,
-            x: Some(1.0),
-            y: None,
-            z: None,
-            e: Some(0.1),
-            feedrate: None,
-        };
-        assert!(m.is_move());
-        assert!(m.is_extruding_move());
-        assert!(!GCommand::FanOff.is_move());
-        let travel = GCommand::Move {
-            rapid: true,
-            x: Some(1.0),
-            y: None,
-            z: None,
-            e: None,
-            feedrate: None,
-        };
-        assert!(!travel.is_extruding_move());
     }
 
     #[test]

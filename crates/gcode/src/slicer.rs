@@ -112,7 +112,7 @@ impl SlicerConfig {
     }
 
     /// Filament millimetres pushed per millimetre of XY path.
-    pub fn e_per_mm(&self) -> f64 {
+    pub(crate) fn e_per_mm(&self) -> f64 {
         let bead_area = self.extrusion_width * self.layer_height;
         let filament_area =
             std::f64::consts::FRAC_PI_4 * self.filament_diameter * self.filament_diameter;
@@ -403,7 +403,8 @@ use crate::writer::snap5 as round5;
 
 /// Slices `solid` with `cfg` into a complete printable program
 /// (heat-up, homing, layers, cool-down). The part is centred on
-/// `cfg.center`; multi-part plates go through [`slice_plate`].
+/// `cfg.center`; multi-part plates go through
+/// [`WorkloadSpec::slice`](crate::spec::WorkloadSpec::slice).
 ///
 /// # Panics
 ///
@@ -423,7 +424,7 @@ pub fn slice(solid: &Solid, cfg: &SlicerConfig) -> Program {
 ///
 /// Panics if `parts` is empty, or if `cfg.layer_height` or geometric
 /// parameters are not positive.
-pub fn slice_plate(parts: &[(Solid, (f64, f64))], cfg: &SlicerConfig) -> Program {
+pub(crate) fn slice_plate(parts: &[(Solid, (f64, f64))], cfg: &SlicerConfig) -> Program {
     assert!(!parts.is_empty(), "a plate needs at least one part");
     assert!(cfg.layer_height > 0.0, "layer height must be positive");
     assert!(

@@ -88,7 +88,7 @@ impl WorkloadSpec {
 
     /// The island centres, in print order (a row centred on
     /// `config.center`).
-    pub fn centers(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn centers(&self) -> Vec<(f64, f64)> {
         let (cx, cy) = self.config.center;
         let n = self.copies.max(1);
         (0..n)
@@ -103,7 +103,7 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive geometry, like [`slice_plate`].
+    /// Panics on non-positive geometry, like `slice_plate`.
     pub fn slice(&self) -> Program {
         let parts: Vec<(Solid, (f64, f64))> = self
             .centers()

@@ -72,7 +72,7 @@ impl ProgramStats {
     }
 
     /// Analyzes `program` with explicit options.
-    pub fn analyze_with(program: &Program, config: StatsConfig) -> Self {
+    pub(crate) fn analyze_with(program: &Program, config: StatsConfig) -> Self {
         let mut st = Interp::default();
         let mut out = ProgramStats {
             net_extruded_mm: 0.0,

@@ -160,7 +160,7 @@ impl MetricsRegistry {
     /// Folds another snapshot into this one. Counters add; histograms
     /// combine count/sum/min/max. Commutative and associative, so the
     /// order worker threads complete in cannot change the result.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
         for (name, metric) in &other.metrics {
             match *metric {
                 Metric::Counter { value, class } => self.add(name, class, value),
@@ -227,11 +227,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// True when no metric of `class` has been recorded.
-    pub fn is_empty_for(&self, class: MetricClass) -> bool {
-        !self.metrics.values().any(|m| m.class() == class)
-    }
-
     /// Renders the metrics of one class as a canonical JSON document:
     ///
     /// ```json
@@ -247,7 +242,7 @@ impl MetricsRegistry {
     /// object are in fixed order — byte-identical for equal
     /// registries, which the determinism tests pin across thread
     /// counts.
-    pub fn render_json(&self, class: MetricClass) -> String {
+    pub(crate) fn render_json(&self, class: MetricClass) -> String {
         let mut out = String::from("{\n  \"metrics\": {");
         let mut first = true;
         for (name, metric) in &self.metrics {
@@ -441,6 +436,7 @@ impl Obs {
 
     /// Folds a locally-accumulated snapshot into the shared registry —
     /// the once-per-scenario publish point for hot-path counters.
+    // detlint: allow(D7) -- tests/obs_metrics.rs
     pub fn merge(&self, snapshot: &MetricsRegistry) {
         if let Some(sink) = &self.0 {
             sink.registry

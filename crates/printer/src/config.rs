@@ -116,12 +116,12 @@ impl ThermalConfig {
     }
 
     /// Steady-state temperature at a constant duty in `[0, 1]`.
-    pub fn steady_state_c(&self, duty: f64) -> f64 {
+    pub(crate) fn steady_state_c(&self, duty: f64) -> f64 {
         self.ambient_c + self.power_w * duty / self.loss_w_per_k
     }
 
     /// Thermal time constant, seconds.
-    pub fn tau_s(&self) -> f64 {
+    pub(crate) fn tau_s(&self) -> f64 {
         self.capacity_j_per_k / self.loss_w_per_k
     }
 }

@@ -21,14 +21,14 @@ pub struct Segment {
 
 impl Segment {
     /// XY length of the segment, mm.
-    pub fn length_mm(&self) -> f64 {
+    pub(crate) fn length_mm(&self) -> f64 {
         let dx = self.to.0 - self.from.0;
         let dy = self.to.1 - self.from.1;
         (dx * dx + dy * dy).sqrt()
     }
 
     /// Midpoint of the segment.
-    pub fn midpoint(&self) -> (f64, f64) {
+    pub(crate) fn midpoint(&self) -> (f64, f64) {
         (
             (self.from.0 + self.to.0) / 2.0,
             (self.from.1 + self.to.1) / 2.0,

@@ -15,47 +15,6 @@
 use offramps_des::Tick;
 use offramps_signals::{Level, LogicEvent};
 
-/// Microstep resolution selected by the RAMPS jumpers under the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MicrostepMode {
-    /// Full steps.
-    Full,
-    /// 1/2 step.
-    Half,
-    /// 1/4 step.
-    Quarter,
-    /// 1/8 step.
-    Eighth,
-    /// 1/16 step (all three jumpers installed — the common RAMPS setup).
-    #[default]
-    Sixteenth,
-}
-
-impl MicrostepMode {
-    /// Microsteps per full motor step.
-    pub const fn divisor(self) -> u32 {
-        match self {
-            MicrostepMode::Full => 1,
-            MicrostepMode::Half => 2,
-            MicrostepMode::Quarter => 4,
-            MicrostepMode::Eighth => 8,
-            MicrostepMode::Sixteenth => 16,
-        }
-    }
-
-    /// The MS1/MS2/MS3 jumper levels that select this mode (A4988 truth
-    /// table).
-    pub const fn jumpers(self) -> (bool, bool, bool) {
-        match self {
-            MicrostepMode::Full => (false, false, false),
-            MicrostepMode::Half => (true, false, false),
-            MicrostepMode::Quarter => (false, true, false),
-            MicrostepMode::Eighth => (true, true, false),
-            MicrostepMode::Sixteenth => (true, true, true),
-        }
-    }
-}
-
 /// One A4988 driver: STEP/DIR/ENABLE in, microstep position out.
 ///
 /// # Example
@@ -172,11 +131,6 @@ impl A4988Driver {
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
-
-    /// Whether DIR currently selects the positive direction.
-    pub fn is_dir_positive(&self) -> bool {
-        self.dir_positive
-    }
 }
 
 #[cfg(test)]
@@ -256,14 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn microstep_table() {
-        assert_eq!(MicrostepMode::Sixteenth.divisor(), 16);
-        assert_eq!(MicrostepMode::Full.jumpers(), (false, false, false));
-        assert_eq!(MicrostepMode::Sixteenth.jumpers(), (true, true, true));
-        assert_eq!(MicrostepMode::default(), MicrostepMode::Sixteenth);
-    }
-
-    #[test]
     fn apply_routes_by_pin() {
         use offramps_signals::Pin;
         let mut d = A4988Driver::new(1_000);
@@ -276,6 +222,6 @@ mod tests {
         );
         assert_eq!(delta, 1);
         assert!(d.is_enabled());
-        assert!(d.is_dir_positive());
+        assert!(d.dir_positive);
     }
 }

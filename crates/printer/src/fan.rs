@@ -77,18 +77,12 @@ impl FanPlant {
     }
 
     /// Effective duty (0–1) over everything observed so far.
-    pub fn lifetime_duty(&self) -> f64 {
+    pub(crate) fn lifetime_duty(&self) -> f64 {
         if self.total_time_ticks == 0 {
             0.0
         } else {
             self.high_time_ticks as f64 / self.total_time_ticks as f64
         }
-    }
-
-    /// Resets duty accounting (e.g. at print start).
-    pub fn reset_duty_accounting(&mut self) {
-        self.high_time_ticks = 0;
-        self.total_time_ticks = 0;
     }
 }
 
@@ -123,15 +117,5 @@ mod tests {
             "25% duty should settle near 1500 rpm, got {rpm}"
         );
         assert!((f.lifetime_duty() - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn duty_accounting_resets() {
-        let mut f = FanPlant::new(0.5, 6_000.0);
-        f.set_gate(Tick::ZERO, Level::High);
-        let _ = f.rpm(Tick::from_secs(1));
-        assert!(f.lifetime_duty() > 0.99);
-        f.reset_duty_accounting();
-        assert_eq!(f.lifetime_duty(), 0.0);
     }
 }

@@ -39,7 +39,7 @@ mod thermal;
 
 pub use config::{AxisConfig, PlantConfig, ThermalConfig};
 pub use deposition::{DepositionModel, LayerSummary, PartModel, Segment};
-pub use driver::{A4988Driver, MicrostepMode};
+pub use driver::A4988Driver;
 pub use fan::FanPlant;
 pub use mechanism::AxisMechanism;
 pub use plant::{PlantStatus, PrinterPlant, PORT_CTRL, PORT_FEEDBACK};

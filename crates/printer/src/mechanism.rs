@@ -65,13 +65,8 @@ impl AxisMechanism {
     }
 
     /// Current position, mm from logical zero.
-    pub fn position_mm(&self) -> f64 {
+    pub(crate) fn position_mm(&self) -> f64 {
         self.position_steps as f64 / self.config.steps_per_mm
-    }
-
-    /// Current position, microsteps.
-    pub fn position_steps(&self) -> i64 {
-        self.position_steps
     }
 
     /// The MIN endstop output: high while pressed.

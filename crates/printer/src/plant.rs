@@ -257,11 +257,6 @@ impl PrinterPlant {
     pub fn config(&self) -> &PlantConfig {
         &self.config
     }
-
-    /// Direct access to an axis mechanism (test/scenario setup).
-    pub fn mechanism_mut(&mut self, axis: Axis) -> &mut AxisMechanism {
-        &mut self.mechs[axis.index()]
-    }
 }
 
 impl SimComponent for PrinterPlant {
@@ -342,7 +337,7 @@ mod tests {
         let mut p = plant();
         control(&mut p, 0, SignalEvent::logic(Pin::XEnable, Level::Low));
         control(&mut p, 0, SignalEvent::logic(Pin::XDir, Level::Low)); // negative
-        p.mechanism_mut(Axis::X).reference_at(0.5);
+        p.mechs[Axis::X.index()].reference_at(0.5);
         let mut endstop_events = Vec::new();
         for i in 0..200 {
             for a in step(&mut p, 10 + i * 10, Axis::X) {

@@ -101,15 +101,6 @@ impl PartReport {
             max_layer_gap_mm: max_gap,
         }
     }
-
-    /// True when the part is geometrically indistinguishable from golden
-    /// under `config` thresholds.
-    pub fn is_clean(&self, config: &QualityConfig) -> bool {
-        (self.flow_ratio - 1.0).abs() <= config.flow_tolerance
-            && self.shifted_layers == 0
-            && self.golden_layers == self.test_layers
-            && self.bbox_deviation_mm <= config.shift_threshold_mm
-    }
 }
 
 impl fmt::Display for PartReport {
@@ -158,9 +149,11 @@ mod tests {
         let g = straight_part(0.0, 1.0, 5, 0.2);
         let t = straight_part(0.0, 1.0, 5, 0.2);
         let r = PartReport::compare(&g, &t, &cfg);
-        assert!(r.is_clean(&cfg), "{r}");
+        assert_eq!(r.shifted_layers, 0, "{r}");
+        assert!(r.bbox_deviation_mm <= cfg.shift_threshold_mm, "{r}");
         assert!((r.flow_ratio - 1.0).abs() < 1e-9);
         assert_eq!(r.golden_layers, 5);
+        assert_eq!(r.test_layers, 5);
     }
 
     #[test]
@@ -170,7 +163,7 @@ mod tests {
         let t = straight_part(0.0, 0.5, 5, 0.2);
         let r = PartReport::compare(&g, &t, &cfg);
         assert!((r.flow_ratio - 0.5).abs() < 0.02, "{}", r.flow_ratio);
-        assert!(!r.is_clean(&cfg));
+        assert!((r.flow_ratio - 1.0).abs() > cfg.flow_tolerance);
     }
 
     #[test]
@@ -181,7 +174,6 @@ mod tests {
         let r = PartReport::compare(&g, &t, &cfg);
         assert!(r.max_centroid_offset_mm > 1.9);
         assert_eq!(r.shifted_layers, 5);
-        assert!(!r.is_clean(&cfg));
     }
 
     #[test]

@@ -100,18 +100,13 @@ impl HeaterPlant {
         self.temp_c
     }
 
-    /// Current gate level.
-    pub fn gate(&self) -> Level {
-        Level::from(self.gate_high)
-    }
-
     /// The thermal configuration.
     pub fn config(&self) -> &ThermalConfig {
         &self.config
     }
 
     /// The ADC counts a read-out at `now` would produce.
-    pub fn read_adc(&mut self, now: Tick) -> u16 {
+    pub(crate) fn read_adc(&mut self, now: Tick) -> u16 {
         let t = self.temperature_c(now);
         Thermistor::from(&self.config).temp_to_counts(t)
     }
@@ -144,7 +139,7 @@ impl From<&ThermalConfig> for Thermistor {
 
 impl Thermistor {
     /// Thermistor resistance at `temp_c` (Beta model).
-    pub fn resistance(&self, temp_c: f64) -> f64 {
+    pub(crate) fn resistance(&self, temp_c: f64) -> f64 {
         let t_k = temp_c + 273.15;
         let t25_k = 298.15;
         self.r25 * (self.beta * (1.0 / t_k - 1.0 / t25_k)).exp()
@@ -284,8 +279,8 @@ mod tests {
     #[test]
     fn gate_state_visible() {
         let mut h = HeaterPlant::new(ThermalConfig::bed());
-        assert_eq!(h.gate(), Level::Low);
+        assert!(!h.gate_high);
         h.set_gate(Tick::ZERO, Level::High);
-        assert_eq!(h.gate(), Level::High);
+        assert!(h.gate_high);
     }
 }

@@ -84,13 +84,4 @@ impl SampledTrace {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Mean sample value (0 for an empty trace).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
 }

@@ -15,25 +15,9 @@ pub enum Level {
 }
 
 impl Level {
-    /// The opposite level.
-    pub const fn invert(self) -> Level {
-        match self {
-            Level::Low => Level::High,
-            Level::High => Level::Low,
-        }
-    }
-
     /// True if high.
     pub const fn is_high(self) -> bool {
         matches!(self, Level::High)
-    }
-
-    /// `1` for high, `0` for low (as in a VCD dump).
-    pub const fn as_bit(self) -> u8 {
-        match self {
-            Level::Low => 0,
-            Level::High => 1,
-        }
     }
 }
 
@@ -73,14 +57,6 @@ impl Edge {
             Level::Low => Edge::Falling,
         }
     }
-
-    /// The level after this edge.
-    pub const fn level_after(self) -> Level {
-        match self {
-            Edge::Rising => Level::High,
-            Edge::Falling => Level::Low,
-        }
-    }
 }
 
 /// A level change on one digital pin.
@@ -96,11 +72,6 @@ impl LogicEvent {
     /// Creates a level-change event.
     pub const fn new(pin: Pin, level: Level) -> Self {
         LogicEvent { pin, level }
-    }
-
-    /// The edge this event represents (assuming it is a real change).
-    pub const fn edge(self) -> Edge {
-        Edge::to(self.level)
     }
 }
 
@@ -212,9 +183,6 @@ mod tests {
 
     #[test]
     fn level_inversion_and_bits() {
-        assert_eq!(Level::Low.invert(), Level::High);
-        assert_eq!(Level::High.invert(), Level::Low);
-        assert_eq!(Level::High.as_bit(), 1);
         assert!(Level::High.is_high());
         assert_eq!(Level::from(true), Level::High);
         assert_eq!(Level::default(), Level::Low);
@@ -223,14 +191,12 @@ mod tests {
     #[test]
     fn edge_round_trip() {
         assert_eq!(Edge::to(Level::High), Edge::Rising);
-        assert_eq!(Edge::Rising.level_after(), Level::High);
-        assert_eq!(Edge::Falling.level_after(), Level::Low);
+        assert_eq!(Edge::to(Level::Low), Edge::Falling);
     }
 
     #[test]
     fn logic_event_edge() {
         let ev = LogicEvent::new(Pin::EStep, Level::High);
-        assert_eq!(ev.edge(), Edge::Rising);
         assert_eq!(ev.to_string(), "E0_STEP=H");
     }
 

@@ -290,11 +290,6 @@ impl Pin {
         )
     }
 
-    /// True for the heater gates (D8 bed, D10 hotend).
-    pub const fn is_heater(self) -> bool {
-        matches!(self, Pin::HotendHeat | Pin::BedHeat)
-    }
-
     /// Signal name as printed on RAMPS schematics (e.g. `X_STEP`).
     pub const fn name(self) -> &'static str {
         match self {

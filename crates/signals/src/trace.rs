@@ -122,26 +122,8 @@ impl SignalTrace {
     }
 
     /// Entries for one pin, in order.
-    pub fn pin_entries(&self, pin: Pin) -> impl Iterator<Item = &TraceEntry> {
+    pub(crate) fn pin_entries(&self, pin: Pin) -> impl Iterator<Item = &TraceEntry> {
         self.entries.iter().filter(move |e| e.event.pin == pin)
-    }
-
-    /// Number of edges of `edge` kind on `pin` in the half-open window
-    /// `[from, to)`. The trace stores levels; an entry counts as an edge if
-    /// it changed the pin's level.
-    pub fn edges_in_window(&self, pin: Pin, edge: Edge, from: Tick, to: Tick) -> u64 {
-        // Pins reset low; the first recorded `High` therefore counts as a
-        // rising edge.
-        let mut last = Level::Low;
-        let mut count = 0;
-        for e in self.pin_entries(pin) {
-            let is_edge = last != e.event.level;
-            if is_edge && e.tick >= from && e.tick < to && Edge::to(e.event.level) == edge {
-                count += 1;
-            }
-            last = e.event.level;
-        }
-        count
     }
 
     /// Ticks of the rising transitions on one pin, in order. Pins reset
@@ -302,12 +284,10 @@ mod tests {
         for i in 0..10 {
             pulse(&mut t, Pin::XStep, 10 + i * 10, 2);
         }
-        let n = t.edges_in_window(
-            Pin::XStep,
-            Edge::Rising,
-            Tick::from_micros(10),
-            Tick::from_micros(50),
-        );
+        let n = t
+            .rising_edge_ticks(Pin::XStep)
+            .filter(|&at| at >= Tick::from_micros(10) && at < Tick::from_micros(50))
+            .count();
         assert_eq!(n, 4); // rising at 10,20,30,40
     }
 
@@ -426,42 +406,11 @@ mod randomized_tests {
                 Some(SimDuration::from_micros(*widths.iter().min().unwrap())),
                 "seed {seed}"
             );
-            let window_count = t.edges_in_window(
-                Pin::EStep,
-                Edge::Rising,
-                Tick::ZERO,
-                Tick::from_micros(at + 1),
+            assert_eq!(
+                t.rising_edge_ticks(Pin::EStep).count(),
+                widths.len(),
+                "seed {seed}"
             );
-            assert_eq!(window_count, widths.len() as u64, "seed {seed}");
-        }
-    }
-
-    /// Window queries partition: counting in [0,m) plus [m,end)
-    /// equals counting in [0,end).
-    #[test]
-    fn window_queries_partition() {
-        for seed in 0u64..64 {
-            let mut rng = DetRng::from_seed(seed ^ 0x77);
-            let n = rng.uniform_u64(1, 60) as usize;
-            let split = rng.uniform_u64(0, 6_000);
-            let mut t = SignalTrace::new();
-            for i in 0..n {
-                let at = i as u64 * 100;
-                t.record(
-                    Tick::from_micros(at),
-                    LogicEvent::new(Pin::XStep, Level::High),
-                );
-                t.record(
-                    Tick::from_micros(at + 2),
-                    LogicEvent::new(Pin::XStep, Level::Low),
-                );
-            }
-            let end = Tick::from_micros(n as u64 * 100 + 10);
-            let mid = Tick::from_micros(split);
-            let a = t.edges_in_window(Pin::XStep, Edge::Rising, Tick::ZERO, mid.min(end));
-            let b = t.edges_in_window(Pin::XStep, Edge::Rising, mid.min(end), end);
-            let whole = t.edges_in_window(Pin::XStep, Edge::Rising, Tick::ZERO, end);
-            assert_eq!(a + b, whole, "seed {seed}");
         }
     }
 }

@@ -77,6 +77,7 @@ impl Fingerprint {
     /// Parses the [`Fingerprint::hex`] rendering back. Anything but 32
     /// ASCII hex digits is rejected (a multibyte character must never
     /// reach the byte slicing below).
+    // detlint: allow(D7) -- tests/fuzz_inputs.rs
     pub fn from_hex(s: &str) -> Option<Fingerprint> {
         if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
@@ -88,7 +89,7 @@ impl Fingerprint {
 
     /// The shard this fingerprint lands in: the top byte, so records
     /// spread uniformly over [`crate::SHARD_COUNT`] files.
-    pub fn shard(&self) -> u8 {
+    pub(crate) fn shard(&self) -> u8 {
         (self.hi >> 56) as u8
     }
 }

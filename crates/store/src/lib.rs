@@ -59,7 +59,7 @@ pub use fingerprint::Fingerprint;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Number of shard logs a store fans its records over (fingerprint top
 /// byte).
@@ -124,7 +124,7 @@ impl Store {
     ///
     /// Propagates filesystem errors creating the directory tree or
     /// reading shard logs. Malformed *lines* are skipped and counted
-    /// ([`Store::malformed_lines`]), not errors.
+    /// ([`Store::scan_stats`]), not errors.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
         fs::create_dir_all(root.join("shards"))?;
@@ -167,11 +167,6 @@ impl Store {
         Ok(store)
     }
 
-    /// The directory this store lives in.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Number of distinct records indexed.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -180,11 +175,6 @@ impl Store {
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// Lines skipped while loading (torn writes, foreign format tags).
-    pub fn malformed_lines(&self) -> usize {
-        self.scan.torn + self.scan.foreign
     }
 
     /// The rollup of the open-time shard-log scan. Frozen at
@@ -255,13 +245,6 @@ impl Store {
         self.index
             .values()
             .map(|r| (r.key.as_str(), r.value.as_str()))
-    }
-
-    /// Shard logs currently on disk (created lazily on first write).
-    pub fn shard_files(&self) -> usize {
-        (0..SHARD_COUNT)
-            .filter(|&s| self.shard_path(s as u8).exists())
-            .count()
     }
 
     fn shard_path(&self, shard: u8) -> PathBuf {
@@ -347,6 +330,12 @@ fn parse_line(line: &str) -> ParsedLine {
 mod tests {
     use super::*;
 
+    /// Lines skipped while loading (torn writes, foreign format tags).
+    fn malformed(store: &Store) -> usize {
+        let scan = store.scan_stats();
+        scan.torn + scan.foreign
+    }
+
     fn temp_root(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("offramps-store-test-{name}-{}", std::process::id()));
@@ -376,7 +365,7 @@ mod tests {
         // Survives a reload.
         let reloaded = Store::open(&root).unwrap();
         assert_eq!(reloaded.len(), cases.len());
-        assert_eq!(reloaded.malformed_lines(), 0);
+        assert_eq!(malformed(&reloaded), 0);
         for (k, v) in cases {
             assert_eq!(reloaded.get(k), Some(v), "reloaded key {k:?}");
         }
@@ -408,11 +397,10 @@ mod tests {
         for i in 0..64 {
             store.put(&format!("key-{i}"), "v").unwrap();
         }
-        assert!(
-            store.shard_files() > 16,
-            "{} shard files",
-            store.shard_files()
-        );
+        let shard_files = (0..SHARD_COUNT)
+            .filter(|&s| store.shard_path(s as u8).exists())
+            .count();
+        assert!(shard_files > 16, "{shard_files} shard files");
         for i in 0..64 {
             let key = format!("key-{i}");
             let shard = store.shard_path(Fingerprint::of(&key).shard());
@@ -444,7 +432,7 @@ mod tests {
         let reloaded = Store::open(&root).unwrap();
         assert_eq!(reloaded.get("good"), Some("value"));
         assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.malformed_lines(), 5);
+        assert_eq!(malformed(&reloaded), 5);
         // The scan rollup classifies the skips: the future-tag line is
         // foreign; the torn append, garbage line, non-UTF-8 line and
         // bad fingerprint are damage.
@@ -502,7 +490,7 @@ mod tests {
         store.put("k", "second").unwrap();
         let store = Store::open(&root).unwrap();
         assert_eq!(store.get("k"), Some("second"));
-        assert_eq!(store.malformed_lines(), 0);
+        assert_eq!(malformed(&store), 0);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -528,7 +516,7 @@ mod tests {
                 foreign: 0,
             }
         );
-        assert_eq!(reloaded.malformed_lines(), 0);
+        assert_eq!(malformed(&reloaded), 0);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -4,8 +4,8 @@
 
 use offramps::trojans::{self, HeaterDosTrojan, ThermalRunawayTrojan};
 use offramps::{
-    detect, Capture, DetectionReport, Detector, EvidenceBundle, SignalPath, StreamingCompare,
-    TestBench, TransactionDetector,
+    detect, Capture, ChannelData, DetectionReport, Detector, EvidenceBundle, SignalPath,
+    StreamingCompare, TestBench, TransactionDetector,
 };
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::table2::capture_print;
@@ -204,11 +204,16 @@ fn quickstart_reprints_judge_like_a_campaign() {
     ));
     let golden = capture_print(&program, 1);
     let judge = TransactionDetector::campaign();
-    let golden_bundle = EvidenceBundle::from_capture(golden.clone());
+    let bundle = |capture| {
+        let mut bundle = EvidenceBundle::default();
+        bundle.insert(ChannelData::Txn(capture));
+        bundle
+    };
+    let golden_bundle = bundle(golden.clone());
     for seed in 2..=13 {
         let observed = capture_print(&program, seed);
         let rep = judge.report(&golden, &observed);
-        let campaign = judge.judge(&golden_bundle, &EvidenceBundle::from_capture(observed));
+        let campaign = judge.judge(&golden_bundle, &bundle(observed));
         assert_eq!(
             Some(rep.suspected()),
             campaign.alarmed,

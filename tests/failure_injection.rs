@@ -143,19 +143,27 @@ fn narrow_pulses_rejected_by_driver() {
 }
 
 /// A STEP pulse as long as the fastest step interval would overlap the
-/// next pulse; the firmware refuses such a config when it is built.
+/// next pulse; the firmware refuses such a config when it is built, and
+/// the bench returns the refusal instead of running.
 #[test]
-#[should_panic(expected = "must be shorter than the shortest step interval")]
 fn wide_pulses_rejected_at_build() {
+    use offramps::BenchError;
     use offramps_firmware::FirmwareConfig;
     // 300 µs outlasts the 250 µs between X's homing fast-approach steps.
     let fw = FirmwareConfig {
         step_pulse_us: 300,
         ..FirmwareConfig::default()
     };
-    let _ = TestBench::new(5)
+    let err = TestBench::new(5)
         .firmware_config(fw)
-        .run(&workloads::mini_part());
+        .run(&workloads::mini_part())
+        .unwrap_err();
+    assert!(matches!(err, BenchError::Config(_)), "{err:?}");
+    assert!(
+        err.to_string()
+            .contains("must be shorter than the shortest step interval"),
+        "{err}"
+    );
 }
 
 /// Determinism: identical seeds give bit-identical captures; different

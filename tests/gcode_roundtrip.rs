@@ -17,7 +17,10 @@ use offramps_gcode::{parse, GCommand, Program};
 fn corpus_workloads_round_trip() {
     use offramps_bench::workloads::Workload;
 
-    let mut workloads = Workload::canonical();
+    let mut workloads: Vec<Workload> = ["mini", "standard", "tall", "detection"]
+        .into_iter()
+        .map(|name| Workload::from_name(name).unwrap())
+        .collect();
     workloads.extend(CorpusSpec::new(24).expand(90210));
     for w in workloads {
         let program = w.program();

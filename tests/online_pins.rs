@@ -6,20 +6,17 @@
 //!   judge's catch), the bed-thermistor spoof (`tx2:bed@8`, the thermal
 //!   judge's), and the endstop spoof (`tx1`, caught by the plant-side
 //!   power envelope alongside the transaction tap) — while the clean
-//!   reprint never raises a mid-print alarm;
-//! * over a **real** campaign bundle (mini workload, hardware Trojan
-//!   armed), DetRng-drawn window-boundary placements never change the
-//!   finalized verdict — it stays byte-equal to the post-hoc suite —
-//!   and the time to detection is monotone non-increasing as the
-//!   evidence-window slice shrinks.
+//!   reprint never raises a mid-print alarm.
+//!
+//! Window-boundary invariance over a real bundle is pinned next to
+//! `StreamingSuite` in the core crate's unit tests.
 
 use std::sync::Arc;
 
-use offramps::{trojans, FusionPolicy, SignalPath, StreamingSuite, TestBench};
+use offramps::{FusionPolicy, SignalPath, StreamingSuite, TestBench};
 use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignSpec};
 use offramps_bench::detectors::{golden_evidence, observed_evidence, suite_from_names};
 use offramps_bench::workloads::Workload;
-use offramps_des::{DetRng, SimDuration};
 
 const QUAD: [&str; 4] = ["txn", "power", "acoustic", "thermal"];
 
@@ -121,66 +118,11 @@ fn modality_specific_attacks_alarm_mid_print_at_pinned_steps() {
     }
 }
 
-#[test]
-fn window_boundaries_never_change_the_verdict_on_a_real_bundle() {
-    let program = Workload::mini().program();
-    let names: Vec<String> = QUAD.iter().map(|s| s.to_string()).collect();
-    let suite = suite_from_names(&names, FusionPolicy::Any).expect("valid suite");
-
-    let golden = golden_evidence(&program, 1, &[11, 12, 13, 14], &suite);
-    let art = TestBench::new(2)
-        .signal_path(SignalPath::capture())
-        .record_plant_trace(true)
-        .with_trojan(trojans::by_spec("t2:0.9").unwrap())
-        .run(&program)
-        .expect("attacked run");
-    let observed = observed_evidence(art, 2, &suite);
-
-    let oracle = suite.judge(&golden, &observed);
-    assert!(oracle.alarmed, "the cadence break must be caught post hoc");
-
-    // DetRng-drawn slice widths: wherever the window boundaries land,
-    // the finalized verdict equals the post-hoc one byte for byte.
-    let mut rng = DetRng::from_seed(0x0F1_1E5);
-    for _ in 0..6 {
-        let slice_ms = rng.uniform_u64(1, 701);
-        let outcome = StreamingSuite::new(&suite)
-            .with_slice(SimDuration::from_millis(slice_ms))
-            .run(&golden, &observed);
-        assert_eq!(
-            outcome.verdict, oracle,
-            "verdict drifted at slice {slice_ms} ms"
-        );
-        assert!(
-            outcome.ttd.is_some(),
-            "slice {slice_ms} ms must still alarm"
-        );
-    }
-
-    // Halving the slice never detects *later* in print time: finer
-    // windows deliver the same evidence no later than coarser ones.
-    let mut slice_ms = 3200u64;
-    let mut last_alarm_time = u64::MAX;
-    while slice_ms >= 100 {
-        let outcome = StreamingSuite::new(&suite)
-            .with_slice(SimDuration::from_millis(slice_ms))
-            .run(&golden, &observed);
-        let ttd = outcome.ttd.expect("alarms at every slice width");
-        let alarm_time_ms = ttd.alarm_step * slice_ms;
-        assert!(
-            alarm_time_ms <= last_alarm_time,
-            "slice {slice_ms} ms alarmed later ({alarm_time_ms} ms) than the coarser slice ({last_alarm_time} ms)"
-        );
-        last_alarm_time = alarm_time_ms;
-        slice_ms /= 2;
-    }
-}
-
 /// The example's scenario, pinned: the streaming guard halts a Flaw3D
 /// reduction well before the print ends (the §V-C real-time claim).
 #[test]
 fn flaw3d_reduction_is_halted_mid_print() {
-    let program = Workload::standard().program();
+    let program = Workload::from_name("standard").unwrap().program();
     let names: Vec<String> = QUAD.iter().map(|s| s.to_string()).collect();
     let suite = suite_from_names(&names, FusionPolicy::Any).expect("valid suite");
     let golden = golden_evidence(&program, 1, &[101, 102, 103, 104], &suite);

@@ -67,7 +67,9 @@ fn capture_path_is_side_effect_free() {
         .unwrap();
     // Same seed, same jitter: the parts must be identical.
     let rep = PartReport::compare(&bypass.part, &capture.part, &QualityConfig::default());
-    assert!(rep.is_clean(&QualityConfig::default()), "{rep}");
+    assert_eq!(rep.shifted_layers, 0, "{rep}");
+    assert_eq!(rep.golden_layers, rep.test_layers, "{rep}");
+    assert!(rep.bbox_deviation_mm <= QualityConfig::default().shift_threshold_mm);
     assert!((rep.flow_ratio - 1.0).abs() < 1e-9);
     // And the capture actually contains data.
     assert!(capture.capture.unwrap().len() > 3);

@@ -12,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use offramps::verdict::DetectorSuite;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
 use offramps_bench::cache::{store_observations, CacheStats};
 use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
@@ -40,7 +41,7 @@ fn temp_store(name: &str) -> PathBuf {
 fn small_spec() -> CampaignSpec {
     CampaignSpec {
         trojans: vec!["none".into(), "t2".into(), "flaw3d-r50".into()],
-        workloads: vec![Workload::mini(), Workload::tall()],
+        workloads: vec![Workload::mini(), Workload::from_name("tall").unwrap()],
         ..CampaignSpec::default_matrix(2024)
     }
 }
@@ -136,7 +137,7 @@ fn suite_switch_invalidates_then_restores() {
     // so stores warmed before the suite API stay warm.
     assert_eq!(
         txn_spec.suite().unwrap().policy(),
-        offramps_bench::campaign::campaign_detector_policy()
+        DetectorSuite::transaction_default().policy()
     );
 
     let mut store = Store::open(&root).unwrap();

@@ -6,7 +6,7 @@ use offramps::trojans::{
     ZShiftTrojan, ZWobbleTrojan,
 };
 use offramps::TestBench;
-use offramps_bench::workloads::{self, FAST_LAYER_Z_STEPS};
+use offramps_bench::workloads::{self, Workload, FAST_LAYER_Z_STEPS};
 use offramps_des::SimDuration;
 use offramps_printer::quality::{PartReport, QualityConfig};
 
@@ -48,7 +48,7 @@ fn t3_under_mode_starves_flow() {
 
 #[test]
 fn t4_wobble_shifts_multiple_layers() {
-    let program = workloads::tall_part();
+    let program = Workload::from_name("tall").unwrap().program();
     let g = TestBench::new(24).run(&program).unwrap();
     let run = TestBench::new(25)
         .with_trojan(Box::new(ZWobbleTrojan::with_params(
@@ -66,7 +66,7 @@ fn t4_wobble_shifts_multiple_layers() {
 
 #[test]
 fn t5_zshift_opens_layer_gap() {
-    let program = workloads::tall_part();
+    let program = Workload::from_name("tall").unwrap().program();
     let g = TestBench::new(26).run(&program).unwrap();
     let run = TestBench::new(27)
         .with_trojan(Box::new(ZShiftTrojan::with_params(

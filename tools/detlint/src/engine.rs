@@ -1,7 +1,7 @@
 //! File walking, suppression matching, and report assembly.
 
 use crate::lexer;
-use crate::rules::{self, Analysis, FileCtx, Finding, MetricsTable};
+use crate::rules::{self, Analysis, Callers, FileCtx, Finding, MetricsTable};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -25,6 +25,11 @@ const SKIP_DIRS: &[&str] = &["target", "tests", "benches", ".git"];
 /// Derives a [`FileCtx`] from a (slash-normalized) path.
 pub fn ctx_for_path(path: &str) -> FileCtx {
     let p = path.replace('\\', "/");
+    let segments: Vec<&str> = p.split('/').collect();
+    let in_crates = segments
+        .windows(3)
+        .find(|w| w[0] == "crates")
+        .map(|w| (w[1], w[2] == "src"));
     let artifact = ARTIFACT_MARKERS.iter().any(|m| p.contains(m))
         // The umbrella package's own src/ (CLI and lib) emits
         // artifacts too; `crates/*/src/` paths were handled above.
@@ -34,7 +39,17 @@ pub fn ctx_for_path(path: &str) -> FileCtx {
     FileCtx {
         display: path.to_string(),
         artifact,
+        krate: in_crates.map_or_else(|| p.clone(), |(name, _)| name.to_string()),
+        // Each fixture is a library crate of its own.
+        library: in_crates.is_some_and(|(_, src)| src) || p.contains("fixtures/"),
     }
+}
+
+/// Adds one source text's identifiers to the D7 caller table; every
+/// file of a run is gathered before any is linted.
+pub fn gather_callers(src: &str, ctx: &FileCtx, callers: &mut Callers) {
+    let (toks, comments) = lexer::lex(src);
+    Analysis::new(&toks, ctx).gather_callers(&comments, callers);
 }
 
 /// Lints one source text. Suppression matching: a well-formed
@@ -42,10 +57,15 @@ pub fn ctx_for_path(path: &str) -> FileCtx {
 /// on its own line or the line directly below (annotation above a
 /// statement). Malformed directives suppress nothing and are
 /// themselves D0 findings.
-pub fn lint_source(src: &str, ctx: &FileCtx, metrics: &mut MetricsTable) -> Vec<Finding> {
+pub fn lint_source(
+    src: &str,
+    ctx: &FileCtx,
+    metrics: &mut MetricsTable,
+    callers: &Callers,
+) -> Vec<Finding> {
     let (toks, comments) = lexer::lex(src);
     let analysis = Analysis::new(&toks, ctx);
-    let mut findings = analysis.run(metrics);
+    let mut findings = analysis.run(metrics, callers);
     let allows = rules::parse_allows(&comments);
     for allow in &allows {
         if let Some(err) = &allow.malformed {
@@ -90,7 +110,8 @@ impl Report {
 
 /// Walks `roots` (files or directories) and lints every `.rs` file
 /// outside `SKIP_DIRS`, in sorted path order so output — and the D5
-/// cross-file registration table — is deterministic.
+/// cross-file registration table — is deterministic. The D7 caller
+/// table is gathered from every file first.
 pub fn lint_paths(roots: &[String]) -> Report {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut report = Report::default();
@@ -107,19 +128,25 @@ pub fn lint_paths(roots: &[String]) -> Report {
     files.sort();
     files.dedup();
 
-    let mut metrics = MetricsTable::default();
+    let mut sources = Vec::new();
+    let mut callers = Callers::default();
     for file in &files {
         let display = file.to_string_lossy().replace('\\', "/");
         match fs::read_to_string(file) {
             Ok(src) => {
                 let ctx = ctx_for_path(&display);
-                report
-                    .findings
-                    .extend(lint_source(&src, &ctx, &mut metrics));
-                report.files_scanned += 1;
+                gather_callers(&src, &ctx, &mut callers);
+                sources.push((src, ctx));
             }
             Err(e) => report.errors.push(format!("cannot read {display}: {e}")),
         }
+    }
+    let mut metrics = MetricsTable::default();
+    for (src, ctx) in &sources {
+        report
+            .findings
+            .extend(lint_source(src, ctx, &mut metrics, &callers));
+        report.files_scanned += 1;
     }
     report
 }

@@ -13,6 +13,7 @@
 //! | `D3` | raw `{:?}` or float `{}` formatting inside JSON/artifact-emitting functions |
 //! | `D4` | `SimComponent` callbacks bypassing the `ActionSink` write-phase discipline |
 //! | `D5` | metrics-name hygiene: canonical lowercase dotted names, one kind + one class per name |
+//! | `D7` | a library `pub fn` that no other crate, example or doc example names |
 //! | `D0` | a `detlint: allow(..)` suppression without a written justification |
 //!
 //! Detection is lexical and deliberately conservative: each rule fires
@@ -21,8 +22,13 @@
 //! cannot prove is left to the dynamic pins. False positives are
 //! handled by `// detlint: allow(<rule>) -- <reason>`, which demands a
 //! justification precisely because it weakens a static guarantee.
+//!
+//! `D7` guards the API rather than determinism: the public surface is
+//! what the workspace calls. It needs every file of the run before it
+//! can judge one, so the engine gathers [`Callers`] first. (`D6` is
+//! reserved.)
 
-use crate::lexer::{Comment, Tok, TokKind};
+use crate::lexer::{self, Comment, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Stable metadata for one rule, used by `--rules` and the README
@@ -65,6 +71,11 @@ pub const RULES: &[RuleInfo] = &[
         summary: "metric name not lowercase-dotted, or one name registered with two kinds/classes",
         hint: "metric names are canonical `sub.system.name`; one name = one kind (counter|histogram) + one MetricClass",
     },
+    RuleInfo {
+        id: "D7",
+        summary: "library pub fn named by no other crate, src/, examples/ or fenced doc example",
+        hint: "narrow it to pub(crate) or delete it; a kept site says `allow(D7) -- <its caller>`",
+    },
 ];
 
 /// Looks up a rule id (`"D1"`), returning its info.
@@ -101,6 +112,39 @@ pub struct FileCtx {
     /// In an artifact-producing crate (core/bench/store/obs/
     /// sidechannel or the umbrella src/)? Gates D1 and D3.
     pub artifact: bool,
+    /// The crate a file belongs to, for D7: `<name>` under
+    /// `crates/<name>/`, otherwise the file itself.
+    pub krate: String,
+    /// Library source whose `pub fn`s D7 checks (`crates/*/src`).
+    pub library: bool,
+}
+
+/// The crate key of a doc example: compiled as its own crate, it
+/// calls every crate from outside.
+const DOC_EXAMPLE: &str = "<doc example>";
+
+/// Cross-crate identifier table for D7: every identifier the run's
+/// non-test code names, with the crates that name it. Fenced doc
+/// examples count as a crate of their own. One table spans the whole
+/// lint run and is complete before any file is judged.
+#[derive(Debug, Default)]
+pub struct Callers {
+    by_name: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl Callers {
+    fn note(&mut self, name: &str, krate: &str) {
+        self.by_name
+            .entry(name.to_string())
+            .or_default()
+            .insert(krate.to_string());
+    }
+
+    fn named_outside(&self, name: &str, krate: &str) -> bool {
+        self.by_name
+            .get(name)
+            .is_some_and(|crates| crates.iter().any(|k| k != krate))
+    }
 }
 
 /// Cross-file metric registration table for D5. One table spans the
@@ -203,8 +247,37 @@ impl<'a> Analysis<'a> {
         }
     }
 
+    /// Adds this file's identifiers to `callers`: those of its
+    /// non-test code under its own crate, and those inside fenced
+    /// examples of its doc comments (`///`, `//!`) as a doc example.
+    pub fn gather_callers(&self, comments: &[Comment], callers: &mut Callers) {
+        for tok in self.toks {
+            if tok.kind == TokKind::Ident && !self.in_test(tok.line) {
+                callers.note(&tok.text, &self.ctx.krate);
+            }
+        }
+        let mut fenced = String::new();
+        let mut in_fence = false;
+        for c in comments {
+            let Some(body) = c.text.strip_prefix(['/', '!']) else {
+                continue;
+            };
+            if body.trim_start().starts_with("```") {
+                in_fence = !in_fence;
+            } else if in_fence {
+                fenced.push_str(body);
+                fenced.push('\n');
+            }
+        }
+        for tok in lexer::lex(&fenced).0 {
+            if tok.kind == TokKind::Ident {
+                callers.note(&tok.text, DOC_EXAMPLE);
+            }
+        }
+    }
+
     /// Runs every rule over the file.
-    pub fn run(&self, metrics: &mut MetricsTable) -> Vec<Finding> {
+    pub fn run(&self, metrics: &mut MetricsTable, callers: &Callers) -> Vec<Finding> {
         let mut out = Vec::new();
         if self.ctx.artifact {
             self.rule_d1(&mut out);
@@ -213,6 +286,9 @@ impl<'a> Analysis<'a> {
         self.rule_d2(&mut out);
         self.rule_d4(&mut out);
         self.rule_d5(metrics, &mut out);
+        if self.ctx.library {
+            self.rule_d7(callers, &mut out);
+        }
         out.sort_by_key(|f| (f.line, f.rule));
         out
     }
@@ -639,6 +715,39 @@ impl<'a> Analysis<'a> {
                         ),
                     ));
                 }
+            }
+        }
+    }
+
+    // ----- D7: a library pub fn needs a caller outside its crate -----
+
+    fn rule_d7(&self, callers: &Callers, out: &mut Vec<Finding>) {
+        let t = self.toks;
+        for i in 0..t.len() {
+            if !t[i].is_ident("pub") || self.in_test(t[i].line) {
+                continue;
+            }
+            // `pub fn NAME` or `pub const fn NAME`; `pub(crate)` has a
+            // `(` after `pub` and never matches.
+            let mut j = i + 1;
+            if t.get(j).is_some_and(|tok| tok.is_ident("const")) {
+                j += 1;
+            }
+            if !t.get(j).is_some_and(|tok| tok.is_ident("fn")) {
+                continue;
+            }
+            let Some(name) = t.get(j + 1).filter(|tok| tok.kind == TokKind::Ident) else {
+                continue;
+            };
+            if !callers.named_outside(&name.text, &self.ctx.krate) {
+                out.push(self.finding(
+                    name.line,
+                    "D7",
+                    format!(
+                        "`pub fn {}` is named nowhere outside crate `{}`",
+                        name.text, self.ctx.krate
+                    ),
+                ));
             }
         }
     }

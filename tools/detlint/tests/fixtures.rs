@@ -1,11 +1,12 @@
 //! Golden fixture corpus: every rule has a positive file (must fire)
 //! and a negative file (must stay silent), plus the allow-hygiene
-//! pair. Expected findings live next to each fixture as
+//! pair. D7's cross-crate behaviour is pinned on a temp tree at the
+//! end of this file. Expected findings live next to each fixture as
 //! `<name>.expected`; regenerate with
 //! `UPDATE_EXPECT=1 cargo test -p detlint`.
 
-use detlint::engine::{lint_paths, lint_source};
-use detlint::rules::{FileCtx, Finding, MetricsTable};
+use detlint::engine::{gather_callers, lint_paths, lint_source};
+use detlint::rules::{Callers, FileCtx, Finding, MetricsTable};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -25,15 +26,21 @@ fn fixture_sources() -> Vec<PathBuf> {
 }
 
 /// Lints one fixture in isolation: basename display, artifact-crate
-/// context, its own D5 registration table.
+/// context, its own D5 registration table, and a library crate of its
+/// own for D7 (so only a doc example can call its `pub fn`s).
 fn lint_fixture(path: &Path) -> Vec<Finding> {
     let src = fs::read_to_string(path).expect("fixture source");
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
     let ctx = FileCtx {
-        display: path.file_name().unwrap().to_string_lossy().into_owned(),
+        display: name.clone(),
         artifact: true,
+        krate: name,
+        library: true,
     };
+    let mut callers = Callers::default();
+    gather_callers(&src, &ctx, &mut callers);
     let mut metrics = MetricsTable::default();
-    lint_source(&src, &ctx, &mut metrics)
+    lint_source(&src, &ctx, &mut metrics, &callers)
 }
 
 fn render(findings: &[Finding]) -> String {
@@ -94,7 +101,7 @@ fn every_rule_has_a_positive_and_negative_fixture() {
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
         .collect();
-    for rule in ["d1", "d2", "d3", "d4", "d5"] {
+    for rule in ["d1", "d2", "d3", "d4", "d5", "d7"] {
         assert!(
             names.iter().any(|n| n == &format!("{rule}_pos")),
             "{rule}_pos missing"
@@ -138,4 +145,41 @@ fn engine_walk_over_fixtures_reports_unsuppressed_findings() {
     assert!(report.unsuppressed() > 0, "positive fixtures must gate CI");
     assert!(report.suppressed() > 0, "the justified allow is tallied");
     assert!(report.errors.is_empty());
+}
+
+#[test]
+fn d7_counts_callers_across_crates_and_examples() {
+    let root = std::env::temp_dir().join(format!("detlint-d7-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    for (rel, text) in [
+        (
+            "crates/alpha/src/lib.rs",
+            "pub fn called_by_beta() {}\n\
+             pub fn called_by_example() {}\n\
+             pub fn called_only_here() {}\n\
+             pub(crate) fn helper() { called_only_here(); }\n",
+        ),
+        (
+            "crates/beta/src/lib.rs",
+            "pub fn run() { alpha::called_by_beta(); }\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() { alpha::called_by_example(); beta::run(); }\n",
+        ),
+    ] {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().unwrap()).expect("temp dir");
+        fs::write(path, text).expect("temp file");
+    }
+    let roots = ["crates", "examples"].map(|d| root.join(d).to_string_lossy().into_owned());
+    let report = lint_paths(&roots);
+    let _ = fs::remove_dir_all(&root);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let d7: Vec<&Finding> = report.findings.iter().filter(|f| f.rule == "D7").collect();
+    assert_eq!(d7.len(), 1, "{d7:?}");
+    assert!(d7[0].file.ends_with("crates/alpha/src/lib.rs"));
+    assert_eq!(d7[0].line, 3);
+    assert!(d7[0].msg.contains("called_only_here"), "{}", d7[0].msg);
+    assert!(d7[0].msg.contains("crate `alpha`"), "{}", d7[0].msg);
 }
