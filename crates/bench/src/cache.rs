@@ -73,14 +73,14 @@ pub fn store_observations(store: &Store) -> (Vec<crate::analytics::Observation>,
     let mut observations = Vec::new();
     let mut skipped = 0usize;
     for (key, value) in store.iter() {
-        if is_campaign_key(key) {
+        if is_campaign_key(&key) {
             continue;
         }
-        if !is_scenario_key(key) {
+        if !is_scenario_key(&key) {
             skipped += 1;
             continue;
         }
-        match json::parse(value).and_then(|v| crate::analytics::Observation::from_payload(&v)) {
+        match json::parse(&value).and_then(|v| crate::analytics::Observation::from_payload(&v)) {
             Ok(obs) => observations.push(obs),
             Err(_) => skipped += 1,
         }
@@ -161,7 +161,7 @@ pub fn store_campaigns(store: &Store) -> Vec<CampaignProvenance> {
     store
         .iter()
         .filter(|(key, _)| is_campaign_key(key))
-        .filter_map(|(_, payload)| decode_campaign(payload).ok())
+        .filter_map(|(_, payload)| decode_campaign(&payload).ok())
         .collect()
 }
 

@@ -8,9 +8,9 @@
 //! — changes, so stale records are never returned; they simply stop
 //! being addressed.
 //!
-//! The hash is two independent 64-bit FNV-1a passes (the same mix the
+//! The hash is two independent 64-bit FNV-1a lanes (the same mix the
 //! workspace's `SeedSplitter` uses) with distinct offset bases,
-//! concatenated to 128 bits. FNV is not cryptographic, but the store
+//! advanced together in one pass and concatenated to 128 bits. FNV is not cryptographic, but the store
 //! also records the full key with every record and [`crate::Store::get`]
 //! verifies it on lookup, so even a collision degrades to a cache miss,
 //! never to a wrong value.
@@ -23,16 +23,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// odd constant so the two lanes disagree from the first byte.
 const FNV_OFFSET_B: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
 
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    // FNV's multiply only carries entropy upward, leaving the top byte
-    // poorly dispersed for short keys — and the top byte picks the
-    // shard. Finish with splitmix64's avalanche so every output bit
-    // depends on every input byte.
+/// FNV-1a's multiply only carries entropy upward, leaving the top byte
+/// poorly dispersed for short keys — and the top byte picks the shard.
+/// Each lane finishes with splitmix64's avalanche so every output bit
+/// depends on every input byte.
+fn avalanche(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -61,10 +56,15 @@ pub struct Fingerprint {
 impl Fingerprint {
     /// Fingerprints a canonical key string.
     pub fn of(key: &str) -> Fingerprint {
-        let bytes = key.as_bytes();
+        // Both FNV-1a lanes advance in one pass over the bytes.
+        let (mut hi, mut lo) = (FNV_OFFSET, FNV_OFFSET_B);
+        for &b in key.as_bytes() {
+            hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
         Fingerprint {
-            hi: fnv1a(FNV_OFFSET, bytes),
-            lo: fnv1a(FNV_OFFSET_B, bytes),
+            hi: avalanche(hi),
+            lo: avalanche(lo),
         }
     }
 
@@ -111,6 +111,20 @@ mod tests {
         assert_ne!(a, Fingerprint::of("alphb"));
         assert_ne!(a, Fingerprint::of("alpha "));
         assert_ne!(Fingerprint::of(""), Fingerprint::of("\0"));
+    }
+
+    /// Every warmed store is addressed by these values: they must
+    /// never move.
+    #[test]
+    fn fingerprints_are_pinned() {
+        for (key, hex) in [
+            ("", "f52a15e9a9b5e89be9d327596b869820"),
+            ("alpha", "4eded124706281584a16e5d953016b4a"),
+            ("unicode 😀 κλειδί", "234eb20a98f8d1c06df2954a291fac26"),
+            ("tabs\tand\nnewlines\r", "147c24ed7cc49838ccd52f32322c1c6b"),
+        ] {
+            assert_eq!(Fingerprint::of(key).hex(), hex, "{key:?}");
+        }
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! record is addressed by a [`Fingerprint`] of its *canonical key* — a
 //! string spelling out every input that influenced the value — and
 //! appended to a shard log chosen by the fingerprint's top byte. An
-//! in-memory index (rebuilt by scanning the shard logs at
-//! [`Store::open`]) makes lookups O(1); a rerun only recomputes the
-//! scenarios whose keys are not yet present.
+//! in-memory index, rebuilt by scanning the shard logs at
+//! [`Store::open`], maps each fingerprint to the offset and length of
+//! its record's line; it holds offsets, not keys or values, so a hit
+//! reads that one line back. A rerun only recomputes the scenarios
+//! whose keys are not yet present.
 //!
 //! Design points:
 //!
 //! * **Content addressing, verified.** The full key is stored with each
 //!   record and compared on [`Store::get`]; a hash collision degrades
-//!   to a cache miss, never to a wrong value.
+//!   to a cache miss, never to a wrong value. So does a shard log
+//!   rewritten behind an open store: a slot that no longer spans one
+//!   whole line carrying its fingerprint reads as a miss.
 //! * **Append-only shard logs.** Records are single escaped lines in
 //!   `shards/<xx>.log` (256 shards by fingerprint prefix). Rewritten
 //!   keys append a new line; the last line wins on reload. A torn or
@@ -24,7 +28,8 @@
 //! * **Deterministic iteration.** The index is a `BTreeMap` keyed by
 //!   fingerprint, so [`Store::iter`] walks records in a stable order
 //!   regardless of insertion history — analytics built on it are
-//!   byte-reproducible.
+//!   byte-reproducible. The order groups records by shard, so the
+//!   walk reads one shard log at a time.
 //! * **No invalidation logic.** Values never expire; changing any
 //!   fingerprinted input changes the key, so stale records simply stop
 //!   being addressed. Bump a key-side format salt to retire a whole
@@ -56,9 +61,10 @@ mod fingerprint;
 
 pub use fingerprint::Fingerprint;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 
 /// Number of shard logs a store fans its records over (fingerprint top
@@ -70,10 +76,42 @@ pub const SHARD_COUNT: usize = 256;
 /// compatibility), so a downgrade sees misses, not corruption.
 const RECORD_TAG: &str = "v1";
 
-#[derive(Debug, Clone)]
-struct Record {
-    key: String,
-    value: String,
+/// Where a record's line sits in its shard log (the fingerprint's
+/// shard), and the record itself once a [`Store::get`] has read it.
+#[derive(Debug)]
+struct Slot {
+    /// Byte offset of the line in the shard log.
+    offset: u64,
+    /// Length of the line, without its newline.
+    len: usize,
+    /// The `(key, value)` the first `get` read back; `None` when the
+    /// line no longer reads back as this slot's record.
+    record: OnceCell<Option<(String, String)>>,
+}
+
+impl Slot {
+    fn new(offset: u64, len: usize) -> Slot {
+        Slot {
+            offset,
+            len,
+            record: OnceCell::new(),
+        }
+    }
+}
+
+/// Append state of one shard log.
+#[derive(Debug, Default)]
+struct Shard {
+    /// The append handle, opened by the shard's first [`Store::put`].
+    file: Option<fs::File>,
+    /// Length of the log: the offset the next append lands at. Measured
+    /// when the handle opens, then advanced by every append.
+    end: u64,
+    /// The log ends without a newline — a torn last write found at
+    /// open, or an append that failed part-way. The next append starts
+    /// with a newline, so the fresh record never fuses with the
+    /// fragment.
+    torn_tail: bool,
 }
 
 /// Rollup of the shard-log scan [`Store::open`] performed: how many
@@ -108,17 +146,17 @@ pub struct ScanStats {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    index: BTreeMap<Fingerprint, Record>,
+    index: BTreeMap<Fingerprint, Slot>,
     scan: ScanStats,
-    /// Shards whose log ended without a newline at open — a torn last
-    /// write. The next append to one of them starts with a newline, so
-    /// the fresh record never fuses with the fragment.
-    torn_tails: BTreeSet<u8>,
+    /// One entry per shard log, indexed by shard.
+    shards: Vec<Shard>,
 }
 
 impl Store {
     /// Opens (creating if needed) the store rooted at `root`, scanning
-    /// every shard log into the in-memory index.
+    /// every shard log into the in-memory index. Each line is fully
+    /// validated, but only keys are decoded: values stay on disk until
+    /// a [`Store::get`] reads them.
     ///
     /// # Errors
     ///
@@ -132,30 +170,38 @@ impl Store {
             root,
             index: BTreeMap::new(),
             scan: ScanStats::default(),
-            torn_tails: BTreeSet::new(),
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
         };
+        let mut key = String::new();
         for shard in 0..=u8::MAX {
-            let path = store.shard_path(shard);
-            let bytes = match fs::read(&path) {
+            let bytes = match fs::read(store.shard_path(shard)) {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            if bytes.last().is_some_and(|&b| b != b'\n') {
-                store.torn_tails.insert(shard);
-            }
+            store.shards[usize::from(shard)].torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
             // Split on raw newlines and validate UTF-8 per *line*: one
             // corrupted record must degrade to one skipped line, never
             // poison the whole store.
+            let mut offset = 0u64;
             for raw in bytes.split(|&b| b == b'\n') {
+                let start = offset;
+                offset += raw.len() as u64 + 1;
                 if raw.is_empty() {
                     continue;
                 }
                 store.scan.lines += 1;
-                match std::str::from_utf8(raw).ok().map(parse_line) {
-                    Some(ParsedLine::Record(fp, record)) => {
+                match std::str::from_utf8(raw)
+                    .ok()
+                    .map(|line| parse_line(line, &mut key))
+                {
+                    Some(ParsedLine::Record(fp)) => {
                         store.scan.records += 1;
-                        if store.index.insert(fp, record).is_some() {
+                        if store
+                            .index
+                            .insert(fp, Slot::new(start, raw.len()))
+                            .is_some()
+                        {
                             store.scan.superseded += 1;
                         }
                     }
@@ -184,67 +230,98 @@ impl Store {
     }
 
     /// Looks up the value stored under `key`, verifying the full key —
-    /// a fingerprint collision reads as a miss.
+    /// a fingerprint collision reads as a miss. The first lookup of a
+    /// record reads its line from the shard log and keeps it; a line
+    /// that no longer reads back whole, or under another fingerprint,
+    /// is a miss too.
     pub fn get(&self, key: &str) -> Option<&str> {
-        let record = self.index.get(&Fingerprint::of(key))?;
-        (record.key == key).then_some(record.value.as_str())
-    }
-
-    /// Whether a record for `key` exists.
-    pub fn contains(&self, key: &str) -> bool {
-        self.get(key).is_some()
+        let fp = Fingerprint::of(key);
+        let slot = self.index.get(&fp)?;
+        let (stored_key, value) = slot
+            .record
+            .get_or_init(|| self.read_slot(fp, slot))
+            .as_ref()?;
+        (stored_key == key).then_some(value.as_str())
     }
 
     /// Stores `value` under `key`, appending to the key's shard log.
     /// Re-putting an identical record is a no-op; a different value for
     /// an existing key appends a superseding line (last wins on
     /// reload). The first append to a shard whose log had a torn tail
-    /// at open terminates that tail first.
+    /// terminates that tail first. Each record is one unbuffered write
+    /// through the shard's append handle, which stays open for the
+    /// store's lifetime (at most [`SHARD_COUNT`] files).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors opening or appending the shard log.
     pub fn put(&mut self, key: &str, value: &str) -> io::Result<()> {
-        let fp = Fingerprint::of(key);
-        if let Some(existing) = self.index.get(&fp) {
-            if existing.key == key && existing.value == value {
-                return Ok(());
-            }
+        if self.get(key) == Some(value) {
+            return Ok(());
         }
-        let shard = fp.shard();
+        let fp = Fingerprint::of(key);
+        let path = self.shard_path(fp.shard());
+        let shard = &mut self.shards[usize::from(fp.shard())];
+        let mut file = match shard.file.take() {
+            Some(file) => file,
+            None => {
+                let file = fs::File::options().append(true).create(true).open(path)?;
+                shard.end = file.metadata()?.len();
+                file
+            }
+        };
+        let lead = if shard.torn_tail { "\n" } else { "" };
         let line = format!(
-            "{}{RECORD_TAG}\t{}\t{}\t{}\n",
-            if self.torn_tails.contains(&shard) {
-                "\n"
-            } else {
-                ""
-            },
-            fp.hex(),
+            "{lead}{RECORD_TAG}\t{fp}\t{}\t{}\n",
             escape_field(key),
             escape_field(value)
         );
-        let mut file = fs::File::options()
-            .append(true)
-            .create(true)
-            .open(self.shard_path(shard))?;
-        file.write_all(line.as_bytes())?;
-        self.torn_tails.remove(&shard);
-        self.index.insert(
-            fp,
-            Record {
-                key: key.to_string(),
-                value: value.to_string(),
-            },
-        );
+        // On failure the handle drops, so the next append reopens and
+        // re-measures the log; whatever part of the line landed is
+        // treated as a torn tail.
+        file.write_all(line.as_bytes())
+            .inspect_err(|_| shard.torn_tail = true)?;
+        shard.file = Some(file);
+        let offset = shard.end + lead.len() as u64;
+        shard.end += line.len() as u64;
+        shard.torn_tail = false;
+        self.index
+            .insert(fp, Slot::new(offset, line.len() - lead.len() - 1));
         Ok(())
     }
 
-    /// All records as `(key, value)` pairs, in fingerprint order —
-    /// stable across insertion order and reloads.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.index
-            .values()
-            .map(|r| (r.key.as_str(), r.value.as_str()))
+    /// All records as owned `(key, value)` pairs, in fingerprint order —
+    /// stable across insertion order and reloads. Streams shard by
+    /// shard, holding one shard log at a time; a record whose line no
+    /// longer reads back (its log rewritten behind the store) is
+    /// skipped.
+    pub fn iter(&self) -> impl Iterator<Item = (String, String)> + '_ {
+        let mut loaded: Option<(u8, Vec<u8>)> = None;
+        self.index.iter().filter_map(move |(&fp, slot)| {
+            let shard = fp.shard();
+            if loaded.as_ref().map(|(s, _)| *s) != Some(shard) {
+                // Drop the previous shard before reading the next.
+                loaded = None;
+                let bytes = fs::read(self.shard_path(shard)).unwrap_or_default();
+                loaded = Some((shard, bytes));
+            }
+            let (_, bytes) = loaded.as_ref()?;
+            read_record(bytes, usize::try_from(slot.offset).ok()?, slot.len, fp)
+        })
+    }
+
+    /// Reads the record `slot` points at back from `fp`'s shard log:
+    /// the line plus one byte either side, so [`read_record`] can check
+    /// that the slot spans one whole line.
+    fn read_slot(&self, fp: Fingerprint, slot: &Slot) -> Option<(String, String)> {
+        let mut file = fs::File::open(self.shard_path(fp.shard())).ok()?;
+        let lead = u64::from(slot.offset > 0);
+        file.seek(SeekFrom::Start(slot.offset - lead)).ok()?;
+        let mut window = Vec::with_capacity(slot.len + 2);
+        file.take(lead + slot.len as u64 + 1)
+            .read_to_end(&mut window)
+            .ok()?;
+        read_record(&window, lead as usize, slot.len, fp)
     }
 
     fn shard_path(&self, shard: u8) -> PathBuf {
@@ -268,30 +345,38 @@ fn escape_field(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape_field`]; `None` on a dangling or unknown escape.
+/// Reverses [`escape_field`], handing `emit` the unescaped text in
+/// runs: the stretches between backslashes, and each escape's
+/// character. `None` on a dangling or unknown escape.
+fn unescape_runs<'a>(s: &'a str, mut emit: impl FnMut(&'a str)) -> Option<()> {
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        emit(&rest[..at]);
+        emit(match rest.as_bytes().get(at + 1)? {
+            b'\\' => "\\",
+            b't' => "\t",
+            b'n' => "\n",
+            b'r' => "\r",
+            _ => return None,
+        });
+        // Both escape bytes are ASCII, so `at + 2` is a char boundary.
+        rest = &rest[at + 2..];
+    }
+    emit(rest);
+    Some(())
+}
+
+/// Reverses [`escape_field`] into a fresh string.
 fn unescape_field(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
+    unescape_runs(s, |run| out.push_str(run))?;
     Some(out)
 }
 
 /// What one shard-log line turned out to be.
 enum ParsedLine {
     /// A well-formed record in the current format.
-    Record(Fingerprint, Record),
+    Record(Fingerprint),
     /// A line carrying an unknown format tag — another generation's
     /// record, skipped for forward compatibility.
     Foreign,
@@ -300,8 +385,11 @@ enum ParsedLine {
     Torn,
 }
 
-/// Classifies one shard-log line (see [`ParsedLine`]).
-fn parse_line(line: &str) -> ParsedLine {
+/// Classifies one shard-log line (see [`ParsedLine`]). The key is
+/// unescaped into `key`, a buffer reused across lines, to check it
+/// against the fingerprint; the value's escapes are checked without
+/// decoding it.
+fn parse_line(line: &str, key: &mut String) -> ParsedLine {
     let mut fields = line.split('\t');
     match fields.next() {
         Some(tag) if tag == RECORD_TAG => {}
@@ -313,17 +401,41 @@ fn parse_line(line: &str) -> ParsedLine {
     }
     let parsed = (|| {
         let fp = Fingerprint::from_hex(fields.next()?)?;
-        let key = unescape_field(fields.next()?)?;
-        let value = unescape_field(fields.next()?)?;
-        if fields.next().is_some() || Fingerprint::of(&key) != fp {
-            return None;
-        }
-        Some((fp, Record { key, value }))
+        key.clear();
+        unescape_runs(fields.next()?, |run| key.push_str(run))?;
+        unescape_runs(fields.next()?, |_| {})?;
+        (fields.next().is_none() && Fingerprint::of(key) == fp).then_some(fp)
     })();
-    match parsed {
-        Some((fp, record)) => ParsedLine::Record(fp, record),
-        None => ParsedLine::Torn,
+    parsed.map_or(ParsedLine::Torn, ParsedLine::Record)
+}
+
+/// Decodes the record an index slot for `fp` points at: the `len`
+/// bytes at `start` in `bytes`. The span must be one whole line —
+/// preceded by a newline or the start of the log, followed by a newline
+/// or its end — so a slot over a rewritten log never reads a prefix or
+/// a tail of some other line. The line must carry the current tag and
+/// `fp`; `open` already checked the key against it, so it is not
+/// re-hashed here.
+fn read_record(
+    bytes: &[u8],
+    start: usize,
+    len: usize,
+    fp: Fingerprint,
+) -> Option<(String, String)> {
+    let end = start.checked_add(len)?;
+    let line = bytes.get(start..end)?;
+    let whole =
+        (start == 0 || bytes[start - 1] == b'\n') && bytes.get(end).is_none_or(|&b| b == b'\n');
+    if !whole {
+        return None;
     }
+    let mut fields = std::str::from_utf8(line).ok()?.split('\t');
+    if fields.next()? != RECORD_TAG || Fingerprint::from_hex(fields.next()?)? != fp {
+        return None;
+    }
+    let key = unescape_field(fields.next()?)?;
+    let value = unescape_field(fields.next()?)?;
+    fields.next().is_none().then_some((key, value))
 }
 
 #[cfg(test)]
@@ -527,14 +639,14 @@ mod tests {
         for i in 0..32 {
             a.put(&format!("k{i}"), &format!("v{i}")).unwrap();
         }
-        let order_a: Vec<String> = a.iter().map(|(k, _)| k.to_string()).collect();
+        let order_a: Vec<String> = a.iter().map(|(k, _)| k).collect();
         // Insert in reverse into a fresh store: same iteration order.
         let root_b = temp_root("order-b");
         let mut b = Store::open(&root_b).unwrap();
         for i in (0..32).rev() {
             b.put(&format!("k{i}"), &format!("v{i}")).unwrap();
         }
-        let order_b: Vec<String> = b.iter().map(|(k, _)| k.to_string()).collect();
+        let order_b: Vec<String> = b.iter().map(|(k, _)| k).collect();
         assert_eq!(order_a, order_b);
         let mut sorted = order_a.clone();
         sorted.sort_by_key(|k| Fingerprint::of(k));
@@ -545,25 +657,107 @@ mod tests {
 
     #[test]
     fn collision_degrades_to_miss() {
-        // Force a fake collision by planting a record whose stored key
-        // differs from the probe key but shares its (planted)
-        // fingerprint slot: get() must verify the key bytes.
+        // Force a fake collision by planting a slot for the probe key's
+        // fingerprint over a line that carries that fingerprint but
+        // another key: get() must verify the key bytes.
         let root = temp_root("collision");
         let mut store = Store::open(&root).unwrap();
         store.put("real-key", "real-value").unwrap();
         let fp = Fingerprint::of("real-key");
-        store.index.insert(
-            fp,
-            Record {
-                key: "other-key".into(),
-                value: "poison".into(),
-            },
-        );
+        let shard = store.shard_path(fp.shard());
+        let mut log = fs::read(&shard).unwrap();
+        let offset = log.len() as u64;
+        let planted = format!("{RECORD_TAG}\t{fp}\tother-key\tpoison");
+        log.extend_from_slice(planted.as_bytes());
+        log.push(b'\n');
+        fs::write(&shard, &log).unwrap();
+        store.index.insert(fp, Slot::new(offset, planted.len()));
         assert_eq!(
             store.get("real-key"),
             None,
             "key mismatch must read as a miss"
         );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The record line is pinned byte for byte, on a clean shard and
+    /// after a torn tail: stores move between builds in both
+    /// directions.
+    #[test]
+    fn put_writes_the_pinned_line_format() {
+        const KEY: &str = "tabs\tand\nnewlines\r";
+        const VALUE: &str = "payload with\ttab and \\backslash\\ and\nnewline";
+        const LINE: &[u8] = b"v1\t147c24ed7cc49838ccd52f32322c1c6b\ttabs\\tand\\nnewlines\\r\t\
+            payload with\\ttab and \\\\backslash\\\\ and\\nnewline\n";
+        let root = temp_root("format");
+        let mut store = Store::open(&root).unwrap();
+        store.put(KEY, VALUE).unwrap();
+        let shard = store.shard_path(Fingerprint::of(KEY).shard());
+        assert_eq!(fs::read(&shard).unwrap(), LINE);
+
+        fs::write(&shard, b"v1\tdeadbeef").unwrap();
+        let mut store = Store::open(&root).unwrap();
+        store.put(KEY, VALUE).unwrap();
+        assert_eq!(
+            fs::read(&shard).unwrap(),
+            [b"v1\tdeadbeef\n".as_slice(), LINE].concat()
+        );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A slot over a shard log rewritten behind the open store reads as
+    /// a miss: never a prefix of a longer line, never a line's tail.
+    #[test]
+    fn stale_slot_is_a_miss_never_a_prefix() {
+        let root = temp_root("stale");
+        let mut store = Store::open(&root).unwrap();
+        store.put("k", "abc").unwrap();
+        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let line = |value: &str| format!("{RECORD_TAG}\t{}\tk\t{value}\n", Fingerprint::of("k"));
+
+        // A longer value for `k` at the slot's offset: the slot spans
+        // only a prefix of that line.
+        let store = Store::open(&root).unwrap();
+        fs::write(&shard, line("abcdef")).unwrap();
+        assert_eq!(store.get("k"), None);
+        assert_eq!(store.iter().count(), 0);
+
+        // The slot's bytes are intact, but the newline before them is
+        // gone: the offset now lands mid-line.
+        fs::write(&shard, line("x") + &line("abc")).unwrap();
+        let store = Store::open(&root).unwrap();
+        let fused = line("x").replace('\n', "Q") + &line("abc");
+        fs::write(&shard, fused).unwrap();
+        assert_eq!(store.get("k"), None);
+        assert_eq!(store.iter().count(), 0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Appends advance the shard's end offset, past a torn tail's
+    /// terminating newline too, so the same store serves what it just
+    /// put without a reopen.
+    #[test]
+    fn the_same_store_serves_its_appends() {
+        let root = temp_root("same-store");
+        let mut store = Store::open(&root).unwrap();
+        store.put("scenario", "payload").unwrap();
+        let shard = store.shard_path(Fingerprint::of("scenario").shard());
+        let log = fs::read(&shard).unwrap();
+        fs::write(&shard, &log[..log.len() - 20]).unwrap();
+
+        let mut store = Store::open(&root).unwrap();
+        assert_eq!(store.get("scenario"), None);
+        store.put("scenario", "payload").unwrap();
+        assert_eq!(store.get("scenario"), Some("payload"));
+        store.put("scenario", "second").unwrap();
+        assert_eq!(store.get("scenario"), Some("second"));
+
+        // A handle opened over a log that already holds records.
+        let mut store = Store::open(&root).unwrap();
+        store.put("scenario", "third").unwrap();
+        assert_eq!(store.get("scenario"), Some("third"));
+        let pairs: Vec<(String, String)> = store.iter().collect();
+        assert_eq!(pairs, [("scenario".to_string(), "third".to_string())]);
         fs::remove_dir_all(&root).unwrap();
     }
 }
