@@ -62,29 +62,54 @@ pub(crate) fn is_campaign_key(key: &str) -> bool {
     key.starts_with(CAMPAIGN_KEY_PREFIX)
 }
 
-/// Decodes every current-generation scenario record in a store into
-/// analytics observations, in the store's deterministic (fingerprint)
-/// order. Returns the observations and the number of skipped records
-/// (foreign keys, previous generations, undecodable payloads).
-/// Campaign-provenance records are this store's own metadata, not
-/// foreign junk — they are passed over without counting as skipped
-/// (read them with [`store_campaigns`]).
-pub fn store_observations(store: &Store) -> (Vec<crate::analytics::Observation>, usize) {
-    let mut observations = Vec::new();
-    let mut skipped = 0usize;
+/// What one pass over a store holds for analytics.
+#[derive(Debug, Default, PartialEq)]
+pub struct StoreContents {
+    /// Every decodable current-generation scenario record, as an
+    /// analytics observation.
+    pub observations: Vec<crate::analytics::Observation>,
+    /// Records passed over: foreign keys, previous generations and
+    /// undecodable scenario payloads.
+    pub skipped: usize,
+    /// Every decodable campaign-provenance record — the campaigns that
+    /// populated the store.
+    pub campaigns: Vec<CampaignProvenance>,
+}
+
+/// Reads a store once, in its deterministic (fingerprint) order,
+/// decoding scenario records into observations and campaign records
+/// into provenance. Campaign-provenance records are this store's own
+/// metadata, not foreign junk: they never count as skipped, and an
+/// undecodable one is dropped silently.
+pub fn read_store(store: &Store) -> StoreContents {
+    let mut contents = StoreContents::default();
     for (key, value) in store.iter() {
         if is_campaign_key(&key) {
+            if let Ok(campaign) = decode_campaign(&value) {
+                contents.campaigns.push(campaign);
+            }
             continue;
         }
         if !is_scenario_key(&key) {
-            skipped += 1;
+            contents.skipped += 1;
             continue;
         }
         match json::parse(&value).and_then(|v| crate::analytics::Observation::from_payload(&v)) {
-            Ok(obs) => observations.push(obs),
-            Err(_) => skipped += 1,
+            Ok(obs) => contents.observations.push(obs),
+            Err(_) => contents.skipped += 1,
         }
     }
+    contents
+}
+
+/// The observations and skipped count of [`read_store`].
+// detlint: allow(D7) -- perfbench/layers
+pub fn store_observations(store: &Store) -> (Vec<crate::analytics::Observation>, usize) {
+    let StoreContents {
+        observations,
+        skipped,
+        ..
+    } = read_store(store);
     (observations, skipped)
 }
 
@@ -152,17 +177,6 @@ fn decode_campaign(payload: &str) -> Result<CampaignProvenance, String> {
             .to_string(),
         scenarios: int_field(&v, "scenarios")? as usize,
     })
-}
-
-/// Every decodable campaign-provenance record in the store, in the
-/// store's deterministic (fingerprint) order — the campaigns that
-/// populated it.
-pub fn store_campaigns(store: &Store) -> Vec<CampaignProvenance> {
-    store
-        .iter()
-        .filter(|(key, _)| is_campaign_key(key))
-        .filter_map(|(_, payload)| decode_campaign(&payload).ok())
-        .collect()
 }
 
 /// Cache effectiveness of one [`crate::campaign::run_campaign`] call
@@ -308,7 +322,7 @@ pub fn encode_result(r: &ScenarioResult) -> String {
     out
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
+fn field<'a, 'v>(v: &'a Value<'v>, key: &str) -> Result<&'a Value<'v>, String> {
     v.get(key).ok_or_else(|| format!("payload missing {key:?}"))
 }
 
@@ -598,7 +612,8 @@ mod tests {
             canonical_workload_json(b.spec())
         );
         // It is valid JSON on our own parser.
-        let v = json::parse(&canonical_workload_json(a.spec())).unwrap();
+        let text = canonical_workload_json(a.spec());
+        let v = json::parse(&text).unwrap();
         assert_eq!(v.get("copies").unwrap().as_u64(), Some(1));
         assert_eq!(
             v.get("config").unwrap().get("perimeters").unwrap().as_u64(),
@@ -698,6 +713,22 @@ mod tests {
         assert_eq!(decoded.suspect_fraction(), None);
         assert_eq!(decoded.to_json(), error.to_json());
 
+        // A `fw_state` that needs escaping decodes through the parser's
+        // owned-string branch, not the borrowed one.
+        let awkward = ScenarioResult {
+            fw_state: "error: \"stall\" at C:\\fw\ttemp 215 °C — naïve 😀".into(),
+            ..original.clone()
+        };
+        let payload = encode_result(&awkward);
+        assert!(
+            payload.contains("\\\"stall\\\" at C:\\\\fw\\t"),
+            "{payload}"
+        );
+        let decoded = decode_result(awkward.scenario.clone(), &payload).unwrap();
+        assert_eq!(decoded.fw_state, awkward.fw_state);
+        assert_eq!(decoded.summary_line(), awkward.summary_line());
+        assert_eq!(decoded.to_json(), awkward.to_json());
+
         // Multi-detector verdicts ride their full statistics in the
         // evidence array — including partially judged suites.
         let multi = ScenarioResult {
@@ -774,6 +805,136 @@ mod tests {
         };
         assert!(decode_result(scenario.clone(), "{}").is_err());
         assert!(decode_result(scenario, "not json").is_err());
+    }
+
+    /// A scenario result for store fixtures: `alarmed` marks its one
+    /// transaction evidence.
+    fn stored_result(index: usize, trojan: &str, alarmed: bool) -> ScenarioResult {
+        ScenarioResult {
+            scenario: Scenario {
+                index,
+                trojan: trojan.into(),
+                workload: "mini".into(),
+                run: 0,
+                seed: index as u64,
+            },
+            fw_state: "Finished".into(),
+            events: 1_000 + index as u64,
+            sim_ns: 2_000,
+            fw_steps: [1, 2, 3, 4],
+            verdict: Verdict {
+                alarmed,
+                evidence: vec![Evidence {
+                    detector: "txn".into(),
+                    alarmed: Some(alarmed),
+                    flagged: usize::from(alarmed) * 9,
+                    flagged_values: usize::from(alarmed) * 12,
+                    compared: 70,
+                    threshold: Some(0.01),
+                    peak: 0.0,
+                    final_totals_match: Some(!alarmed),
+                }],
+            },
+            ttd: None,
+            wall_ms: 0,
+        }
+    }
+
+    /// One pass over a store holding every kind of record yields what
+    /// the separate observation and provenance scans used to.
+    #[test]
+    fn read_store_sorts_every_kind_of_record_in_one_pass() {
+        let root = std::env::temp_dir().join(format!("offramps-cache-read-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = Store::open(&root).unwrap();
+        let results: Vec<ScenarioResult> = ["none", "t2", "flaw3d-r50", "t5:200@2"]
+            .iter()
+            .enumerate()
+            .map(|(i, trojan)| stored_result(i, trojan, i > 0))
+            .collect();
+        let mut scenario_keys = Vec::new();
+        for r in &results {
+            let key = format!("{SCENARIO_KEY_PREFIX}{}", r.scenario.trojan);
+            store.put(&key, &encode_result(r)).unwrap();
+            scenario_keys.push((offramps_store::Fingerprint::of(&key), r));
+        }
+        let policy = "txn{suspect_fraction=0.01}";
+        for seed in [7, 8] {
+            let spec = CampaignSpec::default_matrix(seed);
+            put_provenance(&mut store, &spec, policy, 15).unwrap();
+        }
+        // Foreign and previous-generation records, two undecodable
+        // scenario payloads and one undecodable campaign record.
+        store.put("someone-else|k", "v").unwrap();
+        store.put("offramps-scenario/v0|old", "{}").unwrap();
+        store
+            .put(&format!("{SCENARIO_KEY_PREFIX}torn"), "{\"trojan\": ")
+            .unwrap();
+        store
+            .put(&format!("{SCENARIO_KEY_PREFIX}empty"), "{}")
+            .unwrap();
+        store
+            .put(&format!("{CAMPAIGN_KEY_PREFIX}junk"), "[]")
+            .unwrap();
+
+        let contents = read_store(&store);
+        scenario_keys.sort_by_key(|(fp, _)| *fp);
+        let expected: Vec<_> = scenario_keys
+            .iter()
+            .map(|(_, r)| crate::analytics::Observation::from_result(r))
+            .collect();
+        assert_eq!(contents.observations, expected, "fingerprint order");
+        assert_eq!(contents.skipped, 4, "campaign records are never skipped");
+        let mut seeds: Vec<(offramps_store::Fingerprint, u64)> = [7, 8]
+            .iter()
+            .map(|&seed| {
+                let spec = CampaignSpec::default_matrix(seed);
+                let labels: Vec<&str> = spec.workloads.iter().map(Workload::label).collect();
+                let key = campaign_key(&spec, policy, &labels.join(","));
+                (offramps_store::Fingerprint::of(&key), seed)
+            })
+            .collect();
+        seeds.sort();
+        let got: Vec<u64> = contents.campaigns.iter().map(|c| c.master_seed).collect();
+        assert_eq!(got, seeds.iter().map(|(_, s)| *s).collect::<Vec<_>>());
+        assert!(contents
+            .campaigns
+            .iter()
+            .all(|c| c.policy == policy && c.scenarios == 15 && !c.sweep));
+
+        // The separate scans `read_store` replaces: scenario records
+        // (campaign records passed over), then campaign records alone.
+        let mut observations = Vec::new();
+        let mut skipped = 0usize;
+        for (key, value) in store.iter() {
+            if is_campaign_key(&key) {
+                continue;
+            }
+            if !is_scenario_key(&key) {
+                skipped += 1;
+                continue;
+            }
+            match json::parse(&value).and_then(|v| crate::analytics::Observation::from_payload(&v))
+            {
+                Ok(obs) => observations.push(obs),
+                Err(_) => skipped += 1,
+            }
+        }
+        let campaigns: Vec<CampaignProvenance> = store
+            .iter()
+            .filter(|(key, _)| is_campaign_key(key))
+            .filter_map(|(_, payload)| decode_campaign(&payload).ok())
+            .collect();
+        assert_eq!(
+            contents,
+            StoreContents {
+                observations,
+                skipped,
+                campaigns
+            }
+        );
+        assert_eq!(store_observations(&store), (contents.observations, 4));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A scenario record whose payload nests far past the parser's cap

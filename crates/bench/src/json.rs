@@ -8,11 +8,13 @@
 //!
 //! The scenario store reads its cached payloads back, so a matching
 //! [`parse`] is provided: a strict recursive-descent parser producing a
-//! [`Value`] tree. Numbers keep their **raw source text** ([`Value`]
-//! stores the lexeme, not an eager `f64`), so 64-bit seeds and exactly
+//! [`Value`] tree that **borrows from the input text**. Numbers are raw
+//! lexeme slices of it (not an eager `f64`), so 64-bit seeds and exactly
 //! rendered floats survive a write → parse → reuse round trip without
-//! precision loss.
+//! precision loss. Strings and object keys borrow too, unless they hold
+//! an escape: only those are unescaped into owned text.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Serializes a value to a JSON fragment.
@@ -164,32 +166,32 @@ impl<'a> ObjectWriter<'a> {
     }
 }
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the text it was parsed from.
 ///
 /// Objects keep their key order (a `Vec` of pairs, not a map) so a
 /// parse → re-render pipeline is deterministic; numbers keep their raw
 /// lexeme so integers beyond 2⁵³ and shortest-round-trip floats are
 /// exact.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, as its raw source lexeme (e.g. `"1.0"`, `"-3e8"`).
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
+    Num(&'a str),
+    /// A string (unescaped; borrowed unless it held an escape).
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Vec<Value<'a>>),
     /// An object, in source key order.
-    Obj(Vec<(String, Value)>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// Looks up a key in an object; `None` for missing keys or
     /// non-objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -198,7 +200,7 @@ impl Value {
 
     /// The elements of an array.
     // detlint: allow(D7) -- tests/verdict_suite.rs
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub fn as_array(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
@@ -265,7 +267,7 @@ impl Value {
 /// assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
 /// assert!(parse("{oops").is_err());
 /// ```
-pub fn parse(text: &str) -> Result<Value, String> {
+pub fn parse(text: &str) -> Result<Value<'_>, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let value = parse_value(text, bytes, &mut pos, 0)?;
@@ -297,7 +299,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses one value inside `depth` enclosing containers.
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_value<'a>(
+    text: &'a str,
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Value<'a>, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -314,9 +321,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Resul
             }
             loop {
                 skip_ws(bytes, pos);
-                let Value::Str(key) = parse_string(text, bytes, pos)? else {
-                    unreachable!("parse_string returns Str")
-                };
+                let key = parse_string(text, bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
                 let value = parse_value(text, bytes, pos, depth + 1)?;
@@ -353,7 +358,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Resul
                 }
             }
         }
-        Some(b'"') => parse_string(text, bytes, pos),
+        Some(b'"') => parse_string(text, bytes, pos).map(Value::Str),
         Some(b't') if text[*pos..].starts_with("true") => {
             *pos += 4;
             Ok(Value::Bool(true))
@@ -371,7 +376,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Resul
     }
 }
 
-fn parse_number(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number<'a>(text: &'a str, bytes: &[u8], pos: &mut usize) -> Result<Value<'a>, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -410,12 +415,27 @@ fn parse_number(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Stri
             return Err(format!("bad number at byte {start}"));
         }
     }
-    Ok(Value::Num(text[start..*pos].to_string()))
+    Ok(Value::Num(&text[start..*pos]))
 }
 
-fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses a string literal. The bytes up to the closing quote are
+/// borrowed as they stand; the first backslash or control byte (or the
+/// end of input) hands over to the unescaping loop, which owns its
+/// output and reports every malformed literal. None of those bytes can
+/// occur inside a multi-byte UTF-8 sequence, so each slice point is a
+/// char boundary.
+fn parse_string<'a>(text: &'a str, bytes: &[u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
     expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+    let start = *pos;
+    *pos += bytes[start..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - start);
+    if bytes.get(*pos) == Some(&b'"') {
+        *pos += 1;
+        return Ok(Cow::Borrowed(&text[start..*pos - 1]));
+    }
+    let mut out = text[start..*pos].to_string();
     loop {
         let rest = &text[*pos..];
         let Some(c) = rest.chars().next() else {
@@ -423,7 +443,7 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Stri
         };
         *pos += c.len_utf8();
         match c {
-            '"' => return Ok(Value::Str(out)),
+            '"' => return Ok(Cow::Owned(out)),
             '\\' => {
                 let Some(esc) = text[*pos..].chars().next() else {
                     return Err("dangling escape".into());
@@ -630,6 +650,67 @@ mod tests {
     }
 
     #[test]
+    fn escape_free_strings_borrow_and_escaped_ones_own() {
+        let text = r#"{"plain": "abc é 😀", "key\"q": "tab\there \"q\" back\\slash", "u": "\u00e9\ud83d\ude00\/", "n": -2.5e3}"#;
+        let v = parse(text).unwrap();
+        let Value::Obj(pairs) = &v else {
+            panic!("expected object, got {v:?}")
+        };
+        let within = |s: &str| text.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        assert!(matches!(&pairs[0].0, Cow::Borrowed(k) if *k == "plain" && within(k)));
+        assert!(
+            matches!(&pairs[0].1, Value::Str(Cow::Borrowed(s)) if *s == "abc é 😀" && within(s))
+        );
+        assert!(matches!(&pairs[3].1, Value::Num(n) if *n == "-2.5e3" && within(n)));
+        // Escaped text is unescaped into owned strings, as before.
+        assert!(matches!(&pairs[1].0, Cow::Owned(k) if k == "key\"q"));
+        assert!(
+            matches!(&pairs[1].1, Value::Str(Cow::Owned(s)) if s == "tab\there \"q\" back\\slash")
+        );
+        assert!(matches!(&pairs[2].1, Value::Str(Cow::Owned(s)) if s == "é😀/"));
+        assert_eq!(
+            v.get("key\"q").and_then(Value::as_str),
+            Some("tab\there \"q\" back\\slash")
+        );
+    }
+
+    #[test]
+    fn escape_round_trips_awkward_strings() {
+        for s in [
+            "",
+            "say \"hi\"",
+            "back\\slash\\",
+            "tab\tend",
+            "\u{1}",
+            "naïve café",
+            "emoji 😀",
+            "\"\\\t\u{1}é😀 all at once",
+        ] {
+            let escaped = escape(s);
+            assert_eq!(parse(&escaped).unwrap().as_str(), Some(s), "{escaped}");
+        }
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_error_messages() {
+        // The messages the unescaping loop has always reported: the
+        // borrowing scan hands every malformed literal over to it.
+        for (bad, err) in [
+            ("\"a\u{1}b\\n\"", "raw control character 0x01 in string"),
+            ("\"a\\nb\u{1f}\"", "raw control character 0x1f in string"),
+            ("{\"a\u{1}\": 1}", "raw control character 0x01 in string"),
+            ("\"abc", "unterminated string"),
+            ("\"a\\nbc", "unterminated string"),
+            ("\"abc\\", "dangling escape"),
+            ("{\"k\\", "dangling escape"),
+            ("\"\\ud83d\"", "lone high surrogate"),
+            ("\"\\ude00\"", "lone low surrogate"),
+        ] {
+            assert_eq!(parse(bad), Err(err.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn numbers_render_json_safe() {
         assert_eq!(number(1.0), "1.0");
         assert_eq!(number(0.5), "0.5");
@@ -745,7 +826,7 @@ mod tests {
         // Key order survives (objects are ordered pairs, not maps).
         match &arr[0] {
             Value::Obj(pairs) => {
-                let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_ref()).collect();
                 assert_eq!(keys, vec!["x", "label"]);
             }
             other => panic!("expected object, got {other:?}"),

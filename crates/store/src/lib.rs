@@ -64,7 +64,7 @@ pub use fingerprint::Fingerprint;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 
 /// Number of shard logs a store fans its records over (fingerprint top
@@ -183,10 +183,18 @@ impl Store {
             // Split on raw newlines and validate UTF-8 per *line*: one
             // corrupted record must degrade to one skipped line, never
             // poison the whole store.
+            // `skip_until` finds each newline with the platform's
+            // `memchr`: a byte-at-a-time loop here ran at a speed that
+            // moved with where the linker happened to place it.
             let mut offset = 0u64;
-            for raw in bytes.split(|&b| b == b'\n') {
+            let mut rest = bytes.as_slice();
+            while !rest.is_empty() {
+                let line = rest;
+                let taken = rest.skip_until(b'\n')?;
+                let raw = &line[..taken];
+                let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
                 let start = offset;
-                offset += raw.len() as u64 + 1;
+                offset += taken as u64;
                 if raw.is_empty() {
                     continue;
                 }
@@ -603,6 +611,39 @@ mod tests {
         let store = Store::open(&root).unwrap();
         assert_eq!(store.get("k"), Some("second"));
         assert_eq!(malformed(&store), 0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Blank lines before, between and after records shift every
+    /// offset the scan indexes; each record still reads back whole.
+    #[test]
+    fn blank_lines_keep_record_offsets_exact() {
+        let root = temp_root("blank-lines");
+        let mut store = Store::open(&root).unwrap();
+        store.put("k", "first").unwrap();
+        store.put("k", "second").unwrap();
+        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let log = fs::read(&shard).unwrap();
+        let text = std::str::from_utf8(&log).unwrap();
+        let (first, second) = text.trim_end().split_once('\n').unwrap();
+        fs::write(&shard, format!("\n\n{first}\n\n\n{second}")).unwrap();
+
+        let store = Store::open(&root).unwrap();
+        assert_eq!(store.get("k"), Some("second"));
+        assert_eq!(
+            store.iter().collect::<Vec<_>>(),
+            [("k".into(), "second".into())]
+        );
+        assert_eq!(
+            store.scan_stats(),
+            ScanStats {
+                lines: 2,
+                records: 2,
+                superseded: 1,
+                torn: 0,
+                foreign: 0,
+            }
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -29,7 +29,7 @@ use offramps::{
 };
 use offramps_attacks::Flaw3dTrojan;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
-use offramps_bench::cache::{record_scan_metrics, store_observations};
+use offramps_bench::cache::{read_store, record_scan_metrics, StoreContents};
 use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::workloads::Workload;
@@ -736,7 +736,11 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
     };
     let metrics = resolve_metrics(args)?;
     let store = Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?;
-    let (observations, skipped) = store_observations(&store);
+    let StoreContents {
+        observations,
+        skipped,
+        campaigns,
+    } = read_store(&store);
     if observations.is_empty() {
         return Err(format!(
             "no scenario records in {dir} (run `campaign --cache {dir}` first)"
@@ -772,7 +776,6 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
         println!("calibrated weighted fusion: --fuse '{}'", weighted.policy());
     }
     // Which campaigns populated this store (campaign@1 provenance).
-    let campaigns = offramps_bench::cache::store_campaigns(&store);
     if !campaigns.is_empty() {
         println!("campaigns: {}", campaigns.len());
         for c in &campaigns {

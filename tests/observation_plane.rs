@@ -21,7 +21,7 @@
 
 use offramps::FusionPolicy;
 use offramps_bench::analytics::Observation;
-use offramps_bench::cache::{decode_result, encode_result, CacheStats};
+use offramps_bench::cache::{decode_result, encode_result, read_store, CacheStats, StoreContents};
 use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignSpec};
 use offramps_bench::json::{self, ToJson, Value};
 use offramps_bench::workloads::Workload;
@@ -227,7 +227,8 @@ fn weighted_fusion_at_threshold_zero_matches_any_alarm_live() {
         quad_spec(7).suite().unwrap().policy(),
         weighted_spec.suite().unwrap().policy()
     );
-    let parsed = json::parse(&weighted.to_json()).unwrap();
+    let text = weighted.to_json();
+    let parsed = json::parse(&text).unwrap();
     assert_eq!(
         parsed.get("fusion").unwrap().as_str(),
         Some("weighted@0"),
@@ -341,7 +342,11 @@ fn quad_suite_switch_invalidates_then_restores() {
     // The mixed store feeds analytics: the pre-acoustic (txn,power)
     // records are unjudged by the new modalities, not errors, and the
     // campaign provenance lists both campaigns.
-    let (observations, skipped) = offramps_bench::cache::store_observations(&store);
+    let StoreContents {
+        observations,
+        skipped,
+        campaigns,
+    } = read_store(&store);
     assert_eq!(observations.len(), 4);
     assert_eq!(skipped, 0, "provenance records are not junk");
     let pre_acoustic = observations
@@ -349,7 +354,6 @@ fn quad_suite_switch_invalidates_then_restores() {
         .filter(|o| !o.judged_by("acoustic"))
         .count();
     assert_eq!(pre_acoustic, 2, "the txn,power generation");
-    let campaigns = offramps_bench::cache::store_campaigns(&store);
     assert_eq!(campaigns.len(), 2, "one provenance record per campaign");
     assert!(campaigns.iter().all(|c| c.master_seed == 99 && !c.sweep));
     assert!(

@@ -300,7 +300,8 @@ fn corpus_sweep_store_feeds_corpus_wide_roc_analytics() {
     }
 
     // The campaign JSON carries the same analytics block, and it parses.
-    let parsed = json::parse(&report.to_json()).expect("report JSON parses");
+    let text = report.to_json();
+    let parsed = json::parse(&text).expect("report JSON parses");
     let block = parsed
         .get("analytics")
         .expect("analytics block in the report");
