@@ -614,8 +614,9 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Blank lines before, between and after records shift every
-    /// offset the scan indexes; each record still reads back whole.
+    /// Blank lines before and between records, and a missing final
+    /// newline, shift every offset the scan indexes; each record still
+    /// reads back whole.
     #[test]
     fn blank_lines_keep_record_offsets_exact() {
         let root = temp_root("blank-lines");
