@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use offramps::verdict::{Channel, Evidence, FusionPolicy, SampledDetector, TimeToDetection};
 use offramps::TransactionDetector;
 
-use crate::campaign::ScenarioResult;
+use crate::campaign::{host_workers, parallel_map, ScenarioResult};
 use crate::json::{ObjectWriter, ToJson, Value};
 
 /// The default suspect-fraction threshold grid: a log-ish sweep from
@@ -363,11 +363,24 @@ pub struct AnalyticsReport {
 
 impl AnalyticsReport {
     /// Sweeps `thresholds` over `observations`, grouping by attack.
+    /// Each attack's curves are computed on the host's cores and
+    /// collected in attack order, so the report does not depend on the
+    /// worker count.
     pub fn over(observations: &[Observation], thresholds: &[f64]) -> AnalyticsReport {
+        AnalyticsReport::over_with(observations, thresholds, host_workers())
+    }
+
+    /// [`AnalyticsReport::over`] on `workers` threads.
+    fn over_with(
+        observations: &[Observation],
+        thresholds: &[f64],
+        workers: usize,
+    ) -> AnalyticsReport {
         let mut groups: BTreeMap<&str, Vec<&Observation>> = BTreeMap::new();
         for obs in observations {
             groups.entry(&obs.attack).or_default().push(obs);
         }
+        let groups: Vec<(&str, Vec<&Observation>)> = groups.into_iter().collect();
         let rate = |hits: usize, denom: usize| {
             if denom == 0 {
                 0.0
@@ -376,79 +389,76 @@ impl AnalyticsReport {
             }
         };
         let side_names = side_detector_names(observations);
-        let curves: Vec<AttackCurve> = groups
-            .iter()
-            .map(|(attack, group)| {
-                let judged = group.iter().filter(|o| o.judged_by(TXN)).count();
-                let detection_rate = thresholds
-                    .iter()
-                    .map(|&t| {
-                        rate(
-                            group
-                                .iter()
-                                .filter(|o| o.alarmed_at(TXN, t) == Some(true))
-                                .count(),
-                            judged,
-                        )
-                    })
-                    .collect();
-                let mut side = Vec::new();
-                for name in &side_names {
-                    let side_judged = group.iter().filter(|o| o.judged_by(name)).count();
-                    if side_judged == 0 {
-                        continue;
-                    }
-                    side.push(SideCurve {
-                        detector: name.clone(),
-                        judged: side_judged,
-                        detection_rate: thresholds
+        let curves: Vec<AttackCurve> = parallel_map(&groups, workers, |(attack, group)| {
+            let judged = group.iter().filter(|o| o.judged_by(TXN)).count();
+            let detection_rate = thresholds
+                .iter()
+                .map(|&t| {
+                    rate(
+                        group
                             .iter()
-                            .map(|&t| {
-                                rate(
-                                    group
-                                        .iter()
-                                        .filter(|o| o.alarmed_at(name, t) == Some(true))
-                                        .count(),
-                                    side_judged,
-                                )
-                            })
-                            .collect(),
-                    });
-                }
-                // The fused rate's denominator: records judged by *any*
-                // modality (a side-only record is a real fused
-                // observation even though the txn judge never saw it).
-                let fused_judged = group.iter().filter(|o| o.judged_any()).count();
-                let fused_detection_rate = if side.is_empty() {
-                    None
-                } else {
-                    Some(
-                        thresholds
-                            .iter()
-                            .map(|&t| {
-                                rate(
-                                    group
-                                        .iter()
-                                        .filter(|o| o.fused_at(&FusionPolicy::Any, t))
-                                        .count(),
-                                    fused_judged,
-                                )
-                            })
-                            .collect(),
+                            .filter(|o| o.alarmed_at(TXN, t) == Some(true))
+                            .count(),
+                        judged,
                     )
-                };
-                AttackCurve {
-                    attack: attack.to_string(),
-                    scenarios: group.len(),
-                    judged,
-                    detection_rate,
-                    side,
-                    fused_judged,
-                    fused_detection_rate,
-                    ttd: TtdStats::over(group.iter().filter_map(|o| o.ttd.as_ref())),
+                })
+                .collect();
+            let mut side = Vec::new();
+            for name in &side_names {
+                let side_judged = group.iter().filter(|o| o.judged_by(name)).count();
+                if side_judged == 0 {
+                    continue;
                 }
-            })
-            .collect();
+                side.push(SideCurve {
+                    detector: name.clone(),
+                    judged: side_judged,
+                    detection_rate: thresholds
+                        .iter()
+                        .map(|&t| {
+                            rate(
+                                group
+                                    .iter()
+                                    .filter(|o| o.alarmed_at(name, t) == Some(true))
+                                    .count(),
+                                side_judged,
+                            )
+                        })
+                        .collect(),
+                });
+            }
+            // The fused rate's denominator: records judged by *any*
+            // modality (a side-only record is a real fused
+            // observation even though the txn judge never saw it).
+            let fused_judged = group.iter().filter(|o| o.judged_any()).count();
+            let fused_detection_rate = if side.is_empty() {
+                None
+            } else {
+                Some(
+                    thresholds
+                        .iter()
+                        .map(|&t| {
+                            rate(
+                                group
+                                    .iter()
+                                    .filter(|o| o.fused_at(&FusionPolicy::Any, t))
+                                    .count(),
+                                fused_judged,
+                            )
+                        })
+                        .collect(),
+                )
+            };
+            AttackCurve {
+                attack: attack.to_string(),
+                scenarios: group.len(),
+                judged,
+                detection_rate,
+                side,
+                fused_judged,
+                fused_detection_rate,
+                ttd: TtdStats::over(group.iter().filter_map(|o| o.ttd.as_ref())),
+            }
+        });
 
         // A learned fusion needs at least two side modalities to weigh
         // against the transaction judge; txn-only and txn+power corpora
@@ -464,22 +474,19 @@ impl AnalyticsReport {
                 weights: weights.clone(),
                 threshold: vote_threshold,
             };
-            let curves = groups
-                .iter()
-                .map(|(attack, group)| {
-                    let judged_any = group.iter().filter(|o| o.judged_any()).count();
-                    let rates = thresholds
-                        .iter()
-                        .map(|&t| {
-                            rate(
-                                group.iter().filter(|o| o.fused_at(&policy, t)).count(),
-                                judged_any,
-                            )
-                        })
-                        .collect();
-                    (attack.to_string(), judged_any, rates)
-                })
-                .collect();
+            let curves = parallel_map(&groups, workers, |(attack, group)| {
+                let judged_any = group.iter().filter(|o| o.judged_any()).count();
+                let rates = thresholds
+                    .iter()
+                    .map(|&t| {
+                        rate(
+                            group.iter().filter(|o| o.fused_at(&policy, t)).count(),
+                            judged_any,
+                        )
+                    })
+                    .collect();
+                (attack.to_string(), judged_any, rates)
+            });
             WeightedFusionReport {
                 weights,
                 vote_threshold,
@@ -1021,6 +1028,59 @@ mod tests {
             "{table}"
         );
         assert!(table.contains("weighted fusion (calibrated:"), "{table}");
+    }
+
+    /// The report is byte-identical whichever worker count computed
+    /// it, on a mixed four-detector corpus where some records lack a
+    /// modality and some carry a time-to-detection.
+    #[test]
+    fn report_is_identical_at_any_worker_count() {
+        let attacks = [
+            "none",
+            "t1",
+            "t2",
+            "t5:200@2",
+            "tx2",
+            "flaw3d-r50",
+            "flaw3d-r80",
+        ];
+        let observations: Vec<Observation> = (0..420)
+            .map(|i| {
+                let attack = attacks[i % attacks.len()];
+                let flagged = |salt: usize| (i * 7 + salt * 13) % 41;
+                let mut o = obs(attack, flagged(0), 100, Some(i % 5 != 0));
+                // Every third record predates the side modalities; the
+                // rest drop acoustic, thermal or neither.
+                if i % 3 != 0 {
+                    o = power(o, flagged(1), 100);
+                    if i % 4 != 0 {
+                        o = with_side(o, "acoustic", flagged(2), 100);
+                    }
+                    if i % 5 != 0 {
+                        o = with_side(o, "thermal", flagged(3), 100);
+                    }
+                }
+                if i % 6 == 1 {
+                    o.ttd = Some(TimeToDetection {
+                        alarm_step: i as u64,
+                        print_fraction: (i % 10) as f64 / 10.0,
+                        material_saved: (i % 7) as f64 / 7.0,
+                    });
+                }
+                o
+            })
+            .collect();
+        let render = |workers| {
+            crate::json::to_string_pretty(&AnalyticsReport::over_with(
+                &observations,
+                &THRESHOLD_GRID,
+                workers,
+            ))
+        };
+        let serial = render(1);
+        assert!(serial.contains("\"weighted_fusion\""), "{serial}");
+        assert!(serial.contains("\"ttd_alarms\""), "{serial}");
+        assert_eq!(render(4), serial);
     }
 
     #[test]

@@ -68,35 +68,52 @@ pub struct StoreContents {
     /// Every decodable current-generation scenario record, as an
     /// analytics observation.
     pub observations: Vec<crate::analytics::Observation>,
-    /// Records passed over: foreign keys, previous generations and
-    /// undecodable scenario payloads.
+    /// Records passed over: foreign keys, previous generations,
+    /// undecodable scenario payloads and indexed records that no
+    /// longer read back from their shard log.
     pub skipped: usize,
     /// Every decodable campaign-provenance record — the campaigns that
     /// populated the store.
     pub campaigns: Vec<CampaignProvenance>,
 }
 
+/// What [`read_store`] made of one record.
+enum StoreRecord {
+    Observation(crate::analytics::Observation),
+    Campaign(CampaignProvenance),
+    Skipped,
+    /// An undecodable campaign record: dropped, never counted.
+    Dropped,
+}
+
 /// Reads a store once, in its deterministic (fingerprint) order,
 /// decoding scenario records into observations and campaign records
-/// into provenance. Campaign-provenance records are this store's own
-/// metadata, not foreign junk: they never count as skipped, and an
-/// undecodable one is dropped silently.
+/// into provenance on the store's read workers. Campaign-provenance
+/// records are this store's own metadata, not foreign junk: they never
+/// count as skipped, and an undecodable one is dropped silently. A
+/// record the store indexed but could not read back counts as skipped.
 pub fn read_store(store: &Store) -> StoreContents {
-    let mut contents = StoreContents::default();
-    for (key, value) in store.iter() {
-        if is_campaign_key(&key) {
-            if let Ok(campaign) = decode_campaign(&value) {
-                contents.campaigns.push(campaign);
-            }
-            continue;
+    let (records, unreadable) = store.records(|key, value| {
+        if is_campaign_key(key) {
+            return decode_campaign(value).map_or(StoreRecord::Dropped, StoreRecord::Campaign);
         }
-        if !is_scenario_key(&key) {
-            contents.skipped += 1;
-            continue;
+        if !is_scenario_key(key) {
+            return StoreRecord::Skipped;
         }
-        match json::parse(&value).and_then(|v| crate::analytics::Observation::from_payload(&v)) {
-            Ok(obs) => contents.observations.push(obs),
-            Err(_) => contents.skipped += 1,
+        json::parse(value)
+            .and_then(|v| crate::analytics::Observation::from_payload(&v))
+            .map_or(StoreRecord::Skipped, StoreRecord::Observation)
+    });
+    let mut contents = StoreContents {
+        skipped: unreadable,
+        ..StoreContents::default()
+    };
+    for record in records {
+        match record {
+            StoreRecord::Observation(obs) => contents.observations.push(obs),
+            StoreRecord::Campaign(campaign) => contents.campaigns.push(campaign),
+            StoreRecord::Skipped => contents.skipped += 1,
+            StoreRecord::Dropped => {}
         }
     }
     contents
@@ -904,26 +921,27 @@ mod tests {
 
         // The separate scans `read_store` replaces: scenario records
         // (campaign records passed over), then campaign records alone.
+        let (all, unreadable) = store.records(|k, v| (k.to_string(), v.to_string()));
+        assert_eq!(unreadable, 0);
         let mut observations = Vec::new();
         let mut skipped = 0usize;
-        for (key, value) in store.iter() {
-            if is_campaign_key(&key) {
+        for (key, value) in &all {
+            if is_campaign_key(key) {
                 continue;
             }
-            if !is_scenario_key(&key) {
+            if !is_scenario_key(key) {
                 skipped += 1;
                 continue;
             }
-            match json::parse(&value).and_then(|v| crate::analytics::Observation::from_payload(&v))
-            {
+            match json::parse(value).and_then(|v| crate::analytics::Observation::from_payload(&v)) {
                 Ok(obs) => observations.push(obs),
                 Err(_) => skipped += 1,
             }
         }
-        let campaigns: Vec<CampaignProvenance> = store
+        let campaigns: Vec<CampaignProvenance> = all
             .iter()
             .filter(|(key, _)| is_campaign_key(key))
-            .filter_map(|(_, payload)| decode_campaign(&payload).ok())
+            .filter_map(|(_, payload)| decode_campaign(payload).ok())
             .collect();
         assert_eq!(
             contents,
@@ -934,6 +952,38 @@ mod tests {
             }
         );
         assert_eq!(store_observations(&store), (contents.observations, 4));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Scenario records whose shard log was replaced after the store
+    /// opened are counted as skipped, not dropped from the tally.
+    #[test]
+    fn records_lost_behind_the_open_store_count_as_skipped() {
+        let root = std::env::temp_dir().join(format!("offramps-cache-lost-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = Store::open(&root).unwrap();
+        let trojans = ["none", "t2", "flaw3d-r50", "t5:200@2", "t1", "t3"];
+        let keys: Vec<String> = trojans
+            .iter()
+            .enumerate()
+            .map(|(i, trojan)| {
+                let key = format!("{SCENARIO_KEY_PREFIX}{trojan}");
+                store
+                    .put(&key, &encode_result(&stored_result(i, trojan, i > 0)))
+                    .unwrap();
+                key
+            })
+            .collect();
+        let store = Store::open(&root).unwrap();
+        // A shard log is named by its records' two leading hex digits.
+        let shard = |key: &str| offramps_store::Fingerprint::of(key).hex()[..2].to_string();
+        let lost = keys.iter().filter(|k| shard(k) == shard(&keys[0])).count();
+        let log = root.join("shards").join(format!("{}.log", shard(&keys[0])));
+        std::fs::write(log, "rewritten\n").unwrap();
+        let contents = read_store(&store);
+        assert_eq!(contents.skipped, lost);
+        assert_eq!(contents.observations.len(), keys.len() - lost);
+        assert!(contents.observations.iter().all(|o| o.attack != "none"));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

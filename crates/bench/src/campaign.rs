@@ -644,6 +644,13 @@ impl ToJson for CampaignReport {
     }
 }
 
+/// The host's parallelism: the worker count of the offline analytics
+/// pass, whose results [`parallel_map`] returns in input order.
+pub(crate) fn host_workers() -> usize {
+    // detlint: allow(D2) -- sizes the analytics pool only; parallel_map keeps input order, so no output depends on it
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Maps `f` over `items` on a pool of `threads` workers.
 ///
 /// **Order-preservation invariant:** `output[i]` is `f(&items[i])`, for

@@ -25,11 +25,14 @@
 //!   keys append a new line; the last line wins on reload. A torn or
 //!   malformed line is skipped (and counted), never fatal, and the
 //!   first append after a torn tail starts on a fresh line.
-//! * **Deterministic iteration.** The index is a `BTreeMap` keyed by
-//!   fingerprint, so [`Store::iter`] walks records in a stable order
-//!   regardless of insertion history — analytics built on it are
-//!   byte-reproducible. The order groups records by shard, so the
-//!   walk reads one shard log at a time.
+//! * **Deterministic results on every core.** The 256 shard logs are
+//!   independent, so [`Store::open`] scans them and [`Store::records`]
+//!   reads them back on a small pool sized to the host, one whole shard
+//!   log per task. Every result merges in shard order into a
+//!   `BTreeMap` keyed by fingerprint, so the index, the scan counts and
+//!   the bulk read's order are the same at any worker count and
+//!   regardless of insertion history — analytics built on them are
+//!   byte-reproducible.
 //! * **No invalidation logic.** Values never expire; changing any
 //!   fingerprinted input changes the key, so stale records simply stop
 //!   being addressed. Bump a key-side format salt to retire a whole
@@ -65,7 +68,8 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of shard logs a store fans its records over (fingerprint top
 /// byte).
@@ -156,7 +160,9 @@ impl Store {
     /// Opens (creating if needed) the store rooted at `root`, scanning
     /// every shard log into the in-memory index. Each line is fully
     /// validated, but only keys are decoded: values stay on disk until
-    /// a [`Store::get`] reads them.
+    /// a [`Store::get`] reads them. The shard logs are scanned on the
+    /// host's cores and merged in shard order, so the index and
+    /// [`Store::scan_stats`] do not depend on the worker count.
     ///
     /// # Errors
     ///
@@ -164,57 +170,42 @@ impl Store {
     /// reading shard logs. Malformed *lines* are skipped and counted
     /// ([`Store::scan_stats`]), not errors.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
-        let root = root.into();
+        Store::open_with(root.into(), workers())
+    }
+
+    /// [`Store::open`] on `workers` threads.
+    fn open_with(root: PathBuf, workers: usize) -> io::Result<Store> {
         fs::create_dir_all(root.join("shards"))?;
+        let scans = pool_map(
+            SHARD_COUNT,
+            workers,
+            String::new,
+            |key, shard| match fs::read(shard_path(&root, shard as u8)) {
+                Ok(bytes) => scan_log(&bytes, key).map(Some),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+                Err(e) => Err(e),
+            },
+        );
         let mut store = Store {
             root,
             index: BTreeMap::new(),
             scan: ScanStats::default(),
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
         };
-        let mut key = String::new();
-        for shard in 0..=u8::MAX {
-            let bytes = match fs::read(store.shard_path(shard)) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
+        // Shard order: a fingerprint seen in two logs (a line planted
+        // in the wrong shard) resolves exactly as a serial scan would.
+        for (shard, scan) in store.shards.iter_mut().zip(scans) {
+            let Some((torn_tail, stats, slots)) = scan? else {
+                continue;
             };
-            store.shards[usize::from(shard)].torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
-            // Split on raw newlines and validate UTF-8 per *line*: one
-            // corrupted record must degrade to one skipped line, never
-            // poison the whole store.
-            // `skip_until` finds each newline with the platform's
-            // `memchr`: a byte-at-a-time loop here ran at a speed that
-            // moved with where the linker happened to place it.
-            let mut offset = 0u64;
-            let mut rest = bytes.as_slice();
-            while !rest.is_empty() {
-                let line = rest;
-                let taken = rest.skip_until(b'\n')?;
-                let raw = &line[..taken];
-                let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
-                let start = offset;
-                offset += taken as u64;
-                if raw.is_empty() {
-                    continue;
-                }
-                store.scan.lines += 1;
-                match std::str::from_utf8(raw)
-                    .ok()
-                    .map(|line| parse_line(line, &mut key))
-                {
-                    Some(ParsedLine::Record(fp)) => {
-                        store.scan.records += 1;
-                        if store
-                            .index
-                            .insert(fp, Slot::new(start, raw.len()))
-                            .is_some()
-                        {
-                            store.scan.superseded += 1;
-                        }
-                    }
-                    Some(ParsedLine::Foreign) => store.scan.foreign += 1,
-                    Some(ParsedLine::Torn) | None => store.scan.torn += 1,
+            shard.torn_tail = torn_tail;
+            store.scan.lines += stats.lines;
+            store.scan.records += stats.records;
+            store.scan.torn += stats.torn;
+            store.scan.foreign += stats.foreign;
+            for (fp, offset, len) in slots {
+                if store.index.insert(fp, Slot::new(offset, len)).is_some() {
+                    store.scan.superseded += 1;
                 }
             }
         }
@@ -243,7 +234,11 @@ impl Store {
     /// that no longer reads back whole, or under another fingerprint,
     /// is a miss too.
     pub fn get(&self, key: &str) -> Option<&str> {
-        let fp = Fingerprint::of(key);
+        self.lookup(Fingerprint::of(key), key)
+    }
+
+    /// [`Store::get`] for a key whose fingerprint is `fp`.
+    fn lookup(&self, fp: Fingerprint, key: &str) -> Option<&str> {
         let slot = self.index.get(&fp)?;
         let (stored_key, value) = slot
             .record
@@ -264,10 +259,10 @@ impl Store {
     ///
     /// Propagates filesystem errors opening or appending the shard log.
     pub fn put(&mut self, key: &str, value: &str) -> io::Result<()> {
-        if self.get(key) == Some(value) {
+        let fp = Fingerprint::of(key);
+        if self.lookup(fp, key) == Some(value) {
             return Ok(());
         }
-        let fp = Fingerprint::of(key);
         let path = self.shard_path(fp.shard());
         let shard = &mut self.shards[usize::from(fp.shard())];
         let mut file = match shard.file.take() {
@@ -298,24 +293,47 @@ impl Store {
         Ok(())
     }
 
-    /// All records as owned `(key, value)` pairs, in fingerprint order —
-    /// stable across insertion order and reloads. Streams shard by
-    /// shard, holding one shard log at a time; a record whose line no
-    /// longer reads back (its log rewritten behind the store) is
-    /// skipped.
-    pub fn iter(&self) -> impl Iterator<Item = (String, String)> + '_ {
-        let mut loaded: Option<(u8, Vec<u8>)> = None;
-        self.index.iter().filter_map(move |(&fp, slot)| {
-            let shard = fp.shard();
-            if loaded.as_ref().map(|(s, _)| *s) != Some(shard) {
-                // Drop the previous shard before reading the next.
-                loaded = None;
-                let bytes = fs::read(self.shard_path(shard)).unwrap_or_default();
-                loaded = Some((shard, bytes));
-            }
-            let (_, bytes) = loaded.as_ref()?;
-            read_record(bytes, usize::try_from(slot.offset).ok()?, slot.len, fp)
-        })
+    /// Reads every indexed record back and maps `f` over it as
+    /// `(key, value)`, returning the results in fingerprint order —
+    /// stable across insertion order, reloads and worker counts — and
+    /// the number of records that no longer read back (a shard log
+    /// that fails to read, or a line rewritten behind the store), which
+    /// `f` never sees. Each shard log is read once, on the host's
+    /// cores, and `f` runs there too: each worker unescapes into
+    /// buffers of its own, so `f` borrows both strings.
+    pub fn records<T: Send>(&self, f: impl Fn(&str, &str) -> T + Sync) -> (Vec<T>, usize) {
+        self.records_with(workers(), f)
+    }
+
+    /// [`Store::records`] on `workers` threads.
+    fn records_with<T: Send>(
+        &self,
+        workers: usize,
+        f: impl Fn(&str, &str) -> T + Sync,
+    ) -> (Vec<T>, usize) {
+        // The index is not `Sync` (each slot caches `get`'s read), so
+        // the workers get plain copies of the slots, grouped by shard.
+        let slots: Vec<LineSpan> = self
+            .index
+            .iter()
+            .map(|(&fp, slot)| (fp, slot.offset, slot.len))
+            .collect();
+        let shards: Vec<&[LineSpan]> = slots.chunk_by(|a, b| a.0.shard() == b.0.shard()).collect();
+        let root = &self.root;
+        let init = || (String::new(), String::new());
+        let read = pool_map(shards.len(), workers, init, |(key, value), i| {
+            let bytes = fs::read(shard_path(root, shards[i][0].0.shard())).unwrap_or_default();
+            shards[i]
+                .iter()
+                .filter_map(|&(fp, offset, len)| {
+                    read_record(&bytes, usize::try_from(offset).ok()?, len, fp, key, value)?;
+                    Some(f(key, value))
+                })
+                .collect::<Vec<T>>()
+        });
+        let read: Vec<T> = read.into_iter().flatten().collect();
+        let unreadable = slots.len() - read.len();
+        (read, unreadable)
     }
 
     /// Reads the record `slot` points at back from `fp`'s shard log:
@@ -329,12 +347,105 @@ impl Store {
         file.take(lead + slot.len as u64 + 1)
             .read_to_end(&mut window)
             .ok()?;
-        read_record(&window, lead as usize, slot.len, fp)
+        let (mut key, mut value) = (String::new(), String::new());
+        read_record(&window, lead as usize, slot.len, fp, &mut key, &mut value)?;
+        Some((key, value))
     }
 
     fn shard_path(&self, shard: u8) -> PathBuf {
-        self.root.join("shards").join(format!("{shard:02x}.log"))
+        shard_path(&self.root, shard)
     }
+}
+
+fn shard_path(root: &Path, shard: u8) -> PathBuf {
+    root.join("shards").join(format!("{shard:02x}.log"))
+}
+
+/// How many workers [`Store::open`] and [`Store::records`] run on.
+fn workers() -> usize {
+    // detlint: allow(D2) -- sizes the shard pool only; every result merges in shard order
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Maps `f` over `0..n` on up to `workers` scoped threads, each holding
+/// one `init()` state that its calls share. Workers claim the next
+/// index from a counter; `out[i]` is `f(_, i)` whichever worker ran it.
+fn pool_map<S, R: Send>(
+    n: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    // The counter publishes nothing but itself.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, n.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, f(&mut state, i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Where one record line sits in its shard log: `(fingerprint, byte
+/// offset, length without the newline)`.
+type LineSpan = (Fingerprint, u64, usize);
+
+/// Scans one shard log: whether it ends in a torn tail, the counts of
+/// its lines (`superseded` is left to the merge, which sees every log),
+/// and the span of each record line in log order. `key` is a buffer
+/// reused across lines.
+fn scan_log(bytes: &[u8], key: &mut String) -> io::Result<(bool, ScanStats, Vec<LineSpan>)> {
+    let torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
+    let mut stats = ScanStats::default();
+    let mut slots = Vec::new();
+    // Split on raw newlines and validate UTF-8 per *line*: one
+    // corrupted record must degrade to one skipped line, never poison
+    // the whole store. `skip_until` finds each newline with the
+    // platform's `memchr`: a byte-at-a-time loop here ran at a speed
+    // that moved with where the linker happened to place it.
+    let mut offset = 0u64;
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let line = rest;
+        let taken = rest.skip_until(b'\n')?;
+        let raw = &line[..taken];
+        let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+        let start = offset;
+        offset += taken as u64;
+        if raw.is_empty() {
+            continue;
+        }
+        stats.lines += 1;
+        match std::str::from_utf8(raw)
+            .ok()
+            .map(|line| parse_line(line, key))
+        {
+            Some(ParsedLine::Record(fp)) => {
+                stats.records += 1;
+                slots.push((fp, start, raw.len()));
+            }
+            Some(ParsedLine::Foreign) => stats.foreign += 1,
+            Some(ParsedLine::Torn) | None => stats.torn += 1,
+        }
+    }
+    Ok((torn_tail, stats, slots))
 }
 
 /// Escapes a field for the one-line record format: backslash, tab, LF
@@ -374,11 +485,10 @@ fn unescape_runs<'a>(s: &'a str, mut emit: impl FnMut(&'a str)) -> Option<()> {
     Some(())
 }
 
-/// Reverses [`escape_field`] into a fresh string.
-fn unescape_field(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    unescape_runs(s, |run| out.push_str(run))?;
-    Some(out)
+/// Reverses [`escape_field`] into `out`, replacing what it held.
+fn unescape_into(s: &str, out: &mut String) -> Option<()> {
+    out.clear();
+    unescape_runs(s, |run| out.push_str(run))
 }
 
 /// What one shard-log line turned out to be.
@@ -409,27 +519,28 @@ fn parse_line(line: &str, key: &mut String) -> ParsedLine {
     }
     let parsed = (|| {
         let fp = Fingerprint::from_hex(fields.next()?)?;
-        key.clear();
-        unescape_runs(fields.next()?, |run| key.push_str(run))?;
+        unescape_into(fields.next()?, key)?;
         unescape_runs(fields.next()?, |_| {})?;
         (fields.next().is_none() && Fingerprint::of(key) == fp).then_some(fp)
     })();
     parsed.map_or(ParsedLine::Torn, ParsedLine::Record)
 }
 
-/// Decodes the record an index slot for `fp` points at: the `len`
-/// bytes at `start` in `bytes`. The span must be one whole line —
-/// preceded by a newline or the start of the log, followed by a newline
-/// or its end — so a slot over a rewritten log never reads a prefix or
-/// a tail of some other line. The line must carry the current tag and
-/// `fp`; `open` already checked the key against it, so it is not
-/// re-hashed here.
+/// Decodes the record an index slot for `fp` points at — the `len`
+/// bytes at `start` in `bytes` — into `key` and `value`. The span must
+/// be one whole line — preceded by a newline or the start of the log,
+/// followed by a newline or its end — so a slot over a rewritten log
+/// never reads a prefix or a tail of some other line. The line must
+/// carry the current tag and `fp`; `open` already checked the key
+/// against it, so it is not re-hashed here.
 fn read_record(
     bytes: &[u8],
     start: usize,
     len: usize,
     fp: Fingerprint,
-) -> Option<(String, String)> {
+    key: &mut String,
+    value: &mut String,
+) -> Option<()> {
     let end = start.checked_add(len)?;
     let line = bytes.get(start..end)?;
     let whole =
@@ -441,9 +552,9 @@ fn read_record(
     if fields.next()? != RECORD_TAG || Fingerprint::from_hex(fields.next()?)? != fp {
         return None;
     }
-    let key = unescape_field(fields.next()?)?;
-    let value = unescape_field(fields.next()?)?;
-    fields.next().is_none().then_some((key, value))
+    unescape_into(fields.next()?, key)?;
+    unescape_into(fields.next()?, value)?;
+    fields.next().is_none().then_some(())
 }
 
 #[cfg(test)]
@@ -454,6 +565,12 @@ mod tests {
     fn malformed(store: &Store) -> usize {
         let scan = store.scan_stats();
         scan.torn + scan.foreign
+    }
+
+    /// Every record the bulk read returns, owned, and the count it
+    /// could not read back.
+    fn pairs(store: &Store) -> (Vec<(String, String)>, usize) {
+        store.records(|k, v| (k.to_string(), v.to_string()))
     }
 
     fn temp_root(name: &str) -> PathBuf {
@@ -631,10 +748,7 @@ mod tests {
 
         let store = Store::open(&root).unwrap();
         assert_eq!(store.get("k"), Some("second"));
-        assert_eq!(
-            store.iter().collect::<Vec<_>>(),
-            [("k".into(), "second".into())]
-        );
+        assert_eq!(pairs(&store), (vec![("k".into(), "second".into())], 0));
         assert_eq!(
             store.scan_stats(),
             ScanStats {
@@ -681,14 +795,14 @@ mod tests {
         for i in 0..32 {
             a.put(&format!("k{i}"), &format!("v{i}")).unwrap();
         }
-        let order_a: Vec<String> = a.iter().map(|(k, _)| k).collect();
+        let (order_a, _) = a.records(|k, _| k.to_string());
         // Insert in reverse into a fresh store: same iteration order.
         let root_b = temp_root("order-b");
         let mut b = Store::open(&root_b).unwrap();
         for i in (0..32).rev() {
             b.put(&format!("k{i}"), &format!("v{i}")).unwrap();
         }
-        let order_b: Vec<String> = b.iter().map(|(k, _)| k).collect();
+        let (order_b, _) = b.records(|k, _| k.to_string());
         assert_eq!(order_a, order_b);
         let mut sorted = order_a.clone();
         sorted.sort_by_key(|k| Fingerprint::of(k));
@@ -762,7 +876,7 @@ mod tests {
         let store = Store::open(&root).unwrap();
         fs::write(&shard, line("abcdef")).unwrap();
         assert_eq!(store.get("k"), None);
-        assert_eq!(store.iter().count(), 0);
+        assert_eq!(pairs(&store), (vec![], 1));
 
         // The slot's bytes are intact, but the newline before them is
         // gone: the offset now lands mid-line.
@@ -771,7 +885,7 @@ mod tests {
         let fused = line("x").replace('\n', "Q") + &line("abc");
         fs::write(&shard, fused).unwrap();
         assert_eq!(store.get("k"), None);
-        assert_eq!(store.iter().count(), 0);
+        assert_eq!(pairs(&store), (vec![], 1));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -798,8 +912,105 @@ mod tests {
         let mut store = Store::open(&root).unwrap();
         store.put("scenario", "third").unwrap();
         assert_eq!(store.get("scenario"), Some("third"));
-        let pairs: Vec<(String, String)> = store.iter().collect();
-        assert_eq!(pairs, [("scenario".to_string(), "third".to_string())]);
+        assert_eq!(
+            pairs(&store),
+            (vec![("scenario".to_string(), "third".to_string())], 0)
+        );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A shard log replaced behind the open store loses exactly its own
+    /// records from the bulk read, and the read says how many.
+    #[test]
+    fn records_count_what_a_replaced_shard_log_lost() {
+        let root = temp_root("replaced");
+        let mut store = Store::open(&root).unwrap();
+        for i in 0..40 {
+            store.put(&format!("key-{i}"), &format!("v{i}")).unwrap();
+        }
+        let store = Store::open(&root).unwrap();
+        let shard = Fingerprint::of("key-0").shard();
+        let lost = (0..40)
+            .filter(|i| Fingerprint::of(&format!("key-{i}")).shard() == shard)
+            .count();
+        fs::write(store.shard_path(shard), "v9\tanother generation\n").unwrap();
+        let (read, unreadable) = pairs(&store);
+        assert_eq!(unreadable, lost);
+        assert_eq!(read.len(), 40 - lost);
+        assert!(read
+            .iter()
+            .all(|(k, _)| Fingerprint::of(k).shard() != shard));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The scan and the bulk read give the same index, counts, torn-tail
+    /// flags and records at any worker count, over a store holding
+    /// every kind of line the scan tells apart.
+    #[test]
+    fn scan_and_bulk_read_are_thread_invariant() {
+        let root = temp_root("threads");
+        let mut store = Store::open(&root).unwrap();
+        for i in 0..120 {
+            store
+                .put(&format!("key-{i}"), &format!("v{i}\twith\nescapes"))
+                .unwrap();
+        }
+        for i in 0..30 {
+            store.put(&format!("key-{i}"), "rewritten").unwrap();
+        }
+        let shard_of = |key: &str| Fingerprint::of(key).shard();
+        let append = |shard: u8, bytes: &[u8]| {
+            let path = store.shard_path(shard);
+            let mut log = fs::read(&path).unwrap_or_default();
+            log.extend_from_slice(bytes);
+            fs::write(path, log).unwrap();
+        };
+        // A torn tail, a foreign tag and a non-UTF-8 line.
+        append(shard_of("key-1"), b"v1\tdeadbeef");
+        append(shard_of("key-2"), b"v9\tsome future format\n");
+        append(shard_of("key-3"), b"v1\t\xff\xfe broken utf8\n");
+        // A whole record line planted in the next shard's log: it
+        // parses, supersedes the real slot, and no longer reads back.
+        let planted = format!(
+            "{RECORD_TAG}\t{}\tkey-4\tplanted\n",
+            Fingerprint::of("key-4")
+        );
+        append(shard_of("key-4").wrapping_add(1), planted.as_bytes());
+        // An empty log beside the missing ones.
+        let empty = (0..=u8::MAX)
+            .find(|&s| !store.shard_path(s).exists())
+            .unwrap();
+        fs::write(store.shard_path(empty), b"").unwrap();
+        drop(store);
+
+        let snapshot = |workers: usize| {
+            let store = Store::open_with(root.clone(), workers).unwrap();
+            let index: Vec<LineSpan> = store
+                .index
+                .iter()
+                .map(|(&fp, slot)| (fp, slot.offset, slot.len))
+                .collect();
+            let torn_tails: Vec<bool> = store.shards.iter().map(|s| s.torn_tail).collect();
+            let read = store.records_with(workers, |k, v| (k.to_string(), v.to_string()));
+            (index, store.scan_stats(), torn_tails, read)
+        };
+        let serial = snapshot(1);
+        assert_eq!(
+            serial.1,
+            ScanStats {
+                lines: 154,
+                records: 151,
+                superseded: 31,
+                torn: 2,
+                foreign: 1,
+            }
+        );
+        assert_eq!(serial.2.iter().filter(|&&t| t).count(), 1);
+        assert_eq!(serial.3 .0.len(), 119);
+        assert_eq!(serial.3 .1, 1, "the planted slot");
+        for workers in [2, 8] {
+            assert!(snapshot(workers) == serial, "{workers} workers");
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 }
