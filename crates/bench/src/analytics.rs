@@ -320,12 +320,17 @@ impl ToJson for WeightedFusionReport {
         let render = crate::json::number_array;
         let mut w = ObjectWriter::new(out, indent);
         w.float("vote_threshold", self.vote_threshold);
-        let weights: Vec<String> = self
-            .weights
-            .iter()
-            .map(|(d, v)| format!("{}: {}", crate::json::escape(d), crate::json::number(*v)))
-            .collect();
-        w.raw("weights", &format!("{{{}}}", weights.join(", ")));
+        let mut weights = String::from("{");
+        for (i, (d, v)) in self.weights.iter().enumerate() {
+            if i > 0 {
+                weights.push_str(", ");
+            }
+            crate::json::escape_into(d, &mut weights);
+            weights.push_str(": ");
+            crate::json::number_into(*v, &mut weights);
+        }
+        weights.push('}');
+        w.raw("weights", &weights);
         if let Some(fp) = self.false_positive_rate() {
             w.raw("false_positive_rate", &render(fp));
         }
@@ -745,14 +750,9 @@ pub(crate) fn fit_weights(
 
 impl ToJson for AnalyticsReport {
     fn write_json(&self, out: &mut String, indent: usize) {
-        let grid: Vec<String> = self
-            .thresholds
-            .iter()
-            .map(|t| crate::json::number(*t))
-            .collect();
         let render = crate::json::number_array;
         let mut w = ObjectWriter::new(out, indent);
-        w.raw("thresholds", &format!("[{}]", grid.join(", ")));
+        w.raw("thresholds", &render(&self.thresholds));
         if let Some(fp) = self.false_positive_curve() {
             w.raw("false_positive_rate", &render(&fp.detection_rate));
             // The per-detector false-positive curves ride along when

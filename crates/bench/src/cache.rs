@@ -324,13 +324,7 @@ pub fn encode_result(r: &ScenarioResult) -> String {
         .string("fw_state", &r.fw_state)
         .int("events", r.events as i128)
         .int("sim_ns", r.sim_ns as i128)
-        .raw(
-            "fw_steps",
-            &format!(
-                "[{}, {}, {}, {}]",
-                r.fw_steps[0], r.fw_steps[1], r.fw_steps[2], r.fw_steps[3]
-            ),
-        );
+        .ints("fw_steps", &r.fw_steps);
     // The verdict fields go through the same writer as the report JSON,
     // so the payload can never drift from what `ScenarioResult`
     // serializes.

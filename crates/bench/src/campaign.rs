@@ -549,7 +549,9 @@ impl CampaignReport {
                     if i > 0 {
                         body.push(',');
                     }
-                    body.push_str(&format!("\n    {}: {}", crate::json::escape(name), value));
+                    body.push_str("\n    ");
+                    crate::json::escape_into(name, &mut body);
+                    body.push_str(&format!(": {value}"));
                 }
                 body.push_str("\n  }");
                 w.raw("exec_metrics", &body);

@@ -41,44 +41,100 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
 /// Escapes a string for a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    escape_into(s, &mut out);
     out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included):
+/// `"`, `\` and the C0 controls are escaped — `\n`, `\r` and `\t` by
+/// name, the rest as `\u00XX` — and the runs between them are copied
+/// whole.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = next_escape(rest.as_bytes()) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(control >> 4)]));
+                out.push(char::from(HEX[usize::from(control & 0xf)]));
+            }
+        }
+        // The escaped byte is ASCII, so `at + 1` is a char boundary.
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// The index of the first byte of `bytes` that [`escape_into`] escapes,
+/// found eight bytes at a time. `below(w, n)` flags the bytes of a word
+/// under `n`; only the lowest flag is exact (a borrow can flag the
+/// bytes above a hit), and the lowest is all this reads. No byte it
+/// stops at occurs inside a multi-byte UTF-8 sequence.
+fn next_escape(bytes: &[u8]) -> Option<usize> {
+    const fn splat(b: u8) -> u64 {
+        u64::from_ne_bytes([b; 8])
+    }
+    let below = |w: u64, n: u8| w.wrapping_sub(splat(n)) & !w & splat(0x80);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let mut le = [0; 8];
+        le.copy_from_slice(word);
+        let w = u64::from_le_bytes(le);
+        let hits = below(w ^ splat(b'"'), 1) | below(w ^ splat(b'\\'), 1) | below(w, 0x20);
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    let hit = tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+    hit.map(|i| at + i)
 }
 
 /// Formats an `f64` the way JSON expects (finite; NaN/inf become null).
 // detlint: allow(D7) -- perfbench/layers
 pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{:.1}", v)
-        } else {
-            format!("{v}")
-        }
+    let mut out = String::new();
+    number_into(v, &mut out);
+    out
+}
+
+/// Appends [`number`]'s rendering of `v` to `out`.
+pub(crate) fn number_into(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        let _ = write!(out, "{v:.1}");
     } else {
-        "null".into()
+        let _ = write!(out, "{v}");
     }
 }
 
 /// Formats a slice of `f64`s as a single-line JSON array fragment
-/// (`[0.0, 0.5, 1.0]`) via [`number`] — the shared renderer for every
-/// rates array in the analytics JSON.
+/// (`[0.0, 0.5, 1.0]`) via [`number_into`] — the shared renderer for
+/// every rates array in the analytics JSON.
 pub(crate) fn number_array(values: &[f64]) -> String {
-    let rendered: Vec<String> = values.iter().map(|v| number(*v)).collect();
-    format!("[{}]", rendered.join(", "))
+    let mut out = String::from("[");
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        number_into(v, &mut out);
+    }
+    out.push(']');
+    out
 }
 
 /// Builder for one JSON object at a given indentation level.
@@ -108,7 +164,7 @@ impl<'a> ObjectWriter<'a> {
         for _ in 0..=self.indent {
             self.out.push_str("  ");
         }
-        self.out.push_str(&escape(name));
+        escape_into(name, self.out);
         self.out.push_str(": ");
     }
 
@@ -122,16 +178,14 @@ impl<'a> ObjectWriter<'a> {
     /// Emits a string field.
     pub(crate) fn string(&mut self, name: &str, value: &str) -> &mut Self {
         self.key(name);
-        let escaped = escape(value);
-        self.out.push_str(&escaped);
+        escape_into(value, self.out);
         self
     }
 
     /// Emits a float field.
     pub(crate) fn float(&mut self, name: &str, value: f64) -> &mut Self {
         self.key(name);
-        let rendered = number(value);
-        self.out.push_str(&rendered);
+        number_into(value, self.out);
         self
     }
 
@@ -139,6 +193,20 @@ impl<'a> ObjectWriter<'a> {
     pub(crate) fn int(&mut self, name: &str, value: i128) -> &mut Self {
         self.key(name);
         let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Emits an integer array field on one line (`[1, -2, 3]`).
+    pub(crate) fn ints(&mut self, name: &str, values: &[i64]) -> &mut Self {
+        self.key(name);
+        self.out.push('[');
+        for (i, value) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let _ = write!(self.out, "{value}");
+        }
+        self.out.push(']');
         self
     }
 
@@ -603,6 +671,67 @@ mod tests {
             let mut w = ObjectWriter::new(out, indent);
             w.float("x", self.x).string("label", &self.label);
             w.finish();
+        }
+    }
+
+    /// The char-by-char escaper the run scan replaced, kept as the
+    /// reference the scan must match byte for byte.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Every ASCII byte at every offset of fillers 0–24 bytes long (so
+    /// each position of the scan's 8-byte words), multibyte UTF-8 at
+    /// every offset, and runs of adjacent escapes, all match the
+    /// reference and parse back.
+    #[test]
+    fn run_scan_escaping_matches_the_char_by_char_reference() {
+        const SPECIALS: &str = "\"\\\n\r\t\u{1}\u{1f}";
+        let mut probes = vec![String::new()];
+        for len in 1..=24 {
+            for at in 0..len {
+                for b in 0u8..0x80 {
+                    let mut s = "a".repeat(len);
+                    s.replace_range(at..=at, char::from(b).encode_utf8(&mut [0; 4]));
+                    probes.push(s);
+                }
+                for c in ['é', '𝄞', '\u{2028}'] {
+                    let mut s = "a".repeat(len);
+                    s.insert(at, c);
+                    probes.push(s.clone());
+                    s.push(c);
+                    probes.push(s);
+                }
+                let mut s = "a".repeat(len);
+                s.insert_str(at, &SPECIALS.repeat(3));
+                probes.push(s);
+            }
+        }
+        probes.push(SPECIALS.repeat(40));
+        probes.push(format!("é{SPECIALS}𝄞\u{2028}{SPECIALS}é").repeat(9));
+        let mut out = String::from("prefix");
+        for probe in probes {
+            out.truncate("prefix".len());
+            escape_into(&probe, &mut out);
+            let escaped = &out["prefix".len()..];
+            assert_eq!(escaped, escape_reference(&probe), "{probe:?}");
+            assert_eq!(parse(escaped).unwrap().as_str(), Some(probe.as_str()));
         }
     }
 

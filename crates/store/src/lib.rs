@@ -23,8 +23,11 @@
 //! * **Append-only shard logs.** Records are single escaped lines in
 //!   `shards/<xx>.log` (256 shards by fingerprint prefix). Rewritten
 //!   keys append a new line; the last line wins on reload. A torn or
-//!   malformed line is skipped (and counted), never fatal, and the
-//!   first append after a torn tail starts on a fresh line.
+//!   malformed line is skipped (and counted), never fatal — so is a
+//!   record found in another shard's log — and the first append after a
+//!   torn tail starts on a fresh line. Each `put` escapes its record in
+//!   one pass into a reused line buffer and writes it with one
+//!   unbuffered write.
 //! * **Deterministic results on every core.** The 256 shard logs are
 //!   independent, so [`Store::open`] scans them and [`Store::records`]
 //!   reads them back on a small pool sized to the host, one whole shard
@@ -66,6 +69,7 @@ pub use fingerprint::Fingerprint;
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -123,8 +127,8 @@ struct Shard {
 /// parsed; `superseded` counts parsed lines that an earlier line's
 /// fingerprint already occupied (rewrite history, last wins); `torn`
 /// and `foreign` partition the skipped lines into damage (bad UTF-8,
-/// framing, fingerprint/key disagreement) versus other format
-/// generations (unknown record tag). Purely a function of the bytes on
+/// framing, fingerprint/key disagreement, a record in another shard's
+/// log) versus other format generations (unknown record tag). Purely a function of the bytes on
 /// disk, so it is deterministic for a given store state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
@@ -135,7 +139,7 @@ pub struct ScanStats {
     /// Parsed lines overwritten by a later line for the same key.
     pub superseded: usize,
     /// Damaged lines skipped: torn writes, bad escapes or UTF-8,
-    /// fingerprint/key mismatches.
+    /// fingerprint/key mismatches, records in another shard's log.
     pub torn: usize,
     /// Well-framed lines in a foreign format generation (unknown tag).
     pub foreign: usize,
@@ -154,6 +158,9 @@ pub struct Store {
     scan: ScanStats,
     /// One entry per shard log, indexed by shard.
     shards: Vec<Shard>,
+    /// The line [`Store::put`] escapes each record into, reused across
+    /// records.
+    line: String,
 }
 
 impl Store {
@@ -181,7 +188,7 @@ impl Store {
             workers,
             String::new,
             |key, shard| match fs::read(shard_path(&root, shard as u8)) {
-                Ok(bytes) => scan_log(&bytes, key).map(Some),
+                Ok(bytes) => scan_log(&bytes, shard as u8, key).map(Some),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
                 Err(e) => Err(e),
             },
@@ -191,9 +198,10 @@ impl Store {
             index: BTreeMap::new(),
             scan: ScanStats::default(),
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            line: String::new(),
         };
-        // Shard order: a fingerprint seen in two logs (a line planted
-        // in the wrong shard) resolves exactly as a serial scan would.
+        // Each fingerprint lives in one shard's log, so merging in shard
+        // order builds exactly the index a serial scan would.
         for (shard, scan) in store.shards.iter_mut().zip(scans) {
             let Some((torn_tail, stats, slots)) = scan? else {
                 continue;
@@ -251,9 +259,11 @@ impl Store {
     /// Re-putting an identical record is a no-op; a different value for
     /// an existing key appends a superseding line (last wins on
     /// reload). The first append to a shard whose log had a torn tail
-    /// terminates that tail first. Each record is one unbuffered write
-    /// through the shard's append handle, which stays open for the
-    /// store's lifetime (at most [`SHARD_COUNT`] files).
+    /// terminates that tail first. Each record is escaped in one pass
+    /// into a line buffer the store reuses, then written with one
+    /// unbuffered write through the shard's append handle, which stays
+    /// open for the store's lifetime (at most [`SHARD_COUNT`] files):
+    /// once `put` returns, the record is in the OS.
     ///
     /// # Errors
     ///
@@ -263,33 +273,43 @@ impl Store {
         if self.lookup(fp, key) == Some(value) {
             return Ok(());
         }
-        let path = self.shard_path(fp.shard());
         let shard = &mut self.shards[usize::from(fp.shard())];
         let mut file = match shard.file.take() {
             Some(file) => file,
             None => {
-                let file = fs::File::options().append(true).create(true).open(path)?;
+                let file = fs::File::options()
+                    .append(true)
+                    .create(true)
+                    .open(shard_path(&self.root, fp.shard()))?;
                 shard.end = file.metadata()?.len();
                 file
             }
         };
-        let lead = if shard.torn_tail { "\n" } else { "" };
-        let line = format!(
-            "{lead}{RECORD_TAG}\t{fp}\t{}\t{}\n",
-            escape_field(key),
-            escape_field(value)
-        );
+        let lead = usize::from(shard.torn_tail);
+        let line = &mut self.line;
+        line.clear();
+        if shard.torn_tail {
+            line.push('\n');
+        }
+        line.push_str(RECORD_TAG);
+        line.push('\t');
+        let _ = write!(line, "{fp}");
+        line.push('\t');
+        escape_into(key, line);
+        line.push('\t');
+        escape_into(value, line);
+        line.push('\n');
         // On failure the handle drops, so the next append reopens and
         // re-measures the log; whatever part of the line landed is
         // treated as a torn tail.
         file.write_all(line.as_bytes())
             .inspect_err(|_| shard.torn_tail = true)?;
         shard.file = Some(file);
-        let offset = shard.end + lead.len() as u64;
+        let offset = shard.end + lead as u64;
         shard.end += line.len() as u64;
         shard.torn_tail = false;
         self.index
-            .insert(fp, Slot::new(offset, line.len() - lead.len() - 1));
+            .insert(fp, Slot::new(offset, line.len() - lead - 1));
         Ok(())
     }
 
@@ -407,11 +427,17 @@ fn pool_map<S, R: Send>(
 /// offset, length without the newline)`.
 type LineSpan = (Fingerprint, u64, usize);
 
-/// Scans one shard log: whether it ends in a torn tail, the counts of
-/// its lines (`superseded` is left to the merge, which sees every log),
-/// and the span of each record line in log order. `key` is a buffer
+/// Scans the log of `shard`: whether it ends in a torn tail, the counts
+/// of its lines (`superseded` is left to the merge, which sees every
+/// log), and the span of each record line in log order. A well-formed
+/// record whose fingerprint belongs to another shard is damage: every
+/// read of that key goes to its own shard's log. `key` is a buffer
 /// reused across lines.
-fn scan_log(bytes: &[u8], key: &mut String) -> io::Result<(bool, ScanStats, Vec<LineSpan>)> {
+fn scan_log(
+    bytes: &[u8],
+    shard: u8,
+    key: &mut String,
+) -> io::Result<(bool, ScanStats, Vec<LineSpan>)> {
     let torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
     let mut stats = ScanStats::default();
     let mut slots = Vec::new();
@@ -437,34 +463,69 @@ fn scan_log(bytes: &[u8], key: &mut String) -> io::Result<(bool, ScanStats, Vec<
             .ok()
             .map(|line| parse_line(line, key))
         {
-            Some(ParsedLine::Record(fp)) => {
+            Some(ParsedLine::Record(fp)) if fp.shard() == shard => {
                 stats.records += 1;
                 slots.push((fp, start, raw.len()));
             }
             Some(ParsedLine::Foreign) => stats.foreign += 1,
-            Some(ParsedLine::Torn) | None => stats.torn += 1,
+            Some(ParsedLine::Record(_) | ParsedLine::Torn) | None => stats.torn += 1,
         }
     }
     Ok((torn_tail, stats, slots))
 }
 
-/// Escapes a field for the one-line record format: backslash, tab, LF
-/// and CR — everything the line/field framing uses.
-fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+/// Appends `s` to `out`, escaped for the one-line record format:
+/// backslash, tab, LF and CR — everything the line/field framing uses.
+/// The runs between escapes are copied whole.
+fn escape_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(at) = next_escape(rest.as_bytes()) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        // The escaped byte is ASCII, so `at + 1` is a char boundary.
+        rest = &rest[at + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
-/// Reverses [`escape_field`], handing `emit` the unescaped text in
+/// The index of the first byte of `bytes` that [`escape_into`] escapes,
+/// found eight bytes at a time. For each byte class, `zero_bytes`
+/// flags the bytes of a word that equal it; only the lowest flag is
+/// exact (a borrow can flag the bytes above a match), and the lowest is
+/// all this reads.
+fn next_escape(bytes: &[u8]) -> Option<usize> {
+    const fn splat(b: u8) -> u64 {
+        u64::from_ne_bytes([b; 8])
+    }
+    let zero_bytes = |w: u64| w.wrapping_sub(splat(0x01)) & !w & splat(0x80);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let mut le = [0; 8];
+        le.copy_from_slice(word);
+        let w = u64::from_le_bytes(le);
+        let hits = zero_bytes(w ^ splat(b'\\'))
+            | zero_bytes(w ^ splat(b'\t'))
+            | zero_bytes(w ^ splat(b'\n'))
+            | zero_bytes(w ^ splat(b'\r'));
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    let hit = tail
+        .iter()
+        .position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'));
+    hit.map(|i| at + i)
+}
+
+/// Reverses [`escape_into`], handing `emit` the unescaped text in
 /// runs: the stretches between backslashes, and each escape's
 /// character. `None` on a dangling or unknown escape.
 fn unescape_runs<'a>(s: &'a str, mut emit: impl FnMut(&'a str)) -> Option<()> {
@@ -485,7 +546,7 @@ fn unescape_runs<'a>(s: &'a str, mut emit: impl FnMut(&'a str)) -> Option<()> {
     Some(())
 }
 
-/// Reverses [`escape_field`] into `out`, replacing what it held.
+/// Reverses [`escape_into`] into `out`, replacing what it held.
 fn unescape_into(s: &str, out: &mut String) -> Option<()> {
     out.clear();
     unescape_runs(s, |run| out.push_str(run))
@@ -969,8 +1030,8 @@ mod tests {
         append(shard_of("key-1"), b"v1\tdeadbeef");
         append(shard_of("key-2"), b"v9\tsome future format\n");
         append(shard_of("key-3"), b"v1\t\xff\xfe broken utf8\n");
-        // A whole record line planted in the next shard's log: it
-        // parses, supersedes the real slot, and no longer reads back.
+        // A whole record line planted in the next shard's log: damage,
+        // which leaves the real slot to serve the key.
         let planted = format!(
             "{RECORD_TAG}\t{}\tkey-4\tplanted\n",
             Fingerprint::of("key-4")
@@ -999,18 +1060,108 @@ mod tests {
             serial.1,
             ScanStats {
                 lines: 154,
-                records: 151,
-                superseded: 31,
-                torn: 2,
+                records: 150,
+                superseded: 30,
+                torn: 3,
                 foreign: 1,
             }
         );
         assert_eq!(serial.2.iter().filter(|&&t| t).count(), 1);
-        assert_eq!(serial.3 .0.len(), 119);
-        assert_eq!(serial.3 .1, 1, "the planted slot");
+        assert_eq!(serial.3 .0.len(), 120);
+        assert_eq!(serial.3 .1, 0, "every indexed record reads back");
         for workers in [2, 8] {
             assert!(snapshot(workers) == serial, "{workers} workers");
         }
         fs::remove_dir_all(&root).unwrap();
+    }
+    /// A well-formed record line planted in another shard's log is
+    /// damage: the key keeps its real slot and reads back after reopen.
+    #[test]
+    fn a_record_in_a_foreign_shard_log_is_torn() {
+        let root = temp_root("foreign-shard");
+        let mut store = Store::open(&root).unwrap();
+        store.put("k", "real").unwrap();
+        let fp = Fingerprint::of("k");
+        let planted = format!("{RECORD_TAG}\t{fp}\tk\tplanted\n");
+        // Both neighbours, so the plant is scanned both before and after
+        // the real line's shard.
+        for shard in [fp.shard().wrapping_sub(1), fp.shard().wrapping_add(1)] {
+            fs::write(store.shard_path(shard), &planted).unwrap();
+        }
+
+        let store = Store::open(&root).unwrap();
+        assert_eq!(store.get("k"), Some("real"));
+        assert_eq!(pairs(&store), (vec![("k".into(), "real".into())], 0));
+        assert_eq!(
+            store.scan_stats(),
+            ScanStats {
+                lines: 3,
+                records: 1,
+                superseded: 0,
+                torn: 2,
+                foreign: 0,
+            }
+        );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The char-by-char escaper the run scan replaced, kept as the
+    /// reference the scan must match byte for byte.
+    fn escape_field(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Strings that put every byte class at every offset of the 8-byte
+    /// words the scan reads: every ASCII byte at every offset of
+    /// fillers 0–24 bytes long, multibyte UTF-8 at every offset, and
+    /// runs of adjacent specials.
+    fn escape_probes(specials: &str) -> Vec<String> {
+        let mut probes = vec![String::new()];
+        for len in 1..=24 {
+            for at in 0..len {
+                for b in 0u8..0x80 {
+                    let mut s = "a".repeat(len);
+                    s.replace_range(at..=at, char::from(b).encode_utf8(&mut [0; 4]));
+                    probes.push(s);
+                }
+                for c in ['é', '𝄞', '\u{2028}'] {
+                    let mut s = "a".repeat(len);
+                    s.insert(at, c);
+                    probes.push(s.clone());
+                    s.push(c);
+                    probes.push(s);
+                }
+                let mut s = "a".repeat(len);
+                s.insert_str(at, &specials.repeat(3));
+                probes.push(s);
+            }
+        }
+        probes.push(specials.repeat(40));
+        probes.push(format!("é{specials}𝄞\u{2028}{specials}é").repeat(9));
+        probes
+    }
+
+    #[test]
+    fn run_scan_escaping_matches_the_char_by_char_reference() {
+        let mut out = String::from("prefix");
+        let mut back = String::new();
+        for probe in escape_probes("\\\t\n\r") {
+            out.truncate("prefix".len());
+            escape_into(&probe, &mut out);
+            let escaped = &out["prefix".len()..];
+            assert_eq!(escaped, escape_field(&probe), "{probe:?}");
+            unescape_into(escaped, &mut back).unwrap();
+            assert_eq!(back, probe);
+        }
     }
 }
