@@ -8,9 +8,7 @@
 //! yielded eight Trojans from two categories" — reduction factors
 //! 0.5/0.85/0.9/0.98 and relocation every 5/10/20/100 movements.
 
-use offramps_gcode::{GCommand, Program};
-
-use crate::exec_state::ExecState;
+use offramps_gcode::{GCommand, Positioning, Program};
 
 /// One Flaw3D-style G-code Trojan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,56 +92,7 @@ impl std::fmt::Display for Flaw3dTrojan {
 /// preserved so the nozzle still primes correctly (matching Flaw3D,
 /// which undermined "the quantity of extruded material").
 fn reduce(program: &Program, factor: f64) -> Program {
-    let mut state = ExecState::default();
-    let mut out_e = 0.0; // logical E of the *output* program
-    let mut out = Program::new();
-    for cmd in program.commands() {
-        match cmd {
-            GCommand::Move {
-                rapid,
-                x,
-                y,
-                z,
-                e,
-                feedrate,
-            } => {
-                let delta = state.move_e_delta(*e);
-                let is_print_move = delta > 0.0 && (x.is_some() || y.is_some() || z.is_some());
-                let new_delta = if is_print_move { delta * factor } else { delta };
-                let new_e = e.map(|_| {
-                    if state.e_absolute {
-                        out_e + new_delta
-                    } else {
-                        new_delta
-                    }
-                });
-                if e.is_some() {
-                    out_e += new_delta;
-                }
-                state.apply_move(*x, *y, *z, *e);
-                out.push(GCommand::Move {
-                    rapid: *rapid,
-                    x: *x,
-                    y: *y,
-                    z: *z,
-                    e: new_e.map(round5),
-                    feedrate: *feedrate,
-                });
-            }
-            GCommand::SetPosition { e, .. } => {
-                state.apply_non_move(cmd);
-                if let Some(v) = e {
-                    out_e = *v;
-                }
-                out.push(cmd.clone());
-            }
-            other => {
-                state.apply_non_move(other);
-                out.push(other.clone());
-            }
-        }
-    }
-    out
+    rewrite(program, |delta| (delta * factor, 0.0))
 }
 
 /// Every `every_n`-th extruding movement loses its filament; the stolen
@@ -156,99 +105,107 @@ fn reduce(program: &Program, factor: f64) -> Program {
 /// which is why relocation defeats totals-only checks.
 fn relocate(program: &Program, every_n: u32) -> Program {
     // First pass: count extruding print moves so the final one is exempt.
-    let total_print_moves = {
-        let mut state = ExecState::default();
-        let mut n = 0u32;
-        for cmd in program.commands() {
-            if let GCommand::Move { x, y, z, e, .. } = cmd {
-                let delta = state.move_e_delta(*e);
-                if delta > 0.0 && (x.is_some() || y.is_some() || z.is_some()) {
-                    n += 1;
-                }
-                state.apply_move(*x, *y, *z, *e);
-            } else {
-                state.apply_non_move(cmd);
-            }
-        }
-        n
-    };
-    let mut state = ExecState::default();
-    let mut out_e = 0.0;
-    let mut stolen = 0.0;
-    let mut counter = 0u32;
-    let mut out = Program::new();
-    for cmd in program.commands() {
-        match cmd {
-            GCommand::Move {
-                rapid,
-                x,
-                y,
-                z,
-                e,
-                feedrate,
-            } => {
-                let delta = state.move_e_delta(*e);
-                let is_print_move = delta > 0.0 && (x.is_some() || y.is_some() || z.is_some());
-                let mut new_delta = delta;
-                if is_print_move {
-                    counter += 1;
-                    if counter.is_multiple_of(every_n) && counter < total_print_moves {
-                        stolen += delta;
-                        new_delta = 0.0;
-                    } else if stolen > 0.0 {
-                        // Re-deposit the withheld filament as a slow
-                        // stationary blob before this move.
-                        let blob_e = if state.e_absolute {
-                            out_e + stolen
-                        } else {
-                            stolen
-                        };
-                        out.push(GCommand::Move {
-                            rapid: false,
-                            x: None,
-                            y: None,
-                            z: None,
-                            e: Some(round5(blob_e)),
-                            feedrate: Some(900.0), // 15 mm/s ooze
-                        });
-                        out_e += stolen;
-                        stolen = 0.0;
-                    }
-                }
-                let new_e = e.map(|_| {
-                    if state.e_absolute {
-                        out_e + new_delta
-                    } else {
-                        new_delta
-                    }
-                });
-                if e.is_some() {
-                    out_e += new_delta;
-                }
-                state.apply_move(*x, *y, *z, *e);
-                out.push(GCommand::Move {
-                    rapid: *rapid,
-                    x: *x,
-                    y: *y,
-                    z: *z,
-                    e: new_e.map(round5),
-                    feedrate: *feedrate,
-                });
-            }
-            GCommand::SetPosition { e, .. } => {
-                state.apply_non_move(cmd);
-                if let Some(v) = e {
-                    out_e = *v;
-                }
-                out.push(cmd.clone());
+    let mut pos = Positioning::default();
+    let total_print_moves = program
+        .commands()
+        .iter()
+        .filter(|cmd| match cmd {
+            GCommand::Move { x, y, z, e, .. } => {
+                let delta = pos.e_delta(*e);
+                pos.advance([*x, *y, *z, *e]);
+                is_print_move(delta, [*x, *y, *z])
             }
             other => {
-                state.apply_non_move(other);
-                out.push(other.clone());
+                pos.apply(other);
+                false
             }
+        })
+        .count();
+    let every_n = every_n as usize;
+    let mut counter = 0usize;
+    let mut stolen = 0.0;
+    rewrite(program, |delta| {
+        counter += 1;
+        if counter.is_multiple_of(every_n) && counter < total_print_moves {
+            stolen += delta;
+            (0.0, 0.0)
+        } else {
+            (delta, std::mem::take(&mut stolen))
         }
+    })
+}
+
+/// A move that pushes filament forward while the head travels.
+fn is_print_move(e_delta: f64, xyz: [Option<f64>; 3]) -> bool {
+    e_delta > 0.0 && xyz.iter().any(Option::is_some)
+}
+
+/// Copies `program`, steering each print move's E delta through `rule`,
+/// which returns the delta to extrude instead and the filament to ooze
+/// in place right before the move (a slow E-only blob, when positive).
+/// Other moves keep their deltas. E words are rewritten under the
+/// program's own extrusion mode, against the output's logical E.
+fn rewrite(program: &Program, mut rule: impl FnMut(f64) -> (f64, f64)) -> Program {
+    let mut pos = Positioning::default();
+    let mut out_e = 0.0; // logical E of the *output* program
+    let mut out = Program::new();
+    for cmd in program.commands() {
+        let GCommand::Move {
+            rapid,
+            x,
+            y,
+            z,
+            e,
+            feedrate,
+        } = *cmd
+        else {
+            pos.apply(cmd);
+            if let GCommand::SetPosition { e: Some(v), .. } = cmd {
+                out_e = *v;
+            }
+            out.push(cmd.clone());
+            continue;
+        };
+        let delta = pos.e_delta(e);
+        let (new_delta, blob) = if is_print_move(delta, [x, y, z]) {
+            rule(delta)
+        } else {
+            (delta, 0.0)
+        };
+        if blob > 0.0 {
+            out.push(GCommand::Move {
+                rapid: false,
+                x: None,
+                y: None,
+                z: None,
+                e: Some(round5(e_word(&mut out_e, pos.e_absolute, blob))),
+                feedrate: Some(900.0), // 15 mm/s ooze
+            });
+        }
+        let new_e = e.map(|_| round5(e_word(&mut out_e, pos.e_absolute, new_delta)));
+        pos.advance([x, y, z, e]);
+        out.push(GCommand::Move {
+            rapid,
+            x,
+            y,
+            z,
+            e: new_e,
+            feedrate,
+        });
     }
     out
+}
+
+/// Advances the output's logical E by `delta` and returns the E word
+/// that commands it: the new coordinate when E is absolute, the delta
+/// itself when relative.
+fn e_word(out_e: &mut f64, e_absolute: bool, delta: f64) -> f64 {
+    *out_e += delta;
+    if e_absolute {
+        *out_e
+    } else {
+        delta
+    }
 }
 
 use offramps_gcode::snap5 as round5;

@@ -7,7 +7,10 @@
 //! 0.5 / 0.85 / 0.9 / 0.98) and filament **relocation** (every 5 / 10 /
 //! 20 / 100 moves).
 //!
-//! The transformers are pure `Program → Program` functions: apply them
+//! The transformers rewrite E words under the program's own positioning
+//! modes, stepping through [`offramps_gcode::Positioning`] (whose docs
+//! state the `G90`/`G91`/`M82`/`M83`/`G92` rules) exactly as the
+//! firmware does. They are pure `Program → Program` functions: apply them
 //! to sliced G-code and print the result through a bypass-configured
 //! OFFRAMPS to emulate an upstream (pre-firmware) compromise.
 
@@ -15,7 +18,5 @@
 #![warn(missing_docs)]
 
 pub mod flaw3d;
-
-mod exec_state;
 
 pub use flaw3d::{Flaw3dTrojan, TABLE_II_CASES};

@@ -195,9 +195,11 @@ impl ChannelSynth {
     fn policy(&self) -> String {
         match self {
             ChannelSynth::Capture => String::new(),
+            // The motor-rail tap once had a heater switch; `heaters=false`
+            // stays in the string so scenario-store keys do not move.
             ChannelSynth::Power(m) => format!(
-                "kstep_w={};hold_w={};rate_hz={};heaters={}",
-                m.motor_w_per_kstep, m.motor_hold_w, m.sample_rate_hz, m.include_heaters,
+                "kstep_w={};hold_w={};rate_hz={};heaters=false",
+                m.motor_w_per_kstep, m.motor_hold_w, m.sample_rate_hz,
             ),
             ChannelSynth::Acoustic(m) => format!(
                 "rate_hz={};tone={};click={};ratio={};mic_noise={}",

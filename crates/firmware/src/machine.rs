@@ -5,7 +5,7 @@ use std::sync::Arc;
 use offramps_des::{
     ActionSink, DetRng, InPort, OutPort, SeedSplitter, SimComponent, SimDuration, Tick,
 };
-use offramps_gcode::{GCommand, Program};
+use offramps_gcode::{GCommand, Positioning, Program};
 use offramps_signals::{AnalogChannel, Axis, Level, Pin, SignalEvent, UartDirection};
 
 use crate::config::FirmwareConfig;
@@ -157,16 +157,14 @@ pub struct Firmware {
     timer_seq: u64,
     step_low_mask: [bool; 4],
 
-    // Positioning.
-    absolute: bool,
-    e_absolute: bool,
+    // Positioning. Logical coordinates zero per axis as its homing
+    // completes, not at `G28`: the status report reads them mid-homing.
+    positioning: Positioning,
     feedrate_mm_s: f64,
     /// Physical microsteps since the last home, per axis.
     pos_steps: [i64; 4],
     /// Physical steps corresponding to logical zero, per axis.
     origin_steps: [f64; 4],
-    /// Current logical coordinate, per axis.
-    logical_mm: [f64; 4],
     /// Last DIR level emitted per axis (None = never emitted).
     dir_emitted: [Option<Level>; 4],
     /// Last EN level emitted per axis.
@@ -229,12 +227,10 @@ impl Firmware {
             timers: [UNARMED; TIMERS],
             timer_seq: 0,
             step_low_mask: [false; 4],
-            absolute: true,
-            e_absolute: true,
+            positioning: Positioning::default(),
             feedrate_mm_s: 0.0,
             pos_steps: [0; 4],
             origin_steps: [0.0; 4],
-            logical_mm: [0.0; 4],
             dir_emitted: [None; 4],
             en_emitted: [None; 4],
             current_move: None,
@@ -416,7 +412,7 @@ impl Firmware {
                     if let Some(f) = feedrate {
                         self.feedrate_mm_s = f / 60.0;
                     }
-                    if self.begin_move(now, [x, y, z], e, sink) {
+                    if self.begin_move(now, [x, y, z, e], sink) {
                         self.block = Block::Move;
                         return;
                     }
@@ -441,25 +437,18 @@ impl Firmware {
                     self.start_homing(now, [x, y, z], sink);
                     return;
                 }
-                GCommand::AbsolutePositioning => {
-                    self.absolute = true;
-                    self.e_absolute = true;
-                }
-                GCommand::RelativePositioning => {
-                    self.absolute = false;
-                    self.e_absolute = false;
-                }
-                GCommand::AbsoluteExtrusion => self.e_absolute = true,
-                GCommand::RelativeExtrusion => self.e_absolute = false,
+                GCommand::AbsolutePositioning
+                | GCommand::RelativePositioning
+                | GCommand::AbsoluteExtrusion
+                | GCommand::RelativeExtrusion => self.positioning.apply(&cmd),
                 GCommand::SetPosition { x, y, z, e } => {
-                    for (axis, v) in [(Axis::X, x), (Axis::Y, y), (Axis::Z, z), (Axis::E, e)] {
+                    for (i, v) in [x, y, z, e].into_iter().enumerate() {
                         if let Some(v) = v {
-                            let i = axis.index();
                             self.origin_steps[i] =
                                 self.pos_steps[i] as f64 - v * self.config.steps_per_mm[i];
-                            self.logical_mm[i] = v;
                         }
                     }
+                    self.positioning.apply(&cmd);
                 }
                 GCommand::SetHotendTemp { celsius, wait } => {
                     let current = self.read_temp(HeaterId::Hotend);
@@ -499,28 +488,11 @@ impl Firmware {
     fn begin_move(
         &mut self,
         now: Tick,
-        xyz: [Option<f64>; 3],
-        e: Option<f64>,
+        words: [Option<f64>; 4],
         sink: &mut ActionSink<SignalEvent>,
     ) -> bool {
-        let mut target = self.logical_mm;
-        for (i, t) in xyz.into_iter().enumerate() {
-            if let Some(t) = t {
-                target[i] = if self.absolute {
-                    t
-                } else {
-                    self.logical_mm[i] + t
-                };
-            }
-        }
-        if let Some(t) = e {
-            target[3] = if self.e_absolute {
-                t
-            } else {
-                self.logical_mm[3] + t
-            };
-        }
-        let axis_mm: [f64; 4] = std::array::from_fn(|i| target[i] - self.logical_mm[i]);
+        let axis_mm = self.positioning.advance(words);
+        let target = self.positioning.logical;
         let dist_xyz = (axis_mm[0].powi(2) + axis_mm[1].powi(2) + axis_mm[2].powi(2)).sqrt();
         let dist = if dist_xyz > 1e-9 {
             dist_xyz
@@ -535,7 +507,6 @@ impl Firmware {
             steps[i] = target_steps - self.pos_steps[i];
         }
         if steps.iter().all(|s| *s == 0) {
-            self.logical_mm = target;
             return false;
         }
 
@@ -547,7 +518,6 @@ impl Firmware {
         let v = cap_feedrate(dist, axis_mm, v_req, self.config.max_speed_mm_s).max(0.1);
 
         self.launch_move(now, steps, dist.max(1e-6), v, sink);
-        self.logical_mm = target;
         true
     }
 
@@ -774,7 +744,7 @@ impl Firmware {
         let i = axis.index();
         self.pos_steps[i] = 0;
         self.origin_steps[i] = 0.0;
-        self.logical_mm[i] = 0.0;
+        self.positioning.logical[i] = 0.0;
     }
 
     // ------------------------------------------------------------------
@@ -868,9 +838,9 @@ impl Firmware {
             "T:{:.1} B:{:.1} X:{:.2} Y:{:.2} Z:{:.2}\n",
             self.read_temp(HeaterId::Hotend),
             self.read_temp(HeaterId::Bed),
-            self.logical_mm[0],
-            self.logical_mm[1],
-            self.logical_mm[2],
+            self.positioning.logical[0],
+            self.positioning.logical[1],
+            self.positioning.logical[2],
         );
         for byte in line.bytes() {
             sink.send(
@@ -1016,7 +986,7 @@ mod tests {
         let mut f = fw("G90\nG1 X5 F600\nG91\nG1 X-2\nG90\nG1 X10\n");
         let _ = run_open_loop(&mut f);
         assert_eq!(f.step_counts()[0], 1000, "final logical X=10 -> 1000 steps");
-        assert_eq!(f.logical_mm[0], 10.0);
+        assert_eq!(f.positioning.logical[0], 10.0);
     }
 
     #[test]

@@ -38,9 +38,11 @@ pub enum GCommand {
         /// Home Z.
         z: bool,
     },
-    /// `G90` — absolute positioning for X/Y/Z (and E unless `M83`).
+    /// `G90` — absolute positioning for X/Y/Z and E; see
+    /// [`Positioning`](crate::Positioning) for the mode rules.
     AbsolutePositioning,
-    /// `G91` — relative positioning.
+    /// `G91` — relative positioning for X/Y/Z and E; see
+    /// [`Positioning`](crate::Positioning).
     RelativePositioning,
     /// `G92` — reset the logical position of the given axes.
     SetPosition {
@@ -53,9 +55,9 @@ pub enum GCommand {
         /// New logical E, mm.
         e: Option<f64>,
     },
-    /// `M82` — absolute extruder mode.
+    /// `M82` — absolute E only; see [`Positioning`](crate::Positioning).
     AbsoluteExtrusion,
-    /// `M83` — relative extruder mode.
+    /// `M83` — relative E only; see [`Positioning`](crate::Positioning).
     RelativeExtrusion,
     /// `M104`/`M109` — set hotend temperature.
     SetHotendTemp {

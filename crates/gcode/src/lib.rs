@@ -6,6 +6,9 @@
 //!
 //! * [`parse`] / [`Program`] — a Marlin-dialect G-code parser producing a
 //!   typed AST ([`GCommand`]) that round-trips through [`Program::to_gcode`],
+//! * [`Positioning`] — the positioning model (`G90`/`G91`/`M82`/`M83`/
+//!   `G92`/`G28`) that the firmware, the statistics pass and the attack
+//!   transformers step through; its module docs state the rules,
 //! * [`ProgramStats`] — geometric statistics (extruded filament, path
 //!   lengths, bounding box, layers) used to build golden references,
 //! * [`slicer`] — a small slicer that turns solids (calibration cube,
@@ -28,6 +31,7 @@
 
 mod ast;
 mod parser;
+mod positioning;
 pub mod slicer;
 pub mod spec;
 mod stats;
@@ -35,6 +39,7 @@ mod writer;
 
 pub use ast::{GCommand, Program};
 pub use parser::{parse, parse_line, ParseError};
+pub use positioning::Positioning;
 pub use spec::WorkloadSpec;
-pub use stats::{ProgramStats, StatsConfig};
+pub use stats::ProgramStats;
 pub use writer::snap5;

@@ -2,26 +2,16 @@
 //!
 //! Detection in the paper compares a print against a "golden" reference
 //! that "can come from simulation" (§VII). [`ProgramStats`] is the first
-//! step of that simulation: an interpreter for the motion-relevant
-//! semantics (positioning modes, `G92` re-zeroing, sticky feedrates) that
-//! yields the quantities the detector and the experiments reason about.
+//! step of that simulation: it steps the program through the
+//! [`Positioning`] model (the firmware's positioning modes and `G92`
+//! re-zeroing) and yields the quantities the detector and the
+//! experiments reason about.
 
 use crate::ast::{GCommand, Program};
+use crate::positioning::Positioning;
 
-/// Options for statistics extraction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsConfig {
-    /// Two Z values closer than this count as the same layer (mm).
-    pub layer_epsilon: f64,
-}
-
-impl Default for StatsConfig {
-    fn default() -> Self {
-        StatsConfig {
-            layer_epsilon: 1e-6,
-        }
-    }
-}
+/// Two Z values closer than this count as the same layer (mm).
+const LAYER_EPSILON: f64 = 1e-6;
 
 /// Aggregate geometric statistics of a program.
 ///
@@ -66,14 +56,9 @@ pub struct ProgramStats {
 }
 
 impl ProgramStats {
-    /// Analyzes `program` with default options.
+    /// Analyzes `program`.
     pub fn analyze(program: &Program) -> Self {
-        Self::analyze_with(program, StatsConfig::default())
-    }
-
-    /// Analyzes `program` with explicit options.
-    pub(crate) fn analyze_with(program: &Program, config: StatsConfig) -> Self {
-        let mut st = Interp::default();
+        let mut pos = Positioning::default();
         let mut out = ProgramStats {
             net_extruded_mm: 0.0,
             total_extruded_mm: 0.0,
@@ -92,22 +77,23 @@ impl ProgramStats {
         for cmd in program.commands() {
             match cmd {
                 GCommand::Move { x, y, z, e, .. } => {
-                    let (dx, dy, dz, de) = st.apply_move(*x, *y, *z, *e);
+                    let [dx, dy, _, de] = pos.advance([*x, *y, *z, *e]);
                     let xy = (dx * dx + dy * dy).sqrt();
                     out.moves += 1;
                     if de > 0.0 {
                         out.extruding_moves += 1;
                         out.total_extruded_mm += de;
                         out.extrusion_path_mm += xy;
-                        for (i, v) in [st.pos[0], st.pos[1], st.pos[2]].iter().enumerate() {
-                            out.min_corner[i] = out.min_corner[i].min(*v);
-                            out.max_corner[i] = out.max_corner[i].max(*v);
+                        let corners = out.min_corner.iter_mut().zip(&mut out.max_corner);
+                        for ((lo, hi), v) in corners.zip(pos.logical) {
+                            *lo = lo.min(v);
+                            *hi = hi.max(v);
                         }
-                        let z_now = st.pos[2];
+                        let z_now = pos.logical[2];
                         if !out
                             .layers
                             .iter()
-                            .any(|l| (l - z_now).abs() <= config.layer_epsilon)
+                            .any(|l| (l - z_now).abs() <= LAYER_EPSILON)
                         {
                             out.layers.push(z_now);
                         }
@@ -118,22 +104,15 @@ impl ProgramStats {
                         }
                     }
                     out.net_extruded_mm += de;
-                    let _ = dz;
                 }
                 GCommand::Dwell { milliseconds } => out.dwell_ms += milliseconds,
-                GCommand::Home { x, y, z } => st.home(*x, *y, *z),
-                GCommand::AbsolutePositioning => st.absolute = true,
-                GCommand::RelativePositioning => st.absolute = false,
-                GCommand::SetPosition { x, y, z, e } => st.set_position(*x, *y, *z, *e),
-                GCommand::AbsoluteExtrusion => st.e_absolute = true,
-                GCommand::RelativeExtrusion => st.e_absolute = false,
                 GCommand::SetHotendTemp { celsius, .. } => {
                     out.max_hotend_target = out.max_hotend_target.max(*celsius);
                 }
                 GCommand::SetBedTemp { celsius, .. } => {
                     out.max_bed_target = out.max_bed_target.max(*celsius);
                 }
-                _ => {}
+                other => pos.apply(other),
             }
         }
         out.layers
@@ -144,83 +123,6 @@ impl ProgramStats {
     /// Number of distinct extruded layers.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
-    }
-}
-
-/// Minimal positioning-semantics interpreter shared by the statistics
-/// pass.
-#[derive(Debug)]
-struct Interp {
-    pos: [f64; 3],
-    e: f64,
-    absolute: bool,
-    e_absolute: bool,
-}
-
-impl Default for Interp {
-    fn default() -> Self {
-        Interp {
-            pos: [0.0; 3],
-            e: 0.0,
-            absolute: true,
-            e_absolute: true,
-        }
-    }
-}
-
-impl Interp {
-    /// Applies a move; returns the deltas (dx, dy, dz, de).
-    fn apply_move(
-        &mut self,
-        x: Option<f64>,
-        y: Option<f64>,
-        z: Option<f64>,
-        e: Option<f64>,
-    ) -> (f64, f64, f64, f64) {
-        let mut delta = [0.0; 3];
-        for (i, target) in [x, y, z].into_iter().enumerate() {
-            if let Some(t) = target {
-                let new = if self.absolute { t } else { self.pos[i] + t };
-                delta[i] = new - self.pos[i];
-                self.pos[i] = new;
-            }
-        }
-        let de = if let Some(t) = e {
-            let new = if self.e_absolute { t } else { self.e + t };
-            let d = new - self.e;
-            self.e = new;
-            d
-        } else {
-            0.0
-        };
-        (delta[0], delta[1], delta[2], de)
-    }
-
-    fn home(&mut self, x: bool, y: bool, z: bool) {
-        if x {
-            self.pos[0] = 0.0;
-        }
-        if y {
-            self.pos[1] = 0.0;
-        }
-        if z {
-            self.pos[2] = 0.0;
-        }
-    }
-
-    fn set_position(&mut self, x: Option<f64>, y: Option<f64>, z: Option<f64>, e: Option<f64>) {
-        if let Some(v) = x {
-            self.pos[0] = v;
-        }
-        if let Some(v) = y {
-            self.pos[1] = v;
-        }
-        if let Some(v) = z {
-            self.pos[2] = v;
-        }
-        if let Some(v) = e {
-            self.e = v;
-        }
     }
 }
 

@@ -16,8 +16,8 @@
 //!
 //! * [`PowerModel`] — synthesizes the power waveform a shunt sensor
 //!   would see from a recorded [`SignalTrace`]: per-motor stepping power
-//!   (proportional to step rate), heater gate power, fan power, summed
-//!   into **one** channel and corrupted with Gaussian sensor noise,
+//!   (proportional to step rate) and holding power, summed into **one**
+//!   channel and corrupted with Gaussian sensor noise,
 //! * [`AcousticModel`] — the acoustic/EM channel: per-frame emission
 //!   intensity from the total stepping rate plus "clicks" at step-timing
 //!   discontinuities (the signature of masked/injected pulses that keep

@@ -6,7 +6,9 @@ use offramps_signals::{Axis, Level, Pin, SignalTrace};
 use crate::SampledTrace;
 
 /// Electrical model of the printer as seen by one aggregate power
-/// sensor on the supply rail.
+/// sensor on the stepper-motor supply. The published power-signature
+/// work (Gatlin et al.) instruments the motor supplies, not the heater
+/// rail, whose bang-bang phase noise would bury the motors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Sample rate of the sensor, Hz.
@@ -16,19 +18,8 @@ pub struct PowerModel {
     pub motor_w_per_kstep: f64,
     /// Idle (holding-torque) watts per energized motor.
     pub motor_hold_w: f64,
-    /// Hotend cartridge watts while its gate is high.
-    pub hotend_w: f64,
-    /// Bed watts while its gate is high.
-    pub bed_w: f64,
-    /// Fan watts while its gate is high.
-    pub fan_w: f64,
     /// Standard deviation of the sensor noise, W.
     pub noise_sigma_w: f64,
-    /// Include the heater/fan rail in the tap. The published
-    /// power-signature work (Gatlin et al.) instruments the *stepper
-    /// motor* supplies — heater bang-bang phase noise would otherwise
-    /// bury the motors — so the default taps motors only.
-    pub include_heaters: bool,
 }
 
 impl Default for PowerModel {
@@ -37,12 +28,8 @@ impl Default for PowerModel {
             sample_rate_hz: 100.0,
             motor_w_per_kstep: 2.0,
             motor_hold_w: 1.5,
-            hotend_w: 45.0,
-            bed_w: 250.0,
-            fan_w: 2.0,
             // A realistic shunt+ADC chain on a noisy 24V rail.
             noise_sigma_w: 1.5,
-            include_heaters: false,
         }
     }
 }
@@ -51,10 +38,9 @@ impl PowerModel {
     /// Synthesizes the waveform (W) the sensor would record for `trace`.
     /// `seed` drives the sensor noise.
     ///
-    /// The channel is *aggregate*: every motor, both heaters and the fan
-    /// land in the same scalar — per-axis information is lost, which is
-    /// the fundamental handicap of the side-channel compared to
-    /// OFFRAMPS' per-pin view.
+    /// The channel is *aggregate*: every motor lands in the same scalar
+    /// — per-axis information is lost, which is the fundamental handicap
+    /// of the side-channel compared to OFFRAMPS' per-pin view.
     pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> SampledTrace {
         let period = SimDuration::from_secs_f64(1.0 / self.sample_rate_hz);
         let end = trace.entries().last().map(|e| e.tick).unwrap_or(Tick::ZERO);
@@ -62,42 +48,18 @@ impl PowerModel {
 
         // Per-window step counts per motor.
         let mut steps = vec![[0u32; 4]; n];
-        // Duty integrators for gate signals (fraction of window high).
-        let mut hotend_high = vec![0.0f64; n];
-        let mut bed_high = vec![0.0f64; n];
-        let mut fan_high = vec![0.0f64; n];
         let mut enabled_any = vec![false; n];
 
         // Walk the trace once, accumulating per window.
-        let mut last_level: std::collections::BTreeMap<Pin, (Level, Tick)> =
+        let mut last_level: std::collections::BTreeMap<Pin, Level> =
             std::collections::BTreeMap::new();
         let win_of = |t: Tick| ((t.ticks() / period.ticks()) as usize).min(n - 1);
-        let spread_high = |acc: &mut Vec<f64>, from: Tick, to: Tick| {
-            // Distribute a high interval across windows as duty.
-            let (a, b) = (win_of(from), win_of(to));
-            for (w, slot) in acc.iter_mut().enumerate().take(b + 1).skip(a) {
-                let w_start = Tick::new(w as u64 * period.ticks());
-                let w_end = w_start + period;
-                let overlap_start = from.max(w_start);
-                let overlap_end = to.min(w_end);
-                if overlap_end > overlap_start {
-                    *slot += (overlap_end - overlap_start).as_secs_f64() / period.as_secs_f64();
-                }
-            }
-        };
 
         for e in trace.entries() {
             let pin = e.event.pin;
             let level = e.event.level;
-            let prev = last_level.insert(pin, (level, e.tick));
-            let rising = match prev {
-                Some((l, _)) => l == Level::Low && level == Level::High,
-                None => level == Level::High,
-            };
-            let falling = match prev {
-                Some((l, _)) => l == Level::High && level == Level::Low,
-                None => false,
-            };
+            let prev = last_level.insert(pin, level);
+            let rising = level == Level::High && prev != Some(Level::High);
             if pin.is_step() && rising {
                 if let Some(axis) = pin.axis() {
                     steps[win_of(e.tick)][axis.index()] += 1;
@@ -112,26 +74,6 @@ impl PowerModel {
                     }
                 }
             }
-            if falling {
-                if let Some((_, rise_at)) = prev {
-                    match pin {
-                        Pin::HotendHeat => spread_high(&mut hotend_high, rise_at, e.tick),
-                        Pin::BedHeat => spread_high(&mut bed_high, rise_at, e.tick),
-                        Pin::FanPwm => spread_high(&mut fan_high, rise_at, e.tick),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        // Gates still high at the end of the trace.
-        for (pin, acc) in [
-            (Pin::HotendHeat, &mut hotend_high),
-            (Pin::BedHeat, &mut bed_high),
-            (Pin::FanPwm, &mut fan_high),
-        ] {
-            if let Some((Level::High, rise_at)) = last_level.get(&pin).copied() {
-                spread_high(acc, rise_at, end);
-            }
         }
 
         let mut rng = DetRng::from_seed(seed ^ 0x5ca1_ab1e);
@@ -145,11 +87,6 @@ impl PowerModel {
                 }
                 if enabled_any[w] {
                     p += 4.0 * self.motor_hold_w;
-                }
-                if self.include_heaters {
-                    p += hotend_high[w].min(1.0) * self.hotend_w;
-                    p += bed_high[w].min(1.0) * self.bed_w;
-                    p += fan_high[w].min(1.0) * self.fan_w;
                 }
                 (p + rng.gaussian(self.noise_sigma_w)).max(0.0)
             })
@@ -208,8 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn heater_gate_adds_power() {
-        // Heater tap enabled explicitly for this test.
+    fn heater_gate_adds_no_power() {
+        // The tap is on the motor rail: the bed heater never shows.
         let mut trace = SignalTrace::new();
         trace.record(Tick::ZERO, LogicEvent::new(Pin::BedHeat, Level::High));
         trace.record(
@@ -224,16 +161,6 @@ mod tests {
             Tick::from_millis(601),
             LogicEvent::new(Pin::XStep, Level::Low),
         );
-        let p = PowerModel {
-            include_heaters: true,
-            ..noiseless()
-        }
-        .synthesize(&trace, 1);
-        // First 0.5 s at 250 W, afterwards ~0.
-        assert!(p.samples()[10] > 200.0, "{}", p.samples()[10]);
-        assert!(p.samples()[55] < 50.0, "{}", p.samples()[55]);
-
-        // Default tap (motor rail) ignores the heater entirely.
         let motors_only = noiseless().synthesize(&trace, 1);
         assert!(motors_only.samples()[10] < 1.0);
     }

@@ -68,7 +68,7 @@ mod fingerprint;
 pub use fingerprint::Fingerprint;
 
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
@@ -104,6 +104,18 @@ impl Slot {
             len,
             record: OnceCell::new(),
         }
+    }
+
+    /// The value this slot holds for `key`, whose fingerprint is `fp`.
+    /// The first call reads the line from the shard log under `root`
+    /// and keeps it. A line that no longer reads back whole, or under
+    /// another fingerprint, reads as `None`, and so does another key.
+    fn value(&self, root: &Path, fp: Fingerprint, key: &str) -> Option<&str> {
+        let (stored_key, value) = self
+            .record
+            .get_or_init(|| read_slot(root, fp, self))
+            .as_ref()?;
+        (stored_key == key).then_some(value.as_str())
     }
 }
 
@@ -242,17 +254,8 @@ impl Store {
     /// that no longer reads back whole, or under another fingerprint,
     /// is a miss too.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.lookup(Fingerprint::of(key), key)
-    }
-
-    /// [`Store::get`] for a key whose fingerprint is `fp`.
-    fn lookup(&self, fp: Fingerprint, key: &str) -> Option<&str> {
-        let slot = self.index.get(&fp)?;
-        let (stored_key, value) = slot
-            .record
-            .get_or_init(|| self.read_slot(fp, slot))
-            .as_ref()?;
-        (stored_key == key).then_some(value.as_str())
+        let fp = Fingerprint::of(key);
+        self.index.get(&fp)?.value(&self.root, fp, key)
     }
 
     /// Stores `value` under `key`, appending to the key's shard log.
@@ -270,8 +273,13 @@ impl Store {
     /// Propagates filesystem errors opening or appending the shard log.
     pub fn put(&mut self, key: &str, value: &str) -> io::Result<()> {
         let fp = Fingerprint::of(key);
-        if self.lookup(fp, key) == Some(value) {
-            return Ok(());
+        // One descent of the index serves the no-op check and the
+        // insert.
+        let entry = self.index.entry(fp);
+        if let Entry::Occupied(slot) = &entry {
+            if slot.get().value(&self.root, fp, key) == Some(value) {
+                return Ok(());
+            }
         }
         let shard = &mut self.shards[usize::from(fp.shard())];
         let mut file = match shard.file.take() {
@@ -308,8 +316,7 @@ impl Store {
         let offset = shard.end + lead as u64;
         shard.end += line.len() as u64;
         shard.torn_tail = false;
-        self.index
-            .insert(fp, Slot::new(offset, line.len() - lead - 1));
+        entry.insert_entry(Slot::new(offset, line.len() - lead - 1));
         Ok(())
     }
 
@@ -355,26 +362,22 @@ impl Store {
         let unreadable = slots.len() - read.len();
         (read, unreadable)
     }
+}
 
-    /// Reads the record `slot` points at back from `fp`'s shard log:
-    /// the line plus one byte either side, so [`read_record`] can check
-    /// that the slot spans one whole line.
-    fn read_slot(&self, fp: Fingerprint, slot: &Slot) -> Option<(String, String)> {
-        let mut file = fs::File::open(self.shard_path(fp.shard())).ok()?;
-        let lead = u64::from(slot.offset > 0);
-        file.seek(SeekFrom::Start(slot.offset - lead)).ok()?;
-        let mut window = Vec::with_capacity(slot.len + 2);
-        file.take(lead + slot.len as u64 + 1)
-            .read_to_end(&mut window)
-            .ok()?;
-        let (mut key, mut value) = (String::new(), String::new());
-        read_record(&window, lead as usize, slot.len, fp, &mut key, &mut value)?;
-        Some((key, value))
-    }
-
-    fn shard_path(&self, shard: u8) -> PathBuf {
-        shard_path(&self.root, shard)
-    }
+/// Reads the record `slot` points at back from `fp`'s shard log under
+/// `root`: the line plus one byte either side, so [`read_record`] can
+/// check that the slot spans one whole line.
+fn read_slot(root: &Path, fp: Fingerprint, slot: &Slot) -> Option<(String, String)> {
+    let mut file = fs::File::open(shard_path(root, fp.shard())).ok()?;
+    let lead = u64::from(slot.offset > 0);
+    file.seek(SeekFrom::Start(slot.offset - lead)).ok()?;
+    let mut window = Vec::with_capacity(slot.len + 2);
+    file.take(lead + slot.len as u64 + 1)
+        .read_to_end(&mut window)
+        .ok()?;
+    let (mut key, mut value) = (String::new(), String::new());
+    read_record(&window, lead as usize, slot.len, fp, &mut key, &mut value)?;
+    Some((key, value))
 }
 
 fn shard_path(root: &Path, shard: u8) -> PathBuf {
@@ -683,7 +686,7 @@ mod tests {
         let reloaded = Store::open(&root).unwrap();
         assert_eq!(reloaded.get("k"), Some("second"), "last line wins");
         // The no-op put must not have appended: shard log has 2 lines.
-        let shard = reloaded.shard_path(Fingerprint::of("k").shard());
+        let shard = shard_path(&reloaded.root, Fingerprint::of("k").shard());
         assert_eq!(fs::read_to_string(shard).unwrap().lines().count(), 2);
         fs::remove_dir_all(&root).unwrap();
     }
@@ -696,12 +699,12 @@ mod tests {
             store.put(&format!("key-{i}"), "v").unwrap();
         }
         let shard_files = (0..SHARD_COUNT)
-            .filter(|&s| store.shard_path(s as u8).exists())
+            .filter(|&s| shard_path(&store.root, s as u8).exists())
             .count();
         assert!(shard_files > 16, "{shard_files} shard files");
         for i in 0..64 {
             let key = format!("key-{i}");
-            let shard = store.shard_path(Fingerprint::of(&key).shard());
+            let shard = shard_path(&store.root, Fingerprint::of(&key).shard());
             let log = fs::read_to_string(shard).unwrap();
             assert!(log.contains(&Fingerprint::of(&key).hex()));
         }
@@ -713,11 +716,11 @@ mod tests {
         let root = temp_root("torn");
         let mut store = Store::open(&root).unwrap();
         store.put("good", "value").unwrap();
-        let shard = store.shard_path(Fingerprint::of("good").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("good").shard());
         let mut log = fs::read(&shard).unwrap();
         log.extend_from_slice(b"v1\tdeadbeef"); // torn mid-record, no newline
         fs::write(&shard, &log).unwrap();
-        let other = store.shard_path(Fingerprint::of("good").shard().wrapping_add(1));
+        let other = shard_path(&store.root, Fingerprint::of("good").shard().wrapping_add(1));
         // A foreign future tag, a blank line (ignored, not malformed),
         // a garbage line, a non-UTF-8 line, and a 32-byte fingerprint
         // field with a multibyte character across byte 16: each
@@ -755,7 +758,7 @@ mod tests {
         let root = temp_root("torn-tail");
         let mut store = Store::open(&root).unwrap();
         store.put("scenario", "payload").unwrap();
-        let shard = store.shard_path(Fingerprint::of("scenario").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("scenario").shard());
         let log = fs::read(&shard).unwrap();
         fs::write(&shard, &log[..log.len() - 20]).unwrap();
 
@@ -778,7 +781,7 @@ mod tests {
         let root = temp_root("no-final-newline");
         let mut store = Store::open(&root).unwrap();
         store.put("k", "first").unwrap();
-        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("k").shard());
         let mut log = fs::read(&shard).unwrap();
         log.pop();
         fs::write(&shard, &log).unwrap();
@@ -801,7 +804,7 @@ mod tests {
         let mut store = Store::open(&root).unwrap();
         store.put("k", "first").unwrap();
         store.put("k", "second").unwrap();
-        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("k").shard());
         let log = fs::read(&shard).unwrap();
         let text = std::str::from_utf8(&log).unwrap();
         let (first, second) = text.trim_end().split_once('\n').unwrap();
@@ -881,7 +884,7 @@ mod tests {
         let mut store = Store::open(&root).unwrap();
         store.put("real-key", "real-value").unwrap();
         let fp = Fingerprint::of("real-key");
-        let shard = store.shard_path(fp.shard());
+        let shard = shard_path(&store.root, fp.shard());
         let mut log = fs::read(&shard).unwrap();
         let offset = log.len() as u64;
         let planted = format!("{RECORD_TAG}\t{fp}\tother-key\tpoison");
@@ -909,7 +912,7 @@ mod tests {
         let root = temp_root("format");
         let mut store = Store::open(&root).unwrap();
         store.put(KEY, VALUE).unwrap();
-        let shard = store.shard_path(Fingerprint::of(KEY).shard());
+        let shard = shard_path(&store.root, Fingerprint::of(KEY).shard());
         assert_eq!(fs::read(&shard).unwrap(), LINE);
 
         fs::write(&shard, b"v1\tdeadbeef").unwrap();
@@ -929,7 +932,7 @@ mod tests {
         let root = temp_root("stale");
         let mut store = Store::open(&root).unwrap();
         store.put("k", "abc").unwrap();
-        let shard = store.shard_path(Fingerprint::of("k").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("k").shard());
         let line = |value: &str| format!("{RECORD_TAG}\t{}\tk\t{value}\n", Fingerprint::of("k"));
 
         // A longer value for `k` at the slot's offset: the slot spans
@@ -958,7 +961,7 @@ mod tests {
         let root = temp_root("same-store");
         let mut store = Store::open(&root).unwrap();
         store.put("scenario", "payload").unwrap();
-        let shard = store.shard_path(Fingerprint::of("scenario").shard());
+        let shard = shard_path(&store.root, Fingerprint::of("scenario").shard());
         let log = fs::read(&shard).unwrap();
         fs::write(&shard, &log[..log.len() - 20]).unwrap();
 
@@ -994,7 +997,7 @@ mod tests {
         let lost = (0..40)
             .filter(|i| Fingerprint::of(&format!("key-{i}")).shard() == shard)
             .count();
-        fs::write(store.shard_path(shard), "v9\tanother generation\n").unwrap();
+        fs::write(shard_path(&store.root, shard), "v9\tanother generation\n").unwrap();
         let (read, unreadable) = pairs(&store);
         assert_eq!(unreadable, lost);
         assert_eq!(read.len(), 40 - lost);
@@ -1021,7 +1024,7 @@ mod tests {
         }
         let shard_of = |key: &str| Fingerprint::of(key).shard();
         let append = |shard: u8, bytes: &[u8]| {
-            let path = store.shard_path(shard);
+            let path = shard_path(&store.root, shard);
             let mut log = fs::read(&path).unwrap_or_default();
             log.extend_from_slice(bytes);
             fs::write(path, log).unwrap();
@@ -1039,9 +1042,9 @@ mod tests {
         append(shard_of("key-4").wrapping_add(1), planted.as_bytes());
         // An empty log beside the missing ones.
         let empty = (0..=u8::MAX)
-            .find(|&s| !store.shard_path(s).exists())
+            .find(|&s| !shard_path(&store.root, s).exists())
             .unwrap();
-        fs::write(store.shard_path(empty), b"").unwrap();
+        fs::write(shard_path(&store.root, empty), b"").unwrap();
         drop(store);
 
         let snapshot = |workers: usize| {
@@ -1086,7 +1089,7 @@ mod tests {
         // Both neighbours, so the plant is scanned both before and after
         // the real line's shard.
         for shard in [fp.shard().wrapping_sub(1), fp.shard().wrapping_add(1)] {
-            fs::write(store.shard_path(shard), &planted).unwrap();
+            fs::write(shard_path(&store.root, shard), &planted).unwrap();
         }
 
         let store = Store::open(&root).unwrap();
