@@ -71,8 +71,7 @@ pub fn regenerate(program: &Arc<Program>, seed: u64) -> Vec<BaselineRow> {
     let golden = detectors::golden_evidence(program, seed, &calibration_seeds, &suite);
 
     let judge = |job: &Arc<Program>, run_seed: u64| -> Verdict {
-        let art =
-            detectors::capture_run(job, run_seed, suite.needs_plant_trace()).expect("baseline run");
+        let art = detectors::capture_run(job, run_seed, &suite).expect("baseline run");
         let observed = detectors::observed_evidence(art, run_seed, &suite);
         suite.judge(&golden, &observed)
     };

@@ -891,10 +891,10 @@ fn narrate_step(suite: &DetectorSuite, step: &OnlineStep) -> String {
     line
 }
 
-/// Runs one scenario — capture path, plant trace when the suite
-/// consumes it, and the attack either armed in the interceptor or
-/// applied to the G-code upstream — and judges it with the suite
-/// against its workload's golden evidence.
+/// Runs one scenario — capture path, the suite's plant-side channels
+/// folded while the plant runs, and the attack either armed in the
+/// interceptor or applied to the G-code upstream — and judges it with
+/// the suite against its workload's golden evidence.
 fn run_scenario(
     scenario: &Scenario,
     program: &Arc<Program>,
@@ -903,7 +903,7 @@ fn run_scenario(
 ) -> ScenarioResult {
     let mut bench = TestBench::new(scenario.seed)
         .signal_path(SignalPath::capture())
-        .record_plant_trace(judging.suite.needs_plant_trace());
+        .fold_side_channels(judging.suite);
     let mut job = Arc::clone(program);
     match parse_attack(&scenario.trojan).expect("names validated by CampaignSpec") {
         Attack::None => {}
@@ -920,10 +920,11 @@ fn run_scenario(
 /// Provisions golden evidence and executes a planned scenario list —
 /// a campaign's misses, which is the whole matrix without a store — in
 /// two phases:
-/// the golden bundle of every listed workload (under the campaign's
+/// the golden runs of every listed workload (under the campaign's
 /// label-derived golden seed, plus the shared calibration reruns the
-/// suite consumes) fanned over the pool, then the scenarios. Results
-/// come back in input order.
+/// suite consumes) fanned over the pool one run per job, each
+/// workload's bundle then assembled in seed order; then the scenarios.
+/// Results come back in input order.
 fn execute_campaign(
     spec: &CampaignSpec,
     workloads: &[&Workload],
@@ -934,18 +935,40 @@ fn execute_campaign(
 ) -> Vec<ScenarioResult> {
     let obs = judging.obs;
     let golden_start = obs.clock_micros();
+    let suite = judging.suite;
+    let seeds: Vec<Vec<u64>> = workloads
+        .iter()
+        .map(|w| {
+            let label = w.label();
+            detectors::golden_seeds(
+                spec.golden_seed(label),
+                &spec.calibration_seeds(label, suite.calibration_runs()),
+                suite,
+            )
+        })
+        .collect();
+    let jobs: Vec<(&str, u64, bool)> = workloads
+        .iter()
+        .zip(&seeds)
+        .flat_map(|(w, seeds)| {
+            let label = w.label();
+            seeds
+                .iter()
+                .enumerate()
+                .map(move |(i, &seed)| (label, seed, i > 0))
+        })
+        .collect();
+    let mut runs = parallel_map(&jobs, threads, |&(label, seed, rerun)| {
+        detectors::golden_run(&programs[label], seed, suite, rerun)
+    })
+    .into_iter();
     let goldens: BTreeMap<&str, EvidenceBundle> = workloads
         .iter()
-        .zip(parallel_map(workloads, threads, |w| {
-            let label = w.label();
-            detectors::golden_evidence(
-                &programs[label],
-                spec.golden_seed(label),
-                &spec.calibration_seeds(label, judging.suite.calibration_runs()),
-                judging.suite,
-            )
-        }))
-        .map(|(w, bundle)| (w.label(), bundle))
+        .zip(&seeds)
+        .map(|(w, seeds)| {
+            let bundle = detectors::assemble_golden(runs.by_ref().take(seeds.len()));
+            (w.label(), bundle)
+        })
         .collect();
     let simulate_start = obs.clock_micros();
     obs.record_span("campaign", None, "golden", golden_start, simulate_start);
@@ -1006,8 +1029,9 @@ impl<'a> CampaignOptions<'a> {
 /// run. Without one, every scenario is a miss and no key is built.
 /// Programs are sliced once per workload with at least one miss and
 /// shared as `Arc<Program>`; golden evidence bundles are produced next
-/// (in parallel, with shared calibration repetitions when the suite
-/// consumes them), then the missed scenarios run one per work item.
+/// (one work item per golden run, with shared calibration repetitions
+/// when the suite consumes them), then the missed scenarios run one per
+/// work item.
 /// Results are assembled in matrix order, and the report is
 /// byte-identical whatever the thread count, observability or cache
 /// state.

@@ -6,13 +6,16 @@
 //! thermal` into a [`DetectorSuite`], and producing the golden/observed
 //! [`EvidenceBundle`]s a suite consumes. Provisioning is **channel
 //! driven**: each detector's [`Detector::synth`] names the channel it
-//! judges and the model that synthesizes it, the bench records the
-//! plant-side trace only when some channel needs it, and the golden
-//! calibration repetitions are **shared** — one set of golden reruns
-//! per workload feeds every sampled channel, instead of re-simulating
-//! per detector. Campaigns and `baseline.rs` both
-//! route their golden runs through [`golden_evidence`], so the two can
-//! never drift in how a golden profile is produced.
+//! judges and the model that synthesizes it, the bench folds the
+//! power and acoustic channels edge by edge while the plant runs
+//! ([`TestBench::fold_side_channels`]) instead of recording the
+//! plant-side trace, and the golden calibration repetitions are
+//! **shared** — one set of golden reruns per workload feeds every
+//! sampled channel, instead of re-simulating per detector. Campaigns
+//! and `baseline.rs` both build their golden evidence from the same
+//! per-run synthesis and assembly ([`golden_evidence`] runs them in
+//! turn; a campaign fans them over its pool), so the two can never
+//! drift in how a golden profile is produced.
 
 use std::sync::Arc;
 
@@ -65,33 +68,37 @@ pub fn suite_from_names(names: &[String], fusion: FusionPolicy) -> Result<Detect
     DetectorSuite::new(detectors, fusion)
 }
 
-/// Runs one print through the capture path, recording the plant-side
-/// trace when the suite's channels consume it.
+/// Runs one print through the capture path, folding the plant-side
+/// channels `suite` judges while the plant runs.
 pub(crate) fn capture_run(
     program: &Arc<Program>,
     seed: u64,
-    needs_plant_trace: bool,
+    suite: &DetectorSuite,
 ) -> Result<RunArtifacts, offramps::BenchError> {
     TestBench::new(seed)
         .signal_path(SignalPath::capture())
-        .record_plant_trace(needs_plant_trace)
+        .fold_side_channels(suite)
         .run(program)
 }
 
 /// Synthesizes one channel from a run's artifacts (`None` when the
-/// artifacts lack the required source, e.g. no plant trace). The
-/// capture is moved out, not cloned — it is the hot path's biggest
-/// artifact. Sensor noise is seeded by the run's own seed, per channel
-/// salt.
+/// artifacts lack the required source: no fold and no plant trace).
+/// The capture and the folds are moved out, not cloned. Power and
+/// acoustic come from the run's folds, or from its recorded plant trace
+/// when the bench recorded edges instead of folding them; the two agree
+/// bit for bit. Sensor noise is seeded by the run's own seed, per
+/// channel salt.
 fn synthesize(synth: &ChannelSynth, art: &mut RunArtifacts, seed: u64) -> Option<ChannelData> {
     Some(match synth {
         ChannelSynth::Capture => ChannelData::Txn(art.capture.take()?),
-        ChannelSynth::Power(model) => {
-            ChannelData::Power(model.synthesize(art.plant_trace.as_ref()?, seed))
-        }
-        ChannelSynth::Acoustic(model) => {
-            ChannelData::Acoustic(model.synthesize(art.plant_trace.as_ref()?, seed))
-        }
+        ChannelSynth::Power(model) => ChannelData::Power(match art.power.take() {
+            Some(fold) => fold.finish(seed),
+            None => model.synthesize(art.plant_trace.as_ref()?, seed),
+        }),
+        ChannelSynth::Acoustic(model) => ChannelData::Acoustic(match art.acoustic.take() {
+            Some(fold) => fold.finish(seed),
+            None => model.synthesize(art.plant_trace.as_ref()?, seed),
+        }),
         ChannelSynth::Thermal(camera) => ChannelData::Thermal(camera.synthesize(&art.temps, seed)),
     })
 }
@@ -99,8 +106,8 @@ fn synthesize(synth: &ChannelSynth, art: &mut RunArtifacts, seed: u64) -> Option
 /// Turns one run's artifacts into the observed evidence bundle for
 /// `suite`: exactly the channels its detectors judge — the
 /// transaction capture, and/or waveforms synthesized from the
-/// plant-side trace and temperatures (sensor noise seeded by the run's
-/// own seed).
+/// plant-side folds (or recorded plant trace) and temperatures, with
+/// sensor noise seeded by the run's own seed.
 pub fn observed_evidence(
     mut art: RunArtifacts,
     seed: u64,
@@ -115,53 +122,102 @@ pub fn observed_evidence(
     bundle
 }
 
+/// The seeds of one workload's golden runs, in the order their
+/// evidence is assembled: `primary_seed`, then — only when the suite
+/// has sampled channels to calibrate — each of `calibration_seeds`.
+pub(crate) fn golden_seeds(
+    primary_seed: u64,
+    calibration_seeds: &[u64],
+    suite: &DetectorSuite,
+) -> Vec<u64> {
+    let reruns = if suite.calibration_runs() > 0 {
+        calibration_seeds
+    } else {
+        &[]
+    };
+    std::iter::once(primary_seed)
+        .chain(reruns.iter().copied())
+        .collect()
+}
+
+/// One golden run, synthesized into its channels as soon as it ends so
+/// its artifacts never outlive it: every channel `suite` judges for the
+/// primary run, the sampled channels alone for a calibration `rerun`.
+/// Channels come in suite order.
+pub(crate) fn golden_run(
+    program: &Arc<Program>,
+    seed: u64,
+    suite: &DetectorSuite,
+    rerun: bool,
+) -> Vec<ChannelData> {
+    let mut art = capture_run(program, seed, suite).expect("golden run");
+    suite
+        .detectors()
+        .iter()
+        .map(|d| d.synth())
+        .filter(|synth| !(rerun && *synth == ChannelSynth::Capture))
+        .map(|synth| {
+            synthesize(&synth, &mut art, seed).expect("a golden run carries every channel's source")
+        })
+        .collect()
+}
+
+/// Assembles one workload's golden evidence from its [`golden_run`]s in
+/// [`golden_seeds`] order: the primary run's channels, plus one
+/// calibration series per sampled channel — the primary run first, then
+/// one entry per rerun. The reruns are **shared**: one simulation per
+/// seed feeds every sampled channel, never one set per detector.
+pub(crate) fn assemble_golden(runs: impl IntoIterator<Item = Vec<ChannelData>>) -> EvidenceBundle {
+    let mut runs = runs.into_iter();
+    let primary = runs.next().expect("the primary golden run");
+    let mut series: Vec<Vec<ChannelData>> = primary
+        .iter()
+        .filter(|data| data.samples().is_some())
+        .map(|data| vec![data.clone()])
+        .collect();
+    let mut bundle = EvidenceBundle::default();
+    for data in primary {
+        bundle.insert(data);
+    }
+    for rerun in runs {
+        debug_assert_eq!(rerun.len(), series.len(), "one entry per sampled channel");
+        for (calib, data) in series.iter_mut().zip(rerun) {
+            calib.push(data);
+        }
+    }
+    for calib in series {
+        bundle.insert_calibration(calib[0].channel(), calib);
+    }
+    bundle
+}
+
 /// Produces the golden evidence bundle for one workload: the golden
 /// run under `primary_seed` synthesized into every judged channel,
 /// plus — when the suite has sampled channels — **shared** golden
 /// reruns, one per entry of `calibration_seeds`, feeding every sampled
 /// channel at once (the primary run is each channel's first
 /// calibration trace). Callers pass one seed fewer than the suite's
-/// [`DetectorSuite::calibration_runs`]. Both the campaign runner and
-/// the baseline experiment go through here.
+/// [`DetectorSuite::calibration_runs`]. The baseline experiment calls
+/// this; campaigns fan the same runs out over their pool, one job per
+/// run, and assemble them with the same function, so the two can never
+/// drift in how a golden profile is produced.
 ///
-/// The reruns run one after another, and each is synthesized into its
-/// channels before the next starts, so at most one golden run's
-/// artifacts are alive at a time.
+/// The runs go one after another, and each is synthesized into its
+/// channels as it ends: no run's artifacts outlive it, and the
+/// side channels are folded while the plant runs, so no golden run
+/// records its edges.
 pub fn golden_evidence(
     program: &Arc<Program>,
     primary_seed: u64,
     calibration_seeds: &[u64],
     suite: &DetectorSuite,
 ) -> EvidenceBundle {
-    let needs_plant_trace = suite.needs_plant_trace();
-    let golden_run = |seed| capture_run(program, seed, needs_plant_trace).expect("golden run");
-    let mut bundle = observed_evidence(golden_run(primary_seed), primary_seed, suite);
-
-    // One simulation per calibration seed, shared by every sampled
-    // channel — never one set of reruns per detector.
-    let mut series: Vec<(ChannelSynth, Vec<ChannelData>)> = suite
-        .detectors()
-        .iter()
-        .map(|d| d.synth())
-        .filter(|synth| *synth != ChannelSynth::Capture)
-        .filter_map(|synth| Some((synth, vec![bundle.get(synth.channel()).cloned()?])))
-        .collect();
-    if series.is_empty() {
-        return bundle;
-    }
-    for &seed in calibration_seeds {
-        let mut art = golden_run(seed);
-        for (synth, calib) in &mut series {
-            calib.push(
-                synthesize(synth, &mut art, seed)
-                    .expect("calibration run carries the channel's source"),
-            );
-        }
-    }
-    for (synth, calib) in series {
-        bundle.insert_calibration(synth.channel(), calib);
-    }
-    bundle
+    assemble_golden(
+        golden_seeds(primary_seed, calibration_seeds, suite)
+            .into_iter()
+            .enumerate()
+            .map(|(i, seed)| golden_run(program, seed, suite, i > 0)),
+    )
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ pub mod campaign;
 pub mod corpus;
 pub mod detectors;
 pub mod fig4;
+#[cfg(test)]
+mod fold_reference;
 pub mod json;
 pub mod overhead;
 pub mod table1;

@@ -92,7 +92,7 @@ impl Offramps {
     }
 
     /// Enables raw signal tracing (the logic-analyzer role).
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(SignalTrace::new());
         }

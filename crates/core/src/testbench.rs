@@ -5,7 +5,8 @@
 //! RAMPS/printer plant — onto one deterministic [`Scheduler`] and runs a
 //! G-code program to completion, returning everything an experiment
 //! needs: the capture, the deposited part, firmware status, plant
-//! damage indicators, and (optionally) the raw signal trace.
+//! damage indicators, the side channels folded from the plant's
+//! control rail while it ran, and (optionally) the raw signal traces.
 //!
 //! The bench itself is a thin composition: all queueing, wake-slot
 //! deduplication and routing lives in [`offramps_des::Scheduler`]; the
@@ -22,12 +23,14 @@ use offramps_des::{
 use offramps_firmware::{ConfigError, Firmware, FirmwareConfig, FwState};
 use offramps_gcode::Program;
 use offramps_printer::{PartModel, PlantConfig, PlantStatus, PrinterPlant};
-use offramps_signals::{SignalEvent, SignalTrace};
+use offramps_sidechannel::{AcousticFold, AcousticModel, PowerFold, PowerModel};
+use offramps_signals::{EdgeSink, LogicEvent, SignalEvent, SignalTrace};
 
 use crate::capture::Capture;
 use crate::config::{MitmConfig, SignalPath};
 use crate::mitm::Offramps;
 use crate::trojans::Trojan;
+use crate::verdict::{ChannelSynth, DetectorSuite};
 
 /// Errors from a bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +86,13 @@ pub struct RunArtifacts {
     /// [`TestBench::record_plant_trace`] was enabled). This is the tap
     /// point of a physical power side-channel sensor.
     pub plant_trace: Option<SignalTrace>,
+    /// The power channel folded from the same rail while the plant ran
+    /// (present when [`TestBench::fold_side_channels`] named a power
+    /// detector); [`PowerFold::finish`] draws its sensor noise.
+    pub power: Option<PowerFold>,
+    /// The acoustic channel folded from the same rail (present when
+    /// [`TestBench::fold_side_channels`] named an acoustic detector).
+    pub acoustic: Option<AcousticFold>,
     /// Simulated duration of the job.
     pub sim_time: Tick,
     /// Total events processed.
@@ -121,8 +131,33 @@ pub struct TestBench {
     seed: u64,
     record_trace: bool,
     record_plant_trace: bool,
+    power: Option<PowerModel>,
+    acoustic: Option<AcousticModel>,
     max_sim_time: SimDuration,
     drain_time: SimDuration,
+}
+
+/// The plant's edge hook: whatever the bench was asked to keep of the
+/// control edges the plant receives.
+#[derive(Debug)]
+struct PlantTap {
+    trace: Option<SignalTrace>,
+    power: Option<PowerFold>,
+    acoustic: Option<AcousticFold>,
+}
+
+impl EdgeSink for PlantTap {
+    fn push(&mut self, tick: Tick, event: LogicEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(tick, event);
+        }
+        if let Some(power) = &mut self.power {
+            power.push(tick, event);
+        }
+        if let Some(acoustic) = &mut self.acoustic {
+            acoustic.push(tick, event);
+        }
+    }
 }
 
 /// The three components of the loop, presented to the scheduler in a
@@ -130,7 +165,7 @@ pub struct TestBench {
 struct Rig {
     fw: Firmware,
     mitm: Offramps,
-    plant: PrinterPlant,
+    plant: PrinterPlant<PlantTap>,
 }
 
 /// Registration order inside [`Rig`].
@@ -166,6 +201,8 @@ impl TestBench {
             seed,
             record_trace: false,
             record_plant_trace: false,
+            power: None,
+            acoustic: None,
             max_sim_time: SimDuration::from_secs(4 * 3600),
             drain_time: SimDuration::from_secs(1),
         }
@@ -213,10 +250,28 @@ impl TestBench {
 
     /// Enables plant-side signal tracing: the control events the driver
     /// board actually received, downstream of the interceptor's Trojan
-    /// mux. Power side-channel synthesis uses this tap — a shunt sensor
-    /// measures what the motors really drew, modifications included.
+    /// mux, kept edge by edge in [`RunArtifacts::plant_trace`]. This is
+    /// for analysis that needs the raw edges; side-channel detectors do
+    /// not — [`TestBench::fold_side_channels`] folds their channels from
+    /// the same tap without keeping the edges.
     pub fn record_plant_trace(mut self, enable: bool) -> Self {
         self.record_plant_trace = enable;
+        self
+    }
+
+    /// Folds the plant-side channels `suite` judges — power and
+    /// acoustic, whose sensors sit on the driver-board rail downstream
+    /// of the Trojan mux — edge by edge while the plant runs, into
+    /// [`RunArtifacts::power`] and [`RunArtifacts::acoustic`]. The
+    /// capture and the thermal channel need nothing here.
+    pub fn fold_side_channels(mut self, suite: &DetectorSuite) -> Self {
+        for detector in suite.detectors() {
+            match detector.synth() {
+                ChannelSynth::Power(model) => self.power = Some(model),
+                ChannelSynth::Acoustic(model) => self.acoustic = Some(model),
+                ChannelSynth::Capture | ChannelSynth::Thermal(_) => {}
+            }
+        }
         self
     }
 
@@ -324,15 +379,17 @@ impl TestBench {
         }
 
         let plant_status = rig.plant.status(now);
-        let plant_trace = rig.plant.take_trace();
         let (capture, trace) = rig.mitm.into_outputs();
+        let (part, tap) = rig.plant.into_parts();
         Ok(RunArtifacts {
             fw_state: rig.fw.state(),
             capture,
-            part: rig.plant.into_part(),
+            part,
             plant: plant_status,
             trace,
-            plant_trace,
+            plant_trace: tap.trace,
+            power: tap.power,
+            acoustic: tap.acoustic,
             sim_time: now,
             events: sched.events(),
             kernel: sched.stats(),
@@ -351,16 +408,17 @@ impl TestBench {
         if self.record_trace {
             mitm.enable_trace();
         }
-        let mut rig = Rig {
+        let tap = PlantTap {
+            trace: self.record_plant_trace.then(SignalTrace::new),
+            power: self.power.map(|model| model.fold()),
+            acoustic: self.acoustic.map(|model| model.fold()),
+        };
+        Ok(Rig {
             fw: Firmware::new(self.firmware_config, Arc::clone(program), self.seed)
                 .map_err(BenchError::Config)?,
             mitm,
-            plant: PrinterPlant::new(self.plant_config, self.seed),
-        };
-        if self.record_plant_trace {
-            rig.plant.enable_trace();
-        }
-        Ok(rig)
+            plant: PrinterPlant::with_edge_sink(self.plant_config, self.seed, tap),
+        })
     }
 }
 

@@ -159,8 +159,10 @@ impl ChannelData {
 
 /// How a channel is synthesized from one run's artifacts. The harness
 /// (`offramps_bench::detectors`) interprets these: `Capture` comes from
-/// the monitor tap, `Power`/`Acoustic` from the plant-side signal
-/// trace, `Thermal` from the plant temperature samples.
+/// the monitor tap, `Power`/`Acoustic` from the plant-side control
+/// edges (folded while the plant runs, see
+/// [`crate::TestBench::fold_side_channels`]), `Thermal` from the plant
+/// temperature samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChannelSynth {
     /// The monitor's transaction capture (no synthesis model).
@@ -182,12 +184,6 @@ impl ChannelSynth {
             ChannelSynth::Acoustic(_) => Channel::Acoustic,
             ChannelSynth::Thermal(_) => Channel::Thermal,
         }
-    }
-
-    /// Whether producing this channel requires the plant-side signal
-    /// trace to be recorded during the run.
-    pub fn needs_plant_trace(&self) -> bool {
-        matches!(self, ChannelSynth::Power(_) | ChannelSynth::Acoustic(_))
     }
 
     /// The synthesis model's knobs, rendered for a detector policy
@@ -953,12 +949,6 @@ impl DetectorSuite {
     /// The fusion policy.
     pub fn fusion(&self) -> &FusionPolicy {
         &self.fusion
-    }
-
-    /// Whether any detector's channel needs the plant-side signal
-    /// trace recorded.
-    pub fn needs_plant_trace(&self) -> bool {
-        self.detectors.iter().any(|d| d.synth().needs_plant_trace())
     }
 
     /// Golden prints per workload, the primary run included, that
@@ -1896,20 +1886,33 @@ mod tests {
                 "a detector is named by its channel"
             );
         }
-        assert!(quad.needs_plant_trace());
+        assert_eq!(folded_channels(&quad), (true, true));
         assert_eq!(
             quad.calibration_runs(),
             SampledDetector::CALIBRATION_RUNS,
             "shared golden reruns: one detector's count, not the sum"
         );
-        // A thermal-only suite never asks for the plant trace.
+        // A thermal-only suite folds nothing from the plant's edges.
         let thermal_only =
             DetectorSuite::new(vec![Box::new(sampled("thermal"))], FusionPolicy::Any).unwrap();
-        assert!(!thermal_only.needs_plant_trace());
+        assert_eq!(folded_channels(&thermal_only), (false, false));
         assert_eq!(thermal_only.calibration_runs(), 5);
         // The txn-only default plans no calibration at all.
         assert_eq!(DetectorSuite::transaction_default().calibration_runs(), 0);
-        assert!(!DetectorSuite::transaction_default().needs_plant_trace());
+        assert_eq!(
+            folded_channels(&DetectorSuite::transaction_default()),
+            (false, false)
+        );
+    }
+
+    /// Whether a bench set up for `suite` folds (power, acoustic).
+    fn folded_channels(suite: &DetectorSuite) -> (bool, bool) {
+        let program = std::sync::Arc::new(offramps_gcode::parse("M84\n").unwrap());
+        let art = crate::TestBench::new(1)
+            .fold_side_channels(suite)
+            .run(&program)
+            .expect("run");
+        (art.power.is_some(), art.acoustic.is_some())
     }
 
     #[test]
@@ -1922,7 +1925,7 @@ mod tests {
             FusionPolicy::Any,
         )
         .unwrap();
-        assert!(suite.needs_plant_trace());
+        assert_eq!(folded_channels(&suite), (true, false));
         assert_eq!(suite.calibration_runs(), 5);
         assert_eq!(suite.names(), vec!["txn", "power"]);
 

@@ -17,6 +17,23 @@ pub const TICKS_PER_MILLI: u64 = 1_000_000 / TICK_NS;
 /// Ticks per second.
 pub const TICKS_PER_SEC: u64 = 1_000_000_000 / TICK_NS;
 
+/// `x.round() as u64`, bit for bit, without a call into libm's `round`
+/// (the baseline x86-64 target has no rounding instruction). Below
+/// 2^53 every `f64` splits exactly into an `i64` integer part and a
+/// fraction, so rounding half away from zero is a truncate and one
+/// compare; from 2^53 up every `f64` is already an integer, and the
+/// rare large value takes `round` itself. Signed casts, because the
+/// `u64` ones are branchy sequences on this target.
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if (0.0..EXACT).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// An absolute point in simulated time, measured in 10 ns ticks since the
 /// start of the simulation.
 ///
@@ -75,7 +92,7 @@ impl Tick {
             s.is_finite() && s >= 0.0,
             "seconds must be finite and non-negative"
         );
-        Tick((s * TICKS_PER_SEC as f64).round() as u64)
+        Tick(round_to_u64(s * TICKS_PER_SEC as f64))
     }
 
     /// Raw tick count.
@@ -195,7 +212,7 @@ impl SimDuration {
             s.is_finite() && s >= 0.0,
             "seconds must be finite and non-negative"
         );
-        SimDuration((s * TICKS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * TICKS_PER_SEC as f64))
     }
 
     /// Raw tick count.
@@ -228,7 +245,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "factor must be finite and non-negative"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -322,6 +339,53 @@ mod tests {
             SimDuration::from_secs_f64(1e-6),
             SimDuration::from_micros(1)
         );
+    }
+
+    #[test]
+    fn round_to_u64_matches_libm_round() {
+        let check = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e} ({x})");
+        // Every half-way case k + 0.5 that an f64 holds: densely at the
+        // bottom, then around every power of two up to 2^52.
+        for k in 0..100_000u64 {
+            check(k as f64 + 0.5);
+        }
+        for j in 17..52 {
+            for k in [(1u64 << j) - 1, 1 << j, (1 << j) + 1] {
+                check(k as f64 + 0.5);
+            }
+        }
+        let two52 = 4_503_599_627_370_496.0;
+        for x in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 - 1.0,
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            9_223_372_036_854_775_808.0, // 2^63
+            1e300,                       // saturates
+            f64::MAX,
+        ] {
+            check(x);
+        }
+        // Random magnitudes across the whole range, and random bit
+        // patterns of every non-negative finite f64.
+        let mut rng = crate::DetRng::from_seed(0x00dd_5eed);
+        for _ in 0..200_000 {
+            let scale = 2f64.powi(rng.uniform_u64(0, 70) as i32 - 10);
+            let u = rng.next_u64() as f64 / u64::MAX as f64;
+            check(u * scale);
+            check(rng.uniform_u64(0, 1 << 52) as f64 + 0.5);
+            let bits = f64::from_bits(rng.next_u64() >> 1);
+            if bits.is_finite() {
+                check(bits);
+            }
+        }
     }
 
     #[test]

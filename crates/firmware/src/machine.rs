@@ -154,6 +154,8 @@ pub struct Firmware {
     state: FwState,
     /// Armed timer keys by slot, `UNARMED` when idle.
     timers: [u128; TIMERS],
+    /// The smallest key in `timers`: the next timer due.
+    next_key: u128,
     timer_seq: u64,
     step_low_mask: [bool; 4],
 
@@ -225,6 +227,7 @@ impl Firmware {
             pc: 0,
             state: FwState::Running,
             timers: [UNARMED; TIMERS],
+            next_key: UNARMED,
             timer_seq: 0,
             step_low_mask: [false; 4],
             positioning: Positioning::default(),
@@ -291,23 +294,33 @@ impl Firmware {
             self.timers[slot] == UNARMED,
             "timer slot {slot} armed twice"
         );
-        self.timers[slot] =
-            u128::from(tick.ticks()) << 64 | u128::from(self.timer_seq) << 4 | slot as u128;
+        let key = u128::from(tick.ticks()) << 64 | u128::from(self.timer_seq) << 4 | slot as u128;
+        self.timers[slot] = key;
+        self.next_key = self.next_key.min(key);
         self.timer_seq += 1;
     }
 
-    fn next_timer(&self) -> u128 {
-        *self
-            .timers
-            .iter()
-            .min()
-            .expect("the timer set is not empty")
+    /// Disarms the armed `slot`, rescanning for the next timer only when
+    /// it was the one due first.
+    fn disarm(&mut self, slot: usize) {
+        let key = std::mem::replace(&mut self.timers[slot], UNARMED);
+        if key == self.next_key {
+            self.next_key = *self
+                .timers
+                .iter()
+                .min()
+                .expect("the timer set is not empty");
+        }
     }
 
     fn arm_wake(&self, sink: &mut ActionSink<SignalEvent>) {
-        let key = self.next_timer();
-        if key != UNARMED {
-            sink.wake_at(key_tick(key));
+        debug_assert_eq!(
+            Some(&self.next_key),
+            self.timers.iter().min(),
+            "the cached next key is the smallest armed key"
+        );
+        if self.next_key != UNARMED {
+            sink.wake_at(key_tick(self.next_key));
         }
     }
 
@@ -315,12 +328,12 @@ impl Firmware {
     /// `now`.
     pub fn on_tick(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
         loop {
-            let key = self.next_timer();
+            let key = self.next_key;
             if key == UNARMED || key_tick(key) > now {
                 break;
             }
             let slot = (key & SLOT_BITS) as usize;
-            self.timers[slot] = UNARMED;
+            self.disarm(slot);
             self.run_timer(key_tick(key), slot, sink);
         }
         self.arm_wake(sink);
@@ -565,7 +578,7 @@ impl Firmware {
             start,
             jitter,
         );
-        self.schedule(exec.peek_tick().unwrap_or(exec.end_tick()), MOTION);
+        self.schedule(exec.peek_tick().unwrap_or_else(|| exec.end_tick()), MOTION);
         self.current_move = Some(exec);
     }
 
@@ -596,8 +609,7 @@ impl Firmware {
         // The timer was armed for exactly this step's tick.
         debug_assert!(tick <= now, "step timer fired before its tick");
         let directions = exec.directions;
-        let next = exec.peek_tick();
-        let end = exec.end_tick();
+        let next = exec.peek_tick().unwrap_or_else(|| exec.end_tick().max(now));
         for axis in Axis::ALL {
             let i = axis.index();
             if mask[i] {
@@ -610,7 +622,7 @@ impl Firmware {
             now + SimDuration::from_micros(self.config.step_pulse_us),
             STEP_LOW,
         );
-        self.schedule(next.unwrap_or(end.max(now)), MOTION);
+        self.schedule(next, MOTION);
     }
 
     fn move_completed(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
@@ -736,7 +748,12 @@ impl Firmware {
             let slot = (STALE..STEP_LOW)
                 .find(|&s| self.timers[s] == UNARMED)
                 .expect("at most two aborted moves pending");
-            self.timers[slot] = key & !SLOT_BITS | slot as u128;
+            // Same tick and sequence number: the key keeps its rank.
+            let moved = key & !SLOT_BITS | slot as u128;
+            self.timers[slot] = moved;
+            if self.next_key == key {
+                self.next_key = moved;
+            }
         }
     }
 
@@ -864,6 +881,7 @@ impl Firmware {
         }
         self.current_move = None;
         self.timers = [UNARMED; TIMERS];
+        self.next_key = UNARMED;
         // Endstop edges after the kill must not resume homing.
         self.context = ExecContext::Program;
         self.state = FwState::Halted(error);

@@ -7,7 +7,7 @@
 //! samples.
 
 use offramps_des::{ActionSink, DetRng, InPort, OutPort, SimComponent, SimDuration, Tick};
-use offramps_signals::{AnalogChannel, Axis, Level, LogicEvent, Pin, SignalEvent, SignalTrace};
+use offramps_signals::{AnalogChannel, Axis, EdgeSink, Level, LogicEvent, Pin, SignalEvent};
 
 use crate::config::PlantConfig;
 use crate::deposition::{DepositionModel, PartModel};
@@ -52,6 +52,15 @@ pub struct PlantStatus {
 
 /// The simulated RAMPS 1.4 + printer.
 ///
+/// `H` is the plant's edge hook: every control edge the plant receives
+/// — the driver-board side of the loop, *downstream* of any interceptor
+/// modification — is pushed into it before the plant acts on it. A
+/// power or acoustic side-channel sensor sits on this rail, so what is
+/// built from these edges reflects what the motors really did, Trojans
+/// included (unlike the monitor's controller-side tap). The default
+/// hook `()` ignores them; a [`offramps_signals::SignalTrace`] records
+/// them.
+///
 /// # Example
 ///
 /// ```
@@ -78,7 +87,7 @@ pub struct PlantStatus {
 /// assert!(before > 0.0);
 /// ```
 #[derive(Debug)]
-pub struct PrinterPlant {
+pub struct PrinterPlant<H = ()> {
     config: PlantConfig,
     drivers: [A4988Driver; 4],
     mechs: [AxisMechanism; 4],
@@ -88,12 +97,21 @@ pub struct PrinterPlant {
     deposition: DepositionModel,
     endstop_levels: [Level; 3],
     adc_rng: DetRng,
-    trace: Option<SignalTrace>,
+    edges: H,
 }
 
 impl PrinterPlant {
-    /// Creates the plant. `seed` drives ADC read-out noise.
+    /// Creates the plant with no edge hook. `seed` drives ADC read-out
+    /// noise.
     pub fn new(config: PlantConfig, seed: u64) -> Self {
+        PrinterPlant::with_edge_sink(config, seed, ())
+    }
+}
+
+impl<H: EdgeSink> PrinterPlant<H> {
+    /// Creates the plant feeding every received control edge to
+    /// `edges`. `seed` drives ADC read-out noise.
+    pub fn with_edge_sink(config: PlantConfig, seed: u64, edges: H) -> Self {
         let drivers = std::array::from_fn(|_| A4988Driver::new(config.min_step_pulse_ns));
         let mechs = std::array::from_fn(|i| AxisMechanism::new(config.axes[i]));
 
@@ -110,25 +128,8 @@ impl PrinterPlant {
             mechs,
             adc_rng: DetRng::from_seed(seed ^ 0xadc0_ffee),
             config,
-            trace: None,
+            edges,
         }
-    }
-
-    /// Enables recording of the control signals the plant actually
-    /// receives — the driver-board side of the loop, *downstream* of any
-    /// interceptor modification. A power side-channel sensor sits on
-    /// this rail, so waveforms synthesized from this trace reflect what
-    /// the motors really did, Trojans included (unlike the monitor's
-    /// controller-side tap).
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(SignalTrace::new());
-        }
-    }
-
-    /// Takes the recorded plant-side trace, if tracing was enabled.
-    pub fn take_trace(&mut self) -> Option<SignalTrace> {
-        self.trace.take()
     }
 
     /// Initial feedback burst: current endstop levels plus the first ADC
@@ -153,9 +154,7 @@ impl PrinterPlant {
     ) {
         match event {
             SignalEvent::Logic(ev) => {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(now, ev);
-                }
+                self.edges.push(now, ev);
                 self.on_logic(now, ev, sink)
             }
             // The display UART terminates at the (unmodelled) LCD; ADC
@@ -243,9 +242,10 @@ impl PrinterPlant {
         }
     }
 
-    /// Consumes the plant, returning the deposited part.
-    pub fn into_part(self) -> PartModel {
-        self.deposition.finish()
+    /// Consumes the plant, returning the deposited part and the edge
+    /// hook with everything it took.
+    pub fn into_parts(self) -> (PartModel, H) {
+        (self.deposition.finish(), self.edges)
     }
 
     /// Read-only view of the part so far.
@@ -259,7 +259,7 @@ impl PrinterPlant {
     }
 }
 
-impl SimComponent for PrinterPlant {
+impl<H: EdgeSink> SimComponent for PrinterPlant<H> {
     type Payload = SignalEvent;
 
     fn start(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
@@ -285,20 +285,29 @@ impl SimComponent for PrinterPlant {
 mod tests {
     use super::*;
     use offramps_des::SinkAction;
+    use offramps_signals::SignalTrace;
 
     fn plant() -> PrinterPlant {
         PrinterPlant::new(PlantConfig::default(), 1)
     }
 
     /// Drives one control event and returns the sink's actions.
-    fn control(p: &mut PrinterPlant, t_us: u64, ev: SignalEvent) -> Vec<SinkAction<SignalEvent>> {
+    fn control<H: EdgeSink>(
+        p: &mut PrinterPlant<H>,
+        t_us: u64,
+        ev: SignalEvent,
+    ) -> Vec<SinkAction<SignalEvent>> {
         let mut sink = ActionSink::new();
         sink.begin(Tick::from_micros(t_us));
         p.on_control(Tick::from_micros(t_us), ev, &mut sink);
         sink.drain().collect()
     }
 
-    fn step(p: &mut PrinterPlant, t_us: u64, axis: Axis) -> Vec<SinkAction<SignalEvent>> {
+    fn step<H: EdgeSink>(
+        p: &mut PrinterPlant<H>,
+        t_us: u64,
+        axis: Axis,
+    ) -> Vec<SinkAction<SignalEvent>> {
         let mut acts = control(p, t_us, SignalEvent::logic(axis.step_pin(), Level::High));
         acts.extend(control(
             p,
@@ -436,20 +445,27 @@ mod tests {
             }
             t += 10;
         }
-        let part = p.into_part();
+        let (part, ()) = p.into_parts();
         assert!(part.total_forward_e_mm > 0.3);
         assert!(!part.segments().is_empty());
     }
 
     #[test]
     fn plant_trace_records_received_control_signals() {
-        let mut p = plant();
-        p.enable_trace();
+        let mut p = PrinterPlant::with_edge_sink(PlantConfig::default(), 1, SignalTrace::new());
         control(&mut p, 0, SignalEvent::logic(Pin::XEnable, Level::Low));
         step(&mut p, 10, Axis::X);
-        let trace = p.take_trace().expect("tracing enabled");
+        // ADC samples are feedback, not control edges: never pushed.
+        control(
+            &mut p,
+            20,
+            SignalEvent::Adc {
+                channel: AnalogChannel::HotendTherm,
+                counts: 512,
+            },
+        );
+        let (_, trace) = p.into_parts();
         assert_eq!(trace.len(), 3, "enable + step high/low");
-        assert!(p.take_trace().is_none(), "trace is taken once");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! *defends*: a golden print has a golden sound.
 //!
 //! [`AcousticModel`] synthesizes the frame-by-frame emission intensity
-//! a single aggregate microphone would record from a plant-side
-//! [`SignalTrace`]:
+//! a single aggregate microphone would record from the plant-side
+//! control edges, folded while the plant runs ([`AcousticFold`]) or
+//! walked in a recorded [`SignalTrace`]:
 //!
 //! * a **tone** term proportional to the total stepping rate in the
 //!   frame (all motors land in one channel — like the power tap, the
@@ -25,10 +26,10 @@
 //! Intensities are in arbitrary units (a.u.); only deviations from the
 //! golden profile matter, via [`crate::comparator`].
 
-use offramps_des::{DetRng, SimDuration, Tick};
-use offramps_signals::{Pin, SignalTrace, ALL_PINS};
+use offramps_des::{DetRng, Tick};
+use offramps_signals::{EdgeSink, Level, LogicEvent, SignalTrace};
 
-use crate::SampledTrace;
+use crate::{SampledTrace, Windows};
 
 /// Acoustic/EM channel model for one aggregate microphone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,58 +67,109 @@ impl Default for AcousticModel {
 impl AcousticModel {
     /// Synthesizes the emission envelope (a.u., one sample per frame)
     /// the microphone would record for `trace`. `seed` drives the
-    /// microphone noise.
+    /// microphone noise. This is [`AcousticModel::fold`] fed the
+    /// recorded entries in order.
     pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> SampledTrace {
-        let period = SimDuration::from_secs_f64(1.0 / self.sample_rate_hz);
-        let end = trace.entries().last().map(|e| e.tick).unwrap_or(Tick::ZERO);
-        let n = (end.ticks() / period.ticks() + 1) as usize;
-        let win_of = |t: Tick| ((t.ticks() / period.ticks()) as usize).min(n - 1);
-
-        let mut steps = vec![0u32; n];
-        let mut clicks = vec![0u32; n];
-        for pin in ALL_PINS {
-            if !pin.is_step() {
-                continue;
-            }
-            self.accumulate_pin(trace, pin, &mut steps, &mut clicks, &win_of);
+        let mut fold = self.fold();
+        for e in trace.entries() {
+            fold.push(e.tick, e.event);
         }
+        fold.finish(seed)
+    }
 
+    /// Opens a per-run accumulator of this channel: push it every
+    /// control edge the plant receives, in order, then
+    /// [`AcousticFold::finish`] it. It keeps per-frame step and click
+    /// counts, not the edges.
+    pub fn fold(&self) -> AcousticFold {
+        AcousticFold {
+            model: *self,
+            window: Windows::new(self.sample_rate_hz),
+            pins: [StepCadence::default(); 4],
+            counts: Vec::new(),
+        }
+    }
+}
+
+/// One STEP pin's cadence so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepCadence {
+    high: bool,
+    prev_rise: Option<Tick>,
+    prev_interval: Option<u64>,
+}
+
+/// The acoustic channel folded edge by edge while the plant runs
+/// ([`AcousticModel::fold`]). Implements [`EdgeSink`], so the plant can
+/// feed it directly.
+#[derive(Debug, Clone)]
+pub struct AcousticFold {
+    model: AcousticModel,
+    window: Windows,
+    /// Per STEP pin, [`offramps_signals::Axis::ALL`] order.
+    pins: [StepCadence; 4],
+    /// `(steps, clicks)` per frame; frames past the last rising STEP
+    /// edge are missing.
+    counts: Vec<(u32, u32)>,
+}
+
+impl EdgeSink for AcousticFold {
+    fn push(&mut self, tick: Tick, event: LogicEvent) {
+        let w = self.window.of(tick);
+        if !event.pin.is_step() {
+            return;
+        }
+        let Some(axis) = event.pin.axis() else {
+            return;
+        };
+        let pin = &mut self.pins[axis.index()];
+        let high = event.level == Level::High;
+        let rising = high && !pin.high;
+        pin.high = high;
+        if !rising {
+            return;
+        }
+        if self.counts.len() <= w {
+            self.counts.resize(w + 1, (0, 0));
+        }
+        self.counts[w].0 += 1;
+        if let Some(prev) = pin.prev_rise {
+            let interval = (tick - prev).ticks();
+            if let Some(last) = pin.prev_interval {
+                let (lo, hi) = (interval.min(last), interval.max(last));
+                if lo > 0 && (hi as f64) / (lo as f64) > 1.0 + self.model.click_ratio {
+                    self.counts[w].1 += 1;
+                }
+            }
+            pin.prev_interval = Some(interval);
+        }
+        pin.prev_rise = Some(tick);
+    }
+}
+
+impl AcousticFold {
+    /// Closes the fold: one sample per frame up to the last edge
+    /// pushed, with the microphone noise `seed` drives drawn in frame
+    /// order.
+    pub fn finish(self, seed: u64) -> SampledTrace {
+        let AcousticFold {
+            model,
+            window,
+            counts,
+            ..
+        } = self;
         let mut rng = DetRng::from_seed(seed ^ MIC_NOISE_SALT);
+        let period = window.period;
         let dt = period.as_secs_f64();
-        let samples = (0..n)
+        let samples = (0..window.count())
             .map(|w| {
-                let rate_ksteps = f64::from(steps[w]) / dt / 1000.0;
-                let p = rate_ksteps * self.tone_per_kstep + f64::from(clicks[w]) * self.click_unit;
-                (p + rng.gaussian(self.noise_sigma)).max(0.0)
+                let (steps, clicks) = counts.get(w).copied().unwrap_or((0, 0));
+                let rate_ksteps = f64::from(steps) / dt / 1000.0;
+                let p = rate_ksteps * model.tone_per_kstep + f64::from(clicks) * model.click_unit;
+                (p + rng.gaussian(model.noise_sigma)).max(0.0)
             })
             .collect();
         SampledTrace { samples, period }
-    }
-
-    fn accumulate_pin(
-        &self,
-        trace: &SignalTrace,
-        pin: Pin,
-        steps: &mut [u32],
-        clicks: &mut [u32],
-        win_of: &impl Fn(Tick) -> usize,
-    ) {
-        let mut prev_rise: Option<Tick> = None;
-        let mut prev_interval: Option<u64> = None;
-        for tick in trace.rising_edge_ticks(pin) {
-            steps[win_of(tick)] += 1;
-            if let Some(prev) = prev_rise {
-                let interval = (tick - prev).ticks();
-                if let Some(last) = prev_interval {
-                    let (lo, hi) = (interval.min(last), interval.max(last));
-                    if lo > 0 && (hi as f64) / (lo as f64) > 1.0 + self.click_ratio {
-                        clicks[win_of(tick)] += 1;
-                    }
-                }
-                prev_interval = Some(interval);
-            }
-            prev_rise = Some(tick);
-        }
     }
 }
 

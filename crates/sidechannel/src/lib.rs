@@ -15,7 +15,7 @@
 //! generic over *modalities*:
 //!
 //! * [`PowerModel`] — synthesizes the power waveform a shunt sensor
-//!   would see from a recorded [`SignalTrace`]: per-motor stepping power
+//!   would see on the plant's control rail: per-motor stepping power
 //!   (proportional to step rate) and holding power, summed into **one**
 //!   channel and corrupted with Gaussian sensor noise,
 //! * [`AcousticModel`] — the acoustic/EM channel: per-frame emission
@@ -25,6 +25,11 @@
 //! * [`ThermalCamera`] — the thermal channel: the hotend+bed radiance
 //!   proxy resampled at camera frame rate, observing *true* plant
 //!   temperatures rather than the spoofable thermistor read-out,
+//! * [`PowerFold`] / [`AcousticFold`] — the two edge-driven channels as
+//!   per-run folds: the plant pushes each control edge it receives
+//!   ([`EdgeSink`]) and `finish` draws the sensor noise, so a run never
+//!   has to record its edges. `synthesize` over a recorded
+//!   [`SignalTrace`] is the same fold fed the trace's entries,
 //! * [`SampledTrace`] — what every model synthesizes: a uniformly
 //!   sampled scalar waveform (watts, a.u. or °C) plus its sample
 //!   period; one type, because every modality is judged the same way,
@@ -37,22 +42,23 @@
 //!   over the Table II attacks and reports who catches what.
 //!
 //! [`SignalTrace`]: offramps_signals::SignalTrace
+//! [`EdgeSink`]: offramps_signals::EdgeSink
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use offramps_des::SimDuration;
+use offramps_des::{SimDuration, Tick};
 
 mod acoustic;
 pub mod comparator;
 mod model;
 mod thermal;
 
-pub use acoustic::AcousticModel;
+pub use acoustic::{AcousticFold, AcousticModel};
 pub use comparator::{
     suspect_anomaly_fraction, ComparatorConfig, SideChannelReport, StreamingComparator,
 };
-pub use model::PowerModel;
+pub use model::{PowerFold, PowerModel};
 pub use thermal::ThermalCamera;
 
 /// A uniformly sampled scalar waveform, as one sensor records it: power
@@ -83,5 +89,34 @@ impl SampledTrace {
     /// True if the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
+    }
+}
+
+/// The uniform sampling windows of an edge-driven channel, and how many
+/// a run fills: the window of the last edge pushed, on any pin, is the
+/// last window.
+#[derive(Debug, Clone, Copy)]
+struct Windows {
+    period: SimDuration,
+    last: usize,
+}
+
+impl Windows {
+    fn new(sample_rate_hz: f64) -> Self {
+        Windows {
+            period: SimDuration::from_secs_f64(1.0 / sample_rate_hz),
+            last: 0,
+        }
+    }
+
+    /// The window `tick` falls in, which becomes the last window.
+    fn of(&mut self, tick: Tick) -> usize {
+        self.last = (tick.ticks() / self.period.ticks()) as usize;
+        self.last
+    }
+
+    /// Windows up to and including the last edge's.
+    fn count(&self) -> usize {
+        self.last + 1
     }
 }

@@ -1,9 +1,9 @@
 //! Power-waveform synthesis from control signals.
 
-use offramps_des::{DetRng, SimDuration, Tick};
-use offramps_signals::{Axis, Level, Pin, SignalTrace};
+use offramps_des::{DetRng, Tick};
+use offramps_signals::{Axis, EdgeSink, Level, LogicEvent, SignalTrace};
 
-use crate::SampledTrace;
+use crate::{SampledTrace, Windows};
 
 /// Electrical model of the printer as seen by one aggregate power
 /// sensor on the stepper-motor supply. The published power-signature
@@ -36,83 +36,126 @@ impl Default for PowerModel {
 
 impl PowerModel {
     /// Synthesizes the waveform (W) the sensor would record for `trace`.
-    /// `seed` drives the sensor noise.
+    /// `seed` drives the sensor noise. This is [`PowerModel::fold`] fed
+    /// the recorded entries in order.
     ///
     /// The channel is *aggregate*: every motor lands in the same scalar
     /// — per-axis information is lost, which is the fundamental handicap
     /// of the side-channel compared to OFFRAMPS' per-pin view.
     pub fn synthesize(&self, trace: &SignalTrace, seed: u64) -> SampledTrace {
-        let period = SimDuration::from_secs_f64(1.0 / self.sample_rate_hz);
-        let end = trace.entries().last().map(|e| e.tick).unwrap_or(Tick::ZERO);
-        let n = (end.ticks() / period.ticks() + 1) as usize;
-
-        // Per-window step counts per motor.
-        let mut steps = vec![[0u32; 4]; n];
-        let mut enabled_any = vec![false; n];
-
-        // Walk the trace once, accumulating per window.
-        let mut last_level: std::collections::BTreeMap<Pin, Level> =
-            std::collections::BTreeMap::new();
-        let win_of = |t: Tick| ((t.ticks() / period.ticks()) as usize).min(n - 1);
-
+        let mut fold = self.fold();
         for e in trace.entries() {
-            let pin = e.event.pin;
-            let level = e.event.level;
-            let prev = last_level.insert(pin, level);
-            let rising = level == Level::High && prev != Some(Level::High);
-            if pin.is_step() && rising {
-                if let Some(axis) = pin.axis() {
-                    steps[win_of(e.tick)][axis.index()] += 1;
-                }
-            }
-            if pin.is_enable() {
-                // Active low: any enabled motor draws hold current.
-                if level == Level::Low {
-                    let w = win_of(e.tick);
-                    for slot in enabled_any.iter_mut().skip(w) {
-                        *slot = true;
-                    }
-                }
-            }
+            fold.push(e.tick, e.event);
         }
+        fold.finish(seed)
+    }
 
+    /// Opens a per-run accumulator of this channel: push it every
+    /// control edge the plant receives, in order, then
+    /// [`PowerFold::finish`] it. It keeps per-window step counts, not
+    /// the edges.
+    pub fn fold(&self) -> PowerFold {
+        PowerFold {
+            model: *self,
+            window: Windows::new(self.sample_rate_hz),
+            step_high: [false; 4],
+            steps: Vec::new(),
+            hold_from: None,
+        }
+    }
+}
+
+/// The power channel folded edge by edge while the plant runs
+/// ([`PowerModel::fold`]). Implements [`EdgeSink`], so the plant can
+/// feed it directly.
+#[derive(Debug, Clone)]
+pub struct PowerFold {
+    model: PowerModel,
+    window: Windows,
+    /// Whether each STEP pin is `High`, [`Axis::ALL`] order.
+    step_high: [bool; 4],
+    /// Rising STEP edges per window and motor; windows past the last
+    /// rising edge are missing.
+    steps: Vec<[u32; 4]>,
+    /// The window of the first enable-low edge: every motor draws hold
+    /// current from there on.
+    hold_from: Option<usize>,
+}
+
+impl EdgeSink for PowerFold {
+    fn push(&mut self, tick: Tick, event: LogicEvent) {
+        let w = self.window.of(tick);
+        let pin = event.pin;
+        let high = event.level == Level::High;
+        if pin.is_step() {
+            if let Some(axis) = pin.axis() {
+                let i = axis.index();
+                if high && !self.step_high[i] {
+                    if self.steps.len() <= w {
+                        self.steps.resize(w + 1, [0; 4]);
+                    }
+                    self.steps[w][i] += 1;
+                }
+                self.step_high[i] = high;
+            }
+        } else if pin.is_enable() && !high {
+            // Active low: any enabled motor draws hold current.
+            self.hold_from.get_or_insert(w);
+        }
+    }
+}
+
+impl PowerFold {
+    /// Closes the fold: one sample per window up to the last edge
+    /// pushed, with the sensor noise `seed` drives drawn in window
+    /// order.
+    pub fn finish(self, seed: u64) -> SampledTrace {
+        let PowerFold {
+            model,
+            window,
+            steps,
+            hold_from,
+            ..
+        } = self;
         let mut rng = DetRng::from_seed(seed ^ 0x5ca1_ab1e);
+        let period = window.period;
         let dt = period.as_secs_f64();
-        let samples = (0..n)
+        let samples = (0..window.count())
             .map(|w| {
+                let counts = steps.get(w).copied().unwrap_or([0; 4]);
                 let mut p = 0.0;
                 for axis in Axis::ALL {
-                    let rate_ksteps = f64::from(steps[w][axis.index()]) / dt / 1000.0;
-                    p += rate_ksteps * self.motor_w_per_kstep;
+                    let rate_ksteps = f64::from(counts[axis.index()]) / dt / 1000.0;
+                    p += rate_ksteps * model.motor_w_per_kstep;
                 }
-                if enabled_any[w] {
-                    p += 4.0 * self.motor_hold_w;
+                if hold_from.is_some_and(|h| w >= h) {
+                    p += 4.0 * model.motor_hold_w;
                 }
-                (p + rng.gaussian(self.noise_sigma_w)).max(0.0)
+                (p + rng.gaussian(model.noise_sigma_w)).max(0.0)
             })
             .collect();
         SampledTrace { samples, period }
     }
 }
 
-/// Convenience: count rising edges on a pin (used by tests).
-#[cfg(test)]
-pub(crate) fn rising_edges(trace: &SignalTrace, pin: Pin) -> u64 {
-    let mut last = Level::Low;
-    let mut count = 0;
-    for e in trace.entries().iter().filter(|e| e.event.pin == pin) {
-        if last == Level::Low && e.event.level == Level::High {
-            count += 1;
-        }
-        last = e.event.level;
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use offramps_signals::LogicEvent;
+    use offramps_des::SimDuration;
+    use offramps_signals::Pin;
+
+    /// Counts rising edges on a pin.
+    fn rising_edges(trace: &SignalTrace, pin: Pin) -> u64 {
+        let mut last = Level::Low;
+        let mut count = 0;
+        for e in trace.entries().iter().filter(|e| e.event.pin == pin) {
+            if last == Level::Low && e.event.level == Level::High {
+                count += 1;
+            }
+            last = e.event.level;
+        }
+        count
+    }
 
     fn noiseless() -> PowerModel {
         PowerModel {

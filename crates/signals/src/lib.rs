@@ -13,6 +13,8 @@
 //!   samples, UART bytes),
 //! * [`SignalTrace`] — a recording of events with logic-analyzer style
 //!   queries (pulse counts, widths, frequencies) and VCD export,
+//! * [`EdgeSink`] — the per-edge hook a trace, or a fold that keeps no
+//!   trace, takes edges through as they are delivered,
 //! * [`EdgeDetector`] — the edge-detection primitive the paper's FPGA
 //!   modules are built from; it starts at the boards' reset levels.
 //!
@@ -39,5 +41,5 @@ mod vcd;
 pub use edge::EdgeDetector;
 pub use event::{AnalogChannel, Edge, Level, LogicEvent, SignalEvent, UartDirection};
 pub use pin::{Axis, Pin, PinClass, ALL_PINS, CONTROL_PINS, FEEDBACK_PINS};
-pub use trace::{PinStats, SignalTrace, TraceSummary};
+pub use trace::{EdgeSink, PinStats, SignalTrace, TraceSummary};
 pub use vcd::write_vcd;

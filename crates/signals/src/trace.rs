@@ -12,6 +12,28 @@ use offramps_des::{SimDuration, Tick};
 use crate::event::{Edge, Level, LogicEvent};
 use crate::pin::{Pin, ALL_PINS};
 
+/// A consumer of logic edges, fed one edge at a time in delivery
+/// order: the hook a component offers to whatever wants to watch a
+/// signal rail while the simulation runs. [`SignalTrace`] records every
+/// edge; a side-channel model can instead fold each edge into its
+/// per-window sums and keep nothing else.
+///
+/// `()` is the hook that ignores every edge.
+pub trait EdgeSink {
+    /// Takes one edge. Ticks never decrease from one call to the next.
+    fn push(&mut self, tick: Tick, event: LogicEvent);
+}
+
+impl EdgeSink for () {
+    fn push(&mut self, _tick: Tick, _event: LogicEvent) {}
+}
+
+impl EdgeSink for SignalTrace {
+    fn push(&mut self, tick: Tick, event: LogicEvent) {
+        self.record(tick, event);
+    }
+}
+
 /// One recorded transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
@@ -128,9 +150,9 @@ impl SignalTrace {
 
     /// Ticks of the rising transitions on one pin, in order. Pins reset
     /// low, so the first recorded `High` counts; repeated same-level
-    /// entries are not edges. This is the step-timing view the
-    /// acoustic/EM side-channel model consumes: each rising STEP edge is
-    /// one motor "tick" whose spacing sets the emitted tone.
+    /// entries are not edges. This is the step-timing view of the
+    /// acoustic/EM side channel: each rising STEP edge is one motor
+    /// "tick" whose spacing sets the emitted tone.
     pub fn rising_edge_ticks(&self, pin: Pin) -> impl Iterator<Item = Tick> + '_ {
         let mut last = Level::Low;
         self.pin_entries(pin).filter_map(move |e| {

@@ -817,7 +817,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     println!("filament (net):   {:.2} mm", s.net_extruded_mm);
     println!("extrusion path:   {:.1} mm", s.extrusion_path_mm);
     println!("travel path:      {:.1} mm", s.travel_path_mm);
-    println!("max hotend target:{:.0} C", s.max_hotend_target);
+    println!("max hotend temp:  {:.0} C", s.max_hotend_target);
     Ok(ExitCode::SUCCESS)
 }
 

@@ -1,7 +1,7 @@
 //! The generic observation plane, end to end:
 //!
 //! * a four-detector campaign (`txn,power,acoustic,thermal`) runs the
-//!   full channel plan — plant-side trace, thermal frames, shared
+//!   full channel plan — plant-side folds, thermal frames, shared
 //!   golden calibration reruns — and its summary and JSON are
 //!   byte-identical for any thread count;
 //! * the modality pins: a cadence-breaking flow Trojan (`t2:0.9`) is
