@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use offramps::verdict::{Channel, FusionPolicy, TransactionDetector, Verdict};
+use offramps::SignalPath;
 use offramps_attacks::TABLE_II_CASES;
 use offramps_gcode::Program;
 
@@ -71,7 +72,8 @@ pub fn regenerate(program: &Arc<Program>, seed: u64) -> Vec<BaselineRow> {
     let golden = detectors::golden_evidence(program, seed, &calibration_seeds, &suite);
 
     let judge = |job: &Arc<Program>, run_seed: u64| -> Verdict {
-        let art = detectors::capture_run(job, run_seed, &suite).expect("baseline run");
+        let art = detectors::folded_run(job, run_seed, &suite, SignalPath::capture())
+            .expect("baseline run");
         let observed = detectors::observed_evidence(art, run_seed, &suite);
         suite.judge(&golden, &observed)
     };

@@ -21,6 +21,7 @@
 //!   [`SCENARIO_KEY_VERSION`]) changes the key, so stale records are
 //!   simply never addressed again.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use offramps_gcode::slicer::Solid;
@@ -317,20 +318,27 @@ pub fn scenario_key(
 /// records without re-deriving a campaign spec.
 // detlint: allow(D7) -- perfbench/layers
 pub fn encode_result(r: &ScenarioResult) -> String {
-    let mut out = String::new();
-    let mut w = ObjectWriter::new(&mut out, 0);
-    w.string("trojan", &r.scenario.trojan)
-        .string("workload", &r.scenario.workload)
-        .string("fw_state", &r.fw_state)
-        .int("events", r.events as i128)
-        .int("sim_ns", r.sim_ns as i128)
-        .ints("fw_steps", &r.fw_steps);
-    // The verdict fields go through the same writer as the report JSON,
-    // so the payload can never drift from what `ScenarioResult`
-    // serializes.
-    r.write_verdict_fields(&mut w);
-    w.finish();
-    out
+    thread_local! {
+        /// The buffer each payload renders into, reused across payloads.
+        static PAYLOAD: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    PAYLOAD.with_borrow_mut(|out| {
+        out.clear();
+        let mut w = ObjectWriter::new(out, 0);
+        w.string("trojan", &r.scenario.trojan)
+            .string("workload", &r.scenario.workload)
+            .string("fw_state", &r.fw_state)
+            .int("events", r.events as i128)
+            .int("sim_ns", r.sim_ns as i128)
+            .ints("fw_steps", &r.fw_steps);
+        // The verdict fields go through the same writer as the report
+        // JSON, so the payload can never drift from what
+        // `ScenarioResult` serializes.
+        r.write_verdict_fields(&mut w);
+        w.finish();
+        // One allocation, at the payload's final size.
+        out.as_str().to_owned()
+    })
 }
 
 fn field<'a, 'v>(v: &'a Value<'v>, key: &str) -> Result<&'a Value<'v>, String> {

@@ -68,15 +68,16 @@ pub fn suite_from_names(names: &[String], fusion: FusionPolicy) -> Result<Detect
     DetectorSuite::new(detectors, fusion)
 }
 
-/// Runs one print through the capture path, folding the plant-side
-/// channels `suite` judges while the plant runs.
-pub(crate) fn capture_run(
+/// Runs one print on `path`, folding the plant-side channels `suite`
+/// judges while the plant runs.
+pub(crate) fn folded_run(
     program: &Arc<Program>,
     seed: u64,
     suite: &DetectorSuite,
+    path: SignalPath,
 ) -> Result<RunArtifacts, offramps::BenchError> {
     TestBench::new(seed)
-        .signal_path(SignalPath::capture())
+        .signal_path(path)
         .fold_side_channels(suite)
         .run(program)
 }
@@ -143,14 +144,32 @@ pub(crate) fn golden_seeds(
 /// One golden run, synthesized into its channels as soon as it ends so
 /// its artifacts never outlive it: every channel `suite` judges for the
 /// primary run, the sampled channels alone for a calibration `rerun`.
-/// Channels come in suite order.
+/// Channels come in suite order. A rerun judges no transactions, so it
+/// runs on the bypass path: the sampled channels tap the plant side,
+/// which the monitor does not touch.
 pub(crate) fn golden_run(
     program: &Arc<Program>,
     seed: u64,
     suite: &DetectorSuite,
     rerun: bool,
 ) -> Vec<ChannelData> {
-    let mut art = capture_run(program, seed, suite).expect("golden run");
+    let path = if rerun {
+        SignalPath::bypass()
+    } else {
+        SignalPath::capture()
+    };
+    golden_run_on(program, seed, suite, rerun, path)
+}
+
+/// [`golden_run`] on `path`.
+fn golden_run_on(
+    program: &Arc<Program>,
+    seed: u64,
+    suite: &DetectorSuite,
+    rerun: bool,
+    path: SignalPath,
+) -> Vec<ChannelData> {
+    let mut art = folded_run(program, seed, suite, path).expect("golden run");
     suite
         .detectors()
         .iter()
@@ -301,5 +320,34 @@ mod tests {
             bundle.calibration(Channel::Txn).is_empty(),
             "the txn judge does not calibrate"
         );
+    }
+
+    /// Calibration reruns on the bypass path give every sampled channel
+    /// the samples the capture path gives, bit for bit.
+    #[test]
+    fn golden_reruns_match_on_the_bypass_path() {
+        let suite = suite_from_names(&DETECTOR_NAMES.map(String::from), FusionPolicy::Any).unwrap();
+        let corpus = crate::corpus::CorpusSpec::new(4).expand(42);
+        let seeds: Vec<u64> = (1..5).collect();
+        for workload in [crate::workloads::Workload::mini(), corpus[0].clone()] {
+            let program = workload.program();
+            let bypass = golden_evidence(&program, 7, &seeds, &suite);
+            let capture =
+                assemble_golden(golden_seeds(7, &seeds, &suite).into_iter().enumerate().map(
+                    |(i, seed)| golden_run_on(&program, seed, &suite, i > 0, SignalPath::capture()),
+                ));
+            for channel in [Channel::Power, Channel::Acoustic, Channel::Thermal] {
+                let bits = |bundle: &EvidenceBundle| -> Vec<Vec<u64>> {
+                    let runs = bundle.calibration(channel);
+                    let samples = runs.iter().map(|d| d.samples().expect("sampled"));
+                    samples
+                        .map(|s| s.iter().map(|v| v.to_bits()).collect())
+                        .collect()
+                };
+                let (got, want) = (bits(&bypass), bits(&capture));
+                assert_eq!(got.len(), 5, "{channel}");
+                assert!(got == want, "{}: {channel}", workload.label());
+            }
+        }
     }
 }

@@ -122,6 +122,49 @@ pub(crate) fn number_into(v: f64, out: &mut String) {
     }
 }
 
+/// Appends the decimal rendering of `value` to `out`, digit by digit,
+/// byte for byte what `{value}` formats. Values beyond `u64` are cut
+/// into 19-digit chunks, so only they pay for `u128` division.
+fn int_into(value: i128, out: &mut String) {
+    const CHUNK: u128 = 10_000_000_000_000_000_000;
+    // 39 digits cover `u128::MAX`, plus one for the sign.
+    let mut buf = [0u8; 40];
+    let mut at = buf.len();
+    let mut digits = |mut n: u64, width: usize| loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 && buf.len() - at >= width {
+            break;
+        }
+    };
+    let mut n = value.unsigned_abs();
+    let mut width = 0;
+    while n > u128::from(u64::MAX) {
+        width += 19;
+        digits((n % CHUNK) as u64, width);
+        n /= CHUNK;
+    }
+    digits(n as u64, 0);
+    if value < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Appends `levels` two-space indentation levels to `out`, sliced from
+/// one run of spaces.
+fn indent_into(levels: usize, out: &mut String) {
+    const SPACES: &str = "                                ";
+    let mut n = 2 * levels;
+    while n > 0 {
+        let run = n.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        n -= run;
+    }
+}
+
 /// Formats a slice of `f64`s as a single-line JSON array fragment
 /// (`[0.0, 0.5, 1.0]`) via [`number_into`] — the shared renderer for
 /// every rates array in the analytics JSON.
@@ -161,9 +204,7 @@ impl<'a> ObjectWriter<'a> {
         }
         self.first = false;
         self.out.push('\n');
-        for _ in 0..=self.indent {
-            self.out.push_str("  ");
-        }
+        indent_into(self.indent + 1, self.out);
         escape_into(name, self.out);
         self.out.push_str(": ");
     }
@@ -192,7 +233,7 @@ impl<'a> ObjectWriter<'a> {
     /// Emits an integer field.
     pub(crate) fn int(&mut self, name: &str, value: i128) -> &mut Self {
         self.key(name);
-        let _ = write!(self.out, "{value}");
+        int_into(value, self.out);
         self
     }
 
@@ -204,7 +245,7 @@ impl<'a> ObjectWriter<'a> {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{value}");
+            int_into(i128::from(*value), self.out);
         }
         self.out.push(']');
         self
@@ -227,9 +268,7 @@ impl<'a> ObjectWriter<'a> {
     /// Closes the object.
     pub fn finish(self) {
         self.out.push('\n');
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
+        indent_into(self.indent, self.out);
         self.out.push('}');
     }
 }
@@ -979,6 +1018,36 @@ mod tests {
         assert!(json.contains("\"x\": 1.0"));
         assert!(json.contains("\"label\": \"b \\\"q\\\"\""));
         assert!(json.ends_with("\n]"));
+    }
+
+    /// The digit loop renders every integer the way `format!` does:
+    /// zero, ±1, the `i64`/`u64` extremes, the `i128` extremes and the
+    /// chunk and power-of-ten edges around them.
+    #[test]
+    fn int_into_matches_format() {
+        let mut probes: Vec<i128> = vec![
+            0,
+            1,
+            -1,
+            i64::MIN.into(),
+            i64::MAX.into(),
+            u64::MAX.into(),
+            i128::from(u64::MAX) + 1,
+            i128::MIN,
+            i128::MAX,
+            i128::MIN + 1,
+        ];
+        for p in 0..39 {
+            let ten = 10i128.pow(p);
+            probes.extend([ten - 1, ten, ten + 1]);
+            probes.extend(ten.checked_mul(3));
+            probes.extend([1 - ten, -ten, -ten - 1]);
+        }
+        for v in probes {
+            let mut out = String::from("x");
+            int_into(v, &mut out);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -92,6 +92,27 @@ impl Fingerprint {
     pub(crate) fn shard(&self) -> u8 {
         (self.hi >> 56) as u8
     }
+
+    /// Every fingerprint in `shard`, smallest to largest.
+    pub(crate) fn shard_range(shard: u8) -> std::ops::RangeInclusive<Fingerprint> {
+        let hi = u64::from(shard) << 56;
+        let last = Fingerprint {
+            hi: hi | u64::MAX >> 8,
+            lo: u64::MAX,
+        };
+        Fingerprint { hi, lo: 0 }..=last
+    }
+
+    /// The two 64-bit halves, high first (a checkpoint stores this
+    /// form).
+    pub(crate) fn words(&self) -> [u64; 2] {
+        [self.hi, self.lo]
+    }
+
+    /// Reverses [`Fingerprint::words`].
+    pub(crate) fn from_words([hi, lo]: [u64; 2]) -> Fingerprint {
+        Fingerprint { hi, lo }
+    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -146,6 +167,24 @@ mod tests {
         for key in ["a", "b", "scenario", ""] {
             let fp = Fingerprint::of(key);
             assert_ne!(fp.hi, fp.lo, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn shard_range_spans_exactly_its_shard() {
+        for i in 0..512 {
+            let fp = Fingerprint::of(&format!("key-{i}"));
+            for shard in [
+                fp.shard().wrapping_sub(1),
+                fp.shard(),
+                fp.shard().wrapping_add(1),
+            ] {
+                assert_eq!(
+                    Fingerprint::shard_range(shard).contains(&fp),
+                    shard == fp.shard()
+                );
+            }
+            assert_eq!(Fingerprint::from_words(fp.words()), fp);
         }
     }
 

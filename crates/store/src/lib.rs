@@ -7,11 +7,11 @@
 //! record is addressed by a [`Fingerprint`] of its *canonical key* — a
 //! string spelling out every input that influenced the value — and
 //! appended to a shard log chosen by the fingerprint's top byte. An
-//! in-memory index, rebuilt by scanning the shard logs at
-//! [`Store::open`], maps each fingerprint to the offset and length of
-//! its record's line; it holds offsets, not keys or values, so a hit
-//! reads that one line back. A rerun only recomputes the scenarios
-//! whose keys are not yet present.
+//! in-memory index, rebuilt at [`Store::open`] from checkpoints and the
+//! shard logs, maps each fingerprint to the offset and length of its
+//! record's line; it holds offsets, not keys or values, so a hit reads
+//! that one line back. A rerun only recomputes the scenarios whose keys
+//! are not yet present.
 //!
 //! Design points:
 //!
@@ -36,6 +36,26 @@
 //!   the bulk read's order are the same at any worker count and
 //!   regardless of insertion history — analytics built on them are
 //!   byte-reproducible.
+//! * **Checkpointed index.** When a store drops after the indexed
+//!   prefix of any shard log grew — through its own appends, or a log
+//!   tail `open` had to scan — it saves a checkpoint of every shard log
+//!   whose on-disk length still equals its view, in the manner of a
+//!   Bitcask hint file. All of them go into one file,
+//!   `index/shards.idx` beside `shards/`, written to a temporary file
+//!   and renamed. Each shard's checkpoint holds the covered log length,
+//!   that prefix's [`ScanStats`] and torn-tail flag, a check (offset
+//!   and checksum) of the prefix's last line, the shard's slots after
+//!   last-wins, and a checksum over its own bytes. `open` loads a
+//!   checkpoint and scans only the log beyond it: ~32 bytes per record
+//!   instead of validating and hashing every line. A checkpoint is
+//!   invalidated — and its shard scanned whole, as before — by a log
+//!   shorter than the covered length, a log grown past a covered torn
+//!   tail, a different last line, or damage to the checkpoint itself.
+//!   A checkpoint can only ever cost a miss, never a wrong value:
+//!   [`Store::get`] compares the full stored key, and
+//!   [`Store::records`] re-hashes every key a checkpoint supplied.
+//!   Deleting `index/` is always safe, and builds that predate it
+//!   ignore it.
 //! * **No invalidation logic.** Values never expire; changing any
 //!   fingerprinted input changes the key, so stale records simply stop
 //!   being addressed. Bump a key-side format salt to retire a whole
@@ -53,7 +73,9 @@
 //! store.put("scenario A", "result payload").unwrap();
 //! assert_eq!(store.get("scenario A"), Some("result payload"));
 //!
-//! // Reopening rebuilds the index from the shard logs.
+//! // Dropping the store saves a checkpoint of its index; reopening
+//! // loads it instead of rescanning the shard log.
+//! drop(store);
 //! let store = Store::open(&dir).unwrap();
 //! assert_eq!(store.len(), 1);
 //! assert_eq!(store.get("scenario A"), Some("result payload"));
@@ -63,8 +85,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 mod fingerprint;
 
+use checkpoint::{checksum, LogIndex};
 pub use fingerprint::Fingerprint;
 
 use std::cell::OnceCell;
@@ -93,8 +117,9 @@ struct Slot {
     /// Length of the line, without its newline.
     len: usize,
     /// The `(key, value)` the first `get` read back; `None` when the
-    /// line no longer reads back as this slot's record.
-    record: OnceCell<Option<(String, String)>>,
+    /// line no longer reads back as this slot's record. Boxed, so the
+    /// index of a store whose records are never read stays small.
+    record: OnceCell<Option<Box<(String, String)>>>,
 }
 
 impl Slot {
@@ -114,34 +139,65 @@ impl Slot {
         let (stored_key, value) = self
             .record
             .get_or_init(|| read_slot(root, fp, self))
-            .as_ref()?;
+            .as_deref()?;
         (stored_key == key).then_some(value.as_str())
     }
 }
 
-/// Append state of one shard log.
+/// Append and checkpoint state of one shard log.
 #[derive(Debug, Default)]
 struct Shard {
     /// The append handle, opened by the shard's first [`Store::put`].
     file: Option<fs::File>,
-    /// Length of the log: the offset the next append lands at. Measured
-    /// when the handle opens, then advanced by every append.
+    /// Length of the log: the bytes [`Store::open`] indexed, advanced
+    /// by every append. Re-measured when the append handle opens.
     end: u64,
     /// The log ends without a newline — a torn last write found at
     /// open, or an append that failed part-way. The next append starts
     /// with a newline, so the fresh record never fuses with the
     /// fragment.
     torn_tail: bool,
+    /// The counts of the lines in the log's first `end` bytes,
+    /// `superseded` included: what a rescan of them would count.
+    stats: ScanStats,
+    /// Where the last non-empty line of the log's first `end` bytes
+    /// starts: the line a checkpoint checks.
+    last_line: u64,
+    /// [`checksum`] of the log from `last_line` to `end`, while the
+    /// store still holds the bytes it was taken from: set by `open`,
+    /// dropped by an append.
+    check: Option<u64>,
+    /// How many bytes of the log the checkpoint loaded at open covered
+    /// (0 without one). Their slots were indexed without hashing any
+    /// key, so [`Store::records`] hashes them.
+    loaded: u64,
+    /// The index and `stats` no longer describe the log's first `end`
+    /// bytes: an append found the log longer or shorter than `open`
+    /// left it, or failed part-way. No checkpoint is saved for it.
+    stale: bool,
 }
 
-/// Rollup of the shard-log scan [`Store::open`] performed: how many
-/// lines it walked and what became of each. `records` counts lines that
+/// Rollup of the shard logs [`Store::open`] indexed: how many lines
+/// they hold and what became of each. `records` counts lines that
 /// parsed; `superseded` counts parsed lines that an earlier line's
 /// fingerprint already occupied (rewrite history, last wins); `torn`
 /// and `foreign` partition the skipped lines into damage (bad UTF-8,
 /// framing, fingerprint/key disagreement, a record in another shard's
-/// log) versus other format generations (unknown record tag). Purely a function of the bytes on
-/// disk, so it is deterministic for a given store state.
+/// log) versus other format generations (unknown record tag). Purely a
+/// function of the bytes on disk, so it is deterministic for a given
+/// store state.
+///
+/// A shard loaded from its checkpoint (its section of
+/// `index/shards.idx`, see the [crate docs](crate)) reports the counts
+/// the checkpoint saved for the log prefix it covers, plus a scan of
+/// the log beyond that prefix: the counts a full rescan gives. A
+/// checkpoint holds the covered length, these counts, the torn-tail
+/// flag, a check of the covered prefix's last line and the shard's
+/// slots after last-wins. It is used only while the log is at least
+/// that long (and no longer, if the prefix ends torn) and ends the
+/// prefix with the same last line; otherwise the shard is rescanned. A
+/// checkpoint can only ever cost a miss, never a wrong value: every
+/// read re-checks the line it lands on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Non-empty lines walked across all shard logs.
@@ -176,18 +232,21 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (creating if needed) the store rooted at `root`, scanning
-    /// every shard log into the in-memory index. Each line is fully
-    /// validated, but only keys are decoded: values stay on disk until
-    /// a [`Store::get`] reads them. The shard logs are scanned on the
-    /// host's cores and merged in shard order, so the index and
+    /// Opens (creating if needed) the store rooted at `root`, indexing
+    /// every shard log. A shard whose checkpoint still matches its log
+    /// loads the checkpoint and scans only the log beyond it; any other
+    /// shard is scanned whole. A scanned line is fully validated, but
+    /// only its key is decoded: values stay on disk until a
+    /// [`Store::get`] reads them. The shards are indexed on the host's
+    /// cores and merged in shard order, so the index and
     /// [`Store::scan_stats`] do not depend on the worker count.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors creating the directory tree or
     /// reading shard logs. Malformed *lines* are skipped and counted
-    /// ([`Store::scan_stats`]), not errors.
+    /// ([`Store::scan_stats`]), and unusable checkpoints are ignored:
+    /// neither is an error.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         Store::open_with(root.into(), workers())
     }
@@ -195,16 +254,13 @@ impl Store {
     /// [`Store::open`] on `workers` threads.
     fn open_with(root: PathBuf, workers: usize) -> io::Result<Store> {
         fs::create_dir_all(root.join("shards"))?;
-        let scans = pool_map(
-            SHARD_COUNT,
-            workers,
-            String::new,
-            |key, shard| match fs::read(shard_path(&root, shard as u8)) {
-                Ok(bytes) => scan_log(&bytes, shard as u8, key).map(Some),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-                Err(e) => Err(e),
-            },
-        );
+        let opened = {
+            let saved = fs::read(checkpoint_path(&root)).unwrap_or_default();
+            let sections = checkpoint::sections(&saved);
+            pool_map(SHARD_COUNT, workers, String::new, |key, shard| {
+                open_shard(&root, shard as u8, sections[shard], key)
+            })
+        };
         let mut store = Store {
             root,
             index: BTreeMap::new(),
@@ -212,23 +268,32 @@ impl Store {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             line: String::new(),
         };
-        // Each fingerprint lives in one shard's log, so merging in shard
-        // order builds exactly the index a serial scan would.
-        for (shard, scan) in store.shards.iter_mut().zip(scans) {
-            let Some((torn_tail, stats, slots)) = scan? else {
+        let mut slots = Vec::with_capacity(SHARD_COUNT);
+        for (shard, opened) in store.shards.iter_mut().zip(opened) {
+            let Some((mut index, loaded)) = opened? else {
                 continue;
             };
-            shard.torn_tail = torn_tail;
-            store.scan.lines += stats.lines;
-            store.scan.records += stats.records;
-            store.scan.torn += stats.torn;
-            store.scan.foreign += stats.foreign;
-            for (fp, offset, len) in slots {
-                if store.index.insert(fp, Slot::new(offset, len)).is_some() {
-                    store.scan.superseded += 1;
-                }
-            }
+            store.scan.add(&index.stats);
+            slots.push(std::mem::take(&mut index.slots));
+            *shard = Shard {
+                file: None,
+                end: index.len,
+                torn_tail: index.torn_tail,
+                stats: index.stats,
+                last_line: index.last_line,
+                check: Some(index.check),
+                loaded,
+                stale: false,
+            };
         }
+        // Each fingerprint lives in its shard's log and each shard's
+        // slots are in fingerprint order, so the shards in turn are one
+        // sorted run: the index is built from it in bulk.
+        store.index = slots
+            .into_iter()
+            .flatten()
+            .map(|(fp, offset, len)| (fp, Slot::new(offset, len)))
+            .collect();
         Ok(store)
     }
 
@@ -242,8 +307,9 @@ impl Store {
         self.index.is_empty()
     }
 
-    /// The rollup of the open-time shard-log scan. Frozen at
-    /// [`Store::open`]: later [`Store::put`]s do not move it.
+    /// The rollup of the shard logs as [`Store::open`] indexed them,
+    /// from checkpoints or scans alike. Frozen at [`Store::open`]:
+    /// later [`Store::put`]s do not move it.
     pub fn scan_stats(&self) -> ScanStats {
         self.scan
     }
@@ -276,11 +342,13 @@ impl Store {
         // One descent of the index serves the no-op check and the
         // insert.
         let entry = self.index.entry(fp);
-        if let Entry::Occupied(slot) = &entry {
-            if slot.get().value(&self.root, fp, key) == Some(value) {
+        let supersedes = match &entry {
+            Entry::Occupied(slot) if slot.get().value(&self.root, fp, key) == Some(value) => {
                 return Ok(());
             }
-        }
+            Entry::Occupied(_) => true,
+            Entry::Vacant(_) => false,
+        };
         let shard = &mut self.shards[usize::from(fp.shard())];
         let mut file = match shard.file.take() {
             Some(file) => file,
@@ -289,7 +357,9 @@ impl Store {
                     .append(true)
                     .create(true)
                     .open(shard_path(&self.root, fp.shard()))?;
-                shard.end = file.metadata()?.len();
+                let len = file.metadata()?.len();
+                shard.stale |= len != shard.end;
+                shard.end = len;
                 file
             }
         };
@@ -310,12 +380,19 @@ impl Store {
         // On failure the handle drops, so the next append reopens and
         // re-measures the log; whatever part of the line landed is
         // treated as a torn tail.
-        file.write_all(line.as_bytes())
-            .inspect_err(|_| shard.torn_tail = true)?;
+        file.write_all(line.as_bytes()).inspect_err(|_| {
+            shard.torn_tail = true;
+            shard.stale = true;
+        })?;
         shard.file = Some(file);
         let offset = shard.end + lead as u64;
         shard.end += line.len() as u64;
         shard.torn_tail = false;
+        shard.last_line = offset;
+        shard.check = None;
+        shard.stats.lines += 1;
+        shard.stats.records += 1;
+        shard.stats.superseded += usize::from(supersedes);
         entry.insert_entry(Slot::new(offset, line.len() - lead - 1));
         Ok(())
     }
@@ -324,10 +401,13 @@ impl Store {
     /// `(key, value)`, returning the results in fingerprint order —
     /// stable across insertion order, reloads and worker counts — and
     /// the number of records that no longer read back (a shard log
-    /// that fails to read, or a line rewritten behind the store), which
-    /// `f` never sees. Each shard log is read once, on the host's
-    /// cores, and `f` runs there too: each worker unescapes into
-    /// buffers of its own, so `f` borrows both strings.
+    /// that fails to read, or a line rewritten behind the store or its
+    /// checkpoint), which `f` never sees. A record indexed from a
+    /// checkpoint has its key re-hashed here, since `open` did not
+    /// hash it: a key that no longer fingerprints to its slot does not
+    /// read back. Each shard log is read once, on the host's cores, and
+    /// `f` runs there too: each worker unescapes into buffers of its
+    /// own, so `f` borrows both strings.
     pub fn records<T: Send>(&self, f: impl Fn(&str, &str) -> T + Sync) -> (Vec<T>, usize) {
         self.records_with(workers(), f)
     }
@@ -346,14 +426,17 @@ impl Store {
             .map(|(&fp, slot)| (fp, slot.offset, slot.len))
             .collect();
         let shards: Vec<&[LineSpan]> = slots.chunk_by(|a, b| a.0.shard() == b.0.shard()).collect();
-        let root = &self.root;
+        let (root, states) = (&self.root, &self.shards);
         let init = || (String::new(), String::new());
         let read = pool_map(shards.len(), workers, init, |(key, value), i| {
-            let bytes = fs::read(shard_path(root, shards[i][0].0.shard())).unwrap_or_default();
+            let shard = shards[i][0].0.shard();
+            let loaded = states[usize::from(shard)].loaded;
+            let bytes = fs::read(shard_path(root, shard)).unwrap_or_default();
             shards[i]
                 .iter()
                 .filter_map(|&(fp, offset, len)| {
-                    read_record(&bytes, usize::try_from(offset).ok()?, len, fp, key, value)?;
+                    let start = usize::try_from(offset).ok()?;
+                    read_record(&bytes, start, len, fp, offset < loaded, key, value)?;
                     Some(f(key, value))
                 })
                 .collect::<Vec<T>>()
@@ -362,12 +445,73 @@ impl Store {
         let unreadable = slots.len() - read.len();
         (read, unreadable)
     }
+
+    /// Writes the checkpoint of every shard log that is still as long as
+    /// the store's view of it into one file: first to a temporary file,
+    /// then renamed over the old one. A log that cannot be read back
+    /// loses its checkpoint, and the next open scans it.
+    fn save_checkpoints(&self) -> io::Result<()> {
+        let mut out = checkpoint::file_header();
+        for (shard, state) in (0..=u8::MAX).zip(&self.shards) {
+            if state.stale || state.end == 0 {
+                continue;
+            }
+            let Ok(Some(check)) = current_check(&self.root, shard, state) else {
+                continue;
+            };
+            let slots = self.index.range(Fingerprint::shard_range(shard));
+            let index = LogIndex {
+                len: state.end,
+                torn_tail: state.torn_tail,
+                stats: state.stats,
+                last_line: state.last_line,
+                check,
+                slots: slots
+                    .map(|(&fp, slot)| (fp, slot.offset, slot.len))
+                    .collect(),
+            };
+            index.encode_into(shard, &mut out);
+        }
+        let path = checkpoint_path(&self.root);
+        if let Err(e) = fs::create_dir(path.parent().expect("the index directory")) {
+            if e.kind() != io::ErrorKind::AlreadyExists {
+                return Err(e);
+            }
+        }
+        let tmp = path.with_extension(format!("{}.tmp", std::process::id()));
+        fs::write(&tmp, out)?;
+        fs::rename(&tmp, &path).inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
+    }
+}
+
+impl Drop for Store {
+    /// Saves the checkpoints if the indexed prefix of any shard log grew
+    /// while the store was open, through its own appends or a tail
+    /// `open` scanned. Failures are ignored — the next open rescans
+    /// instead — and a removed store directory is left removed.
+    fn drop(&mut self) {
+        if self.shards.iter().any(|s| !s.stale && s.end > s.loaded) {
+            let _ = self.save_checkpoints();
+        }
+    }
+}
+
+impl ScanStats {
+    fn add(&mut self, other: &ScanStats) {
+        self.lines += other.lines;
+        self.records += other.records;
+        self.superseded += other.superseded;
+        self.torn += other.torn;
+        self.foreign += other.foreign;
+    }
 }
 
 /// Reads the record `slot` points at back from `fp`'s shard log under
 /// `root`: the line plus one byte either side, so [`read_record`] can
 /// check that the slot spans one whole line.
-fn read_slot(root: &Path, fp: Fingerprint, slot: &Slot) -> Option<(String, String)> {
+fn read_slot(root: &Path, fp: Fingerprint, slot: &Slot) -> Option<Box<(String, String)>> {
     let mut file = fs::File::open(shard_path(root, fp.shard())).ok()?;
     let lead = u64::from(slot.offset > 0);
     file.seek(SeekFrom::Start(slot.offset - lead)).ok()?;
@@ -376,12 +520,89 @@ fn read_slot(root: &Path, fp: Fingerprint, slot: &Slot) -> Option<(String, Strin
         .read_to_end(&mut window)
         .ok()?;
     let (mut key, mut value) = (String::new(), String::new());
-    read_record(&window, lead as usize, slot.len, fp, &mut key, &mut value)?;
-    Some((key, value))
+    read_record(
+        &window,
+        lead as usize,
+        slot.len,
+        fp,
+        false,
+        &mut key,
+        &mut value,
+    )?;
+    Some(Box::new((key, value)))
 }
 
 fn shard_path(root: &Path, shard: u8) -> PathBuf {
     root.join("shards").join(format!("{shard:02x}.log"))
+}
+
+fn checkpoint_path(root: &Path) -> PathBuf {
+    root.join("index").join("shards.idx")
+}
+
+/// The check of `shard`'s log under `root` as `state` describes it
+/// (`None` when the log is no longer `state.end` bytes long): kept from
+/// `open`, or read back after an append.
+fn current_check(root: &Path, shard: u8, state: &Shard) -> io::Result<Option<u64>> {
+    let mut log = fs::File::open(shard_path(root, shard))?;
+    if log.metadata()?.len() != state.end {
+        return Ok(None);
+    }
+    if state.check.is_some() {
+        return Ok(state.check);
+    }
+    log.seek(SeekFrom::Start(state.last_line))?;
+    let mut last_line = Vec::new();
+    log.take(state.end - state.last_line)
+        .read_to_end(&mut last_line)?;
+    Ok(Some(checksum(&last_line)))
+}
+
+/// Indexes `shard`'s log under `root`: from its checkpoint `section`
+/// and a scan of the log beyond it when the checkpoint still matches
+/// the log, by a scan of the whole log otherwise. Returns the index and
+/// how many bytes of the log the checkpoint covered (0 without one), or
+/// `None` when there is no log. The checkpoint matches when the log is
+/// at least as long as the prefix it covers, no longer if that prefix
+/// ends in a torn tail (appended bytes would fuse with it), and carries
+/// the same last line. `key` is a buffer reused across lines.
+fn open_shard(
+    root: &Path,
+    shard: u8,
+    section: &[u8],
+    key: &mut String,
+) -> io::Result<Option<(LogIndex, u64)>> {
+    let mut log = match fs::File::open(shard_path(root, shard)) {
+        Ok(log) => log,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    // The log from `index.last_line` on: the checked line, then the
+    // tail to scan.
+    let mut bytes = Vec::new();
+    let mut index = LogIndex::default();
+    if let Some(saved) = LogIndex::decode(section, shard) {
+        log.seek(SeekFrom::Start(saved.last_line))?;
+        log.read_to_end(&mut bytes)?;
+        let checked = usize::try_from(saved.len - saved.last_line).unwrap_or(usize::MAX);
+        let matches = bytes
+            .get(..checked)
+            .is_some_and(|line| checksum(line) == saved.check)
+            && !(saved.torn_tail && bytes.len() > checked);
+        if matches {
+            index = saved;
+        } else {
+            log.rewind()?;
+            bytes.clear();
+        }
+    }
+    let (loaded, base) = (index.len, index.last_line);
+    if loaded == 0 {
+        log.read_to_end(&mut bytes)?;
+    }
+    scan_log(&mut index, &bytes[(loaded - base) as usize..], shard, key)?;
+    index.check = checksum(&bytes[(index.last_line - base) as usize..]);
+    Ok(Some((index, loaded)))
 }
 
 /// How many workers [`Store::open`] and [`Store::records`] run on.
@@ -430,27 +651,28 @@ fn pool_map<S, R: Send>(
 /// offset, length without the newline)`.
 type LineSpan = (Fingerprint, u64, usize);
 
-/// Scans the log of `shard`: whether it ends in a torn tail, the counts
-/// of its lines (`superseded` is left to the merge, which sees every
-/// log), and the span of each record line in log order. A well-formed
-/// record whose fingerprint belongs to another shard is damage: every
-/// read of that key goes to its own shard's log. `key` is a buffer
-/// reused across lines.
-fn scan_log(
-    bytes: &[u8],
-    shard: u8,
-    key: &mut String,
-) -> io::Result<(bool, ScanStats, Vec<LineSpan>)> {
-    let torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
-    let mut stats = ScanStats::default();
-    let mut slots = Vec::new();
+/// Extends `index`, the index of the first `index.len` bytes of
+/// `shard`'s log, over `tail`, the bytes that follow them. Lines are
+/// counted and indexed as a scan of the whole log would: a tail record
+/// whose fingerprint the index already holds supersedes it, and the
+/// slots stay in fingerprint order. A well-formed record whose
+/// fingerprint belongs to another shard is damage: every read of that
+/// key goes to its own shard's log. `key` is a buffer reused across
+/// lines.
+fn scan_log(index: &mut LogIndex, tail: &[u8], shard: u8, key: &mut String) -> io::Result<()> {
+    if let Some(&last) = tail.last() {
+        index.torn_tail = last != b'\n';
+    }
+    let stats = &mut index.stats;
+    let slots = &mut index.slots;
+    let indexed = slots.len();
     // Split on raw newlines and validate UTF-8 per *line*: one
     // corrupted record must degrade to one skipped line, never poison
     // the whole store. `skip_until` finds each newline with the
     // platform's `memchr`: a byte-at-a-time loop here ran at a speed
     // that moved with where the linker happened to place it.
-    let mut offset = 0u64;
-    let mut rest = bytes;
+    let mut offset = index.len;
+    let mut rest = tail;
     while !rest.is_empty() {
         let line = rest;
         let taken = rest.skip_until(b'\n')?;
@@ -461,6 +683,7 @@ fn scan_log(
         if raw.is_empty() {
             continue;
         }
+        index.last_line = start;
         stats.lines += 1;
         match std::str::from_utf8(raw)
             .ok()
@@ -474,7 +697,17 @@ fn scan_log(
             Some(ParsedLine::Record(_) | ParsedLine::Torn) | None => stats.torn += 1,
         }
     }
-    Ok((torn_tail, stats, slots))
+    index.len = offset;
+    if slots.len() > indexed {
+        // Newest first, then a stable sort: each fingerprint's first
+        // slot is its last line.
+        let pushed = slots.len();
+        slots.reverse();
+        slots.sort_by_key(|s| s.0);
+        slots.dedup_by_key(|s| s.0);
+        stats.superseded += pushed - slots.len();
+    }
+    Ok(())
 }
 
 /// Appends `s` to `out`, escaped for the one-line record format:
@@ -595,13 +828,15 @@ fn parse_line(line: &str, key: &mut String) -> ParsedLine {
 /// be one whole line — preceded by a newline or the start of the log,
 /// followed by a newline or its end — so a slot over a rewritten log
 /// never reads a prefix or a tail of some other line. The line must
-/// carry the current tag and `fp`; `open` already checked the key
-/// against it, so it is not re-hashed here.
+/// carry the current tag and `fp`. With `rehash`, the key must also
+/// fingerprint to `fp`: set it for a slot a checkpoint supplied, whose
+/// key `open` never hashed.
 fn read_record(
     bytes: &[u8],
     start: usize,
     len: usize,
     fp: Fingerprint,
+    rehash: bool,
     key: &mut String,
     value: &mut String,
 ) -> Option<()> {
@@ -618,7 +853,7 @@ fn read_record(
     }
     unescape_into(fields.next()?, key)?;
     unescape_into(fields.next()?, value)?;
-    fields.next().is_none().then_some(())
+    (fields.next().is_none() && (!rehash || Fingerprint::of(key) == fp)).then_some(())
 }
 
 #[cfg(test)]

@@ -657,9 +657,15 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         Obs::disabled()
     };
     let cache_dir = flags.value("--cache");
+    // The store opens and saves its checkpoints outside the campaign's
+    // clock: their spans put that time in the sidecar, and only there.
     let mut store = match cache_dir {
         Some(dir) => {
-            Some(Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?)
+            let start = obs.clock_micros();
+            let store =
+                Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?;
+            obs.record_span("store", None, "open", start, obs.clock_micros());
+            Some(store)
         }
         None => None,
     };
@@ -672,6 +678,11 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             store: store.as_mut(),
         },
     )?;
+    if let Some(store) = store.take() {
+        let start = obs.clock_micros();
+        drop(store);
+        obs.record_span("store", None, "checkpoint", start, obs.clock_micros());
+    }
     print!("{}", report.summary());
     if report.spec.online {
         // Deterministic (fixed iteration order over matrix-ordered
