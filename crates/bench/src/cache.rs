@@ -615,7 +615,6 @@ pub(crate) fn put_provenance(
 mod tests {
     use super::*;
     use crate::json::ToJson;
-    use offramps::verdict::DetectorSuite;
     use offramps_gcode::slicer::SlicerConfig;
 
     #[test]
@@ -663,7 +662,7 @@ mod tests {
     #[test]
     fn scenario_keys_separate_every_input() {
         let w = canonical_workload_json(Workload::mini().spec());
-        let policy = DetectorSuite::transaction_default().policy();
+        let policy = CampaignSpec::default_matrix(0).suite().unwrap().policy();
         let base = scenario_key(&w, "t2", 1, 2, &policy);
         assert_ne!(base, scenario_key(&w, "t2:0.5", 1, 2, &policy));
         assert_ne!(base, scenario_key(&w, "t2", 3, 2, &policy));

@@ -66,7 +66,7 @@ use offramps::{
 use offramps_attacks::Flaw3dTrojan;
 use offramps_des::SeedSplitter;
 use offramps_gcode::Program;
-use offramps_obs::{FlightRecorder, MetricClass, Obs};
+use offramps_obs::{FlightRecorder, Obs};
 use offramps_store::Store;
 
 use crate::cache::{self, CacheStats};
@@ -530,55 +530,38 @@ impl CampaignReport {
 
     /// Host-timing sidecar: per-scenario wall milliseconds plus the
     /// pool shape, and — when `obs` is enabled — the observability
-    /// plane's *execution-class* counters and campaign phase spans, as
-    /// JSON. Kept out of [`ToJson::to_json`] (and out of
-    /// [`CampaignReport::summary`]) because these numbers vary run to
-    /// run — the main artifacts stay byte-identical for any thread
-    /// count.
+    /// plane's phase spans, as JSON. Kept out of [`ToJson::to_json`]
+    /// (and out of [`CampaignReport::summary`]) because these numbers
+    /// vary run to run — the main artifacts stay byte-identical for
+    /// any thread count.
     pub fn timing_json(&self, obs: &Obs) -> String {
         let mut out = String::new();
         let mut w = ObjectWriter::new(&mut out, 0);
         w.int("threads", self.threads as i128)
             .float("wall_s", self.wall_s)
             .float("events_per_sec", self.events_per_sec());
-        if let Some(registry) = obs.is_enabled().then(|| obs.registry()) {
-            let exec = registry.counters_of(MetricClass::Execution);
-            if !exec.is_empty() {
-                let mut body = String::from("{");
-                for (i, (name, value)) in exec.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str("\n    ");
-                    crate::json::escape_into(name, &mut body);
-                    body.push_str(&format!(": {value}"));
+        let spans = obs.spans();
+        if !spans.is_empty() {
+            let mut body = String::from("[");
+            for (i, span) in spans.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
                 }
-                body.push_str("\n  }");
-                w.raw("exec_metrics", &body);
-            }
-            let spans = obs.spans();
-            if !spans.is_empty() {
-                let mut body = String::from("[");
-                for (i, span) in spans.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str(&format!(
-                        "\n    {{\"label\": {}, \"component\": {}",
-                        crate::json::escape(&span.label),
-                        crate::json::escape(span.component),
-                    ));
-                    if let Some(scenario) = span.scenario {
-                        body.push_str(&format!(", \"scenario\": {scenario}"));
-                    }
-                    body.push_str(&format!(
-                        ", \"start_us\": {}, \"end_us\": {}}}",
-                        span.start_micros, span.end_micros
-                    ));
+                body.push_str(&format!(
+                    "\n    {{\"label\": {}, \"component\": {}",
+                    crate::json::escape(&span.label),
+                    crate::json::escape(span.component),
+                ));
+                if let Some(scenario) = span.scenario {
+                    body.push_str(&format!(", \"scenario\": {scenario}"));
                 }
-                body.push_str("\n  ]");
-                w.raw("spans", &body);
+                body.push_str(&format!(
+                    ", \"start_us\": {}, \"end_us\": {}}}",
+                    span.start_micros, span.end_micros
+                ));
             }
+            body.push_str("\n  ]");
+            w.raw("spans", &body);
         }
         let mut scenarios = String::from("[");
         for (i, r) in self.results.iter().enumerate() {
@@ -994,11 +977,11 @@ static NO_OBS: Obs = Obs::disabled();
 pub struct CampaignOptions<'a> {
     /// Worker threads (informational in the report; 0 runs one worker).
     pub threads: usize,
-    /// The observability plane. With an enabled handle,
-    /// deterministic-class metrics (kernel counters, verdict rollups,
-    /// campaign and store totals) accumulate into it — commutatively,
-    /// so the rendered metrics document is byte-identical for every
-    /// thread count.
+    /// The observability plane. With an enabled handle, the metrics
+    /// (kernel counters, verdict rollups, campaign and store totals)
+    /// accumulate into it as order-independent sums, minima and
+    /// maxima, so the rendered metrics document is byte-identical for
+    /// every thread count.
     pub obs: &'a Obs,
     /// Narrate each online scenario's first fused alarm from its flight
     /// recorder into `obs` (traces only: the metrics are identical with

@@ -926,16 +926,6 @@ impl DetectorSuite {
         Ok(DetectorSuite { detectors, fusion })
     }
 
-    /// The campaign default: the transaction judge alone, any-alarm
-    /// fusion.
-    // detlint: allow(D7) -- tests/store_cache.rs
-    pub fn transaction_default() -> DetectorSuite {
-        DetectorSuite {
-            detectors: vec![Box::new(TransactionDetector::campaign())],
-            fusion: FusionPolicy::Any,
-        }
-    }
-
     /// Detector names in suite order.
     pub fn names(&self) -> Vec<&'static str> {
         self.detectors.iter().map(|d| d.name()).collect()
@@ -1782,7 +1772,11 @@ mod tests {
 
     #[test]
     fn suite_policy_strings() {
-        let txn_only = DetectorSuite::transaction_default();
+        let txn_only = DetectorSuite::new(
+            vec![Box::new(TransactionDetector::campaign())],
+            FusionPolicy::Any,
+        )
+        .unwrap();
         assert_eq!(
             txn_only.policy(),
             "margin=0.05;floor=32;base=0.01;final=true;txn_floor=2.8",
@@ -1898,11 +1892,13 @@ mod tests {
         assert_eq!(folded_channels(&thermal_only), (false, false));
         assert_eq!(thermal_only.calibration_runs(), 5);
         // The txn-only default plans no calibration at all.
-        assert_eq!(DetectorSuite::transaction_default().calibration_runs(), 0);
-        assert_eq!(
-            folded_channels(&DetectorSuite::transaction_default()),
-            (false, false)
-        );
+        let txn_only = DetectorSuite::new(
+            vec![Box::new(TransactionDetector::campaign())],
+            FusionPolicy::Any,
+        )
+        .unwrap();
+        assert_eq!(txn_only.calibration_runs(), 0);
+        assert_eq!(folded_channels(&txn_only), (false, false));
     }
 
     /// Whether a bench set up for `suite` folds (power, acoustic).

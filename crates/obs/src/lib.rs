@@ -9,20 +9,18 @@
 //!
 //! Three pieces enforce that rule:
 //!
-//! * [`MetricsRegistry`] — counters and histograms keyed by canonical
-//!   dotted names (`kernel.events_committed`,
-//!   `verdict.acoustic.margin_micros`). All values are integers
-//!   (micro-units for fractions), so merging per-worker snapshots is
-//!   commutative and associative: any thread-completion order folds to
-//!   the same registry. Rendering walks a `BTreeMap`, so the JSON is
-//!   canonical. Metrics carry a [`MetricClass`]: `Deterministic`
-//!   metrics land in the metrics document and must be byte-identical
-//!   for any `--threads`; `Execution` metrics describe *how* the run
-//!   executed and are only ever reported next to wall-clock timings.
+//! * Metrics — counters and histograms keyed by canonical dotted names
+//!   (`kernel.events_committed`, `verdict.acoustic.margin_micros`).
+//!   Every [`Obs::count`] and [`Obs::observe`] updates one shared
+//!   registry under its lock. All values are integers (micro-units for
+//!   fractions) and the updates are additions, min and max, so any
+//!   order the workers publish in yields the same registry. Rendering
+//!   walks a `BTreeMap`, so the `--metrics` document is canonical and
+//!   byte-identical for any `--threads`.
 //! * [`Span`] — a named interval of one component's work (a campaign
 //!   phase, one scenario's judging), stamped with the handle's host
-//!   clock. Spans are execution-class: they feed only the
-//!   `--timing-json` sidecar, never a deterministic artifact.
+//!   clock. Host time feeds only the `--timing-json` sidecar, never a
+//!   deterministic artifact.
 //! * [`FlightRecorder`] — a bounded ring buffer holding the last N
 //!   per-window evidence snapshots of a scenario, so the moment a
 //!   fused alarm fires the recent history can be replayed as a
@@ -38,84 +36,44 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// Which output a metric is allowed to reach.
-///
-/// `Deterministic` metrics depend only on the simulated scenarios and
-/// must merge to byte-identical JSON for any thread count.
-/// `Execution` metrics depend on how the run was scheduled; they are only reported beside wall-clock
-/// timings, never in deterministic artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricClass {
-    Deterministic,
-    Execution,
-}
-
 /// One named metric: a monotonic counter or an integer histogram.
 ///
 /// Histogram values are integers by design — fractional quantities
 /// enter in micro-units (`margin_micros`) — so sums are exact and the
-/// merge of two snapshots is independent of merge order. The rolled-up
-/// form (count/sum/min/max) is all the narration and calibration
-/// consumers need, and unlike a bucketed histogram it merges without
-/// any bucket-boundary coordination.
+/// result is independent of the order observations arrive in. The
+/// rolled-up form (count/sum/min/max) is all the narration and
+/// calibration consumers need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    Counter {
-        value: u64,
-        class: MetricClass,
-    },
+enum Metric {
+    Counter(u64),
     Histogram {
         count: u64,
         sum: i128,
         min: i64,
         max: i64,
-        class: MetricClass,
     },
 }
 
-impl Metric {
-    /// The metric's output class.
-    pub fn class(&self) -> MetricClass {
-        match *self {
-            Metric::Counter { class, .. } | Metric::Histogram { class, .. } => class,
-        }
-    }
-}
-
-/// A registry of named metrics with commutative merge and canonical
-/// (sorted-name) rendering.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
+/// Named metrics with canonical (sorted-name) rendering.
+#[derive(Debug, Default)]
+struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `n` to the counter `name`, creating it at zero first.
     ///
     /// # Panics
     ///
-    /// Panics if `name` already exists as a histogram or with a
-    /// different class — canonical names must mean one thing.
-    pub fn add(&mut self, name: &str, class: MetricClass, n: u64) {
+    /// Panics if `name` already exists as a histogram — canonical
+    /// names must mean one thing.
+    fn add(&mut self, name: &str, n: u64) {
         match self
             .metrics
             .entry(name.to_string())
-            .or_insert(Metric::Counter { value: 0, class })
+            .or_insert(Metric::Counter(0))
         {
-            Metric::Counter {
-                value,
-                class: existing,
-            } => {
-                assert!(
-                    *existing == class,
-                    "metric {name} re-registered as {class:?}"
-                );
-                *value += n;
-            }
+            Metric::Counter(value) => *value += n,
             Metric::Histogram { .. } => panic!("metric {name} is a histogram, not a counter"),
         }
     }
@@ -124,9 +82,8 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `name` already exists as a counter or with a
-    /// different class.
-    pub fn observe(&mut self, name: &str, class: MetricClass, v: i64) {
+    /// Panics if `name` already exists as a counter.
+    fn observe(&mut self, name: &str, v: i64) {
         match self
             .metrics
             .entry(name.to_string())
@@ -135,99 +92,23 @@ impl MetricsRegistry {
                 sum: 0,
                 min: v,
                 max: v,
-                class,
             }) {
             Metric::Histogram {
                 count,
                 sum,
                 min,
                 max,
-                class: existing,
             } => {
-                assert!(
-                    *existing == class,
-                    "metric {name} re-registered as {class:?}"
-                );
                 *count += 1;
                 *sum += i128::from(v);
                 *min = (*min).min(v);
                 *max = (*max).max(v);
             }
-            Metric::Counter { .. } => panic!("metric {name} is a counter, not a histogram"),
+            Metric::Counter(_) => panic!("metric {name} is a counter, not a histogram"),
         }
     }
 
-    /// Folds another snapshot into this one. Counters add; histograms
-    /// combine count/sum/min/max. Commutative and associative, so the
-    /// order worker threads complete in cannot change the result.
-    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, metric) in &other.metrics {
-            match *metric {
-                Metric::Counter { value, class } => self.add(name, class, value),
-                Metric::Histogram {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    class,
-                } => match self
-                    .metrics
-                    .entry(name.clone())
-                    .or_insert(Metric::Histogram {
-                        count: 0,
-                        sum: 0,
-                        min,
-                        max,
-                        class,
-                    }) {
-                    Metric::Histogram {
-                        count: c,
-                        sum: s,
-                        min: lo,
-                        max: hi,
-                        class: existing,
-                    } => {
-                        assert!(*existing == class, "metric {name} merged across classes");
-                        *c += count;
-                        *s += sum;
-                        *lo = (*lo).min(min);
-                        *hi = (*hi).max(max);
-                    }
-                    Metric::Counter { .. } => {
-                        panic!("metric {name} is a counter, not a histogram")
-                    }
-                },
-            }
-        }
-    }
-
-    /// The value of counter `name`, if present (and a counter).
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
-            Some(&Metric::Counter { value, .. }) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// All metrics, in canonical (sorted-name) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Counters of one class, in canonical order — for embedding into
-    /// a host document (the timing sidecar embeds `Execution`
-    /// counters this way).
-    pub fn counters_of(&self, class: MetricClass) -> Vec<(&str, u64)> {
-        self.metrics
-            .iter()
-            .filter_map(|(name, m)| match *m {
-                Metric::Counter { value, class: c } if c == class => Some((name.as_str(), value)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Renders the metrics of one class as a canonical JSON document:
+    /// Renders every metric as a canonical JSON document:
     ///
     /// ```json
     /// {
@@ -242,20 +123,15 @@ impl MetricsRegistry {
     /// object are in fixed order — byte-identical for equal
     /// registries, which the determinism tests pin across thread
     /// counts.
-    pub(crate) fn render_json(&self, class: MetricClass) -> String {
+    fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"metrics\": {");
-        let mut first = true;
-        for (name, metric) in &self.metrics {
-            if metric.class() != class {
-                continue;
-            }
-            if !first {
+        for (i, (name, metric)) in self.metrics.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             let _ = write!(out, "\n    \"{}\": ", escape(name));
             match *metric {
-                Metric::Counter { value, .. } => {
+                Metric::Counter(value) => {
                     let _ = write!(out, "{value}");
                 }
                 Metric::Histogram {
@@ -263,7 +139,6 @@ impl MetricsRegistry {
                     sum,
                     min,
                     max,
-                    ..
                 } => {
                     let _ = write!(
                         out,
@@ -272,7 +147,7 @@ impl MetricsRegistry {
                 }
             }
         }
-        if first {
+        if self.metrics.is_empty() {
             out.push_str("}\n}\n");
         } else {
             out.push_str("\n  }\n}\n");
@@ -300,9 +175,8 @@ fn escape(s: &str) -> String {
 /// (a campaign phase, one scenario's judging) rather than an instant.
 ///
 /// Spans measure host time against the [`Obs`] handle's clock, so they
-/// are execution-class: they are reported only in the `--timing-json`
-/// sidecar, never in a deterministic artifact — the same split
-/// [`MetricClass`] draws for counters.
+/// are reported only in the `--timing-json` sidecar, never in a
+/// deterministic artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     pub component: &'static str,
@@ -344,27 +218,16 @@ impl<T> FlightRecorder<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf.iter()
     }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 /// Shared collection point behind an enabled [`Obs`] handle.
 ///
 /// The mutexes are coarse on purpose: producers publish per-scenario
-/// rollups (one registry merge, at most one trace block), not
-/// per-event increments, so contention is a few locks per scenario.
+/// rollups (a handful of counter updates, at most one trace block),
+/// not per-event increments, so contention is a few locks per
+/// scenario.
 #[derive(Debug)]
-pub struct ObsSink {
+struct ObsSink {
     registry: Mutex<MetricsRegistry>,
     /// Alarm narratives keyed by scenario matrix index — a `BTreeMap`
     /// so draining yields matrix order no matter which worker finished
@@ -393,7 +256,7 @@ impl Default for ObsSink {
 
 /// The zero-cost observability handle threaded through the layers.
 /// Disabled (the default), every operation is a branch on `None`;
-/// enabled, it shares one [`ObsSink`] across clones.
+/// enabled, it shares one sink across clones.
 #[derive(Debug, Clone, Default)]
 pub struct Obs(Option<Arc<ObsSink>>);
 
@@ -412,37 +275,23 @@ impl Obs {
         self.0.is_some()
     }
 
-    /// Adds `n` to a deterministic counter.
+    /// Adds `n` to a counter.
     pub fn count(&self, name: &str, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.registry.lock().expect("obs registry lock").add(
-                name,
-                MetricClass::Deterministic,
-                n,
-            );
-        }
-    }
-
-    /// Records one observation into a deterministic histogram.
-    pub fn observe(&self, name: &str, v: i64) {
-        if let Some(sink) = &self.0 {
-            sink.registry.lock().expect("obs registry lock").observe(
-                name,
-                MetricClass::Deterministic,
-                v,
-            );
-        }
-    }
-
-    /// Folds a locally-accumulated snapshot into the shared registry —
-    /// the once-per-scenario publish point for hot-path counters.
-    // detlint: allow(D7) -- tests/obs_metrics.rs
-    pub fn merge(&self, snapshot: &MetricsRegistry) {
         if let Some(sink) = &self.0 {
             sink.registry
                 .lock()
                 .expect("obs registry lock")
-                .merge(snapshot);
+                .add(name, n);
+        }
+    }
+
+    /// Records one observation into a histogram.
+    pub fn observe(&self, name: &str, v: i64) {
+        if let Some(sink) = &self.0 {
+            sink.registry
+                .lock()
+                .expect("obs registry lock")
+                .observe(name, v);
         }
     }
 
@@ -511,14 +360,6 @@ impl Obs {
         }
     }
 
-    /// A snapshot of the merged registry (empty when disabled).
-    pub fn registry(&self) -> MetricsRegistry {
-        match &self.0 {
-            Some(sink) => sink.registry.lock().expect("obs registry lock").clone(),
-            None => MetricsRegistry::new(),
-        }
-    }
-
     /// All recorded narratives in scenario-matrix order (empty when
     /// disabled).
     pub fn traces(&self) -> BTreeMap<usize, Vec<String>> {
@@ -534,7 +375,7 @@ impl Obs {
             sink.registry
                 .lock()
                 .expect("obs registry lock")
-                .render_json(MetricClass::Deterministic)
+                .render_json()
         })
     }
 }
@@ -545,81 +386,57 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_read_back() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("kernel.events_committed", MetricClass::Deterministic, 5);
-        reg.add("kernel.events_committed", MetricClass::Deterministic, 7);
-        assert_eq!(reg.counter("kernel.events_committed"), Some(12));
-        assert_eq!(reg.counter("missing"), None);
+        let mut reg = MetricsRegistry::default();
+        reg.add("kernel.events_committed", 5);
+        reg.add("kernel.events_committed", 7);
+        assert_eq!(
+            reg.metrics.get("kernel.events_committed"),
+            Some(&Metric::Counter(12))
+        );
+        assert_eq!(reg.metrics.get("missing"), None);
     }
 
     #[test]
     fn histogram_rollup_tracks_count_sum_min_max() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         for v in [-40, 10, 30] {
-            reg.observe("verdict.margin_micros", MetricClass::Deterministic, v);
+            reg.observe("verdict.margin_micros", v);
         }
-        let metric = *reg.iter().next().unwrap().1;
-        match metric {
-            Metric::Histogram {
-                count,
-                sum,
-                min,
-                max,
-                ..
-            } => {
-                assert_eq!((count, sum, min, max), (3, 0, -40, 30));
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let mut a = MetricsRegistry::new();
-        a.add("c", MetricClass::Deterministic, 3);
-        a.observe("h", MetricClass::Deterministic, -5);
-        a.observe("h", MetricClass::Deterministic, 9);
-        let mut b = MetricsRegistry::new();
-        b.add("c", MetricClass::Deterministic, 4);
-        b.add("only_b", MetricClass::Execution, 1);
-        b.observe("h", MetricClass::Deterministic, 2);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
         assert_eq!(
-            ab.render_json(MetricClass::Deterministic),
-            ba.render_json(MetricClass::Deterministic)
+            reg.metrics.get("verdict.margin_micros"),
+            Some(&Metric::Histogram {
+                count: 3,
+                sum: 0,
+                min: -40,
+                max: 30
+            })
         );
-        assert_eq!(ab.counter("c"), Some(7));
     }
 
     #[test]
-    fn render_is_canonical_and_class_filtered() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("z.later", MetricClass::Deterministic, 2);
-        reg.add("a.first", MetricClass::Deterministic, 1);
-        reg.add("pool.chunk_claims", MetricClass::Execution, 9);
-        reg.observe("m.margin", MetricClass::Deterministic, -7);
-        let json = reg.render_json(MetricClass::Deterministic);
+    #[should_panic(expected = "is a histogram, not a counter")]
+    fn one_name_is_one_kind() {
+        let mut reg = MetricsRegistry::default();
+        reg.observe("campaign.margin", -3);
+        reg.add("campaign.margin", 1);
+    }
+
+    #[test]
+    fn render_is_canonical() {
+        let mut reg = MetricsRegistry::default();
+        reg.add("z.later", 2);
+        reg.add("a.first", 1);
+        reg.observe("m.margin", -7);
         assert_eq!(
-            json,
+            reg.render_json(),
             "{\n  \"metrics\": {\n    \"a.first\": 1,\n    \"m.margin\": { \"count\": 1, \"sum\": -7, \"min\": -7, \"max\": -7 },\n    \"z.later\": 2\n  }\n}\n"
         );
-        assert!(!json.contains("chunk_claims"), "execution class leaked");
-        assert_eq!(
-            reg.counters_of(MetricClass::Execution),
-            vec![("pool.chunk_claims", 9)]
-        );
     }
 
     #[test]
-    fn empty_class_renders_empty_object() {
-        let reg = MetricsRegistry::new();
+    fn empty_registry_renders_empty_object() {
         assert_eq!(
-            reg.render_json(MetricClass::Deterministic),
+            MetricsRegistry::default().render_json(),
             "{\n  \"metrics\": {}\n}\n"
         );
     }
@@ -630,9 +447,7 @@ mod tests {
         for i in 0..5 {
             rec.push(i);
         }
-        assert_eq!(rec.len(), 3);
         assert_eq!(rec.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(rec.capacity(), 3);
     }
 
     #[test]
@@ -644,7 +459,6 @@ mod tests {
         assert!(!obs.is_enabled());
         assert!(obs.metrics_json().is_none());
         assert!(obs.traces().is_empty());
-        assert_eq!(obs.registry(), MetricsRegistry::new());
     }
 
     #[test]
@@ -656,8 +470,8 @@ mod tests {
         clone.record_trace(4, vec!["b".into()]);
         obs.record_trace(1, vec!["a".into()]);
         assert_eq!(
-            obs.registry().counter("campaign.scenarios_simulated"),
-            Some(3)
+            obs.metrics_json().as_deref(),
+            Some("{\n  \"metrics\": {\n    \"campaign.scenarios_simulated\": 3\n  }\n}\n")
         );
         let traces = obs.traces();
         assert_eq!(

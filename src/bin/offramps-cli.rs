@@ -36,6 +36,8 @@ use offramps_bench::workloads::Workload;
 use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
 use offramps_gcode::{parse, ProgramStats};
 use offramps_obs::Obs;
+use offramps_printer::PlantConfig;
+use offramps_signals::Axis;
 use offramps_store::Store;
 
 const USAGE: &str = "\
@@ -124,9 +126,10 @@ the detector reliably catches).
                   are appended. The summary and JSON are byte-identical
                   to an uncached run for any thread count.
   --timing-json   write the non-deterministic host-timing sidecar
-                  (per-scenario wall_ms, execution-class counters, and
-                  campaign phase spans: slice/golden/simulate/decode/
-                  judge) next to the deterministic report
+                  next to the deterministic report: threads, wall_s,
+                  events_per_sec, per-scenario wall_ms, and phase spans
+                  (campaign slice/golden/simulate/decode, per-scenario
+                  judge, and with --cache the store open/checkpoint)
   --metrics[=FILE] turn on the observability plane and render its
                   deterministic metrics document — kernel counters
                   (events committed, wake-slot dedups, spill-heap
@@ -394,6 +397,29 @@ fn cmd_slice(args: &[String]) -> Result<ExitCode, String> {
         layer_height: layer,
         ..SlicerConfig::fast()
     };
+    // The part must fit the simulated printer, or `print` would clamp
+    // the carriage and still "finish" it: the outline inside the X/Y
+    // travel around the slicer's centre, the top layer (the slicer
+    // rounds the height to whole layers, at least one) inside the Z
+    // travel, and every layer at least one Z microstep thick.
+    let plant = PlantConfig::default();
+    let (cx, cy) = cfg.center;
+    let span = |axis: Axis, c: f64| 2.0 * c.min(plant.axis(axis).travel_mm - c);
+    let (max_width, max_depth) = (span(Axis::X, cx), span(Axis::Y, cy));
+    let max_height = plant.axis(Axis::Z).travel_mm;
+    let top = (height / layer).round().max(1.0) * layer;
+    if width > max_width || depth > max_depth || top > max_height {
+        return Err(format!(
+            "part must fit the printer's travel around its centre ({cx}, {cy}) mm: \
+             width <= {max_width}, depth <= {max_depth}, height <= {max_height} mm"
+        ));
+    }
+    let z_microstep = 1.0 / plant.axis(Axis::Z).steps_per_mm;
+    if layer < z_microstep {
+        return Err(format!(
+            "--layer must be at least one Z microstep ({z_microstep} mm)"
+        ));
+    }
     let program = slice(&Solid::rect_prism(width, depth, height), &cfg);
     print!("{}", program.to_gcode());
     Ok(ExitCode::SUCCESS)
@@ -649,8 +675,8 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // The timing sidecar carries execution-class counters and phase
-    // spans, so asking for it turns the observability plane on too.
+    // The timing sidecar carries the plane's phase spans, so asking
+    // for it turns the observability plane on too.
     let obs = if metrics != MetricsSink::Off || trace_alarms || flags.has("--timing-json") {
         Obs::enabled()
     } else {

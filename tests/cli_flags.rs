@@ -98,6 +98,22 @@ fn out_of_domain_values_are_rejected() {
     ] {
         assert_rejected(args, "dimensions must be finite and greater than 0", usage);
     }
+    // Parts the simulated printer cannot hold: an outline past the X/Y
+    // travel around the slicer's centre, a top layer past the Z
+    // travel, a layer thinner than one Z microstep.
+    for args in [
+        &["slice", "--width", "100"][..],
+        &["slice", "--depth", "60.5"],
+        &["slice", "--height", "1e9", "--layer", "1e-9"],
+        &["slice", "--height", "210", "--layer", "140"],
+    ] {
+        assert_rejected(args, "part must fit the printer's travel", usage);
+    }
+    assert_rejected(
+        &["slice", "--layer", "0.001"],
+        "--layer must be at least one Z microstep",
+        usage,
+    );
     for factor in ["nan", "-3", "0", "1.5"] {
         assert_rejected(
             &["attack", "part.gcode", "--reduction", factor],

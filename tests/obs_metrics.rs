@@ -1,21 +1,22 @@
 //! The observability plane's contract, pinned end to end:
 //!
 //! * the rendered metrics document is **byte-identical** across worker
-//!   thread counts — deterministic-class metrics are a pure function of
-//!   the spec, and merging is commutative;
+//!   thread counts — every counter and histogram is a pure function of
+//!   the spec, and the workers' updates to the one shared registry are
+//!   order-independent (sums, minima, maxima);
 //! * attaching the plane (enabled or disabled, tracing or not) never
 //!   perturbs the campaign artifact itself — summary and JSON stay
 //!   byte-equal to the default path;
-//! * execution-class counters ride only in the timing sidecar, never
-//!   in the metrics document;
+//! * host time rides only in the timing sidecar, as phase spans beside
+//!   the per-scenario wall times, never in the metrics document;
 //! * the flight recorder narrates the pinned mid-print catches — the
 //!   cadence-breaking flow Trojan is the acoustic judge's window-290
 //!   alarm at master seeds 42 **and** 7, matching `tests/online_pins.rs`.
 
 use offramps_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
-use offramps_bench::json::ToJson;
+use offramps_bench::json::{self, ToJson, Value};
 use offramps_bench::workloads::Workload;
-use offramps_obs::{MetricClass, MetricsRegistry, Obs};
+use offramps_obs::Obs;
 
 /// Campaign options with the observability plane attached.
 fn observed(threads: usize, obs: &Obs, trace_alarms: bool) -> CampaignOptions<'_> {
@@ -110,7 +111,6 @@ fn disabled_plane_is_a_byte_level_no_op() {
         "disabled handle renders nothing"
     );
     assert!(off.traces().is_empty());
-    assert!(off.registry().iter().next().is_none());
 
     // An *enabled* plane watches the same run without touching it.
     let on = Obs::enabled();
@@ -120,38 +120,38 @@ fn disabled_plane_is_a_byte_level_no_op() {
 }
 
 #[test]
-fn exec_metrics_ride_only_in_the_timing_sidecar() {
+fn timing_sidecar_carries_spans_and_scenarios_only() {
     let spec = online_quad(42);
     let obs = Obs::enabled();
     let (report, _) = run_campaign(&spec, observed(2, &obs, false)).expect("valid spec");
 
-    // A campaign publishes deterministic counters only; its phase spans
-    // ride in the sidecar.
-    assert!(obs
-        .registry()
-        .iter()
-        .all(|(_, m)| m.class() != MetricClass::Execution));
     let sidecar = report.timing_json(&obs);
-    assert!(!sidecar.contains("\"exec_metrics\""), "{sidecar}");
-    for phase in ["\"slice\"", "\"golden\"", "\"simulate\"", "\"judge\""] {
-        assert!(sidecar.contains(phase), "missing span {phase}: {sidecar}");
+    let doc = json::parse(&sidecar).expect("sidecar is JSON");
+    let Value::Obj(pairs) = &doc else {
+        panic!("sidecar is an object: {sidecar}")
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_ref()).collect();
+    assert_eq!(
+        keys,
+        ["threads", "wall_s", "events_per_sec", "spans", "scenarios"],
+        "{sidecar}"
+    );
+    let labels: Vec<&str> = doc
+        .get("spans")
+        .and_then(Value::as_array)
+        .expect("spans is an array")
+        .iter()
+        .filter_map(|span| span.get("label").and_then(Value::as_str))
+        .collect();
+    for phase in ["slice", "golden", "simulate", "judge"] {
+        assert!(labels.contains(&phase), "missing span {phase}: {sidecar}");
     }
 
-    // An execution-class counter published into the plane lands in the
-    // sidecar and never in the deterministic document.
-    let before = obs.metrics_json().expect("enabled handle renders");
-    let mut exec = MetricsRegistry::new();
-    exec.add("pool.chunk_claims", MetricClass::Execution, 7);
-    obs.merge(&exec);
-    let sidecar = report.timing_json(&obs);
-    assert!(sidecar.contains("\"exec_metrics\""), "{sidecar}");
-    assert!(sidecar.contains("\"pool.chunk_claims\": 7"), "{sidecar}");
-    assert_eq!(obs.metrics_json().expect("enabled"), before);
-
-    // Without a handle the sidecar keeps its pre-plane shape.
+    // Without a handle the sidecar keeps its pre-plane shape: no spans
+    // and no metric.
     let plain = report.timing_json(&Obs::disabled());
     assert!(
-        !plain.contains("exec_metrics") && !plain.contains("spans"),
+        !plain.contains("spans") && !plain.contains("metrics"),
         "{plain}"
     );
 }

@@ -12,7 +12,6 @@
 
 use std::path::PathBuf;
 
-use offramps::verdict::DetectorSuite;
 use offramps_bench::analytics::{AnalyticsReport, THRESHOLD_GRID};
 use offramps_bench::cache::{store_observations, CacheStats};
 use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
@@ -137,7 +136,7 @@ fn suite_switch_invalidates_then_restores() {
     // so stores warmed before the suite API stay warm.
     assert_eq!(
         txn_spec.suite().unwrap().policy(),
-        DetectorSuite::transaction_default().policy()
+        "margin=0.05;floor=32;base=0.01;final=true;txn_floor=2.8"
     );
 
     let mut store = Store::open(&root).unwrap();

@@ -12,7 +12,7 @@
 //! | `D2` | wall-clock / host-parallelism reads not justified with `allow(D2)` |
 //! | `D3` | raw `{:?}` or float `{}` formatting inside JSON/artifact-emitting functions |
 //! | `D4` | `SimComponent` callbacks bypassing the `ActionSink` write-phase discipline |
-//! | `D5` | metrics-name hygiene: canonical lowercase dotted names, one kind + one class per name |
+//! | `D5` | metrics-name hygiene: canonical lowercase dotted names, one kind per name |
 //! | `D7` | a library `pub fn` that no other crate, example or doc example names |
 //! | `D0` | a `detlint: allow(..)` suppression without a written justification |
 //!
@@ -68,8 +68,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "D5",
-        summary: "metric name not lowercase-dotted, or one name registered with two kinds/classes",
-        hint: "metric names are canonical `sub.system.name`; one name = one kind (counter|histogram) + one MetricClass",
+        summary: "metric name not lowercase-dotted, or one name registered as two kinds",
+        hint: "metric names are canonical `sub.system.name`; one name = one kind (counter|histogram)",
     },
     RuleInfo {
         id: "D7",
@@ -148,8 +148,8 @@ impl Callers {
 }
 
 /// Cross-file metric registration table for D5. One table spans the
-/// whole lint run, so a name registered as a Deterministic counter in
-/// `cache.rs` and an Execution counter in `campaign.rs` is a conflict.
+/// whole lint run, so a name counted in `cache.rs` and observed as a
+/// histogram in `campaign.rs` is a conflict.
 #[derive(Debug, Default)]
 pub struct MetricsTable {
     by_name: BTreeMap<String, MetricSig>,
@@ -158,7 +158,6 @@ pub struct MetricsTable {
 #[derive(Debug, Clone)]
 struct MetricSig {
     kind: &'static str,
-    class: String,
     file: String,
     line: u32,
 }
@@ -588,7 +587,7 @@ impl<'a> Analysis<'a> {
         let t = self.toks;
         let mut i = 0;
         while i + 2 < t.len() {
-            let site = (|| -> Option<(u32, &'static str, String, String)> {
+            let site = (|| -> Option<(u32, &'static str, String)> {
                 if !t[i].is_punct('.') {
                     return None;
                 }
@@ -596,43 +595,18 @@ impl<'a> Analysis<'a> {
                 if method.kind != TokKind::Ident || !t[i + 2].is_punct('(') {
                     return None;
                 }
-                let m = method.text.as_str();
-                if !matches!(m, "count" | "observe" | "add") {
-                    return None;
-                }
+                let kind = match method.text.as_str() {
+                    "count" => "counter",
+                    "observe" => "histogram",
+                    _ => return None,
+                };
                 let args = self.call_args(i + 2)?;
                 let name = first_name_literal(t, &args)?;
-                let class_tok = args
-                    .iter()
-                    .position(|&k| t[k].is_ident("MetricClass"))
-                    .and_then(|p| {
-                        let k = args[p];
-                        // `MetricClass :: Ident`
-                        if k + 3 < t.len() && t[k + 1].is_punct(':') && t[k + 2].is_punct(':') {
-                            Some(t[k + 3].text.clone())
-                        } else {
-                            None
-                        }
-                    });
-                let (kind, class) = match m {
-                    "count" => ("counter", "Deterministic".to_string()),
-                    "observe" => (
-                        "histogram",
-                        class_tok.unwrap_or_else(|| "Deterministic".into()),
-                    ),
-                    "add" => {
-                        // Plain `.add(..)` is far too common a name;
-                        // only an explicit MetricClass argument marks a
-                        // registry site.
-                        ("counter", class_tok?)
-                    }
-                    _ => unreachable!(),
-                };
-                Some((method.line, kind, class, name))
+                Some((method.line, kind, name))
             })();
-            if let Some((line, kind, class, name)) = site {
+            if let Some((line, kind, name)) = site {
                 if !self.in_test(line) {
-                    self.check_metric(metrics, line, kind, &class, &name, out);
+                    self.check_metric(metrics, line, kind, &name, out);
                 }
             }
             i += 1;
@@ -644,7 +618,6 @@ impl<'a> Analysis<'a> {
         metrics: &mut MetricsTable,
         line: u32,
         kind: &'static str,
-        class: &str,
         name: &str,
         out: &mut Vec<Finding>,
     ) {
@@ -689,33 +662,22 @@ impl<'a> Analysis<'a> {
                     name.to_string(),
                     MetricSig {
                         kind,
-                        class: class.to_string(),
                         file: self.ctx.display.clone(),
                         line,
                     },
                 );
             }
-            Some(sig) => {
-                if sig.kind != kind {
-                    out.push(self.finding(
-                        line,
-                        "D5",
-                        format!(
-                            "metric {name:?} registered as a {kind} here but as a {} at {}:{}",
-                            sig.kind, sig.file, sig.line
-                        ),
-                    ));
-                } else if sig.class != class {
-                    out.push(self.finding(
-                        line,
-                        "D5",
-                        format!(
-                            "metric {name:?} registered as {class} here but as {} at {}:{}",
-                            sig.class, sig.file, sig.line
-                        ),
-                    ));
-                }
+            Some(sig) if sig.kind != kind => {
+                out.push(self.finding(
+                    line,
+                    "D5",
+                    format!(
+                        "metric {name:?} registered as a {kind} here but as a {} at {}:{}",
+                        sig.kind, sig.file, sig.line
+                    ),
+                ));
             }
+            Some(_) => {}
         }
     }
 
