@@ -35,7 +35,8 @@ const MAGIC: u64 = u64::from_le_bytes(*b"ofidx\0\0\x01");
 const HEADER_WORDS: usize = 11;
 
 /// The index of one shard log's first `len` bytes: what a checkpoint
-/// holds, and what opening a shard builds.
+/// holds, what opening a shard builds, and what the store then serves
+/// that shard from.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct LogIndex {
     /// How many bytes of the log this index covers.
@@ -119,19 +120,16 @@ impl LogIndex {
     }
 
     /// Decodes `shard`'s section, or `None` when the bytes are not one
-    /// or cover nothing.
+    /// or cover nothing. The slots are checked as they are decoded.
     pub(crate) fn decode(section: &[u8], shard: u8) -> Option<LogIndex> {
         let (body, sum) = section.split_last_chunk::<8>()?;
-        if body.len() % 8 != 0 || checksum(body) != u64::from_le_bytes(*sum) {
+        if checksum(body) != u64::from_le_bytes(*sum) {
             return None;
         }
-        let words: Vec<u64> = body
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-            .collect();
-        let (header, slots) = words.split_first_chunk::<HEADER_WORDS>()?;
+        let (header, slots) = body.split_at_checked(8 * HEADER_WORDS)?;
+        let header: [u64; HEADER_WORDS] = std::array::from_fn(|i| word(header, i).expect("a word"));
         let [owner, len, torn_tail, lines, records, superseded, torn, foreign, last_line, check, n] =
-            *header;
+            header;
         let count = |w: u64| usize::try_from(w).ok();
         let stats = ScanStats {
             lines: count(lines)?,
@@ -144,21 +142,22 @@ impl LogIndex {
             && len > 0
             && torn_tail <= 1
             && last_line < len
-            && slots.len() as u64 == n.checked_mul(4)?
+            && slots.len() as u64 == n.checked_mul(32)?
             && records.checked_sub(superseded)? == n;
         if !well_formed {
             return None;
         }
-        let slots: Vec<LineSpan> = slots
-            .chunks_exact(4)
-            .map(|s| {
-                let fp = Fingerprint::from_words([s[0], s[1]]);
-                let fits = fp.shard() == shard && s[2].checked_add(s[3])? <= len;
-                fits.then_some((fp, s[2], count(s[3])?))
-            })
-            .collect::<Option<_>>()?;
-        if !slots.windows(2).all(|w| w[0].0 < w[1].0) {
-            return None;
+        let mut spans: Vec<LineSpan> = Vec::with_capacity(slots.len() / 32);
+        for slot in slots.chunks_exact(32) {
+            let w = |i| word(slot, i).expect("a word");
+            let (fp, offset, bytes) = (Fingerprint::from_words([w(0), w(1)]), w(2), w(3));
+            let fits = fp.shard() == shard
+                && offset.checked_add(bytes)? <= len
+                && spans.last().is_none_or(|last| last.0 < fp);
+            if !fits {
+                return None;
+            }
+            spans.push((fp, offset, count(bytes)?));
         }
         Some(LogIndex {
             len,
@@ -166,7 +165,7 @@ impl LogIndex {
             stats,
             last_line,
             check,
-            slots,
+            slots: spans,
         })
     }
 }
@@ -191,6 +190,7 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::spans;
     use crate::{checkpoint_path, shard_path, Store, RECORD_TAG};
     use offramps_des::DetRng;
     use std::fs;
@@ -324,13 +324,9 @@ mod tests {
     fn seen(root: &Path, workers: usize) -> (Seen, usize) {
         let store = Store::open_with(root.to_path_buf(), workers).unwrap();
         let seen = Seen {
-            index: store
-                .index
-                .iter()
-                .map(|(&fp, slot)| (fp, slot.offset, slot.len))
-                .collect(),
+            index: spans(&store),
             scan: store.scan_stats(),
-            torn_tails: store.shards.iter().map(|s| s.torn_tail).collect(),
+            torn_tails: store.shards.iter().map(|s| s.index.torn_tail).collect(),
             len: store.len(),
             records: store.records_with(workers, |k, v| (k.to_string(), v.to_string())),
         };
@@ -581,8 +577,8 @@ mod tests {
             assert_eq!(read.len() + unreadable, store.len());
             for (key, value) in &read {
                 assert_eq!(truth.get(key), Some(value.as_str()), "{key}");
-                let slot = store.index.get(&Fingerprint::of(key));
-                assert!(slot.is_some(), "{key} fingerprints to its slot");
+                let indexed = spans(&store).iter().any(|s| s.0 == Fingerprint::of(key));
+                assert!(indexed, "{key} fingerprints to its slot");
             }
             drop(store);
             // Restore the original log and its checkpoint for the next

@@ -93,16 +93,6 @@ impl Fingerprint {
         (self.hi >> 56) as u8
     }
 
-    /// Every fingerprint in `shard`, smallest to largest.
-    pub(crate) fn shard_range(shard: u8) -> std::ops::RangeInclusive<Fingerprint> {
-        let hi = u64::from(shard) << 56;
-        let last = Fingerprint {
-            hi: hi | u64::MAX >> 8,
-            lo: u64::MAX,
-        };
-        Fingerprint { hi, lo: 0 }..=last
-    }
-
     /// The two 64-bit halves, high first (a checkpoint stores this
     /// form).
     pub(crate) fn words(&self) -> [u64; 2] {
@@ -171,19 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_range_spans_exactly_its_shard() {
+    fn words_round_trip() {
         for i in 0..512 {
             let fp = Fingerprint::of(&format!("key-{i}"));
-            for shard in [
-                fp.shard().wrapping_sub(1),
-                fp.shard(),
-                fp.shard().wrapping_add(1),
-            ] {
-                assert_eq!(
-                    Fingerprint::shard_range(shard).contains(&fp),
-                    shard == fp.shard()
-                );
-            }
             assert_eq!(Fingerprint::from_words(fp.words()), fp);
         }
     }

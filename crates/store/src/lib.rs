@@ -8,10 +8,11 @@
 //! string spelling out every input that influenced the value — and
 //! appended to a shard log chosen by the fingerprint's top byte. An
 //! in-memory index, rebuilt at [`Store::open`] from checkpoints and the
-//! shard logs, maps each fingerprint to the offset and length of its
-//! record's line; it holds offsets, not keys or values, so a hit reads
-//! that one line back. A rerun only recomputes the scenarios whose keys
-//! are not yet present.
+//! shard logs, holds one array per shard of the offset and length of
+//! each record's line, sorted by fingerprint, so a lookup is a binary
+//! search within its own shard. It holds offsets, not keys or values,
+//! so a hit reads that one line back. A rerun only recomputes the
+//! scenarios whose keys are not yet present.
 //!
 //! Design points:
 //!
@@ -31,11 +32,11 @@
 //! * **Deterministic results on every core.** The 256 shard logs are
 //!   independent, so [`Store::open`] scans them and [`Store::records`]
 //!   reads them back on a small pool sized to the host, one whole shard
-//!   log per task. Every result merges in shard order into a
-//!   `BTreeMap` keyed by fingerprint, so the index, the scan counts and
-//!   the bulk read's order are the same at any worker count and
-//!   regardless of insertion history — analytics built on them are
-//!   byte-reproducible.
+//!   log per task. Each shard's slots are indexed into a sorted array
+//!   of its own and results are taken in shard order, so the index, the
+//!   scan counts and the bulk read's order (fingerprint order) are the
+//!   same at any worker count and regardless of insertion history —
+//!   analytics built on them are byte-reproducible.
 //! * **Checkpointed index.** When a store drops after the indexed
 //!   prefix of any shard log grew — through its own appends, or a log
 //!   tail `open` had to scan — it saves a checkpoint of every shard log
@@ -46,11 +47,12 @@
 //!   that prefix's [`ScanStats`] and torn-tail flag, a check (offset
 //!   and checksum) of the prefix's last line, the shard's slots after
 //!   last-wins, and a checksum over its own bytes. `open` loads a
-//!   checkpoint and scans only the log beyond it: ~32 bytes per record
-//!   instead of validating and hashing every line. A checkpoint is
-//!   invalidated — and its shard scanned whole, as before — by a log
-//!   shorter than the covered length, a log grown past a covered torn
-//!   tail, a different last line, or damage to the checkpoint itself.
+//!   checkpoint as that shard's slot array and scans only the log
+//!   beyond it: ~32 bytes per record instead of validating and hashing
+//!   every line. A checkpoint is invalidated — and its shard scanned
+//!   whole, as before — by a log shorter than the covered length, a log
+//!   grown past a covered torn tail, a different last line, or damage
+//!   to the checkpoint itself.
 //!   A checkpoint can only ever cost a miss, never a wrong value:
 //!   [`Store::get`] compares the full stored key, and
 //!   [`Store::records`] re-hashes every key a checkpoint supplied.
@@ -92,7 +94,6 @@ use checkpoint::{checksum, LogIndex};
 pub use fingerprint::Fingerprint;
 
 use std::cell::OnceCell;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
@@ -108,72 +109,36 @@ pub const SHARD_COUNT: usize = 256;
 /// compatibility), so a downgrade sees misses, not corruption.
 const RECORD_TAG: &str = "v1";
 
-/// Where a record's line sits in its shard log (the fingerprint's
-/// shard), and the record itself once a [`Store::get`] has read it.
-#[derive(Debug)]
-struct Slot {
-    /// Byte offset of the line in the shard log.
-    offset: u64,
-    /// Length of the line, without its newline.
-    len: usize,
-    /// The `(key, value)` the first `get` read back; `None` when the
-    /// line no longer reads back as this slot's record. Boxed, so the
-    /// index of a store whose records are never read stays small.
-    record: OnceCell<Option<Box<(String, String)>>>,
-}
+/// What [`Store::get`] read back for one slot: the `(key, value)` its
+/// line held, or `None` when the line no longer reads back as the
+/// slot's record. Boxed, so the cells of a shard whose records are not
+/// all read stay small.
+type SlotRead = OnceCell<Option<Box<(String, String)>>>;
 
-impl Slot {
-    fn new(offset: u64, len: usize) -> Slot {
-        Slot {
-            offset,
-            len,
-            record: OnceCell::new(),
-        }
-    }
-
-    /// The value this slot holds for `key`, whose fingerprint is `fp`.
-    /// The first call reads the line from the shard log under `root`
-    /// and keeps it. A line that no longer reads back whole, or under
-    /// another fingerprint, reads as `None`, and so does another key.
-    fn value(&self, root: &Path, fp: Fingerprint, key: &str) -> Option<&str> {
-        let (stored_key, value) = self
-            .record
-            .get_or_init(|| read_slot(root, fp, self))
-            .as_deref()?;
-        (stored_key == key).then_some(value.as_str())
-    }
-}
-
-/// Append and checkpoint state of one shard log.
+/// One shard log: its index, and its append and checkpoint state.
 #[derive(Debug, Default)]
 struct Shard {
     /// The append handle, opened by the shard's first [`Store::put`].
     file: Option<fs::File>,
-    /// Length of the log: the bytes [`Store::open`] indexed, advanced
-    /// by every append. Re-measured when the append handle opens.
-    end: u64,
-    /// The log ends without a newline — a torn last write found at
-    /// open, or an append that failed part-way. The next append starts
-    /// with a newline, so the fresh record never fuses with the
-    /// fragment.
-    torn_tail: bool,
-    /// The counts of the lines in the log's first `end` bytes,
-    /// `superseded` included: what a rescan of them would count.
-    stats: ScanStats,
-    /// Where the last non-empty line of the log's first `end` bytes
-    /// starts: the line a checkpoint checks.
-    last_line: u64,
-    /// [`checksum`] of the log from `last_line` to `end`, while the
-    /// store still holds the bytes it was taken from: set by `open`,
-    /// dropped by an append.
-    check: Option<u64>,
+    /// The index of the log's first `index.len` bytes: what
+    /// [`Store::open`] indexed, advanced by every append, with the
+    /// record slots in fingerprint order. `index.len` is re-measured
+    /// when the append handle opens. `index.torn_tail` makes the next
+    /// append start with a newline, so the fresh record never fuses
+    /// with a torn last write (found at open, or an append that failed
+    /// part-way). `index.stats` counts what a rescan of those bytes
+    /// would, `superseded` included.
+    index: LogIndex,
+    /// `index.check` still holds for the log: set by `open`, cleared by
+    /// an append.
+    checked: bool,
     /// How many bytes of the log the checkpoint loaded at open covered
     /// (0 without one). Their slots were indexed without hashing any
     /// key, so [`Store::records`] hashes them.
     loaded: u64,
-    /// The index and `stats` no longer describe the log's first `end`
-    /// bytes: an append found the log longer or shorter than `open`
-    /// left it, or failed part-way. No checkpoint is saved for it.
+    /// The index no longer describes the log's first `index.len` bytes:
+    /// an append found the log longer or shorter than `open` left it,
+    /// or failed part-way. No checkpoint is saved for it.
     stale: bool,
 }
 
@@ -222,10 +187,13 @@ pub struct ScanStats {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    index: BTreeMap<Fingerprint, Slot>,
     scan: ScanStats,
     /// One entry per shard log, indexed by shard.
     shards: Vec<Shard>,
+    /// What [`Store::get`] read back, indexed by shard: once the shard's
+    /// first `get` ran, one cell per slot of its index. An append to
+    /// the shard drops them.
+    reads: Vec<OnceCell<Vec<SlotRead>>>,
     /// The line [`Store::put`] escapes each record into, reused across
     /// records.
     line: String,
@@ -238,7 +206,7 @@ impl Store {
     /// shard is scanned whole. A scanned line is fully validated, but
     /// only its key is decoded: values stay on disk until a
     /// [`Store::get`] reads them. The shards are indexed on the host's
-    /// cores and merged in shard order, so the index and
+    /// cores, each into an index of its own, so the index and
     /// [`Store::scan_stats`] do not depend on the worker count.
     ///
     /// # Errors
@@ -263,48 +231,34 @@ impl Store {
         };
         let mut store = Store {
             root,
-            index: BTreeMap::new(),
             scan: ScanStats::default(),
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            reads: (0..SHARD_COUNT).map(|_| OnceCell::new()).collect(),
             line: String::new(),
         };
-        let mut slots = Vec::with_capacity(SHARD_COUNT);
         for (shard, opened) in store.shards.iter_mut().zip(opened) {
-            let Some((mut index, loaded)) = opened? else {
+            let Some((index, loaded)) = opened? else {
                 continue;
             };
             store.scan.add(&index.stats);
-            slots.push(std::mem::take(&mut index.slots));
             *shard = Shard {
-                file: None,
-                end: index.len,
-                torn_tail: index.torn_tail,
-                stats: index.stats,
-                last_line: index.last_line,
-                check: Some(index.check),
+                index,
+                checked: true,
                 loaded,
-                stale: false,
+                ..Shard::default()
             };
         }
-        // Each fingerprint lives in its shard's log and each shard's
-        // slots are in fingerprint order, so the shards in turn are one
-        // sorted run: the index is built from it in bulk.
-        store.index = slots
-            .into_iter()
-            .flatten()
-            .map(|(fp, offset, len)| (fp, Slot::new(offset, len)))
-            .collect();
         Ok(store)
     }
 
     /// Number of distinct records indexed.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.shards.iter().map(|s| s.index.slots.len()).sum()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.shards.iter().all(|s| s.index.slots.is_empty())
     }
 
     /// The rollup of the shard logs as [`Store::open`] indexed them,
@@ -320,8 +274,30 @@ impl Store {
     /// that no longer reads back whole, or under another fingerprint,
     /// is a miss too.
     pub fn get(&self, key: &str) -> Option<&str> {
-        let fp = Fingerprint::of(key);
-        self.index.get(&fp)?.value(&self.root, fp, key)
+        let (shard, at) = self.find(Fingerprint::of(key));
+        self.value(shard, at.ok()?, key)
+    }
+
+    /// `fp`'s shard, and where in that shard's slots `fp`'s slot is
+    /// (`Ok`) or would be inserted (`Err`).
+    fn find(&self, fp: Fingerprint) -> (usize, Result<usize, usize>) {
+        let shard = usize::from(fp.shard());
+        let slots = &self.shards[shard].index.slots;
+        (shard, slots.binary_search_by_key(&fp, |slot| slot.0))
+    }
+
+    /// The value the `at`th slot of `shard` holds for `key`. The first
+    /// call reads the line from the shard log and keeps it. A line that
+    /// no longer reads back whole, or under another fingerprint, reads
+    /// as `None`, and so does another key.
+    fn value(&self, shard: usize, at: usize, key: &str) -> Option<&str> {
+        let slots = &self.shards[shard].index.slots;
+        let reads =
+            self.reads[shard].get_or_init(|| slots.iter().map(|_| OnceCell::new()).collect());
+        let (stored_key, value) = reads[at]
+            .get_or_init(|| read_slot(&self.root, slots[at]))
+            .as_deref()?;
+        (stored_key == key).then_some(value.as_str())
     }
 
     /// Stores `value` under `key`, appending to the key's shard log.
@@ -339,17 +315,13 @@ impl Store {
     /// Propagates filesystem errors opening or appending the shard log.
     pub fn put(&mut self, key: &str, value: &str) -> io::Result<()> {
         let fp = Fingerprint::of(key);
-        // One descent of the index serves the no-op check and the
-        // insert.
-        let entry = self.index.entry(fp);
-        let supersedes = match &entry {
-            Entry::Occupied(slot) if slot.get().value(&self.root, fp, key) == Some(value) => {
-                return Ok(());
-            }
-            Entry::Occupied(_) => true,
-            Entry::Vacant(_) => false,
-        };
-        let shard = &mut self.shards[usize::from(fp.shard())];
+        // One search of the shard's slots serves the no-op check and
+        // the insert.
+        let (s, at) = self.find(fp);
+        if at.is_ok_and(|at| self.value(s, at, key) == Some(value)) {
+            return Ok(());
+        }
+        let shard = &mut self.shards[s];
         let mut file = match shard.file.take() {
             Some(file) => file,
             None => {
@@ -358,15 +330,16 @@ impl Store {
                     .create(true)
                     .open(shard_path(&self.root, fp.shard()))?;
                 let len = file.metadata()?.len();
-                shard.stale |= len != shard.end;
-                shard.end = len;
+                shard.stale |= len != shard.index.len;
+                shard.index.len = len;
                 file
             }
         };
-        let lead = usize::from(shard.torn_tail);
+        let index = &mut shard.index;
+        let lead = usize::from(index.torn_tail);
         let line = &mut self.line;
         line.clear();
-        if shard.torn_tail {
+        if index.torn_tail {
             line.push('\n');
         }
         line.push_str(RECORD_TAG);
@@ -381,19 +354,26 @@ impl Store {
         // re-measures the log; whatever part of the line landed is
         // treated as a torn tail.
         file.write_all(line.as_bytes()).inspect_err(|_| {
-            shard.torn_tail = true;
+            index.torn_tail = true;
             shard.stale = true;
         })?;
         shard.file = Some(file);
-        let offset = shard.end + lead as u64;
-        shard.end += line.len() as u64;
-        shard.torn_tail = false;
-        shard.last_line = offset;
-        shard.check = None;
-        shard.stats.lines += 1;
-        shard.stats.records += 1;
-        shard.stats.superseded += usize::from(supersedes);
-        entry.insert_entry(Slot::new(offset, line.len() - lead - 1));
+        let offset = index.len + lead as u64;
+        index.len += line.len() as u64;
+        index.torn_tail = false;
+        index.last_line = offset;
+        shard.checked = false;
+        index.stats.lines += 1;
+        index.stats.records += 1;
+        index.stats.superseded += usize::from(at.is_ok());
+        let slot = (fp, offset, line.len() - lead - 1);
+        match at {
+            Ok(at) => index.slots[at] = slot,
+            Err(at) => index.slots.insert(at, slot),
+        }
+        // The cells no longer line up with the slots, or hold the
+        // superseded record.
+        self.reads[s].take();
         Ok(())
     }
 
@@ -405,9 +385,11 @@ impl Store {
     /// checkpoint), which `f` never sees. A record indexed from a
     /// checkpoint has its key re-hashed here, since `open` did not
     /// hash it: a key that no longer fingerprints to its slot does not
-    /// read back. Each shard log is read once, on the host's cores, and
-    /// `f` runs there too: each worker unescapes into buffers of its
-    /// own, so `f` borrows both strings.
+    /// read back. Each shard log is read once, on the host's cores,
+    /// where the worker walks that shard's slot array in place (shard
+    /// order, then fingerprint order within the shard, is fingerprint
+    /// order), and `f` runs there too: each worker unescapes into
+    /// buffers of its own, so `f` borrows both strings.
     pub fn records<T: Send>(&self, f: impl Fn(&str, &str) -> T + Sync) -> (Vec<T>, usize) {
         self.records_with(workers(), f)
     }
@@ -418,31 +400,26 @@ impl Store {
         workers: usize,
         f: impl Fn(&str, &str) -> T + Sync,
     ) -> (Vec<T>, usize) {
-        // The index is not `Sync` (each slot caches `get`'s read), so
-        // the workers get plain copies of the slots, grouped by shard.
-        let slots: Vec<LineSpan> = self
-            .index
-            .iter()
-            .map(|(&fp, slot)| (fp, slot.offset, slot.len))
-            .collect();
-        let shards: Vec<&[LineSpan]> = slots.chunk_by(|a, b| a.0.shard() == b.0.shard()).collect();
-        let (root, states) = (&self.root, &self.shards);
+        let (root, shards) = (&self.root, &self.shards);
         let init = || (String::new(), String::new());
-        let read = pool_map(shards.len(), workers, init, |(key, value), i| {
-            let shard = shards[i][0].0.shard();
-            let loaded = states[usize::from(shard)].loaded;
-            let bytes = fs::read(shard_path(root, shard)).unwrap_or_default();
-            shards[i]
+        let read = pool_map(SHARD_COUNT, workers, init, |(key, value), shard| {
+            let Shard { index, loaded, .. } = &shards[shard];
+            if index.slots.is_empty() {
+                return Vec::new();
+            }
+            let bytes = fs::read(shard_path(root, shard as u8)).unwrap_or_default();
+            index
+                .slots
                 .iter()
                 .filter_map(|&(fp, offset, len)| {
                     let start = usize::try_from(offset).ok()?;
-                    read_record(&bytes, start, len, fp, offset < loaded, key, value)?;
+                    read_record(&bytes, start, len, fp, offset < *loaded, key, value)?;
                     Some(f(key, value))
                 })
                 .collect::<Vec<T>>()
         });
         let read: Vec<T> = read.into_iter().flatten().collect();
-        let unreadable = slots.len() - read.len();
+        let unreadable = self.len() - read.len();
         (read, unreadable)
     }
 
@@ -450,27 +427,17 @@ impl Store {
     /// the store's view of it into one file: first to a temporary file,
     /// then renamed over the old one. A log that cannot be read back
     /// loses its checkpoint, and the next open scans it.
-    fn save_checkpoints(&self) -> io::Result<()> {
+    fn save_checkpoints(&mut self) -> io::Result<()> {
         let mut out = checkpoint::file_header();
-        for (shard, state) in (0..=u8::MAX).zip(&self.shards) {
-            if state.stale || state.end == 0 {
+        for (shard, state) in (0..=u8::MAX).zip(&mut self.shards) {
+            if state.stale || state.index.len == 0 {
                 continue;
             }
             let Ok(Some(check)) = current_check(&self.root, shard, state) else {
                 continue;
             };
-            let slots = self.index.range(Fingerprint::shard_range(shard));
-            let index = LogIndex {
-                len: state.end,
-                torn_tail: state.torn_tail,
-                stats: state.stats,
-                last_line: state.last_line,
-                check,
-                slots: slots
-                    .map(|(&fp, slot)| (fp, slot.offset, slot.len))
-                    .collect(),
-            };
-            index.encode_into(shard, &mut out);
+            state.index.check = check;
+            state.index.encode_into(shard, &mut out);
         }
         let path = checkpoint_path(&self.root);
         if let Err(e) = fs::create_dir(path.parent().expect("the index directory")) {
@@ -492,7 +459,11 @@ impl Drop for Store {
     /// `open` scanned. Failures are ignored — the next open rescans
     /// instead — and a removed store directory is left removed.
     fn drop(&mut self) {
-        if self.shards.iter().any(|s| !s.stale && s.end > s.loaded) {
+        if self
+            .shards
+            .iter()
+            .any(|s| !s.stale && s.index.len > s.loaded)
+        {
             let _ = self.save_checkpoints();
         }
     }
@@ -508,27 +479,19 @@ impl ScanStats {
     }
 }
 
-/// Reads the record `slot` points at back from `fp`'s shard log under
+/// Reads the record `slot` points at back from its shard log under
 /// `root`: the line plus one byte either side, so [`read_record`] can
 /// check that the slot spans one whole line.
-fn read_slot(root: &Path, fp: Fingerprint, slot: &Slot) -> Option<Box<(String, String)>> {
+fn read_slot(root: &Path, (fp, offset, len): LineSpan) -> Option<Box<(String, String)>> {
     let mut file = fs::File::open(shard_path(root, fp.shard())).ok()?;
-    let lead = u64::from(slot.offset > 0);
-    file.seek(SeekFrom::Start(slot.offset - lead)).ok()?;
-    let mut window = Vec::with_capacity(slot.len + 2);
-    file.take(lead + slot.len as u64 + 1)
+    let lead = u64::from(offset > 0);
+    file.seek(SeekFrom::Start(offset - lead)).ok()?;
+    let mut window = Vec::with_capacity(len + 2);
+    file.take(lead + len as u64 + 1)
         .read_to_end(&mut window)
         .ok()?;
     let (mut key, mut value) = (String::new(), String::new());
-    read_record(
-        &window,
-        lead as usize,
-        slot.len,
-        fp,
-        false,
-        &mut key,
-        &mut value,
-    )?;
+    read_record(&window, lead as usize, len, fp, false, &mut key, &mut value)?;
     Some(Box::new((key, value)))
 }
 
@@ -541,19 +504,20 @@ fn checkpoint_path(root: &Path) -> PathBuf {
 }
 
 /// The check of `shard`'s log under `root` as `state` describes it
-/// (`None` when the log is no longer `state.end` bytes long): kept from
-/// `open`, or read back after an append.
+/// (`None` when the log is no longer `state.index.len` bytes long):
+/// kept from `open`, or read back after an append.
 fn current_check(root: &Path, shard: u8, state: &Shard) -> io::Result<Option<u64>> {
+    let index = &state.index;
     let mut log = fs::File::open(shard_path(root, shard))?;
-    if log.metadata()?.len() != state.end {
+    if log.metadata()?.len() != index.len {
         return Ok(None);
     }
-    if state.check.is_some() {
-        return Ok(state.check);
+    if state.checked {
+        return Ok(Some(index.check));
     }
-    log.seek(SeekFrom::Start(state.last_line))?;
+    log.seek(SeekFrom::Start(index.last_line))?;
     let mut last_line = Vec::new();
-    log.take(state.end - state.last_line)
+    log.take(index.len - index.last_line)
         .read_to_end(&mut last_line)?;
     Ok(Some(checksum(&last_line)))
 }
@@ -859,6 +823,7 @@ fn read_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// Lines skipped while loading (torn writes, foreign format tags).
     fn malformed(store: &Store) -> usize {
@@ -870,6 +835,12 @@ mod tests {
     /// could not read back.
     fn pairs(store: &Store) -> (Vec<(String, String)>, usize) {
         store.records(|k, v| (k.to_string(), v.to_string()))
+    }
+
+    /// Every slot the store indexes, in fingerprint order.
+    pub(crate) fn spans(store: &Store) -> Vec<LineSpan> {
+        let slots = store.shards.iter().flat_map(|s| &s.index.slots);
+        slots.copied().collect()
     }
 
     fn temp_root(name: &str) -> PathBuf {
@@ -1126,7 +1097,7 @@ mod tests {
         log.extend_from_slice(planted.as_bytes());
         log.push(b'\n');
         fs::write(&shard, &log).unwrap();
-        store.index.insert(fp, Slot::new(offset, planted.len()));
+        store.shards[usize::from(fp.shard())].index.slots = vec![(fp, offset, planted.len())];
         assert_eq!(
             store.get("real-key"),
             None,
@@ -1284,12 +1255,8 @@ mod tests {
 
         let snapshot = |workers: usize| {
             let store = Store::open_with(root.clone(), workers).unwrap();
-            let index: Vec<LineSpan> = store
-                .index
-                .iter()
-                .map(|(&fp, slot)| (fp, slot.offset, slot.len))
-                .collect();
-            let torn_tails: Vec<bool> = store.shards.iter().map(|s| s.torn_tail).collect();
+            let index = spans(&store);
+            let torn_tails: Vec<bool> = store.shards.iter().map(|s| s.index.torn_tail).collect();
             let read = store.records_with(workers, |k, v| (k.to_string(), v.to_string()));
             (index, store.scan_stats(), torn_tails, read)
         };
@@ -1312,6 +1279,97 @@ mod tests {
         }
         fs::remove_dir_all(&root).unwrap();
     }
+
+    /// A key the model holds (`present`) or does not, chosen by `rng`.
+    fn pick(
+        rng: &mut offramps_des::DetRng,
+        keys: &[String],
+        model: &BTreeMap<Fingerprint, (String, String)>,
+        present: bool,
+    ) -> Option<String> {
+        let held = |k: &&String| model.contains_key(&Fingerprint::of(k)) == present;
+        let candidates: Vec<&String> = keys.iter().filter(held).collect();
+        let at = rng.uniform_u64(0, candidates.len().max(1) as u64) as usize;
+        candidates.get(at).map(|k| k.to_string())
+    }
+
+    /// Over random sequences of new puts, superseding puts, identical
+    /// re-puts, drop-and-reopens and reopens with `index/` deleted, on
+    /// keys packed into three shards, the store agrees with a map model
+    /// after every step: every `get`, `len`, the bulk read's records and
+    /// their fingerprint order at one and two workers, and the
+    /// superseded count its last open saw.
+    #[test]
+    fn the_store_matches_a_map_model() {
+        let mut shards = Vec::new();
+        let keys: Vec<String> = (0..)
+            .map(|i| format!("key-{i}\t{i}"))
+            .filter(|k| {
+                let shard = Fingerprint::of(k).shard();
+                if shards.len() < 3 && !shards.contains(&shard) {
+                    shards.push(shard);
+                }
+                shards.contains(&shard)
+            })
+            .take(24)
+            .collect();
+        let values = ["", "plain", "tab\tand\nnewline", "back\\slash"];
+        for seed in 0..4 {
+            let root = temp_root(&format!("model-{seed}"));
+            let mut rng = offramps_des::DetRng::from_seed(seed);
+            let mut store = Store::open_with(root.clone(), 2).unwrap();
+            let mut model = BTreeMap::new();
+            let (mut appended, mut superseded) = (0, 0);
+            for step in 0..60 {
+                match rng.uniform_u64(0, 5) {
+                    0 => {
+                        if let Some(key) = pick(&mut rng, &keys, &model, false) {
+                            let value = values[rng.uniform_u64(0, 4) as usize];
+                            store.put(&key, value).unwrap();
+                            model.insert(Fingerprint::of(&key), (key, value.to_string()));
+                            appended += 1;
+                        }
+                    }
+                    1 => {
+                        if let Some(key) = pick(&mut rng, &keys, &model, true) {
+                            let value = format!("{}#{step}", values[step % 4]);
+                            store.put(&key, &value).unwrap();
+                            model.insert(Fingerprint::of(&key), (key, value));
+                            appended += 1;
+                        }
+                    }
+                    2 => {
+                        if let Some(key) = pick(&mut rng, &keys, &model, true) {
+                            let (_, value) = &model[&Fingerprint::of(&key)];
+                            store.put(&key, value).unwrap();
+                        }
+                    }
+                    op => {
+                        drop(store);
+                        if op == 4 {
+                            let _ = fs::remove_dir_all(root.join("index"));
+                        }
+                        store = Store::open_with(root.clone(), 1 + step % 2).unwrap();
+                        superseded = appended - model.len();
+                    }
+                }
+                for key in &keys {
+                    let want = model.get(&Fingerprint::of(key)).map(|(_, v)| v.as_str());
+                    assert_eq!(store.get(key), want, "seed {seed}, step {step}: {key:?}");
+                }
+                assert_eq!(store.len(), model.len(), "seed {seed}, step {step}");
+                let want: Vec<(String, String)> = model.values().cloned().collect();
+                for workers in [1, 2] {
+                    let read = store.records_with(workers, |k, v| (k.to_string(), v.to_string()));
+                    assert_eq!(read, (want.clone(), 0), "seed {seed}, step {step}");
+                }
+                assert_eq!(store.scan_stats().superseded, superseded, "seed {seed}");
+            }
+            drop(store);
+            fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
     /// A well-formed record line planted in another shard's log is
     /// damage: the key keeps its real slot and reads back after reopen.
     #[test]

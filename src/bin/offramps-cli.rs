@@ -772,6 +772,13 @@ fn cmd_analytics(args: &[String]) -> Result<ExitCode, String> {
         return Err("analytics needs --cache DIR".into());
     };
     let metrics = resolve_metrics(args)?;
+    // `Store::open` creates the store's directories: a path that holds
+    // no store is reported, not turned into an empty one.
+    if !std::path::Path::new(dir).join("shards").is_dir() {
+        return Err(format!(
+            "no scenario store at {dir} (run `campaign --cache {dir}` first)"
+        ));
+    }
     let store = Store::open(dir).map_err(|e| format!("cannot open scenario store {dir}: {e}"))?;
     let StoreContents {
         observations,

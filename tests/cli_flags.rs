@@ -234,3 +234,18 @@ fn detect_exit_codes_follow_the_campaign_rule() {
         assert_eq!(out.status.code(), Some(code), "{observed}:\n{stdout}");
     }
 }
+
+/// `analytics` over a path that holds no store exits 2 and leaves the
+/// path as it found it: opening a store would create its directories.
+#[test]
+fn analytics_on_a_missing_store_creates_nothing() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("analytics_missing_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().unwrap();
+    assert_rejected(
+        &["analytics", "--cache", path],
+        &format!("no scenario store at {path}"),
+        "offramps-cli analytics --cache DIR",
+    );
+    assert!(!dir.exists(), "{path} was created");
+}
