@@ -5,8 +5,9 @@
 //! RAMPS/printer plant — onto one deterministic [`Scheduler`] and runs a
 //! G-code program to completion, returning everything an experiment
 //! needs: the capture, the deposited part, firmware status, plant
-//! damage indicators, the side channels folded from the plant's
-//! control rail while it ran, and (optionally) the raw signal traces.
+//! damage indicators, the heater temperatures the plant recorded at
+//! every ADC wake, the side channels folded from the plant's control
+//! rail while it ran, and (optionally) the raw signal traces.
 //!
 //! The bench itself is a thin composition: all queueing, wake-slot
 //! deduplication and routing lives in [`offramps_des::Scheduler`]; the
@@ -17,9 +18,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use offramps_des::{
-    CompId, ComponentSet, KernelStats, Scheduler, SimComponent, SimDuration, StepKind, Tick,
-};
+use offramps_des::{CompId, ComponentSet, KernelStats, Scheduler, SimComponent, SimDuration, Tick};
 use offramps_firmware::{ConfigError, Firmware, FirmwareConfig, FwState};
 use offramps_gcode::Program;
 use offramps_printer::{PartModel, PlantConfig, PlantStatus, PrinterPlant};
@@ -41,12 +40,6 @@ pub enum BenchError {
         /// The limit that was hit.
         limit: SimDuration,
     },
-    /// The event queue drained while the firmware still reported
-    /// `Running` — a deadlock in the co-simulation.
-    Stalled {
-        /// Simulated time at the stall.
-        at: Tick,
-    },
     /// The firmware refused its configuration before the run started.
     Config(ConfigError),
 }
@@ -56,9 +49,6 @@ impl fmt::Display for BenchError {
         match self {
             BenchError::SimTimeLimit { limit } => {
                 write!(f, "simulation exceeded the {limit} time limit")
-            }
-            BenchError::Stalled { at } => {
-                write!(f, "co-simulation stalled at {at} with the firmware running")
             }
             BenchError::Config(e) => write!(f, "invalid firmware config: {e}"),
         }
@@ -101,7 +91,8 @@ pub struct RunArtifacts {
     /// hits) — the observability plane's per-run rollup;
     /// `kernel.events` equals `events`.
     pub kernel: KernelStats,
-    /// `(time, hotend °C, bed °C)` sampled at the ADC period.
+    /// `(time, hotend °C, bed °C)`: the true heater temperatures the
+    /// plant recorded at every ADC wake, which a thermal camera watches.
     pub temps: Vec<(Tick, f64, f64)>,
     /// Firmware step counters at the end, [`offramps_signals::Axis::ALL`]
     /// order.
@@ -333,54 +324,42 @@ impl TestBench {
     ///
     /// [`BenchError::Config`] if the firmware refuses its configuration;
     /// [`BenchError::SimTimeLimit`] if the job exceeds the simulated time
-    /// limit; [`BenchError::Stalled`] if the co-simulation deadlocks.
+    /// limit.
     pub fn run(self, program: &Arc<Program>) -> Result<RunArtifacts, BenchError> {
         let max_sim_time = self.max_sim_time;
         let drain_time = self.drain_time;
         let mut rig = self.build_rig(program)?;
 
         let mut sched = Self::wire();
-        let mut temps: Vec<(Tick, f64, f64)> = Vec::new();
         let limit_tick = Tick::ZERO + max_sim_time;
         let mut stop_deadline: Option<Tick> = None;
 
         sched.start(&mut rig);
 
-        while let Some(next) = sched.peek_tick() {
-            if next > limit_tick {
-                if matches!(rig.fw.state(), FwState::Running) {
-                    return Err(BenchError::SimTimeLimit {
-                        limit: max_sim_time,
-                    });
-                }
-                break;
-            }
-            let step = sched.step(&mut rig).expect("peeked event exists");
-
-            if step.comp.index() == PLANT && step.kind == StepKind::Wake {
-                let s = rig.plant.status(step.tick);
-                temps.push((step.tick, s.hotend_c, s.bed_c));
-            }
-
+        // The plant re-arms its ADC wake every time it runs, so the
+        // calendar never drains: `step` returns `None` only once the
+        // next event lies past the limit.
+        while let Some(tick) = sched.step(&mut rig, limit_tick) {
             // Termination: once the firmware is done (or dead), drain for
             // a grace period so in-flight signals settle, then stop.
             if !matches!(rig.fw.state(), FwState::Running) {
                 match stop_deadline {
-                    None => stop_deadline = Some(step.tick + drain_time),
-                    Some(deadline) if step.tick >= deadline => break,
+                    None => stop_deadline = Some(tick + drain_time),
+                    Some(deadline) if tick >= deadline => break,
                     Some(_) => {}
                 }
             }
         }
-
-        let now = sched.now();
-        if matches!(rig.fw.state(), FwState::Running) && sched.is_empty() {
-            return Err(BenchError::Stalled { at: now });
+        if matches!(rig.fw.state(), FwState::Running) {
+            return Err(BenchError::SimTimeLimit {
+                limit: max_sim_time,
+            });
         }
 
+        let (now, kernel) = (sched.now(), sched.stats());
         let plant_status = rig.plant.status(now);
         let (capture, trace) = rig.mitm.into_outputs();
-        let (part, tap) = rig.plant.into_parts();
+        let (part, temps, tap) = rig.plant.into_parts();
         Ok(RunArtifacts {
             fw_state: rig.fw.state(),
             capture,
@@ -391,8 +370,8 @@ impl TestBench {
             power: tap.power,
             acoustic: tap.acoustic,
             sim_time: now,
-            events: sched.events(),
-            kernel: sched.stats(),
+            events: kernel.events,
+            kernel,
             temps,
             fw_steps: rig.fw.step_counts(),
         })
@@ -560,5 +539,61 @@ mod tests {
             a.capture.unwrap().transactions(),
             b.capture.unwrap().transactions()
         );
+    }
+
+    #[test]
+    fn time_limit_bounds_the_drain_but_not_a_finished_job() {
+        // The dwell ends at ~1.5 s; the 1 s drain would run to ~2.5 s.
+        let job = program("G4 P1500\n");
+        let limit = SimDuration::from_secs(2);
+        let run = TestBench::new(6).max_sim_time(limit).run(&job).unwrap();
+        assert!(matches!(run.fw_state, FwState::Finished));
+        assert!(run.sim_time <= Tick::ZERO + limit, "{}", run.sim_time);
+        assert!(run.sim_time > Tick::from_millis(1500));
+        // A limit below the finish is an error, not a truncated run.
+        let err = TestBench::new(6)
+            .max_sim_time(SimDuration::from_secs(1))
+            .run(&job)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BenchError::SimTimeLimit {
+                limit: SimDuration::from_secs(1)
+            }
+        );
+    }
+
+    #[test]
+    fn plant_temperature_samples_are_pinned() {
+        // T7 holds the hotend gate on past the damage point, and the
+        // fan was commanded to half duty.
+        let run = TestBench::new(13)
+            .with_trojan(crate::trojans::by_name("t7").unwrap())
+            .drain_time(SimDuration::from_secs(60))
+            .run(&program("M106 S128\nG28\nG1 X5 F3000\nG4 P1000\nM84\n"))
+            .unwrap();
+        let period = SimDuration::from_millis(PlantConfig::default().adc_period_ms);
+        assert!(run.temps.len() > 50, "{} samples", run.temps.len());
+        for (i, &(tick, _, _)) in run.temps.iter().enumerate() {
+            assert_eq!(tick, Tick::ZERO + period * (i as u64 + 1), "sample {i}");
+        }
+        assert!(run.temps.last().unwrap().0 <= run.sim_time);
+        // FNV-1a over every sample's bits and the plant's lazily
+        // integrated end state: one literal pins them bit for bit.
+        let mut words: Vec<u64> = Vec::new();
+        for &(tick, hotend, bed) in &run.temps {
+            words.extend([tick.ticks(), hotend.to_bits(), bed.to_bits()]);
+        }
+        words.extend([
+            run.plant.fan_rpm.to_bits(),
+            run.plant.hotend_peak_c.to_bits(),
+            run.plant.hotend_seconds_over_damage.to_bits(),
+        ]);
+        let digest = words.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!(digest, 0x14da_ded0_afd9_79dd, "{digest:#018x}");
     }
 }

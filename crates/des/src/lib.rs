@@ -5,9 +5,11 @@
 //! controller (an Arduino Mega running Marlin) and its driver board
 //! (RAMPS 1.4). This crate provides the substrate on which we co-simulate
 //! all three: a global clock with **10 ns resolution** (one FPGA clock
-//! period), a calendar [`Scheduler`] that delivers every event in one
-//! deterministic `(tick, sequence)` order, and seeded random number
-//! generation so that every experiment is exactly reproducible.
+//! period), a calendar [`Scheduler`] whose one entry point,
+//! [`Scheduler::step`], delivers the next event due by the caller's time
+//! bound, every event in one deterministic `(tick, sequence)` order,
+//! and seeded random number generation so that every experiment is
+//! exactly reproducible.
 //!
 //! # Example
 //!
@@ -38,9 +40,12 @@
 //! let mut blinker = Blinker(Vec::new());
 //! let mut comps: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut blinker];
 //! sched.start(&mut comps[..]);
-//! while sched.step(&mut comps[..]).is_some() {}
+//! // The wakes at 5 and 10 us are due by 12 us; the one at 15 us is not.
+//! while sched.step(&mut comps[..], Tick::from_micros(12)).is_some() {}
+//! assert_eq!(sched.stats().events, 2);
+//! while sched.step(&mut comps[..], Tick::MAX).is_some() {}
 //!
-//! assert_eq!(sched.events(), 3);
+//! assert_eq!(sched.stats().events, 3);
 //! assert_eq!(sched.now(), Tick::from_micros(15));
 //! assert_eq!(blinker.0[0].as_duration(), SimDuration::from_micros(5));
 //! ```
@@ -55,5 +60,5 @@ mod time;
 
 pub use component::{ActionSink, CompId, InPort, OutPort, SimComponent, SinkAction};
 pub use rng::{DetRng, SeedSplitter};
-pub use scheduler::{ComponentSet, KernelStats, Scheduler, StepInfo, StepKind};
+pub use scheduler::{ComponentSet, KernelStats, Scheduler};
 pub use time::{SimDuration, Tick, TICKS_PER_MICRO, TICKS_PER_MILLI, TICKS_PER_SEC, TICK_NS};

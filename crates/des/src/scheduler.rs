@@ -5,8 +5,9 @@
 //! reusable [`ActionSink`]) but **not** the components themselves: every
 //! call to [`Scheduler::step`] borrows them through a [`ComponentSet`],
 //! so a harness keeps full access to its components between steps — for
-//! sampling observables, checking termination conditions, or tearing
-//! the simulation down early.
+//! checking termination conditions or tearing the simulation down
+//! early. `step` takes the harness's time bound and delivers nothing
+//! past it, so one call both finds and delivers the next event.
 //!
 //! # Calendar layout
 //!
@@ -76,7 +77,10 @@
 //! sched.connect(ping, OutPort(0), pong, InPort(0));
 //! let mut world = World { ping: Ping, pong: Pong(0) };
 //! sched.start(&mut world);
-//! while sched.step(&mut world).is_some() {}
+//! // Nothing is due by t=0.5us; the ping lands at t=1us.
+//! assert_eq!(sched.step(&mut world, Tick::from_nanos(500)), None);
+//! assert_eq!(sched.step(&mut world, Tick::MAX), Some(Tick::from_micros(1)));
+//! assert_eq!(sched.step(&mut world, Tick::MAX), None);
 //! assert_eq!(world.pong.0, 42);
 //! ```
 
@@ -115,15 +119,6 @@ impl<P> ComponentSet<P> for [&mut dyn SimComponent<Payload = P>] {
     }
 }
 
-/// What kind of stimulus one [`Scheduler::step`] delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepKind {
-    /// The component's `on_tick` ran.
-    Wake,
-    /// The component's `on_event` ran with a payload on this input port.
-    Event(InPort),
-}
-
 /// Hot-path counters of one kernel run, snapshotted after the run and
 /// published through the observability plane. The kernel keeps these
 /// as plain integer fields bumped on paths it already touches — no
@@ -142,17 +137,6 @@ pub struct KernelStats {
     /// Sends whose delivery time regressed within their route lane and
     /// took the spill heap.
     pub spills: u64,
-}
-
-/// Report of one processed event, returned by [`Scheduler::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepInfo {
-    /// Simulation time of the event.
-    pub tick: Tick,
-    /// The component that handled it.
-    pub comp: CompId,
-    /// Whether it was a wake-up or a routed payload.
-    pub kind: StepKind,
 }
 
 /// One connected output port's delivery lane: destination plus the
@@ -225,14 +209,7 @@ pub struct Scheduler<P> {
     /// consumes one, in sink-buffer order.
     next_seq: u64,
     now: Tick,
-    /// Pending deliveries across lanes, wake slots and spill.
-    live: usize,
-    events: u64,
-    spilled: u64,
-    wake_dedups: u64,
-    /// Memo of the last calendar scan, valid until the next write phase;
-    /// lets the harness's peek-then-step pattern scan once per event.
-    picked: Option<(Tick, u64, Source)>,
+    stats: KernelStats,
 }
 
 impl<P> Default for Scheduler<P> {
@@ -252,11 +229,7 @@ impl<P> Scheduler<P> {
             sink: ActionSink::new(),
             next_seq: 0,
             now: Tick::ZERO,
-            live: 0,
-            events: 0,
-            spilled: 0,
-            wake_dedups: 0,
-            picked: None,
+            stats: KernelStats::default(),
         }
     }
 
@@ -345,8 +318,9 @@ impl<P> Scheduler<P> {
         best
     }
 
-    /// Pops and delivers the next event. Returns `None` when the
-    /// calendar is exhausted.
+    /// Pops and delivers the next event if it is due by `until`, and
+    /// returns its tick. Returns `None`, delivering nothing, when the
+    /// calendar is exhausted or its next event lies past `until`.
     ///
     /// Each step is an explicit two-phase cycle:
     ///
@@ -360,25 +334,25 @@ impl<P> Scheduler<P> {
     /// Because no callback ever touches kernel state directly, sibling
     /// components step through one shared event structure without
     /// aliasing hazards.
-    pub fn step<C: ComponentSet<P> + ?Sized>(&mut self, comps: &mut C) -> Option<StepInfo> {
-        let (tick, _seq, source) = match self.picked.take() {
-            Some(memo) => memo,
-            None => self.pick()?,
-        };
+    pub fn step<C: ComponentSet<P> + ?Sized>(
+        &mut self,
+        comps: &mut C,
+        until: Tick,
+    ) -> Option<Tick> {
+        let (tick, _seq, source) = self.pick().filter(|&(tick, _, _)| tick <= until)?;
         debug_assert!(tick >= self.now, "event calendar went backwards");
         self.now = tick;
-        self.events += 1;
-        self.live -= 1;
+        self.stats.events += 1;
 
         // Read phase, fused with the calendar pop: the callback runs
         // with every externally visible effect buffered in the sink.
         self.sink.begin(tick);
-        let (comp, kind) = match source {
+        let comp = match source {
             Source::Wake(index) => {
                 self.wakes[index] = None;
                 let comp = CompId(index);
                 comps.component(comp).on_tick(tick, &mut self.sink);
-                (comp, StepKind::Wake)
+                comp
             }
             Source::Route(index) => {
                 let route = &mut self.routes[index];
@@ -387,7 +361,7 @@ impl<P> Scheduler<P> {
                 comps
                     .component(dest)
                     .on_event(tick, port, payload, &mut self.sink);
-                (dest, StepKind::Event(port))
+                dest
             }
             Source::Spill => {
                 let spill = self.spill.pop().expect("picked spill is non-empty");
@@ -397,22 +371,11 @@ impl<P> Scheduler<P> {
                     spill.payload,
                     &mut self.sink,
                 );
-                (spill.dest, StepKind::Event(spill.port))
+                spill.dest
             }
         };
         self.write_phase(comp);
-        Some(StepInfo { tick, comp, kind })
-    }
-
-    /// The tick of the next pending event, if any.
-    #[inline]
-    pub fn peek_tick(&mut self) -> Option<Tick> {
-        if let Some((tick, _, _)) = self.picked {
-            return Some(tick);
-        }
-        let found = self.pick()?;
-        self.picked = Some(found);
-        Some(found.0)
+        Some(tick)
     }
 
     /// The timestamp of the most recently processed event.
@@ -420,30 +383,10 @@ impl<P> Scheduler<P> {
         self.now
     }
 
-    /// Total events processed so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.live == 0
-    }
-
-    /// Wake requests deduplicated into an already-armed slot
-    /// (diagnostics: how much work the slot design saves over a queue).
-    pub fn wake_dedups(&self) -> u64 {
-        self.wake_dedups
-    }
-
     /// Snapshot of the run's kernel counters, for the observability
     /// plane.
     pub fn stats(&self) -> KernelStats {
-        KernelStats {
-            events: self.events,
-            wake_dedups: self.wake_dedups,
-            spills: self.spilled,
-        }
+        self.stats
     }
 
     /// Write phase of one step: drains the shared sink, appending sends
@@ -452,7 +395,6 @@ impl<P> Scheduler<P> {
     /// action consumes one sequence number, in buffer order — the
     /// deterministic total order deliveries follow.
     fn write_phase(&mut self, from: CompId) {
-        self.picked = None;
         for action in self.sink.drain() {
             match action {
                 SinkAction::Send { port, at, payload } => {
@@ -469,7 +411,7 @@ impl<P> Scheduler<P> {
                     if route.fifo.back().is_none_or(|&(tail, _, _)| tail <= at) {
                         route.fifo.push_back((at, seq, payload));
                     } else {
-                        self.spilled += 1;
+                        self.stats.spills += 1;
                         self.spill.push(Spill {
                             tick: at,
                             seq,
@@ -478,19 +420,16 @@ impl<P> Scheduler<P> {
                             payload,
                         });
                     }
-                    self.live += 1;
                 }
                 SinkAction::WakeAt(t) => {
                     let slot = &mut self.wakes[from.0];
                     if let Some((pending, _)) = *slot {
                         // Either outcome folds the request into the
                         // armed slot instead of queueing a new entry.
-                        self.wake_dedups += 1;
+                        self.stats.wake_dedups += 1;
                         if pending <= t {
                             continue;
                         }
-                    } else {
-                        self.live += 1;
                     }
                     // An accepted wake consumes a sequence number whether
                     // it arms the slot or replaces a later pending one —
@@ -549,7 +488,7 @@ mod tests {
         };
         let mut set: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut waker];
         sched.start(&mut set[..]);
-        while sched.step(&mut set[..]).is_some() {}
+        while sched.step(&mut set[..], Tick::MAX).is_some() {}
         waker.ticks
     }
 
@@ -574,6 +513,8 @@ mod tests {
         assert_eq!(ticks, vec![Tick::from_micros(5)]);
     }
 
+    /// A bounded step delivers nothing past its bound, and neither the
+    /// clock nor the event count moves for what it holds back.
     #[test]
     fn events_are_counted_and_clock_advances() {
         let mut sched: Scheduler<()> = Scheduler::new();
@@ -584,10 +525,16 @@ mod tests {
         };
         let mut set: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut waker];
         sched.start(&mut set[..]);
-        while sched.step(&mut set[..]).is_some() {}
-        assert_eq!(sched.events(), 2);
-        assert_eq!(sched.now(), Tick::from_micros(10));
-        assert!(sched.is_empty());
+        let us = Tick::from_micros;
+        assert_eq!(sched.step(&mut set[..], us(6)), None);
+        assert_eq!((sched.now(), sched.stats().events), (Tick::ZERO, 0));
+        // An event due exactly at the bound is delivered.
+        assert_eq!(sched.step(&mut set[..], us(7)), Some(us(7)));
+        assert_eq!(sched.step(&mut set[..], us(9)), None);
+        assert_eq!(sched.step(&mut set[..], Tick::MAX), Some(us(10)));
+        assert_eq!(sched.step(&mut set[..], Tick::MAX), None);
+        assert_eq!((sched.now(), sched.stats().events), (us(10), 2));
+        assert_eq!(waker.ticks, vec![us(7), us(10)]);
     }
 
     /// Two components bouncing a counter payload through routed ports.
@@ -635,7 +582,7 @@ mod tests {
             sched.sink.begin(Tick::ZERO);
             sched.sink.send(OutPort(0), 0u64);
             sched.write_phase(a);
-            while sched.step(&mut set[..]).is_some() {}
+            while sched.step(&mut set[..], Tick::MAX).is_some() {}
         }
         // a sent 0 → b; then odd numbers land on a, even on b.
         assert_eq!(right.seen, vec![0, 2, 4, 6]);
@@ -687,7 +634,7 @@ mod tests {
         let mut log = Log::default();
         let mut set: [&mut dyn SimComponent<Payload = u64>; 2] = [&mut burst, &mut log];
         sched.start(&mut set[..]);
-        while sched.step(&mut set[..]).is_some() {}
+        while sched.step(&mut set[..], Tick::MAX).is_some() {}
         assert_eq!(
             log.0,
             vec![
@@ -698,7 +645,6 @@ mod tests {
             ]
         );
         assert_eq!(sched.stats().spills, 2, "10 and 20 regressed behind 30");
-        assert!(sched.is_empty());
     }
 
     #[test]
@@ -714,8 +660,7 @@ mod tests {
         };
         let mut set: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut waker];
         sched.start(&mut set[..]);
-        while sched.step(&mut set[..]).is_some() {}
-        assert_eq!(sched.wake_dedups(), 2);
+        while sched.step(&mut set[..], Tick::MAX).is_some() {}
         assert_eq!(
             sched.stats(),
             KernelStats {
@@ -738,10 +683,10 @@ mod tests {
         let mut set: [&mut dyn SimComponent<Payload = ()>; 1] = [&mut waker];
         sched.start(&mut set[..]);
         for _ in 0..10 {
-            sched.step(&mut set[..]);
+            sched.step(&mut set[..], Tick::MAX);
         }
         let cap = sched.sink.capacity();
-        while sched.step(&mut set[..]).is_some() {}
+        while sched.step(&mut set[..], Tick::MAX).is_some() {}
         assert_eq!(
             sched.sink.capacity(),
             cap,

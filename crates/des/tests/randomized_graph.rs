@@ -12,12 +12,23 @@
 //! * per-component wake slots deduplicate to the *earliest* requested
 //!   wake (an earlier request replaces a pending later one; a later
 //!   request never postpones a pending earlier one);
-//! * the same seed replays the same event log, step for step.
+//! * the same seed replays the same event log, step for step;
+//! * a bounded `step` delivers nothing past its bound, and stepping in
+//!   bounded windows replays the unbounded log exactly.
+//!
+//! The event log is written by the nodes' own callbacks.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use offramps_des::{
     ActionSink, CompId, ComponentSet, DetRng, InPort, OutPort, Scheduler, SeedSplitter,
-    SimComponent, SimDuration, StepInfo, StepKind, Tick,
+    SimComponent, SimDuration, Tick,
 };
+
+/// One delivery as the receiving node logged it: the tick, the node,
+/// and the input port of a routed payload (`None` for a wake).
+type Delivery = (Tick, usize, Option<InPort>);
 
 /// A randomly behaving node: on every callback it may send payloads on
 /// its single output port and request several wakes, all driven by its
@@ -39,10 +50,12 @@ struct Node {
     woken: Vec<Tick>,
     /// Local model of the scheduler's wake slot.
     expected_wake: Option<Tick>,
+    /// The graph-wide delivery log every node appends to.
+    log: Rc<RefCell<Vec<Delivery>>>,
 }
 
 impl Node {
-    fn new(id: usize, rng: DetRng) -> Self {
+    fn new(id: usize, rng: DetRng, log: Rc<RefCell<Vec<Delivery>>>) -> Self {
         Node {
             id,
             rng,
@@ -52,6 +65,7 @@ impl Node {
             received: Vec::new(),
             woken: Vec::new(),
             expected_wake: None,
+            log,
         }
     }
 
@@ -86,12 +100,14 @@ impl SimComponent for Node {
     }
 
     fn on_event(&mut self, now: Tick, port: InPort, payload: u64, sink: &mut ActionSink<u64>) {
+        self.log.borrow_mut().push((now, self.id, Some(port)));
         assert_eq!(port, InPort(7), "deliveries arrive on the wired port");
         self.received.push((now, payload));
         self.act(now, sink);
     }
 
     fn on_tick(&mut self, now: Tick, sink: &mut ActionSink<u64>) {
+        self.log.borrow_mut().push((now, self.id, None));
         let expected = self
             .expected_wake
             .take()
@@ -122,8 +138,11 @@ impl ComponentSet<u64> for World {
 
 /// Builds a random graph (every node's one output port wired to a
 /// random node's input 7), runs it to exhaustion, and returns the
-/// world plus the step log.
-fn run_graph(seed: u64) -> (World, Vec<StepInfo>, u64) {
+/// world, the delivery log and the kernel's event count. With a
+/// `window`, steps are bounded: the first window ends `window` after
+/// t=0, and each later one `window` after the event that opens it.
+/// Without one, every `step` is unbounded.
+fn run_graph(seed: u64, window: Option<SimDuration>) -> (World, Vec<Delivery>, u64) {
     let split = SeedSplitter::new(seed);
     let mut topo = split.stream("topology");
     let n = topo.uniform_u64(2, 8) as usize;
@@ -135,27 +154,44 @@ fn run_graph(seed: u64) -> (World, Vec<StepInfo>, u64) {
         sched.connect(from, OutPort(0), dest, InPort(7));
     }
 
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut world = World {
         nodes: (0..n)
-            .map(|i| Node::new(i, split.stream(&format!("node/{i}"))))
+            .map(|i| Node::new(i, split.stream(&format!("node/{i}")), Rc::clone(&log)))
             .collect(),
     };
+    let last_logged = || log.borrow().last().map(|d: &Delivery| d.0);
     sched.start(&mut world);
-    let mut log = Vec::new();
-    while let Some(info) = sched.step(&mut world) {
-        log.push(info);
+    let mut until = window.map_or(Tick::MAX, |w| Tick::ZERO + w);
+    loop {
+        while let Some(tick) = sched.step(&mut world, until) {
+            assert!(tick <= until, "seed {seed}: delivered past the bound");
+            assert_eq!(last_logged(), Some(tick), "seed {seed}");
+        }
+        let Some(window) = window else { break };
+        // Everything due by `until` is out; the next event lies past it.
+        let Some(tick) = sched.step(&mut world, Tick::MAX) else {
+            break;
+        };
+        assert!(
+            tick > until,
+            "seed {seed}: an event due by the bound was held"
+        );
+        assert_eq!(last_logged(), Some(tick), "seed {seed}");
+        until = tick + window;
     }
-    (world, log, sched.events())
+    let deliveries = log.take();
+    (world, deliveries, sched.stats().events)
 }
 
 #[test]
 fn ticks_are_nondecreasing_and_events_counted() {
     for seed in 0..20 {
-        let (_, log, events) = run_graph(seed);
+        let (_, log, events) = run_graph(seed, None);
         assert_eq!(log.len() as u64, events, "seed {seed}");
         for pair in log.windows(2) {
             assert!(
-                pair[0].tick <= pair[1].tick,
+                pair[0].0 <= pair[1].0,
                 "seed {seed}: time ran backwards: {pair:?}"
             );
         }
@@ -165,7 +201,7 @@ fn ticks_are_nondecreasing_and_events_counted() {
 #[test]
 fn every_send_is_delivered_exactly_once() {
     for seed in 0..20 {
-        let (world, log, _) = run_graph(seed);
+        let (world, log, events) = run_graph(seed, None);
         let mut sent: Vec<u64> = world.nodes.iter().flat_map(|n| n.sent.clone()).collect();
         let mut received: Vec<u64> = world
             .nodes
@@ -178,15 +214,11 @@ fn every_send_is_delivered_exactly_once() {
         assert!(!sent.is_empty(), "seed {seed}: graph must do something");
 
         // Cross-check the log: delivery count matches, and every
-        // delivery the log records landed on the wired input port.
-        let deliveries = log
-            .iter()
-            .filter(|i| matches!(i.kind, StepKind::Event(_)))
-            .count();
+        // kernel event was a delivery or a wake, nothing else.
+        let deliveries = log.iter().filter(|d| d.2.is_some()).count();
         assert_eq!(deliveries, sent.len(), "seed {seed}");
-        assert!(log
-            .iter()
-            .all(|i| !matches!(i.kind, StepKind::Event(p) if p != InPort(7))));
+        let woken: usize = world.nodes.iter().map(|n| n.woken.len()).sum();
+        assert_eq!(events, (deliveries + woken) as u64, "seed {seed}");
     }
 }
 
@@ -198,7 +230,7 @@ fn every_send_is_delivered_exactly_once() {
 fn same_tick_deliveries_preserve_send_order() {
     let mut saw_tie = false;
     for seed in 0..40 {
-        let (world, _, _) = run_graph(seed);
+        let (world, _, _) = run_graph(seed, None);
         for node in &world.nodes {
             for pair in node.received.windows(2) {
                 let ((ta, pa), (tb, pb)) = (pair[0], pair[1]);
@@ -219,13 +251,7 @@ fn same_tick_deliveries_preserve_send_order() {
 #[test]
 fn wake_slots_fire_at_most_once_per_request_batch() {
     for seed in 0..20 {
-        let (world, log, _) = run_graph(seed);
-        let wakes = log
-            .iter()
-            .filter(|i| matches!(i.kind, StepKind::Wake))
-            .count();
-        let woken: usize = world.nodes.iter().map(|n| n.woken.len()).sum();
-        assert_eq!(wakes, woken, "seed {seed}");
+        let (world, _, _) = run_graph(seed, None);
         // The per-callback assertion inside Node::on_tick already pinned
         // each wake to the earliest pending request; here we check no
         // node still owes a wake (drained queue means every pending
@@ -243,13 +269,28 @@ fn wake_slots_fire_at_most_once_per_request_batch() {
 #[test]
 fn same_seed_replays_the_same_log() {
     for seed in [3, 17] {
-        let (wa, la, ea) = run_graph(seed);
-        let (wb, lb, eb) = run_graph(seed);
+        let (wa, la, ea) = run_graph(seed, None);
+        let (wb, lb, eb) = run_graph(seed, None);
         assert_eq!(la, lb, "seed {seed}: step logs diverged");
         assert_eq!(ea, eb);
         for (na, nb) in wa.nodes.iter().zip(&wb.nodes) {
             assert_eq!(na.received, nb.received, "seed {seed}");
             assert_eq!(na.woken, nb.woken, "seed {seed}");
+        }
+    }
+}
+
+/// Stepping in bounded windows (`run_graph` checks each bound as it
+/// goes) delivers the very same events in the very same order.
+#[test]
+fn bounded_windows_replay_the_unbounded_log() {
+    for seed in 0..20 {
+        let (_, unbounded, events) = run_graph(seed, None);
+        for micros in [1, 7, 40] {
+            let (_, bounded, bounded_events) =
+                run_graph(seed, Some(SimDuration::from_micros(micros)));
+            assert_eq!(bounded, unbounded, "seed {seed}, {micros} us windows");
+            assert_eq!(bounded_events, events);
         }
     }
 }

@@ -164,7 +164,7 @@ impl MoveExec {
     }
 
     /// The absolute time of the upcoming step, without consuming it.
-    pub fn peek_tick(&self) -> Option<Tick> {
+    pub(crate) fn peek_tick(&self) -> Option<Tick> {
         if self.k >= self.n {
             return None;
         }

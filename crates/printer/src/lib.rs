@@ -18,8 +18,9 @@
 //! * [`DepositionModel`] / [`PartModel`] — where plastic actually lands,
 //!   layer by layer, so Trojan effects become measurable geometry,
 //! * [`PrinterPlant`] — the composite component wired into the
-//!   co-simulation, consuming control [`SignalEvent`]s and producing
-//!   endstop/thermistor feedback,
+//!   co-simulation, consuming control [`SignalEvent`]s, producing
+//!   endstop/thermistor feedback and recording the true heater
+//!   temperatures at every thermistor sample,
 //! * [`quality`] — part-quality comparison against a golden print
 //!   (the in-simulation stand-in for the paper's part photographs).
 //!

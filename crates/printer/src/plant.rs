@@ -4,7 +4,8 @@
 //! consumes the control-direction [`SignalEvent`]s (whatever the
 //! interceptor forwarded) and produces the feedback-direction events the
 //! firmware needs: endstop transitions and periodic thermistor ADC
-//! samples.
+//! samples. At each ADC sample it also records the *true* hotend and
+//! bed temperatures, which a thermal camera watches.
 
 use offramps_des::{ActionSink, DetRng, InPort, OutPort, SimComponent, SimDuration, Tick};
 use offramps_signals::{AnalogChannel, Axis, EdgeSink, Level, LogicEvent, Pin, SignalEvent};
@@ -97,6 +98,8 @@ pub struct PrinterPlant<H = ()> {
     deposition: DepositionModel,
     endstop_levels: [Level; 3],
     adc_rng: DetRng,
+    /// `(tick, hotend °C, bed °C)` at every ADC wake.
+    temps: Vec<(Tick, f64, f64)>,
     edges: H,
 }
 
@@ -127,6 +130,7 @@ impl<H: EdgeSink> PrinterPlant<H> {
             }),
             mechs,
             adc_rng: DetRng::from_seed(seed ^ 0xadc0_ffee),
+            temps: Vec::new(),
             config,
             edges,
         }
@@ -205,7 +209,8 @@ impl<H: EdgeSink> PrinterPlant<H> {
         }
     }
 
-    /// Periodic wake-up: samples both thermistors and re-arms the timer.
+    /// Periodic wake-up: samples both thermistors, re-arms the timer,
+    /// and records the true heater temperatures.
     pub fn on_tick(&mut self, now: Tick, sink: &mut ActionSink<SignalEvent>) {
         for channel in AnalogChannel::ALL {
             let counts = match channel {
@@ -224,6 +229,9 @@ impl<H: EdgeSink> PrinterPlant<H> {
             );
         }
         sink.wake_at(now + SimDuration::from_millis(self.config.adc_period_ms));
+        // `status` also advances the lazy fan integration to `now`.
+        let status = self.status(now);
+        self.temps.push((now, status.hotend_c, status.bed_c));
     }
 
     /// Observable plant state at `now`.
@@ -242,10 +250,11 @@ impl<H: EdgeSink> PrinterPlant<H> {
         }
     }
 
-    /// Consumes the plant, returning the deposited part and the edge
-    /// hook with everything it took.
-    pub fn into_parts(self) -> (PartModel, H) {
-        (self.deposition.finish(), self.edges)
+    /// Consumes the plant, returning the deposited part, the
+    /// `(tick, hotend °C, bed °C)` sample taken at every ADC wake, and
+    /// the edge hook with everything it took.
+    pub fn into_parts(self) -> (PartModel, Vec<(Tick, f64, f64)>, H) {
+        (self.deposition.finish(), self.temps, self.edges)
     }
 
     /// Read-only view of the part so far.
@@ -411,6 +420,8 @@ mod tests {
             acts.last(),
             Some(SinkAction::WakeAt(t)) if *t == Tick::from_millis(200)
         ));
+        let (_, temps, ()) = p.into_parts();
+        assert_eq!(temps, vec![(Tick::from_millis(100), 25.0, 25.0)]);
     }
 
     #[test]
@@ -445,7 +456,8 @@ mod tests {
             }
             t += 10;
         }
-        let (part, ()) = p.into_parts();
+        let (part, temps, ()) = p.into_parts();
+        assert!(temps.is_empty(), "no ADC wake ran");
         assert!(part.total_forward_e_mm > 0.3);
         assert!(!part.segments().is_empty());
     }
@@ -464,7 +476,7 @@ mod tests {
                 counts: 512,
             },
         );
-        let (_, trace) = p.into_parts();
+        let (_, _, trace) = p.into_parts();
         assert_eq!(trace.len(), 3, "enable + step high/low");
     }
 

@@ -12,8 +12,8 @@
 //! camera's frame rate and corrupted with read-out noise.
 //!
 //! The source data is the plant's own lazily integrated heater ODEs
-//! (`offramps-printer`'s `HeaterPlant`), sampled at the ADC cadence by
-//! the test bench — the camera consumes those `(tick, hotend, bed)`
+//! (`offramps-printer`'s `HeaterPlant`), which the plant samples itself
+//! at every ADC wake — the camera consumes those `(tick, hotend, bed)`
 //! triples directly, so it observes *true* plant temperatures, not the
 //! (spoofable) thermistor read-out the firmware sees. That distinction
 //! is the whole defensive value of the channel.
@@ -46,8 +46,8 @@ const CAMERA_NOISE_SALT: u64 = 0x7e84_ca3a_0000_0001;
 impl ThermalCamera {
     /// Synthesizes the frame sequence (hotend + bed radiance proxy, °C)
     /// the camera would record over
-    /// `temps`: `(tick, hotend °C, bed °C)` samples as produced by the
-    /// test bench. Frames average the samples they contain; a frame
+    /// `temps`: `(tick, hotend °C, bed °C)` samples as the plant records
+    /// them. Frames average the samples they contain; a frame
     /// with no sample (possible only at pathological sampling gaps)
     /// holds the previous frame's value. `seed` drives read-out noise.
     pub fn synthesize(&self, temps: &[(Tick, f64, f64)], seed: u64) -> SampledTrace {

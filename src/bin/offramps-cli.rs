@@ -224,6 +224,11 @@ const ATTACK_FLAGS: FlagTable = &[
 
 const DETECT_FLAGS: FlagTable = &[("--margin", Arity::Value)];
 
+/// The most scenarios one campaign may hold. A larger matrix is
+/// rejected before its corpus is expanded or its scenario list built,
+/// either of which would exhaust memory.
+const MAX_SCENARIOS: u64 = 1_000_000;
+
 const CAMPAIGN_FLAGS: FlagTable = &[
     ("--threads", Arity::Value),
     ("--seed", Arity::Value),
@@ -636,6 +641,14 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             .collect::<Result<Vec<_>, _>>()?;
     }
     let corpus = flags.u32_or("--corpus", 0, 0)?;
+    let matrix = (spec.workloads.len() as u64 + u64::from(corpus))
+        .checked_mul(spec.trojans.len() as u64)
+        .and_then(|n| n.checked_mul(u64::from(spec.runs_per_cell)));
+    if matrix.is_none_or(|n| n > MAX_SCENARIOS) {
+        return Err(format!(
+            "a campaign holds at most {MAX_SCENARIOS} scenarios (attacks x workloads x runs)"
+        ));
+    }
     if corpus > 0 {
         spec.workloads.extend(CorpusSpec::new(corpus).expand(seed));
     }

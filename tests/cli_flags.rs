@@ -148,6 +148,15 @@ fn out_of_domain_values_are_rejected() {
         "--corpus must be in 0..=4294967295",
         usage,
     );
+    // A matrix past the scenario cap is refused before the corpus is
+    // expanded or the scenario list allocated.
+    for args in [
+        &["campaign", "--list", "--corpus", "999999999"][..],
+        &["campaign", "--list", "--runs", "4294967295"],
+        &["campaign", "--list", "--sweep", "--runs", "30304"],
+    ] {
+        assert_rejected(args, "a campaign holds at most 1000000 scenarios", usage);
+    }
 }
 
 #[test]
