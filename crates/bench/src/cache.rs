@@ -31,7 +31,7 @@ use offramps_store::Store;
 
 use offramps::verdict::{Evidence, TimeToDetection, Verdict};
 
-use crate::campaign::{CampaignSpec, Scenario, ScenarioResult};
+use crate::campaign::{parallel_map, CampaignSpec, Scenario, ScenarioResult};
 use crate::json::{self, ObjectWriter, Value};
 use crate::workloads::Workload;
 
@@ -535,31 +535,32 @@ pub(crate) fn scenario_keys(
 }
 
 /// Decodes every scenario the store holds under `keys`, in matrix
-/// order; `None` marks a miss (absent or undecodable record).
+/// order; `None` marks a miss (absent or undecodable record). The reads
+/// and decodes fan out over `threads` workers; each scenario's result
+/// depends only on its own record, so the output does not depend on
+/// `threads`.
 pub(crate) fn lookup(
     store: &Store,
     spec: &CampaignSpec,
     scenarios: &[Scenario],
     keys: &[String],
+    threads: usize,
     obs: &Obs,
 ) -> Vec<Option<ScenarioResult>> {
     let decode_start = obs.clock_micros();
-    let results = scenarios
-        .iter()
-        .zip(keys)
-        .map(|(sc, key)| {
-            let mut r = decode_result(sc.clone(), store.get(key)?).ok()?;
-            // Scenario keys are online-agnostic, so an online-warmed
-            // store can serve a post-hoc campaign — which must keep its
-            // pre-online artifact shape byte for byte: stored
-            // time-to-detection marks ride along only when this
-            // campaign judges online too.
-            if !spec.online {
-                r.ttd = None;
-            }
-            Some(r)
-        })
-        .collect();
+    let wanted: Vec<(&Scenario, &String)> = scenarios.iter().zip(keys).collect();
+    let results = parallel_map(&wanted, threads, |&(sc, key)| {
+        let mut r = decode_result(sc.clone(), store.get(key)?).ok()?;
+        // Scenario keys are online-agnostic, so an online-warmed
+        // store can serve a post-hoc campaign — which must keep its
+        // pre-online artifact shape byte for byte: stored
+        // time-to-detection marks ride along only when this
+        // campaign judges online too.
+        if !spec.online {
+            r.ttd = None;
+        }
+        Some(r)
+    });
     obs.record_span("campaign", None, "decode", decode_start, obs.clock_micros());
     results
 }
@@ -856,6 +857,48 @@ mod tests {
             ttd: None,
             wall_ms: 0,
         }
+    }
+
+    /// The pool that reads and decodes the hits hands back what one
+    /// thread does: hits, misses and undecodable records alike, in
+    /// matrix order.
+    #[test]
+    fn lookup_is_thread_invariant() {
+        let root =
+            std::env::temp_dir().join(format!("offramps-cache-lookup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = Store::open(&root).unwrap();
+        let spec = CampaignSpec::default_matrix(7);
+        let scenarios = spec.scenarios().unwrap();
+        let keys: Vec<String> = scenarios
+            .iter()
+            .map(|sc| format!("{SCENARIO_KEY_PREFIX}{}", sc.index))
+            .collect();
+        for (sc, key) in scenarios.iter().zip(&keys) {
+            match sc.index % 4 {
+                0 => {}
+                1 => store.put(key, "{\"trojan\": ").unwrap(),
+                _ => {
+                    let r = stored_result(sc.index, &sc.trojan, sc.index % 3 == 0);
+                    store.put(key, &encode_result(&r)).unwrap();
+                }
+            }
+        }
+        let decoded = |threads| {
+            let results = lookup(&store, &spec, &scenarios, &keys, threads, &Obs::disabled());
+            let payloads = results.iter().map(|r| r.as_ref().map(encode_result));
+            payloads.collect::<Vec<_>>()
+        };
+        let one = decoded(1);
+        let hits: Vec<usize> = (0..one.len()).filter(|&i| one[i].is_some()).collect();
+        let want: Vec<usize> = scenarios
+            .iter()
+            .filter(|sc| sc.index % 4 >= 2)
+            .map(|sc| sc.index)
+            .collect();
+        assert_eq!(hits, want);
+        assert_eq!(decoded(4), one);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// One pass over a store holding every kind of record yields what

@@ -1060,7 +1060,7 @@ pub fn run_campaign(
     let (keys, mut results) = match store.as_deref() {
         Some(store) => {
             let keys = cache::scenario_keys(spec, &scenarios, &policy);
-            let results = cache::lookup(store, spec, &scenarios, &keys, obs);
+            let results = cache::lookup(store, spec, &scenarios, &keys, threads, obs);
             (keys, results)
         }
         None => (Vec::new(), vec![None; scenarios.len()]),

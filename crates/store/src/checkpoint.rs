@@ -3,8 +3,8 @@
 //! instead of re-validating and re-hashing every record line.
 //!
 //! The checkpoints live in one file, `index/shards.idx`: the word
-//! [`MAGIC`], then one section per shard log, each a flat run of
-//! little-endian `u64`s:
+//! [`MAGIC`], then a run of sections, each the checkpoint of one shard
+//! log as a flat run of little-endian `u64`s:
 //!
 //! | words | field |
 //! |-------|-------|
@@ -17,13 +17,22 @@
 //! | 4n | slots after last-wins, in fingerprint order: fingerprint (2 words), offset, length |
 //! | 1 | [`checksum`] of the section's other words |
 //!
+//! A later section for a shard supersedes every earlier one, so the
+//! file is a log too. A save appends one section for each shard whose
+//! index grew, and a void section (covering nothing) for one it can no
+//! longer vouch for, in one write. It rewrites the file whole,
+//! one section per shard (compaction), when the file is not what the
+//! store parsed at open or when the superseded sections would make it
+//! more than twice that size; a first save is such a rewrite.
+//!
 //! One file, not one per shard: creating 256 files cost more than
 //! scanning the logs they index saves on a cold open. A section that
 //! does not decode, fails its checksum, or holds a slot outside its
 //! shard, out of order or past the covered length is ignored, and so is
 //! every section after a cut; so is one whose check no longer matches
 //! the log. Nothing here is ever an error: the caller rescans the log
-//! instead.
+//! instead. A torn append therefore only costs a rescan of the log
+//! tails that its sections would have covered.
 
 use crate::{Fingerprint, LineSpan, ScanStats, SHARD_COUNT};
 
@@ -59,13 +68,15 @@ pub(crate) fn file_header() -> Vec<u8> {
     MAGIC.to_le_bytes().to_vec()
 }
 
-/// The section of each shard in the checkpoint file `bytes`, indexed by
-/// shard (empty where there is none). Sections are only delimited
-/// here; [`LogIndex::decode`] checks them.
-pub(crate) fn sections(bytes: &[u8]) -> Vec<&[u8]> {
+/// The last section of each shard in the checkpoint file `bytes`,
+/// indexed by shard (empty where there is none), and how many bytes the
+/// header and the whole sections span (0 without the header): all of
+/// `bytes` unless they end in a cut. Sections are only delimited here;
+/// [`LogIndex::decode`] checks them.
+pub(crate) fn sections(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
     let mut out = vec![&[][..]; SHARD_COUNT];
     let Some(mut rest) = bytes.strip_prefix(&MAGIC.to_le_bytes()) else {
-        return out;
+        return (out, 0);
     };
     while let Some(n) = word(rest, HEADER_WORDS - 1) {
         let size = n
@@ -81,7 +92,7 @@ pub(crate) fn sections(bytes: &[u8]) -> Vec<&[u8]> {
         }
         rest = tail;
     }
-    out
+    (out, bytes.len() - rest.len())
 }
 
 /// The `i`th little-endian word of `bytes`.
@@ -91,7 +102,14 @@ fn word(bytes: &[u8], i: usize) -> Option<u64> {
 }
 
 impl LogIndex {
-    /// Appends this index to `out` as the section of `shard`.
+    /// The size of this index's section in bytes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 * (HEADER_WORDS + 4 * self.slots.len() + 1)
+    }
+
+    /// Appends this index to `out` as the section of `shard`. The
+    /// default (empty) index encodes the void section, which supersedes
+    /// the shard's earlier sections and decodes to nothing.
     pub(crate) fn encode_into(&self, shard: u8, out: &mut Vec<u8>) {
         let start = out.len();
         let s = &self.stats;
@@ -108,7 +126,7 @@ impl LogIndex {
             self.check,
             self.slots.len() as u64,
         ];
-        out.reserve(8 * (HEADER_WORDS + 4 * self.slots.len() + 1));
+        out.reserve(self.encoded_len());
         let mut push = |w: u64| out.extend_from_slice(&w.to_le_bytes());
         header.into_iter().for_each(&mut push);
         for &(fp, offset, len) in &self.slots {
@@ -190,7 +208,7 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::spans;
+    use crate::tests::{copy_logs, spans};
     use crate::{checkpoint_path, shard_path, Store, RECORD_TAG};
     use offramps_des::DetRng;
     use std::fs;
@@ -231,7 +249,7 @@ mod tests {
     }
 
     fn decoded(bytes: &[u8]) -> Vec<Option<LogIndex>> {
-        let sections = sections(bytes);
+        let (sections, _) = sections(bytes);
         (0..=u8::MAX)
             .map(|s| LogIndex::decode(sections[usize::from(s)], s))
             .collect()
@@ -242,6 +260,8 @@ mod tests {
         let bytes = file(&[9, 3, 200]);
         let section = 8 * (HEADER_WORDS + 4 * 5 + 1);
         assert_eq!(bytes.len(), 8 + 3 * section);
+        assert_eq!(sample(3).encoded_len(), section);
+        assert_eq!(sections(&bytes).1, bytes.len(), "parsed whole");
         for (shard, index) in decoded(&bytes).into_iter().enumerate() {
             let want = [3, 9, 200].contains(&shard).then(|| sample(shard as u8));
             assert_eq!(index, want, "shard {shard}");
@@ -261,6 +281,11 @@ mod tests {
             let d = decoded(&bytes[..cut]);
             assert_eq!(intact(&d, 7), cut >= 8 + section, "cut at {cut}");
             assert!(!intact(&d, 8), "cut at {cut}");
+            let whole = match cut {
+                0..8 => 0,
+                _ => 8 + (cut - 8) / section * section,
+            };
+            assert_eq!(sections(&bytes[..cut]).1, whole, "cut at {cut}");
         }
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
@@ -277,6 +302,28 @@ mod tests {
         assert!(decoded(&moved).iter().all(Option::is_none));
     }
 
+    /// A later section for a shard supersedes its earlier ones, a void
+    /// one leaves the shard without a checkpoint, and a file ending in a
+    /// cut keeps what precedes the cut.
+    #[test]
+    fn later_sections_supersede_earlier_ones() {
+        let mut bytes = file(&[7, 8]);
+        let mut grown = sample(7);
+        grown.len += 100;
+        grown.encode_into(7, &mut bytes);
+        LogIndex::default().encode_into(8, &mut bytes);
+        let (_, parsed) = sections(&bytes);
+        assert_eq!(parsed, bytes.len());
+        let d = decoded(&bytes);
+        assert_eq!(d[7], Some(grown));
+        assert_eq!(d[8], None, "voided");
+        let void = LogIndex::default().encoded_len();
+        assert_eq!(void, 8 * (HEADER_WORDS + 1));
+        let cut = &bytes[..bytes.len() - void / 2];
+        assert_eq!(sections(cut).1, bytes.len() - void);
+        assert_eq!(decoded(cut)[8], Some(sample(8)), "the void was cut");
+    }
+
     /// A section whose checksum holds but whose slots could not come
     /// from a scan is rejected too.
     #[test]
@@ -286,7 +333,7 @@ mod tests {
             edit(&mut index);
             let mut bytes = file_header();
             index.encode_into(5, &mut bytes);
-            LogIndex::decode(sections(&bytes)[5], 5)
+            LogIndex::decode(sections(&bytes).0[5], 5)
         };
         assert!(resealed(&|_| {}).is_some());
         assert!(resealed(&|i| i.slots.reverse()).is_none(), "out of order");
@@ -336,12 +383,7 @@ mod tests {
     /// What a checkpoint-less rescan of the shard logs under `root`
     /// reports: the logs copied to `scratch`, without `index/`.
     fn rescanned(root: &Path, scratch: &Path, workers: usize) -> Seen {
-        let _ = fs::remove_dir_all(scratch);
-        fs::create_dir_all(scratch.join("shards")).unwrap();
-        for entry in fs::read_dir(root.join("shards")).unwrap() {
-            let entry = entry.unwrap();
-            fs::copy(entry.path(), scratch.join("shards").join(entry.file_name())).unwrap();
-        }
+        copy_logs(root, scratch);
         let (seen, loaded) = seen(scratch, workers);
         assert_eq!(loaded, 0, "a rescan loads no checkpoint");
         seen
@@ -591,9 +633,10 @@ mod tests {
     }
 
     /// A log that grows behind an open store, before its append or
-    /// after it, gets no checkpoint from that store: what is left is the
-    /// older checkpoint or none, and the next open counts what the
-    /// other writer added.
+    /// after it, gets no checkpoint from that store: a store whose put
+    /// found the log changed grew nothing and saves nothing, one whose
+    /// log changed after its put voids the older checkpoint, and the
+    /// next open counts what the other writer added.
     #[test]
     fn a_log_grown_behind_an_open_store_is_not_checkpointed() {
         let root = temp_root("behind");
@@ -602,7 +645,7 @@ mod tests {
         let log = shard_path(&root, shard);
         let section = || {
             let saved = fs::read(checkpoint_path(&root)).unwrap_or_default();
-            LogIndex::decode(sections(&saved)[usize::from(shard)], shard)
+            LogIndex::decode(sections(&saved).0[usize::from(shard)], shard)
         };
         let mut store = Store::open(&root).unwrap();
         store.put("k", "first").unwrap();
@@ -620,16 +663,70 @@ mod tests {
             }
             drop(store);
             let left = section().map(|s| s.len);
-            assert!(
-                left.is_none_or(|len| len == saved_len),
-                "{before_the_append}"
-            );
+            assert_eq!(left, before_the_append.then_some(saved_len));
             let want = rescanned(&root, &scratch, 1);
             assert_eq!(seen(&root, 1).0, want);
             assert!(section().is_some(), "the rescan saved it");
         }
         fs::remove_dir_all(&root).unwrap();
         fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    /// Two stores open on one directory interleave puts, drops and
+    /// reopens, so each saves over a checkpoint file the other changed
+    /// since it parsed it, or appends sections the other never parsed.
+    /// Whatever either saved, a reopen serves every acknowledged put
+    /// (the last one for each key) and reports the scan counts of a
+    /// checkpoint-less open.
+    #[test]
+    fn two_stores_on_one_directory_lose_nothing() {
+        let keys = hot_keys();
+        let (mut appends, mut rewrites) = (0, 0);
+        for seed in 0..6 {
+            let root = temp_root(&format!("two-{seed}"));
+            let scratch = temp_root(&format!("two-{seed}-rescan"));
+            let mut rng = DetRng::from_seed(seed);
+            let mut model = std::collections::BTreeMap::new();
+            let mut stores = [Store::open(&root).unwrap(), Store::open(&root).unwrap()];
+            for step in 0..80 {
+                let which = rng.uniform_u64(0, 2) as usize;
+                if rng.uniform_u64(0, 4) == 0 {
+                    let before = fs::read(checkpoint_path(&root)).unwrap_or_default();
+                    drop(std::mem::replace(
+                        &mut stores[which],
+                        Store::open(&root).unwrap(),
+                    ));
+                    let after = fs::read(checkpoint_path(&root)).unwrap_or_default();
+                    if after.len() > before.len() && after.starts_with(&before) {
+                        appends += 1;
+                    } else if after != before {
+                        rewrites += 1;
+                    }
+                } else {
+                    // Every value is new, so no put is a no-op.
+                    let key = &keys[rng.uniform_u64(0, keys.len() as u64) as usize];
+                    let value = format!("{which}@{step}");
+                    stores[which].put(key, &value).unwrap();
+                    model.insert(key.clone(), value);
+                }
+            }
+            drop(stores);
+            let want = rescanned(&root, &scratch, 1);
+            let (got, _) = seen(&root, 1);
+            assert_eq!(got, want, "seed {seed}");
+            let store = Store::open(&root).unwrap();
+            for (key, value) in &model {
+                assert_eq!(store.get(key), Some(value.as_str()), "seed {seed}: {key}");
+            }
+            assert_eq!(store.len(), model.len());
+            drop(store);
+            fs::remove_dir_all(&root).unwrap();
+            fs::remove_dir_all(&scratch).unwrap();
+        }
+        assert!(
+            appends > 5 && rewrites > 5,
+            "{appends} appends, {rewrites} rewrites"
+        );
     }
 
     /// Dropping a store never fails and never brings back a removed

@@ -39,14 +39,20 @@
 //!   analytics built on them are byte-reproducible.
 //! * **Checkpointed index.** When a store drops after the indexed
 //!   prefix of any shard log grew — through its own appends, or a log
-//!   tail `open` had to scan — it saves a checkpoint of every shard log
-//!   whose on-disk length still equals its view, in the manner of a
-//!   Bitcask hint file. All of them go into one file,
-//!   `index/shards.idx` beside `shards/`, written to a temporary file
-//!   and renamed. Each shard's checkpoint holds the covered log length,
-//!   that prefix's [`ScanStats`] and torn-tail flag, a check (offset
-//!   and checksum) of the prefix's last line, the shard's slots after
-//!   last-wins, and a checksum over its own bytes. `open` loads a
+//!   tail `open` had to scan — it saves checkpoints of its shard logs,
+//!   in the manner of a Bitcask hint file, into one file,
+//!   `index/shards.idx` beside `shards/`. A later checkpoint of a shard
+//!   supersedes the earlier ones, so a save appends, in one write, a
+//!   checkpoint for each log that grew and a void one for each log the
+//!   store can no longer vouch for. It compacts instead — a checkpoint
+//!   of every shard log whose on-disk length still equals its view,
+//!   written to a temporary file and renamed — when the file is not the
+//!   one `open` parsed whole, or when the superseded checkpoints would
+//!   make it more than twice that size. Each shard's checkpoint holds
+//!   the covered log length, that prefix's [`ScanStats`] and torn-tail
+//!   flag, a check (offset and checksum) of the prefix's last line, the
+//!   shard's slots after last-wins, and a checksum over its own bytes.
+//!   `open` loads a
 //!   checkpoint as that shard's slot array and scans only the log
 //!   beyond it: ~32 bytes per record instead of validating and hashing
 //!   every line. A checkpoint is invalidated — and its shard scanned
@@ -56,8 +62,9 @@
 //!   A checkpoint can only ever cost a miss, never a wrong value:
 //!   [`Store::get`] compares the full stored key, and
 //!   [`Store::records`] re-hashes every key a checkpoint supplied.
-//!   Deleting `index/` is always safe, and builds that predate it
-//!   ignore it.
+//!   Deleting `index/` is always safe, builds that predate it ignore
+//!   it, and a torn append costs only a rescan of the log tails its
+//!   checkpoints would have covered.
 //! * **No invalidation logic.** Values never expire; changing any
 //!   fingerprinted input changes the key, so stale records simply stop
 //!   being addressed. Bump a key-side format salt to retire a whole
@@ -93,12 +100,12 @@ mod fingerprint;
 use checkpoint::{checksum, LogIndex};
 pub use fingerprint::Fingerprint;
 
-use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Number of shard logs a store fans its records over (fingerprint top
 /// byte).
@@ -113,7 +120,7 @@ const RECORD_TAG: &str = "v1";
 /// line held, or `None` when the line no longer reads back as the
 /// slot's record. Boxed, so the cells of a shard whose records are not
 /// all read stay small.
-type SlotRead = OnceCell<Option<Box<(String, String)>>>;
+type SlotRead = OnceLock<Option<Box<(String, String)>>>;
 
 /// One shard log: its index, and its append and checkpoint state.
 #[derive(Debug, Default)]
@@ -129,8 +136,8 @@ struct Shard {
     /// part-way). `index.stats` counts what a rescan of those bytes
     /// would, `superseded` included.
     index: LogIndex,
-    /// `index.check` still holds for the log: set by `open`, cleared by
-    /// an append.
+    /// `index.check` still holds for the log: set by `open` and by a
+    /// save that read it back, cleared by an append.
     checked: bool,
     /// How many bytes of the log the checkpoint loaded at open covered
     /// (0 without one). Their slots were indexed without hashing any
@@ -178,22 +185,38 @@ pub struct ScanStats {
     pub foreign: usize,
 }
 
+/// The checkpoint file as [`Store::open`] parsed it whole (its header
+/// and sections spanned exactly its bytes): enough to tell at save time
+/// whether the file is still those bytes.
+#[derive(Debug, Clone, Copy)]
+struct ParsedCheckpoints {
+    /// The file's length.
+    len: u64,
+    /// Its last word: the last section's checksum, or the header.
+    tail: [u8; 8],
+}
+
 /// A content-addressed record store rooted at a directory.
 ///
 /// See the [crate docs](crate) for layout and guarantees. All methods
 /// take the whole store; writers serialize through `&mut self` —
 /// callers running producers in parallel collect results first and
-/// append them in a deterministic order.
+/// append them in a deterministic order. Readers may share it: a
+/// `&Store` is `Sync`, and [`Store::get`] from any number of threads
+/// returns what the same calls return one after another.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
     scan: ScanStats,
     /// One entry per shard log, indexed by shard.
     shards: Vec<Shard>,
+    /// The checkpoint file, when `open` parsed it whole; `None` makes
+    /// the next save rewrite it.
+    checkpoints: Option<ParsedCheckpoints>,
     /// What [`Store::get`] read back, indexed by shard: once the shard's
     /// first `get` ran, one cell per slot of its index. An append to
     /// the shard drops them.
-    reads: Vec<OnceCell<Vec<SlotRead>>>,
+    reads: Vec<OnceLock<Vec<SlotRead>>>,
     /// The line [`Store::put`] escapes each record into, reused across
     /// records.
     line: String,
@@ -222,18 +245,27 @@ impl Store {
     /// [`Store::open`] on `workers` threads.
     fn open_with(root: PathBuf, workers: usize) -> io::Result<Store> {
         fs::create_dir_all(root.join("shards"))?;
-        let opened = {
+        let (opened, checkpoints) = {
             let saved = fs::read(checkpoint_path(&root)).unwrap_or_default();
-            let sections = checkpoint::sections(&saved);
-            pool_map(SHARD_COUNT, workers, String::new, |key, shard| {
+            let (sections, parsed) = checkpoint::sections(&saved);
+            let opened = pool_map(SHARD_COUNT, workers, String::new, |key, shard| {
                 open_shard(&root, shard as u8, sections[shard], key)
-            })
+            });
+            let checkpoints = match saved.last_chunk::<8>() {
+                Some(&tail) if parsed == saved.len() => Some(ParsedCheckpoints {
+                    len: saved.len() as u64,
+                    tail,
+                }),
+                _ => None,
+            };
+            (opened, checkpoints)
         };
         let mut store = Store {
             root,
             scan: ScanStats::default(),
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            reads: (0..SHARD_COUNT).map(|_| OnceCell::new()).collect(),
+            checkpoints,
+            reads: (0..SHARD_COUNT).map(|_| OnceLock::new()).collect(),
             line: String::new(),
         };
         for (shard, opened) in store.shards.iter_mut().zip(opened) {
@@ -293,7 +325,7 @@ impl Store {
     fn value(&self, shard: usize, at: usize, key: &str) -> Option<&str> {
         let slots = &self.shards[shard].index.slots;
         let reads =
-            self.reads[shard].get_or_init(|| slots.iter().map(|_| OnceCell::new()).collect());
+            self.reads[shard].get_or_init(|| slots.iter().map(|_| OnceLock::new()).collect());
         let (stored_key, value) = reads[at]
             .get_or_init(|| read_slot(&self.root, slots[at]))
             .as_deref()?;
@@ -423,11 +455,57 @@ impl Store {
         (read, unreadable)
     }
 
-    /// Writes the checkpoint of every shard log that is still as long as
-    /// the store's view of it into one file: first to a temporary file,
+    /// Saves the index checkpoints to `index/shards.idx`.
+    ///
+    /// When the file is still the one `open` parsed whole, the save
+    /// appends to it, in one write: a section for each shard log whose
+    /// index grew since open, and a void section for each one the store
+    /// can no longer vouch for (an append found it changed behind the
+    /// store, or it is no longer as long as the index says). Every other
+    /// shard's last section is the one `open` loaded, so the file's last
+    /// sections are what a whole rewrite would hold, and only the logs
+    /// that grew are read back.
+    ///
+    /// Otherwise — and when appending would make the file more than
+    /// [`COMPACTION_FACTOR`] times the size of a whole rewrite — it
+    /// compacts: the checkpoint of every shard log that is still as long
+    /// as the store's view of it goes into a temporary file, which is
     /// then renamed over the old one. A log that cannot be read back
     /// loses its checkpoint, and the next open scans it.
     fn save_checkpoints(&mut self) -> io::Result<()> {
+        let path = checkpoint_path(&self.root);
+        let parsed = self
+            .checkpoints
+            .and_then(|parsed| Some((parsed, parsed.reopen(&path)?)));
+        if let Some((parsed, mut file)) = parsed {
+            let mut out = Vec::new();
+            let mut compacted = checkpoint::file_header().len();
+            for (shard, state) in (0..=u8::MAX).zip(&mut self.shards) {
+                if !state.stale && state.index.len == state.loaded {
+                    // The section `open` loaded, if any, is still the
+                    // shard's last.
+                    if state.loaded > 0 {
+                        compacted += state.index.encoded_len();
+                    }
+                    continue;
+                }
+                let check = match state.stale {
+                    true => None,
+                    false => current_check(&self.root, shard, state).ok().flatten(),
+                };
+                match check {
+                    Some(check) => {
+                        (state.index.check, state.checked) = (check, true);
+                        state.index.encode_into(shard, &mut out);
+                        compacted += state.index.encoded_len();
+                    }
+                    None => LogIndex::default().encode_into(shard, &mut out),
+                }
+            }
+            if parsed.len + out.len() as u64 <= (COMPACTION_FACTOR * compacted) as u64 {
+                return file.write_all(&out);
+            }
+        }
         let mut out = checkpoint::file_header();
         for (shard, state) in (0..=u8::MAX).zip(&mut self.shards) {
             if state.stale || state.index.len == 0 {
@@ -439,7 +517,6 @@ impl Store {
             state.index.check = check;
             state.index.encode_into(shard, &mut out);
         }
-        let path = checkpoint_path(&self.root);
         if let Err(e) = fs::create_dir(path.parent().expect("the index directory")) {
             if e.kind() != io::ErrorKind::AlreadyExists {
                 return Err(e);
@@ -453,11 +530,35 @@ impl Store {
     }
 }
 
+/// A save appends to the checkpoint file only while the result stays
+/// within this many times the size of a whole rewrite; past that it
+/// rewrites the file whole.
+const COMPACTION_FACTOR: usize = 2;
+
+impl ParsedCheckpoints {
+    /// The checkpoint file at `path`, opened to append, if it is still
+    /// the file `open` parsed: as long, and ending in the same word.
+    fn reopen(&self, path: &Path) -> Option<fs::File> {
+        let mut file = fs::File::options()
+            .read(true)
+            .append(true)
+            .open(path)
+            .ok()?;
+        file.seek(SeekFrom::Start(self.len.checked_sub(8)?)).ok()?;
+        let mut tail = [0; 8];
+        file.read_exact(&mut tail).ok()?;
+        let same = file.metadata().ok()?.len() == self.len && tail == self.tail;
+        same.then_some(file)
+    }
+}
+
 impl Drop for Store {
     /// Saves the checkpoints if the indexed prefix of any shard log grew
     /// while the store was open, through its own appends or a tail
-    /// `open` scanned. Failures are ignored — the next open rescans
-    /// instead — and a removed store directory is left removed.
+    /// `open` scanned: by appending the sections that changed to the
+    /// file `open` parsed, or by rewriting it whole. Failures are
+    /// ignored — the next open rescans instead — and a removed store
+    /// directory is left removed.
     fn drop(&mut self) {
         if self
             .shards
@@ -848,6 +949,77 @@ mod tests {
             std::env::temp_dir().join(format!("offramps-store-test-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Replaces `scratch` with a copy of the shard logs under `root`,
+    /// without `index/`.
+    pub(crate) fn copy_logs(root: &Path, scratch: &Path) {
+        let _ = fs::remove_dir_all(scratch);
+        fs::create_dir_all(scratch.join("shards")).unwrap();
+        for entry in fs::read_dir(root.join("shards")).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), scratch.join("shards").join(entry.file_name())).unwrap();
+        }
+    }
+
+    /// What a checkpoint-less open of the shard logs under `root`
+    /// reports, and the checkpoint file its drop writes whole (empty
+    /// when it saves none): both from a copy of the logs in `scratch`.
+    fn whole_save(root: &Path, scratch: &Path) -> (ScanStats, Vec<u8>) {
+        copy_logs(root, scratch);
+        let store = Store::open_with(scratch.to_path_buf(), 1).unwrap();
+        assert!(store.shards.iter().all(|s| s.loaded == 0));
+        let scan = store.scan_stats();
+        drop(store);
+        (scan, fs::read(checkpoint_path(scratch)).unwrap_or_default())
+    }
+
+    /// How a dropped store saved its checkpoints.
+    #[derive(Debug, PartialEq)]
+    enum Saved {
+        Nothing,
+        Appended,
+        Rewrote,
+    }
+
+    /// Drops `store` and checks its save against a whole save of the
+    /// same logs (made in `scratch`): it appended to the file `open`
+    /// parsed whole, which stays a prefix and whose last sections then
+    /// decode as the whole save's do, or it rewrote the file to exactly
+    /// the whole save's bytes. Either way the file ends at most twice
+    /// the whole save's size.
+    fn drop_and_check(store: Store, scratch: &Path) -> Saved {
+        let root = store.root.clone();
+        let path = checkpoint_path(&root);
+        let before = fs::read(&path).ok();
+        let parsed_whole = store.checkpoints.is_some();
+        let saves = store
+            .shards
+            .iter()
+            .any(|s| !s.stale && s.index.len > s.loaded);
+        drop(store);
+        let after = fs::read(&path).ok();
+        if !saves {
+            assert_eq!(after, before, "a store that grew nothing saves nothing");
+            return Saved::Nothing;
+        }
+        let (_, whole) = whole_save(&root, scratch);
+        let after = after.expect("the save wrote the file");
+        assert!(after.len() <= 2 * whole.len(), "{} bytes", after.len());
+        if after == whole {
+            return Saved::Rewrote;
+        }
+        assert!(parsed_whole, "only a file parsed whole is appended to");
+        let before = before.expect("the parsed file");
+        assert!(after.len() > before.len() && after.starts_with(&before));
+        let last_sections = |bytes: &[u8]| {
+            let (sections, parsed) = checkpoint::sections(bytes);
+            assert_eq!(parsed, bytes.len());
+            let decode = |s: u8| LogIndex::decode(sections[usize::from(s)], s);
+            (0..=u8::MAX).map(decode).collect::<Vec<_>>()
+        };
+        assert!(last_sections(&after) == last_sections(&whole));
+        Saved::Appended
     }
 
     #[test]
@@ -1294,11 +1466,16 @@ mod tests {
     }
 
     /// Over random sequences of new puts, superseding puts, identical
-    /// re-puts, drop-and-reopens and reopens with `index/` deleted, on
-    /// keys packed into three shards, the store agrees with a map model
-    /// after every step: every `get`, `len`, the bulk read's records and
-    /// their fingerprint order at one and two workers, and the
-    /// superseded count its last open saw.
+    /// re-puts, drop-and-reopens, reopens with `index/` deleted and
+    /// reopens with `index/shards.idx` cut at a random byte, on keys
+    /// packed into three shards, the store agrees with a map model after
+    /// every step: every `get`, `len`, the bulk read's records and their
+    /// fingerprint order at one and two workers, and the superseded
+    /// count its last open saw. Every drop's save is an append to the
+    /// file its open parsed whole or a rewrite with a whole save's bytes
+    /// (see `drop_and_check`); a cut file opens with the scan counts of
+    /// a checkpoint-less open, and unless the cut fell between sections
+    /// the next save rewrites it.
     #[test]
     fn the_store_matches_a_map_model() {
         let mut shards = Vec::new();
@@ -1314,20 +1491,22 @@ mod tests {
             .take(24)
             .collect();
         let values = ["", "plain", "tab\tand\nnewline", "back\\slash"];
+        let (mut appended, mut cut_inside) = (0, 0);
         for seed in 0..4 {
             let root = temp_root(&format!("model-{seed}"));
+            let scratch = temp_root(&format!("model-{seed}-whole"));
             let mut rng = offramps_des::DetRng::from_seed(seed);
             let mut store = Store::open_with(root.clone(), 2).unwrap();
             let mut model = BTreeMap::new();
-            let (mut appended, mut superseded) = (0, 0);
+            let (mut puts, mut superseded) = (0, 0);
             for step in 0..60 {
-                match rng.uniform_u64(0, 5) {
+                match rng.uniform_u64(0, 6) {
                     0 => {
                         if let Some(key) = pick(&mut rng, &keys, &model, false) {
                             let value = values[rng.uniform_u64(0, 4) as usize];
                             store.put(&key, value).unwrap();
                             model.insert(Fingerprint::of(&key), (key, value.to_string()));
-                            appended += 1;
+                            puts += 1;
                         }
                     }
                     1 => {
@@ -1335,7 +1514,7 @@ mod tests {
                             let value = format!("{}#{step}", values[step % 4]);
                             store.put(&key, &value).unwrap();
                             model.insert(Fingerprint::of(&key), (key, value));
-                            appended += 1;
+                            puts += 1;
                         }
                     }
                     2 => {
@@ -1345,12 +1524,27 @@ mod tests {
                         }
                     }
                     op => {
-                        drop(store);
+                        let saved = drop_and_check(store, &scratch);
+                        appended += usize::from(saved == Saved::Appended);
+                        let path = checkpoint_path(&root);
                         if op == 4 {
                             let _ = fs::remove_dir_all(root.join("index"));
                         }
+                        if let (5, Ok(bytes)) = (op, fs::read(&path)) {
+                            let cut = rng.uniform_u64(0, bytes.len() as u64 + 1) as usize;
+                            fs::write(&path, &bytes[..cut]).unwrap();
+                        }
                         store = Store::open_with(root.clone(), 1 + step % 2).unwrap();
-                        superseded = appended - model.len();
+                        if op == 5 {
+                            let (scan, _) = whole_save(&root, &scratch);
+                            assert_eq!(store.scan_stats(), scan, "seed {seed}, step {step}");
+                            let cut = fs::read(&path).unwrap_or_default();
+                            let whole =
+                                checkpoint::sections(&cut).1 == cut.len() && !cut.is_empty();
+                            assert_eq!(store.checkpoints.is_some(), whole);
+                            cut_inside += usize::from(!whole);
+                        }
+                        superseded = puts - model.len();
                     }
                 }
                 for key in &keys {
@@ -1365,9 +1559,109 @@ mod tests {
                 }
                 assert_eq!(store.scan_stats().superseded, superseded, "seed {seed}");
             }
-            drop(store);
+            drop_and_check(store, &scratch);
             fs::remove_dir_all(&root).unwrap();
+            fs::remove_dir_all(&scratch).unwrap();
         }
+        assert!(appended > 10, "only {appended} saves appended");
+        assert!(
+            cut_inside > 2,
+            "only {cut_inside} cuts fell inside a section"
+        );
+    }
+
+    /// A store reopened for one superseding put at a time keeps its
+    /// checkpoint file within twice the size of a whole save (checked by
+    /// `drop_and_check`), and each save appends to it until compaction,
+    /// which rewrites it with exactly a whole save's bytes.
+    #[test]
+    fn appended_saves_compact_at_twice_the_whole_size() {
+        let root = temp_root("compaction");
+        let scratch = temp_root("compaction-whole");
+        let keys: Vec<String> = (0..64).map(|i| format!("key-{i}")).collect();
+        let mut store = Store::open(&root).unwrap();
+        for key in &keys {
+            store.put(key, "first").unwrap();
+        }
+        assert_eq!(
+            drop_and_check(store, &scratch),
+            Saved::Rewrote,
+            "a first save"
+        );
+        let (mut appended, mut compacted) = (0, 0);
+        for round in 0..150 {
+            let mut store = Store::open(&root).unwrap();
+            store
+                .put(&keys[round % 64], &format!("round {round}"))
+                .unwrap();
+            match drop_and_check(store, &scratch) {
+                Saved::Appended => appended += 1,
+                Saved::Rewrote => compacted += 1,
+                Saved::Nothing => panic!("round {round} saved nothing"),
+            }
+        }
+        assert!(
+            appended > 100 && compacted >= 2,
+            "{appended} appends, {compacted} compactions"
+        );
+        fs::remove_dir_all(&root).unwrap();
+        fs::remove_dir_all(&scratch).unwrap();
+    }
+
+    /// `Store` is `Sync`: readers on several threads may share one.
+    const _: () = {
+        const fn sync<T: Sync>() {}
+        sync::<Store>()
+    };
+
+    /// Four threads reading one store, each in its own order, get
+    /// exactly what one thread's reads return: hits, superseded values
+    /// and misses alike.
+    #[test]
+    fn concurrent_gets_match_sequential_gets() {
+        let root = temp_root("concurrent");
+        let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
+        let mut store = Store::open(&root).unwrap();
+        for (i, key) in keys.iter().enumerate().filter(|(i, _)| i % 4 != 0) {
+            store
+                .put(key, &format!("value {i}\twith\nescapes"))
+                .unwrap();
+        }
+        for key in keys.iter().step_by(3) {
+            store.put(key, "rewritten").unwrap();
+        }
+        drop(store);
+        let sequential: Vec<Option<String>> = {
+            let store = Store::open(&root).unwrap();
+            keys.iter()
+                .map(|k| store.get(k).map(String::from))
+                .collect()
+        };
+        assert_eq!(sequential.iter().flatten().count(), 400 - 100 + 34);
+        let store = Store::open(&root).unwrap();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (store, keys) = (&store, &keys);
+                    scope.spawn(move || {
+                        let mut order: Vec<usize> = (0..keys.len()).collect();
+                        order.rotate_left(97 * t);
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        let mut got = vec![None; keys.len()];
+                        for i in order {
+                            got[i] = store.get(&keys[i]).map(String::from);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap(), sequential);
+            }
+        });
+        fs::remove_dir_all(&root).unwrap();
     }
 
     /// A well-formed record line planted in another shard's log is
