@@ -35,8 +35,9 @@ use std::collections::BTreeMap;
 
 use offramps::verdict::{Channel, Evidence, FusionPolicy, SampledDetector, TimeToDetection};
 use offramps::TransactionDetector;
+use offramps_des::{host_parallelism, pool_map};
 
-use crate::campaign::{host_workers, parallel_map, ScenarioResult};
+use crate::campaign::ScenarioResult;
 use crate::json::{ObjectWriter, ToJson, Value};
 
 /// The default suspect-fraction threshold grid: a log-ish sweep from
@@ -372,7 +373,7 @@ impl AnalyticsReport {
     /// collected in attack order, so the report does not depend on the
     /// worker count.
     pub fn over(observations: &[Observation], thresholds: &[f64]) -> AnalyticsReport {
-        AnalyticsReport::over_with(observations, thresholds, host_workers())
+        AnalyticsReport::over_with(observations, thresholds, host_parallelism())
     }
 
     /// [`AnalyticsReport::over`] on `workers` threads.
@@ -394,7 +395,8 @@ impl AnalyticsReport {
             }
         };
         let side_names = side_detector_names(observations);
-        let curves: Vec<AttackCurve> = parallel_map(&groups, workers, |(attack, group)| {
+        let curves = pool_map(groups.len(), workers, Default::default, |(), i| {
+            let (attack, group) = &groups[i];
             let judged = group.iter().filter(|o| o.judged_by(TXN)).count();
             let detection_rate = thresholds
                 .iter()
@@ -479,7 +481,8 @@ impl AnalyticsReport {
                 weights: weights.clone(),
                 threshold: vote_threshold,
             };
-            let curves = parallel_map(&groups, workers, |(attack, group)| {
+            let curves = pool_map(groups.len(), workers, Default::default, |(), i| {
+                let (attack, group) = &groups[i];
                 let judged_any = group.iter().filter(|o| o.judged_any()).count();
                 let rates = thresholds
                     .iter()

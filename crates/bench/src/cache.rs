@@ -24,6 +24,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+use offramps_des::pool_map;
 use offramps_gcode::slicer::Solid;
 use offramps_gcode::spec::WorkloadSpec;
 use offramps_obs::Obs;
@@ -31,7 +32,7 @@ use offramps_store::Store;
 
 use offramps::verdict::{Evidence, TimeToDetection, Verdict};
 
-use crate::campaign::{parallel_map, CampaignSpec, Scenario, ScenarioResult};
+use crate::campaign::{CampaignSpec, Scenario, ScenarioResult};
 use crate::json::{self, ObjectWriter, Value};
 use crate::workloads::Workload;
 
@@ -548,9 +549,8 @@ pub(crate) fn lookup(
     obs: &Obs,
 ) -> Vec<Option<ScenarioResult>> {
     let decode_start = obs.clock_micros();
-    let wanted: Vec<(&Scenario, &String)> = scenarios.iter().zip(keys).collect();
-    let results = parallel_map(&wanted, threads, |&(sc, key)| {
-        let mut r = decode_result(sc.clone(), store.get(key)?).ok()?;
+    let results = pool_map(scenarios.len(), threads, Default::default, |(), i| {
+        let mut r = decode_result(scenarios[i].clone(), store.get(&keys[i])?).ok()?;
         // Scenario keys are online-agnostic, so an online-warmed
         // store can serve a post-hoc campaign — which must keep its
         // pre-online artifact shape byte for byte: stored

@@ -5,10 +5,11 @@
 //! Flaw3D variants of Table II, the Figure 4 sweep — and scaling the
 //! reproduction means running whole matrices at once. A
 //! [`CampaignSpec`] names the matrix; [`run_campaign`] executes every
-//! scenario on a `std::thread` worker pool, optionally through a
-//! content-addressed scenario store ([`CampaignOptions::store`]). Each scenario's seed is
-//! derived from the campaign's master seed and the scenario's *label*
-//! via [`SeedSplitter`], never from scheduling order, so the campaign
+//! scenario on the ordered worker pool [`offramps_des::pool_map`],
+//! optionally through a content-addressed scenario store
+//! ([`CampaignOptions::store`]). Each scenario's seed is derived from
+//! the campaign's master seed and the scenario's *label* via
+//! [`SeedSplitter`], never from scheduling order, so the campaign
 //! produces **byte-identical summaries for any thread count** — the
 //! property the `campaign_determinism` integration test pins down.
 //!
@@ -52,8 +53,7 @@
 //! [`Verdict`] with per-detector [`offramps::verdict::Evidence`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use offramps::verdict::{
@@ -64,7 +64,7 @@ use offramps::{
     trojans, BenchError, RunArtifacts, SignalPath, TestBench, TransactionDetector, Trojan,
 };
 use offramps_attacks::Flaw3dTrojan;
-use offramps_des::SeedSplitter;
+use offramps_des::{pool_map, SeedSplitter};
 use offramps_gcode::Program;
 use offramps_obs::{FlightRecorder, Obs};
 use offramps_store::Store;
@@ -252,19 +252,24 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Reports the first unknown attack name or duplicate workload
-    /// label.
+    /// Reports the first unknown attack name, duplicate attack name
+    /// (compared case-insensitively, as [`parse_attack`] reads it) or
+    /// duplicate workload label.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, String> {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for w in &self.workloads {
             if !seen.insert(w.label()) {
                 return Err(format!("duplicate workload label {:?}", w.label()));
             }
         }
+        let mut attacks = BTreeSet::new();
         let split = SeedSplitter::new(self.master_seed);
         let mut out = Vec::new();
         for trojan in &self.trojans {
             parse_attack(trojan)?;
+            if !attacks.insert(trojan.to_ascii_lowercase()) {
+                return Err(format!("duplicate attack {trojan:?}"));
+            }
             for workload in &self.workloads {
                 for run in 0..self.runs_per_cell.max(1) {
                     let label = format!("campaign/{}/{}/{}", workload.label(), trojan, run);
@@ -629,60 +634,6 @@ impl ToJson for CampaignReport {
     }
 }
 
-/// The host's parallelism: the worker count of the offline analytics
-/// pass, whose results [`parallel_map`] returns in input order.
-pub(crate) fn host_workers() -> usize {
-    // detlint: allow(D2) -- sizes the analytics pool only; parallel_map keeps input order, so no output depends on it
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Maps `f` over `items` on a pool of `threads` workers.
-///
-/// **Order-preservation invariant:** `output[i]` is `f(&items[i])`, for
-/// every `i`, regardless of which worker computed it or in what order
-/// workers finished — callers reassemble matrix-order results (and
-/// matrix-order store appends) on the strength of this, so the
-/// claiming strategy below may change but the invariant may not.
-///
-/// Work is claimed from a shared atomic index in contiguous chunks of a
-/// few items per `fetch_add` — less cache-line traffic on the counter
-/// than claiming one item at a time, while chunks stay small enough
-/// that a straggling chunk never idles the rest of the pool.
-pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads.max(1).min(items.len().max(1));
-    // Aim for several claims per worker so finish times even out.
-    let chunk = (items.len() / (workers * 8)).clamp(1, 16);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                for (i, item) in items.iter().enumerate().skip(start).take(chunk) {
-                    let result = f(item);
-                    *slots[i].lock().expect("result slot") = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("poisoned slot")
-                .expect("worker filled slot")
-        })
-        .collect()
-}
-
 /// One campaign's judging configuration, threaded as a unit to every
 /// worker: the suite each scenario is judged with, and whether the
 /// evidence is replayed window by window (online) or judged post-hoc.
@@ -941,7 +892,8 @@ fn execute_campaign(
                 .map(move |(i, &seed)| (label, seed, i > 0))
         })
         .collect();
-    let mut runs = parallel_map(&jobs, threads, |&(label, seed, rerun)| {
+    let mut runs = pool_map(jobs.len(), threads, Default::default, |(), i| {
+        let (label, seed, rerun) = jobs[i];
         detectors::golden_run(&programs[label], seed, suite, rerun)
     })
     .into_iter();
@@ -955,7 +907,8 @@ fn execute_campaign(
         .collect();
     let simulate_start = obs.clock_micros();
     obs.record_span("campaign", None, "golden", golden_start, simulate_start);
-    let results = parallel_map(scenarios, threads, |sc| {
+    let results = pool_map(scenarios.len(), threads, Default::default, |(), i| {
+        let sc = scenarios[i];
         let label = sc.workload.as_str();
         run_scenario(sc, &programs[label], &goldens[label], judging)
     });
@@ -1087,10 +1040,11 @@ pub fn run_campaign(
             .filter(|w| needed.contains(w.label()))
             .collect();
         let slice_start = obs.clock_micros();
-        let programs: BTreeMap<&str, Arc<Program>> = workloads
-            .iter()
-            .zip(parallel_map(&workloads, threads, |w| w.program()))
-            .map(|(w, program)| (w.label(), program))
+        let programs: BTreeMap<&str, Arc<Program>> =
+            pool_map(workloads.len(), threads, Default::default, |(), i| {
+                (workloads[i].label(), workloads[i].program())
+            })
+            .into_iter()
             .collect();
         obs.record_span("campaign", None, "slice", slice_start, obs.clock_micros());
         let judging = Judging {
@@ -1211,6 +1165,18 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_attacks_rejected_case_insensitively() {
+        for trojans in [["t2", "t2"], ["none", "NONE"]] {
+            let spec = CampaignSpec {
+                trojans: trojans.map(String::from).to_vec(),
+                ..CampaignSpec::default_matrix(1)
+            };
+            let err = spec.scenarios().unwrap_err();
+            assert!(err.contains("duplicate attack"), "{err}");
+        }
+    }
+
+    #[test]
     fn sweep_grid_is_valid_and_sized() {
         let sweep = sweep_attacks();
         assert!(sweep.len() >= 30, "grid has {} attacks", sweep.len());
@@ -1230,14 +1196,5 @@ mod tests {
         ));
         assert!(parse_attack("t5:200").is_err());
         assert!(parse_attack("t2:0").is_err());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..57).collect();
-        for threads in [1, 3, 8] {
-            let out = parallel_map(&items, threads, |x| x * 2);
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
     }
 }

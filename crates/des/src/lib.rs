@@ -9,7 +9,9 @@
 //! [`Scheduler::step`], delivers the next event due by the caller's time
 //! bound, every event in one deterministic `(tick, sequence)` order,
 //! and seeded random number generation so that every experiment is
-//! exactly reproducible.
+//! exactly reproducible. Work that fans out over host threads runs on
+//! [`pool_map`], the workspace's one worker pool, which returns its
+//! results in input order whatever the worker count.
 //!
 //! # Example
 //!
@@ -54,11 +56,13 @@
 #![warn(missing_docs)]
 
 mod component;
+mod pool;
 mod rng;
 mod scheduler;
 mod time;
 
 pub use component::{ActionSink, CompId, InPort, OutPort, SimComponent, SinkAction};
+pub use pool::{host_parallelism, pool_map};
 pub use rng::{DetRng, SeedSplitter};
 pub use scheduler::{ComponentSet, KernelStats, Scheduler};
 pub use time::{SimDuration, Tick, TICKS_PER_MICRO, TICKS_PER_MILLI, TICKS_PER_SEC, TICK_NS};

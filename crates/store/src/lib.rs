@@ -1,5 +1,5 @@
-//! `offramps-store` — a dependency-free, content-addressed, sharded
-//! on-disk record store.
+//! `offramps-store` — a content-addressed, sharded on-disk record
+//! store with no dependencies outside the workspace.
 //!
 //! Campaign-scale evaluation reruns the same scenario matrix over and
 //! over with small deltas: one more corpus part, one new attack spec,
@@ -31,7 +31,8 @@
 //!   unbuffered write.
 //! * **Deterministic results on every core.** The 256 shard logs are
 //!   independent, so [`Store::open`] scans them and [`Store::records`]
-//!   reads them back on a small pool sized to the host, one whole shard
+//!   reads them back on the workspace's one worker pool
+//!   ([`offramps_des::pool_map`]), sized to the host, one whole shard
 //!   log per task. Each shard's slots are indexed into a sorted array
 //!   of its own and results are taken in shard order, so the index, the
 //!   scan counts and the bulk read's order (fingerprint order) are the
@@ -100,11 +101,11 @@ mod fingerprint;
 use checkpoint::{checksum, LogIndex};
 pub use fingerprint::Fingerprint;
 
+use offramps_des::{host_parallelism, pool_map};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of shard logs a store fans its records over (fingerprint top
@@ -239,7 +240,7 @@ impl Store {
     /// ([`Store::scan_stats`]), and unusable checkpoints are ignored:
     /// neither is an error.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
-        Store::open_with(root.into(), workers())
+        Store::open_with(root.into(), host_parallelism())
     }
 
     /// [`Store::open`] on `workers` threads.
@@ -423,7 +424,7 @@ impl Store {
     /// order), and `f` runs there too: each worker unescapes into
     /// buffers of its own, so `f` borrows both strings.
     pub fn records<T: Send>(&self, f: impl Fn(&str, &str) -> T + Sync) -> (Vec<T>, usize) {
-        self.records_with(workers(), f)
+        self.records_with(host_parallelism(), f)
     }
 
     /// [`Store::records`] on `workers` threads.
@@ -668,48 +669,6 @@ fn open_shard(
     scan_log(&mut index, &bytes[(loaded - base) as usize..], shard, key)?;
     index.check = checksum(&bytes[(index.last_line - base) as usize..]);
     Ok(Some((index, loaded)))
-}
-
-/// How many workers [`Store::open`] and [`Store::records`] run on.
-fn workers() -> usize {
-    // detlint: allow(D2) -- sizes the shard pool only; every result merges in shard order
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Maps `f` over `0..n` on up to `workers` scoped threads, each holding
-/// one `init()` state that its calls share. Workers claim the next
-/// index from a counter; `out[i]` is `f(_, i)` whichever worker ran it.
-fn pool_map<S, R: Send>(
-    n: usize,
-    workers: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize) -> R + Sync,
-) -> Vec<R> {
-    // The counter publishes nothing but itself.
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.clamp(1, n.max(1)))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break done;
-                        }
-                        done.push((i, f(&mut state, i)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Where one record line sits in its shard log: `(fingerprint, byte

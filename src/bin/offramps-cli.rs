@@ -33,6 +33,7 @@ use offramps_bench::cache::{read_store, record_scan_metrics, StoreContents};
 use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, CampaignSpec};
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::workloads::Workload;
+use offramps_des::host_parallelism;
 use offramps_gcode::slicer::{slice, SlicerConfig, Solid};
 use offramps_gcode::{parse, ProgramStats};
 use offramps_obs::Obs;
@@ -68,10 +69,10 @@ USAGE:
 
 The campaign subcommand fans the attack x workload x seed matrix across
 worker threads; results are identical for every --threads value.
---threads 0 (or omitting it) uses one worker per available CPU; the
-resolved count is reported in the JSON `threads` field. Each workload's
-golden capture is provisioned first, then every scenario runs as its own
-work item on the pool.
+--threads 0 (or omitting it) uses one worker per available CPU, and at
+most 1024 may be asked for; the resolved count is reported in the JSON
+`threads` field. Each workload's golden capture is provisioned first,
+then every scenario runs as its own work item on the pool.
 Attacks: none, hardware Trojans t1-t9/tx1/tx2 (the monitor taps
 upstream of the Trojan mux, so only Trojans whose physical damage feeds
 back into motion surface in the capture), parameterized Trojan specs
@@ -228,6 +229,10 @@ const DETECT_FLAGS: FlagTable = &[("--margin", Arity::Value)];
 /// rejected before its corpus is expanded or its scenario list built,
 /// either of which would exhaust memory.
 const MAX_SCENARIOS: u64 = 1_000_000;
+
+/// The most workers `--threads` may ask for: each is an OS thread, and
+/// a refused spawn would abort the campaign.
+const MAX_THREADS: u64 = 1024;
 
 const CAMPAIGN_FLAGS: FlagTable = &[
     ("--threads", Arity::Value),
@@ -531,16 +536,14 @@ fn cmd_detect(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Resolves `--threads` (0 or absent = one worker per available CPU).
+/// The pool starts one OS thread per worker, so a count past
+/// [`MAX_THREADS`] is refused before any work.
 fn resolve_threads(flags: &Flags<'_>) -> Result<usize, String> {
-    let requested = flags.u64_or("--threads", 0)? as usize;
-    Ok(if requested == 0 {
-        // detlint: allow(D2) -- thread-count resolution is execution-class, reported only beside wall-clock timings
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    })
+    match flags.u64_or("--threads", 0)? {
+        0 => Ok(host_parallelism()),
+        n if n > MAX_THREADS => Err(format!("--threads must be at most {MAX_THREADS}")),
+        n => Ok(n as usize),
+    }
 }
 
 /// Where `--metrics` sends the deterministic metrics document.
@@ -626,9 +629,17 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
 
     let mut spec = CampaignSpec::default_matrix(seed);
     spec.runs_per_cell = flags.u32_or("--runs", 1, 1)?;
+    // Attack and detector names are normalized so equivalent
+    // invocations (`T2`, ` t2 `) produce byte-identical artifacts,
+    // seeds and store keys.
+    let names = |list: &str| {
+        list.split(',')
+            .map(|s| s.trim().to_ascii_lowercase())
+            .collect()
+    };
     if let Some(list) = flags.value("--trojans") {
         if list != "all" {
-            spec.trojans = list.split(',').map(|s| s.trim().to_string()).collect();
+            spec.trojans = names(list);
         }
     }
     if flags.has("--sweep") {
@@ -653,12 +664,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         spec.workloads.extend(CorpusSpec::new(corpus).expand(seed));
     }
     if let Some(list) = flags.value("--detectors") {
-        // Normalized here so equivalent invocations (`TXN`, ` txn `)
-        // produce byte-identical artifacts and store keys.
-        spec.detectors = list
-            .split(',')
-            .map(|s| s.trim().to_ascii_lowercase())
-            .collect();
+        spec.detectors = names(list);
     }
     if let Some(policy) = flags.value("--fuse") {
         spec.fusion = FusionPolicy::parse(policy)?;

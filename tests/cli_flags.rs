@@ -157,6 +157,22 @@ fn out_of_domain_values_are_rejected() {
     ] {
         assert_rejected(args, "a campaign holds at most 1000000 scenarios", usage);
     }
+    // Each worker is an OS thread: a count past the cap is refused
+    // before any work, `--list` included.
+    assert_rejected(
+        &["campaign", "--list", "--threads", "1025"],
+        "--threads must be at most 1024",
+        usage,
+    );
+    // One attack named twice, in any case, would run the same
+    // scenarios twice under one store key.
+    for trojans in ["t2,t2", "none,T2,t2", "none, none"] {
+        assert_rejected(
+            &["campaign", "--list", "--trojans", trojans],
+            "duplicate attack",
+            usage,
+        );
+    }
 }
 
 #[test]
@@ -176,6 +192,24 @@ fn declared_forms_are_accepted() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("scenarios: 33"));
+}
+
+/// Attack names are normalized like detector names: `T2` names the
+/// scenario, its seed and its store key as `t2` does.
+#[test]
+fn attack_names_are_trimmed_and_lowercased() {
+    let out = cli(&[
+        "campaign",
+        "--list",
+        "--trojans",
+        " T2,NONE",
+        "--threads",
+        "1024",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("attacks (2):\n  t2, none\n"), "{stdout}");
 }
 
 #[test]

@@ -18,6 +18,7 @@ use offramps_bench::campaign::{run_campaign, sweep_attacks, CampaignOptions, Cam
 use offramps_bench::corpus::CorpusSpec;
 use offramps_bench::json::{self, ToJson};
 use offramps_bench::workloads::Workload;
+use offramps_des::host_parallelism;
 use offramps_store::Store;
 
 /// Campaign options that run through `store`.
@@ -213,7 +214,7 @@ fn corpus_sweep_store_feeds_corpus_wide_roc_analytics() {
     };
     spec.workloads.extend(CorpusSpec::new(16).expand(42));
 
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let threads = host_parallelism();
     let mut store = Store::open(&root).unwrap();
     let (report, stats) = run_campaign(&spec, cached(threads, &mut store)).expect("valid spec");
     assert_eq!(
